@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .numerics import Grid1D
+from .numerics import Grid1D, QuadratureRule
 from .oscillator import OscillatorState, eigen_residual, psi_eval
 
 DEFAULT_ANALYSIS_GRID = Grid1D(-14.0, 14.0, 8001)
@@ -112,17 +112,17 @@ def inner_product(f, g, grid: Grid1D) -> float:
     """Trapezoid quadrature of f*g over the grid's measure."""
     fs = _samples_on(grid, f)
     gs = _samples_on(grid, g)
-    return float(np.trapezoid(fs * gs, dx=grid.spacing))
+    return float(QuadratureRule.trapezoid(grid).weights @ (fs * gs))
 
 
 def gram_matrix(basis: BasisSet) -> GramReport:
     """Full symmetric Gram matrix of the basis members."""
     m = len(basis)
+    w = QuadratureRule.trapezoid(basis.grid).weights
     g = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
-            val = inner_product(basis.members[i], basis.members[j], basis.grid)
-            g[i, j] = g[j, i] = val
+            g[i, j] = g[j, i] = float(w @ (basis.members[i] * basis.members[j]))
     return GramReport(g, basis.labels, basis.grid)
 
 
@@ -137,9 +137,7 @@ def mu0_estimate(
     projection onto an opposite-parity lower state vanishes.
     """
     xs = grid.points()
-    lower_vals = psi_eval(lower, xs)
-    resid_vals = eigen_residual(upper, xs)
-    return float(np.trapezoid(lower_vals * resid_vals, dx=grid.spacing))
+    return inner_product(psi_eval(lower, xs), eigen_residual(upper, xs), grid)
 
 
 def energy_ordering_check(states: Sequence[OscillatorState]) -> bool:
@@ -168,10 +166,9 @@ def completeness_projection(
     if not orders:
         return ProjectionReport(target_label, (), (), (), ())
     ts = _samples_on(basis.grid, target)
-    t_norm2 = inner_product(ts, ts, basis.grid)
-    overlaps = np.array(
-        [inner_product(basis.members[i], ts, basis.grid) for i in range(max(orders))]
-    )
+    w = QuadratureRule.trapezoid(basis.grid).weights
+    t_norm2 = float(w @ (ts * ts))
+    overlaps = np.array([float(w @ (basis.members[i] * ts)) for i in range(max(orders))])
     full_gram = gram_matrix(
         BasisSet(basis.grid, basis.members[: max(orders)], basis.labels[: max(orders)])
     ).matrix

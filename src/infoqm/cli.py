@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,7 +57,7 @@ _CONVERGENCE_ERRORS = (ConvergenceError, StructureError, NotFoundError, IllCondi
 
 
 def thread_cap() -> int:
-    """Parallelism cap from INFOQM_THREADS (positive integer, default 1)."""
+    """Validated INFOQM_THREADS value (positive integer, default 1)."""
     raw = os.environ.get("INFOQM_THREADS")
     if raw is None:
         return 1
@@ -69,15 +68,6 @@ def thread_cap() -> int:
     if cap < 1:
         raise ValidationError(f"INFOQM_THREADS must be a positive integer, got {raw!r}")
     return cap
-
-
-def _parallel_map(fn, items):
-    cap = thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -122,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     osc_table.add_argument("--format", choices=("csv", "json"), default="csv")
     osc_table.add_argument("--digits", type=int, default=6)
     osc_table.add_argument("--out")
-    osc_table.add_argument("--seed", type=int, default=0)
 
     mx = sub.add_parser("maxent", help="maximum-entropy density fitting")
     mx_sub = mx.add_subparsers(dest="command", required=True)
@@ -131,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mx_fit.add_argument("--tol", type=float, default=1e-10)
     mx_fit.add_argument("--init", help="previously fitted density JSON to warm-start from")
     mx_fit.add_argument("--out")
-    mx_fit.add_argument("--seed", type=int, default=0)
 
     ser = sub.add_parser("series", help="series convergence probes")
     ser_sub = ser.add_subparsers(dest="command", required=True)
@@ -144,7 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--n-max", type=int, required=True)
     probe.add_argument("--digits", type=int, default=12)
     probe.add_argument("--out")
-    probe.add_argument("--seed", type=int, default=0)
 
     nls = sub.add_parser("nls", help="grid ground-state solver")
     nls_sub = nls.add_subparsers(dest="command", required=True)
@@ -170,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gram.add_argument("--points", type=int, default=8001)
     gram.add_argument("--digits", type=int, default=12)
     gram.add_argument("--out")
-    gram.add_argument("--seed", type=int, default=0)
     proj = an_sub.add_parser("project", help="completeness projection of a target")
     proj.add_argument("--target", required=True, help="target spec JSON file")
     proj.add_argument("--orders", required=True, help="comma-separated truncation orders")
@@ -178,13 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
     proj.add_argument("--domain", type=float, nargs=2, default=(-14.0, 14.0))
     proj.add_argument("--points", type=int, default=8001)
     proj.add_argument("--out")
-    proj.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (payload text, warnings)
+# subcommand bodies: each returns the payload text
 
 
 def _cmd_oscillator_table(args) -> str:
@@ -192,8 +177,7 @@ def _cmd_oscillator_table(args) -> str:
         raise ValidationError("--n-max must be nonnegative")
     if args.digits < 1:
         raise ValidationError("--digits must be positive")
-    rows_n = list(range(args.n_max + 1))
-    states = _parallel_map(solve_state, rows_n)
+    states = [solve_state(n) for n in range(args.n_max + 1)]
     if args.format == "json":
         doc = {
             "rows": [
@@ -301,7 +285,7 @@ def _analysis_grid(args) -> Grid1D:
 def _cmd_analyze_gram(args) -> str:
     if args.n_max < 0:
         raise ValidationError("--n-max must be nonnegative")
-    states = _parallel_map(solve_state, range(args.n_max + 1))
+    states = [solve_state(n) for n in range(args.n_max + 1)]
     basis = BasisSet.from_states(states, _analysis_grid(args))
     report = gram_matrix(basis)
     header = "n," + ",".join(str(n) for n in range(args.n_max + 1))
@@ -336,7 +320,7 @@ def _cmd_analyze_project(args) -> str:
         doc = json.load(fh)
     grid = _analysis_grid(args)
     target, label = _target_from_spec(doc, grid)
-    states = _parallel_map(solve_state, range(args.n_max + 1))
+    states = [solve_state(n) for n in range(args.n_max + 1)]
     basis = BasisSet.from_states(states, grid)
     report = completeness_projection(target, basis, orders, target_label=label)
     return _dump_json(

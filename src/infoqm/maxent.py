@@ -9,15 +9,18 @@ prescribed zeros (|x-x0|^m) and integrable singularities (|x-x0|^{-p},
 p < 1) at the ends of the support.  Multipliers for the constrained
 orders are found by Newton iteration on the moment residuals, using the
 moment covariance matrix as the Jacobian; all other multipliers stay
-zero.  Unbounded supports are handled on wide truncated windows (the
-12-sigma heuristic) with a tail-mass check.
+zero.  One Newton core serves both the 1-D and the 2-D fits: it works
+on a tensor-product Simpson grid from ``numerics.QuadratureRule``, and
+a 1-D fit is the case of a one-node second axis (y = 1, weight 1).
+Unbounded supports are handled on wide truncated windows (the 12-sigma
+heuristic) with a tail-mass check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
+from .numerics import Grid1D, QuadratureRule
 
 _QUAD_POINTS = 8001          # reference Simpson resolution, 1-D
 _QUAD_POINTS_2D = 601        # per axis, tensor Simpson
@@ -212,13 +216,6 @@ class FitDiagnostics:
 # quadrature plumbing
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def _exponent_poly(multipliers, xs: np.ndarray, include_a0: bool = True) -> np.ndarray:
     """sum_i a_i x^i over the stored multipliers."""
     total = np.zeros_like(xs)
@@ -244,35 +241,30 @@ def _factor_values(factors: EndpointFactors | None, xs: np.ndarray) -> np.ndarra
     return out
 
 
-def _fit_window(spec: MomentSpec1D, mults: np.ndarray, orders: tuple[int, ...]) -> tuple[float, float]:
-    """Integration window: the support itself, or a 12-sigma truncation."""
-    a, b = spec.support
-    if not spec.unbounded:
-        return a, b
-    targets = dict(zip(orders, spec.targets))
-    center = targets.get(1, 0.0)
-    var = targets.get(2, 0.0) - center * center
-    if var <= 0:
-        # fall back on the current leading multiplier as an inverse scale
-        top_order = orders[-1]
-        top = max(mults[-1], 1e-8)
-        var = (1.0 / (2.0 * top)) if top_order == 2 else top ** (-2.0 / top_order)
-    half = _WINDOW_SIGMAS * math.sqrt(var)
+def _window_rule(support: tuple[float, float], center: float, var: float) -> QuadratureRule:
+    """8001-node Simpson rule on the support; an infinite lower (upper) end
+    is cut at center - 12 sigma (center + 12 sigma)."""
+    a, b = support
+    half = _WINDOW_SIGMAS * math.sqrt(var) if math.isinf(a) or math.isinf(b) else 0.0
     lo = center - half if math.isinf(a) else a
     hi = center + half if math.isinf(b) else b
-    return lo, hi
+    return QuadratureRule.simpson(Grid1D(lo, hi, _QUAD_POINTS))
 
 
-def _window_nodes(lo: float, hi: float, n: int = _QUAD_POINTS):
-    xs = np.linspace(lo, hi, n)
-    return xs, _simpson_weights(n, xs[1] - xs[0])
+def _fit_window(spec: MomentSpec1D, a: np.ndarray) -> QuadratureRule:
+    """Integration rule of a 1-D fit, centered on the target mean."""
+    targets = dict(spec.constraints)
+    center = targets.get(1, 0.0)
+    if 2 in targets:
+        var = targets[2] - center * center
+    else:
+        # fall back on the current leading multiplier as an inverse scale
+        var = max(a[-1], 1e-8) ** (-2.0 / spec.orders[-1])
+    return _window_rule(spec.support, center, var)
 
 
 def reference_rule(d: ExpFamilyDensity1D):
     """Nodes and Simpson weights of the module's reference quadrature for d."""
-    a, b = d.support
-    if not (math.isinf(a) or math.isinf(b)):
-        return _window_nodes(a, b)
     mults = dict((o, v) for o, v in d.multipliers if o >= 1)
     a2 = mults.get(2, 0.0)
     if a2 > 0 and all(o <= 2 for o in mults):
@@ -283,10 +275,8 @@ def reference_rule(d: ExpFamilyDensity1D):
         top = max(mults.get(top_order, 0.0), 1e-8)
         var = top ** (-2.0 / top_order)
         center = 0.0
-    half = _WINDOW_SIGMAS * math.sqrt(var)
-    lo = center - half if math.isinf(a) else a
-    hi = center + half if math.isinf(b) else b
-    return _window_nodes(lo, hi)
+    rule = _window_rule(d.support, center, var)
+    return rule.nodes, rule.weights
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +359,73 @@ def _check_feasible_2d(spec: MomentSpec2D) -> None:
 # fitting
 
 
+# y = 1 with weight 1: the second axis of a 1-D fit on the 2-D core
+_UNIT_AXIS = QuadratureRule("point", np.ones(1), np.ones(1))
+
+
+def _power_table(nodes: np.ndarray, top: int) -> np.ndarray:
+    """Rows nodes**0 .. nodes**top, by repeated multiplication."""
+    table = np.empty((top + 1, nodes.size))
+    table[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(table[k - 1], nodes, out=table[k])
+    return table
+
+
+def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, axes):
+    """Match the moments <x^i y^j> of exp(-sum_t a_t x^i_t y^j_t) to targets.
+
+    Newton iteration on the moment residuals with the moment covariance as
+    Jacobian, each step clipped to _STEP_CLIP.  ``axes(a)`` gives the x and
+    y quadrature rules of the tensor-product grid at multipliers ``a``; the
+    power tables Px, Py are rebuilt only when it returns a new pair.  Every
+    moment and covariance entry is read from the one table
+    Px (w_x w_y^T * core) Py^T.  Returns (a, a_0, diagnostics).
+    """
+    pi = np.array([i for i, _ in pairs])
+    pj = np.array([j for _, j in pairs])
+    rules = None
+    for iterations in range(_NEWTON_CAP + 1):
+        current = axes(a)
+        if current is not rules:
+            rules = current
+            px = _power_table(rules[0].nodes, 2 * int(pi.max()))
+            py = _power_table(rules[1].nodes, 2 * int(pj.max()))
+            w = np.multiply.outer(rules[0].weights, rules[1].weights)
+        # one outer product per power of y, never the full monomial stack
+        by_j: dict[int, np.ndarray] = {}
+        for i, j, v in zip(pi, pj, a):
+            by_j[j] = by_j.get(j, 0.0) + v * px[i]
+        log_core = -sum(np.multiply.outer(u, py[j]) for j, u in by_j.items())
+        shift = float(log_core.max())
+        table = px @ (w * np.exp(log_core - shift)) @ py.T
+        z = float(table[0, 0])
+        if not (math.isfinite(z) and z > 0):
+            raise NumericError("normalization integral is not finite; fit diverged")
+        mom = table / z
+        mean = mom[pi, pj]
+        r = mean - targets
+        residual = float(np.max(np.abs(r)))
+        if residual <= tol:
+            break
+        if iterations == _NEWTON_CAP:
+            raise ConvergenceError(
+                f"moment-matching Newton did not reach tol={tol} in {_NEWTON_CAP} "
+                f"iterations (residual {residual:.3e})"
+            )
+        cov = mom[pi[:, None] + pi, pj[:, None] + pj] - np.outer(mean, mean)
+        try:
+            delta = np.linalg.solve(cov, r)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular moment covariance: {exc}") from exc
+        worst = float(np.max(np.abs(delta)))
+        if worst > _STEP_CLIP:
+            delta *= _STEP_CLIP / worst
+        a = a + delta
+    window = (float(rules[0].nodes[0]), float(rules[0].nodes[-1]))
+    return a, shift + math.log(z), FitDiagnostics(iterations, residual, window)
+
+
 def fit_multipliers_1d(
     spec: MomentSpec1D,
     init: np.ndarray | None = None,
@@ -376,9 +433,8 @@ def fit_multipliers_1d(
 ) -> tuple[ExpFamilyDensity1D, FitDiagnostics]:
     """Fit multipliers so every constrained moment matches within tol.
 
-    Newton iteration on the moment residuals with the moment covariance
-    as Jacobian.  Returns the normalized density (a_0 included) and fit
-    diagnostics.
+    Runs the shared Newton core with a one-node y axis.  Returns the
+    normalized density (a_0 included) and fit diagnostics.
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
@@ -408,59 +464,32 @@ def fit_multipliers_1d(
                 a[-1] = max(a[-1], 1e-2)
 
     if m == 0:
-        lo, hi = _fit_window(spec, a, orders)
         if spec.unbounded:
             raise ValidationError("unbounded support needs at least one moment constraint")
-        a0 = math.log(hi - lo)
-        density = ExpFamilyDensity1D(((0, a0),), spec.support)
+        lo, hi = spec.support
+        density = ExpFamilyDensity1D(((0, math.log(hi - lo)),), spec.support)
         return density, FitDiagnostics(0, 0.0, (lo, hi), 0.0)
 
-    iterations = 0
-    residual = math.inf
-    lo = hi = 0.0
-    for iterations in range(_NEWTON_CAP + 1):
-        lo, hi = _fit_window(spec, a, orders)
-        xs, w = _window_nodes(lo, hi)
-        log_core = -sum(a[j] * xs ** orders[j] for j in range(m))
-        shift = float(log_core.max())
-        core = np.exp(log_core - shift)
-        z = float(w @ core)
-        if not (math.isfinite(z) and z > 0):
-            raise NumericError("normalization integral is not finite; fit diverged")
-        needed = set(orders) | {oi + oj for oi in orders for oj in orders}
-        mom = {p: float(w @ (core * xs**p)) / z for p in needed}
-        current = np.array([mom[o] for o in orders])
-        r = current - targets
-        residual = float(np.max(np.abs(r)))
-        if residual <= tol:
-            a0 = shift + math.log(z)
-            break
-        if iterations == _NEWTON_CAP:
-            raise ConvergenceError(
-                f"moment-matching Newton did not reach tol={tol} in {_NEWTON_CAP} "
-                f"iterations (residual {residual:.3e})"
-            )
-        cov = np.array([[mom[oi + oj] - mom[oi] * mom[oj] for oj in orders] for oi in orders])
-        try:
-            delta = np.linalg.solve(cov, r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular moment covariance: {exc}") from exc
-        worst = float(np.max(np.abs(delta)))
-        if worst > _STEP_CLIP:
-            delta *= _STEP_CLIP / worst
-        a = a + delta
+    if spec.unbounded and 2 not in orders:
+        # the window scales with the leading multiplier and moves every step
+        def axes(a):
+            return _fit_window(spec, a), _UNIT_AXIS
+    else:
+        fixed = (_fit_window(spec, a), _UNIT_AXIS)
 
-    tail = 0.0
-    if spec.unbounded:
-        xs_edge = np.array([lo, hi])
-        edge = np.exp(-sum(a[j] * xs_edge ** orders[j] for j in range(m)) - a0)
-        tail = float(edge.max() * (hi - lo))
-        if tail > _TAIL_MASS_LIMIT:
-            raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
+        def axes(a):
+            return fixed
 
+    a, a0, diag = _newton_fit(tuple((o, 0) for o in orders), targets, a, tol, axes)
     multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
     density = ExpFamilyDensity1D(multipliers, spec.support)
-    return density, FitDiagnostics(iterations, residual, (lo, hi), tail)
+    if spec.unbounded:
+        lo, hi = diag.window
+        tail = float(density_values(density, np.array([lo, hi])).max() * (hi - lo))
+        if tail > _TAIL_MASS_LIMIT:
+            raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
+        diag = replace(diag, tail_mass=tail)
+    return density, diag
 
 
 def fit_multipliers_2d(
@@ -472,75 +501,23 @@ def fit_multipliers_2d(
     _check_feasible_2d(spec)
     pairs = tuple((i, j) for i, j, _ in spec.constraints)
     targets = np.array([v for _, _, v in spec.constraints])
-    m = len(pairs)
     (a1, b1), (a2, b2) = spec.support
-    xs = np.linspace(a1, b1, _QUAD_POINTS_2D)
-    ys = np.linspace(a2, b2, _QUAD_POINTS_2D)
-    wx = _simpson_weights(len(xs), xs[1] - xs[0])
-    wy = _simpson_weights(len(ys), ys[1] - ys[0])
-    X = xs[:, None]
-    Y = ys[None, :]
-    W = wx[:, None] * wy[None, :]
 
-    a = np.zeros(m)
-    tmap = {(i, j): v for (i, j), v in zip(pairs, targets)}
-    for idx, (i, j) in enumerate(pairs):
-        if (i, j) == (2, 0) and tmap[(2, 0)] > 0:
-            a[idx] = 1.0 / (2.0 * tmap[(2, 0)])
-        if (i, j) == (0, 2) and tmap[(0, 2)] > 0:
-            a[idx] = 1.0 / (2.0 * tmap[(0, 2)])
-
-    if m == 0:
+    if not pairs:
         a00 = math.log((b1 - a1) * (b2 - a2))
         density = ExpFamilyDensity2D(((0, 0, a00),), spec.support)
         return density, FitDiagnostics(0, 0.0, (a1, b1), 0.0)
 
-    residual = math.inf
-    for iterations in range(_NEWTON_CAP + 1):
-        log_core = -sum(a[t] * X ** pairs[t][0] * Y ** pairs[t][1] for t in range(m))
-        shift = float(log_core.max())
-        core = np.exp(log_core - shift)
-        z = float(np.sum(W * core))
-        if not (math.isfinite(z) and z > 0):
-            raise NumericError("normalization integral is not finite; fit diverged")
-        needed = set(pairs) | {(p[0] + q[0], p[1] + q[1]) for p in pairs for q in pairs}
-        mom = {
-            (i, j): float(np.sum(W * core * X**i * Y**j)) / z for (i, j) in needed
-        }
-        current = np.array([mom[p] for p in pairs])
-        r = current - targets
-        residual = float(np.max(np.abs(r)))
-        if residual <= tol:
-            a00 = shift + math.log(z)
-            break
-        if iterations == _NEWTON_CAP:
-            raise ConvergenceError(
-                f"2-D moment-matching Newton did not reach tol={tol} "
-                f"(residual {residual:.3e})"
-            )
-        cov = np.array(
-            [
-                [
-                    mom[(p[0] + q[0], p[1] + q[1])] - mom[p] * mom[q]
-                    for q in pairs
-                ]
-                for p in pairs
-            ]
-        )
-        try:
-            delta = np.linalg.solve(cov, r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular moment covariance: {exc}") from exc
-        worst = float(np.max(np.abs(delta)))
-        if worst > _STEP_CLIP:
-            delta *= _STEP_CLIP / worst
-        a = a + delta
-
-    multipliers = ((0, 0, a00),) + tuple(
-        (p[0], p[1], float(v)) for p, v in zip(pairs, a)
+    a = np.array(
+        [1.0 / (2.0 * t) if p in ((2, 0), (0, 2)) else 0.0 for p, t in zip(pairs, targets)]
     )
+    rules = tuple(
+        QuadratureRule.simpson(Grid1D(lo, hi, _QUAD_POINTS_2D)) for lo, hi in spec.support
+    )
+    a, a00, diag = _newton_fit(pairs, targets, a, tol, lambda a: rules)
+    multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
     density = ExpFamilyDensity2D(multipliers, spec.support)
-    return density, FitDiagnostics(iterations, residual, (a1, b1), 0.0)
+    return density, diag
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,15 @@ class TestOscillatorTable:
         assert code == 2
         assert "error" in err
 
-    def test_unknown_flag(self, capsys):
+    def test_unknown_flag(self, tmp_path, capsys):
         code, _, _ = run_captured(capsys, ["oscillator", "table", "--n-max", "3", "--bogus"])
         assert code == 2
+        # --seed exists only on nls ground
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"support": [0.0, 1.0], "moments": []}))
+        code, _, _ = run_captured(capsys, ["maxent", "fit", "--spec", str(spec), "--seed", "1"])
+        assert code == 2
+        assert run_captured(capsys, ["maxent", "fit", "--spec", str(spec)])[0] == 0
 
     def test_digits_flag(self, capsys):
         code, out, _ = run_captured(

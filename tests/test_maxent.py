@@ -144,6 +144,17 @@ class TestFit1D:
         with pytest.raises(ValidationError):
             fit_multipliers_1d(MomentSpec1D((0.0, 1.0), ()), tol=0.0)
 
+    def test_unbounded_without_constraints_rejected(self):
+        with pytest.raises(ValidationError):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ()))
+
+    def test_quartic_only_window_follows_multiplier(self):
+        # no variance target: the window scales with the current a4, so it
+        # moves with every Newton step; exp(-a4 x^4) has <x^4> = 1/(4 a4)
+        d, diag = fit_multipliers_1d(MomentSpec1D((-INF, INF), ((4, 3.0),)))
+        assert diag.iterations >= 1
+        assert dict(d.multipliers)[4] == pytest.approx(1.0 / 12.0, abs=1e-9)
+
     @settings(max_examples=20, deadline=None)
     @given(c2=st.floats(0.05, 0.32))
     def test_fit_properties_on_interval(self, c2):
@@ -190,6 +201,18 @@ class TestFit2D:
         d, _ = fit_multipliers_2d(spec, tol=1e-10)
         mult = {(i, j): v for i, j, v in d.multipliers}
         assert mult[(1, 1)] == pytest.approx(ORACLE_A11, abs=1e-6)
+
+    def test_product_of_1d_fits(self):
+        # a separable 2-D spec fits the product of two 1-D fits
+        v = 0.75
+        square = ((-3.0, 3.0), (-3.0, 3.0))
+        d2, _ = fit_multipliers_2d(MomentSpec2D(square, ((2, 0, v), (0, 2, v))))
+        d1, _ = fit_multipliers_1d(MomentSpec1D((-3.0, 3.0), ((2, v),)))
+        mult2 = {(i, j): val for i, j, val in d2.multipliers}
+        mult1 = dict(d1.multipliers)
+        assert mult2[(2, 0)] == pytest.approx(mult1[2], abs=1e-8)
+        assert mult2[(0, 2)] == pytest.approx(mult1[2], abs=1e-8)
+        assert mult2[(0, 0)] == pytest.approx(2.0 * mult1[0], abs=1e-8)
 
     def test_2d_eval_outside_domain(self):
         d, _ = fit_multipliers_2d(MomentSpec2D(((0.0, 1.0), (0.0, 1.0)), ()))
