@@ -156,7 +156,8 @@ def completeness_projection(
 
     For each truncation order M the first M members are used; the
     coefficients solve G c = <phi_i, target>, which is the right
-    projection even when the family is not orthogonal.  A condition
+    projection even when the family is not orthogonal.  Each residual is
+    the quadrature norm of target - sum c_i phi_i.  A condition
     number beyond CONDITION_LIMIT raises IllConditionedError carrying
     the partial report.
     """
@@ -167,7 +168,6 @@ def completeness_projection(
         return ProjectionReport(target_label, (), (), (), ())
     ts = _samples_on(basis.grid, target)
     w = QuadratureRule.trapezoid(basis.grid).weights
-    t_norm2 = float(w @ (ts * ts))
     overlaps = np.array([float(w @ (basis.members[i] * ts)) for i in range(max(orders))])
     full_gram = gram_matrix(
         BasisSet(basis.grid, basis.members[: max(orders)], basis.labels[: max(orders)])
@@ -188,8 +188,8 @@ def completeness_projection(
                 partial=partial,
             )
         c = np.linalg.solve(g, overlaps[:m])
-        r2 = t_norm2 - 2.0 * float(c @ overlaps[:m]) + float(c @ g @ c)
-        residuals.append(math.sqrt(max(r2, 0.0)))
+        diff = ts - c @ basis.members[:m]
+        residuals.append(math.sqrt(float(w @ (diff * diff))))
         if m == max(orders):
             coeffs = tuple(float(v) for v in c)
     return ProjectionReport(target_label, orders, tuple(residuals), tuple(conditions), coeffs)

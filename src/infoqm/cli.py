@@ -268,6 +268,8 @@ def _cmd_nls_ground(args) -> str:
         "psi": sol.psi,
         "diagnostics": {
             "flow_norm": sol.flow_norm,
+            "newton_steps": sol.newton_steps,
+            "path": "newton" if sol.newton_steps else "flow",
             "energy_initial": sol.energy_trace[0],
             "energy_final": sol.energy_trace[-1],
             "seed": args.seed,

@@ -5,22 +5,28 @@ on the grid reads
 
     -psi''/2 + V psi = b (1 + ln psi^2) psi
 
-with b the nonlinearity coefficient.  The solver descends the discrete
-functional E_b[psi] = integral( psi'^2/2 + V psi^2 - b psi^2 ln psi^2 )
+with b the nonlinearity coefficient.  At fixed b the solver descends the
+discrete functional E_b[psi] = integral( psi'^2/2 + V psi^2 - b psi^2 ln psi^2 )
 on the unit sphere with explicit normalized gradient steps
 
     psi  <-  normalize( psi - tau (H psi - b (1 + ln psi^2) psi) )
 
-until the step norm drops below tolerance, then roots mu(b) - b = 0 in b
-by outer bisection so the stationarity eigenvalue equals the nonlinear
-coefficient.  The logarithm is floored at a configurable eps to keep the
-far tails finite; the floor is far below any physical amplitude.
+until the step norm drops below tolerance.  The self-consistent solve
+(mu(b) = b, so the stationarity eigenvalue equals the nonlinear
+coefficient) uses the flow only as a globalizer: a short flow to a loose
+norm, then Newton on the state bordered by the unit-norm constraint,
+whose tridiagonal Jacobian is solved by the Thomas algorithm.  At the
+bracket ends the border unknown is the eigenvalue shift m = mu(b) - b;
+for the root it is b itself.  Should Newton fail or its state not
+verify, the root is found by bisection in b over full flows.  The
+logarithm is floored at a configurable eps to keep the far tails finite;
+the floor is far below any physical amplitude.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +41,10 @@ from .numerics import Grid1D, RootBracket
 DEFAULT_BRACKET = (-3.0, -0.5)
 _OUTER_CAP = 200
 _ENERGY_SAMPLE_EVERY = 100
+# flow norm at which the short flow hands over to Newton
+_LOOSE_FLOW_NORM = 1e-2
+_NEWTON_CAP = 50
+_NEWTON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,13 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class GroundStateSolution:
-    """Converged positive state with its stationarity eigenvalue."""
+    """Converged positive state with its stationarity eigenvalue.
+
+    ``iterations`` counts explicit flow steps (of all short flows of a
+    Newton solve, else of the last flow) and ``newton_steps`` bordered
+    Newton steps, 0 when the flow alone made ``psi``.  ``energy_trace``
+    samples the last flow and ends with the energy of ``psi`` at ``b``.
+    """
 
     psi: np.ndarray
     mu: float
@@ -104,6 +120,7 @@ class GroundStateSolution:
     iterations: int
     flow_norm: float
     energy_trace: tuple[float, ...] = field(default=(), repr=False)
+    newton_steps: int = 0
 
     def __post_init__(self):
         psi = np.asarray(self.psi, dtype=float)
@@ -268,22 +285,171 @@ def gradient_flow_ground_state(
     )
 
 
-def self_consistent_lambda(
+def _thomas(diag: np.ndarray, off: float, r1: np.ndarray, r2: np.ndarray):
+    """Solve T x = r1 and T y = r2 for the symmetric tridiagonal T with
+    diagonal ``diag`` and constant off-diagonal ``off``: one forward and
+    one back sweep of the Thomas algorithm, without pivoting."""
+    d = diag.tolist()
+    x = r1.tolist()
+    y = r2.tolist()
+    n = len(d)
+    ratio = [0.0] * n
+    try:
+        pivot = d[0]
+        ratio[0] = off / pivot
+        x[0] /= pivot
+        y[0] /= pivot
+        for i in range(1, n):
+            pivot = d[i] - off * ratio[i - 1]
+            ratio[i] = off / pivot
+            x[i] = (x[i] - off * x[i - 1]) / pivot
+            y[i] = (y[i] - off * y[i - 1]) / pivot
+    except ZeroDivisionError:
+        raise ConvergenceError("bordered Newton met a zero pivot") from None
+    for i in range(n - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+        y[i] -= ratio[i] * y[i + 1]
+    return np.array(x), np.array(y)
+
+
+def _newton_step(
+    problem: GridProblem, u: np.ndarray, b: float, m: float, free_b: bool
+) -> tuple[np.ndarray, float]:
+    """One bordered Newton step (d_u, d_p) for the interior u of a state.
+
+    Unknowns are u and the border unknown p (m, or b when free_b), for
+    G = H u - b (1 + L) u - m u = 0 and h sum u^2 = 1, where
+    L = ln max(u^2, eps).  The Jacobian is the tridiagonal
+    J = 1/h^2 + V - b (1 + L + 2 [u^2 > eps]) - m, off-diagonal -1/(2h^2),
+    bordered by the column -u (or -(1 + L) u) and the row 2h u.  One
+    Thomas pass solves J for G and the column; the border unknown then
+    follows from the row (Keller's bordering algorithm).
+    """
+    h = problem.grid.spacing
+    v = problem.potential[1:-1]
+    eps = problem.eps_log
+    inv_h2 = 1.0 / (h * h)
+    off = -0.5 * inv_h2
+    dens = u * u
+    log_d = np.log(np.maximum(dens, eps))
+    h_u = (inv_h2 + v) * u
+    h_u[1:] += off * u[:-1]
+    h_u[:-1] += off * u[1:]
+    resid = h_u - (b * (1.0 + log_d) + m) * u
+    constraint = h * float(dens.sum()) - 1.0
+    diag = inv_h2 + v - b * (1.0 + log_d + 2.0 * (dens > eps)) - m
+    border = -(1.0 + log_d) * u if free_b else -u
+    y, z = _thomas(diag, off, resid, border)
+    d_p = (constraint - 2.0 * h * float(u @ y)) / (2.0 * h * float(u @ z))
+    return -y - z * d_p, d_p
+
+
+def _bordered_newton(
+    problem: GridProblem, psi: np.ndarray, free_b: bool
+) -> tuple[np.ndarray, float, float, int]:
+    """Newton from psi to the positive state with G = 0 and unit norm.
+
+    The border unknown is m at the problem's fixed b (free_b=False), so
+    that m = mu(b) - b, or b with m = 0 (free_b=True), the self-consistent
+    root.  Returns (psi, b, m, steps); raises ConvergenceError past the
+    step cap, on a zero pivot, or when an iterate leaves the positive cone.
+    """
+    b = problem.b
+    m = 0.0 if free_b else _mu_of(problem, psi) - b
+    u = psi[1:-1].copy()
+    for step in range(1, _NEWTON_CAP + 1):
+        d_u, d_p = _newton_step(problem, u, b, m, free_b)
+        u += d_u
+        if free_b:
+            b += d_p
+        else:
+            m += d_p
+        if not (bool(np.all(u > 0.0)) and math.isfinite(d_p)):
+            raise ConvergenceError("bordered Newton left the positive cone")
+        if (
+            float(np.max(np.abs(d_u))) <= _NEWTON_TOL * float(np.max(u))
+            and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
+        ):
+            out = np.zeros_like(psi)
+            out[1:-1] = u
+            return out, b, m, step
+    raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps")
+
+
+def _newton_lambda(
     problem: GridProblem,
     cfg: FlowConfig,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    f_tol: float = 1e-6,
-    init: np.ndarray | None = None,
+    lo: float,
+    hi: float,
+    f_tol: float,
+    init: np.ndarray | None,
 ) -> tuple[float, GroundStateSolution]:
-    """Root of F(b) = mu(b) - b by bisection: the returned coefficient is
-    its own stationarity eigenvalue, |mu(b*) - b*| < f_tol.
+    """Self-consistent root found by short flows and Newton polishes.
 
-    Inner flows are warm-started from the previous solution, so the
-    outer bisection is cheap after the first two evaluations.
+    A flow to _LOOSE_FLOW_NORM then a fixed-b Newton solve give
+    F(b) = m at each end of the bracket.  A flow at the secant estimate
+    of the root, started from the nearer end's state, then a free-b
+    Newton solve give the root.  Raises ConvergenceError when a step
+    fails or the result does not verify, so that the caller can fall back.
     """
-    if f_tol <= 0:
-        raise ValidationError("f_tol must be positive")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    loose = replace(cfg, tol_flow=_LOOSE_FLOW_NORM)
+    work = {"flow": 0, "newton": 0}
+
+    def solve(b: float, start: np.ndarray | None, free_b: bool):
+        sub = problem.with_b(b)
+        flowed = gradient_flow_ground_state(sub, loose, init=start)
+        psi, b, m, steps = _bordered_newton(sub, flowed.psi, free_b)
+        work["flow"] += flowed.iterations
+        work["newton"] += steps
+        return psi, b, m, flowed.energy_trace
+
+    lo_end = solve(lo, init, False)
+    hi_end = solve(hi, lo_end[0], False)
+    f_lo, f_hi = lo_end[2], hi_end[2]
+    # constructing the bracket record also validates the sign change
+    RootBracket(lo, hi, f_lo, f_hi)
+    if abs(f_lo) < f_tol:
+        psi, b, _, trace = lo_end
+    elif abs(f_hi) < f_tol:
+        psi, b, _, trace = hi_end
+    else:
+        guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        nearer = lo_end if guess - lo < hi - guess else hi_end
+        psi, b, _, trace = solve(guess, nearer[0], True)
+        if not lo <= b <= hi:
+            raise ConvergenceError(f"Newton root {b} lies outside [{lo}, {hi}]")
+    final = problem.with_b(b)
+    mu = _mu_of(final, psi)
+    # the flow norm of one explicit step from psi, as the flow measures it
+    stepped = psi - cfg.step * flow_gradient(final, psi)
+    stepped /= math.sqrt(problem.grid.spacing * float(np.sum(stepped * stepped)))
+    flow_norm = float(np.max(np.abs(stepped - psi))) / cfg.step
+    if not (flow_norm < cfg.tol_flow and abs(mu - b) < f_tol):
+        raise ConvergenceError(
+            f"Newton state did not verify: flow norm {flow_norm:.3e}, "
+            f"|mu - b| = {abs(mu - b):.3e}"
+        )
+    return b, GroundStateSolution(
+        psi=psi,
+        mu=mu,
+        b=b,
+        iterations=work["flow"],
+        flow_norm=flow_norm,
+        energy_trace=trace + (discrete_energy(final, psi),),
+        newton_steps=work["newton"],
+    )
+
+
+def _bisection_lambda(
+    problem: GridProblem,
+    cfg: FlowConfig,
+    lo: float,
+    hi: float,
+    f_tol: float,
+    init: np.ndarray | None,
+) -> tuple[float, GroundStateSolution]:
+    """Root of F(b) by bisection over full flows, each warm-started from
+    the previous solution."""
     warm = {"psi": init}
 
     def evaluate(b: float) -> tuple[float, GroundStateSolution]:
@@ -313,6 +479,32 @@ def self_consistent_lambda(
                 f"self-consistency bisection stalled: |F| = {abs(f_mid):.3e} > {f_tol}"
             )
     raise ConvergenceError(f"self-consistency bisection exceeded {_OUTER_CAP} steps")
+
+
+def self_consistent_lambda(
+    problem: GridProblem,
+    cfg: FlowConfig,
+    bracket: tuple[float, float] = DEFAULT_BRACKET,
+    f_tol: float = 1e-6,
+    init: np.ndarray | None = None,
+) -> tuple[float, GroundStateSolution]:
+    """Root b* of F(b) = mu(b) - b in the bracket: the returned coefficient
+    is its own stationarity eigenvalue, |mu(b*) - b*| < f_tol.
+
+    Short flows to a loose norm followed by bordered Newton solves find
+    F at both bracket ends and then the root.  If a Newton solve fails or
+    its state does not verify (one-step flow norm below cfg.tol_flow and
+    |mu - b| below f_tol), the root is found instead by bisection over
+    full flows, warm-started from each other.  Both paths evaluate both
+    ends and raise BracketError when F has no sign change on the bracket.
+    """
+    if f_tol <= 0:
+        raise ValidationError("f_tol must be positive")
+    lo, hi = float(bracket[0]), float(bracket[1])
+    try:
+        return _newton_lambda(problem, cfg, lo, hi, f_tol, init)
+    except ConvergenceError:
+        return _bisection_lambda(problem, cfg, lo, hi, f_tol, init)
 
 
 def uniqueness_probe(

@@ -99,6 +99,18 @@ class TestDeterminism:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_nls_lambda_json_byte_identical(self, tmp_path, capsys):
+        argv = [
+            "nls", "ground", "--domain", "-8", "8", "--grid", "192",
+            "--lambda-solve", "--tau", "2e-3", "--tol-flow", "1e-8",
+        ]
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for p in paths:
+            assert run(argv + ["--out", str(p)]) == 0
+        capsys.readouterr()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text())["diagnostics"]["path"] == "newton"
+
 
 class TestMaxentFit:
     def test_gaussian_fit(self, tmp_path, capsys):
@@ -187,6 +199,8 @@ class TestNlsGround:
         assert doc["mu"] == pytest.approx(0.5, abs=2e-3)
         assert len(doc["psi"]) == 256
         assert doc["diagnostics"]["flow_norm"] < 1e-8
+        assert doc["diagnostics"]["path"] == "flow"
+        assert doc["diagnostics"]["newton_steps"] == 0
 
     def test_lambda_solve_coarse(self, capsys):
         code, out, _ = run_captured(
@@ -198,6 +212,8 @@ class TestNlsGround:
         doc = json.loads(out)
         assert doc["lambda"] == pytest.approx(GOLDEN_TABLE[0][2], abs=2e-2)
         assert abs(doc["mu"] - doc["lambda"]) < 1e-6
+        assert doc["diagnostics"]["path"] == "newton"
+        assert doc["diagnostics"]["newton_steps"] > 0
 
     def test_resume_round_trip(self, tmp_path, capsys):
         argv = [

@@ -17,6 +17,7 @@ from infoqm import (
     self_consistent_lambda,
     uniqueness_probe,
 )
+from infoqm import nls
 from infoqm.nls import default_initial_guess, randomized_initial_guess
 
 from conftest import GOLDEN_TABLE
@@ -169,6 +170,84 @@ class TestSelfConsistency:
         cfg = FlowConfig(step=2e-3, tol_flow=1e-7)
         with pytest.raises(BracketError):
             self_consistent_lambda(problem, cfg, bracket=(-0.5, -0.1))
+
+
+def dense_bordered_system(problem, u, b, m, free_b):
+    """Dense bordered Jacobian and right-hand side of one Newton step."""
+    h = problem.grid.spacing
+    n = u.size
+    log_d = np.log(np.maximum(u * u, problem.eps_log))
+    lap = (np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n)) / (h * h)
+    h_op = -0.5 * lap + np.diag(problem.potential[1:-1])
+    jac = np.zeros((n + 1, n + 1))
+    jac[:n, :n] = h_op - np.diag(b * (3.0 + log_d) + m)
+    jac[:n, n] = -(1.0 + log_d) * u if free_b else -u
+    jac[n, :n] = 2.0 * h * u
+    resid = np.append(h_op @ u - (b * (1.0 + log_d) + m) * u, h * float(u @ u) - 1.0)
+    return jac, resid
+
+
+class TestBorderedNewton:
+    @pytest.mark.parametrize("free_b", [False, True])
+    def test_step_matches_dense_solve(self, free_b):
+        grid = Grid1D(-6.0, 6.0, 22)
+        problem = GridProblem.harmonic(grid)
+        rng = np.random.default_rng(3)
+        u = np.exp(-0.2 * grid.points()[1:-1] ** 2) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, 20))
+        b, m = -1.3, (0.0 if free_b else 0.2)
+        jac, resid = dense_bordered_system(problem, u, b, m, free_b)
+
+        def residual(x):  # x = (u, border unknown)
+            b_x, m_x = (x[-1], m) if free_b else (b, x[-1])
+            return dense_bordered_system(problem, x[:-1], b_x, m_x, free_b)[1]
+
+        # the dense Jacobian is the derivative of the residual
+        x0 = np.append(u, b if free_b else m)
+        for k in range(x0.size):
+            e = np.zeros_like(x0)
+            e[k] = 1e-6
+            fd = (residual(x0 + e) - residual(x0 - e)) / 2e-6
+            assert np.max(np.abs(fd - jac[:, k])) <= 1e-6 * max(1.0, np.max(np.abs(jac[:, k])))
+        expected = np.linalg.solve(jac, -resid)
+        d_u, d_p = nls._newton_step(problem, u, b, m, free_b)
+        assert np.max(np.abs(d_u - expected[:-1])) <= 1e-12
+        assert abs(d_p - expected[-1]) <= 1e-12
+
+    def test_root_independent_of_initial_guess(self):
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        grid = problem.grid
+        inits = [default_initial_guess(grid)] + [randomized_initial_guess(grid, 9, i) for i in (0, 1)]
+        results = [self_consistent_lambda(problem, cfg, init=init) for init in inits]
+        roots = [lam for lam, _ in results]
+        assert all(sol.newton_steps > 0 for _, sol in results)
+        assert max(roots) - min(roots) <= 1e-12
+
+    def test_bisection_fallback_when_newton_fails(self, monkeypatch):
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        lam_newton, _ = self_consistent_lambda(problem, cfg)
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("forced failure")
+
+        monkeypatch.setattr(nls, "_bordered_newton", fail)
+        lam, sol = self_consistent_lambda(problem, cfg)
+        assert sol.newton_steps == 0
+        assert abs(sol.mu - lam) < 1e-6
+        assert abs(lam - lam_newton) < 1e-5
+
+    def test_returned_state_is_flow_stationary(self, coarse_self_consistent, coarse_cfg):
+        lam, sol = coarse_self_consistent
+        problem = harmonic_problem(512, b=lam)
+        grid = problem.grid
+        assert sol.newton_steps > 0
+        assert sol.b == lam
+        stepped = normalized_on(grid, sol.psi - coarse_cfg.step * flow_gradient(problem, sol.psi))
+        flow_norm = float(np.max(np.abs(stepped - sol.psi))) / coarse_cfg.step
+        assert flow_norm < coarse_cfg.tol_flow
+        assert sol.flow_norm < coarse_cfg.tol_flow
+        assert sol.energy_trace[-1] == discrete_energy(problem, sol.psi)
 
 
 class TestUniquenessProbe:
