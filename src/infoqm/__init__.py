@@ -56,6 +56,7 @@ from .nls import (
     discrete_energy,
     flow_gradient,
     gradient_flow_ground_state,
+    ground_state,
     self_consistent_lambda,
     uniqueness_probe,
 )

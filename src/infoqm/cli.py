@@ -36,7 +36,7 @@ from .maxent import (
     fit_multipliers_1d,
     moment_spec_from_json,
 )
-from .nls import FlowConfig, GridProblem, gradient_flow_ground_state, self_consistent_lambda
+from .nls import FlowConfig, GridProblem, ground_state, self_consistent_lambda
 from .numerics import Grid1D
 from .oscillator import psi_eval, solve_state
 from .series import binomial_series_eval, two_var_series_eval
@@ -257,7 +257,7 @@ def _cmd_nls_ground(args) -> str:
         )
         lam_out: float | None = lam
     else:
-        sol = gradient_flow_ground_state(problem, cfg, init=init)
+        sol = ground_state(problem, cfg, init=init)
         lam_out = None
     doc = {
         "lambda": lam_out,

@@ -5,22 +5,25 @@ on the grid reads
 
     -psi''/2 + V psi = b (1 + ln psi^2) psi
 
-with b the nonlinearity coefficient.  At fixed b the solver descends the
+with b the nonlinearity coefficient.  At fixed b the flow descends the
 discrete functional E_b[psi] = integral( psi'^2/2 + V psi^2 - b psi^2 ln psi^2 )
 on the unit sphere with explicit normalized gradient steps
 
     psi  <-  normalize( psi - tau (H psi - b (1 + ln psi^2) psi) )
 
-until the step norm drops below tolerance.  The self-consistent solve
-(mu(b) = b, so the stationarity eigenvalue equals the nonlinear
-coefficient) uses the flow only as a globalizer: a short flow to a loose
-norm, then Newton on the state bordered by the unit-norm constraint,
-whose tridiagonal Jacobian is solved by the Thomas algorithm.  At the
-bracket ends the border unknown is the eigenvalue shift m = mu(b) - b;
-for the root it is b itself.  Should Newton fail or its state not
-verify, the root is found by bisection in b over full flows.  The
-logarithm is floored at a configurable eps to keep the far tails finite;
-the floor is far below any physical amplitude.
+until the step norm drops below tolerance.  Both solves use the flow only
+as a globalizer: a short flow to a loose norm, then Newton on the state
+bordered by the unit-norm constraint, whose tridiagonal Jacobian is
+solved by the Thomas algorithm.  At a fixed b (ground_state, and the
+bracket ends of the self-consistent solve) the border unknown is the
+eigenvalue shift m = mu(b) - b; for the self-consistent root (mu(b) = b,
+so the stationarity eigenvalue equals the nonlinear coefficient) it is b
+itself.  A Newton state is kept only once one explicit step from it
+moves it by less than the flow tolerance.  Should Newton fail or its
+state not verify, the fixed-b state comes from the full flow and the
+root from bisection in b over full flows.  The logarithm is floored at a
+configurable eps to keep the far tails finite; the floor is far below
+any physical amplitude.
 """
 
 from __future__ import annotations
@@ -376,6 +379,62 @@ def _bordered_newton(
     raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps")
 
 
+def _verified_solution(
+    problem: GridProblem,
+    cfg: FlowConfig,
+    psi: np.ndarray,
+    trace: tuple[float, ...],
+    flow_steps: int,
+    newton_steps: int,
+) -> GroundStateSolution:
+    """The solution for a Newton state psi at the problem's b, after the
+    short flow that sampled ``trace``.
+
+    psi verifies when one explicit step from it has a flow norm, as the
+    flow measures it, below cfg.tol_flow; raises ConvergenceError if not.
+    """
+    stepped = psi - cfg.step * flow_gradient(problem, psi)
+    stepped /= math.sqrt(problem.grid.spacing * float(np.sum(stepped * stepped)))
+    flow_norm = float(np.max(np.abs(stepped - psi))) / cfg.step
+    if not flow_norm < cfg.tol_flow:
+        raise ConvergenceError(f"Newton state did not verify: flow norm {flow_norm:.3e}")
+    return GroundStateSolution(
+        psi=psi,
+        mu=_mu_of(problem, psi),
+        b=problem.b,
+        iterations=flow_steps,
+        flow_norm=flow_norm,
+        energy_trace=trace + (discrete_energy(problem, psi),),
+        newton_steps=newton_steps,
+    )
+
+
+def ground_state(
+    problem: GridProblem,
+    cfg: FlowConfig,
+    init: np.ndarray | None = None,
+) -> GroundStateSolution:
+    """Nodeless ground state at the problem's fixed b.
+
+    A flow from init to the loose norm _LOOSE_FLOW_NORM, then a bordered
+    Newton solve in (psi, m = mu(b) - b), give a state whose one-step
+    flow norm must be below cfg.tol_flow.  If the short flow or Newton
+    fails, or the state does not verify, the full
+    gradient_flow_ground_state from init is returned instead.  Invalid
+    input raises ValidationError as the flow does.
+    """
+    try:
+        flowed = gradient_flow_ground_state(
+            problem, replace(cfg, tol_flow=_LOOSE_FLOW_NORM), init=init
+        )
+        psi, _, _, steps = _bordered_newton(problem, flowed.psi, free_b=False)
+        return _verified_solution(
+            problem, cfg, psi, flowed.energy_trace, flowed.iterations, steps
+        )
+    except ConvergenceError:
+        return gradient_flow_ground_state(problem, cfg, init=init)
+
+
 def _newton_lambda(
     problem: GridProblem,
     cfg: FlowConfig,
@@ -418,26 +477,10 @@ def _newton_lambda(
         psi, b, _, trace = solve(guess, nearer[0], True)
         if not lo <= b <= hi:
             raise ConvergenceError(f"Newton root {b} lies outside [{lo}, {hi}]")
-    final = problem.with_b(b)
-    mu = _mu_of(final, psi)
-    # the flow norm of one explicit step from psi, as the flow measures it
-    stepped = psi - cfg.step * flow_gradient(final, psi)
-    stepped /= math.sqrt(problem.grid.spacing * float(np.sum(stepped * stepped)))
-    flow_norm = float(np.max(np.abs(stepped - psi))) / cfg.step
-    if not (flow_norm < cfg.tol_flow and abs(mu - b) < f_tol):
-        raise ConvergenceError(
-            f"Newton state did not verify: flow norm {flow_norm:.3e}, "
-            f"|mu - b| = {abs(mu - b):.3e}"
-        )
-    return b, GroundStateSolution(
-        psi=psi,
-        mu=mu,
-        b=b,
-        iterations=work["flow"],
-        flow_norm=flow_norm,
-        energy_trace=trace + (discrete_energy(final, psi),),
-        newton_steps=work["newton"],
-    )
+    sol = _verified_solution(problem.with_b(b), cfg, psi, trace, work["flow"], work["newton"])
+    if not abs(sol.mu - b) < f_tol:
+        raise ConvergenceError(f"Newton state did not verify: |mu - b| = {abs(sol.mu - b):.3e}")
+    return b, sol
 
 
 def _bisection_lambda(
@@ -518,9 +561,10 @@ def uniqueness_probe(
     """Repeat the solve from n_inits seeded random positive guesses.
 
     Reports the largest pairwise eigenvalue gap and the largest pairwise
-    L2 distance between states up to sign.  With solve_lambda=False the
-    flow runs at the problem's fixed b and the spread of mu is reported
-    instead.  Per-init failures are recorded; the probe still returns.
+    L2 distance between states up to sign.  With solve_lambda=False each
+    state is the ground_state at the problem's fixed b and the spread of
+    mu is reported instead.  Per-init failures are recorded; the probe
+    still returns.
     """
     if n_inits < 2:
         raise ValidationError("need at least 2 initializations to probe uniqueness")
@@ -537,7 +581,7 @@ def uniqueness_probe(
                 )
                 values.append(lam)
             else:
-                sol = gradient_flow_ground_state(problem, cfg, init=guess)
+                sol = ground_state(problem, cfg, init=guess)
                 values.append(sol.mu)
             solutions.append(sol)
         except (ConvergenceError, BracketError, ValidationError) as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,6 +100,13 @@ def _beta_closure_slope(n: int, k: int, beta: float) -> float:
     return 16.0 * beta * (n + k + a) - 2.0 * beta + 1.0 / (2.0 * beta)
 
 
+def _closure_residuals(n: int, k: int, betas: np.ndarray) -> np.ndarray:
+    """beta_closure_residual at every beta of an array, in the same
+    operation order; np.log may differ from math.log in the last bit."""
+    a = 0.5 * np.log(2.0**n * math.factorial(n) * math.sqrt(math.pi) / np.sqrt(2.0 * betas))
+    return 8.0 * betas * betas * (n + k + a) - (2.0 * a - 1.0)
+
+
 def lambda_from_beta(beta: float) -> float:
     """Multiplier lambda = (4 beta^2 - 1) / (4 beta); zero at beta = 1/2."""
     if beta <= 0:
@@ -132,7 +140,7 @@ def solve_state(n: int) -> OscillatorState:
     k = n % 2
     hi = _admissible_beta_cap(n)
     betas = np.linspace(BETA_SCAN_LO, hi, BETA_SCAN_PANELS + 1)
-    g = np.array([beta_closure_residual(n, k, b) for b in betas])
+    g = _closure_residuals(n, k, betas)
     crossings = np.nonzero((g[:-1] * g[1:] < 0) | (g[:-1] == 0.0))[0]
     if len(crossings) != 1:
         raise StructureError(
@@ -140,13 +148,11 @@ def solve_state(n: int) -> OscillatorState:
             f"({BETA_SCAN_LO}, {hi:.6g}], found {len(crossings)}"
         )
     i = int(crossings[0])
-    bracket = RootBracket(float(betas[i]), float(betas[i + 1]), float(g[i]), float(g[i + 1]))
-    beta = find_root(
-        lambda b: beta_closure_residual(n, k, b),
-        bracket,
-        tol=BETA_TOL,
-        df=lambda b: _beta_closure_slope(n, k, b),
-    )
+    residual = partial(beta_closure_residual, n, k)
+    # np.log may differ from math.log in the last bit, so the bracket ends
+    # carry the scalar residual that the root search itself evaluates
+    bracket = RootBracket.from_function(residual, float(betas[i]), float(betas[i + 1]))
+    beta = find_root(residual, bracket, tol=BETA_TOL, df=partial(_beta_closure_slope, n, k))
     alpha = alpha_from_beta(n, beta)
     lam = lambda_from_beta(beta)
     if 2.0 * alpha <= 1.0 or lam >= 0.0:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from infoqm import ConvergenceError, nls
 from infoqm.cli import run
 
 from conftest import GOLDEN_TABLE
@@ -186,21 +187,36 @@ class TestSeriesProbe:
         assert float(final[1]) == pytest.approx(math.e, abs=1e-9)
 
 
+FIXED_B_LINEAR = ["nls", "ground", "--domain", "-10", "10", "--grid", "256",
+                  "--b", "0", "--tau", "8e-4", "--tol-flow", "1e-9"]
+
+
 class TestNlsGround:
     def test_fixed_b_linear(self, capsys):
-        code, out, _ = run_captured(
-            capsys,
-            ["nls", "ground", "--domain", "-10", "10", "--grid", "256",
-             "--b", "0", "--tau", "8e-4", "--tol-flow", "1e-9"],
-        )
+        code, out, _ = run_captured(capsys, FIXED_B_LINEAR)
         assert code == 0
         doc = json.loads(out)
         assert doc["lambda"] is None
         assert doc["mu"] == pytest.approx(0.5, abs=2e-3)
         assert len(doc["psi"]) == 256
         assert doc["diagnostics"]["flow_norm"] < 1e-8
+        assert doc["diagnostics"]["path"] == "newton"
+        assert doc["diagnostics"]["newton_steps"] > 0
+
+    def test_fixed_b_flow_fallback(self, capsys, monkeypatch):
+        _, newton_out, _ = run_captured(capsys, FIXED_B_LINEAR)
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("forced failure")
+
+        monkeypatch.setattr(nls, "_bordered_newton", fail)
+        code, out, _ = run_captured(capsys, FIXED_B_LINEAR)
+        assert code == 0
+        doc = json.loads(out)
         assert doc["diagnostics"]["path"] == "flow"
         assert doc["diagnostics"]["newton_steps"] == 0
+        assert doc["diagnostics"]["flow_norm"] < 1e-9
+        assert abs(doc["mu"] - json.loads(newton_out)["mu"]) <= 1e-8
 
     def test_lambda_solve_coarse(self, capsys):
         code, out, _ = run_captured(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from infoqm import (
     discrete_energy,
     flow_gradient,
     gradient_flow_ground_state,
+    ground_state,
     psi_eval,
     self_consistent_lambda,
     uniqueness_probe,
@@ -187,6 +189,23 @@ def dense_bordered_system(problem, u, b, m, free_b):
     return jac, resid
 
 
+def forced_newton_failure(*args, **kwargs):
+    raise ConvergenceError("forced failure")
+
+
+def one_step_flow_norm(problem, psi, step):
+    stepped = normalized_on(problem.grid, psi - step * flow_gradient(problem, psi))
+    return float(np.max(np.abs(stepped - psi))) / step
+
+
+def assert_same_solution(a, b):
+    assert np.array_equal(a.psi, b.psi)
+    assert (a.mu, a.b, a.iterations, a.flow_norm, a.newton_steps) == (
+        b.mu, b.b, b.iterations, b.flow_norm, b.newton_steps
+    )
+    assert a.energy_trace == b.energy_trace
+
+
 class TestBorderedNewton:
     @pytest.mark.parametrize("free_b", [False, True])
     def test_step_matches_dense_solve(self, free_b):
@@ -227,11 +246,7 @@ class TestBorderedNewton:
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         lam_newton, _ = self_consistent_lambda(problem, cfg)
-
-        def fail(*args, **kwargs):
-            raise ConvergenceError("forced failure")
-
-        monkeypatch.setattr(nls, "_bordered_newton", fail)
+        monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
         lam, sol = self_consistent_lambda(problem, cfg)
         assert sol.newton_steps == 0
         assert abs(sol.mu - lam) < 1e-6
@@ -240,14 +255,63 @@ class TestBorderedNewton:
     def test_returned_state_is_flow_stationary(self, coarse_self_consistent, coarse_cfg):
         lam, sol = coarse_self_consistent
         problem = harmonic_problem(512, b=lam)
-        grid = problem.grid
         assert sol.newton_steps > 0
         assert sol.b == lam
-        stepped = normalized_on(grid, sol.psi - coarse_cfg.step * flow_gradient(problem, sol.psi))
-        flow_norm = float(np.max(np.abs(stepped - sol.psi))) / coarse_cfg.step
-        assert flow_norm < coarse_cfg.tol_flow
+        assert one_step_flow_norm(problem, sol.psi, coarse_cfg.step) < coarse_cfg.tol_flow
         assert sol.flow_norm < coarse_cfg.tol_flow
         assert sol.energy_trace[-1] == discrete_energy(problem, sol.psi)
+
+
+class TestFixedBNewton:
+    CFG = FlowConfig(step=5e-3, tol_flow=1e-9)
+
+    @pytest.mark.parametrize("b", [0.0, -1.3, -2.5])
+    def test_agrees_with_full_flow(self, b):
+        problem = harmonic_problem(256, half_width=12.0, b=b)
+        grid = problem.grid
+        inits = [default_initial_guess(grid)] + [randomized_initial_guess(grid, 9, i) for i in (0, 1)]
+        for init in inits:
+            flowed = gradient_flow_ground_state(problem, self.CFG, init=init)
+            sol = ground_state(problem, self.CFG, init=init)
+            assert sol.newton_steps > 0
+            assert sol.iterations < flowed.iterations
+            assert sol.b == b
+            assert abs(sol.mu - flowed.mu) <= 1e-9
+            assert l2_distance(sol.psi, flowed.psi, grid.spacing) <= 1e-5
+
+    def test_returned_state_is_flow_stationary(self):
+        problem = harmonic_problem(256, half_width=12.0, b=-1.3)
+        sol = ground_state(problem, self.CFG)
+        assert sol.newton_steps > 0
+        assert one_step_flow_norm(problem, sol.psi, self.CFG.step) < self.CFG.tol_flow
+        assert sol.flow_norm < self.CFG.tol_flow
+        assert sol.energy_trace[-1] == discrete_energy(problem, sol.psi)
+
+    def test_flow_fallback_when_newton_fails(self, monkeypatch):
+        problem = harmonic_problem(256, half_width=12.0, b=-1.3)
+        init = randomized_initial_guess(problem.grid, 9, 0)
+        monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
+        sol = ground_state(problem, self.CFG, init=init)
+        assert sol.newton_steps == 0
+        assert_same_solution(sol, gradient_flow_ground_state(problem, self.CFG, init=init))
+
+    def test_flow_fallback_when_newton_state_does_not_verify(self):
+        # at this step the Newton state's one-step flow norm is 1.4e-13,
+        # rounding error alone, while the flow itself gets below 1e-13
+        problem = harmonic_problem(256, b=-1.3)
+        cfg = FlowConfig(step=8e-4, tol_flow=1e-13)
+        newton = ground_state(problem, replace(cfg, tol_flow=1e-9))
+        assert newton.newton_steps > 0
+        assert one_step_flow_norm(problem, newton.psi, cfg.step) >= cfg.tol_flow
+        sol = ground_state(problem, cfg)
+        assert sol.newton_steps == 0
+        assert_same_solution(sol, gradient_flow_ground_state(problem, cfg))
+
+    def test_invalid_init_raises_validation_error(self):
+        problem = harmonic_problem(64)
+        init = -np.ones(64)
+        with pytest.raises(ValidationError):
+            ground_state(problem, self.CFG, init=init)
 
 
 class TestUniquenessProbe:

@@ -23,6 +23,7 @@ from infoqm import (
     state_information,
     table,
 )
+from infoqm import oscillator
 
 from conftest import GOLDEN_TABLE
 
@@ -48,6 +49,20 @@ class TestScalarRelations:
     @pytest.mark.parametrize("n,k,beta", [(0, 0, 0.165957), (7, 1, 0.330258)])
     def test_closure_holds_on_reference_rows(self, n, k, beta):
         assert abs(beta_closure_residual(n, k, beta)) < 1e-4
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_vectorized_closure_matches_scalar_loop(self, n):
+        k = n % 2
+        betas = np.linspace(oscillator.BETA_SCAN_LO, oscillator._admissible_beta_cap(n),
+                            oscillator.BETA_SCAN_PANELS + 1)
+        got = oscillator._closure_residuals(n, k, betas)
+        want = np.array([beta_closure_residual(n, k, b) for b in betas])
+        # a last-bit difference in the logarithm, carried through terms of
+        # size at most 8 beta^2 (n + k + |alpha|) + 2 |alpha| + 1
+        a = np.abs([alpha_from_beta(n, b) for b in betas])
+        scale = 8.0 * betas * betas * (n + k + a) + 2.0 * a + 1.0
+        assert np.all(np.abs(got - want) <= 16.0 * np.finfo(float).eps * scale)
+        assert np.array_equal(np.sign(got), np.sign(want))
 
     def test_closure_sign_at_small_beta(self):
         # the (2 alpha - 1) term dominates as beta -> 0+
