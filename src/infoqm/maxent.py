@@ -12,8 +12,9 @@ moment covariance matrix as the Jacobian; all other multipliers stay
 zero.  One Newton core serves both the 1-D and the 2-D fits: it works
 on a tensor-product Simpson grid from ``numerics.QuadratureRule``, and
 a 1-D fit is the case of a one-node second axis (y = 1, weight 1).
-Unbounded supports are handled on wide truncated windows (the 12-sigma
-heuristic) with a tail-mass check.
+A 1-D density is integrated on one window read off its exponent: each
+infinite end is cut where sum_i a_i x^i has risen by 72 = 12^2/2 above
+its minimum (+-12 sigma for a Gaussian), with a tail-mass check in fits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _QUAD_POINTS_2D = 601        # per axis, tensor Simpson
 _NEWTON_CAP = 100
 _STEP_CLIP = 10.0
 _TAIL_MASS_LIMIT = 1e-12
-_WINDOW_SIGMAS = 12.0
+_WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a cut end: 12 sigma
 
 
 # ---------------------------------------------------------------------------
@@ -241,41 +242,50 @@ def _factor_values(factors: EndpointFactors | None, xs: np.ndarray) -> np.ndarra
     return out
 
 
-def _window_rule(support: tuple[float, float], center: float, var: float) -> QuadratureRule:
-    """8001-node Simpson rule on the support; an infinite lower (upper) end
-    is cut at center - 12 sigma (center + 12 sigma)."""
-    a, b = support
-    half = _WINDOW_SIGMAS * math.sqrt(var) if math.isinf(a) or math.isinf(b) else 0.0
-    lo = center - half if math.isinf(a) else a
-    hi = center + half if math.isinf(b) else b
+def _exponent_coeffs(support: tuple[float, float], multipliers) -> list[float]:
+    """P(x) = sum_i a_i x^i, highest order first; NumericError unless P grows
+    toward every infinite end of the support, as a normalizable exp(-P) must."""
+    lo, hi = support
+    mult = dict(multipliers)
+    p = [float(mult.get(i, 0.0)) for i in range(max(mult, default=0), -1, -1)]
+    while p and p[0] == 0.0:
+        p.pop(0)
+    k = len(p) - 1
+    if k < 1 or (math.isinf(hi) and p[0] <= 0) or (math.isinf(lo) and p[0] * (-1) ** k <= 0):
+        raise NumericError(f"exp(-P), P coefficients {p[::-1]}, does not decay toward "
+                           f"every infinite end of [{lo}, {hi}]: not normalizable")
+    return p
+
+
+def _window_rule(support: tuple[float, float], multipliers) -> QuadratureRule:
+    """8001-node Simpson rule on the support of exp(-P), P(x) = sum_i a_i x^i.
+
+    Each infinite end is cut where P has risen by _WINDOW_RISE above its
+    minimum on the support, which is 12 sigma for a Gaussian.  Raises
+    NumericError when exp(-P) is not normalizable on the support.
+    """
+    lo, hi = support
+    if math.isinf(lo) or math.isinf(hi):
+        p = _exponent_coeffs(support, multipliers)
+        # the minimum lies at a critical point or a finite end; real parts of
+        # complex critical points are support points too, so they do no harm
+        candidates = np.append(
+            np.clip(np.roots(np.polyder(p)).real, lo, hi),
+            [e for e in support if math.isfinite(e)],
+        )
+        p[-1] -= float(np.polyval(p, candidates).min()) + _WINDOW_RISE
+        roots = np.roots(p)
+        crossings = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+        if crossings.size == 0:
+            raise NumericError(f"exponent has no real crossing {_WINDOW_RISE} above its minimum")
+        lo = float(crossings.min()) if math.isinf(lo) else lo
+        hi = float(crossings.max()) if math.isinf(hi) else hi
     return QuadratureRule.simpson(Grid1D(lo, hi, _QUAD_POINTS))
-
-
-def _fit_window(spec: MomentSpec1D, a: np.ndarray) -> QuadratureRule:
-    """Integration rule of a 1-D fit, centered on the target mean."""
-    targets = dict(spec.constraints)
-    center = targets.get(1, 0.0)
-    if 2 in targets:
-        var = targets[2] - center * center
-    else:
-        # fall back on the current leading multiplier as an inverse scale
-        var = max(a[-1], 1e-8) ** (-2.0 / spec.orders[-1])
-    return _window_rule(spec.support, center, var)
 
 
 def reference_rule(d: ExpFamilyDensity1D):
     """Nodes and Simpson weights of the module's reference quadrature for d."""
-    mults = dict((o, v) for o, v in d.multipliers if o >= 1)
-    a2 = mults.get(2, 0.0)
-    if a2 > 0 and all(o <= 2 for o in mults):
-        var = 1.0 / (2.0 * a2)
-        center = -mults.get(1, 0.0) * var
-    else:
-        top_order = max(mults) if mults else 2
-        top = max(mults.get(top_order, 0.0), 1e-8)
-        var = top ** (-2.0 / top_order)
-        center = 0.0
-    rule = _window_rule(d.support, center, var)
+    rule = _window_rule(d.support, d.multipliers)
     return rule.nodes, rule.weights
 
 
@@ -340,7 +350,7 @@ def _check_feasible_2d(spec: MomentSpec2D) -> None:
     for (i, j), v in targets.items():
         if i % 2 == 0 and j % 2 == 0:
             cap = _max_abs_power(a1, b1, i) * _max_abs_power(a2, b2, j)
-            if not 0.0 < v < cap or (i + j > 0 and v == 0.0):
+            if not 0.0 < v < cap:
                 raise InfeasibleMomentsError(f"moment ({i},{j}) = {v} outside (0, {cap})")
     if {(2, 0), (0, 2), (1, 1)} <= targets.keys():
         m1 = targets.get((1, 0), 0.0)
@@ -372,26 +382,21 @@ def _power_table(nodes: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
-def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, axes):
+def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules):
     """Match the moments <x^i y^j> of exp(-sum_t a_t x^i_t y^j_t) to targets.
 
     Newton iteration on the moment residuals with the moment covariance as
-    Jacobian, each step clipped to _STEP_CLIP.  ``axes(a)`` gives the x and
-    y quadrature rules of the tensor-product grid at multipliers ``a``; the
-    power tables Px, Py are rebuilt only when it returns a new pair.  Every
-    moment and covariance entry is read from the one table
-    Px (w_x w_y^T * core) Py^T.  Returns (a, a_0, diagnostics).
+    Jacobian, each step clipped to _STEP_CLIP.  ``rules`` holds the x and
+    y quadrature rules of the tensor-product grid.  Every moment and
+    covariance entry is read from the one table Px (w_x w_y^T * core) Py^T.
+    Returns (a, a_0, diagnostics).
     """
     pi = np.array([i for i, _ in pairs])
     pj = np.array([j for _, j in pairs])
-    rules = None
+    px = _power_table(rules[0].nodes, 2 * int(pi.max()))
+    py = _power_table(rules[1].nodes, 2 * int(pj.max()))
+    w = np.multiply.outer(rules[0].weights, rules[1].weights)
     for iterations in range(_NEWTON_CAP + 1):
-        current = axes(a)
-        if current is not rules:
-            rules = current
-            px = _power_table(rules[0].nodes, 2 * int(pi.max()))
-            py = _power_table(rules[1].nodes, 2 * int(pj.max()))
-            w = np.multiply.outer(rules[0].weights, rules[1].weights)
         # one outer product per power of y, never the full monomial stack
         by_j: dict[int, np.ndarray] = {}
         for i, j, v in zip(pi, pj, a):
@@ -444,24 +449,9 @@ def fit_multipliers_1d(
     m = len(orders)
 
     if init is not None:
-        a = np.asarray(init, dtype=float).copy()
-        if a.shape != (m,):
+        init = np.asarray(init, dtype=float).copy()
+        if init.shape != (m,):
             raise ValidationError(f"init must have shape ({m},)")
-    else:
-        a = np.zeros(m)
-        if spec.unbounded:
-            # start from the Gaussian matched to whatever low moments exist
-            tmap = dict(zip(orders, targets))
-            mean = tmap.get(1, 0.0)
-            var = tmap.get(2, mean * mean + 1.0) - mean * mean
-            var = var if var > 0 else 1.0
-            for idx, o in enumerate(orders):
-                if o == 2:
-                    a[idx] = 1.0 / (2.0 * var)
-                elif o == 1:
-                    a[idx] = -mean / var
-            if 2 not in tmap and orders:
-                a[-1] = max(a[-1], 1e-2)
 
     if m == 0:
         if spec.unbounded:
@@ -470,22 +460,30 @@ def fit_multipliers_1d(
         density = ExpFamilyDensity1D(((0, math.log(hi - lo)),), spec.support)
         return density, FitDiagnostics(0, 0.0, (lo, hi), 0.0)
 
-    if spec.unbounded and 2 not in orders:
-        # the window scales with the leading multiplier and moves every step
-        def axes(a):
-            return _fit_window(spec, a), _UNIT_AXIS
-    else:
-        fixed = (_fit_window(spec, a), _UNIT_AXIS)
-
-        def axes(a):
-            return fixed
-
-    a, a0, diag = _newton_fit(tuple((o, 0) for o in orders), targets, a, tol, axes)
+    a = np.zeros(m)
+    tmap = dict(zip(orders, targets))
+    if spec.unbounded and 2 in tmap:
+        # the Gaussian of the target mean and variance
+        mean = tmap.get(1, 0.0)
+        var = tmap[2] - mean * mean
+        a = np.array([{1: -mean / var, 2: 0.5 / var}.get(o, 0.0) for o in orders])
+    elif spec.unbounded:
+        # exp(-a x^k) has <x^k> = 1/(k a) exactly; as t_k >= |<x>|^k, its
+        # window, out to where a x^k reaches 72, also covers the target mean
+        a[-1] = 1.0 / (orders[-1] * targets[-1])
+    # from the cold start even with init: a warm start integrates on the cold fit's window
+    rules = (_window_rule(spec.support, tuple(zip(orders, a))), _UNIT_AXIS)
+    a, a0, diag = _newton_fit(
+        tuple((o, 0) for o in orders), targets, a if init is None else init, tol, rules
+    )
     multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
     density = ExpFamilyDensity1D(multipliers, spec.support)
     if spec.unbounded:
+        # a fit on the window alone may end just past the normalizable set
+        _exponent_coeffs(spec.support, multipliers)
         lo, hi = diag.window
-        tail = float(density_values(density, np.array([lo, hi])).max() * (hi - lo))
+        cut = [x for x, end in zip(diag.window, spec.support) if math.isinf(end)]
+        tail = float(density_values(density, np.array(cut)).max() * (hi - lo))
         if tail > _TAIL_MASS_LIMIT:
             raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
         diag = replace(diag, tail_mass=tail)
@@ -514,7 +512,7 @@ def fit_multipliers_2d(
     rules = tuple(
         QuadratureRule.simpson(Grid1D(lo, hi, _QUAD_POINTS_2D)) for lo, hi in spec.support
     )
-    a, a00, diag = _newton_fit(pairs, targets, a, tol, lambda a: rules)
+    a, a00, diag = _newton_fit(pairs, targets, a, tol, rules)
     multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
     density = ExpFamilyDensity2D(multipliers, spec.support)
     return density, diag

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
@@ -13,6 +13,7 @@ from infoqm import (
     InfeasibleMomentsError,
     MomentSpec1D,
     MomentSpec2D,
+    NumericError,
     ValidationError,
     density_eval,
     density_eval_2d,
@@ -148,12 +149,65 @@ class TestFit1D:
         with pytest.raises(ValidationError):
             fit_multipliers_1d(MomentSpec1D((-INF, INF), ()))
 
-    def test_quartic_only_window_follows_multiplier(self):
-        # no variance target: the window scales with the current a4, so it
-        # moves with every Newton step; exp(-a4 x^4) has <x^4> = 1/(4 a4)
-        d, diag = fit_multipliers_1d(MomentSpec1D((-INF, INF), ((4, 3.0),)))
-        assert diag.iterations >= 1
-        assert dict(d.multipliers)[4] == pytest.approx(1.0 / 12.0, abs=1e-9)
+    def test_quartic_only_cold_start_is_exact(self):
+        # exp(-a4 x^4) has <x^4> = 1/(4 a4); a large t4 needs the window
+        # read off the start exponent, not one centered and scaled by a guess
+        for t4 in (3.0, 1e4):
+            d, _ = fit_multipliers_1d(MomentSpec1D((-INF, INF), ((4, t4),)))
+            assert dict(d.multipliers)[4] == pytest.approx(1.0 / (4.0 * t4), rel=1e-8, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "support, mean", [((0.0, INF), 1.0), ((-INF, 0.0), -1.0)], ids=["upper", "lower"]
+    )
+    def test_half_line_fit(self, support, mean):
+        # the finite end carries density; only the cut end bounds the tail mass
+        d, diag = fit_multipliers_1d(MomentSpec1D(support, ((1, mean), (2, 1.5))), tol=1e-12)
+        assert diag.tail_mass < 1e-12
+        finite = 0 if math.isfinite(support[0]) else 1
+        assert diag.window[finite] == support[finite]
+        xs = np.linspace(*diag.window, 20001)
+        rho = density_values(d, xs)
+        assert np.trapezoid(rho, xs) == pytest.approx(1.0, abs=1e-7)
+        assert np.trapezoid(rho * xs, xs) == pytest.approx(mean, abs=1e-7)
+        assert np.trapezoid(rho * xs**2, xs) == pytest.approx(1.5, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "mean, sd, orders",
+        [(5.0, 1.0, (1, 4)), (-5.0, 0.3, (1, 4)), (10.0, 3.0, (1, 4)), (3.0, 1.0, (1, 3, 4))],
+    )
+    def test_shifted_mean_without_second_moment(self, mean, sd, orders):
+        # raw moments of N(mean, sd^2); with no order-2 target the cold start,
+        # and so the window, must still cover a density far from the origin
+        v = sd * sd
+        raw = {1: mean, 3: mean**3 + 3 * mean * v, 4: mean**4 + 6 * mean**2 * v + 3 * v * v}
+        spec = MomentSpec1D((-INF, INF), tuple((o, raw[o]) for o in orders))
+        d, diag = fit_multipliers_1d(spec, tol=1e-10)
+        assert diag.window[0] < mean < diag.window[1]
+        xs = np.linspace(mean - 40.0 * sd, mean + 40.0 * sd, 40001)
+        rho = density_values(d, xs)
+        assert np.trapezoid(rho, xs) == pytest.approx(1.0, abs=1e-8)
+        for o in orders:
+            assert np.trapezoid(rho * xs**o, xs) == pytest.approx(raw[o], rel=1e-8)
+        assert math.isfinite(information(d))
+        assert normalization_residual(d) < 1e-8
+
+    @pytest.mark.parametrize("mean, var", [(0.0, 1.0), (1.5, 0.3), (-2.0, 2.5), (3.0, 0.05)])
+    def test_gaussian_moments_with_higher_orders(self, mean, var):
+        # the maxent solution has a3 = a4 = 0, the edge of the normalizable set;
+        # the functionals must accept the density the fit returns
+        raw = (mean, mean**2 + var, mean**3 + 3 * mean * var,
+               mean**4 + 6 * mean**2 * var + 3 * var * var)
+        d, _ = fit_multipliers_1d(MomentSpec1D((-INF, INF), tuple(zip((1, 2, 3, 4), raw))),
+                                  tol=1e-12)
+        exact = -0.5 * math.log(2.0 * math.pi * math.e * var)
+        assert information(d) == pytest.approx(exact, abs=1e-9)
+        assert normalization_residual(d) < 1e-10
+
+    def test_moments_past_the_normalizable_set_raise(self):
+        # <x^4> above 3 <x^2>^2 needs a4 < 0: no maxent density on the whole
+        # line, so the fit must not return one the functionals reject
+        with pytest.raises(NumericError, match="not normalizable"):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, 1.0), (4, 3.0 + 1e-9))), tol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(c2=st.floats(0.05, 0.32))
@@ -265,6 +319,82 @@ class TestInformation:
         assert information(linear_ramp_density()) == pytest.approx(
             math.log(2.0) - 0.5, abs=1e-6
         )
+
+
+# ln of the integral of exp(-u^4/12) over the line
+QUARTIC_LOG_Z = math.log(math.gamma(0.25) / 2.0) + 0.25 * math.log(12.0)
+
+
+def shifted_quartic(s, sigma):
+    """exp(-((x - s)/sigma)^4 / 12) / (sigma Z), expanded in powers of x."""
+    c = sigma**-4 / 12.0
+    return ExpFamilyDensity1D(
+        (
+            (0, QUARTIC_LOG_Z + math.log(sigma) + c * s**4),
+            (1, -4.0 * c * s**3),
+            (2, 6.0 * c * s * s),
+            (3, -4.0 * c * s),
+            (4, c),
+        ),
+        (-INF, INF),
+    )
+
+
+def shifted_gaussian(s, sigma):
+    v = sigma * sigma
+    return ExpFamilyDensity1D(
+        ((0, 0.5 * math.log(2 * math.pi * v) + s * s / (2 * v)), (1, -s / v), (2, 0.5 / v)),
+        (-INF, INF),
+    )
+
+
+class TestTranslationAndScale:
+    """Densities built by hand, centered z sigma from the origin.
+
+    Shifting leaves <ln rho> unchanged and scaling by sigma shifts it by
+    -ln sigma.  The error floor is cancellation among the expanded
+    monomials, about z^4/12 ulp: at |z| = 100 the quartic's information
+    is off by 3e-8 and its normalization residual is 8e-9.
+    """
+
+    def test_unit_quartic_closed_form(self):
+        assert information(shifted_quartic(0.0, 1.0)) == pytest.approx(
+            -(QUARTIC_LOG_Z + 0.25), abs=1e-10
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from([shifted_quartic, shifted_gaussian]),
+        z=st.floats(-100.0, 100.0),
+        sigma=st.floats(0.01, 100.0),
+    )
+    @example(family=shifted_quartic, z=30.0, sigma=1.0)
+    @example(family=shifted_quartic, z=-100.0, sigma=0.01)
+    @example(family=shifted_quartic, z=100.0, sigma=100.0)
+    def test_shift_and_scale(self, family, z, sigma):
+        d = family(z * sigma, sigma)
+        unit = information(family(0.0, 1.0))
+        assert information(d) == pytest.approx(unit - math.log(sigma), abs=1e-6)
+        assert normalization_residual(d) < 1e-6
+
+    @pytest.mark.parametrize(
+        "multipliers, support",
+        [
+            (((0, 0.0),), (-INF, INF)),
+            (((0, 0.0), (2, -1.0)), (-INF, INF)),
+            (((0, 0.0), (1, 1.0)), (-INF, INF)),
+            (((0, 0.0), (1, -1.0)), (0.0, INF)),
+            (((0, 0.0), (1, 1.0)), (-INF, 0.0)),
+            (((0, 0.0), (1, 1.0), (3, 1.0)), (-INF, INF)),
+        ],
+        ids=["flat", "a2<0", "linear", "growing-upper-tail", "growing-lower-tail", "cubic"],
+    )
+    def test_non_normalizable_raises(self, multipliers, support):
+        d = ExpFamilyDensity1D(multipliers, support)
+        with pytest.raises(NumericError):
+            information(d)
+        with pytest.raises(NumericError):
+            normalization_residual(d)
 
 
 class TestModifiedInformation:
