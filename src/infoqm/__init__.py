@@ -71,7 +71,6 @@ from .numerics import (
 )
 from .oscillator import (
     OscillatorState,
-    TableRow,
     alpha_from_beta,
     beta_closure_residual,
     eigen_residual,

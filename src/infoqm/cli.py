@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -54,20 +53,6 @@ _INVALID_INPUT_ERRORS = (
     OSError,
 )
 _CONVERGENCE_ERRORS = (ConvergenceError, StructureError, NotFoundError, IllConditionedError)
-
-
-def thread_cap() -> int:
-    """Validated INFOQM_THREADS value (positive integer, default 1)."""
-    raw = os.environ.get("INFOQM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"INFOQM_THREADS must be a positive integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError(f"INFOQM_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -366,7 +351,6 @@ def run(argv: list[str]) -> int:
         return 0 if code == 0 else _EXIT_INVALID
     start = time.perf_counter()
     try:
-        thread_cap()  # validate the env var up front
         payload = _DISPATCH[(args.group, args.command)](args)
         manifest = {
             "tool": "infoqm",

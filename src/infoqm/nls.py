@@ -14,16 +14,17 @@ on the unit sphere with explicit normalized gradient steps
 until the step norm drops below tolerance.  Both solves use the flow only
 as a globalizer: a short flow to a loose norm, then Newton on the state
 bordered by the unit-norm constraint, whose tridiagonal Jacobian is
-solved by the Thomas algorithm.  At a fixed b (ground_state, and the
-bracket ends of the self-consistent solve) the border unknown is the
-eigenvalue shift m = mu(b) - b; for the self-consistent root (mu(b) = b,
-so the stationarity eigenvalue equals the nonlinear coefficient) it is b
-itself.  A Newton state is kept only once one explicit step from it
-moves it by less than the flow tolerance.  Should Newton fail or its
-state not verify, the fixed-b state comes from the full flow and the
-root from bisection in b over full flows.  The logarithm is floored at a
-configurable eps to keep the far tails finite; the floor is far below
-any physical amplitude.
+solved by the Thomas algorithm.  At a fixed b (ground_state) the border
+unknown is the eigenvalue shift m = mu(b) - b; for the self-consistent
+root (mu(b) = b, so the stationarity eigenvalue equals the nonlinear
+coefficient) it is b itself.  A Newton state is kept only once one
+explicit step from it moves it by less than the flow tolerance.  Every
+value of F(b) = mu(b) - b is a ground_state, and one fallback rule holds:
+a Newton solve that fails or does not verify is dropped for flows, the
+full flow at a fixed b and, for the root, bisection on the same bracket
+over ground_state midpoints.  The logarithm is floored at a configurable
+eps to keep the far tails finite; the floor is far below any physical
+amplitude.
 """
 
 from __future__ import annotations
@@ -111,10 +112,13 @@ class FlowConfig:
 class GroundStateSolution:
     """Converged positive state with its stationarity eigenvalue.
 
-    ``iterations`` counts explicit flow steps (of all short flows of a
-    Newton solve, else of the last flow) and ``newton_steps`` bordered
-    Newton steps, 0 when the flow alone made ``psi``.  ``energy_trace``
-    samples the last flow and ends with the energy of ``psi`` at ``b``.
+    ``iterations`` counts the explicit flow steps and ``newton_steps`` the
+    bordered Newton steps behind every state the solve kept: the flow (a
+    short one before Newton, or the full flow) and the Newton solve that
+    made each fixed-b state, and for a self-consistent solve the sum over
+    the states it evaluated F at and the root.  A short flow whose Newton
+    state was dropped is not counted.  ``energy_trace`` samples the flow
+    that made ``psi`` and ends with the energy of ``psi`` at ``b``.
     """
 
     psi: np.ndarray
@@ -409,6 +413,21 @@ def _verified_solution(
     )
 
 
+def _flow_then_newton(
+    problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None, free_b: bool
+) -> GroundStateSolution:
+    """A flow from init to the loose norm _LOOSE_FLOW_NORM, then a bordered
+    Newton solve at the problem's b, or with b free for the self-consistent
+    root; the state is returned through _verified_solution."""
+    flowed = gradient_flow_ground_state(
+        problem, replace(cfg, tol_flow=_LOOSE_FLOW_NORM), init=init
+    )
+    psi, b, _, steps = _bordered_newton(problem, flowed.psi, free_b)
+    return _verified_solution(
+        problem.with_b(b), cfg, psi, flowed.energy_trace, flowed.iterations, steps
+    )
+
+
 def ground_state(
     problem: GridProblem,
     cfg: FlowConfig,
@@ -424,104 +443,9 @@ def ground_state(
     input raises ValidationError as the flow does.
     """
     try:
-        flowed = gradient_flow_ground_state(
-            problem, replace(cfg, tol_flow=_LOOSE_FLOW_NORM), init=init
-        )
-        psi, _, _, steps = _bordered_newton(problem, flowed.psi, free_b=False)
-        return _verified_solution(
-            problem, cfg, psi, flowed.energy_trace, flowed.iterations, steps
-        )
+        return _flow_then_newton(problem, cfg, init, free_b=False)
     except ConvergenceError:
         return gradient_flow_ground_state(problem, cfg, init=init)
-
-
-def _newton_lambda(
-    problem: GridProblem,
-    cfg: FlowConfig,
-    lo: float,
-    hi: float,
-    f_tol: float,
-    init: np.ndarray | None,
-) -> tuple[float, GroundStateSolution]:
-    """Self-consistent root found by short flows and Newton polishes.
-
-    A flow to _LOOSE_FLOW_NORM then a fixed-b Newton solve give
-    F(b) = m at each end of the bracket.  A flow at the secant estimate
-    of the root, started from the nearer end's state, then a free-b
-    Newton solve give the root.  Raises ConvergenceError when a step
-    fails or the result does not verify, so that the caller can fall back.
-    """
-    loose = replace(cfg, tol_flow=_LOOSE_FLOW_NORM)
-    work = {"flow": 0, "newton": 0}
-
-    def solve(b: float, start: np.ndarray | None, free_b: bool):
-        sub = problem.with_b(b)
-        flowed = gradient_flow_ground_state(sub, loose, init=start)
-        psi, b, m, steps = _bordered_newton(sub, flowed.psi, free_b)
-        work["flow"] += flowed.iterations
-        work["newton"] += steps
-        return psi, b, m, flowed.energy_trace
-
-    lo_end = solve(lo, init, False)
-    hi_end = solve(hi, lo_end[0], False)
-    f_lo, f_hi = lo_end[2], hi_end[2]
-    # constructing the bracket record also validates the sign change
-    RootBracket(lo, hi, f_lo, f_hi)
-    if abs(f_lo) < f_tol:
-        psi, b, _, trace = lo_end
-    elif abs(f_hi) < f_tol:
-        psi, b, _, trace = hi_end
-    else:
-        guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        nearer = lo_end if guess - lo < hi - guess else hi_end
-        psi, b, _, trace = solve(guess, nearer[0], True)
-        if not lo <= b <= hi:
-            raise ConvergenceError(f"Newton root {b} lies outside [{lo}, {hi}]")
-    sol = _verified_solution(problem.with_b(b), cfg, psi, trace, work["flow"], work["newton"])
-    if not abs(sol.mu - b) < f_tol:
-        raise ConvergenceError(f"Newton state did not verify: |mu - b| = {abs(sol.mu - b):.3e}")
-    return b, sol
-
-
-def _bisection_lambda(
-    problem: GridProblem,
-    cfg: FlowConfig,
-    lo: float,
-    hi: float,
-    f_tol: float,
-    init: np.ndarray | None,
-) -> tuple[float, GroundStateSolution]:
-    """Root of F(b) by bisection over full flows, each warm-started from
-    the previous solution."""
-    warm = {"psi": init}
-
-    def evaluate(b: float) -> tuple[float, GroundStateSolution]:
-        sol = gradient_flow_ground_state(problem.with_b(b), cfg, init=warm["psi"])
-        warm["psi"] = sol.psi
-        return sol.mu - b, sol
-
-    f_lo, sol_lo = evaluate(lo)
-    f_hi, sol_hi = evaluate(hi)
-    # constructing the bracket record also validates the sign change
-    RootBracket(lo, hi, f_lo, f_hi)
-    if abs(f_lo) < f_tol:
-        return lo, sol_lo
-    if abs(f_hi) < f_tol:
-        return hi, sol_hi
-    for _ in range(_OUTER_CAP):
-        mid = 0.5 * (lo + hi)
-        f_mid, sol_mid = evaluate(mid)
-        if abs(f_mid) < f_tol:
-            return mid, sol_mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < 1e-14:
-            raise ConvergenceError(
-                f"self-consistency bisection stalled: |F| = {abs(f_mid):.3e} > {f_tol}"
-            )
-    raise ConvergenceError(f"self-consistency bisection exceeded {_OUTER_CAP} steps")
 
 
 def self_consistent_lambda(
@@ -534,20 +458,66 @@ def self_consistent_lambda(
     """Root b* of F(b) = mu(b) - b in the bracket: the returned coefficient
     is its own stationarity eigenvalue, |mu(b*) - b*| < f_tol.
 
-    Short flows to a loose norm followed by bordered Newton solves find
-    F at both bracket ends and then the root.  If a Newton solve fails or
-    its state does not verify (one-step flow norm below cfg.tol_flow and
-    |mu - b| below f_tol), the root is found instead by bisection over
-    full flows, warm-started from each other.  Both paths evaluate both
-    ends and raise BracketError when F has no sign change on the bracket.
+    F is evaluated only by ground_state: at the lower end from init, at
+    the upper end from the lower end's state.  BracketError is raised when
+    F has no sign change on the bracket.  A short flow at the secant
+    estimate of the root, started from the nearer end's state, then a
+    free-b Newton solve give the root, kept if its one-step flow norm is
+    below cfg.tol_flow and |mu - b| < f_tol.  Otherwise bisection on the
+    same bracket finds it, each midpoint a ground_state warm-started from
+    the previous one.  ``iterations`` and ``newton_steps`` of the result
+    are the totals over every state the solve kept: both ends, then the
+    root or every midpoint.
     """
     if f_tol <= 0:
         raise ValidationError("f_tol must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])
+    kept: list[GroundStateSolution] = []
+
+    def evaluate(b: float, start: np.ndarray | None) -> tuple[float, GroundStateSolution]:
+        sol = ground_state(problem.with_b(b), cfg, init=start)
+        kept.append(sol)
+        return sol.mu - b, sol
+
+    def found(sol: GroundStateSolution) -> tuple[float, GroundStateSolution]:
+        return sol.b, replace(
+            sol,
+            iterations=sum(s.iterations for s in kept),
+            newton_steps=sum(s.newton_steps for s in kept),
+        )
+
+    f_lo, sol_lo = evaluate(lo, init)
+    f_hi, sol_hi = evaluate(hi, sol_lo.psi)
+    # constructing the bracket record also validates the sign change
+    RootBracket(lo, hi, f_lo, f_hi)
+    if abs(f_lo) < f_tol:
+        return found(sol_lo)
+    if abs(f_hi) < f_tol:
+        return found(sol_hi)
+    guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    nearer = sol_lo if guess - lo < hi - guess else sol_hi
     try:
-        return _newton_lambda(problem, cfg, lo, hi, f_tol, init)
+        root = _flow_then_newton(problem.with_b(guess), cfg, nearer.psi, free_b=True)
+        if lo <= root.b <= hi and abs(root.mu - root.b) < f_tol:
+            kept.append(root)
+            return found(root)
     except ConvergenceError:
-        return _bisection_lambda(problem, cfg, lo, hi, f_tol, init)
+        pass
+    sol = sol_hi
+    for _ in range(_OUTER_CAP):
+        mid = 0.5 * (lo + hi)
+        f_mid, sol = evaluate(mid, sol.psi)
+        if abs(f_mid) < f_tol:
+            return found(sol)
+        if f_lo * f_mid < 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi - lo < 1e-14:
+            raise ConvergenceError(
+                f"self-consistency bisection stalled: |F| = {abs(f_mid):.3e} > {f_tol}"
+            )
+    raise ConvergenceError(f"self-consistency bisection exceeded {_OUTER_CAP} steps")
 
 
 def uniqueness_probe(

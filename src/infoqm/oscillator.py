@@ -61,22 +61,6 @@ class OscillatorState:
                 raise ValidationError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """Flat record of one state, in the column order the CLI emits."""
-
-    n: int
-    k: int
-    alpha: float
-    beta: float
-    lam: float
-    energy: float
-
-    @classmethod
-    def from_state(cls, s: OscillatorState) -> "TableRow":
-        return cls(s.n, s.k, s.alpha, s.beta, s.lam, s.energy)
-
-
 def alpha_from_beta(n: int, beta: float) -> float:
     """Log-normalization alpha = (1/2) ln(2^n n! sqrt(pi) / sqrt(2 beta))."""
     if beta <= 0:
@@ -160,11 +144,11 @@ def solve_state(n: int) -> OscillatorState:
     return OscillatorState(n, k, alpha, beta, lam, energy(n, alpha, lam))
 
 
-def table(n_max: int) -> list[TableRow]:
-    """Rows for n = 0..n_max, each from an independent solve."""
+def table(n_max: int) -> list[OscillatorState]:
+    """States n = 0..n_max, the table's rows, each from an independent solve."""
     if not 0 <= n_max <= MAX_QUANTUM_NUMBER:
         raise DomainError(f"n_max must be in [0, {MAX_QUANTUM_NUMBER}], got {n_max}")
-    return [TableRow.from_state(solve_state(n)) for n in range(n_max + 1)]
+    return [solve_state(n) for n in range(n_max + 1)]
 
 
 def psi_eval(state: OscillatorState, x):

@@ -69,17 +69,6 @@ class TestOscillatorTable:
         assert "--n-max" in manifest["argv"]
         assert "wall_time_s" in manifest
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("INFOQM_THREADS", "2")
-        code, out, _ = run_captured(capsys, ["oscillator", "table", "--n-max", "4"])
-        assert code == 0
-        assert len(out.strip().split("\n")) == 6
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("INFOQM_THREADS", "zero")
-        code, _, _ = run_captured(capsys, ["oscillator", "table", "--n-max", "1"])
-        assert code == 2
-
 
 class TestDeterminism:
     def test_table_byte_identical(self, tmp_path, capsys):

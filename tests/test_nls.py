@@ -252,6 +252,56 @@ class TestBorderedNewton:
         assert abs(sol.mu - lam) < 1e-6
         assert abs(lam - lam_newton) < 1e-5
 
+    def test_bisection_midpoints_are_newton_states(self, monkeypatch):
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        lam_newton, _ = self_consistent_lambda(problem, cfg)
+        fixed_b_newton = nls._bordered_newton
+
+        def free_b_failure(problem, psi, free_b):
+            if free_b:
+                raise ConvergenceError("forced failure")
+            return fixed_b_newton(problem, psi, free_b)
+
+        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
+        lam, sol = self_consistent_lambda(problem, cfg)
+        assert abs(lam - lam_newton) < 1e-5
+        assert abs(sol.mu - lam) < 1e-6
+        assert sol.newton_steps > 0
+
+    def test_work_totals_cover_every_kept_state(self, monkeypatch):
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        flows, newton = [], []
+        flow, bordered_newton = nls.gradient_flow_ground_state, nls._bordered_newton
+
+        def counted_flow(problem, cfg, init=None):
+            sol = flow(problem, cfg, init)
+            flows.append((cfg.tol_flow, sol.iterations))
+            return sol
+
+        def counted_newton(problem, psi, free_b):
+            out = bordered_newton(problem, psi, free_b)
+            newton.append(out[3])
+            return out
+
+        monkeypatch.setattr(nls, "gradient_flow_ground_state", counted_flow)
+        monkeypatch.setattr(nls, "_bordered_newton", counted_newton)
+        _, sol = self_consistent_lambda(problem, cfg)
+        assert len(flows) == 3  # both ends and the root step
+        assert sol.iterations == sum(steps for _, steps in flows)
+        assert sol.newton_steps == sum(newton)
+
+        # with every Newton solve failing, each kept state is a full flow;
+        # the short flows before the failed Newton solves are not counted
+        flows.clear()
+        monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
+        _, sol = self_consistent_lambda(problem, cfg)
+        full = [steps for tol, steps in flows if tol == cfg.tol_flow]
+        assert len(full) > 2  # both ends and at least one midpoint
+        assert sol.iterations == sum(full)
+        assert sol.newton_steps == 0
+
     def test_returned_state_is_flow_stationary(self, coarse_self_consistent, coarse_cfg):
         lam, sol = coarse_self_consistent
         problem = harmonic_problem(512, b=lam)

@@ -8,7 +8,6 @@ from infoqm import (
     Grid1D,
     OscillatorState,
     QuadratureRule,
-    TableRow,
     ValidationError,
     alpha_from_beta,
     beta_closure_residual,
@@ -144,7 +143,7 @@ class TestTable:
         rows = table(7)
         assert len(rows) == 8
         for row, s in zip(rows, states):
-            assert row == TableRow.from_state(s)
+            assert row == s
 
     def test_single_row(self):
         rows = table(0)
