@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import BasisSet, completeness_projection, gram_matrix
+from .analysis import DEFAULT_ANALYSIS_GRID, BasisSet, completeness_projection, gram_matrix
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -37,7 +37,7 @@ from .maxent import (
 )
 from .nls import FlowConfig, GridProblem, ground_state, self_consistent_lambda
 from .numerics import Grid1D
-from .oscillator import psi_eval, solve_state
+from .oscillator import psi_eval, solve_state, table
 from .series import binomial_series_eval, two_var_series_eval
 
 _EXIT_INVALID = 2
@@ -134,20 +134,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ground.add_argument("--seed", type=int, default=0)
     ground.add_argument("--out")
 
+    an_grid = DEFAULT_ANALYSIS_GRID
     an = sub.add_parser("analyze", help="family diagnostics")
     an_sub = an.add_subparsers(dest="command", required=True)
     gram = an_sub.add_parser("gram", help="gram matrix of the state family")
     gram.add_argument("--n-max", type=int, required=True)
-    gram.add_argument("--domain", type=float, nargs=2, default=(-14.0, 14.0))
-    gram.add_argument("--points", type=int, default=8001)
+    gram.add_argument("--domain", type=float, nargs=2, default=(an_grid.x_min, an_grid.x_max))
+    gram.add_argument("--points", type=int, default=an_grid.n_points)
     gram.add_argument("--digits", type=int, default=12)
     gram.add_argument("--out")
     proj = an_sub.add_parser("project", help="completeness projection of a target")
     proj.add_argument("--target", required=True, help="target spec JSON file")
     proj.add_argument("--orders", required=True, help="comma-separated truncation orders")
     proj.add_argument("--n-max", type=int, default=7)
-    proj.add_argument("--domain", type=float, nargs=2, default=(-14.0, 14.0))
-    proj.add_argument("--points", type=int, default=8001)
+    proj.add_argument("--domain", type=float, nargs=2, default=(an_grid.x_min, an_grid.x_max))
+    proj.add_argument("--points", type=int, default=an_grid.n_points)
     proj.add_argument("--out")
 
     return parser
@@ -158,11 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_oscillator_table(args) -> str:
-    if args.n_max < 0:
-        raise ValidationError("--n-max must be nonnegative")
     if args.digits < 1:
         raise ValidationError("--digits must be positive")
-    states = [solve_state(n) for n in range(args.n_max + 1)]
+    states = table(args.n_max)
     if args.format == "json":
         doc = {
             "rows": [
@@ -222,8 +221,6 @@ def _cmd_series_probe(args) -> str:
 
 
 def _cmd_nls_ground(args) -> str:
-    if args.grid < 3:
-        raise ValidationError("--grid must be at least 3")
     grid = Grid1D(args.domain[0], args.domain[1], args.grid)
     problem = GridProblem.harmonic(grid, b=args.b, eps_log=args.eps_log)
     cfg = FlowConfig(
@@ -270,10 +267,7 @@ def _analysis_grid(args) -> Grid1D:
 
 
 def _cmd_analyze_gram(args) -> str:
-    if args.n_max < 0:
-        raise ValidationError("--n-max must be nonnegative")
-    states = [solve_state(n) for n in range(args.n_max + 1)]
-    basis = BasisSet.from_states(states, _analysis_grid(args))
+    basis = BasisSet.from_states(table(args.n_max), _analysis_grid(args))
     report = gram_matrix(basis)
     header = "n," + ",".join(str(n) for n in range(args.n_max + 1))
     lines = [header]
@@ -307,8 +301,7 @@ def _cmd_analyze_project(args) -> str:
         doc = json.load(fh)
     grid = _analysis_grid(args)
     target, label = _target_from_spec(doc, grid)
-    states = [solve_state(n) for n in range(args.n_max + 1)]
-    basis = BasisSet.from_states(states, grid)
+    basis = BasisSet.from_states(table(args.n_max), grid)
     report = completeness_projection(target, basis, orders, target_label=label)
     return _dump_json(
         {

@@ -25,6 +25,11 @@ full flow at a fixed b and, for the root, bisection on the same bracket
 over ground_state midpoints.  The logarithm is floored at a configurable
 eps to keep the far tails finite; the floor is far below any physical
 amplitude.
+
+The discretization is written once: _gradient gives g and the floored
+logarithm on the interior of a pinned state, and _explicit_step takes
+one normalized step.  The flow, its verification of a Newton state, mu,
+the energy and the Newton residual and Jacobian all go through them.
 """
 
 from __future__ import annotations
@@ -75,11 +80,6 @@ class GridProblem:
             raise ValidationError("nonlinearity coefficient must be finite")
         object.__setattr__(self, "potential", v)
         v.flags.writeable = False
-
-    @classmethod
-    def from_potential(cls, grid: Grid1D, v, b: float = 0.0, eps_log: float = 1e-100):
-        samples = v(grid.points()) if callable(v) else np.asarray(v, dtype=float)
-        return cls(grid, samples, b, eps_log)
 
     @classmethod
     def harmonic(cls, grid: Grid1D, b: float = 0.0, eps_log: float = 1e-100):
@@ -188,36 +188,57 @@ def randomized_initial_guess(grid: Grid1D, seed: int, index: int) -> np.ndarray:
     return bump * mod
 
 
+def _gradient(problem: GridProblem, psi: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interior g = H u - b (1 + L) u of the pinned state psi, and
+    L = ln max(u^2, eps_log), where u is the interior of psi."""
+    h = problem.grid.spacing
+    u = psi[1:-1]
+    lap = (psi[:-2] - 2.0 * u + psi[2:]) * (1.0 / (h * h))
+    log_d = np.log(np.maximum(u * u, problem.eps_log))
+    return -0.5 * lap + problem.potential[1:-1] * u - b * (1.0 + log_d) * u, log_d
+
+
+def _explicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: np.ndarray) -> float:
+    """out <- normalize(psi - tau g), pinned at both ends; returns the flow
+    norm max|out - psi| / tau.  Raises InstabilityError if the step is not
+    finite or leaves the positive cone."""
+    out[1:-1] = psi[1:-1] - tau * _gradient(problem, psi, problem.b)[0]
+    out[0] = out[-1] = 0.0
+    norm = math.sqrt(problem.grid.spacing * float((out * out).sum()))
+    if not math.isfinite(norm) or norm == 0.0:
+        raise InstabilityError("flow iterate blew up; use a smaller step")
+    out /= norm
+    if out[1:-1].min() < 0.0:
+        raise InstabilityError("flow iterate lost positivity; use a smaller step")
+    return float(np.abs(out - psi).max()) / tau
+
+
 def flow_gradient(problem: GridProblem, psi: np.ndarray) -> np.ndarray:
     """g = H psi - b (1 + ln max(psi^2, eps)) psi with pinned boundary."""
-    h = problem.grid.spacing
-    v = problem.potential
     g = np.zeros_like(psi)
-    lap = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
-    core = np.log(np.maximum(psi[1:-1] * psi[1:-1], problem.eps_log))
-    g[1:-1] = -0.5 * lap + v[1:-1] * psi[1:-1] - problem.b * (1.0 + core) * psi[1:-1]
+    g[1:-1] = _gradient(problem, psi, problem.b)[0]
     return g
 
 
 def discrete_energy(problem: GridProblem, psi: np.ndarray) -> float:
-    """Discrete descent functional whose half-gradient is flow_gradient."""
+    """Discrete descent functional of a pinned state whose half-gradient
+    is flow_gradient."""
     h = problem.grid.spacing
     kinetic = 0.5 * float(np.sum((psi[1:] - psi[:-1]) ** 2)) / h
     dens = psi * psi
-    core = np.log(np.maximum(dens, problem.eps_log))
+    dens_log = np.zeros_like(psi)
+    dens_log[1:-1] = dens[1:-1] * _gradient(problem, psi, problem.b)[1]
     potential = h * float(np.sum(problem.potential * dens))
-    log_part = -problem.b * h * float(np.sum(dens * core))
+    log_part = -problem.b * h * float(np.sum(dens_log))
     return kinetic + potential + log_part
 
 
 def _mu_of(problem: GridProblem, psi: np.ndarray) -> float:
-    h = problem.grid.spacing
-    lap = np.zeros_like(psi)
-    lap[1:-1] = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (h * h)
-    h_psi = -0.5 * lap + problem.potential * psi
-    dens = psi * psi
-    core = np.log(np.maximum(dens, problem.eps_log))
-    return h * float(np.sum(psi * h_psi)) - problem.b * h * float(np.sum(dens * core))
+    """Rayleigh quotient h <u, H u> - b h <u^2, L> of the pinned state psi,
+    read off g = H u - b (1 + L) u as h (u.g + b u.u)."""
+    u = psi[1:-1]
+    g = _gradient(problem, psi, problem.b)[0]
+    return problem.grid.spacing * (float(u @ g) + problem.b * float(u @ u))
 
 
 def gradient_flow_ground_state(
@@ -248,11 +269,6 @@ def gradient_flow_ground_state(
     psi[0] = psi[-1] = 0.0
     psi /= math.sqrt(h * float(np.sum(psi * psi)))
 
-    tau = cfg.step
-    v = problem.potential[1:-1]
-    b = problem.b
-    eps = problem.eps_log
-    inv_h2 = 1.0 / (h * h)
     trace: list[float] = []
     flow_norm = math.inf
     iterations = 0
@@ -260,18 +276,7 @@ def gradient_flow_ground_state(
     while iterations < cfg.max_iters:
         if iterations % _ENERGY_SAMPLE_EVERY == 0:
             trace.append(discrete_energy(problem, psi))
-        interior = psi[1:-1]
-        lap = (psi[:-2] - 2.0 * interior + psi[2:]) * inv_h2
-        grad = -0.5 * lap + v * interior - b * (1.0 + np.log(np.maximum(interior * interior, eps))) * interior
-        new[1:-1] = interior - tau * grad
-        new[0] = new[-1] = 0.0
-        norm = math.sqrt(h * float(np.sum(new * new)))
-        if not math.isfinite(norm) or norm == 0.0:
-            raise InstabilityError("flow iterate blew up; use a smaller step")
-        new /= norm
-        if np.min(new[1:-1]) < 0.0:
-            raise InstabilityError("flow iterate lost positivity; use a smaller step")
-        flow_norm = float(np.max(np.abs(new - psi))) / tau
+        flow_norm = _explicit_step(problem, psi, cfg.step, new)
         psi, new = new, psi
         iterations += 1
         if flow_norm < cfg.tol_flow:
@@ -285,7 +290,7 @@ def gradient_flow_ground_state(
     return GroundStateSolution(
         psi=psi,
         mu=_mu_of(problem, psi),
-        b=b,
+        b=problem.b,
         iterations=iterations,
         flow_norm=flow_norm,
         energy_trace=tuple(trace),
@@ -333,18 +338,14 @@ def _newton_step(
     follows from the row (Keller's bordering algorithm).
     """
     h = problem.grid.spacing
-    v = problem.potential[1:-1]
-    eps = problem.eps_log
     inv_h2 = 1.0 / (h * h)
     off = -0.5 * inv_h2
+    g, log_d = _gradient(problem, np.pad(u, 1), b)
+    resid = g - m * u
     dens = u * u
-    log_d = np.log(np.maximum(dens, eps))
-    h_u = (inv_h2 + v) * u
-    h_u[1:] += off * u[:-1]
-    h_u[:-1] += off * u[1:]
-    resid = h_u - (b * (1.0 + log_d) + m) * u
     constraint = h * float(dens.sum()) - 1.0
-    diag = inv_h2 + v - b * (1.0 + log_d + 2.0 * (dens > eps)) - m
+    above_floor = dens > problem.eps_log
+    diag = inv_h2 + problem.potential[1:-1] - b * (1.0 + log_d + 2.0 * above_floor) - m
     border = -(1.0 + log_d) * u if free_b else -u
     y, z = _thomas(diag, off, resid, border)
     d_p = (constraint - 2.0 * h * float(u @ y)) / (2.0 * h * float(u @ z))
@@ -377,9 +378,7 @@ def _bordered_newton(
             float(np.max(np.abs(d_u))) <= _NEWTON_TOL * float(np.max(u))
             and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
         ):
-            out = np.zeros_like(psi)
-            out[1:-1] = u
-            return out, b, m, step
+            return np.pad(u, 1), b, m, step
     raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps")
 
 
@@ -394,12 +393,12 @@ def _verified_solution(
     """The solution for a Newton state psi at the problem's b, after the
     short flow that sampled ``trace``.
 
-    psi verifies when one explicit step from it has a flow norm, as the
-    flow measures it, below cfg.tol_flow; raises ConvergenceError if not.
+    psi verifies when _explicit_step, the step the flow stops on, moves it
+    by a flow norm below cfg.tol_flow; raises ConvergenceError if not, or
+    InstabilityError (a ConvergenceError) if that step leaves the positive
+    cone.
     """
-    stepped = psi - cfg.step * flow_gradient(problem, psi)
-    stepped /= math.sqrt(problem.grid.spacing * float(np.sum(stepped * stepped)))
-    flow_norm = float(np.max(np.abs(stepped - psi))) / cfg.step
+    flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
     if not flow_norm < cfg.tol_flow:
         raise ConvergenceError(f"Newton state did not verify: flow norm {flow_norm:.3e}")
     return GroundStateSolution(

@@ -35,10 +35,19 @@ class TestOscillatorTable:
         assert len(doc["rows"]) == 3
         assert doc["rows"][1]["lambda"] == pytest.approx(GOLDEN_TABLE[1][2], abs=1e-4)
 
-    def test_negative_n_max_rejected(self, capsys):
-        code, _, err = run_captured(capsys, ["oscillator", "table", "--n-max", "-1"])
+    @pytest.mark.parametrize("n_max", ["-1", "21"])
+    @pytest.mark.parametrize("command", ["table", "gram", "project"])
+    def test_n_max_out_of_range_rejected(self, tmp_path, capsys, command, n_max):
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "state", "n": 3}))
+        argv = {
+            "table": ["oscillator", "table"],
+            "gram": ["analyze", "gram"],
+            "project": ["analyze", "project", "--target", str(target), "--orders", "2"],
+        }[command]
+        code, _, err = run_captured(capsys, argv + ["--n-max", n_max])
         assert code == 2
-        assert "error" in err
+        assert "error" in err and "n_max must be in [0, 20]" in err
 
     def test_unknown_flag(self, tmp_path, capsys):
         code, _, _ = run_captured(capsys, ["oscillator", "table", "--n-max", "3", "--bogus"])
@@ -242,6 +251,13 @@ class TestNlsGround:
         )
         assert code == 3
         assert "error" in err
+
+    def test_too_few_grid_points_rejected(self, capsys):
+        code, _, err = run_captured(
+            capsys, ["nls", "ground", "--domain", "-10", "10", "--grid", "2"]
+        )
+        assert code == 2
+        assert "error" in err and "at least 3 grid points" in err
 
     def test_unwritable_out_path(self, capsys):
         code, _, _ = run_captured(

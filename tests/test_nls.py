@@ -232,6 +232,20 @@ class TestBorderedNewton:
         assert np.max(np.abs(d_u - expected[:-1])) <= 1e-12
         assert abs(d_p - expected[-1]) <= 1e-12
 
+    @pytest.mark.parametrize("b", [0.0, -1.3])
+    def test_mu_is_dense_rayleigh_quotient(self, b):
+        # a pinned state that is neither normalized nor stationary
+        grid = Grid1D(-6.0, 6.0, 40)
+        problem = GridProblem.harmonic(grid, b=b)
+        psi = np.zeros(grid.n_points)
+        psi[1:-1] = np.random.default_rng(5).uniform(0.1, 2.0, grid.n_points - 2)
+        u = psi[1:-1]
+        h = grid.spacing
+        h_op = dense_bordered_system(problem, u, 0.0, 0.0, False)[0][:-1, :-1]
+        log_d = np.log(np.maximum(u * u, problem.eps_log))
+        expected = h * float(u @ h_op @ u) - b * h * float((u * u) @ log_d)
+        assert abs(nls._mu_of(problem, psi) - expected) <= 1e-12 * abs(expected)
+
     def test_root_independent_of_initial_guess(self):
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
