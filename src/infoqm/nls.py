@@ -11,25 +11,29 @@ on the unit sphere with explicit normalized gradient steps
 
     psi  <-  normalize( psi - tau (H psi - b (1 + ln psi^2) psi) )
 
-until the step norm drops below tolerance.  Both solves use the flow only
-as a globalizer: a short flow to a loose norm, then Newton on the state
-bordered by the unit-norm constraint, whose tridiagonal Jacobian is
-solved by the Thomas algorithm.  At a fixed b (ground_state) the border
+until the step norm drops below tolerance.  Both solves reach Newton's
+basin by a short loose phase instead: backward-Euler steps in H with the
+logarithm taken from the old state (BEFD, Bao & Du, SIAM J. Sci. Comput.
+25, 1674, 2004), each one Thomas solve of a tridiagonal M-matrix, to a
+loose norm.  Newton on the state bordered by the unit-norm constraint,
+whose tridiagonal Jacobian is solved by the Thomas algorithm too,
+follows.  At a fixed b (ground_state) the border
 unknown is the eigenvalue shift m = mu(b) - b; for the self-consistent
 root (mu(b) = b, so the stationarity eigenvalue equals the nonlinear
 coefficient) it is b itself.  A Newton state is kept only once one
 explicit step from it moves it by less than the flow tolerance.  Every
 value of F(b) = mu(b) - b is a ground_state, and one fallback rule holds:
-a Newton solve that fails or does not verify is dropped for flows, the
-full flow at a fixed b and, for the root, bisection on the same bracket
-over ground_state midpoints.  The logarithm is floored at a configurable
-eps to keep the far tails finite; the floor is far below any physical
-amplitude.
+a loose phase or Newton solve that fails, or a state that does not
+verify, is dropped for flows, the full explicit flow at a fixed b and,
+for the root, bisection on the same bracket over ground_state midpoints.
+The logarithm is floored at a configurable eps to keep the far tails
+finite; the floor is far below any physical amplitude.
 
 The discretization is written once: _gradient gives g and the floored
 logarithm on the interior of a pinned state, and _explicit_step takes
 one normalized step.  The flow, its verification of a Newton state, mu,
-the energy and the Newton residual and Jacobian all go through them.
+the energy, the loose phase's logarithm and the Newton residual and
+Jacobian all go through them.
 """
 
 from __future__ import annotations
@@ -50,8 +54,11 @@ from .numerics import Grid1D, RootBracket
 DEFAULT_BRACKET = (-3.0, -0.5)
 _OUTER_CAP = 200
 _ENERGY_SAMPLE_EVERY = 100
-# flow norm at which the short flow hands over to Newton
+# the semi-implicit loose phase: its step, its step cap, and the loose norm
+# at which it hands over to Newton
 _LOOSE_FLOW_NORM = 1e-2
+_LOOSE_TAU = 0.1
+_LOOSE_CAP = 300
 _NEWTON_CAP = 50
 _NEWTON_TOL = 1e-10
 
@@ -112,13 +119,15 @@ class FlowConfig:
 class GroundStateSolution:
     """Converged positive state with its stationarity eigenvalue.
 
-    ``iterations`` counts the explicit flow steps and ``newton_steps`` the
-    bordered Newton steps behind every state the solve kept: the flow (a
-    short one before Newton, or the full flow) and the Newton solve that
-    made each fixed-b state, and for a self-consistent solve the sum over
-    the states it evaluated F at and the root.  A short flow whose Newton
-    state was dropped is not counted.  ``energy_trace`` samples the flow
-    that made ``psi`` and ends with the energy of ``psi`` at ``b``.
+    ``iterations`` counts the steps and ``newton_steps`` the bordered
+    Newton steps behind every state the solve kept: the semi-implicit steps
+    of the loose phase and the Newton solve that made each Newton state,
+    or the explicit steps of the full flow that made a fallback state, and
+    for a self-consistent solve the sum over the states it evaluated F at
+    and the root.  A loose phase whose Newton state was dropped is not
+    counted.  ``energy_trace`` starts with the energy of the normalized
+    start state, samples the full flow that made a fallback ``psi`` every
+    100 steps, and ends with the energy of ``psi`` at ``b``.
     """
 
     psi: np.ndarray
@@ -198,16 +207,40 @@ def _gradient(problem: GridProblem, psi: np.ndarray, b: float) -> tuple[np.ndarr
     return -0.5 * lap + problem.potential[1:-1] * u - b * (1.0 + log_d) * u, log_d
 
 
+def _pin_and_normalize(psi: np.ndarray, h: float) -> None:
+    """Pin psi at both ends and scale it to unit norm, in place.  Raises
+    InstabilityError if its norm is zero or not finite."""
+    psi[0] = psi[-1] = 0.0
+    norm = math.sqrt(h * float((psi * psi).sum()))
+    if not math.isfinite(norm) or norm == 0.0:
+        raise InstabilityError("flow iterate blew up; use a smaller step")
+    psi /= norm
+
+
+def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
+    """A pinned, normalized copy of init, or of default_initial_guess when
+    init is None.  Raises ValidationError unless init has one finite sample
+    per grid point and is strictly positive in the interior."""
+    if init is None:
+        psi = default_initial_guess(grid)
+    else:
+        psi = np.asarray(init, dtype=float).copy()
+        if psi.shape != (grid.n_points,):
+            raise ValidationError(f"init must have {grid.n_points} samples")
+        if not np.all(np.isfinite(psi)):
+            raise ValidationError("init must be finite")
+        if np.any(psi[1:-1] <= 0.0):
+            raise ValidationError("init must be strictly positive in the interior")
+    _pin_and_normalize(psi, grid.spacing)
+    return psi
+
+
 def _explicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: np.ndarray) -> float:
     """out <- normalize(psi - tau g), pinned at both ends; returns the flow
     norm max|out - psi| / tau.  Raises InstabilityError if the step is not
     finite or leaves the positive cone."""
     out[1:-1] = psi[1:-1] - tau * _gradient(problem, psi, problem.b)[0]
-    out[0] = out[-1] = 0.0
-    norm = math.sqrt(problem.grid.spacing * float((out * out).sum()))
-    if not math.isfinite(norm) or norm == 0.0:
-        raise InstabilityError("flow iterate blew up; use a smaller step")
-    out /= norm
+    _pin_and_normalize(out, problem.grid.spacing)
     if out[1:-1].min() < 0.0:
         raise InstabilityError("flow iterate lost positivity; use a smaller step")
     return float(np.abs(out - psi).max()) / tau
@@ -254,21 +287,7 @@ def gradient_flow_ground_state(
     iterate loses positivity (use a smaller step).
     """
     _validate_step(problem, cfg)
-    grid = problem.grid
-    h = grid.spacing
-    if init is None:
-        psi = default_initial_guess(grid)
-    else:
-        psi = np.asarray(init, dtype=float).copy()
-        if psi.shape != (grid.n_points,):
-            raise ValidationError(f"init must have {grid.n_points} samples")
-        if not np.all(np.isfinite(psi)):
-            raise ValidationError("init must be finite")
-        if np.any(psi[1:-1] <= 0.0):
-            raise ValidationError("init must be strictly positive in the interior")
-    psi[0] = psi[-1] = 0.0
-    psi /= math.sqrt(h * float(np.sum(psi * psi)))
-
+    psi = _start_state(problem.grid, init)
     trace: list[float] = []
     flow_norm = math.inf
     iterations = 0
@@ -297,31 +316,75 @@ def gradient_flow_ground_state(
     )
 
 
-def _thomas(diag: np.ndarray, off: float, r1: np.ndarray, r2: np.ndarray):
-    """Solve T x = r1 and T y = r2 for the symmetric tridiagonal T with
-    diagonal ``diag`` and constant off-diagonal ``off``: one forward and
-    one back sweep of the Thomas algorithm, without pivoting."""
+def _semi_implicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: np.ndarray) -> float:
+    """out <- normalize(u'), pinned at both ends, where u' solves the
+    backward-Euler step (1 + tau (H - b (1 + L) - s)) u' = u for the
+    interior u of psi and its floored logarithm L.  Returns the loose norm
+    max |out - psi| / (tau min(1, u / _LOOSE_FLOW_NORM)): the flow norm
+    where u is at least _LOOSE_FLOW_NORM, and a relative change in the
+    tails, whose shape Newton needs right and the flow norm cannot see.
+
+    The shift s = min(0, min(V - b (1 + L))) makes the matrix a diagonally
+    dominant M-matrix, so u' is positive, and it only rescales u', so a
+    stationary psi is a fixed point.  Raises InstabilityError if u'
+    underflows to zero.
+    """
+    h = problem.grid.spacing
+    inv_h2 = 1.0 / (h * h)
+    local = problem.potential[1:-1] - problem.b * (1.0 + _gradient(problem, psi, problem.b)[1])
+    diag = 1.0 + tau * (inv_h2 + local - min(0.0, float(local.min())))
+    u = psi[1:-1]
+    (out[1:-1],) = _thomas(diag, -0.5 * tau * inv_h2, u)
+    _pin_and_normalize(out, h)
+    if not out[1:-1].min() > 0.0:
+        raise InstabilityError("semi-implicit iterate underflowed to zero")
+    weight = np.minimum(1.0, u * (1.0 / _LOOSE_FLOW_NORM))
+    return float((np.abs(out[1:-1] - u) / weight).max()) / tau
+
+
+def _loose_phase(problem: GridProblem, psi: np.ndarray) -> tuple[np.ndarray, int]:
+    """Semi-implicit steps at _LOOSE_TAU from the normalized state psi until
+    the loose norm is below _LOOSE_FLOW_NORM; returns (psi, steps).  Raises
+    ConvergenceError past _LOOSE_CAP steps."""
+    new = np.empty_like(psi)
+    for steps in range(1, _LOOSE_CAP + 1):
+        loose_norm = _semi_implicit_step(problem, psi, _LOOSE_TAU, new)
+        psi, new = new, psi
+        if loose_norm < _LOOSE_FLOW_NORM:
+            return psi, steps
+    raise ConvergenceError(
+        f"loose phase did not reach {_LOOSE_FLOW_NORM} in {_LOOSE_CAP} steps "
+        f"(loose norm {loose_norm:.3e})"
+    )
+
+
+def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
+    """Solve T x = r for each r in ``rhs`` and the symmetric tridiagonal T
+    with diagonal ``diag`` and constant off-diagonal ``off``: the Thomas
+    algorithm without pivoting, one elimination of T, then one forward and
+    one back sweep per right-hand side."""
     d = diag.tolist()
-    x = r1.tolist()
-    y = r2.tolist()
     n = len(d)
+    pivots = [0.0] * n
     ratio = [0.0] * n
     try:
-        pivot = d[0]
+        pivot = pivots[0] = d[0]
         ratio[0] = off / pivot
-        x[0] /= pivot
-        y[0] /= pivot
         for i in range(1, n):
-            pivot = d[i] - off * ratio[i - 1]
+            pivot = pivots[i] = d[i] - off * ratio[i - 1]
             ratio[i] = off / pivot
-            x[i] = (x[i] - off * x[i - 1]) / pivot
-            y[i] = (y[i] - off * y[i - 1]) / pivot
     except ZeroDivisionError:
-        raise ConvergenceError("bordered Newton met a zero pivot") from None
-    for i in range(n - 2, -1, -1):
-        x[i] -= ratio[i] * x[i + 1]
-        y[i] -= ratio[i] * y[i + 1]
-    return np.array(x), np.array(y)
+        raise ConvergenceError("tridiagonal solve met a zero pivot") from None
+    solutions = []
+    for r in rhs:
+        x = r.tolist()
+        x[0] /= pivots[0]
+        for i in range(1, n):
+            x[i] = (x[i] - off * x[i - 1]) / pivots[i]
+        for i in range(n - 2, -1, -1):
+            x[i] -= ratio[i] * x[i + 1]
+        solutions.append(np.array(x))
+    return solutions
 
 
 def _newton_step(
@@ -387,11 +450,11 @@ def _verified_solution(
     cfg: FlowConfig,
     psi: np.ndarray,
     trace: tuple[float, ...],
-    flow_steps: int,
+    loose_steps: int,
     newton_steps: int,
 ) -> GroundStateSolution:
-    """The solution for a Newton state psi at the problem's b, after the
-    short flow that sampled ``trace``.
+    """The solution for a Newton state psi at the problem's b, after a
+    loose phase from the start state whose energy ``trace`` holds.
 
     psi verifies when _explicit_step, the step the flow stops on, moves it
     by a flow norm below cfg.tol_flow; raises ConvergenceError if not, or
@@ -405,7 +468,7 @@ def _verified_solution(
         psi=psi,
         mu=_mu_of(problem, psi),
         b=problem.b,
-        iterations=flow_steps,
+        iterations=loose_steps,
         flow_norm=flow_norm,
         energy_trace=trace + (discrete_energy(problem, psi),),
         newton_steps=newton_steps,
@@ -415,16 +478,16 @@ def _verified_solution(
 def _flow_then_newton(
     problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None, free_b: bool
 ) -> GroundStateSolution:
-    """A flow from init to the loose norm _LOOSE_FLOW_NORM, then a bordered
-    Newton solve at the problem's b, or with b free for the self-consistent
-    root; the state is returned through _verified_solution."""
-    flowed = gradient_flow_ground_state(
-        problem, replace(cfg, tol_flow=_LOOSE_FLOW_NORM), init=init
-    )
-    psi, b, _, steps = _bordered_newton(problem, flowed.psi, free_b)
-    return _verified_solution(
-        problem.with_b(b), cfg, psi, flowed.energy_trace, flowed.iterations, steps
-    )
+    """The loose phase from init, then a bordered Newton solve at the
+    problem's b, or with b free for the self-consistent root; the state is
+    returned through _verified_solution.  Invalid input raises
+    ValidationError before any step."""
+    _validate_step(problem, cfg)
+    psi = _start_state(problem.grid, init)
+    trace = (discrete_energy(problem, psi),)
+    psi, steps = _loose_phase(problem, psi)
+    psi, b, _, newton_steps = _bordered_newton(problem, psi, free_b)
+    return _verified_solution(problem.with_b(b), cfg, psi, trace, steps, newton_steps)
 
 
 def ground_state(
@@ -434,12 +497,12 @@ def ground_state(
 ) -> GroundStateSolution:
     """Nodeless ground state at the problem's fixed b.
 
-    A flow from init to the loose norm _LOOSE_FLOW_NORM, then a bordered
-    Newton solve in (psi, m = mu(b) - b), give a state whose one-step
-    flow norm must be below cfg.tol_flow.  If the short flow or Newton
-    fails, or the state does not verify, the full
-    gradient_flow_ground_state from init is returned instead.  Invalid
-    input raises ValidationError as the flow does.
+    The loose phase from init, then a bordered Newton solve in
+    (psi, m = mu(b) - b), give a state whose one-step flow norm must be
+    below cfg.tol_flow.  If the loose phase or Newton fails, or the state
+    does not verify, the full gradient_flow_ground_state from init is
+    returned instead.  Invalid input raises ValidationError, before any
+    step, as the flow does.
     """
     try:
         return _flow_then_newton(problem, cfg, init, free_b=False)
@@ -459,7 +522,7 @@ def self_consistent_lambda(
 
     F is evaluated only by ground_state: at the lower end from init, at
     the upper end from the lower end's state.  BracketError is raised when
-    F has no sign change on the bracket.  A short flow at the secant
+    F has no sign change on the bracket.  The loose phase at the secant
     estimate of the root, started from the nearer end's state, then a
     free-b Newton solve give the root, kept if its one-step flow norm is
     below cfg.tol_flow and |mu - b| < f_tol.  Otherwise bisection on the

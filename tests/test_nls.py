@@ -10,6 +10,7 @@ from infoqm import (
     FlowConfig,
     Grid1D,
     GridProblem,
+    InstabilityError,
     ValidationError,
     discrete_energy,
     flow_gradient,
@@ -286,12 +287,19 @@ class TestBorderedNewton:
     def test_work_totals_cover_every_kept_state(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
-        flows, newton = [], []
-        flow, bordered_newton = nls.gradient_flow_ground_state, nls._bordered_newton
+        loose, flows, newton = [], [], []
+        loose_phase, flow, bordered_newton = (
+            nls._loose_phase, nls.gradient_flow_ground_state, nls._bordered_newton
+        )
+
+        def counted_loose(problem, psi):
+            out = loose_phase(problem, psi)
+            loose.append(out[1])
+            return out
 
         def counted_flow(problem, cfg, init=None):
             sol = flow(problem, cfg, init)
-            flows.append((cfg.tol_flow, sol.iterations))
+            flows.append(sol.iterations)
             return sol
 
         def counted_newton(problem, psi, free_b):
@@ -299,21 +307,23 @@ class TestBorderedNewton:
             newton.append(out[3])
             return out
 
+        monkeypatch.setattr(nls, "_loose_phase", counted_loose)
         monkeypatch.setattr(nls, "gradient_flow_ground_state", counted_flow)
         monkeypatch.setattr(nls, "_bordered_newton", counted_newton)
         _, sol = self_consistent_lambda(problem, cfg)
-        assert len(flows) == 3  # both ends and the root step
-        assert sol.iterations == sum(steps for _, steps in flows)
+        assert len(loose) == 3  # both ends and the root step
+        assert not flows
+        assert sol.iterations == sum(loose)
         assert sol.newton_steps == sum(newton)
 
         # with every Newton solve failing, each kept state is a full flow;
-        # the short flows before the failed Newton solves are not counted
-        flows.clear()
+        # the loose phases before the failed Newton solves are not counted
+        loose.clear()
         monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
         _, sol = self_consistent_lambda(problem, cfg)
-        full = [steps for tol, steps in flows if tol == cfg.tol_flow]
-        assert len(full) > 2  # both ends and at least one midpoint
-        assert sol.iterations == sum(full)
+        assert len(flows) > 2  # both ends and at least one midpoint
+        assert len(loose) == len(flows) + 1  # and the root step
+        assert sol.iterations == sum(flows)
         assert sol.newton_steps == 0
 
     def test_returned_state_is_flow_stationary(self, coarse_self_consistent, coarse_cfg):
@@ -371,11 +381,72 @@ class TestFixedBNewton:
         assert sol.newton_steps == 0
         assert_same_solution(sol, gradient_flow_ground_state(problem, cfg))
 
+    def test_flow_fallback_when_loose_phase_hits_its_cap(self, monkeypatch):
+        problem = harmonic_problem(256, half_width=12.0, b=-1.3)
+        init = randomized_initial_guess(problem.grid, 9, 0)
+        monkeypatch.setattr(nls, "_LOOSE_CAP", 1)
+        sol = ground_state(problem, self.CFG, init=init)
+        assert sol.newton_steps == 0
+        assert_same_solution(sol, gradient_flow_ground_state(problem, self.CFG, init=init))
+
     def test_invalid_init_raises_validation_error(self):
         problem = harmonic_problem(64)
         init = -np.ones(64)
         with pytest.raises(ValidationError):
             ground_state(problem, self.CFG, init=init)
+
+
+class TestLoosePhase:
+    @pytest.mark.parametrize("b", [0.0, -1.3, -3.0])
+    def test_newton_state_is_a_fixed_point(self, b):
+        problem = harmonic_problem(512, b=b)
+        sol = ground_state(problem, FlowConfig(step=1e-3, tol_flow=1e-9))
+        assert sol.newton_steps > 0
+        out = np.empty_like(sol.psi)
+        nls._semi_implicit_step(problem, sol.psi, nls._LOOSE_TAU, out)
+        assert float(np.max(np.abs(out - sol.psi))) < 1e-12
+
+    @pytest.mark.parametrize("n_points, step", [(256, 5e-3), (512, 1.5e-3)])
+    def test_newton_path_from_every_start(self, n_points, step):
+        base = harmonic_problem(n_points, half_width=12.0)
+        cfg = FlowConfig(step=step, tol_flow=1e-9)
+        grid = base.grid
+        inits = [None, randomized_initial_guess(grid, 13, 0), randomized_initial_guess(grid, 13, 1)]
+        inits += [ground_state(base.with_b(b), cfg).psi for b in (-3.0, -0.5)]
+        for b in (-3.0, -2.0, -1.34, -0.5):
+            sols = [ground_state(base.with_b(b), cfg, init=init) for init in inits]
+            assert all(sol.newton_steps > 0 for sol in sols)
+            mus = [sol.mu for sol in sols]
+            assert max(mus) - min(mus) <= 1e-10
+
+    @pytest.mark.parametrize("n_points, half_width", [(512, 16.0), (1024, 20.0)])
+    def test_linear_wide_domain_takes_newton_path(self, n_points, half_width):
+        # the tails of the default guess are orders of magnitude too heavy
+        # here; the loose norm weighs their relative change
+        problem = harmonic_problem(n_points, half_width=half_width, b=0.0)
+        sol = ground_state(problem, FlowConfig(step=5e-4, tol_flow=1e-9))
+        assert sol.newton_steps > 0
+        assert abs(sol.mu - 0.5) < 1e-3
+
+    def test_underflow_raises_instability(self):
+        # far tails below the smallest double: Newton cannot take a state
+        # with zeros, so the loose phase raises and ground_state falls back
+        problem = harmonic_problem(1024, half_width=50.0, b=0.0)
+        with pytest.raises(InstabilityError):
+            nls._loose_phase(problem, nls._start_state(problem.grid, None))
+
+    def test_self_consistent_loose_steps_on_criterion_3_grid(self):
+        problem = GridProblem.harmonic(Grid1D(-12.0, 12.0, 2048))
+        _, sol = self_consistent_lambda(problem, FlowConfig(step=1e-4, tol_flow=1e-8))
+        assert sol.newton_steps > 0
+        assert sol.iterations <= 200
+
+    def test_energy_trace_starts_at_the_normalized_start_state(self):
+        problem = harmonic_problem(256, half_width=12.0, b=-1.3)
+        init = randomized_initial_guess(problem.grid, 9, 0)
+        sol = ground_state(problem, TestFixedBNewton.CFG, init=init)
+        assert sol.newton_steps > 0
+        assert sol.energy_trace[0] == discrete_energy(problem, normalized_on(problem.grid, init))
 
 
 class TestUniquenessProbe:
