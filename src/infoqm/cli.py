@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     IllConditionedError,
     InfeasibleMomentsError,
+    InfoqmError,
     NotFoundError,
     NumericError,
     StructureError,
@@ -35,7 +36,7 @@ from .maxent import (
     fit_multipliers_1d,
     moment_spec_from_json,
 )
-from .nls import FlowConfig, GridProblem, ground_state, self_consistent_lambda
+from .nls import DEFAULT_BRACKET, FlowConfig, GridProblem, ground_state, self_consistent_lambda
 from .numerics import Grid1D
 from .oscillator import psi_eval, solve_state, table
 from .series import binomial_series_eval, two_var_series_eval
@@ -49,7 +50,6 @@ _INVALID_INPUT_ERRORS = (
     BracketError,
     InfeasibleMomentsError,
     NumericError,
-    json.JSONDecodeError,
     OSError,
 )
 _CONVERGENCE_ERRORS = (ConvergenceError, StructureError, NotFoundError, IllConditionedError)
@@ -81,6 +81,25 @@ def _dump_json(doc) -> str:
     return json.dumps(_json_ready(doc), sort_keys=True, indent=1) + "\n"
 
 
+def _read_document(path: str, flag: str, parse):
+    """parse(doc) of the JSON document at path; a malformed one raises ValidationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(json.loads(text))
+    except InfoqmError:
+        raise
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ValidationError(f"malformed {flag} document: {exc!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    """The value of a --digits flag: a decimal integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -95,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     osc_table = osc_sub.add_parser("table", help="solve states n = 0..n_max")
     osc_table.add_argument("--n-max", type=int, required=True)
     osc_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    osc_table.add_argument("--digits", type=int, default=6)
+    osc_table.add_argument("--digits", type=_positive_int, default=6)
     osc_table.add_argument("--out")
 
     mx = sub.add_parser("maxent", help="maximum-entropy density fitting")
@@ -115,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--x", type=float, required=True)
     probe.add_argument("--y", type=float, default=0.0)
     probe.add_argument("--n-max", type=int, required=True)
-    probe.add_argument("--digits", type=int, default=12)
+    probe.add_argument("--digits", type=_positive_int, default=12)
     probe.add_argument("--out")
 
     nls = sub.add_parser("nls", help="grid ground-state solver")
@@ -125,11 +144,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ground.add_argument("--grid", type=int, required=True, help="number of grid points")
     ground.add_argument("--b", type=float, default=0.0, help="fixed nonlinearity coefficient")
     ground.add_argument("--lambda-solve", action="store_true", help="solve mu(b) = b for b")
-    ground.add_argument("--bracket", type=float, nargs=2, default=(-3.0, -0.5))
+    ground.add_argument("--bracket", type=float, nargs=2, default=DEFAULT_BRACKET)
     ground.add_argument("--tau", type=float, default=1e-4)
     ground.add_argument("--tol-flow", type=float, default=1e-8)
     ground.add_argument("--max-iters", type=int, default=400_000)
-    ground.add_argument("--eps-log", type=float, default=1e-100)
     ground.add_argument("--resume", help="previous solution JSON to warm-start from")
     ground.add_argument("--seed", type=int, default=0)
     ground.add_argument("--out")
@@ -141,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gram.add_argument("--n-max", type=int, required=True)
     gram.add_argument("--domain", type=float, nargs=2, default=(an_grid.x_min, an_grid.x_max))
     gram.add_argument("--points", type=int, default=an_grid.n_points)
-    gram.add_argument("--digits", type=int, default=12)
+    gram.add_argument("--digits", type=_positive_int, default=12)
     gram.add_argument("--out")
     proj = an_sub.add_parser("project", help="completeness projection of a target")
     proj.add_argument("--target", required=True, help="target spec JSON file")
@@ -159,8 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_oscillator_table(args) -> str:
-    if args.digits < 1:
-        raise ValidationError("--digits must be positive")
     states = table(args.n_max)
     if args.format == "json":
         doc = {
@@ -187,13 +203,10 @@ def _cmd_oscillator_table(args) -> str:
 
 
 def _cmd_maxent_fit(args) -> str:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = moment_spec_from_json(fh.read())
+    spec = _read_document(args.spec, "--spec", moment_spec_from_json)
     init = None
     if args.init:
-        with open(args.init, "r", encoding="utf-8") as fh:
-            previous = density_from_json(fh.read())
-        by_order = dict((o, v) for o, v in previous.multipliers)
+        by_order = dict(_read_document(args.init, "--init", density_from_json).multipliers)
         init = np.array([by_order.get(o, 0.0) for o in spec.orders])
     density, diag = fit_multipliers_1d(spec, init=init, tol=args.tol)
     return _dump_json(density_to_json(density, diag))
@@ -222,15 +235,13 @@ def _cmd_series_probe(args) -> str:
 
 def _cmd_nls_ground(args) -> str:
     grid = Grid1D(args.domain[0], args.domain[1], args.grid)
-    problem = GridProblem.harmonic(grid, b=args.b, eps_log=args.eps_log)
+    problem = GridProblem.harmonic(grid, b=args.b)
     cfg = FlowConfig(
         step=args.tau, tol_flow=args.tol_flow, max_iters=args.max_iters, seed=args.seed
     )
     init = None
     if args.resume:
-        with open(args.resume, "r", encoding="utf-8") as fh:
-            previous = json.load(fh)
-        init = np.asarray(previous["psi"], dtype=float)
+        init = _read_document(args.resume, "--resume", lambda doc: np.asarray(doc["psi"], float))
         if init.shape != (grid.n_points,):
             raise ValidationError("--resume state does not match the requested grid")
     if args.lambda_solve:
@@ -297,10 +308,10 @@ def _cmd_analyze_project(args) -> str:
         orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
     except ValueError as exc:
         raise ValidationError(f"--orders must be comma-separated integers: {exc}") from exc
-    with open(args.target, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     grid = _analysis_grid(args)
-    target, label = _target_from_spec(doc, grid)
+    target, label = _read_document(
+        args.target, "--target", lambda doc: _target_from_spec(doc, grid)
+    )
     basis = BasisSet.from_states(table(args.n_max), grid)
     report = completeness_projection(target, basis, orders, target_label=label)
     return _dump_json(

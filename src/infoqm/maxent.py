@@ -627,6 +627,8 @@ def normalization_residual(d: ExpFamilyDensity1D) -> float:
 
 
 _INF_STRINGS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf, "−inf": -math.inf}
+# what reading a malformed document raises; the parsers below map it to ValidationError
+_MALFORMED = (AttributeError, KeyError, TypeError, IndexError, ValueError)
 
 
 def _parse_bound(v) -> float:
@@ -634,22 +636,22 @@ def _parse_bound(v) -> float:
         key = v.strip().lower()
         if key in _INF_STRINGS:
             return _INF_STRINGS[key]
-        raise ValidationError(f"unrecognized support bound {v!r}")
+        raise ValueError(f"unrecognized support bound {v!r}")
     return float(v)
 
 
 def moment_spec_from_json(doc) -> MomentSpec1D:
     """Parse {"support": [a, b], "moments": [{"order": i, "value": c}, ...]}.
 
-    Bounds accept "inf" / "-inf" string sentinels.
+    Bounds accept "inf" / "-inf" sentinels; a malformed document raises ValidationError.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
     try:
+        if isinstance(doc, (str, bytes)):
+            doc = json.loads(doc)
         support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
         moments = tuple((int(m["order"]), float(m["value"])) for m in doc.get("moments", []))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValidationError(f"malformed moment spec document: {exc}") from exc
+    except _MALFORMED as exc:
+        raise ValidationError(f"malformed moment spec document: {exc!r}") from exc
     return MomentSpec1D(support, moments)
 
 
@@ -682,16 +684,20 @@ def density_to_json(d: ExpFamilyDensity1D, diagnostics: FitDiagnostics | None = 
 
 
 def density_from_json(doc) -> ExpFamilyDensity1D:
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    factors = None
-    if doc.get("factors"):
-        factors = EndpointFactors(
-            zeros=tuple((float(l), float(m)) for l, m in doc["factors"].get("zeros", [])),
-            singularities=tuple(
-                (float(l), float(p)) for l, p in doc["factors"].get("singularities", [])
-            ),
-        )
-    support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
-    multipliers = tuple((int(o), float(v)) for o, v in doc["multipliers"])
+    """Parse a density_to_json document; a malformed one raises ValidationError."""
+    try:
+        if isinstance(doc, (str, bytes)):
+            doc = json.loads(doc)
+        factors = None
+        if doc.get("factors"):
+            factors = EndpointFactors(
+                zeros=tuple((float(l), float(m)) for l, m in doc["factors"].get("zeros", [])),
+                singularities=tuple(
+                    (float(l), float(p)) for l, p in doc["factors"].get("singularities", [])
+                ),
+            )
+        support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
+        multipliers = tuple((int(o), float(v)) for o, v in doc["multipliers"])
+    except _MALFORMED as exc:
+        raise ValidationError(f"malformed density document: {exc!r}") from exc
     return ExpFamilyDensity1D(multipliers, support, factors)

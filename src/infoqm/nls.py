@@ -26,14 +26,14 @@ value of F(b) = mu(b) - b is a ground_state, and one fallback rule holds:
 a loose phase or Newton solve that fails, or a state that does not
 verify, is dropped for flows, the full explicit flow at a fixed b and,
 for the root, bisection on the same bracket over ground_state midpoints.
-The logarithm is floored at a configurable eps to keep the far tails
-finite; the floor is far below any physical amplitude.
+The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
+tails finite; the floor is far below any physical amplitude.
 
 The discretization is written once: _gradient gives g and the floored
 logarithm on the interior of a pinned state, and _explicit_step takes
-one normalized step.  The flow, its verification of a Newton state, mu,
-the energy, the loose phase's logarithm and the Newton residual and
-Jacobian all go through them.
+one normalized step.  The flow, its verification of a Newton state, the
+discrete energy (which is mu), the loose phase's logarithm and the Newton
+residual and Jacobian all go through them.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .errors import (
 from .numerics import Grid1D, RootBracket
 
 DEFAULT_BRACKET = (-3.0, -0.5)
+# floor of u^2 inside the logarithm
+_EPS_LOG = 1e-100
 _OUTER_CAP = 200
 _ENERGY_SAMPLE_EVERY = 100
 # the semi-implicit loose phase: its step, its step cap, and the loose norm
@@ -65,13 +67,11 @@ _NEWTON_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GridProblem:
-    """Discretized domain, sampled potential, nonlinearity coefficient b,
-    and the floor used inside the logarithm."""
+    """Discretized domain, sampled potential and nonlinearity coefficient b."""
 
     grid: Grid1D
     potential: np.ndarray
     b: float = 0.0
-    eps_log: float = 1e-100
 
     def __post_init__(self):
         v = np.asarray(self.potential, dtype=float)
@@ -81,20 +81,18 @@ class GridProblem:
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("potential samples must be finite")
-        if not 1e-300 <= self.eps_log <= 1e-20:
-            raise ValidationError("eps_log must lie in [1e-300, 1e-20]")
         if not math.isfinite(self.b):
             raise ValidationError("nonlinearity coefficient must be finite")
         object.__setattr__(self, "potential", v)
         v.flags.writeable = False
 
     @classmethod
-    def harmonic(cls, grid: Grid1D, b: float = 0.0, eps_log: float = 1e-100):
+    def harmonic(cls, grid: Grid1D, b: float = 0.0):
         x = grid.points()
-        return cls(grid, 0.5 * x * x, b, eps_log)
+        return cls(grid, 0.5 * x * x, b)
 
     def with_b(self, b: float) -> "GridProblem":
-        return GridProblem(self.grid, self.potential, b, self.eps_log)
+        return GridProblem(self.grid, self.potential, b)
 
 
 @dataclass(frozen=True)
@@ -199,11 +197,11 @@ def randomized_initial_guess(grid: Grid1D, seed: int, index: int) -> np.ndarray:
 
 def _gradient(problem: GridProblem, psi: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Interior g = H u - b (1 + L) u of the pinned state psi, and
-    L = ln max(u^2, eps_log), where u is the interior of psi."""
+    L = ln max(u^2, _EPS_LOG), where u is the interior of psi."""
     h = problem.grid.spacing
     u = psi[1:-1]
     lap = (psi[:-2] - 2.0 * u + psi[2:]) * (1.0 / (h * h))
-    log_d = np.log(np.maximum(u * u, problem.eps_log))
+    log_d = np.log(np.maximum(u * u, _EPS_LOG))
     return -0.5 * lap + problem.potential[1:-1] * u - b * (1.0 + log_d) * u, log_d
 
 
@@ -247,28 +245,15 @@ def _explicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: np.nd
 
 
 def flow_gradient(problem: GridProblem, psi: np.ndarray) -> np.ndarray:
-    """g = H psi - b (1 + ln max(psi^2, eps)) psi with pinned boundary."""
-    g = np.zeros_like(psi)
-    g[1:-1] = _gradient(problem, psi, problem.b)[0]
-    return g
+    """g = H psi - b (1 + ln max(psi^2, _EPS_LOG)) psi with pinned boundary."""
+    return np.pad(_gradient(problem, psi, problem.b)[0], 1)
 
 
 def discrete_energy(problem: GridProblem, psi: np.ndarray) -> float:
-    """Discrete descent functional of a pinned state whose half-gradient
-    is flow_gradient."""
-    h = problem.grid.spacing
-    kinetic = 0.5 * float(np.sum((psi[1:] - psi[:-1]) ** 2)) / h
-    dens = psi * psi
-    dens_log = np.zeros_like(psi)
-    dens_log[1:-1] = dens[1:-1] * _gradient(problem, psi, problem.b)[1]
-    potential = h * float(np.sum(problem.potential * dens))
-    log_part = -problem.b * h * float(np.sum(dens_log))
-    return kinetic + potential + log_part
-
-
-def _mu_of(problem: GridProblem, psi: np.ndarray) -> float:
-    """Rayleigh quotient h <u, H u> - b h <u^2, L> of the pinned state psi,
-    read off g = H u - b (1 + L) u as h (u.g + b u.u)."""
+    """Discrete descent functional of a pinned state psi, whose
+    half-gradient is flow_gradient.  By summation by parts it is the
+    Rayleigh quotient h <u, H u> - b h <u^2, L> of the interior u, read off
+    g as h (u.g + b u.u), so at a returned state it equals mu."""
     u = psi[1:-1]
     g = _gradient(problem, psi, problem.b)[0]
     return problem.grid.spacing * (float(u @ g) + problem.b * float(u @ u))
@@ -308,7 +293,7 @@ def gradient_flow_ground_state(
     trace.append(discrete_energy(problem, psi))
     return GroundStateSolution(
         psi=psi,
-        mu=_mu_of(problem, psi),
+        mu=trace[-1],
         b=problem.b,
         iterations=iterations,
         flow_norm=flow_norm,
@@ -394,8 +379,8 @@ def _newton_step(
 
     Unknowns are u and the border unknown p (m, or b when free_b), for
     G = H u - b (1 + L) u - m u = 0 and h sum u^2 = 1, where
-    L = ln max(u^2, eps).  The Jacobian is the tridiagonal
-    J = 1/h^2 + V - b (1 + L + 2 [u^2 > eps]) - m, off-diagonal -1/(2h^2),
+    L = ln max(u^2, _EPS_LOG).  The Jacobian is the tridiagonal
+    J = 1/h^2 + V - b (1 + L + 2 [u^2 > _EPS_LOG]) - m, off-diagonal -1/(2h^2),
     bordered by the column -u (or -(1 + L) u) and the row 2h u.  One
     Thomas pass solves J for G and the column; the border unknown then
     follows from the row (Keller's bordering algorithm).
@@ -407,7 +392,7 @@ def _newton_step(
     resid = g - m * u
     dens = u * u
     constraint = h * float(dens.sum()) - 1.0
-    above_floor = dens > problem.eps_log
+    above_floor = dens > _EPS_LOG
     diag = inv_h2 + problem.potential[1:-1] - b * (1.0 + log_d + 2.0 * above_floor) - m
     border = -(1.0 + log_d) * u if free_b else -u
     y, z = _thomas(diag, off, resid, border)
@@ -426,7 +411,7 @@ def _bordered_newton(
     step cap, on a zero pivot, or when an iterate leaves the positive cone.
     """
     b = problem.b
-    m = 0.0 if free_b else _mu_of(problem, psi) - b
+    m = 0.0 if free_b else discrete_energy(problem, psi) - b
     u = psi[1:-1].copy()
     for step in range(1, _NEWTON_CAP + 1):
         d_u, d_p = _newton_step(problem, u, b, m, free_b)
@@ -464,13 +449,14 @@ def _verified_solution(
     flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
     if not flow_norm < cfg.tol_flow:
         raise ConvergenceError(f"Newton state did not verify: flow norm {flow_norm:.3e}")
+    trace += (discrete_energy(problem, psi),)
     return GroundStateSolution(
         psi=psi,
-        mu=_mu_of(problem, psi),
+        mu=trace[-1],
         b=problem.b,
         iterations=loose_steps,
         flow_norm=flow_norm,
-        energy_trace=trace + (discrete_energy(problem, psi),),
+        energy_trace=trace,
         newton_steps=newton_steps,
     )
 

@@ -58,6 +58,30 @@ class TestOscillatorTable:
         code, _, _ = run_captured(capsys, ["maxent", "fit", "--spec", str(spec), "--seed", "1"])
         assert code == 2
         assert run_captured(capsys, ["maxent", "fit", "--spec", str(spec)])[0] == 0
+        # the logarithm floor is fixed
+        code, _, _ = run_captured(
+            capsys, ["nls", "ground", "--domain", "-5", "5", "--grid", "64", "--eps-log", "1e-50"]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("digits", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oscillator", "table", "--n-max", "2"],
+            ["series", "probe", "--kind", "binomial", "--x", "0.5", "--n-max", "3"],
+            ["analyze", "gram", "--n-max", "2"],
+        ],
+        ids=["table", "probe", "gram"],
+    )
+    def test_digits_below_one_rejected(self, capsys, argv, digits):
+        code, out, err = run_captured(capsys, argv + ["--digits", digits])
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.rstrip("\n").split("\n")[-1].endswith(
+            f"error: argument --digits: must be a positive integer, got '{digits}'"
+        )
 
     def test_digits_flag(self, capsys):
         code, out, _ = run_captured(
@@ -320,3 +344,38 @@ class TestEntryPoints:
 
     def test_no_subcommand(self, capsys):
         assert run([]) == 2
+
+
+VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
+
+
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        ("--resume", {"mu": 0.5}),
+        ("--resume", {"psi": "abc"}),
+        ("--init", {"multipliers": [[1, 0.0]]}),
+        ("--init", [1, 2]),
+        ("--target", {"kind": "state"}),
+        ("--target", {"kind": "state", "n": "two"}),
+        ("--target", [1, 2]),
+        ("--spec", {"support": [0.0, 1.0], "moments": [{"order": "x", "value": 1.0}]}),
+        ("--spec", {"support": [0.0, 1.0], "moments": [{"order": 1, "value": "abc"}]}),
+    ],
+)
+def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(VALID_SPEC))
+    argv = {
+        "--resume": ["nls", "ground", "--domain", "-10", "10", "--grid", "64", "--resume"],
+        "--init": ["maxent", "fit", "--spec", str(spec), "--init"],
+        "--target": ["analyze", "project", "--orders", "2", "--target"],
+        "--spec": ["maxent", "fit", "--spec"],
+    }[flag]
+    code, out, err = run_captured(capsys, argv + [str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("infoqm: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

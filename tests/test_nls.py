@@ -131,7 +131,7 @@ class TestSelfConsistency:
         psi = sol.psi
         resid = np.zeros_like(psi)
         lap = (psi[:-2] - 2 * psi[1:-1] + psi[2:]) / (h * h)
-        dens = np.maximum(psi[1:-1] ** 2, problem.eps_log)
+        dens = np.maximum(psi[1:-1] ** 2, nls._EPS_LOG)
         resid[1:-1] = (
             -0.5 * lap
             + problem.potential[1:-1] * psi[1:-1]
@@ -179,7 +179,7 @@ def dense_bordered_system(problem, u, b, m, free_b):
     """Dense bordered Jacobian and right-hand side of one Newton step."""
     h = problem.grid.spacing
     n = u.size
-    log_d = np.log(np.maximum(u * u, problem.eps_log))
+    log_d = np.log(np.maximum(u * u, nls._EPS_LOG))
     lap = (np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n)) / (h * h)
     h_op = -0.5 * lap + np.diag(problem.potential[1:-1])
     jac = np.zeros((n + 1, n + 1))
@@ -243,9 +243,9 @@ class TestBorderedNewton:
         u = psi[1:-1]
         h = grid.spacing
         h_op = dense_bordered_system(problem, u, 0.0, 0.0, False)[0][:-1, :-1]
-        log_d = np.log(np.maximum(u * u, problem.eps_log))
+        log_d = np.log(np.maximum(u * u, nls._EPS_LOG))
         expected = h * float(u @ h_op @ u) - b * h * float((u * u) @ log_d)
-        assert abs(nls._mu_of(problem, psi) - expected) <= 1e-12 * abs(expected)
+        assert abs(discrete_energy(problem, psi) - expected) <= 1e-12 * abs(expected)
 
     def test_root_independent_of_initial_guess(self):
         problem = harmonic_problem(256, half_width=12.0)
@@ -441,6 +441,17 @@ class TestLoosePhase:
         assert sol.newton_steps > 0
         assert sol.iterations <= 200
 
+    def test_mu_is_the_final_energy(self, coarse_self_consistent):
+        # one evaluation of the functional gives both, on every path
+        problem = harmonic_problem(256, half_width=12.0, b=-1.3)
+        flowed = gradient_flow_ground_state(problem, TestFixedBNewton.CFG)
+        newton = ground_state(problem, TestFixedBNewton.CFG)
+        _, root = coarse_self_consistent
+        assert flowed.newton_steps == 0
+        assert newton.newton_steps > 0 and root.newton_steps > 0
+        for sol in (flowed, newton, root):
+            assert sol.mu == sol.energy_trace[-1]
+
     def test_energy_trace_starts_at_the_normalized_start_state(self):
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         init = randomized_initial_guess(problem.grid, 9, 0)
@@ -492,11 +503,6 @@ class TestValidationAndErrors:
         grid = Grid1D(-1.0, 1.0, 64)
         with pytest.raises(ValidationError):
             GridProblem(grid, np.zeros(65))
-
-    def test_eps_log_range(self):
-        grid = Grid1D(-1.0, 1.0, 64)
-        with pytest.raises(ValidationError):
-            GridProblem(grid, np.zeros(64), eps_log=1e-10)
 
     def test_max_iters_cap(self):
         with pytest.raises(ValidationError):
