@@ -2,21 +2,26 @@
 """Brute-force oracle for the symmetric-interval moment fit.
 
 Finds the quadratic multiplier a2 with <x^2> = 0.2 on [-1, 1] by plain
-bisection over a2 with 100001-point Simpson quadrature.  Deliberately
-independent of the package's Newton fitter; the printed value is frozen
-into tests/test_maxent.py as ORACLE_A2_SYMMETRIC.
+bisection over a2 with 100001-point composite Simpson quadrature.
+Deliberately independent of the package's Newton fitter and quadrature;
+needs numpy only.  The printed value is frozen into tests/test_maxent.py
+as ORACLE_A2_SYMMETRIC.
 """
 
 import numpy as np
-from scipy.integrate import simpson
 
 TARGET = 0.2
 XS = np.linspace(-1.0, 1.0, 100001)
+# composite Simpson weights h/3 * (1, 4, 2, 4, ..., 2, 4, 1) on the odd point count
+SIMPSON = np.ones(XS.size)
+SIMPSON[1:-1:2] = 4.0
+SIMPSON[2:-1:2] = 2.0
+SIMPSON *= (XS[1] - XS[0]) / 3.0
 
 
 def second_moment(a2: float) -> float:
-    w = np.exp(-a2 * XS**2)
-    return simpson(w * XS**2, x=XS) / simpson(w, x=XS)
+    w = SIMPSON * np.exp(-a2 * XS**2)
+    return float(w @ XS**2) / float(w.sum())
 
 
 def main() -> None:

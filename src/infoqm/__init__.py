@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     BasisSet,
-    GramReport,
     ProjectionReport,
     completeness_projection,
     energy_ordering_check,

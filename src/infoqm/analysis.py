@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,11 +22,10 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class BasisSet:
-    """Functions sampled on a shared grid, with labels."""
+    """Functions sampled on a shared grid."""
 
     grid: Grid1D
     members: np.ndarray  # (n_members, n_points)
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         members = np.asarray(self.members, dtype=float)
@@ -36,8 +35,6 @@ class BasisSet:
             raise ValidationError("member samples do not match the grid")
         if not np.all(np.isfinite(members)):
             raise ValidationError("basis members must be finite on the grid")
-        if len(self.labels) != members.shape[0]:
-            raise ValidationError("one label per member required")
         object.__setattr__(self, "members", members)
         members.flags.writeable = False
 
@@ -50,37 +47,7 @@ class BasisSet:
     ) -> "BasisSet":
         xs = grid.points()
         rows = np.array([psi_eval(s, xs) for s in states])
-        return cls(grid, rows, tuple(f"n={s.n}" for s in states))
-
-    @classmethod
-    def from_callables(
-        cls,
-        fns: Sequence[Callable[[np.ndarray], np.ndarray]],
-        grid: Grid1D = DEFAULT_ANALYSIS_GRID,
-        labels: Sequence[str] | None = None,
-    ) -> "BasisSet":
-        xs = grid.points()
-        rows = np.array([np.asarray(fn(xs), dtype=float) for fn in fns])
-        if labels is None:
-            labels = tuple(f"f{i}" for i in range(len(fns)))
-        return cls(grid, rows, tuple(labels))
-
-
-@dataclass(frozen=True)
-class GramReport:
-    """Pairwise inner products and the quadrature they were computed with."""
-
-    matrix: np.ndarray
-    labels: tuple[str, ...]
-    grid: Grid1D
-    rule: str = "trapezoid"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("gram matrix must be square")
-        object.__setattr__(self, "matrix", m)
-        m.flags.writeable = False
+        return cls(grid, rows)
 
 
 @dataclass(frozen=True)
@@ -115,15 +82,16 @@ def inner_product(f, g, grid: Grid1D) -> float:
     return float(QuadratureRule.trapezoid(grid).weights @ (fs * gs))
 
 
-def gram_matrix(basis: BasisSet) -> GramReport:
-    """Full symmetric Gram matrix of the basis members."""
+def gram_matrix(basis: BasisSet) -> np.ndarray:
+    """Full symmetric, read-only Gram matrix of the basis members (trapezoid rule)."""
     m = len(basis)
     w = QuadratureRule.trapezoid(basis.grid).weights
     g = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
             g[i, j] = g[j, i] = float(w @ (basis.members[i] * basis.members[j]))
-    return GramReport(g, basis.labels, basis.grid)
+    g.flags.writeable = False
+    return g
 
 
 def mu0_estimate(
@@ -169,9 +137,7 @@ def completeness_projection(
     ts = _samples_on(basis.grid, target)
     w = QuadratureRule.trapezoid(basis.grid).weights
     overlaps = np.array([float(w @ (basis.members[i] * ts)) for i in range(max(orders))])
-    full_gram = gram_matrix(
-        BasisSet(basis.grid, basis.members[: max(orders)], basis.labels[: max(orders)])
-    ).matrix
+    full_gram = gram_matrix(BasisSet(basis.grid, basis.members[: max(orders)]))
     residuals: list[float] = []
     conditions: list[float] = []
     coeffs: tuple[float, ...] = ()

@@ -31,6 +31,8 @@ from .errors import (
     ValidationError,
 )
 from .maxent import (
+    _MALFORMED,
+    _json_int,
     density_from_json,
     density_to_json,
     fit_multipliers_1d,
@@ -59,19 +61,19 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _json_ready(obj, digits: int = 12):
-    """Round floats to a fixed significant-digit budget for byte stability."""
+def _json_ready(obj):
+    """Round floats to 12 significant digits for byte stability."""
     if isinstance(obj, dict):
-        return {k: _json_ready(v, digits) for k, v in obj.items()}
+        return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_json_ready(v, digits) for v in obj]
+        return [_json_ready(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_json_ready(float(v), digits) for v in obj.tolist()]
+        return [_json_ready(float(v)) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         if math.isinf(v) or math.isnan(v):
             return str(v)
-        return float(f"{v:.{digits}g}")
+        return float(f"{v:.12g}")
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -89,7 +91,7 @@ def _read_document(path: str, flag: str, parse):
         return parse(json.loads(text))
     except InfoqmError:
         raise
-    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed {flag} document: {exc!r}") from exc
 
 
@@ -149,24 +151,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ground.add_argument("--tol-flow", type=float, default=1e-8)
     ground.add_argument("--max-iters", type=int, default=400_000)
     ground.add_argument("--resume", help="previous solution JSON to warm-start from")
-    ground.add_argument("--seed", type=int, default=0)
     ground.add_argument("--out")
 
-    an_grid = DEFAULT_ANALYSIS_GRID
     an = sub.add_parser("analyze", help="family diagnostics")
     an_sub = an.add_subparsers(dest="command", required=True)
     gram = an_sub.add_parser("gram", help="gram matrix of the state family")
     gram.add_argument("--n-max", type=int, required=True)
-    gram.add_argument("--domain", type=float, nargs=2, default=(an_grid.x_min, an_grid.x_max))
-    gram.add_argument("--points", type=int, default=an_grid.n_points)
     gram.add_argument("--digits", type=_positive_int, default=12)
     gram.add_argument("--out")
     proj = an_sub.add_parser("project", help="completeness projection of a target")
     proj.add_argument("--target", required=True, help="target spec JSON file")
     proj.add_argument("--orders", required=True, help="comma-separated truncation orders")
     proj.add_argument("--n-max", type=int, default=7)
-    proj.add_argument("--domain", type=float, nargs=2, default=(an_grid.x_min, an_grid.x_max))
-    proj.add_argument("--points", type=int, default=an_grid.n_points)
     proj.add_argument("--out")
 
     return parser
@@ -236,14 +232,10 @@ def _cmd_series_probe(args) -> str:
 def _cmd_nls_ground(args) -> str:
     grid = Grid1D(args.domain[0], args.domain[1], args.grid)
     problem = GridProblem.harmonic(grid, b=args.b)
-    cfg = FlowConfig(
-        step=args.tau, tol_flow=args.tol_flow, max_iters=args.max_iters, seed=args.seed
-    )
+    cfg = FlowConfig(step=args.tau, tol_flow=args.tol_flow, max_iters=args.max_iters)
     init = None
     if args.resume:
         init = _read_document(args.resume, "--resume", lambda doc: np.asarray(doc["psi"], float))
-        if init.shape != (grid.n_points,):
-            raise ValidationError("--resume state does not match the requested grid")
     if args.lambda_solve:
         lam, sol = self_consistent_lambda(
             problem, cfg, bracket=tuple(args.bracket), init=init
@@ -265,7 +257,6 @@ def _cmd_nls_ground(args) -> str:
             "path": "newton" if sol.newton_steps else "flow",
             "energy_initial": sol.energy_trace[0],
             "energy_final": sol.energy_trace[-1],
-            "seed": args.seed,
             "tau": args.tau,
             "tol_flow": args.tol_flow,
         },
@@ -273,17 +264,12 @@ def _cmd_nls_ground(args) -> str:
     return _dump_json(doc)
 
 
-def _analysis_grid(args) -> Grid1D:
-    return Grid1D(args.domain[0], args.domain[1], args.points)
-
-
 def _cmd_analyze_gram(args) -> str:
-    basis = BasisSet.from_states(table(args.n_max), _analysis_grid(args))
-    report = gram_matrix(basis)
+    gram = gram_matrix(BasisSet.from_states(table(args.n_max)))
     header = "n," + ",".join(str(n) for n in range(args.n_max + 1))
     lines = [header]
     for i in range(args.n_max + 1):
-        row = ",".join(_fmt(report.matrix[i, j], args.digits) for j in range(args.n_max + 1))
+        row = ",".join(_fmt(gram[i, j], args.digits) for j in range(args.n_max + 1))
         lines.append(f"{i},{row}")
     return "\n".join(lines) + "\n"
 
@@ -292,10 +278,10 @@ def _target_from_spec(doc, grid: Grid1D):
     kind = doc.get("kind")
     xs = grid.points()
     if kind == "state":
-        state = solve_state(int(doc["n"]))
+        state = solve_state(_json_int(doc["n"]))
         return psi_eval(state, xs), f"state n={state.n}"
     if kind == "gauss_power":
-        power = int(doc.get("power", 0))
+        power = _json_int(doc.get("power", 0))
         scale = float(doc.get("scale", 1.0))
         if scale <= 0:
             raise ValidationError("gauss_power scale must be positive")
@@ -308,7 +294,7 @@ def _cmd_analyze_project(args) -> str:
         orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
     except ValueError as exc:
         raise ValidationError(f"--orders must be comma-separated integers: {exc}") from exc
-    grid = _analysis_grid(args)
+    grid = DEFAULT_ANALYSIS_GRID
     target, label = _read_document(
         args.target, "--target", lambda doc: _target_from_spec(doc, grid)
     )

@@ -173,13 +173,6 @@ class ExpFamilyDensity1D:
                 if not a <= loc <= b:
                     raise ValidationError(f"factor location {loc} outside support [{a}, {b}]")
 
-    @property
-    def a0(self) -> float:
-        for order, value in self.multipliers:
-            if order == 0:
-                return value
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ExpFamilyDensity2D:
@@ -627,8 +620,18 @@ def normalization_residual(d: ExpFamilyDensity1D) -> float:
 
 
 _INF_STRINGS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf, "−inf": -math.inf}
-# what reading a malformed document raises; the parsers below map it to ValidationError
+# what reading a malformed document raises; the parsers below and the CLI's
+# document reader map it to ValidationError
 _MALFORMED = (AttributeError, KeyError, TypeError, IndexError, ValueError)
+
+
+def _json_int(v) -> int:
+    """An integer field of a document; anything but an int or an integral float,
+    a bool included, raises ValueError."""
+    integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+    if isinstance(v, bool) or not integral:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
 
 
 def _parse_bound(v) -> float:
@@ -649,7 +652,9 @@ def moment_spec_from_json(doc) -> MomentSpec1D:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
         support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
-        moments = tuple((int(m["order"]), float(m["value"])) for m in doc.get("moments", []))
+        moments = tuple(
+            (_json_int(m["order"]), float(m["value"])) for m in doc.get("moments", [])
+        )
     except _MALFORMED as exc:
         raise ValidationError(f"malformed moment spec document: {exc!r}") from exc
     return MomentSpec1D(support, moments)
@@ -697,7 +702,7 @@ def density_from_json(doc) -> ExpFamilyDensity1D:
                 ),
             )
         support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
-        multipliers = tuple((int(o), float(v)) for o, v in doc["multipliers"])
+        multipliers = tuple((_json_int(o), float(v)) for o, v in doc["multipliers"])
     except _MALFORMED as exc:
         raise ValidationError(f"malformed density document: {exc!r}") from exc
     return ExpFamilyDensity1D(multipliers, support, factors)

@@ -150,7 +150,6 @@ class UniquenessReport:
     max_eigenvalue_spread: float
     max_state_l2_distance: float
     failures: tuple[tuple[int, str], ...]
-    solutions: tuple[GroundStateSolution, ...] = field(repr=False, default=())
 
 
 def _validate_step(problem: GridProblem, cfg: FlowConfig) -> None:
@@ -617,5 +616,4 @@ def uniqueness_probe(
         max_eigenvalue_spread=spread,
         max_state_l2_distance=dist,
         failures=tuple(failures),
-        solutions=tuple(solutions),
     )

@@ -77,11 +77,11 @@ class TestInnerProduct:
 class TestGramMatrix:
     def test_linear_family_is_orthonormal(self, analysis_grid):
         basis = BasisSet.from_states(linear_family(5), analysis_grid)
-        g = gram_matrix(basis).matrix
+        g = gram_matrix(basis)
         assert np.max(np.abs(g - np.eye(6))) < 1e-8
 
     def test_family_diagonal_and_parity(self, family_gram):
-        g = family_gram.matrix
+        g = family_gram
         assert np.max(np.abs(np.diag(g) - 1.0)) < 1e-8
         for m in range(8):
             for n in range(8):
@@ -90,22 +90,22 @@ class TestGramMatrix:
 
     def test_family_same_parity_overlaps_are_nonzero(self, family_gram):
         # the family is *not* orthogonal across same-parity pairs
-        assert family_gram.matrix[0, 2] > 0.1
+        assert family_gram[0, 2] > 0.1
 
     def test_exact_symmetry(self, family_gram):
-        g = family_gram.matrix
+        g = family_gram
         assert np.max(np.abs(g - g.T)) == 0.0
 
     def test_single_member(self, states, analysis_grid):
         xs = analysis_grid.points()
-        basis = BasisSet(analysis_grid, psi_eval(states[0], xs)[None, :], ("n=0",))
-        g = gram_matrix(basis).matrix
+        basis = BasisSet(analysis_grid, psi_eval(states[0], xs)[None, :])
+        g = gram_matrix(basis)
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_empty_basis_rejected(self, analysis_grid):
         with pytest.raises(ValidationError):
-            BasisSet(analysis_grid, np.empty((0, analysis_grid.n_points)), ())
+            BasisSet(analysis_grid, np.empty((0, analysis_grid.n_points)))
 
 
 class TestMu0Estimate:
@@ -122,7 +122,7 @@ class TestMu0Estimate:
     def test_identity_with_gram_entry(self, states, family_gram):
         # <psi_m, R(psi_n)> = -2 k_n beta_n G_mn, so it vanishes exactly
         # when the overlap does and only then
-        g = family_gram.matrix
+        g = family_gram
         for m, n in ((1, 3), (0, 2), (2, 4)):
             expected = -2.0 * states[n].k * states[n].beta * g[m, n]
             assert mu0_estimate(states[m], states[n]) == pytest.approx(expected, abs=1e-8)
@@ -190,7 +190,7 @@ class TestCompletenessProjection:
         xs = analysis_grid.points()
         psi0 = psi_eval(states[0], xs)
         near_dup = np.vstack([psi0, psi0 * (1.0 + 1e-14)])
-        basis = BasisSet(analysis_grid, near_dup, ("a", "b"))
+        basis = BasisSet(analysis_grid, near_dup)
         with pytest.raises(IllConditionedError) as err:
             completeness_projection(psi0, basis, (1, 2))
         partial = err.value.partial

@@ -52,17 +52,31 @@ class TestOscillatorTable:
     def test_unknown_flag(self, tmp_path, capsys):
         code, _, _ = run_captured(capsys, ["oscillator", "table", "--n-max", "3", "--bogus"])
         assert code == 2
-        # --seed exists only on nls ground
+        # no subcommand takes --seed
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"support": [0.0, 1.0], "moments": []}))
         code, _, _ = run_captured(capsys, ["maxent", "fit", "--spec", str(spec), "--seed", "1"])
         assert code == 2
         assert run_captured(capsys, ["maxent", "fit", "--spec", str(spec)])[0] == 0
-        # the logarithm floor is fixed
-        code, _, _ = run_captured(
-            capsys, ["nls", "ground", "--domain", "-5", "5", "--grid", "64", "--eps-log", "1e-50"]
-        )
+        nls_ground = ["nls", "ground", "--domain", "-5", "5", "--grid", "64"]
+        code, _, _ = run_captured(capsys, nls_ground + ["--seed", "1"])
         assert code == 2
+        # the logarithm floor is fixed
+        code, _, _ = run_captured(capsys, nls_ground + ["--eps-log", "1e-50"])
+        assert code == 2
+        # analyze always samples on DEFAULT_ANALYSIS_GRID
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "state", "n": 3}))
+        project = ["analyze", "project", "--target", str(target), "--orders", "2"]
+        for argv in (
+            ["analyze", "gram", "--n-max", "3", "--domain", "-14", "14"],
+            ["analyze", "gram", "--n-max", "3", "--points", "8001"],
+            project + ["--domain", "-14", "14"],
+            project + ["--points", "8001"],
+        ):
+            code, _, err = run_captured(capsys, argv)
+            assert code == 2
+            assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize("digits", ["0", "-1"])
     @pytest.mark.parametrize(
@@ -114,7 +128,7 @@ class TestDeterminism:
     def test_nls_json_byte_identical(self, tmp_path, capsys):
         argv = [
             "nls", "ground", "--domain", "-8", "8", "--grid", "192",
-            "--b", "-1.0", "--tau", "2e-3", "--tol-flow", "1e-8", "--seed", "7",
+            "--b", "-1.0", "--tau", "2e-3", "--tol-flow", "1e-8",
         ]
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -199,14 +213,23 @@ class TestSeriesProbe:
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(2.0 / 3.0, abs=1e-3)
 
-    def test_exp_xy(self, capsys):
-        code, out, _ = run_captured(
-            capsys,
-            ["series", "probe", "--kind", "exp-xy", "--x", "1", "--y", "1", "--n-max", "30"],
-        )
+    @pytest.mark.parametrize(
+        "flags, limit",
+        [
+            (["--kind", "exp-xy", "--x", "1", "--y", "1", "--n-max", "30"], math.e),
+            (
+                ["--kind", "binomial-xy", "--x", "0.5", "--y", "0.7", "--k", "1.5",
+                 "--n-max", "40"],
+                1.35**1.5,
+            ),
+        ],
+        ids=["exp-xy", "binomial-xy"],
+    )
+    def test_exp_xy(self, capsys, flags, limit):
+        code, out, _ = run_captured(capsys, ["series", "probe", *flags])
         assert code == 0
         final = out.strip().split("\n")[-1].split(",")
-        assert float(final[1]) == pytest.approx(math.e, abs=1e-9)
+        assert float(final[1]) == pytest.approx(limit, abs=1e-9)
 
 
 FIXED_B_LINEAR = ["nls", "ground", "--domain", "-10", "10", "--grid", "256",
@@ -361,6 +384,14 @@ VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
         ("--target", [1, 2]),
         ("--spec", {"support": [0.0, 1.0], "moments": [{"order": "x", "value": 1.0}]}),
         ("--spec", {"support": [0.0, 1.0], "moments": [{"order": 1, "value": "abc"}]}),
+        ("--target", {"kind": "gauss_power", "power": 1, "scale": 0}),
+        ("--resume", {"psi": [0.0, 1.0, 0.0]}),
+        # integer fields hold integers; a bool or a fraction is not truncated
+        ("--spec", {"support": [0.0, 1.0], "moments": [{"order": 2.5, "value": 0.3}]}),
+        ("--spec", {"support": [0.0, 1.0], "moments": [{"order": True, "value": 0.5}]}),
+        ("--init", {"support": [0.0, 1.0], "multipliers": [[0, 0.0], [2.5, 1.0]]}),
+        ("--target", {"kind": "state", "n": 2.9}),
+        ("--target", {"kind": "gauss_power", "power": 1.5}),
     ],
 )
 def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
@@ -379,3 +410,20 @@ def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
     assert out == ""
     assert err.startswith("infoqm: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "project", "--target", "target.json", "--orders", "2,x"],
+        ["series", "probe", "--kind", "binomial", "--x", "0.5", "--n-max", "-1"],
+    ],
+    ids=["orders-not-integers", "negative-n-max"],
+)
+def test_invalid_argument_rejected(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "target.json").write_text(json.dumps({"kind": "state", "n": 3}))
+    code, out, err = run_captured(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("infoqm: error: ") and err.count("\n") == 1
