@@ -3,7 +3,8 @@
 
 Solves mu(b) = b for the quadratic potential at increasing resolutions,
 warm-starting each level from the previous one, and prints the lambda
-estimates with their successive differences.
+estimates with their successive differences and their errors against the
+closed-form n = 0 multiplier.
 """
 
 import pathlib
@@ -13,11 +14,12 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from infoqm import FlowConfig, Grid1D, GridProblem, self_consistent_lambda  # noqa: E402
+from infoqm import (  # noqa: E402
+    FlowConfig, Grid1D, GridProblem, self_consistent_lambda, solve_state,
+)
 
 HALF_WIDTH = 16.0
 LEVELS = (512, 1024, 2048, 4096)
-REFERENCE_LAMBDA0 = -1.34046
 
 
 def stable_step(grid: Grid1D) -> float:
@@ -26,10 +28,11 @@ def stable_step(grid: Grid1D) -> float:
 
 
 def main() -> None:
+    closed_form = solve_state(0).lam
     previous = None
     prev_grid = None
     prev_lambda = None
-    print(f"{'points':>7} {'step':>10} {'lambda':>14} {'delta_prev':>12} {'vs_ref':>10}")
+    print(f"{'points':>7} {'step':>10} {'lambda':>14} {'delta_prev':>12} {'vs_closed':>10}")
     for n in LEVELS:
         grid = Grid1D(-HALF_WIDTH, HALF_WIDTH, n)
         problem = GridProblem.harmonic(grid)
@@ -46,7 +49,7 @@ def main() -> None:
             )
         delta = "" if prev_lambda is None else f"{abs(lam - prev_lambda):.3e}"
         print(f"{n:>7} {cfg.step:>10.2e} {lam:>14.8f} {delta:>12} "
-              f"{abs(lam - REFERENCE_LAMBDA0):>10.2e}")
+              f"{abs(lam - closed_form):>10.2e}")
         previous, prev_grid, prev_lambda = sol.psi, grid, lam
 
 

@@ -39,8 +39,8 @@ class InstabilityError(ConvergenceError):
 
 
 class StructureError(InfoqmError, RuntimeError):
-    """A scan found zero or several candidate branches where exactly one
-    was required; nothing was picked silently."""
+    """A solved state is not on the branch it was solved for; it is
+    reported, not returned."""
 
 
 class NotFoundError(InfoqmError, RuntimeError):

@@ -86,6 +86,14 @@ class MomentSpec1D:
         return tuple(v for _, v in self.constraints)
 
 
+def _check_rectangle(support: tuple[tuple[float, float], tuple[float, float]]) -> None:
+    """Raise ValidationError unless support is a finite nondegenerate rectangle."""
+    (a1, b1), (a2, b2) = support
+    for lo, hi in ((a1, b1), (a2, b2)):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValidationError("2-D support must be a finite nondegenerate rectangle")
+
+
 @dataclass(frozen=True)
 class MomentSpec2D:
     """Rectangle support and (i, j, target) constraints, total degree <= 4."""
@@ -94,10 +102,7 @@ class MomentSpec2D:
     constraints: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        (a1, b1), (a2, b2) = self.support
-        for lo, hi in ((a1, b1), (a2, b2)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValidationError("2-D support must be a finite nondegenerate rectangle")
+        _check_rectangle(self.support)
         seen = set()
         for i, j, value in self.constraints:
             if i < 0 or j < 0 or i + j < 1:
@@ -182,6 +187,7 @@ class ExpFamilyDensity2D:
     support: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
+        _check_rectangle(self.support)
         seen = set()
         for i, j, value in self.multipliers:
             if i < 0 or j < 0:

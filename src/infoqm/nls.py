@@ -49,12 +49,11 @@ from .errors import (
     InstabilityError,
     ValidationError,
 )
-from .numerics import Grid1D, RootBracket
+from .numerics import Grid1D, RootBracket, find_root
 
 DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
 _EPS_LOG = 1e-100
-_OUTER_CAP = 200
 _ENERGY_SAMPLE_EVERY = 100
 # the semi-implicit loose phase: its step, its step cap, and the loose norm
 # at which it hands over to Newton
@@ -506,19 +505,24 @@ def self_consistent_lambda(
     is its own stationarity eigenvalue, |mu(b*) - b*| < f_tol.
 
     F is evaluated only by ground_state: at the lower end from init, at
-    the upper end from the lower end's state.  BracketError is raised when
-    F has no sign change on the bracket.  The loose phase at the secant
-    estimate of the root, started from the nearer end's state, then a
-    free-b Newton solve give the root, kept if its one-step flow norm is
-    below cfg.tol_flow and |mu - b| < f_tol.  Otherwise bisection on the
-    same bracket finds it, each midpoint a ground_state warm-started from
-    the previous one.  ``iterations`` and ``newton_steps`` of the result
-    are the totals over every state the solve kept: both ends, then the
-    root or every midpoint.
+    the upper end from the lower end's state.  A bracket that is not a
+    finite lo < hi raises ValidationError before any solve, and
+    BracketError is raised when F has no sign change on the bracket.  The
+    loose phase at the secant estimate of the root, started from the
+    nearer end's state, then a free-b Newton solve give the root, kept if
+    its one-step flow norm is below cfg.tol_flow and |mu - b| < f_tol.
+    Otherwise find_root bisects the same bracket, each midpoint a
+    ground_state warm-started from the previous one, until |F| < f_tol;
+    ConvergenceError is raised if the bracket narrows below 1e-14 first.
+    ``iterations`` and ``newton_steps`` of the result are the totals over
+    every state the solve kept: both ends, then the root or every
+    midpoint.
     """
     if f_tol <= 0:
         raise ValidationError("f_tol must be positive")
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
     kept: list[GroundStateSolution] = []
 
     def evaluate(b: float, start: np.ndarray | None) -> tuple[float, GroundStateSolution]:
@@ -536,7 +540,7 @@ def self_consistent_lambda(
     f_lo, sol_lo = evaluate(lo, init)
     f_hi, sol_hi = evaluate(hi, sol_lo.psi)
     # constructing the bracket record also validates the sign change
-    RootBracket(lo, hi, f_lo, f_hi)
+    bracket_record = RootBracket(lo, hi, f_lo, f_hi)
     if abs(f_lo) < f_tol:
         return found(sol_lo)
     if abs(f_hi) < f_tol:
@@ -550,21 +554,19 @@ def self_consistent_lambda(
             return found(root)
     except ConvergenceError:
         pass
-    sol = sol_hi
-    for _ in range(_OUTER_CAP):
-        mid = 0.5 * (lo + hi)
-        f_mid, sol = evaluate(mid, sol.psi)
-        if abs(f_mid) < f_tol:
-            return found(sol)
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < 1e-14:
-            raise ConvergenceError(
-                f"self-consistency bisection stalled: |F| = {abs(f_mid):.3e} > {f_tol}"
-            )
-    raise ConvergenceError(f"self-consistency bisection exceeded {_OUTER_CAP} steps")
+
+    def f(b: float) -> float:
+        # each midpoint is warm-started from the last state evaluated
+        f_b, _ = evaluate(b, kept[-1].psi)
+        return 0.0 if abs(f_b) < f_tol else f_b
+
+    find_root(f, bracket_record, tol=1e-14)
+    last = kept[-1]
+    if not abs(last.mu - last.b) < f_tol:
+        raise ConvergenceError(
+            f"self-consistency bisection stalled: |F| = {abs(last.mu - last.b):.3e} > {f_tol}"
+        )
+    return found(last)
 
 
 def uniqueness_probe(
@@ -580,8 +582,9 @@ def uniqueness_probe(
     Reports the largest pairwise eigenvalue gap and the largest pairwise
     L2 distance between states up to sign.  With solve_lambda=False each
     state is the ground_state at the problem's fixed b and the spread of
-    mu is reported instead.  Per-init failures are recorded; the probe
-    still returns.
+    mu is reported instead.  Per-init convergence and bracket failures
+    are recorded and the probe still returns; an invalid configuration
+    raises ValidationError, since the seeded guesses are always valid.
     """
     if n_inits < 2:
         raise ValidationError("need at least 2 initializations to probe uniqueness")
@@ -601,7 +604,7 @@ def uniqueness_probe(
                 sol = ground_state(problem, cfg, init=guess)
                 values.append(sol.mu)
             solutions.append(sol)
-        except (ConvergenceError, BracketError, ValidationError) as exc:
+        except (ConvergenceError, BracketError) as exc:
             failures.append((i, str(exc)))
     spread = 0.0
     dist = 0.0

@@ -14,10 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DomainError, NumericError, ValidationError
+from .errors import BracketError, DomainError, NumericError, ValidationError
 
 MAX_HERMITE_ORDER = 64
-_ROOT_ITER_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -163,54 +162,34 @@ def integrate(f, rule: QuadratureRule) -> float:
     return float(rule.weights @ samples)
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: RootBracket,
-    tol: float,
-    df: Callable[[float], float] | None = None,
-) -> float:
-    """Root of f inside a sign-change bracket.
+def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:
+    """Root of f inside a sign-change bracket, by bisection.
 
-    Bisection until the bracket is narrower than ``tol``; when ``df`` is
-    supplied, each accepted bisection midpoint is polished with Newton
-    steps that are kept only while they stay inside the current bracket.
-    Deterministic: identical inputs give bit-identical output.
+    Stops at a midpoint where f is exactly zero, once the bracket is
+    narrower than ``tol``, or once no double lies strictly between its
+    ends, and then returns the bracket's midpoint.  A ``tol`` below the
+    spacing of doubles in the bracket therefore bisects to adjacent
+    doubles.  Deterministic: identical inputs give bit-identical output.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     lo, hi = bracket.lo, bracket.hi
-    f_lo, f_hi = bracket.f_lo, bracket.f_hi
+    f_lo = bracket.f_lo
     if f_lo == 0.0:
         return lo
-    if f_hi == 0.0:
+    if bracket.f_hi == 0.0:
         return hi
-    for _ in range(_ROOT_ITER_CAP):
+    while True:
         mid = 0.5 * (lo + hi)
+        # the rounded midpoint leaves (lo, hi) only when no double lies inside
+        if not lo < mid < hi:
+            return mid
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
         if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
+            hi = mid
         else:
             lo, f_lo = mid, f_mid
         if hi - lo < tol:
-            x = 0.5 * (lo + hi)
-            if df is not None:
-                x = _newton_polish(f, df, x, lo, hi)
-            return x
-    raise ConvergenceError(f"find_root did not converge in {_ROOT_ITER_CAP} iterations")
-
-
-def _newton_polish(f, df, x: float, lo: float, hi: float) -> float:
-    for _ in range(8):
-        slope = df(x)
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        step = f(x) / slope
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            break
-        x = x_new
-        if abs(step) < 1e-300 or abs(step) < 4 * np.finfo(float).eps * max(1.0, abs(x)):
-            break
-    return x
+            return 0.5 * (lo + hi)

@@ -28,8 +28,6 @@ MAX_QUANTUM_NUMBER = 20
 
 BETA_SCAN_LO = 1e-4
 BETA_SCAN_HI = 2.0
-BETA_SCAN_PANELS = 2000
-BETA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,19 +76,6 @@ def beta_closure_residual(n: int, k: int, beta: float) -> float:
     return 8.0 * beta * beta * (n + k + a) - (2.0 * a - 1.0)
 
 
-def _beta_closure_slope(n: int, k: int, beta: float) -> float:
-    # d alpha / d beta = -1/(4 beta)
-    a = alpha_from_beta(n, beta)
-    return 16.0 * beta * (n + k + a) - 2.0 * beta + 1.0 / (2.0 * beta)
-
-
-def _closure_residuals(n: int, k: int, betas: np.ndarray) -> np.ndarray:
-    """beta_closure_residual at every beta of an array, in the same
-    operation order; np.log may differ from math.log in the last bit."""
-    a = 0.5 * np.log(2.0**n * math.factorial(n) * math.sqrt(math.pi) / np.sqrt(2.0 * betas))
-    return 8.0 * betas * betas * (n + k + a) - (2.0 * a - 1.0)
-
-
 def lambda_from_beta(beta: float) -> float:
     """Multiplier lambda = (4 beta^2 - 1) / (4 beta); zero at beta = 1/2."""
     if beta <= 0:
@@ -105,7 +90,7 @@ def energy(n: int, alpha: float, lam: float) -> float:
 
 def _admissible_beta_cap(n: int) -> float:
     # Largest beta with 2*alpha(beta) > 1, i.e. sqrt(2 beta) < 2^n n! sqrt(pi)/e.
-    # Restricting the scan to this range keeps the closure's right side
+    # Restricting the bracket to this range keeps the closure's right side
     # positive and excludes a spurious large-beta sign change at n = 0.
     cap = 0.5 * (2.0**n * math.factorial(n) * math.sqrt(math.pi) / math.e) ** 2
     return min(BETA_SCAN_HI, cap)
@@ -114,29 +99,18 @@ def _admissible_beta_cap(n: int) -> float:
 def solve_state(n: int) -> OscillatorState:
     """Solve the width closure for quantum number n and fill in the state.
 
-    The parity index is k = n mod 2.  beta is located by a fixed sign
-    scan over the admissible range (2*alpha > 1) followed by bisection
-    with a Newton polish; exactly one sign change must appear, anything
-    else is reported as a structure error rather than picked silently.
+    The parity index is k = n mod 2.  beta is bisected to adjacent doubles
+    on the admissible range (2*alpha > 1), where the closure residual g
+    has exactly one root: g'(beta) = 16 beta (n + k + alpha) - 2 beta
+    + 1/(2 beta) > 0 there, since n + k + alpha > 1/2.
     """
     if not 0 <= n <= MAX_QUANTUM_NUMBER:
         raise DomainError(f"n must be in [0, {MAX_QUANTUM_NUMBER}], got {n}")
     k = n % 2
-    hi = _admissible_beta_cap(n)
-    betas = np.linspace(BETA_SCAN_LO, hi, BETA_SCAN_PANELS + 1)
-    g = _closure_residuals(n, k, betas)
-    crossings = np.nonzero((g[:-1] * g[1:] < 0) | (g[:-1] == 0.0))[0]
-    if len(crossings) != 1:
-        raise StructureError(
-            f"expected exactly one closure sign change for n={n} on "
-            f"({BETA_SCAN_LO}, {hi:.6g}], found {len(crossings)}"
-        )
-    i = int(crossings[0])
     residual = partial(beta_closure_residual, n, k)
-    # np.log may differ from math.log in the last bit, so the bracket ends
-    # carry the scalar residual that the root search itself evaluates
-    bracket = RootBracket.from_function(residual, float(betas[i]), float(betas[i + 1]))
-    beta = find_root(residual, bracket, tol=BETA_TOL, df=partial(_beta_closure_slope, n, k))
+    bracket = RootBracket.from_function(residual, BETA_SCAN_LO, _admissible_beta_cap(n))
+    # a tol below every double spacing: bisect until the ends are adjacent
+    beta = find_root(residual, bracket, tol=math.ulp(0.0))
     alpha = alpha_from_beta(n, beta)
     lam = lambda_from_beta(beta)
     if 2.0 * alpha <= 1.0 or lam >= 0.0:

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -7,6 +8,9 @@ from infoqm import ConvergenceError, nls
 from infoqm.cli import run
 
 from conftest import GOLDEN_TABLE
+
+# outputs frozen before the width solve became plain bisection
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_captured(capsys, argv):
@@ -124,6 +128,20 @@ class TestDeterminism:
             assert run(["oscillator", "table", "--n-max", "7", "--out", str(p)]) == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags,golden",
+        [
+            (["--digits", "12"], "oscillator_table_n20_digits12.csv"),
+            (["--format", "json"], "oscillator_table_n20.json"),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_table_bytes_pinned(self, tmp_path, capsys, flags, golden):
+        out = tmp_path / golden
+        assert run(["oscillator", "table", "--n-max", "20", *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
     def test_nls_json_byte_identical(self, tmp_path, capsys):
         argv = [

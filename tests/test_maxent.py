@@ -10,6 +10,7 @@ from infoqm import (
     DomainError,
     EndpointFactors,
     ExpFamilyDensity1D,
+    ExpFamilyDensity2D,
     InfeasibleMomentsError,
     MomentSpec1D,
     MomentSpec2D,
@@ -71,6 +72,14 @@ class TestSpecValidation:
     def test_degenerate_support(self):
         with pytest.raises(ValidationError):
             MomentSpec1D((1.0, 1.0), ())
+
+    @pytest.mark.parametrize(
+        "support",
+        [((1.0, 0.0), (0.0, 1.0)), ((0.0, math.nan), (0.0, 1.0)), ((-INF, 1.0), (0.0, 1.0))],
+    )
+    def test_2d_density_support_must_be_finite_rectangle(self, support):
+        with pytest.raises(ValidationError):
+            ExpFamilyDensity2D(((2, 0, 1.0),), support)
 
     def test_2d_total_degree_cap(self):
         with pytest.raises(ValidationError):

@@ -168,6 +168,24 @@ class TestSelfConsistency:
         )
         assert abs(lam_1024 - lam_4096) < 1e-3
 
+    @pytest.mark.parametrize(
+        "bracket", [(-0.5, -3.0), (-1.0, -1.0), (math.nan, -0.5), (-3.0, math.inf)]
+    )
+    def test_bad_bracket_rejected_before_any_solve(self, monkeypatch, bracket):
+        calls = []
+        solve = nls.ground_state
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(nls, "ground_state", counted)
+        with pytest.raises(ValidationError):
+            self_consistent_lambda(
+                harmonic_problem(192, half_width=8.0), FlowConfig(step=2e-3), bracket=bracket
+            )
+        assert not calls
+
     def test_bracket_without_sign_change(self):
         problem = harmonic_problem(192)
         cfg = FlowConfig(step=2e-3, tol_flow=1e-7)
@@ -283,6 +301,21 @@ class TestBorderedNewton:
         assert abs(lam - lam_newton) < 1e-5
         assert abs(sol.mu - lam) < 1e-6
         assert sol.newton_steps > 0
+
+    def test_bisection_stall_raises(self, monkeypatch):
+        # no midpoint meets an f_tol this small, so the bracket narrows below 1e-14
+        problem = harmonic_problem(192, half_width=8.0)
+        cfg = FlowConfig(step=2e-3, tol_flow=1e-8)
+        fixed_b_newton = nls._bordered_newton
+
+        def free_b_failure(problem, psi, free_b):
+            if free_b:
+                raise ConvergenceError("forced failure")
+            return fixed_b_newton(problem, psi, free_b)
+
+        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            self_consistent_lambda(problem, cfg, f_tol=1e-300)
 
     def test_work_totals_cover_every_kept_state(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0)
@@ -464,6 +497,15 @@ class TestUniquenessProbe:
     def test_requires_at_least_two_inits(self, coarse_cfg):
         with pytest.raises(ValidationError):
             uniqueness_probe(harmonic_problem(256), coarse_cfg, 1)
+
+    @pytest.mark.parametrize("solve_lambda", [True, False])
+    def test_invalid_config_raises(self, solve_lambda):
+        # the seeded guesses are valid, so a ValidationError is the configuration's
+        problem = harmonic_problem(192, half_width=8.0)
+        with pytest.raises(ValidationError, match="stability heuristic"):
+            uniqueness_probe(
+                problem, FlowConfig(step=0.5, tol_flow=1e-8), 3, solve_lambda=solve_lambda
+            )
 
     def test_linear_fixed_coefficient_runs_agree(self):
         problem = harmonic_problem(256, b=0.0)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -129,12 +130,20 @@ class TestFindRoot:
         bracket = RootBracket.from_function(lambda x: x, -1.0, 1.0)
         assert find_root(lambda x: x, bracket, tol=1e-12) == pytest.approx(0.0, abs=1e-12)
 
-    def test_newton_polish_tightens(self):
-        f = lambda x: x**3 - 2.0
-        df = lambda x: 3.0 * x * x
-        bracket = RootBracket.from_function(f, 1.0, 2.0)
-        root = find_root(f, bracket, tol=1e-8, df=df)
-        assert abs(root - 2.0 ** (1.0 / 3.0)) < 1e-13
+    @pytest.mark.parametrize(
+        "power,exact,tol",
+        [
+            (3, "1.2599210498948731647672106072782283505702514647015", 1e-300),
+            (2, "1.4142135623730950488016887242096980785696718753769", 1e-17),
+        ],
+        ids=["cube", "square"],
+    )
+    def test_tol_below_double_spacing(self, power, exact, tol):
+        # no double lies strictly inside the final bracket, so bisection
+        # stops there, within one ulp of the root
+        f = lambda x: x**power - 2.0
+        root = find_root(f, RootBracket.from_function(f, 1.0, 2.0), tol=tol)
+        assert abs(Decimal(root) - Decimal(exact)) <= Decimal(math.ulp(root))
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
