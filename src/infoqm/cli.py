@@ -283,7 +283,7 @@ def _target_from_spec(doc, grid: Grid1D):
     if kind == "gauss_power":
         power = _json_int(doc.get("power", 0))
         scale = float(doc.get("scale", 1.0))
-        if scale <= 0:
+        if not scale > 0:
             raise ValidationError("gauss_power scale must be positive")
         return xs**power * np.exp(-(xs * xs) / (2.0 * scale * scale)), f"gauss_power p={power}"
     raise ValidationError(f"unknown target kind {kind!r}; use 'state' or 'gauss_power'")

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,6 +47,46 @@ _WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a cut end: 12 sigma
 # domain types
 
 
+def _integral(c) -> bool:
+    """True for a real number of integral value; NaN, inf, bools and strings fail."""
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        return False
+    return isinstance(c, numbers.Integral) or float(c).is_integer()
+
+
+def _term_table(terms, valid, name: str) -> tuple:
+    """Sorted (int key..., float value) terms of a constraint or multiplier table.
+
+    Raises ValidationError unless every key component is integral, valid(*key)
+    holds, no key repeats (1 and 1.0 are one key) and every value is finite."""
+    table = {}
+    for *raw, value in terms:
+        shown = raw[0] if len(raw) == 1 else tuple(raw)
+        key = tuple(map(int, raw)) if all(map(_integral, raw)) else None
+        if key is None or not valid(*key):
+            raise ValidationError(f"{name} {shown!r} is not an integer in range")
+        if key in table:
+            raise ValidationError(f"duplicate {name} {shown!r}")
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValidationError(f"{name} {shown!r} needs a finite value, got {value!r}")
+        table[key] = float(value)
+    return tuple(sorted(key + (value,) for key, value in table.items()))
+
+
+def _check_interval(support: tuple[float, float]) -> None:
+    """Raise ValidationError unless support is an interval a < b (ends may be infinite)."""
+    if not support[0] < support[1]:
+        raise ValidationError(f"support must satisfy a < b, got {list(support)}")
+
+
+def _check_rectangle(support: tuple[tuple[float, float], tuple[float, float]]) -> None:
+    """Raise ValidationError unless support is a finite nondegenerate rectangle."""
+    (a1, b1), (a2, b2) = support
+    for lo, hi in ((a1, b1), (a2, b2)):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValidationError("2-D support must be a finite nondegenerate rectangle")
+
+
 @dataclass(frozen=True)
 class MomentSpec1D:
     """Support interval (ends may be +-inf) and (order, target) constraints."""
@@ -54,19 +95,8 @@ class MomentSpec1D:
     constraints: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        a, b = self.support
-        if math.isnan(a) or math.isnan(b) or not a < b:
-            raise ValidationError(f"support must satisfy a < b, got [{a}, {b}]")
-        seen = set()
-        for order, value in self.constraints:
-            if order < 1 or order != int(order):
-                raise ValidationError(f"constraint orders must be positive integers, got {order}")
-            if order in seen:
-                raise ValidationError(f"duplicate constraint order {order}")
-            if not math.isfinite(value):
-                raise ValidationError(f"constraint value for order {order} must be finite")
-            seen.add(order)
-        ordered = tuple(sorted(((int(o), float(v)) for o, v in self.constraints)))
+        _check_interval(self.support)
+        ordered = _term_table(self.constraints, lambda o: o >= 1, "constraint order")
         object.__setattr__(self, "constraints", ordered)
         if self.unbounded and ordered and ordered[-1][0] % 2 == 1:
             raise ValidationError(
@@ -86,14 +116,6 @@ class MomentSpec1D:
         return tuple(v for _, v in self.constraints)
 
 
-def _check_rectangle(support: tuple[tuple[float, float], tuple[float, float]]) -> None:
-    """Raise ValidationError unless support is a finite nondegenerate rectangle."""
-    (a1, b1), (a2, b2) = support
-    for lo, hi in ((a1, b1), (a2, b2)):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValidationError("2-D support must be a finite nondegenerate rectangle")
-
-
 @dataclass(frozen=True)
 class MomentSpec2D:
     """Rectangle support and (i, j, target) constraints, total degree <= 4."""
@@ -103,18 +125,9 @@ class MomentSpec2D:
 
     def __post_init__(self):
         _check_rectangle(self.support)
-        seen = set()
-        for i, j, value in self.constraints:
-            if i < 0 or j < 0 or i + j < 1:
-                raise ValidationError(f"invalid constraint pair ({i}, {j})")
-            if i + j > 4:
-                raise ValidationError(f"total degree {i + j} exceeds the cap of 4")
-            if (i, j) in seen:
-                raise ValidationError(f"duplicate constraint pair ({i}, {j})")
-            if not math.isfinite(value):
-                raise ValidationError(f"constraint value for ({i}, {j}) must be finite")
-            seen.add((i, j))
-        ordered = tuple(sorted(((int(i), int(j), float(v)) for i, j, v in self.constraints)))
+        ordered = _term_table(
+            self.constraints, lambda i, j: min(i, j) >= 0 and 1 <= i + j <= 4, "constraint pair"
+        )
         object.__setattr__(self, "constraints", ordered)
 
 
@@ -158,21 +171,10 @@ class ExpFamilyDensity1D:
     factors: EndpointFactors | None = None
 
     def __post_init__(self):
+        _check_interval(self.support)
+        ordered = _term_table(self.multipliers, lambda o: o >= 0, "multiplier order")
+        object.__setattr__(self, "multipliers", ordered)
         a, b = self.support
-        if math.isnan(a) or math.isnan(b) or not a < b:
-            raise ValidationError(f"support must satisfy a < b, got [{a}, {b}]")
-        seen = set()
-        for order, value in self.multipliers:
-            if order < 0 or order != int(order):
-                raise ValidationError(f"multiplier orders must be nonnegative ints, got {order}")
-            if order in seen:
-                raise ValidationError(f"duplicate multiplier order {order}")
-            if not math.isfinite(value):
-                raise ValidationError(f"multiplier for order {order} must be finite")
-            seen.add(order)
-        object.__setattr__(
-            self, "multipliers", tuple(sorted(((int(o), float(v)) for o, v in self.multipliers)))
-        )
         if self.factors is not None:
             for loc, _ in (*self.factors.zeros, *self.factors.singularities):
                 if not a <= loc <= b:
@@ -188,24 +190,16 @@ class ExpFamilyDensity2D:
 
     def __post_init__(self):
         _check_rectangle(self.support)
-        seen = set()
-        for i, j, value in self.multipliers:
-            if i < 0 or j < 0:
-                raise ValidationError(f"invalid multiplier pair ({i}, {j})")
-            if (i, j) in seen:
-                raise ValidationError(f"duplicate multiplier pair ({i}, {j})")
-            if not math.isfinite(value):
-                raise ValidationError(f"multiplier for ({i}, {j}) must be finite")
-            seen.add((i, j))
-        object.__setattr__(
-            self,
-            "multipliers",
-            tuple(sorted(((int(i), int(j), float(v)) for i, j, v in self.multipliers))),
-        )
+        ordered = _term_table(self.multipliers, lambda i, j: min(i, j) >= 0, "multiplier pair")
+        object.__setattr__(self, "multipliers", ordered)
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """Newton ``iterations`` of a fit, its final ``max_moment_residual``, the
+    integration ``window`` (for a 2-D fit, the x-axis range only) and the
+    ``tail_mass`` estimate beyond a window cut from unbounded 1-D support."""
+
     iterations: int
     max_moment_residual: float
     window: tuple[float, float]
@@ -440,8 +434,8 @@ def fit_multipliers_1d(
     Runs the shared Newton core with a one-node y axis.  Returns the
     normalized density (a_0 included) and fit diagnostics.
     """
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
     check_feasible_1d(spec)
     orders = spec.orders
     targets = np.array(spec.targets)
@@ -493,8 +487,8 @@ def fit_multipliers_2d(
     spec: MomentSpec2D, tol: float = 1e-9
 ) -> tuple[ExpFamilyDensity2D, FitDiagnostics]:
     """Two-variable analogue of fit_multipliers_1d on a finite rectangle."""
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    if not tol > 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
     _check_feasible_2d(spec)
     pairs = tuple((i, j) for i, j, _ in spec.constraints)
     targets = np.array([v for _, _, v in spec.constraints])
@@ -597,10 +591,10 @@ def moment_gradient_check(
     N(a) is the normalization integral of the unnormalized density; the
     two returned numbers agree to O(h^2) for a consistent fit.
     """
-    if h < 1e-10:
+    if not h >= 1e-10:
         raise ValidationError("h below 1e-10 would be dominated by cancellation")
-    if order < 1:
-        raise ValidationError("order must be >= 1")
+    if not (_integral(order) and order >= 1):
+        raise ValidationError(f"order must be an integer >= 1, got {order!r}")
     xs, w = _functional_nodes(d)
     weight = _factor_values(d.factors, xs)
 
@@ -682,14 +676,7 @@ def density_to_json(d: ExpFamilyDensity1D, diagnostics: FitDiagnostics | None = 
             "zeros": [[loc, mlt] for loc, mlt in d.factors.zeros],
             "singularities": [[loc, p] for loc, p in d.factors.singularities],
         },
-        "diagnostics": None
-        if diagnostics is None
-        else {
-            "iterations": diagnostics.iterations,
-            "max_moment_residual": diagnostics.max_moment_residual,
-            "window": list(diagnostics.window),
-            "tail_mass": diagnostics.tail_mass,
-        },
+        "diagnostics": None if diagnostics is None else asdict(diagnostics),
     }
     return doc
 

@@ -104,10 +104,10 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValidationError("step must be positive")
-        if self.tol_flow <= 0:
-            raise ValidationError("tol_flow must be positive")
+        if not self.step > 0:
+            raise ValidationError(f"step must be positive, got {self.step}")
+        if not self.tol_flow > 0:
+            raise ValidationError(f"tol_flow must be positive, got {self.tol_flow}")
         if not 1 <= self.max_iters <= 1_000_000:
             raise ValidationError("max_iters must lie in [1, 1e6]")
 
@@ -518,8 +518,8 @@ def self_consistent_lambda(
     every state the solve kept: both ends, then the root or every
     midpoint.
     """
-    if f_tol <= 0:
-        raise ValidationError("f_tol must be positive")
+    if not f_tol > 0:
+        raise ValidationError(f"f_tol must be positive, got {f_tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")

@@ -170,6 +170,8 @@ def binomial_series_eval(a: float, k: float, x: float, n_terms: int) -> tuple[fl
     """
     if n_terms < 0 or n_terms > MAX_SERIES_TERMS:
         raise ValidationError(f"n_terms must be in [0, {MAX_SERIES_TERMS}]")
+    if not all(map(math.isfinite, (a, k, x))):
+        raise ValidationError(f"a, k and x must be finite, got {a}, {k}, {x}")
     t = a * x
     total = 1.0
     term = 1.0
@@ -190,6 +192,8 @@ def two_var_series_eval(
     """
     if n_terms < 0 or n_terms > MAX_SERIES_TERMS:
         raise ValidationError(f"n_terms must be in [0, {MAX_SERIES_TERMS}]")
+    if not all(map(math.isfinite, (x, y) if k is None else (x, y, k))):
+        raise ValidationError(f"x, y and k must be finite, got {x}, {y}, {k}")
     t = x * y
     if kind == "binomial_xy":
         if k is None:

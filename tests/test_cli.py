@@ -410,6 +410,8 @@ VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
         ("--init", {"support": [0.0, 1.0], "multipliers": [[0, 0.0], [2.5, 1.0]]}),
         ("--target", {"kind": "state", "n": 2.9}),
         ("--target", {"kind": "gauss_power", "power": 1.5}),
+        # json reads the bare NaN literal; a NaN scale is not positive
+        ("--target", {"kind": "gauss_power", "power": 1, "scale": math.nan}),
     ],
 )
 def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
@@ -435,12 +437,26 @@ def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
     [
         ["analyze", "project", "--target", "target.json", "--orders", "2,x"],
         ["series", "probe", "--kind", "binomial", "--x", "0.5", "--n-max", "-1"],
+        ["maxent", "fit", "--spec", "spec.json", "--tol", "nan"],
+        ["nls", "ground", "--domain", "-8", "8", "--grid", "192", "--tau", "nan"],
+        ["nls", "ground", "--domain", "-8", "8", "--grid", "192", "--tol-flow", "nan"],
+        ["series", "probe", "--kind", "binomial", "--x", "nan", "--n-max", "3"],
+        ["series", "probe", "--kind", "binomial", "--x", "inf", "--n-max", "3"],
+        ["series", "probe", "--kind", "binomial", "--x", "0.5", "--k", "nan", "--n-max", "3"],
+        ["series", "probe", "--kind", "binomial", "--x", "0.5", "--a", "inf", "--n-max", "3"],
+        ["series", "probe", "--kind", "exp-xy", "--x", "0.5", "--y", "nan", "--n-max", "3"],
     ],
-    ids=["orders-not-integers", "negative-n-max"],
+    ids=[
+        "orders-not-integers", "negative-n-max", "nan-tol", "nan-tau", "nan-tol-flow",
+        "nan-x", "inf-x", "nan-k", "inf-a", "nan-y",
+    ],
 )
 def test_invalid_argument_rejected(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "target.json").write_text(json.dumps({"kind": "state", "n": 3}))
+    (tmp_path / "spec.json").write_text(
+        json.dumps({"support": ["-inf", "inf"], "moments": [{"order": 2, "value": 1.0}]})
+    )
     code, out, err = run_captured(capsys, argv)
     assert code == 2
     assert out == ""

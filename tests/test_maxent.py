@@ -29,6 +29,7 @@ from infoqm import (
     moment_spec_from_json,
     normalization_residual,
 )
+from infoqm import maxent
 from infoqm.maxent import reference_rule
 
 INF = math.inf
@@ -58,7 +59,45 @@ def linear_ramp_density():
     )
 
 
+_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+
+# each term table: constructor from terms, key width, an out-of-range key
+TERM_TABLES = {
+    "MomentSpec1D": (lambda terms: MomentSpec1D((0.0, 1.0), terms), 1, (0,)),
+    "ExpFamilyDensity1D": (lambda terms: ExpFamilyDensity1D(terms, (0.0, 1.0)), 1, (-1,)),
+    "MomentSpec2D": (lambda terms: MomentSpec2D(_SQUARE, terms), 2, (3, 2)),
+    "ExpFamilyDensity2D": (lambda terms: ExpFamilyDensity2D(terms, _SQUARE), 2, (0, -1)),
+}
+
+# bad terms for a key width w and an out-of-range key
+BAD_TERMS = {
+    "non-integral-key": lambda w, out: ((1.5,) + (0.5,) * (w - 1) + (0.1,),),
+    "nan-key": lambda w, out: ((math.nan,) + (1,) * (w - 1) + (0.1,),),
+    "string-key": lambda w, out: (("1",) + (0,) * (w - 1) + (0.1,),),
+    "duplicate-key": lambda w, out: (
+        (1,) + (0,) * (w - 1) + (0.1,), (1.0,) + (0.0,) * (w - 1) + (0.2,)
+    ),
+    "infinite-value": lambda w, out: ((1,) + (0,) * (w - 1) + (INF,),),
+    "out-of-range-key": lambda w, out: (out + (0.1,),),
+}
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize("case", BAD_TERMS)
+    @pytest.mark.parametrize("table", TERM_TABLES)
+    def test_term_table_rule(self, table, case):
+        build, width, out_of_range = TERM_TABLES[table]
+        with pytest.raises(ValidationError):
+            build(BAD_TERMS[case](width, out_of_range))
+
+    @pytest.mark.parametrize("table", TERM_TABLES)
+    def test_integral_keys_stored_as_ints(self, table):
+        build, width, _ = TERM_TABLES[table]
+        built = build(((2.0,) + (0.0,) * (width - 1) + (1,),))
+        terms = built.constraints if table.startswith("Moment") else built.multipliers
+        assert terms == ((2,) + (0,) * (width - 1) + (1.0,),)
+        assert all(type(c) is int for c in terms[0][:-1]) and type(terms[0][-1]) is float
+
     def test_orders_sorted_and_distinct(self):
         spec = MomentSpec1D((0.0, 1.0), ((2, 0.3), (1, 0.4)))
         assert spec.orders == (1, 2)
@@ -153,6 +192,16 @@ class TestFit1D:
     def test_bad_tol(self):
         with pytest.raises(ValidationError):
             fit_multipliers_1d(MomentSpec1D((0.0, 1.0), ()), tol=0.0)
+
+    def test_nan_tol_rejected_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(maxent, "_newton_fit", fail)
+        with pytest.raises(ValidationError):
+            fit_multipliers_1d(MomentSpec1D((0.0, 1.0), ((1, 0.4),)), tol=math.nan)
+        with pytest.raises(ValidationError):
+            fit_multipliers_2d(MomentSpec2D(_SQUARE, ((2, 0, 0.3),)), tol=math.nan)
 
     def test_unbounded_without_constraints_rejected(self):
         with pytest.raises(ValidationError):
@@ -444,6 +493,11 @@ class TestMomentGradient:
     def test_h_too_small(self):
         with pytest.raises(ValidationError):
             moment_gradient_check(uniform_density(), 1, 1e-11)
+
+    @pytest.mark.parametrize("order, h", [(1, math.nan), (1.5, 1e-5), (math.nan, 1e-5), (0, 1e-5)])
+    def test_nan_h_and_non_integral_order(self, order, h):
+        with pytest.raises(ValidationError):
+            moment_gradient_check(uniform_density(-1.0, 1.0), order, h)
 
     def test_dual_identity_on_three_fits(self):
         fits = [

@@ -526,6 +526,20 @@ class TestUniquenessProbe:
 
 
 class TestValidationAndErrors:
+    @pytest.mark.parametrize("field", ["step", "tol_flow"])
+    def test_nan_config_rejected(self, field):
+        with pytest.raises(ValidationError):
+            FlowConfig(**{field: math.nan})
+
+    def test_nan_f_tol_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nls, "ground_state", lambda *args, **kwargs: calls.append(1))
+        with pytest.raises(ValidationError):
+            self_consistent_lambda(
+                harmonic_problem(192, half_width=8.0), FlowConfig(step=2e-3), f_tol=math.nan
+            )
+        assert not calls
+
     def test_unstable_step_rejected(self):
         problem = harmonic_problem(512)
         with pytest.raises(ValidationError):

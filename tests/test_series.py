@@ -134,6 +134,14 @@ class TestBinomialSeries:
         with pytest.raises(ValidationError):
             binomial_series_eval(1.0, -1.0, 0.5, 201)
 
+    @pytest.mark.parametrize(
+        "a, k, x",
+        [(1.0, -1.0, math.nan), (1.0, -1.0, math.inf), (1.0, math.nan, 0.5), (math.inf, -1.0, 0.5)],
+    )
+    def test_nonfinite_input_rejected(self, a, k, x):
+        with pytest.raises(ValidationError):
+            binomial_series_eval(a, k, x, 10)
+
     def test_partial_sums_stabilize_inside_region(self):
         s_199, _ = binomial_series_eval(1.0, -1.0, 0.9, 199)
         s_200, _ = binomial_series_eval(1.0, -1.0, 0.9, 200)
@@ -164,6 +172,15 @@ class TestTwoVariableSeries:
     def test_binomial_xy_requires_exponent(self):
         with pytest.raises(ValidationError):
             two_var_series_eval("binomial_xy", 0.5, 0.5, 10)
+
+    @pytest.mark.parametrize(
+        "kind, x, y, k",
+        [("exp_xy", math.nan, 1.0, None), ("exp_xy", 1.0, -math.inf, None),
+         ("binomial_xy", 0.5, math.nan, -1.0), ("binomial_xy", 0.5, 0.5, math.inf)],
+    )
+    def test_nonfinite_input_rejected(self, kind, x, y, k):
+        with pytest.raises(ValidationError):
+            two_var_series_eval(kind, x, y, 10, k=k)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
