@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .numerics import Grid1D, QuadratureRule
+from .numerics import Grid1D, QuadratureRule, _as_int
 from .oscillator import OscillatorState, eigen_residual, psi_eval
 
 DEFAULT_ANALYSIS_GRID = Grid1D(-14.0, 14.0, 8001)
@@ -129,9 +129,7 @@ def completeness_projection(
     number beyond CONDITION_LIMIT raises IllConditionedError carrying
     the partial report.
     """
-    orders = tuple(int(m) for m in orders)
-    if any(m < 1 or m > len(basis) for m in orders):
-        raise ValidationError(f"orders must lie in [1, {len(basis)}]")
+    orders = tuple(_as_int(m, "order", 1, len(basis)) for m in orders)
     if not orders:
         return ProjectionReport(target_label, (), (), (), ())
     ts = _samples_on(basis.grid, target)

@@ -32,14 +32,13 @@ from .errors import (
 )
 from .maxent import (
     _MALFORMED,
-    _json_int,
     density_from_json,
     density_to_json,
     fit_multipliers_1d,
     moment_spec_from_json,
 )
 from .nls import DEFAULT_BRACKET, FlowConfig, GridProblem, ground_state, self_consistent_lambda
-from .numerics import Grid1D
+from .numerics import Grid1D, _as_int, _as_number, _as_positive
 from .oscillator import psi_eval, solve_state, table
 from .series import binomial_series_eval, two_var_series_eval
 
@@ -209,10 +208,8 @@ def _cmd_maxent_fit(args) -> str:
 
 
 def _cmd_series_probe(args) -> str:
-    if args.n_max < 0:
-        raise ValidationError("--n-max must be nonnegative")
     sums = []
-    for n in range(args.n_max + 1):
+    for n in range(_as_int(args.n_max, "--n-max", 0) + 1):
         if args.kind == "binomial":
             value, _ = binomial_series_eval(args.a, args.k, args.x, n)
         elif args.kind == "binomial-xy":
@@ -235,7 +232,9 @@ def _cmd_nls_ground(args) -> str:
     cfg = FlowConfig(step=args.tau, tol_flow=args.tol_flow, max_iters=args.max_iters)
     init = None
     if args.resume:
-        init = _read_document(args.resume, "--resume", lambda doc: np.asarray(doc["psi"], float))
+        init = _read_document(
+            args.resume, "--resume", lambda doc: np.array([_as_number(v, "psi") for v in doc["psi"]])
+        )
     if args.lambda_solve:
         lam, sol = self_consistent_lambda(
             problem, cfg, bracket=tuple(args.bracket), init=init
@@ -278,13 +277,11 @@ def _target_from_spec(doc, grid: Grid1D):
     kind = doc.get("kind")
     xs = grid.points()
     if kind == "state":
-        state = solve_state(_json_int(doc["n"]))
+        state = solve_state(doc["n"])
         return psi_eval(state, xs), f"state n={state.n}"
     if kind == "gauss_power":
-        power = _json_int(doc.get("power", 0))
-        scale = float(doc.get("scale", 1.0))
-        if not scale > 0:
-            raise ValidationError("gauss_power scale must be positive")
+        power = _as_int(doc.get("power", 0), "gauss_power power")
+        scale = _as_positive(doc.get("scale", 1.0), "gauss_power scale")
         return xs**power * np.exp(-(xs * xs) / (2.0 * scale * scale)), f"gauss_power p={power}"
     raise ValidationError(f"unknown target kind {kind!r}; use 'state' or 'gauss_power'")
 

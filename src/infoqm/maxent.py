@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .numerics import Grid1D, QuadratureRule
+from .numerics import Grid1D, QuadratureRule, _as_int, _as_number, _as_positive
 
 _QUAD_POINTS = 8001          # reference Simpson resolution, 1-D
 _QUAD_POINTS_2D = 601        # per axis, tensor Simpson
@@ -47,29 +46,23 @@ _WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a cut end: 12 sigma
 # domain types
 
 
-def _integral(c) -> bool:
-    """True for a real number of integral value; NaN, inf, bools and strings fail."""
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):
-        return False
-    return isinstance(c, numbers.Integral) or float(c).is_integer()
-
-
 def _term_table(terms, valid, name: str) -> tuple:
     """Sorted (int key..., float value) terms of a constraint or multiplier table.
 
-    Raises ValidationError unless every key component is integral, valid(*key)
-    holds, no key repeats (1 and 1.0 are one key) and every value is finite."""
+    Raises ValidationError unless every key component is an integer under
+    numerics._as_int, valid(*key) holds, no key repeats (1 and 1.0 are one
+    key) and every value is a finite number under numerics._as_number."""
     table = {}
     for *raw, value in terms:
         shown = raw[0] if len(raw) == 1 else tuple(raw)
-        key = tuple(map(int, raw)) if all(map(_integral, raw)) else None
-        if key is None or not valid(*key):
-            raise ValidationError(f"{name} {shown!r} is not an integer in range")
+        key = tuple(_as_int(c, name) for c in raw)
+        if not valid(*key):
+            raise ValidationError(f"{name} {shown!r} is out of range")
         if key in table:
             raise ValidationError(f"duplicate {name} {shown!r}")
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        table[key] = _as_number(value, f"the value of {name} {shown!r}")
+        if not math.isfinite(table[key]):
             raise ValidationError(f"{name} {shown!r} needs a finite value, got {value!r}")
-        table[key] = float(value)
     return tuple(sorted(key + (value,) for key, value in table.items()))
 
 
@@ -140,14 +133,18 @@ class EndpointFactors:
     singularities: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        for loc, m in self.zeros:
-            if not (m > 0 and math.isfinite(m) and math.isfinite(loc)):
-                raise ValidationError(f"zero at {loc} needs a positive finite multiplicity")
-        for loc, p in self.singularities:
-            if not (0.0 < p < 1.0) or not math.isfinite(loc):
-                raise ValidationError(
-                    f"singularity exponent must lie in (0, 1) for integrability, got {p}"
-                )
+        rules = {
+            "zeros": (math.inf, "a zero needs a finite location and a multiplicity above 0"),
+            "singularities": (1.0, "a singularity needs a finite location and an exponent in (0, 1)"),
+        }
+        for kind, (top, rule) in rules.items():
+            pairs = []
+            for x, e in getattr(self, kind):
+                loc, e = _as_number(x, kind), _as_number(e, kind)
+                if not (0.0 < e < top and math.isfinite(loc)):
+                    raise ValidationError(f"{rule}, got {e} at {loc}")
+                pairs.append((loc, e))
+            object.__setattr__(self, kind, tuple(pairs))
         zlocs = {loc for loc, _ in self.zeros}
         slocs = {loc for loc, _ in self.singularities}
         if zlocs & slocs:
@@ -302,7 +299,8 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
     """Range and Hankel-positivity screening before any iteration.
 
     Rejects moment vectors on or outside the boundary of the moment cone
-    for the order combinations this module supports (orders <= 4).
+    for the order combinations this module supports (orders <= 4); on a
+    finite [a, b] that includes E[(x - a)(b - x)] <= 0 from orders 1 and 2.
     """
     a, b = spec.support
     targets = dict(zip(spec.orders, spec.targets))
@@ -320,7 +318,7 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
     blocks = []
     if {1, 2} <= targets.keys():
         blocks.append(np.array([[1.0, targets[1]], [targets[1], targets[2]]]))
-    if {2, 4} <= targets.keys() and 1 not in targets and 3 not in targets:
+    if {2, 4} <= targets.keys():
         blocks.append(np.array([[1.0, targets[2]], [targets[2], targets[4]]]))
     if {1, 2, 3, 4} <= targets.keys():
         blocks.append(
@@ -332,6 +330,9 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
                 ]
             )
         )
+    if {1, 2} <= targets.keys() and math.isfinite(a) and math.isfinite(b):
+        # the 1x1 localizing matrix of (x - a)(b - x) >= 0 on [a, b]
+        blocks.append(np.array([[(a + b) * targets[1] - targets[2] - a * b]]))
     for h in blocks:
         if np.linalg.eigvalsh(h).min() <= 0:
             raise InfeasibleMomentsError("moment vector fails Hankel positivity")
@@ -434,8 +435,7 @@ def fit_multipliers_1d(
     Runs the shared Newton core with a one-node y axis.  Returns the
     normalized density (a_0 included) and fit diagnostics.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    tol = _as_positive(tol, "tol")
     check_feasible_1d(spec)
     orders = spec.orders
     targets = np.array(spec.targets)
@@ -487,8 +487,7 @@ def fit_multipliers_2d(
     spec: MomentSpec2D, tol: float = 1e-9
 ) -> tuple[ExpFamilyDensity2D, FitDiagnostics]:
     """Two-variable analogue of fit_multipliers_1d on a finite rectangle."""
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    tol = _as_positive(tol, "tol")
     _check_feasible_2d(spec)
     pairs = tuple((i, j) for i, j, _ in spec.constraints)
     targets = np.array([v for _, _, v in spec.constraints])
@@ -591,10 +590,10 @@ def moment_gradient_check(
     N(a) is the normalization integral of the unnormalized density; the
     two returned numbers agree to O(h^2) for a consistent fit.
     """
-    if not h >= 1e-10:
+    h = _as_positive(h, "h")
+    if h < 1e-10:
         raise ValidationError("h below 1e-10 would be dominated by cancellation")
-    if not (_integral(order) and order >= 1):
-        raise ValidationError(f"order must be an integer >= 1, got {order!r}")
+    order = _as_int(order, "order", 1)
     xs, w = _functional_nodes(d)
     weight = _factor_values(d.factors, xs)
 
@@ -625,22 +624,13 @@ _INF_STRINGS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf, "−inf": 
 _MALFORMED = (AttributeError, KeyError, TypeError, IndexError, ValueError)
 
 
-def _json_int(v) -> int:
-    """An integer field of a document; anything but an int or an integral float,
-    a bool included, raises ValueError."""
-    integral = isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-    if isinstance(v, bool) or not integral:
-        raise ValueError(f"expected an integer, got {v!r}")
-    return int(v)
-
-
 def _parse_bound(v) -> float:
     if isinstance(v, str):
         key = v.strip().lower()
         if key in _INF_STRINGS:
             return _INF_STRINGS[key]
         raise ValueError(f"unrecognized support bound {v!r}")
-    return float(v)
+    return _as_number(v, "support bound")
 
 
 def moment_spec_from_json(doc) -> MomentSpec1D:
@@ -652,9 +642,7 @@ def moment_spec_from_json(doc) -> MomentSpec1D:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
         support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
-        moments = tuple(
-            (_json_int(m["order"]), float(m["value"])) for m in doc.get("moments", [])
-        )
+        moments = tuple((m["order"], m["value"]) for m in doc.get("moments", []))
     except _MALFORMED as exc:
         raise ValidationError(f"malformed moment spec document: {exc!r}") from exc
     return MomentSpec1D(support, moments)
@@ -688,14 +676,10 @@ def density_from_json(doc) -> ExpFamilyDensity1D:
             doc = json.loads(doc)
         factors = None
         if doc.get("factors"):
-            factors = EndpointFactors(
-                zeros=tuple((float(l), float(m)) for l, m in doc["factors"].get("zeros", [])),
-                singularities=tuple(
-                    (float(l), float(p)) for l, p in doc["factors"].get("singularities", [])
-                ),
-            )
+            rows = doc["factors"]
+            factors = EndpointFactors(rows.get("zeros", []), rows.get("singularities", []))
         support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
-        multipliers = tuple((_json_int(o), float(v)) for o, v in doc["multipliers"])
+        multipliers = tuple((o, v) for o, v in doc["multipliers"])
     except _MALFORMED as exc:
         raise ValidationError(f"malformed density document: {exc!r}") from exc
     return ExpFamilyDensity1D(multipliers, support, factors)

@@ -49,7 +49,7 @@ from .errors import (
     InstabilityError,
     ValidationError,
 )
-from .numerics import Grid1D, RootBracket, find_root
+from .numerics import Grid1D, RootBracket, _as_int, _as_number, _as_positive, find_root
 
 DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
@@ -104,12 +104,10 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValidationError(f"step must be positive, got {self.step}")
-        if not self.tol_flow > 0:
-            raise ValidationError(f"tol_flow must be positive, got {self.tol_flow}")
-        if not 1 <= self.max_iters <= 1_000_000:
-            raise ValidationError("max_iters must lie in [1, 1e6]")
+        object.__setattr__(self, "step", _as_positive(self.step, "step"))
+        object.__setattr__(self, "tol_flow", _as_positive(self.tol_flow, "tol_flow"))
+        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1, 1_000_000))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -518,9 +516,8 @@ def self_consistent_lambda(
     every state the solve kept: both ends, then the root or every
     midpoint.
     """
-    if not f_tol > 0:
-        raise ValidationError(f"f_tol must be positive, got {f_tol}")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    f_tol = _as_positive(f_tol, "f_tol")
+    lo, hi = _as_number(bracket[0], "bracket end"), _as_number(bracket[1], "bracket end")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
     kept: list[GroundStateSolution] = []
@@ -586,8 +583,7 @@ def uniqueness_probe(
     are recorded and the probe still returns; an invalid configuration
     raises ValidationError, since the seeded guesses are always valid.
     """
-    if n_inits < 2:
-        raise ValidationError("need at least 2 initializations to probe uniqueness")
+    n_inits = _as_int(n_inits, "n_inits", 2)
     h = problem.grid.spacing
     values: list[float] = []
     solutions: list[GroundStateSolution] = []

@@ -1,9 +1,12 @@
 """Deterministic numerical primitives shared by every other module.
 
 Uniform grids, fixed quadrature rules (trapezoid, Simpson, Gauss-Hermite),
-the physicists' Hermite recurrence, and a bracketing root finder.  All
-values are immutable after construction and every operation is pure, so
-everything here is safe to call concurrently.
+the physicists' Hermite recurrence, a bracketing root finder, and the one
+rule for what counts as a number: ``_as_int`` for counts, orders and
+indices, ``_as_positive`` for tolerances and steps, ``_as_number`` for the
+reals of an input document.  All values are immutable after construction
+and every operation is pure, so everything here is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -17,6 +20,43 @@ import numpy as np
 from .errors import BracketError, DomainError, NumericError, ValidationError
 
 MAX_HERMITE_ORDER = 64
+
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _as_number(value, name: str) -> float:
+    """value as a float: an int, a float or a numpy integer or float scalar,
+    not a bool; NaN and the infinities pass.  Anything else raises
+    ValidationError, an int beyond the float range included."""
+    if isinstance(value, _REAL) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def _as_positive(value, name: str) -> float:
+    """value as a finite float > 0 under the _as_number rule, else ValidationError."""
+    if type(value) is float and 0.0 < value < math.inf:  # the common case, kept fast
+        return value
+    number = _as_number(value, name)
+    if not 0.0 < number < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def _as_int(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+           error: type[ValueError] = ValidationError) -> int:
+    """value as an int: an int or numpy integer, or a float or numpy float of
+    integral value (2.0 counts as 2).  Anything else (a bool, a string, NaN,
+    an infinity, a fraction) or a value outside [lo, hi] raises ``error``."""
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if isinstance(value, bool) or not (integral or isinstance(value, (int, np.integer))):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not lo <= int(value) <= hi:
+        raise error(f"{name} must be in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -32,6 +72,7 @@ class Grid1D:
             raise ValidationError("grid endpoints must be finite")
         if not self.x_min < self.x_max:
             raise ValidationError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
+        object.__setattr__(self, "n_points", _as_int(self.n_points, "n_points"))
         if self.n_points < 3:
             raise ValidationError(f"need at least 3 grid points, got {self.n_points}")
 
@@ -91,8 +132,7 @@ class QuadratureRule:
 
     @classmethod
     def gauss_hermite(cls, n: int) -> "QuadratureRule":
-        if n < 1:
-            raise ValidationError("gauss_hermite order must be positive")
+        n = _as_int(n, "gauss_hermite order", 1)
         nodes, weights = np.polynomial.hermite.hermgauss(n)
         return cls("gauss_hermite", nodes, weights)
 
@@ -126,8 +166,7 @@ def hermite_eval(n: int, u):
     MAX_HERMITE_ORDER are rejected: the recurrence is this artifact's
     stability-tested range.
     """
-    if n < 0 or n > MAX_HERMITE_ORDER:
-        raise DomainError(f"hermite order must be in [0, {MAX_HERMITE_ORDER}], got {n}")
+    n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
     u = np.asarray(u, dtype=float)
     h_prev = np.ones_like(u)
     if n == 0:
@@ -140,8 +179,7 @@ def hermite_eval(n: int, u):
 
 def hermite_deriv(n: int, u):
     """H_n'(u) = 2n H_{n-1}(u)."""
-    if n < 0 or n > MAX_HERMITE_ORDER:
-        raise DomainError(f"hermite order must be in [0, {MAX_HERMITE_ORDER}], got {n}")
+    n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
     if n == 0:
         u = np.asarray(u, dtype=float)
         z = np.zeros_like(u)
@@ -171,8 +209,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> 
     spacing of doubles in the bracket therefore bisects to adjacent
     doubles.  Deterministic: identical inputs give bit-identical output.
     """
-    if not tol > 0:
-        raise ValidationError("tol must be positive")
+    tol = _as_positive(tol, "tol")
     lo, hi = bracket.lo, bracket.hi
     f_lo = bracket.f_lo
     if f_lo == 0.0:

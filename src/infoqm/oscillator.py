@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, StructureError, ValidationError
-from .numerics import RootBracket, find_root, hermite_deriv, hermite_eval
+from .numerics import RootBracket, _as_int, _as_positive, find_root, hermite_deriv, hermite_eval
 
 MAX_QUANTUM_NUMBER = 20
 
@@ -48,12 +48,9 @@ class OscillatorState:
     energy: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError("quantum number must be nonnegative")
-        if self.k not in (0, 1):
-            raise ValidationError("parity index must be 0 or 1")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValidationError("beta must be positive and finite")
+        object.__setattr__(self, "n", _as_int(self.n, "quantum number", 0))
+        object.__setattr__(self, "k", _as_int(self.k, "parity index", 0, 1))
+        object.__setattr__(self, "beta", _as_positive(self.beta, "beta"))
         for name in ("alpha", "lam", "energy"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
@@ -61,8 +58,7 @@ class OscillatorState:
 
 def alpha_from_beta(n: int, beta: float) -> float:
     """Log-normalization alpha = (1/2) ln(2^n n! sqrt(pi) / sqrt(2 beta))."""
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
+    beta = _as_positive(beta, "beta")
     return 0.5 * math.log(2.0**n * math.factorial(n) * math.sqrt(math.pi) / math.sqrt(2.0 * beta))
 
 
@@ -78,8 +74,7 @@ def beta_closure_residual(n: int, k: int, beta: float) -> float:
 
 def lambda_from_beta(beta: float) -> float:
     """Multiplier lambda = (4 beta^2 - 1) / (4 beta); zero at beta = 1/2."""
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
+    beta = _as_positive(beta, "beta")
     return (4.0 * beta * beta - 1.0) / (4.0 * beta)
 
 
@@ -104,8 +99,7 @@ def solve_state(n: int) -> OscillatorState:
     has exactly one root: g'(beta) = 16 beta (n + k + alpha) - 2 beta
     + 1/(2 beta) > 0 there, since n + k + alpha > 1/2.
     """
-    if not 0 <= n <= MAX_QUANTUM_NUMBER:
-        raise DomainError(f"n must be in [0, {MAX_QUANTUM_NUMBER}], got {n}")
+    n = _as_int(n, "n", 0, MAX_QUANTUM_NUMBER, DomainError)
     k = n % 2
     residual = partial(beta_closure_residual, n, k)
     bracket = RootBracket.from_function(residual, BETA_SCAN_LO, _admissible_beta_cap(n))
@@ -120,8 +114,7 @@ def solve_state(n: int) -> OscillatorState:
 
 def table(n_max: int) -> list[OscillatorState]:
     """States n = 0..n_max, the table's rows, each from an independent solve."""
-    if not 0 <= n_max <= MAX_QUANTUM_NUMBER:
-        raise DomainError(f"n_max must be in [0, {MAX_QUANTUM_NUMBER}], got {n_max}")
+    n_max = _as_int(n_max, "n_max", 0, MAX_QUANTUM_NUMBER, DomainError)
     return [solve_state(n) for n in range(n_max + 1)]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotFoundError, ValidationError
 from .maxent import ExpFamilyDensity2D
-from .numerics import Grid1D
+from .numerics import Grid1D, _as_int, _as_number, _as_positive
 
 MAX_POLY_DEGREE = 32
 MAX_SERIES_TERMS = 200
@@ -146,11 +146,9 @@ def taylor_remainder_scan(
     ``derivs_at_center(k)`` must return the k-th derivative of f at x0
     for k up to n_max; order 0 is the function value.
     """
-    if n_max < 0:
-        raise ValidationError("n_max must be nonnegative")
-    wanted = tuple(orders) if orders is not None else tuple(range(n_max + 1))
-    if any(o < 0 or o > n_max for o in wanted):
-        raise ValidationError("every requested order must lie in [0, n_max]")
+    n_max = _as_int(n_max, "n_max", 0)
+    orders = range(n_max + 1) if orders is None else orders
+    wanted = tuple(_as_int(o, "order", 0, n_max) for o in orders)
     coeffs = [derivs_at_center(k) / math.factorial(k) for k in range(n_max + 1)]
     xs = probe.points()
     fs = np.array([f(float(x)) for x in xs])
@@ -168,11 +166,10 @@ def binomial_series_eval(a: float, k: float, x: float, n_terms: int) -> tuple[fl
     The ``convergent`` flag is the analytic predicate |a x| < 1; empirical
     behavior of the partial sums is the caller's to inspect.
     """
-    if n_terms < 0 or n_terms > MAX_SERIES_TERMS:
-        raise ValidationError(f"n_terms must be in [0, {MAX_SERIES_TERMS}]")
-    if not all(map(math.isfinite, (a, k, x))):
-        raise ValidationError(f"a, k and x must be finite, got {a}, {k}, {x}")
+    n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
     t = a * x
+    if not all(map(math.isfinite, (a, k, x, t))):
+        raise ValidationError(f"a, k, x and a*x must be finite, got {a}, {k}, {x}, {t}")
     total = 1.0
     term = 1.0
     for m in range(n_terms):
@@ -190,11 +187,10 @@ def two_var_series_eval(
     iff |x y| < 1, the polar-coordinate r < 1 condition on the
     unit-product locus; ``exp_xy`` is exp(x y), convergent everywhere.
     """
-    if n_terms < 0 or n_terms > MAX_SERIES_TERMS:
-        raise ValidationError(f"n_terms must be in [0, {MAX_SERIES_TERMS}]")
-    if not all(map(math.isfinite, (x, y) if k is None else (x, y, k))):
-        raise ValidationError(f"x, y and k must be finite, got {x}, {y}, {k}")
+    n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
     t = x * y
+    if not all(map(math.isfinite, (x, y, t) if k is None else (x, y, t, k))):
+        raise ValidationError(f"x, y, x*y and k must be finite, got {x}, {y}, {t}, {k}")
     if kind == "binomial_xy":
         if k is None:
             raise ValidationError("binomial_xy needs the exponent k")
@@ -232,8 +228,8 @@ def taylor2_coeffs(
     nested central differences at steps h and h/2 combined by one
     Richardson extrapolation (leading error O(h^4)).
     """
-    if n_max < 0 or n_max > MAX_TAYLOR2_ORDER:
-        raise ValidationError(f"n_max must be in [0, {MAX_TAYLOR2_ORDER}]")
+    n_max = _as_int(n_max, "n_max", 0, MAX_TAYLOR2_ORDER)
+    h = _as_number(h, "h")
     if not 1e-6 < h < 1e-1:
         raise ValidationError("h must lie in (1e-6, 1e-1)")
     coeffs = np.zeros((n_max + 1, n_max + 1))
@@ -257,8 +253,7 @@ def radial_stationary_point(
     vanishes there) and classified by the sign of the second radial
     derivative.
     """
-    if r_max <= 0:
-        raise ValidationError("r_max must be positive")
+    r_max = _as_positive(r_max, "r_max")
     c, s = math.cos(theta), math.sin(theta)
     degree = max((i + j for i, j, _ in d.multipliers), default=0)
     g = np.zeros(degree + 1)  # ln rho = -sum g[m] r^m (constant dropped)

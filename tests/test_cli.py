@@ -412,6 +412,12 @@ VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
         ("--target", {"kind": "gauss_power", "power": 1.5}),
         # json reads the bare NaN literal; a NaN scale is not positive
         ("--target", {"kind": "gauss_power", "power": 1, "scale": math.nan}),
+        # a real field holds a number: not a bool, not a string
+        ("--spec", {"support": [0.0, 2.0], "moments": [{"order": 1, "value": True}]}),
+        ("--spec", {"support": [0.0, 1.0], "moments": [{"order": 1, "value": "0.9"}]}),
+        ("--spec", {"support": [False, 2], "moments": [{"order": 1, "value": 0.9}]}),
+        ("--target", {"kind": "gauss_power", "power": 1, "scale": True}),
+        ("--resume", {"psi": [0.0] + [True] * 62 + [0.0]}),
     ],
 )
 def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
@@ -445,10 +451,16 @@ def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
         ["series", "probe", "--kind", "binomial", "--x", "0.5", "--k", "nan", "--n-max", "3"],
         ["series", "probe", "--kind", "binomial", "--x", "0.5", "--a", "inf", "--n-max", "3"],
         ["series", "probe", "--kind", "exp-xy", "--x", "0.5", "--y", "nan", "--n-max", "3"],
+        ["maxent", "fit", "--spec", "spec.json", "--tol", "inf"],
+        ["nls", "ground", "--domain", "-8", "8", "--grid", "192", "--tol-flow", "inf"],
+        ["series", "probe", "--kind", "exp-xy", "--x", "1e200", "--y", "1e200", "--n-max", "3"],
+        ["series", "probe", "--kind", "binomial-xy", "--x", "1e200", "--y", "1e200",
+         "--n-max", "3"],
     ],
     ids=[
         "orders-not-integers", "negative-n-max", "nan-tol", "nan-tau", "nan-tol-flow",
-        "nan-x", "inf-x", "nan-k", "inf-a", "nan-y",
+        "nan-x", "inf-x", "nan-k", "inf-a", "nan-y", "inf-tol", "inf-tol-flow",
+        "overflowing-xy-exp", "overflowing-xy-binomial",
     ],
 )
 def test_invalid_argument_rejected(tmp_path, capsys, monkeypatch, argv):

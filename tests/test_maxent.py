@@ -148,6 +148,22 @@ class TestFeasibility:
         with pytest.raises(InfeasibleMomentsError):
             fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.9), (2, 0.5),)))
 
+    def test_even_block_checked_with_odd_orders(self):
+        # m4 < m2^2 is infeasible whatever odd orders ride along
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0), (4, 0.5))))
+
+    @pytest.mark.parametrize(
+        "support, m1, m2",
+        [((0.0, 1.0), 0.3, 0.4), ((-1.0, 3.0), 1.0, 5.5), ((2.0, 4.0), 3.0, 10.0)],
+    )
+    def test_interval_localizing_condition(self, support, m1, m2):
+        # E[(x - a)(b - x)] = (a + b) m1 - m2 - ab must be positive on [a, b]
+        a, b = support
+        assert (a + b) * m1 - m2 - a * b <= 0
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_1d(MomentSpec1D(support, ((1, m1), (2, m2))))
+
     def test_2d_covariance_not_psd(self):
         spec = MomentSpec2D(((-6, 6), (-6, 6)), ((2, 0, 1.0), (1, 1, 2.0), (0, 2, 1.0)))
         with pytest.raises(InfeasibleMomentsError):

@@ -1,0 +1,261 @@
+"""One number rule: every count, tolerance and document real validates
+through numerics._as_int, _as_positive and _as_number."""
+
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from infoqm import (
+    DomainError,
+    EndpointFactors,
+    ExpFamilyDensity1D,
+    ExpFamilyDensity2D,
+    FlowConfig,
+    Grid1D,
+    GridProblem,
+    MomentSpec1D,
+    MomentSpec2D,
+    OscillatorState,
+    QuadratureRule,
+    RootBracket,
+    ValidationError,
+    alpha_from_beta,
+    binomial_series_eval,
+    density_from_json,
+    find_root,
+    fit_multipliers_1d,
+    fit_multipliers_2d,
+    hermite_deriv,
+    hermite_eval,
+    lambda_from_beta,
+    moment_gradient_check,
+    moment_spec_from_json,
+    radial_stationary_point,
+    self_consistent_lambda,
+    solve_state,
+    table,
+    taylor2_coeffs,
+    taylor_remainder_scan,
+    two_var_series_eval,
+    uniqueness_probe,
+)
+from infoqm.cli import _target_from_spec
+from infoqm.numerics import _as_int, _as_number, _as_positive
+
+INF = math.inf
+# a float count, NaN, both infinities, a bool and a string
+BAD_COUNTS = {"float": 2.5, "nan": math.nan, "inf": INF, "-inf": -INF, "bool": True, "str": "2"}
+# NaN, both infinities, zero, a bool and a string
+BAD_TOLERANCES = {"nan": math.nan, "inf": INF, "-inf": -INF, "zero": 0.0, "bool": True,
+                  "str": "1e-3"}
+# the document reals: a bool and a string always, NaN and infinities where a
+# finite value belongs
+BAD_REALS = {"nan": math.nan, "inf": INF, "-inf": -INF, "bool": True, "str": "0.5"}
+
+_UNIT = ExpFamilyDensity1D(((0, math.log(2.0)),), (-1.0, 1.0))
+_BOX = ExpFamilyDensity2D(((2, 0, 1.0), (0, 2, 1.0)), ((-1, 1), (-1, 1)))
+_PROBLEM = GridProblem.harmonic(Grid1D(-8.0, 8.0, 64))
+_CFG = FlowConfig(step=1e-3)
+_PROBE = Grid1D(-0.5, 0.5, 5)
+_BRACKET = RootBracket.from_function(lambda x: x, -1.0, 1.0)
+
+
+def _spec_doc(order=1, value=0.5, lo=0.0):
+    return {"support": [lo, 2.0], "moments": [{"order": order, "value": value}]}
+
+
+def _density_doc(order=2, value=1.0, zero=(-1.0, 1.0)):
+    return {"support": [-1.0, 1.0], "multipliers": [[0, 0.0], [order, value]],
+            "factors": {"zeros": [list(zero)], "singularities": []}}
+
+
+COUNT_SITES = {
+    "Grid1D.n_points": (lambda v: Grid1D(-1.0, 1.0, v), ValidationError),
+    "gauss_hermite": (QuadratureRule.gauss_hermite, ValidationError),
+    "hermite_eval": (lambda v: hermite_eval(v, 0.3), DomainError),
+    "hermite_deriv": (lambda v: hermite_deriv(v, 0.3), DomainError),
+    "OscillatorState.n": (lambda v: OscillatorState(v, 0, 1.0, 0.5, -1.0, 1.0), ValidationError),
+    "solve_state": (solve_state, DomainError),
+    "table": (table, DomainError),
+    "taylor_remainder_scan": (
+        lambda v: taylor_remainder_scan(math.exp, lambda k: 1.0, 0.0, v, _PROBE),
+        ValidationError,
+    ),
+    "taylor2_coeffs": (lambda v: taylor2_coeffs(lambda x, y: 1.0, v, 0.01), ValidationError),
+    "binomial_series_eval": (lambda v: binomial_series_eval(1.0, -1.0, 0.5, v), ValidationError),
+    "two_var_series_eval": (lambda v: two_var_series_eval("exp_xy", 0.5, 0.5, v),
+                            ValidationError),
+    "FlowConfig.max_iters": (lambda v: FlowConfig(max_iters=v), ValidationError),
+    "uniqueness_probe": (lambda v: uniqueness_probe(_PROBLEM, _CFG, v), ValidationError),
+    "moment_gradient_check.order": (lambda v: moment_gradient_check(_UNIT, v, 1e-5),
+                                    ValidationError),
+    "spec order": (lambda v: moment_spec_from_json(_spec_doc(order=v)), ValidationError),
+    "density order": (lambda v: density_from_json(_density_doc(order=v)), ValidationError),
+    "target n": (lambda v: _target_from_spec({"kind": "state", "n": v}, _PROBE), DomainError),
+    "target power": (lambda v: _target_from_spec({"kind": "gauss_power", "power": v}, _PROBE),
+                     ValidationError),
+}
+
+TOLERANCE_SITES = {
+    "find_root": (lambda v: find_root(lambda x: x, _BRACKET, v), ValidationError),
+    "FlowConfig.step": (lambda v: FlowConfig(step=v), ValidationError),
+    "FlowConfig.tol_flow": (lambda v: FlowConfig(tol_flow=v), ValidationError),
+    "f_tol": (lambda v: self_consistent_lambda(_PROBLEM, _CFG, f_tol=v), ValidationError),
+    "fit_multipliers_1d": (
+        lambda v: fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, 1.0),)), tol=v),
+        ValidationError,
+    ),
+    "fit_multipliers_2d": (
+        lambda v: fit_multipliers_2d(MomentSpec2D(((-1, 1), (-1, 1)), ((2, 0, 0.3),)), tol=v),
+        ValidationError,
+    ),
+    "OscillatorState.beta": (lambda v: OscillatorState(0, 0, 1.0, v, -1.0, 1.0),
+                             ValidationError),
+    "alpha_from_beta": (lambda v: alpha_from_beta(0, v), ValidationError),
+    "lambda_from_beta": (lambda v: lambda_from_beta(v), ValidationError),
+    "moment_gradient_check.h": (lambda v: moment_gradient_check(_UNIT, 1, v), ValidationError),
+    "taylor2_coeffs.h": (lambda v: taylor2_coeffs(lambda x, y: 1.0, 2, v), ValidationError),
+    "radial_stationary_point": (lambda v: radial_stationary_point(_BOX, 0.0, v),
+                                ValidationError),
+    "gauss_power scale": (
+        lambda v: _target_from_spec({"kind": "gauss_power", "power": 1, "scale": v}, _PROBE),
+        ValidationError,
+    ),
+}
+
+REAL_SITES = {
+    "moment value": (lambda v: moment_spec_from_json(_spec_doc(value=v)), BAD_REALS),
+    "support bound": (lambda v: moment_spec_from_json(_spec_doc(lo=v)),
+                      {"nan": math.nan, "bool": False, "str": "0.5"}),
+    "multiplier": (lambda v: density_from_json(_density_doc(value=v)), BAD_REALS),
+    "factor location": (lambda v: density_from_json(_density_doc(zero=(v, 1.0))), BAD_REALS),
+    "factor exponent": (lambda v: density_from_json(_density_doc(zero=(-1.0, v))), BAD_REALS),
+    "EndpointFactors": (lambda v: EndpointFactors(singularities=((0.0, v),)), BAD_REALS),
+}
+
+CASES = (
+    [pytest.param(call, bad, err, id=f"{site}-{label}")
+     for site, (call, err) in COUNT_SITES.items() for label, bad in BAD_COUNTS.items()]
+    + [pytest.param(call, bad, err, id=f"{site}-{label}")
+       for site, (call, err) in TOLERANCE_SITES.items() for label, bad in BAD_TOLERANCES.items()]
+    + [pytest.param(call, bad, ValidationError, id=f"{site}-{label}")
+       for site, (call, bads) in REAL_SITES.items() for label, bad in bads.items()]
+)
+
+
+@pytest.mark.parametrize("call, bad, error", CASES)
+def test_bad_number_raises_typed_error(call, bad, error):
+    with pytest.raises(error):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: solve_state(v),
+        lambda v: Grid1D(-1.0, 1.0, v + 3),
+        lambda v: hermite_eval(v, 0.3),
+        lambda v: binomial_series_eval(1.0, -1.0, 0.5, v),
+        lambda v: FlowConfig(max_iters=v + 1),
+        lambda v: moment_spec_from_json(_spec_doc(order=v, value=0.9)),
+    ],
+    ids=["solve_state", "Grid1D", "hermite_eval", "binomial_series_eval", "FlowConfig",
+         "spec order"],
+)
+def test_integral_float_counts_like_its_int(call):
+    assert call(2.0) == call(2) == call(np.int64(2))
+
+
+# ---------------------------------------------------------------------------
+# the helpers themselves
+
+
+def _tagged(strategy, tag):
+    return strategy.map(lambda v: (tag, v))
+
+
+NUMPY_INTS = st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32])
+NUMPY_FLOATS = st.sampled_from([np.float16, np.float32, np.float64])
+
+VALUES = st.one_of(
+    _tagged(st.integers(-(2**80), 2**80), "int"),
+    _tagged(st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024)), "huge int"),
+    _tagged(st.floats(), "float"),
+    st.integers(-(10**6), 10**6).map(lambda i: ("float", float(i))),
+    _tagged(st.tuples(NUMPY_INTS, st.integers(0, 100)).map(lambda p: p[0](p[1])), "numpy int"),
+    _tagged(st.tuples(NUMPY_FLOATS, st.floats(-1e4, 1e4)).map(lambda p: p[0](p[1])),
+            "numpy float"),
+    _tagged(
+        st.one_of(
+            st.booleans(),
+            st.sampled_from([np.bool_(True), np.bool_(False), None, 1j, Decimal("1"),
+                             Fraction(1, 2), [1], (2.0,)]),
+            st.text(max_size=4),
+        ),
+        "other",
+    ),
+)
+
+
+def _real_value(tag, v):
+    """The float a documented real stands for, or None outside the set."""
+    if tag in ("int", "float", "numpy int", "numpy float"):
+        return float(v)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALUES)
+def test_as_number_accepts_exactly_the_reals(tagged):
+    tag, v = tagged
+    want = _real_value(tag, v)
+    if want is None:
+        with pytest.raises(ValidationError):
+            _as_number(v, "x")
+    else:
+        got = _as_number(v, "x")
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALUES)
+def test_as_positive_accepts_exactly_finite_positive_reals(tagged):
+    tag, v = tagged
+    want = _real_value(tag, v)
+    if want is None or not (want > 0 and math.isfinite(want)):
+        with pytest.raises(ValidationError):
+            _as_positive(v, "x")
+    else:
+        got = _as_positive(v, "x")
+        assert type(got) is float and got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(VALUES, st.integers(-5, 5), st.integers(0, 10), st.sampled_from([ValidationError,
+                                                                        DomainError]))
+def test_as_int_accepts_exactly_integral_values_in_range(tagged, lo, span, error):
+    tag, v = tagged
+    if tag in ("int", "huge int", "numpy int"):
+        want = int(v)
+    elif tag in ("float", "numpy float") and math.isfinite(v) and float(v).is_integer():
+        want = int(v)
+    else:
+        want = None
+    if want is None:
+        with pytest.raises(error):
+            _as_int(v, "x", error=error)
+    else:
+        got = _as_int(v, "x", error=error)
+        assert type(got) is int and got == want
+    if want is not None and lo <= want <= lo + span:
+        assert _as_int(v, "x", lo, lo + span, error) == want
+    else:
+        with pytest.raises(error):
+            _as_int(v, "x", lo, lo + span, error)
+

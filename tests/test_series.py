@@ -142,6 +142,10 @@ class TestBinomialSeries:
         with pytest.raises(ValidationError):
             binomial_series_eval(a, k, x, 10)
 
+    def test_overflowing_product_rejected(self):
+        with pytest.raises(ValidationError, match=r"a\*x"):
+            binomial_series_eval(1e200, -1.0, 1e200, 10)
+
     def test_partial_sums_stabilize_inside_region(self):
         s_199, _ = binomial_series_eval(1.0, -1.0, 0.9, 199)
         s_200, _ = binomial_series_eval(1.0, -1.0, 0.9, 200)
@@ -181,6 +185,13 @@ class TestTwoVariableSeries:
     def test_nonfinite_input_rejected(self, kind, x, y, k):
         with pytest.raises(ValidationError):
             two_var_series_eval(kind, x, y, 10, k=k)
+
+    @pytest.mark.parametrize("kind, k", [("exp_xy", None), ("binomial_xy", 0.5)])
+    @pytest.mark.parametrize("x, y", [(1e200, 1e200), (-1e200, 1e200), (1e300, 0.5e10)])
+    def test_overflowing_product_rejected(self, kind, k, x, y):
+        with pytest.raises(ValidationError, match=r"^x, y, x\*y") as info:
+            two_var_series_eval(kind, x, y, 10, k=k)
+        assert f"{x}, {y}, " in str(info.value)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
