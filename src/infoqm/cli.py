@@ -18,18 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import DEFAULT_ANALYSIS_GRID, BasisSet, completeness_projection, gram_matrix
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    IllConditionedError,
-    InfeasibleMomentsError,
-    InfoqmError,
-    NotFoundError,
-    NumericError,
-    StructureError,
-    ValidationError,
-)
+from .errors import InfoqmError, ValidationError
 from .maxent import (
     _MALFORMED,
     density_from_json,
@@ -44,16 +33,6 @@ from .series import binomial_series_eval, two_var_series_eval
 
 _EXIT_INVALID = 2
 _EXIT_NO_CONVERGENCE = 3
-
-_INVALID_INPUT_ERRORS = (
-    ValidationError,
-    DomainError,
-    BracketError,
-    InfeasibleMomentsError,
-    NumericError,
-    OSError,
-)
-_CONVERGENCE_ERRORS = (ConvergenceError, StructureError, NotFoundError, IllConditionedError)
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -117,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     osc_table.add_argument("--format", choices=("csv", "json"), default="csv")
     osc_table.add_argument("--digits", type=_positive_int, default=6)
     osc_table.add_argument("--out")
+    osc_table.set_defaults(handler=_cmd_oscillator_table)
 
     mx = sub.add_parser("maxent", help="maximum-entropy density fitting")
     mx_sub = mx.add_subparsers(dest="command", required=True)
@@ -125,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mx_fit.add_argument("--tol", type=float, default=1e-10)
     mx_fit.add_argument("--init", help="previously fitted density JSON to warm-start from")
     mx_fit.add_argument("--out")
+    mx_fit.set_defaults(handler=_cmd_maxent_fit)
 
     ser = sub.add_parser("series", help="series convergence probes")
     ser_sub = ser.add_subparsers(dest="command", required=True)
@@ -137,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--n-max", type=int, required=True)
     probe.add_argument("--digits", type=_positive_int, default=12)
     probe.add_argument("--out")
+    probe.set_defaults(handler=_cmd_series_probe)
 
     nls = sub.add_parser("nls", help="grid ground-state solver")
     nls_sub = nls.add_subparsers(dest="command", required=True)
@@ -151,6 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ground.add_argument("--max-iters", type=int, default=400_000)
     ground.add_argument("--resume", help="previous solution JSON to warm-start from")
     ground.add_argument("--out")
+    ground.set_defaults(handler=_cmd_nls_ground)
 
     an = sub.add_parser("analyze", help="family diagnostics")
     an_sub = an.add_subparsers(dest="command", required=True)
@@ -158,11 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gram.add_argument("--n-max", type=int, required=True)
     gram.add_argument("--digits", type=_positive_int, default=12)
     gram.add_argument("--out")
+    gram.set_defaults(handler=_cmd_analyze_gram)
     proj = an_sub.add_parser("project", help="completeness projection of a target")
     proj.add_argument("--target", required=True, help="target spec JSON file")
     proj.add_argument("--orders", required=True, help="comma-separated truncation orders")
     proj.add_argument("--n-max", type=int, default=7)
     proj.add_argument("--out")
+    proj.set_defaults(handler=_cmd_analyze_project)
 
     return parser
 
@@ -308,16 +293,6 @@ def _cmd_analyze_project(args) -> str:
     )
 
 
-_DISPATCH = {
-    ("oscillator", "table"): _cmd_oscillator_table,
-    ("maxent", "fit"): _cmd_maxent_fit,
-    ("series", "probe"): _cmd_series_probe,
-    ("nls", "ground"): _cmd_nls_ground,
-    ("analyze", "gram"): _cmd_analyze_gram,
-    ("analyze", "project"): _cmd_analyze_project,
-}
-
-
 def _write_output(payload: str, out_path: str | None, manifest: dict) -> None:
     if out_path is None:
         sys.stdout.write(payload)
@@ -328,17 +303,25 @@ def _write_output(payload: str, out_path: str | None, manifest: dict) -> None:
         fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
+# built once per process; parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    """Parse argv, dispatch, write output; returns the process exit code."""
-    parser = _build_parser()
+    """Parse argv, run the subcommand's handler, write output; returns the exit code.
+
+    A RuntimeError of the package (an iteration that did not converge, a
+    state off its branch, ...) exits 3; every other InfoqmError (the
+    ValueError and ArithmeticError kinds) and every OSError exits 2.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else _EXIT_INVALID
     start = time.perf_counter()
     try:
-        payload = _DISPATCH[(args.group, args.command)](args)
+        payload = args.handler(args)
         manifest = {
             "tool": "infoqm",
             "version": __version__,
@@ -346,13 +329,10 @@ def run(argv: list[str]) -> int:
             "wall_time_s": round(time.perf_counter() - start, 6),
             "warnings": [],
         }
-        _write_output(payload, getattr(args, "out", None), manifest)
-    except _INVALID_INPUT_ERRORS as exc:
+        _write_output(payload, args.out, manifest)
+    except (InfoqmError, OSError) as exc:
         print(f"infoqm: error: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    except _CONVERGENCE_ERRORS as exc:
-        print(f"infoqm: error: {exc}", file=sys.stderr)
-        return _EXIT_NO_CONVERGENCE
+        return _EXIT_NO_CONVERGENCE if isinstance(exc, RuntimeError) else _EXIT_INVALID
     return 0
 
 

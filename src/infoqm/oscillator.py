@@ -139,19 +139,11 @@ def psi_deriv(state: OscillatorState, x):
 
 
 def psi_second_derivative(state: OscillatorState, x):
-    """Second derivative of psi, analytic (the Hermite derivative rule twice)."""
+    """Second derivative of psi, analytic: the Hermite equation
+    H_n'' = 2u H_n' - 2n H_n gives psi'' = (4 beta^2 x^2 - 2 beta (2n + 1)) psi."""
     x = np.asarray(x, dtype=float)
     b = state.beta
-    s = math.sqrt(2.0 * b)
-    u = s * x
-    g = np.exp(-state.alpha - b * x * x)
-    h = np.asarray(hermite_eval(state.n, u))
-    dh = np.asarray(hermite_deriv(state.n, u))
-    if state.n >= 2:
-        d2h = 2.0 * state.n * np.asarray(hermite_deriv(state.n - 1, u))
-    else:
-        d2h = np.zeros_like(u)
-    out = (2.0 * b * d2h - 4.0 * b * s * x * dh + (4.0 * b * b * x * x - 2.0 * b) * h) * g
+    out = (4.0 * b * b * x * x - 2.0 * b * (2.0 * state.n + 1.0)) * np.asarray(psi_eval(state, x))
     return out if out.ndim else float(out)
 
 

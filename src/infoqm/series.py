@@ -11,7 +11,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .errors import NotFoundError, ValidationError
+from .errors import NotFoundError, NumericError, ValidationError
 from .maxent import ExpFamilyDensity2D
 from .numerics import Grid1D, _as_int, _as_number, _as_positive
 
@@ -160,11 +160,20 @@ def taylor_remainder_scan(
     return RemainderReport(wanted, tuple(sup))
 
 
+def _finite_sum(total: float, n_terms: int) -> float:
+    # a non-finite partial sum stays non-finite (inf + x is inf or nan), so
+    # checking the final one catches an overflow at any term
+    if not math.isfinite(total):
+        raise NumericError(f"partial sum through {n_terms} terms is not finite ({total})")
+    return total
+
+
 def binomial_series_eval(a: float, k: float, x: float, n_terms: int) -> tuple[float, bool]:
     """Partial sum of (1 + a x)^k through n_terms generalized-binomial terms.
 
     The ``convergent`` flag is the analytic predicate |a x| < 1; empirical
-    behavior of the partial sums is the caller's to inspect.
+    behavior of the partial sums is the caller's to inspect.  A partial
+    sum that overflows raises NumericError.
     """
     n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
     t = a * x
@@ -175,7 +184,7 @@ def binomial_series_eval(a: float, k: float, x: float, n_terms: int) -> tuple[fl
     for m in range(n_terms):
         term *= (k - m) / (m + 1.0) * t
         total += term
-    return total, abs(t) < 1.0
+    return _finite_sum(total, n_terms), abs(t) < 1.0
 
 
 def two_var_series_eval(
@@ -186,6 +195,7 @@ def two_var_series_eval(
     ``binomial_xy`` is (1 + x y)^k (exponent k required) and converges
     iff |x y| < 1, the polar-coordinate r < 1 condition on the
     unit-product locus; ``exp_xy`` is exp(x y), convergent everywhere.
+    A partial sum that overflows raises NumericError.
     """
     n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
     t = x * y
@@ -202,7 +212,7 @@ def two_var_series_eval(
         for m in range(1, n_terms + 1):
             term *= t / m
             total += term
-        return total, True
+        return _finite_sum(total, n_terms), True
     raise ValidationError(f"unknown series kind {kind!r}")
 
 

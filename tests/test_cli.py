@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 import pathlib
 
 import pytest
 
-from infoqm import ConvergenceError, nls
+from infoqm import ConvergenceError, cli, errors, nls
 from infoqm.cli import run
 
 from conftest import GOLDEN_TABLE
@@ -386,6 +387,79 @@ class TestEntryPoints:
     def test_no_subcommand(self, capsys):
         assert run([]) == 2
 
+    def test_run_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [
+            run(argv)
+            for argv in (
+                ["oscillator", "table", "--n-max", "1"],
+                ["oscillator", "table", "--n-max", "x"],
+                ["analyze", "gram", "--n-max", "1"],
+                ["--version"],
+            )
+        ]
+        capsys.readouterr()
+        assert codes == [0, 2, 0, 0]
+        assert built == []
+
+    def test_failed_runs_leave_the_next_run_unchanged(self, capsys):
+        good = ["oscillator", "table", "--n-max", "2"]
+        first = run_captured(capsys, good)
+        assert first[0] == 0
+        # a parse that fails after --digits was read, then a handler that raises
+        code, out, _ = run_captured(capsys, good + ["--digits", "3", "--format", "xml"])
+        assert (code, out) == (2, "")
+        code, out, _ = run_captured(capsys, ["oscillator", "table", "--n-max", "21"])
+        assert (code, out) == (2, "")
+        assert run_captured(capsys, good) == first
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# the ValueError and ArithmeticError kinds are invalid input, the
+# RuntimeError kinds a run that did not finish
+EXIT_CODES = {
+    errors.ValidationError: 2,
+    errors.DomainError: 2,
+    errors.BracketError: 2,
+    errors.InfeasibleMomentsError: 2,
+    errors.NumericError: 2,
+    errors.ConvergenceError: 3,
+    errors.InstabilityError: 3,
+    errors.StructureError: 3,
+    errors.NotFoundError: 3,
+    errors.IllConditionedError: 3,
+}
+
+
+def test_exit_code_table_lists_every_error():
+    assert set(_subclasses(errors.InfoqmError)) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "error, expected", EXIT_CODES.items(), ids=[e.__name__ for e in EXIT_CODES]
+)
+def test_error_exit_code(capsys, monkeypatch, error, expected):
+    def fail(n_max):
+        raise error("forced failure")
+
+    monkeypatch.setattr(cli, "table", fail)
+    code, out, err = run_captured(capsys, ["oscillator", "table", "--n-max", "1"])
+    assert code == expected
+    assert out == ""
+    assert err == "infoqm: error: forced failure\n"
+
 
 VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
 
@@ -456,11 +530,15 @@ def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
         ["series", "probe", "--kind", "exp-xy", "--x", "1e200", "--y", "1e200", "--n-max", "3"],
         ["series", "probe", "--kind", "binomial-xy", "--x", "1e200", "--y", "1e200",
          "--n-max", "3"],
+        ["series", "probe", "--kind", "binomial", "--a", "1e150", "--x", "1e150",
+         "--k", "0.5", "--n-max", "3"],
+        ["series", "probe", "--kind", "exp-xy", "--x", "1e100", "--y=-1e100", "--n-max", "3"],
     ],
     ids=[
         "orders-not-integers", "negative-n-max", "nan-tol", "nan-tau", "nan-tol-flow",
         "nan-x", "inf-x", "nan-k", "inf-a", "nan-y", "inf-tol", "inf-tol-flow",
         "overflowing-xy-exp", "overflowing-xy-binomial",
+        "overflowing-sum-binomial", "overflowing-sum-exp",
     ],
 )
 def test_invalid_argument_rejected(tmp_path, capsys, monkeypatch, argv):

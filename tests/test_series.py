@@ -9,6 +9,7 @@ from infoqm import (
     ExpFamilyDensity2D,
     Grid1D,
     NotFoundError,
+    NumericError,
     PowerSeries1D,
     PowerSeries2D,
     ValidationError,
@@ -146,6 +147,13 @@ class TestBinomialSeries:
         with pytest.raises(ValidationError, match=r"a\*x"):
             binomial_series_eval(1e200, -1.0, 1e200, 10)
 
+    def test_overflowing_partial_sum_rejected(self):
+        # a x = 1e300 is finite; the second term overflows to -inf
+        value, _ = binomial_series_eval(1e150, 0.5, 1e150, 1)
+        assert value == pytest.approx(5e299)
+        with pytest.raises(NumericError, match="not finite"):
+            binomial_series_eval(1e150, 0.5, 1e150, 2)
+
     def test_partial_sums_stabilize_inside_region(self):
         s_199, _ = binomial_series_eval(1.0, -1.0, 0.9, 199)
         s_200, _ = binomial_series_eval(1.0, -1.0, 0.9, 200)
@@ -192,6 +200,15 @@ class TestTwoVariableSeries:
         with pytest.raises(ValidationError, match=r"^x, y, x\*y") as info:
             two_var_series_eval(kind, x, y, 10, k=k)
         assert f"{x}, {y}, " in str(info.value)
+
+    @pytest.mark.parametrize(
+        "kind, x, y, k", [("exp_xy", 1e100, -1e100, None), ("binomial_xy", 1e150, 1e150, 0.5)]
+    )
+    def test_overflowing_partial_sum_rejected(self, kind, x, y, k):
+        value, _ = two_var_series_eval(kind, x, y, 1, k=k)
+        assert math.isfinite(value)
+        with pytest.raises(NumericError, match="not finite"):
+            two_var_series_eval(kind, x, y, 3, k=k)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
