@@ -87,6 +87,7 @@ from .series import (
     PowerSeries2D,
     RemainderReport,
     binomial_series_eval,
+    partial_sums,
     poly_taylor_coeffs,
     radial_stationary_point,
     taylor2_coeffs,

@@ -29,7 +29,7 @@ from .maxent import (
 from .nls import DEFAULT_BRACKET, FlowConfig, GridProblem, ground_state, self_consistent_lambda
 from .numerics import Grid1D, _as_int, _as_number, _as_positive
 from .oscillator import psi_eval, solve_state, table
-from .series import binomial_series_eval, two_var_series_eval
+from .series import MAX_SERIES_TERMS, partial_sums
 
 _EXIT_INVALID = 2
 _EXIT_NO_CONVERGENCE = 3
@@ -193,21 +193,14 @@ def _cmd_maxent_fit(args) -> str:
 
 
 def _cmd_series_probe(args) -> str:
-    sums = []
-    for n in range(_as_int(args.n_max, "--n-max", 0) + 1):
-        if args.kind == "binomial":
-            value, _ = binomial_series_eval(args.a, args.k, args.x, n)
-        elif args.kind == "binomial-xy":
-            value, _ = two_var_series_eval("binomial_xy", args.x, args.y, n, k=args.k)
-        else:
-            value, _ = two_var_series_eval("exp_xy", args.x, args.y, n)
-        sums.append((n, value))
+    n_max = _as_int(args.n_max, "--n-max", 0, MAX_SERIES_TERMS)
+    kind = args.kind.replace("-", "_")
+    sums, _ = partial_sums(kind, args.x, n_max, a=args.a,
+                           k=None if kind == "exp_xy" else args.k, y=args.y)
     lines = ["N,partial_sum,cauchy_diff"]
-    prev = None
-    for n, value in sums:
-        diff = "" if prev is None else _fmt(abs(value - prev), args.digits)
+    for n, value in enumerate(sums):
+        diff = "" if n == 0 else _fmt(abs(value - sums[n - 1]), args.digits)
         lines.append(f"{n},{_fmt(value, args.digits)},{diff}")
-        prev = value
     return "\n".join(lines) + "\n"
 
 

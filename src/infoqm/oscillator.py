@@ -59,7 +59,14 @@ class OscillatorState:
 def alpha_from_beta(n: int, beta: float) -> float:
     """Log-normalization alpha = (1/2) ln(2^n n! sqrt(pi) / sqrt(2 beta))."""
     beta = _as_positive(beta, "beta")
-    return 0.5 * math.log(2.0**n * math.factorial(n) * math.sqrt(math.pi) / math.sqrt(2.0 * beta))
+    # n is read by the number rule only when math.factorial rejects it, which
+    # keeps _as_int off the width bisection (a bool passes as 0 or 1 here)
+    try:
+        count = math.factorial(n)
+    except (TypeError, ValueError):
+        n = _as_int(n, "n", 0)  # an integral float counts; anything else raises
+        count = math.factorial(n)
+    return 0.5 * math.log(2.0**n * count * math.sqrt(math.pi) / math.sqrt(2.0 * beta))
 
 
 def beta_closure_residual(n: int, k: int, beta: float) -> float:
@@ -68,6 +75,8 @@ def beta_closure_residual(n: int, k: int, beta: float) -> float:
     A root of g is the width of state n; g carries the same sign
     information as the closure relation cleared of denominators.
     """
+    if k != 0 and k != 1:  # a comparison, not _as_int: this runs on every bisection step
+        raise ValidationError(f"parity index must be 0 or 1, got {k!r}")
     a = alpha_from_beta(n, beta)
     return 8.0 * beta * beta * (n + k + a) - (2.0 * a - 1.0)
 
@@ -80,6 +89,7 @@ def lambda_from_beta(beta: float) -> float:
 
 def energy(n: int, alpha: float, lam: float) -> float:
     """State energy E = lam * (1 - 2 alpha - (2n + 1)/2)."""
+    n = _as_int(n, "n", 0)
     return lam * (1.0 - 2.0 * alpha - (2.0 * n + 1.0) / 2.0)
 
 

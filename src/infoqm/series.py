@@ -19,7 +19,7 @@ MAX_POLY_DEGREE = 32
 MAX_SERIES_TERMS = 200
 MAX_TAYLOR2_ORDER = 6
 
-SeriesKind = Literal["binomial_xy", "exp_xy"]
+SeriesKind = Literal["binomial", "binomial_xy", "exp_xy"]
 RayClassification = Literal["max", "min", "saddle-along-ray"]
 
 
@@ -40,8 +40,9 @@ class PowerSeries1D:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValidationError("series coefficients must be finite")
-        if self.radius < 0:
-            raise ValidationError("radius must be nonnegative")
+        object.__setattr__(self, "radius", _as_number(self.radius, "radius"))
+        if not self.radius >= 0:
+            raise ValidationError(f"radius must be nonnegative, got {self.radius}")
         if math.isfinite(self.radius):
             estimate = self.ratio_test_radius()
             if estimate is not None and not (0.5 <= estimate / self.radius <= 2.0):
@@ -53,6 +54,7 @@ class PowerSeries1D:
     def ratio_test_radius(self, tail: int = 10) -> float | None:
         """Median |a_i / a_{i+1}| over the last ``tail`` coefficient pairs,
         or None when the tail has zeros (no estimate possible)."""
+        tail = _as_int(tail, "tail", 1)
         coeffs = self.coefficients
         if len(coeffs) < tail + 1:
             return None
@@ -64,7 +66,9 @@ class PowerSeries1D:
 
     def eval(self, x: float, n_terms: int | None = None) -> float:
         t = x - self.center
-        coeffs = self.coefficients if n_terms is None else self.coefficients[:n_terms]
+        coeffs = self.coefficients
+        if n_terms is not None:
+            coeffs = coeffs[: _as_int(n_terms, "n_terms", 0)]
         total = 0.0
         for c in reversed(coeffs):
             total = total * t + c
@@ -80,7 +84,8 @@ class PowerSeries2D:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
-        n = self.truncation_order
+        n = _as_int(self.truncation_order, "truncation_order", 0)
+        object.__setattr__(self, "truncation_order", n)
         if coeffs.shape != (n + 1, n + 1):
             raise ValidationError(f"coefficient array must be ({n + 1}, {n + 1})")
         if not np.all(np.isfinite(coeffs)):
@@ -160,60 +165,57 @@ def taylor_remainder_scan(
     return RemainderReport(wanted, tuple(sup))
 
 
-def _finite_sum(total: float, n_terms: int) -> float:
-    # a non-finite partial sum stays non-finite (inf + x is inf or nan), so
-    # checking the final one catches an overflow at any term
-    if not math.isfinite(total):
-        raise NumericError(f"partial sum through {n_terms} terms is not finite ({total})")
-    return total
+def partial_sums(kind: SeriesKind, x: float, n_terms: int, a: float = 1.0,
+                 k: float | None = None, y: float = 0.0) -> tuple[list[float], bool]:
+    """Partial sums S_0 = 1, ..., S_{n_terms} of one product series, each
+    term summed once, and the analytic convergence flag: ``binomial``
+    (1 + a x)^k and ``binomial_xy`` (1 + x y)^k, k required, converge iff
+    |t| < 1 for t = a x or x y (for the latter the polar r < 1 condition on
+    the unit-product locus); ``exp_xy``, exp(x y), converges everywhere.
+    The first sum that overflows raises NumericError naming its term count."""
+    n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
+    if kind == "binomial":
+        t = a * x
+        names, values = "a, k, x and a*x", (a, k, x, t)
+    elif kind in ("binomial_xy", "exp_xy"):
+        t = x * y
+        names, values = "x, y, x*y and k", (x, y, t, k)
+    else:
+        raise ValidationError(f"unknown series kind {kind!r}")
+    if not all(math.isfinite(v) for v in values if v is not None):
+        raise ValidationError(f"{names} must be finite, got {', '.join(map(str, values))}")
+    if kind == "exp_xy":
+        factor, convergent = (lambda m: t / (m + 1)), True
+    elif k is None:
+        raise ValidationError(f"{kind} needs the exponent k")
+    else:
+        factor, convergent = (lambda m: (k - m) / (m + 1.0) * t), abs(t) < 1.0
+    sums = [1.0]
+    term = 1.0
+    for m in range(n_terms):
+        term *= factor(m)
+        total = sums[-1] + term
+        if not math.isfinite(total):
+            raise NumericError(f"partial sum through {m + 1} terms is not finite ({total})")
+        sums.append(total)
+    return sums, convergent
 
 
 def binomial_series_eval(a: float, k: float, x: float, n_terms: int) -> tuple[float, bool]:
-    """Partial sum of (1 + a x)^k through n_terms generalized-binomial terms.
-
-    The ``convergent`` flag is the analytic predicate |a x| < 1; empirical
-    behavior of the partial sums is the caller's to inspect.  A partial
-    sum that overflows raises NumericError.
-    """
-    n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
-    t = a * x
-    if not all(map(math.isfinite, (a, k, x, t))):
-        raise ValidationError(f"a, k, x and a*x must be finite, got {a}, {k}, {x}, {t}")
-    total = 1.0
-    term = 1.0
-    for m in range(n_terms):
-        term *= (k - m) / (m + 1.0) * t
-        total += term
-    return _finite_sum(total, n_terms), abs(t) < 1.0
+    """Partial sum of (1 + a x)^k through n_terms terms and |a x| < 1."""
+    sums, convergent = partial_sums("binomial", x, n_terms, a=a, k=k)
+    return sums[-1], convergent
 
 
 def two_var_series_eval(
     kind: SeriesKind, x: float, y: float, n_terms: int, k: float | None = None
 ) -> tuple[float, bool]:
-    """Partial sum of the two-variable product series in t = x*y.
-
-    ``binomial_xy`` is (1 + x y)^k (exponent k required) and converges
-    iff |x y| < 1, the polar-coordinate r < 1 condition on the
-    unit-product locus; ``exp_xy`` is exp(x y), convergent everywhere.
-    A partial sum that overflows raises NumericError.
-    """
-    n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
-    t = x * y
-    if not all(map(math.isfinite, (x, y, t) if k is None else (x, y, t, k))):
-        raise ValidationError(f"x, y, x*y and k must be finite, got {x}, {y}, {t}, {k}")
-    if kind == "binomial_xy":
-        if k is None:
-            raise ValidationError("binomial_xy needs the exponent k")
-        total, _ = binomial_series_eval(1.0, k, t, n_terms)
-        return total, abs(t) < 1.0
-    if kind == "exp_xy":
-        total = 1.0
-        term = 1.0
-        for m in range(1, n_terms + 1):
-            term *= t / m
-            total += term
-        return _finite_sum(total, n_terms), True
-    raise ValidationError(f"unknown series kind {kind!r}")
+    """Partial sum of ``binomial_xy`` or ``exp_xy`` through n_terms terms
+    and its convergence flag (see ``partial_sums``)."""
+    if kind == "binomial":
+        raise ValidationError(f"unknown series kind {kind!r}")
+    sums, convergent = partial_sums(kind, x, n_terms, k=k, y=y)
+    return sums[-1], convergent
 
 
 def _central_difference(f, i: int, j: int, h: float) -> float:

@@ -1,11 +1,24 @@
 import argparse
+import contextlib
+import inspect
+import io
 import json
 import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infoqm import ConvergenceError, cli, errors, nls
+from infoqm import (
+    ConvergenceError,
+    binomial_series_eval,
+    cli,
+    errors,
+    nls,
+    series,
+    two_var_series_eval,
+)
 from infoqm.cli import run
 
 from conftest import GOLDEN_TABLE
@@ -144,6 +157,15 @@ class TestDeterminism:
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
+    def test_series_probe_bytes_pinned(self, capsys):
+        code, out, _ = run_captured(
+            capsys,
+            ["series", "probe", "--kind", "binomial", "--a", "1", "--k", "-1", "--x", "0.9",
+             "--n-max", "200"],
+        )
+        assert code == 0
+        assert out == (GOLDEN_DIR / "series_probe_binomial_n200.csv").read_text(encoding="utf-8")
+
     def test_nls_json_byte_identical(self, tmp_path, capsys):
         argv = [
             "nls", "ground", "--domain", "-8", "8", "--grid", "192",
@@ -217,6 +239,14 @@ class TestMaxentFit:
         assert code == 2
 
 
+# the library's partial sum S_n for each probe kind, from (a, k, x, y, n)
+LIBRARY_SUM = {
+    "binomial": lambda a, k, x, y, n: binomial_series_eval(a, k, x, n)[0],
+    "binomial-xy": lambda a, k, x, y, n: two_var_series_eval("binomial_xy", x, y, n, k=k)[0],
+    "exp-xy": lambda a, k, x, y, n: two_var_series_eval("exp_xy", x, y, n)[0],
+}
+
+
 class TestSeriesProbe:
     def test_csv_columns(self, capsys):
         code, out, _ = run_captured(
@@ -249,6 +279,60 @@ class TestSeriesProbe:
         assert code == 0
         final = out.strip().split("\n")[-1].split(",")
         assert float(final[1]) == pytest.approx(limit, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(LIBRARY_SUM)),
+        a=st.floats(-3.0, 3.0),
+        k=st.floats(-5.0, 5.0),
+        x=st.floats(-3.0, 3.0),
+        y=st.floats(-3.0, 3.0),
+        n_max=st.integers(0, 40),
+    )
+    def test_rows_are_the_library_sums(self, kind, a, k, x, y, n_max):
+        # 17 significant digits print every double exactly
+        argv = ["series", "probe", "--kind", kind, f"--a={a!r}", f"--k={k!r}", f"--x={x!r}",
+                f"--y={y!r}", "--n-max", str(n_max), "--digits", "17"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        rows = [row.split(",") for row in out.getvalue().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(n_max + 1))
+        prev = None
+        for n, (_, printed, diff) in enumerate(rows):
+            value = LIBRARY_SUM[kind](a, k, x, y, n)
+            assert float(printed).hex() == value.hex()
+            assert diff == ("" if prev is None else f"{abs(value - prev):.17g}")
+            prev = value
+
+    @pytest.mark.parametrize("n_max", [0, 1, 40, 200])
+    def test_one_series_call_per_probe(self, capsys, monkeypatch, n_max):
+        calls = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                bound = inspect.signature(fn).bind(*args, **kwargs)
+                calls.append((fn.__name__, bound.arguments["n_terms"]))
+                return fn(*args, **kwargs)
+            return counted
+
+        # every function of the series module that the CLI holds, whatever its name
+        for name, fn in vars(series).items():
+            if (inspect.isfunction(fn) and fn.__module__ == series.__name__
+                    and getattr(cli, name, None) is fn):
+                monkeypatch.setattr(cli, name, spy(fn))
+        code, out, _ = run_captured(
+            capsys, ["series", "probe", "--kind", "binomial", "--x", "0.5", "--n-max", str(n_max)]
+        )
+        assert code == 0 and out.count("\n") == n_max + 2
+        assert calls == [("partial_sums", n_max)]
+
+    def test_n_max_above_the_term_cap_rejected(self, capsys):
+        code, out, err = run_captured(
+            capsys, ["series", "probe", "--kind", "binomial", "--x", "0.5", "--n-max", "201"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "infoqm: error: --n-max must be in [0, 200], got 201\n"
 
 
 FIXED_B_LINEAR = ["nls", "ground", "--domain", "-10", "10", "--grid", "256",

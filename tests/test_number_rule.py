@@ -21,12 +21,16 @@ from infoqm import (
     MomentSpec1D,
     MomentSpec2D,
     OscillatorState,
+    PowerSeries1D,
+    PowerSeries2D,
     QuadratureRule,
     RootBracket,
     ValidationError,
     alpha_from_beta,
+    beta_closure_residual,
     binomial_series_eval,
     density_from_json,
+    energy,
     find_root,
     fit_multipliers_1d,
     fit_multipliers_2d,
@@ -63,6 +67,7 @@ _PROBLEM = GridProblem.harmonic(Grid1D(-8.0, 8.0, 64))
 _CFG = FlowConfig(step=1e-3)
 _PROBE = Grid1D(-0.5, 0.5, 5)
 _BRACKET = RootBracket.from_function(lambda x: x, -1.0, 1.0)
+_GEOMETRIC = PowerSeries1D(0.0, (1.0,) * 12)
 
 
 def _spec_doc(order=1, value=0.5, lo=0.0):
@@ -90,6 +95,11 @@ COUNT_SITES = {
     "binomial_series_eval": (lambda v: binomial_series_eval(1.0, -1.0, 0.5, v), ValidationError),
     "two_var_series_eval": (lambda v: two_var_series_eval("exp_xy", 0.5, 0.5, v),
                             ValidationError),
+    "PowerSeries1D.eval": (lambda v: _GEOMETRIC.eval(0.5, n_terms=v), ValidationError),
+    "ratio_test_radius": (lambda v: _GEOMETRIC.ratio_test_radius(tail=v), ValidationError),
+    "PowerSeries2D.truncation_order": (lambda v: PowerSeries2D([[1.0, 0.0], [0.0, 0.0]], v),
+                                       ValidationError),
+    "energy": (lambda v: energy(v, 1.0, -1.0), ValidationError),
     "FlowConfig.max_iters": (lambda v: FlowConfig(max_iters=v), ValidationError),
     "uniqueness_probe": (lambda v: uniqueness_probe(_PROBLEM, _CFG, v), ValidationError),
     "moment_gradient_check.order": (lambda v: moment_gradient_check(_UNIT, v, 1e-5),
@@ -136,6 +146,18 @@ REAL_SITES = {
     "factor location": (lambda v: density_from_json(_density_doc(zero=(v, 1.0))), BAD_REALS),
     "factor exponent": (lambda v: density_from_json(_density_doc(zero=(-1.0, v))), BAD_REALS),
     "EndpointFactors": (lambda v: EndpointFactors(singularities=((0.0, v),)), BAD_REALS),
+    # an infinite radius is the default, so only +inf passes
+    "PowerSeries1D.radius": (lambda v: PowerSeries1D(0.0, (1.0, 2.0), radius=v),
+                             {"nan": math.nan, "-inf": -INF, "bool": True, "str": "0.5"}),
+}
+
+# the width bisection calls these about 1200 times per table(20), so they
+# check n only when math.factorial rejects it and k by comparison: a bool
+# passes there as 0 or 1, every other bad count raises
+HOT_COUNT_SITES = {
+    "alpha_from_beta.n": lambda v: alpha_from_beta(v, 0.3),
+    "beta_closure_residual.n": lambda v: beta_closure_residual(v, 0, 0.3),
+    "beta_closure_residual.k": lambda v: beta_closure_residual(2, v, 0.3),
 }
 
 CASES = (
@@ -145,7 +167,27 @@ CASES = (
        for site, (call, err) in TOLERANCE_SITES.items() for label, bad in BAD_TOLERANCES.items()]
     + [pytest.param(call, bad, ValidationError, id=f"{site}-{label}")
        for site, (call, bads) in REAL_SITES.items() for label, bad in bads.items()]
+    + [pytest.param(call, bad, ValidationError, id=f"{site}-{label}")
+       for site, call in HOT_COUNT_SITES.items() for label, bad in BAD_COUNTS.items()
+       if label != "bool"]
 )
+
+BELOW_RANGE = {
+    "PowerSeries1D.eval": lambda: _GEOMETRIC.eval(0.5, n_terms=-1),
+    "ratio_test_radius-0": lambda: _GEOMETRIC.ratio_test_radius(tail=0),
+    "ratio_test_radius--1": lambda: _GEOMETRIC.ratio_test_radius(tail=-1),
+    "PowerSeries2D.truncation_order": lambda: PowerSeries2D(np.zeros((0, 0)), -1),
+    "alpha_from_beta.n": lambda: alpha_from_beta(-1, 0.3),
+    "energy": lambda: energy(-1, 1.0, -1.0),
+    "beta_closure_residual.k-2": lambda: beta_closure_residual(2, 2, 0.3),
+    "beta_closure_residual.k--1": lambda: beta_closure_residual(2, -1, 0.3),
+}
+
+
+@pytest.mark.parametrize("call", BELOW_RANGE.values(), ids=BELOW_RANGE.keys())
+def test_count_out_of_range_raises(call):
+    with pytest.raises(ValidationError, match=r"must be (in \[|0 or 1)"):
+        call()
 
 
 @pytest.mark.parametrize("call, bad, error", CASES)
@@ -163,9 +205,13 @@ def test_bad_number_raises_typed_error(call, bad, error):
         lambda v: binomial_series_eval(1.0, -1.0, 0.5, v),
         lambda v: FlowConfig(max_iters=v + 1),
         lambda v: moment_spec_from_json(_spec_doc(order=v, value=0.9)),
+        lambda v: alpha_from_beta(v, 0.3),
+        lambda v: energy(v, 1.0, -1.0),
+        lambda v: _GEOMETRIC.eval(0.5, n_terms=v),
+        lambda v: _GEOMETRIC.ratio_test_radius(tail=v),
     ],
     ids=["solve_state", "Grid1D", "hermite_eval", "binomial_series_eval", "FlowConfig",
-         "spec order"],
+         "spec order", "alpha_from_beta", "energy", "PowerSeries1D.eval", "ratio_test_radius"],
 )
 def test_integral_float_counts_like_its_int(call):
     assert call(2.0) == call(2) == call(np.int64(2))

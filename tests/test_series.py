@@ -14,6 +14,7 @@ from infoqm import (
     PowerSeries2D,
     ValidationError,
     binomial_series_eval,
+    partial_sums,
     poly_taylor_coeffs,
     radial_stationary_point,
     taylor2_coeffs,
@@ -213,6 +214,62 @@ class TestTwoVariableSeries:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             two_var_series_eval("log_xy", 0.5, 0.5, 10)
+
+
+def _reference_sum(factor, n_terms):
+    """The partial sum through n_terms terms, re-summed from the first term."""
+    total = term = 1.0
+    for m in range(n_terms):
+        term *= factor(m)
+        total += term
+    return total
+
+
+class TestPartialSums:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["binomial", "binomial_xy", "exp_xy"]),
+        a=st.floats(-3.0, 3.0),
+        k=st.floats(-5.0, 5.0),
+        x=st.floats(-3.0, 3.0),
+        y=st.floats(-3.0, 3.0),
+        n_terms=st.integers(0, 60),
+    )
+    def test_each_sum_is_the_eval_and_the_reference(self, kind, a, k, x, y, n_terms):
+        sums, convergent = partial_sums(kind, x, n_terms, a=a, k=k, y=y)
+        assert len(sums) == n_terms + 1 and sums[0] == 1.0
+        t = a * x if kind == "binomial" else x * y
+        factor = ((lambda m: t / (m + 1)) if kind == "exp_xy"
+                  else (lambda m: (k - m) / (m + 1.0) * t))
+        for n, value in enumerate(sums):
+            if kind == "binomial":
+                assert binomial_series_eval(a, k, x, n) == (value, convergent)
+            else:
+                assert two_var_series_eval(kind, x, y, n, k=k) == (value, convergent)
+            assert value == _reference_sum(factor, n)
+        assert convergent == (kind == "exp_xy" or abs(t) < 1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: binomial_series_eval(1e150, 0.5, 1e150, 10),
+            lambda: two_var_series_eval("exp_xy", 1e100, -1e100, 10),
+            lambda: partial_sums("binomial", 1e150, 10, a=1e150, k=2.0),
+        ],
+        ids=["binomial", "exp_xy", "binomial-nan-later"],
+    )
+    def test_first_overflow_names_its_term_count(self, call):
+        # the third sum is nan for k = 2 (inf * 0); the second is the first not finite
+        with pytest.raises(NumericError, match=r"^partial sum through 2 terms is not finite \("):
+            call()
+
+    def test_kind_and_exponent_required(self):
+        with pytest.raises(ValidationError, match="unknown series kind 'log_xy'"):
+            partial_sums("log_xy", 0.5, 3, y=0.5)
+        with pytest.raises(ValidationError, match="binomial needs the exponent k"):
+            partial_sums("binomial", 0.5, 3)
+        with pytest.raises(ValidationError, match="unknown series kind 'binomial'"):
+            two_var_series_eval("binomial", 0.5, 0.5, 3, k=-1.0)
 
 
 class TestTaylor2:
