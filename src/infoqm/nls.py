@@ -49,7 +49,7 @@ from .errors import (
     InstabilityError,
     ValidationError,
 )
-from .numerics import Grid1D, RootBracket, _as_int, _as_number, _as_positive, find_root
+from .numerics import Grid1D, RootBracket, _as_finite, _as_int, _as_positive, find_root
 
 DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
@@ -80,8 +80,7 @@ class GridProblem:
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("potential samples must be finite")
-        if not math.isfinite(self.b):
-            raise ValidationError("nonlinearity coefficient must be finite")
+        object.__setattr__(self, "b", _as_finite(self.b, "b"))
         object.__setattr__(self, "potential", v)
         v.flags.writeable = False
 
@@ -517,8 +516,8 @@ def self_consistent_lambda(
     midpoint.
     """
     f_tol = _as_positive(f_tol, "f_tol")
-    lo, hi = _as_number(bracket[0], "bracket end"), _as_number(bracket[1], "bracket end")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
+    if not lo < hi:
         raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
     kept: list[GroundStateSolution] = []
 

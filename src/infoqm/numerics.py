@@ -4,9 +4,9 @@ Uniform grids, fixed quadrature rules (trapezoid, Simpson, Gauss-Hermite),
 the physicists' Hermite recurrence, a bracketing root finder, and the one
 rule for what counts as a number: ``_as_int`` for counts, orders and
 indices, ``_as_positive`` for tolerances and steps, ``_as_number`` for the
-reals of an input document.  All values are immutable after construction
-and every operation is pure, so everything here is safe to call
-concurrently.
+reals of an input document and ``_as_finite`` for a real that must be
+finite.  All values are immutable after construction and every operation
+is pure, so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -36,10 +36,16 @@ def _as_number(value, name: str) -> float:
     raise ValidationError(f"{name} must be a number, got {value!r}")
 
 
+def _as_finite(value, name: str) -> float:
+    """value as a finite float under the _as_number rule, else ValidationError."""
+    number = _as_number(value, name)
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 def _as_positive(value, name: str) -> float:
     """value as a finite float > 0 under the _as_number rule, else ValidationError."""
-    if type(value) is float and 0.0 < value < math.inf:  # the common case, kept fast
-        return value
     number = _as_number(value, name)
     if not 0.0 < number < math.inf:
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
@@ -68,8 +74,8 @@ class Grid1D:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValidationError("grid endpoints must be finite")
+        object.__setattr__(self, "x_min", _as_finite(self.x_min, "x_min"))
+        object.__setattr__(self, "x_max", _as_finite(self.x_max, "x_max"))
         if not self.x_min < self.x_max:
             raise ValidationError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         object.__setattr__(self, "n_points", _as_int(self.n_points, "n_points"))
@@ -149,7 +155,8 @@ class RootBracket:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValidationError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo * self.f_hi > 0:
+        # comparisons, not a product: a NaN end fails both, and tiny values cannot underflow
+        if not (self.f_lo <= 0.0 <= self.f_hi or self.f_hi <= 0.0 <= self.f_lo):
             raise BracketError(
                 f"no sign change on [{self.lo}, {self.hi}]: f values {self.f_lo}, {self.f_hi}"
             )
@@ -224,7 +231,7 @@ def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> 
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0:
+        if (f_lo < 0.0) != (f_mid < 0.0):  # signs, not a product, which can underflow to 0
             hi = mid
         else:
             lo, f_lo = mid, f_mid

@@ -21,10 +21,13 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, StructureError, ValidationError
-from .numerics import RootBracket, _as_int, _as_positive, find_root, hermite_deriv, hermite_eval
+from .errors import DomainError, NumericError, StructureError
+from .numerics import (RootBracket, _as_finite, _as_int, _as_positive, find_root, hermite_deriv,
+                       hermite_eval)
 
 MAX_QUANTUM_NUMBER = 20
+# the largest n whose normalization constant 2^n n! sqrt(pi) is a finite double
+_MAX_NORM_N = 150
 
 BETA_SCAN_LO = 1e-4
 BETA_SCAN_HI = 2.0
@@ -52,21 +55,27 @@ class OscillatorState:
         object.__setattr__(self, "k", _as_int(self.k, "parity index", 0, 1))
         object.__setattr__(self, "beta", _as_positive(self.beta, "beta"))
         for name in ("alpha", "lam", "energy"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+            object.__setattr__(self, name, _as_finite(getattr(self, name), name))
+
+
+def _norm_constant(n: int) -> float:
+    """2^n n! sqrt(pi), the factor of exp(2 alpha) that depends on n alone."""
+    if n > _MAX_NORM_N:
+        raise NumericError(f"n = {n} overflows 2^n n! sqrt(pi) (largest n is {_MAX_NORM_N})")
+    return 2.0**n * math.factorial(n) * math.sqrt(math.pi)
+
+
+def _closure_residual(norm: float, nk: int, beta: float) -> float:
+    # beta_closure_residual of norm = 2^n n! sqrt(pi) and nk = n + k, which
+    # solve_state forms once per state and then bisects this about 56 times
+    a = 0.5 * math.log(norm / math.sqrt(2.0 * beta))
+    return 8.0 * beta * beta * (nk + a) - (2.0 * a - 1.0)
 
 
 def alpha_from_beta(n: int, beta: float) -> float:
     """Log-normalization alpha = (1/2) ln(2^n n! sqrt(pi) / sqrt(2 beta))."""
-    beta = _as_positive(beta, "beta")
-    # n is read by the number rule only when math.factorial rejects it, which
-    # keeps _as_int off the width bisection (a bool passes as 0 or 1 here)
-    try:
-        count = math.factorial(n)
-    except (TypeError, ValueError):
-        n = _as_int(n, "n", 0)  # an integral float counts; anything else raises
-        count = math.factorial(n)
-    return 0.5 * math.log(2.0**n * count * math.sqrt(math.pi) / math.sqrt(2.0 * beta))
+    norm = _norm_constant(_as_int(n, "n", 0))
+    return 0.5 * math.log(norm / math.sqrt(2.0 * _as_positive(beta, "beta")))
 
 
 def beta_closure_residual(n: int, k: int, beta: float) -> float:
@@ -75,10 +84,9 @@ def beta_closure_residual(n: int, k: int, beta: float) -> float:
     A root of g is the width of state n; g carries the same sign
     information as the closure relation cleared of denominators.
     """
-    if k != 0 and k != 1:  # a comparison, not _as_int: this runs on every bisection step
-        raise ValidationError(f"parity index must be 0 or 1, got {k!r}")
-    a = alpha_from_beta(n, beta)
-    return 8.0 * beta * beta * (n + k + a) - (2.0 * a - 1.0)
+    n = _as_int(n, "n", 0)
+    k = _as_int(k, "parity index", 0, 1)
+    return _closure_residual(_norm_constant(n), n + k, _as_positive(beta, "beta"))
 
 
 def lambda_from_beta(beta: float) -> float:
@@ -90,15 +98,16 @@ def lambda_from_beta(beta: float) -> float:
 def energy(n: int, alpha: float, lam: float) -> float:
     """State energy E = lam * (1 - 2 alpha - (2n + 1)/2)."""
     n = _as_int(n, "n", 0)
+    alpha, lam = _as_finite(alpha, "alpha"), _as_finite(lam, "lam")
     return lam * (1.0 - 2.0 * alpha - (2.0 * n + 1.0) / 2.0)
 
 
-def _admissible_beta_cap(n: int) -> float:
-    # Largest beta with 2*alpha(beta) > 1, i.e. sqrt(2 beta) < 2^n n! sqrt(pi)/e.
-    # Restricting the bracket to this range keeps the closure's right side
-    # positive and excludes a spurious large-beta sign change at n = 0.
-    cap = 0.5 * (2.0**n * math.factorial(n) * math.sqrt(math.pi) / math.e) ** 2
-    return min(BETA_SCAN_HI, cap)
+def _admissible_beta_cap(norm: float) -> float:
+    # Largest beta with 2*alpha(beta) > 1, i.e. sqrt(2 beta) < 2^n n! sqrt(pi)/e
+    # for norm = 2^n n! sqrt(pi).  Restricting the bracket to this range keeps
+    # the closure's right side positive and excludes a spurious large-beta
+    # sign change at n = 0.
+    return min(BETA_SCAN_HI, 0.5 * (norm / math.e) ** 2)
 
 
 def solve_state(n: int) -> OscillatorState:
@@ -111,8 +120,9 @@ def solve_state(n: int) -> OscillatorState:
     """
     n = _as_int(n, "n", 0, MAX_QUANTUM_NUMBER, DomainError)
     k = n % 2
-    residual = partial(beta_closure_residual, n, k)
-    bracket = RootBracket.from_function(residual, BETA_SCAN_LO, _admissible_beta_cap(n))
+    norm = _norm_constant(n)
+    residual = partial(_closure_residual, norm, n + k)
+    bracket = RootBracket.from_function(residual, BETA_SCAN_LO, _admissible_beta_cap(norm))
     # a tol below every double spacing: bisect until the ends are adjacent
     beta = find_root(residual, bracket, tol=math.ulp(0.0))
     alpha = alpha_from_beta(n, beta)

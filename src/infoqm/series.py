@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotFoundError, NumericError, ValidationError
 from .maxent import ExpFamilyDensity2D
-from .numerics import Grid1D, _as_int, _as_number, _as_positive
+from .numerics import Grid1D, _as_finite, _as_int, _as_number, _as_positive
 
 MAX_POLY_DEGREE = 32
 MAX_SERIES_TERMS = 200
@@ -37,6 +37,7 @@ class PowerSeries1D:
     radius: float = math.inf
 
     def __post_init__(self):
+        object.__setattr__(self, "center", _as_finite(self.center, "center"))
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValidationError("series coefficients must be finite")
@@ -265,7 +266,7 @@ def radial_stationary_point(
     vanishes there) and classified by the sign of the second radial
     derivative.
     """
-    r_max = _as_positive(r_max, "r_max")
+    theta, r_max = _as_finite(theta, "theta"), _as_positive(r_max, "r_max")
     c, s = math.cos(theta), math.sin(theta)
     degree = max((i + j for i, j, _ in d.multipliers), default=0)
     g = np.zeros(degree + 1)  # ln rho = -sum g[m] r^m (constant dropped)

@@ -100,6 +100,9 @@ COUNT_SITES = {
     "PowerSeries2D.truncation_order": (lambda v: PowerSeries2D([[1.0, 0.0], [0.0, 0.0]], v),
                                        ValidationError),
     "energy": (lambda v: energy(v, 1.0, -1.0), ValidationError),
+    "alpha_from_beta.n": (lambda v: alpha_from_beta(v, 0.3), ValidationError),
+    "beta_closure_residual.n": (lambda v: beta_closure_residual(v, 0, 0.3), ValidationError),
+    "beta_closure_residual.k": (lambda v: beta_closure_residual(2, v, 0.3), ValidationError),
     "FlowConfig.max_iters": (lambda v: FlowConfig(max_iters=v), ValidationError),
     "uniqueness_probe": (lambda v: uniqueness_probe(_PROBLEM, _CFG, v), ValidationError),
     "moment_gradient_check.order": (lambda v: moment_gradient_check(_UNIT, v, 1e-5),
@@ -149,15 +152,17 @@ REAL_SITES = {
     # an infinite radius is the default, so only +inf passes
     "PowerSeries1D.radius": (lambda v: PowerSeries1D(0.0, (1.0, 2.0), radius=v),
                              {"nan": math.nan, "-inf": -INF, "bool": True, "str": "0.5"}),
-}
-
-# the width bisection calls these about 1200 times per table(20), so they
-# check n only when math.factorial rejects it and k by comparison: a bool
-# passes there as 0 or 1, every other bad count raises
-HOT_COUNT_SITES = {
-    "alpha_from_beta.n": lambda v: alpha_from_beta(v, 0.3),
-    "beta_closure_residual.n": lambda v: beta_closure_residual(v, 0, 0.3),
-    "beta_closure_residual.k": lambda v: beta_closure_residual(2, v, 0.3),
+    "PowerSeries1D.center": (lambda v: PowerSeries1D(v, (1.0, 2.0)), BAD_REALS),
+    "radial_stationary_point.theta": (lambda v: radial_stationary_point(_BOX, v, 1.0),
+                                      BAD_REALS),
+    "GridProblem.b": (lambda v: GridProblem.harmonic(_PROBE, b=v), BAD_REALS),
+    "Grid1D.x_min": (lambda v: Grid1D(v, 5.0, 11), BAD_REALS),
+    "Grid1D.x_max": (lambda v: Grid1D(-5.0, v, 11), BAD_REALS),
+    "OscillatorState.alpha": (lambda v: OscillatorState(0, 0, v, 0.5, -1.0, 1.0), BAD_REALS),
+    "OscillatorState.lam": (lambda v: OscillatorState(0, 0, 1.0, 0.5, v, 1.0), BAD_REALS),
+    "OscillatorState.energy": (lambda v: OscillatorState(0, 0, 1.0, 0.5, -1.0, v), BAD_REALS),
+    "energy.alpha": (lambda v: energy(0, v, -1.0), BAD_REALS),
+    "energy.lam": (lambda v: energy(0, 1.0, v), BAD_REALS),
 }
 
 CASES = (
@@ -167,9 +172,6 @@ CASES = (
        for site, (call, err) in TOLERANCE_SITES.items() for label, bad in BAD_TOLERANCES.items()]
     + [pytest.param(call, bad, ValidationError, id=f"{site}-{label}")
        for site, (call, bads) in REAL_SITES.items() for label, bad in bads.items()]
-    + [pytest.param(call, bad, ValidationError, id=f"{site}-{label}")
-       for site, call in HOT_COUNT_SITES.items() for label, bad in BAD_COUNTS.items()
-       if label != "bool"]
 )
 
 BELOW_RANGE = {

@@ -149,6 +149,25 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             RootBracket.from_function(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("f_lo, f_hi", [(math.nan, 1.0), (-1.0, math.nan),
+                                            (math.nan, math.nan), (1e-200, 1e-200),
+                                            (-1e-200, -1e-200)])
+    def test_nan_or_same_sign_end_values(self, f_lo, f_hi):
+        # a product test passes NaN ends, and tiny same-sign ends whose product is 0
+        with pytest.raises(BracketError):
+            RootBracket(0.0, 1.0, f_lo, f_hi)
+
+    @pytest.mark.parametrize("f_lo, f_hi", [(-1e-200, 1e-200), (0.0, 1.0), (math.inf, 0.0),
+                                            (-math.inf, math.inf)])
+    def test_sign_change_or_zero_end_is_a_bracket(self, f_lo, f_hi):
+        assert RootBracket(0.0, 1.0, f_lo, f_hi).f_hi == f_hi
+
+    def test_tiny_values_keep_their_signs(self):
+        # f_lo * f_mid underflows to -0.0 here, which a product test reads as no sign change
+        f = lambda x: (x - 0.3) * 1e-200
+        root = find_root(f, RootBracket.from_function(f, 0.0, 1.0), tol=1e-12)
+        assert abs(root - 0.3) < 1e-12
+
     def test_deterministic(self):
         f = lambda x: math.sin(x) - 0.3
         bracket = RootBracket.from_function(f, 0.0, 1.0)

@@ -6,6 +6,7 @@ import pytest
 from infoqm import (
     DomainError,
     Grid1D,
+    NumericError,
     OscillatorState,
     QuadratureRule,
     ValidationError,
@@ -53,10 +54,22 @@ class TestScalarRelations:
     def test_closure_increasing_on_the_bracket(self, n):
         # solve_state bisects on [BETA_SCAN_LO, cap] and relies on one root there
         k = n % 2
-        betas = np.linspace(oscillator.BETA_SCAN_LO, oscillator._admissible_beta_cap(n), 2001)
+        cap = oscillator._admissible_beta_cap(oscillator._norm_constant(n))
+        betas = np.linspace(oscillator.BETA_SCAN_LO, cap, 2001)
         g = np.array([beta_closure_residual(n, k, b) for b in betas])
         assert np.all(np.diff(g) > 0.0)
         assert g[0] < 0.0 < g[-1]
+
+    @pytest.mark.parametrize("call", [lambda n: alpha_from_beta(n, 1.0),
+                                      lambda n: beta_closure_residual(n, n % 2, 1.0)],
+                             ids=["alpha_from_beta", "beta_closure_residual"])
+    def test_normalization_constant_overflow(self, call):
+        # 2^n n! sqrt(pi) is a finite double up to n = 150
+        assert math.isfinite(oscillator._norm_constant(oscillator._MAX_NORM_N))
+        assert math.isfinite(call(oscillator._MAX_NORM_N))
+        for n in (oscillator._MAX_NORM_N + 1, 170, 171, 200):
+            with pytest.raises(NumericError, match=f"n = {n} overflows"):
+                call(n)
 
     def test_closure_sign_at_small_beta(self):
         # the (2 alpha - 1) term dominates as beta -> 0+
@@ -125,6 +138,15 @@ class TestSolveState:
     def test_out_of_range(self, n):
         with pytest.raises(DomainError):
             solve_state(n)
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_public_residual_changes_sign_at_solved_width(self, n):
+        # solve_state bisects a private residual; the public one must agree
+        beta = solve_state(n).beta
+        g = beta_closure_residual(n, n % 2, beta)
+        neighbours = [math.nextafter(beta, 0.0), math.nextafter(beta, math.inf)]
+        assert g == 0.0 or any((g < 0.0) != (beta_closure_residual(n, n % 2, b) < 0.0)
+                               for b in neighbours)
 
     def test_normalization(self, states):
         rule = QuadratureRule.trapezoid(Grid1D(-14.0, 14.0, 8001))
