@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IllConditionedError, ValidationError
+from .errors import IllConditionedError, NumericError, ValidationError
 from .numerics import Grid1D, QuadratureRule, _as_int
 from .oscillator import OscillatorState, eigen_residual, psi_eval
 
@@ -72,6 +72,8 @@ def _samples_on(grid: Grid1D, f) -> np.ndarray:
         raise ValidationError(
             f"samples have {values.shape}, grid expects ({grid.n_points},)"
         )
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("samples must be finite on the grid")
     return values
 
 
@@ -127,14 +129,19 @@ def completeness_projection(
     projection even when the family is not orthogonal.  Each residual is
     the quadrature norm of target - sum c_i phi_i.  A condition
     number beyond CONDITION_LIMIT raises IllConditionedError carrying
-    the partial report.
+    the partial report.  A target whose samples are not finite raises
+    ValidationError, and an overlap or residual that is not finite (the
+    target's scale overflows the quadrature) raises NumericError.
     """
     orders = tuple(_as_int(m, "order", 1, len(basis)) for m in orders)
     if not orders:
         return ProjectionReport(target_label, (), (), (), ())
     ts = _samples_on(basis.grid, target)
     w = QuadratureRule.trapezoid(basis.grid).weights
-    overlaps = np.array([float(w @ (basis.members[i] * ts)) for i in range(max(orders))])
+    with np.errstate(over="ignore"):
+        overlaps = np.array([float(w @ (basis.members[i] * ts)) for i in range(max(orders))])
+    if not np.all(np.isfinite(overlaps)):
+        raise NumericError(f"overlaps of {target_label} with the basis are not finite")
     full_gram = gram_matrix(BasisSet(basis.grid, basis.members[: max(orders)]))
     residuals: list[float] = []
     conditions: list[float] = []
@@ -153,7 +160,11 @@ def completeness_projection(
             )
         c = np.linalg.solve(g, overlaps[:m])
         diff = ts - c @ basis.members[:m]
-        residuals.append(math.sqrt(float(w @ (diff * diff))))
+        with np.errstate(over="ignore"):
+            residual = math.sqrt(float(w @ (diff * diff)))
+        if not math.isfinite(residual):
+            raise NumericError(f"residual of {target_label} at order {m} is not finite")
+        residuals.append(residual)
         if m == max(orders):
             coeffs = tuple(float(v) for v in c)
     return ProjectionReport(target_label, orders, tuple(residuals), tuple(conditions), coeffs)

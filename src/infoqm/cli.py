@@ -258,9 +258,12 @@ def _target_from_spec(doc, grid: Grid1D):
         state = solve_state(doc["n"])
         return psi_eval(state, xs), f"state n={state.n}"
     if kind == "gauss_power":
-        power = _as_int(doc.get("power", 0), "gauss_power power")
+        power = _as_int(doc.get("power", 0), "gauss_power power", 0)
         scale = _as_positive(doc.get("scale", 1.0), "gauss_power scale")
-        return xs**power * np.exp(-(xs * xs) / (2.0 * scale * scale)), f"gauss_power p={power}"
+        # samples that overflow are rejected by the projection, not warned about
+        with np.errstate(all="ignore"):
+            samples = xs**power * np.exp(-(xs * xs) / (2.0 * scale * scale))
+        return samples, f"gauss_power p={power}"
     raise ValidationError(f"unknown target kind {kind!r}; use 'state' or 'gauss_power'")
 
 

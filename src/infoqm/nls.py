@@ -29,11 +29,14 @@ for the root, bisection on the same bracket over ground_state midpoints.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
-The discretization is written once: _gradient gives g and the floored
-logarithm on the interior of a pinned state, and _explicit_step takes
-one normalized step.  The flow, its verification of a Newton state, the
-discrete energy (which is mu), the loose phase's logarithm and the Newton
-residual and Jacobian all go through them.
+The discretization is written once: _floored_log gives the floored
+logarithm, _gradient gives g and that logarithm on the interior of a
+pinned state, and _explicit_step takes one normalized step.  The flow,
+its verification of a Newton state, the discrete energy (which is mu) and
+the Newton residual and Jacobian go through _gradient; the loose phase
+needs only the logarithm, so it calls _floored_log and forms no gradient.
+One function, _newton_state, runs the loose phase and the Newton solve
+and verifies every Newton state kept, at a fixed b and for the root.
 """
 
 from __future__ import annotations
@@ -190,13 +193,18 @@ def randomized_initial_guess(grid: Grid1D, seed: int, index: int) -> np.ndarray:
     return bump * mod
 
 
+def _floored_log(u: np.ndarray) -> np.ndarray:
+    """L = ln max(u^2, _EPS_LOG)."""
+    return np.log(np.maximum(u * u, _EPS_LOG))
+
+
 def _gradient(problem: GridProblem, psi: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Interior g = H u - b (1 + L) u of the pinned state psi, and
-    L = ln max(u^2, _EPS_LOG), where u is the interior of psi."""
+    """Interior g = H u - b (1 + L) u of the pinned state psi, and its
+    floored logarithm L, where u is the interior of psi."""
     h = problem.grid.spacing
     u = psi[1:-1]
     lap = (psi[:-2] - 2.0 * u + psi[2:]) * (1.0 / (h * h))
-    log_d = np.log(np.maximum(u * u, _EPS_LOG))
+    log_d = _floored_log(u)
     return -0.5 * lap + problem.potential[1:-1] * u - b * (1.0 + log_d) * u, log_d
 
 
@@ -311,9 +319,9 @@ def _semi_implicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: 
     """
     h = problem.grid.spacing
     inv_h2 = 1.0 / (h * h)
-    local = problem.potential[1:-1] - problem.b * (1.0 + _gradient(problem, psi, problem.b)[1])
-    diag = 1.0 + tau * (inv_h2 + local - min(0.0, float(local.min())))
     u = psi[1:-1]
+    local = problem.potential[1:-1] - problem.b * (1.0 + _floored_log(u))
+    diag = 1.0 + tau * (inv_h2 + local - min(0.0, float(local.min())))
     (out[1:-1],) = _thomas(diag, -0.5 * tau * inv_h2, u)
     _pin_and_normalize(out, h)
     if not out[1:-1].min() > 0.0:
@@ -397,12 +405,12 @@ def _newton_step(
 
 def _bordered_newton(
     problem: GridProblem, psi: np.ndarray, free_b: bool
-) -> tuple[np.ndarray, float, float, int]:
+) -> tuple[np.ndarray, float, int]:
     """Newton from psi to the positive state with G = 0 and unit norm.
 
     The border unknown is m at the problem's fixed b (free_b=False), so
     that m = mu(b) - b, or b with m = 0 (free_b=True), the self-consistent
-    root.  Returns (psi, b, m, steps); raises ConvergenceError past the
+    root.  Returns (psi, b, steps); raises ConvergenceError past the
     step cap, on a zero pivot, or when an iterate leaves the positive cone.
     """
     b = problem.b
@@ -421,26 +429,28 @@ def _bordered_newton(
             float(np.max(np.abs(d_u))) <= _NEWTON_TOL * float(np.max(u))
             and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
         ):
-            return np.pad(u, 1), b, m, step
+            return np.pad(u, 1), b, step
     raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps")
 
 
-def _verified_solution(
-    problem: GridProblem,
-    cfg: FlowConfig,
-    psi: np.ndarray,
-    trace: tuple[float, ...],
-    loose_steps: int,
-    newton_steps: int,
+def _newton_state(
+    problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None, free_b: bool
 ) -> GroundStateSolution:
-    """The solution for a Newton state psi at the problem's b, after a
-    loose phase from the start state whose energy ``trace`` holds.
+    """The loose phase from init, then a bordered Newton solve at the
+    problem's b, or with b free for the self-consistent root.
 
-    psi verifies when _explicit_step, the step the flow stops on, moves it
-    by a flow norm below cfg.tol_flow; raises ConvergenceError if not, or
-    InstabilityError (a ConvergenceError) if that step leaves the positive
-    cone.
+    Invalid input raises ValidationError before any step.  The Newton state
+    is kept when _explicit_step, the step the flow stops on, moves it by a
+    flow norm below cfg.tol_flow.  ConvergenceError is raised if it does
+    not, or if the loose phase or the Newton solve fails; InstabilityError
+    (a ConvergenceError) if a step leaves the positive cone.
     """
+    _validate_step(problem, cfg)
+    psi = _start_state(problem.grid, init)
+    trace = (discrete_energy(problem, psi),)
+    psi, loose_steps = _loose_phase(problem, psi)
+    psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
+    problem = problem.with_b(b)
     flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
     if not flow_norm < cfg.tol_flow:
         raise ConvergenceError(f"Newton state did not verify: flow norm {flow_norm:.3e}")
@@ -454,21 +464,6 @@ def _verified_solution(
         energy_trace=trace,
         newton_steps=newton_steps,
     )
-
-
-def _flow_then_newton(
-    problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None, free_b: bool
-) -> GroundStateSolution:
-    """The loose phase from init, then a bordered Newton solve at the
-    problem's b, or with b free for the self-consistent root; the state is
-    returned through _verified_solution.  Invalid input raises
-    ValidationError before any step."""
-    _validate_step(problem, cfg)
-    psi = _start_state(problem.grid, init)
-    trace = (discrete_energy(problem, psi),)
-    psi, steps = _loose_phase(problem, psi)
-    psi, b, _, newton_steps = _bordered_newton(problem, psi, free_b)
-    return _verified_solution(problem.with_b(b), cfg, psi, trace, steps, newton_steps)
 
 
 def ground_state(
@@ -486,7 +481,7 @@ def ground_state(
     step, as the flow does.
     """
     try:
-        return _flow_then_newton(problem, cfg, init, free_b=False)
+        return _newton_state(problem, cfg, init, free_b=False)
     except ConvergenceError:
         return gradient_flow_ground_state(problem, cfg, init=init)
 
@@ -544,7 +539,7 @@ def self_consistent_lambda(
     guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     nearer = sol_lo if guess - lo < hi - guess else sol_hi
     try:
-        root = _flow_then_newton(problem.with_b(guess), cfg, nearer.psi, free_b=True)
+        root = _newton_state(problem.with_b(guess), cfg, nearer.psi, free_b=True)
         if lo <= root.b <= hi and abs(root.mu - root.b) < f_tol:
             kept.append(root)
             return found(root)
@@ -601,17 +596,15 @@ def uniqueness_probe(
             solutions.append(sol)
         except (ConvergenceError, BracketError) as exc:
             failures.append((i, str(exc)))
-    spread = 0.0
     dist = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):
-            spread = max(spread, abs(values[i] - values[j]))
             delta_minus = math.sqrt(h * float(np.sum((solutions[i].psi - solutions[j].psi) ** 2)))
             delta_plus = math.sqrt(h * float(np.sum((solutions[i].psi + solutions[j].psi) ** 2)))
             dist = max(dist, min(delta_minus, delta_plus))
     return UniquenessReport(
         eigenvalues=tuple(values),
-        max_eigenvalue_spread=spread,
+        max_eigenvalue_spread=max(values) - min(values) if values else 0.0,
         max_state_l2_distance=dist,
         failures=tuple(failures),
     )

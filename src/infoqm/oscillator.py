@@ -72,21 +72,36 @@ def _closure_residual(norm: float, nk: int, beta: float) -> float:
     return 8.0 * beta * beta * (nk + a) - (2.0 * a - 1.0)
 
 
+def _finite(value: float, what: str, n: int, beta: float) -> float:
+    """value, or NumericError naming n and beta if it is not finite."""
+    if not math.isfinite(value):
+        raise NumericError(f"{what} is not finite at n = {n}, beta = {beta!r}")
+    return value
+
+
 def alpha_from_beta(n: int, beta: float) -> float:
-    """Log-normalization alpha = (1/2) ln(2^n n! sqrt(pi) / sqrt(2 beta))."""
-    norm = _norm_constant(_as_int(n, "n", 0))
-    return 0.5 * math.log(norm / math.sqrt(2.0 * _as_positive(beta, "beta")))
+    """Log-normalization alpha = (1/2) ln(2^n n! sqrt(pi) / sqrt(2 beta)).
+
+    Raises NumericError when alpha is not finite: the quotient overflows
+    for n near 150 or beta near 0."""
+    n = _as_int(n, "n", 0)
+    norm = _norm_constant(n)
+    beta = _as_positive(beta, "beta")
+    return _finite(0.5 * math.log(norm / math.sqrt(2.0 * beta)), "alpha", n, beta)
 
 
 def beta_closure_residual(n: int, k: int, beta: float) -> float:
     """g(beta) = 8 beta^2 (n + k + alpha(beta)) - (2 alpha(beta) - 1).
 
     A root of g is the width of state n; g carries the same sign
-    information as the closure relation cleared of denominators.
+    information as the closure relation cleared of denominators.  Raises
+    NumericError when g is not finite, as alpha_from_beta does.
     """
     n = _as_int(n, "n", 0)
     k = _as_int(k, "parity index", 0, 1)
-    return _closure_residual(_norm_constant(n), n + k, _as_positive(beta, "beta"))
+    norm = _norm_constant(n)
+    beta = _as_positive(beta, "beta")
+    return _finite(_closure_residual(norm, n + k, beta), "closure residual", n, beta)
 
 
 def lambda_from_beta(beta: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from infoqm import (
     BasisSet,
     IllConditionedError,
+    NumericError,
     OscillatorState,
     ValidationError,
     alpha_from_beta,
@@ -185,6 +186,29 @@ class TestCompletenessProjection:
             completeness_projection(
                 np.zeros(analysis_grid.n_points), family_basis, (9,)
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_raise(self, family_basis, analysis_grid, bad):
+        target = np.zeros(analysis_grid.n_points)
+        target[analysis_grid.n_points // 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            completeness_projection(target, family_basis, (2,))
+        with pytest.raises(ValidationError, match="finite"):
+            inner_product(target, target, analysis_grid)
+
+    def test_overflowing_overlap_raises(self, family_basis, analysis_grid):
+        # finite samples whose quadrature sum leaves the double range
+        target = np.full(analysis_grid.n_points, 1e308)
+        with pytest.raises(NumericError, match="overlaps"):
+            completeness_projection(target, family_basis, (2,))
+
+    def test_overflowing_residual_raises(self, family_basis, analysis_grid):
+        # x^200 exp(-x^2/18) is finite on the grid, its square is not
+        xs = analysis_grid.points()
+        target = xs**200 * np.exp(-(xs * xs) / 18.0)
+        assert np.all(np.isfinite(target))
+        with pytest.raises(NumericError, match="residual of target at order 2"):
+            completeness_projection(target, family_basis, (2, 4))
 
     def test_ill_conditioned_basis_raises_with_partial(self, states, analysis_grid):
         xs = analysis_grid.points()

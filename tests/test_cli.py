@@ -576,6 +576,13 @@ VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
         ("--spec", {"support": [False, 2], "moments": [{"order": 1, "value": 0.9}]}),
         ("--target", {"kind": "gauss_power", "power": 1, "scale": True}),
         ("--resume", {"psi": [0.0] + [True] * 62 + [0.0]}),
+        # a power is at least 0: x^-1 is infinite at the node x = 0
+        ("--target", {"kind": "gauss_power", "power": -1}),
+        # samples that overflow or divide by a zero width are not finite
+        ("--target", {"kind": "gauss_power", "power": 300}),
+        ("--target", {"kind": "gauss_power", "power": 2, "scale": 1e-300}),
+        # finite samples whose residual overflows
+        ("--target", {"kind": "gauss_power", "power": 200, "scale": 3}),
     ],
 )
 def test_malformed_document_rejected(tmp_path, capsys, flag, doc):

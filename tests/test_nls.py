@@ -337,7 +337,7 @@ class TestBorderedNewton:
 
         def counted_newton(problem, psi, free_b):
             out = bordered_newton(problem, psi, free_b)
-            newton.append(out[3])
+            newton.append(out[2])
             return out
 
         monkeypatch.setattr(nls, "_loose_phase", counted_loose)
@@ -461,6 +461,21 @@ class TestLoosePhase:
         assert sol.newton_steps > 0
         assert abs(sol.mu - 0.5) < 1e-3
 
+    def test_loose_phase_forms_no_gradient(self, monkeypatch):
+        # the semi-implicit step reads only the floored logarithm
+        problem = harmonic_problem(256, half_width=12.0, b=-1.3)
+        calls = []
+        gradient = nls._gradient
+
+        def counted_gradient(*args):
+            calls.append(args)
+            return gradient(*args)
+
+        monkeypatch.setattr(nls, "_gradient", counted_gradient)
+        _, steps = nls._loose_phase(problem, nls._start_state(problem.grid, None))
+        assert steps > 0
+        assert not calls
+
     def test_underflow_raises_instability(self):
         # far tails below the smallest double: Newton cannot take a state
         # with zeros, so the loose phase raises and ground_state falls back
@@ -514,6 +529,10 @@ class TestUniquenessProbe:
         assert not report.failures
         assert report.max_eigenvalue_spread < 1e-6
         assert all(abs(mu - 0.5) < 1e-3 for mu in report.eigenvalues)
+        # the largest pairwise gap is max - min bit for bit: rounding is monotone
+        values = report.eigenvalues
+        gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
+        assert report.max_eigenvalue_spread == max(values) - min(values) == max(gaps) > 0.0
 
     def test_randomized_guesses_are_seeded(self):
         grid = Grid1D(-10.0, 10.0, 128)

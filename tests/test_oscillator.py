@@ -71,6 +71,15 @@ class TestScalarRelations:
             with pytest.raises(NumericError, match=f"n = {n} overflows"):
                 call(n)
 
+    @pytest.mark.parametrize("call", [lambda: alpha_from_beta(150, 0.3),
+                                      lambda: alpha_from_beta(100, 1e-300),
+                                      lambda: beta_closure_residual(150, 0, 0.3)],
+                             ids=["alpha_n150", "alpha_tiny_beta", "residual_n150"])
+    def test_non_finite_result_raises(self, call):
+        # the constant is finite, but its quotient by sqrt(2 beta) is not
+        with pytest.raises(NumericError, match=r"not finite at n = \d+, beta = "):
+            call()
+
     def test_closure_sign_at_small_beta(self):
         # the (2 alpha - 1) term dominates as beta -> 0+
         assert beta_closure_residual(0, 0, 1e-4) < 0.0
