@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .numerics import Grid1D, QuadratureRule, _as_int, _as_number, _as_positive
+from .numerics import Grid1D, QuadratureRule, _as_finite, _as_int, _as_number, _as_positive
 
 _QUAD_POINTS = 8001          # reference Simpson resolution, 1-D
 _QUAD_POINTS_2D = 601        # per axis, tensor Simpson
@@ -339,24 +339,26 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
 
 
 def _check_feasible_2d(spec: MomentSpec2D) -> None:
+    """check_feasible_1d on each axis's marginal, then the truly 2-D checks:
+    the even-even caps and one joint moment matrix, over (1, x, y) when
+    both means are given and over (x, y) otherwise."""
     (a1, b1), (a2, b2) = spec.support
     targets = {(i, j): v for i, j, v in spec.constraints}
+    for axis, support in enumerate(spec.support):
+        marginal = tuple((p[axis], v) for p, v in targets.items() if p[1 - axis] == 0)
+        check_feasible_1d(MomentSpec1D(support, marginal))
     for (i, j), v in targets.items():
         if i % 2 == 0 and j % 2 == 0:
             cap = _max_abs_power(a1, b1, i) * _max_abs_power(a2, b2, j)
             if not 0.0 < v < cap:
                 raise InfeasibleMomentsError(f"moment ({i},{j}) = {v} outside (0, {cap})")
     if {(2, 0), (0, 2), (1, 1)} <= targets.keys():
-        m1 = targets.get((1, 0), 0.0)
-        m2 = targets.get((0, 1), 0.0)
-        cov = np.array(
-            [
-                [targets[(2, 0)] - m1 * m1, targets[(1, 1)] - m1 * m2],
-                [targets[(1, 1)] - m1 * m2, targets[(0, 2)] - m2 * m2],
-            ]
-        )
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise InfeasibleMomentsError("second-moment matrix is not positive definite")
+        means = {(1, 0), (0, 1)} <= targets.keys()
+        basis = ((0, 0), (1, 0), (0, 1)) if means else ((1, 0), (0, 1))
+        moments = {(0, 0): 1.0, **targets}
+        joint = np.array([[moments[i + k, j + l] for k, l in basis] for i, j in basis])
+        if np.linalg.eigvalsh(joint).min() <= 0:
+            raise InfeasibleMomentsError("joint moment matrix is not positive definite")
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +378,29 @@ def _power_table(nodes: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
+def _gaussian_start(pairs, targets: np.ndarray) -> np.ndarray:
+    """Start multipliers: each axis whose second moment is constrained gets
+    the Gaussian of its target mean (0 if the mean is free) and its target
+    variance; every other multiplier, the cross term included, is 0."""
+    tmap = dict(zip(pairs, targets))
+    start = {}
+    for first, second in (((1, 0), (2, 0)), ((0, 1), (0, 2))):
+        if second in tmap:
+            mean = tmap.get(first, 0.0)
+            var = tmap[second] - mean * mean
+            start.update({first: -mean / var, second: 0.5 / var})
+    return np.array([start.get(p, 0.0) for p in pairs])
+
+
 def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules):
     """Match the moments <x^i y^j> of exp(-sum_t a_t x^i_t y^j_t) to targets.
 
     Newton iteration on the moment residuals with the moment covariance as
     Jacobian, each step clipped to _STEP_CLIP.  ``rules`` holds the x and
-    y quadrature rules of the tensor-product grid.  Every moment and
-    covariance entry is read from the one table Px (w_x w_y^T * core) Py^T.
-    Returns (a, a_0, diagnostics).
+    y quadrature rules of the tensor-product grid.  The exponent is one
+    product Px[i]^T diag(a) Py[j] of the constrained rows of the two power
+    tables, and every moment and covariance entry is read from the one
+    table Px (w_x w_y^T * core) Py^T.  Returns (a, a_0, diagnostics).
     """
     pi = np.array([i for i, _ in pairs])
     pj = np.array([j for _, j in pairs])
@@ -391,11 +408,7 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules):
     py = _power_table(rules[1].nodes, 2 * int(pj.max()))
     w = np.multiply.outer(rules[0].weights, rules[1].weights)
     for iterations in range(_NEWTON_CAP + 1):
-        # one outer product per power of y, never the full monomial stack
-        by_j: dict[int, np.ndarray] = {}
-        for i, j, v in zip(pi, pj, a):
-            by_j[j] = by_j.get(j, 0.0) + v * px[i]
-        log_core = -sum(np.multiply.outer(u, py[j]) for j, u in by_j.items())
+        log_core = -(px[pi].T @ (a[:, None] * py[pj]))
         shift = float(log_core.max())
         table = px @ (w * np.exp(log_core - shift)) @ py.T
         z = float(table[0, 0])
@@ -432,8 +445,9 @@ def fit_multipliers_1d(
 ) -> tuple[ExpFamilyDensity1D, FitDiagnostics]:
     """Fit multipliers so every constrained moment matches within tol.
 
-    Runs the shared Newton core with a one-node y axis.  Returns the
-    normalized density (a_0 included) and fit diagnostics.
+    Runs the shared Newton core with a one-node y axis.  ``init``, one
+    finite number per constrained order, replaces the cold start.  Returns
+    the normalized density (a_0 included) and fit diagnostics.
     """
     tol = _as_positive(tol, "tol")
     check_feasible_1d(spec)
@@ -442,9 +456,9 @@ def fit_multipliers_1d(
     m = len(orders)
 
     if init is not None:
-        init = np.asarray(init, dtype=float).copy()
-        if init.shape != (m,):
+        if np.shape(init) != (m,):
             raise ValidationError(f"init must have shape ({m},)")
+        init = np.array([_as_finite(v, "init") for v in init])
 
     if m == 0:
         if spec.unbounded:
@@ -453,22 +467,15 @@ def fit_multipliers_1d(
         density = ExpFamilyDensity1D(((0, math.log(hi - lo)),), spec.support)
         return density, FitDiagnostics(0, 0.0, (lo, hi), 0.0)
 
-    a = np.zeros(m)
-    tmap = dict(zip(orders, targets))
-    if spec.unbounded and 2 in tmap:
-        # the Gaussian of the target mean and variance
-        mean = tmap.get(1, 0.0)
-        var = tmap[2] - mean * mean
-        a = np.array([{1: -mean / var, 2: 0.5 / var}.get(o, 0.0) for o in orders])
-    elif spec.unbounded:
+    pairs = tuple((o, 0) for o in orders)
+    a = _gaussian_start(pairs, targets) if spec.unbounded else np.zeros(m)
+    if spec.unbounded and 2 not in orders:
         # exp(-a x^k) has <x^k> = 1/(k a) exactly; as t_k >= |<x>|^k, its
         # window, out to where a x^k reaches 72, also covers the target mean
         a[-1] = 1.0 / (orders[-1] * targets[-1])
     # from the cold start even with init: a warm start integrates on the cold fit's window
     rules = (_window_rule(spec.support, tuple(zip(orders, a))), _UNIT_AXIS)
-    a, a0, diag = _newton_fit(
-        tuple((o, 0) for o in orders), targets, a if init is None else init, tol, rules
-    )
+    a, a0, diag = _newton_fit(pairs, targets, a if init is None else init, tol, rules)
     multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
     density = ExpFamilyDensity1D(multipliers, spec.support)
     if spec.unbounded:
@@ -486,7 +493,13 @@ def fit_multipliers_1d(
 def fit_multipliers_2d(
     spec: MomentSpec2D, tol: float = 1e-9
 ) -> tuple[ExpFamilyDensity2D, FitDiagnostics]:
-    """Two-variable analogue of fit_multipliers_1d on a finite rectangle."""
+    """Two-variable analogue of fit_multipliers_1d on a finite rectangle.
+
+    Each axis's marginal constraints are screened by check_feasible_1d and
+    the Newton core starts from the Gaussian of each axis's target mean
+    and variance (_gaussian_start), on the tensor Simpson grid of
+    _QUAD_POINTS_2D nodes per axis.
+    """
     tol = _as_positive(tol, "tol")
     _check_feasible_2d(spec)
     pairs = tuple((i, j) for i, j, _ in spec.constraints)
@@ -498,13 +511,10 @@ def fit_multipliers_2d(
         density = ExpFamilyDensity2D(((0, 0, a00),), spec.support)
         return density, FitDiagnostics(0, 0.0, (a1, b1), 0.0)
 
-    a = np.array(
-        [1.0 / (2.0 * t) if p in ((2, 0), (0, 2)) else 0.0 for p, t in zip(pairs, targets)]
-    )
     rules = tuple(
         QuadratureRule.simpson(Grid1D(lo, hi, _QUAD_POINTS_2D)) for lo, hi in spec.support
     )
-    a, a00, diag = _newton_fit(pairs, targets, a, tol, rules)
+    a, a00, diag = _newton_fit(pairs, targets, _gaussian_start(pairs, targets), tol, rules)
     multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
     density = ExpFamilyDensity2D(multipliers, spec.support)
     return density, diag

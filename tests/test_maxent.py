@@ -169,6 +169,24 @@ class TestFeasibility:
         with pytest.raises(InfeasibleMomentsError):
             fit_multipliers_2d(spec)
 
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            ((1, 0, 0.9), (2, 0, 0.5), (0, 2, 1.0)),
+            ((0, 1, -0.9), (0, 2, 0.5), (2, 0, 1.0)),
+            ((2, 0, 1.0), (4, 0, 0.5), (0, 2, 1.0)),
+            ((2, 0, 1.0), (0, 2, 1.0), (0, 4, 0.9)),
+            ((1, 0, 3.5), (2, 0, 1.0), (0, 2, 1.0)),
+            ((0, 1, -3.5), (0, 2, 1.0), (2, 0, 1.0)),
+        ],
+        ids=["x-variance", "y-variance", "x-m40", "y-m04", "x-mean", "y-mean"],
+    )
+    def test_2d_marginal_screened_by_1d_rules(self, constraints):
+        # a negative marginal variance, m40 < m20^2 or a mean outside the
+        # rectangle is infeasible on the marginal alone
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_2d(MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints))
+
 
 class TestFit1D:
     def test_standard_gaussian(self):
@@ -306,6 +324,36 @@ class TestFit1D:
         assert normalization_residual(d) < 1e-8
 
 
+def truncated_gaussian(mean, sds, corr):
+    """Moment spec of the Gaussian (mean, sds, corr) truncated to
+    [-3, 3]^2, its moments from a 1601^2 Simpson sum, and the multipliers
+    that generate it: P/2 on the squares, P12 on xy and -P mean on x and
+    y, P the precision matrix."""
+    xs = np.linspace(-3.0, 3.0, 1601)
+    w = np.where(np.arange(xs.size) % 2 == 1, 4.0, 2.0)
+    w[0] = w[-1] = 1.0
+    cov = np.array([[sds[0] ** 2, corr * sds[0] * sds[1]],
+                    [corr * sds[0] * sds[1], sds[1] ** 2]])
+    p = np.linalg.inv(cov)
+    dx, dy = xs[:, None] - mean[0], xs[None, :] - mean[1]
+    rho = np.outer(w, w) * np.exp(-0.5 * (p[0, 0] * dx * dx + 2.0 * p[0, 1] * dx * dy
+                                          + p[1, 1] * dy * dy))
+    rho /= rho.sum()
+    pairs = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    constraints = tuple((i, j, float(xs**i @ rho @ xs**j)) for i, j in pairs)
+    b = p @ np.asarray(mean)
+    exact = {(2, 0): p[0, 0] / 2, (0, 2): p[1, 1] / 2, (1, 1): p[0, 1],
+             (1, 0): -b[0], (0, 1): -b[1]}
+    return MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints), exact
+
+
+def assert_multipliers_match(d, exact, rel=1e-6):
+    """Every fitted multiplier within rel of the largest exact one."""
+    mult = {(i, j): v for i, j, v in d.multipliers}
+    scale = max(abs(v) for v in exact.values())
+    assert max(abs(mult[p] - v) for p, v in exact.items()) <= rel * scale
+
+
 class TestFit2D:
     def test_product_gaussians(self):
         spec = MomentSpec2D(
@@ -341,6 +389,40 @@ class TestFit2D:
         assert mult2[(2, 0)] == pytest.approx(mult1[2], abs=1e-8)
         assert mult2[(0, 2)] == pytest.approx(mult1[2], abs=1e-8)
         assert mult2[(0, 0)] == pytest.approx(2.0 * mult1[0], abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "sd, shift", [(0.3, 2.0), (0.3, 3.0), (0.3, 4.0), (0.5, 3.0), (0.5, 4.0)]
+    )
+    def test_off_centre_correlated_gaussian(self, sd, shift):
+        # means shift sd from the centre, in three quadrants; the start
+        # must follow the target means, not the centre
+        for signs in ((1, 1), (1, -1), (-1, -1)):
+            mean = (signs[0] * shift * sd, signs[1] * shift * sd)
+            spec, exact = truncated_gaussian(mean, (sd, sd), 0.3)
+            d, diag = fit_multipliers_2d(spec, tol=1e-9)
+            assert diag.max_moment_residual <= 1e-9
+            assert_multipliers_match(d, exact)
+
+    def test_one_given_mean(self):
+        # feasible, though reading the free y mean as 0 would give the
+        # covariance [[0.19, 0.95], [0.95, 1.0]], which is not positive definite
+        spec = MomentSpec2D(
+            ((-6.0, 6.0), (-6.0, 6.0)), ((1, 0, 0.9), (2, 0, 1.0), (1, 1, 0.95), (0, 2, 1.0))
+        )
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert diag.max_moment_residual <= 1e-9
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_truncated_gaussian_is_its_own_maxent_fit(self, data):
+        # the Gaussian truncated to the square is the maxent density of its
+        # own first and second moments, so the fit must return its multipliers
+        sds = [data.draw(st.floats(0.2, 0.8)) for _ in range(2)]
+        mean = [data.draw(st.floats(-3.0 + 2.0 * s, 3.0 - 2.0 * s)) for s in sds]
+        spec, exact = truncated_gaussian(mean, sds, data.draw(st.floats(-0.7, 0.7)))
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert diag.max_moment_residual <= 1e-9
+        assert_multipliers_match(d, exact)
 
     def test_2d_eval_outside_domain(self):
         d, _ = fit_multipliers_2d(MomentSpec2D(((0.0, 1.0), (0.0, 1.0)), ()))

@@ -163,6 +163,11 @@ REAL_SITES = {
     "OscillatorState.energy": (lambda v: OscillatorState(0, 0, 1.0, 0.5, -1.0, v), BAD_REALS),
     "energy.alpha": (lambda v: energy(0, v, -1.0), BAD_REALS),
     "energy.lam": (lambda v: energy(0, 1.0, v), BAD_REALS),
+    "fit_multipliers_1d.init": (
+        lambda v: fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))),
+                                     init=[v, 0.5]),
+        BAD_REALS,
+    ),
 }
 
 CASES = (
