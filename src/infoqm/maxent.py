@@ -15,6 +15,9 @@ a 1-D fit is the case of a one-node second axis (y = 1, weight 1).
 A 1-D density is integrated on one window read off its exponent: each
 infinite end is cut where sum_i a_i x^i has risen by 72 = 12^2/2 above
 its minimum (+-12 sigma for a Gaussian), with a tail-mass check in fits.
+Every 1-D evaluator and functional reads ln rho from one function, in two
+parts, ln(Z S) and -sum_i a_i x^i (a_0 included), and integrates on one
+node set, reference_rule.  EndpointFactors() means no factors.
 """
 
 from __future__ import annotations
@@ -150,32 +153,29 @@ class EndpointFactors:
         if zlocs & slocs:
             raise ValidationError("a location cannot carry both a zero and a singularity")
 
-    @property
-    def trivial(self) -> bool:
-        return not self.zeros and not self.singularities
-
 
 @dataclass(frozen=True)
 class ExpFamilyDensity1D:
-    """Exponential-family density with optional endpoint factors.
+    """Exponential-family density with endpoint factors.
 
     ``multipliers`` holds (order, value) pairs including order 0 (the
     normalization multiplier a_0 = ln of the normalization integral).
+    ``EndpointFactors()`` means no factors; an explicit None is read as it.
     """
 
     multipliers: tuple[tuple[int, float], ...]
     support: tuple[float, float]
-    factors: EndpointFactors | None = None
+    factors: EndpointFactors = EndpointFactors()
 
     def __post_init__(self):
         _check_interval(self.support)
         ordered = _term_table(self.multipliers, lambda o: o >= 0, "multiplier order")
         object.__setattr__(self, "multipliers", ordered)
+        object.__setattr__(self, "factors", self.factors or EndpointFactors())
         a, b = self.support
-        if self.factors is not None:
-            for loc, _ in (*self.factors.zeros, *self.factors.singularities):
-                if not a <= loc <= b:
-                    raise ValidationError(f"factor location {loc} outside support [{a}, {b}]")
+        for loc, _ in (*self.factors.zeros, *self.factors.singularities):
+            if not a <= loc <= b:
+                raise ValidationError(f"factor location {loc} outside support [{a}, {b}]")
 
 
 @dataclass(frozen=True)
@@ -207,29 +207,19 @@ class FitDiagnostics:
 # quadrature plumbing
 
 
-def _exponent_poly(multipliers, xs: np.ndarray, include_a0: bool = True) -> np.ndarray:
-    """sum_i a_i x^i over the stored multipliers."""
+def _log_density(d: ExpFamilyDensity1D, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of ln rho at xs: ln(Z S), -inf at a zero and +inf at a
+    singularity, and -P = -sum_i a_i x^i, a_0 included."""
     total = np.zeros_like(xs)
-    for order, value in multipliers:
-        if order == 0:
-            if include_a0:
-                total += value
-        else:
-            total += value * xs**order
-    return total
-
-
-def _factor_values(factors: EndpointFactors | None, xs: np.ndarray) -> np.ndarray:
-    if factors is None or factors.trivial:
-        return np.ones_like(xs)
-    out = np.ones_like(xs)
-    for loc, m in factors.zeros:
-        out *= np.abs(xs - loc) ** m
-    for loc, p in factors.singularities:
-        d = np.abs(xs - loc)
-        with np.errstate(divide="ignore"):
-            out *= np.where(d == 0.0, np.inf, d ** (-p))
-    return out
+    for order, value in d.multipliers:
+        total += value if order == 0 else value * xs**order
+    log_zs = np.zeros_like(xs)
+    with np.errstate(divide="ignore"):
+        for loc, m in d.factors.zeros:
+            log_zs += m * np.log(np.abs(xs - loc))
+        for loc, p in d.factors.singularities:
+            log_zs -= p * np.log(np.abs(xs - loc))
+    return log_zs, -total
 
 
 def _exponent_coeffs(support: tuple[float, float], multipliers) -> list[float]:
@@ -274,9 +264,18 @@ def _window_rule(support: tuple[float, float], multipliers) -> QuadratureRule:
 
 
 def reference_rule(d: ExpFamilyDensity1D):
-    """Nodes and Simpson weights of the module's reference quadrature for d."""
+    """Nodes and Simpson weights of the one quadrature of every functional of d.
+
+    A node that lands on a declared singularity is nudged inward by half a
+    spacing, so the integrand stays finite there for exponents p < 1.
+    """
     rule = _window_rule(d.support, d.multipliers)
-    return rule.nodes, rule.weights
+    xs = rule.nodes
+    half = 0.5 * (xs[1] - xs[0])
+    for loc, _ in d.factors.singularities:
+        hit = np.isclose(xs, loc, rtol=0.0, atol=1e-15 * max(1.0, abs(loc)))
+        xs = np.where(hit, np.where(xs <= 0.5 * (xs[0] + xs[-1]), xs + half, xs - half), xs)
+    return xs, rule.weights
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +338,18 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
 
 
 def _check_feasible_2d(spec: MomentSpec2D) -> None:
-    """check_feasible_1d on each axis's marginal, then the truly 2-D checks:
-    the even-even caps and one joint moment matrix, over (1, x, y) when
-    both means are given and over (x, y) otherwise."""
+    """check_feasible_1d on each axis's marginal (its error names the axis),
+    then the truly 2-D checks: the even-even caps and one joint moment
+    matrix, over (1, x, y) when both means are given and over (x, y)
+    otherwise."""
     (a1, b1), (a2, b2) = spec.support
     targets = {(i, j): v for i, j, v in spec.constraints}
     for axis, support in enumerate(spec.support):
         marginal = tuple((p[axis], v) for p, v in targets.items() if p[1 - axis] == 0)
-        check_feasible_1d(MomentSpec1D(support, marginal))
+        try:
+            check_feasible_1d(MomentSpec1D(support, marginal))
+        except InfeasibleMomentsError as exc:
+            raise InfeasibleMomentsError(f"{'xy'[axis]} marginal: {exc}") from exc
     for (i, j), v in targets.items():
         if i % 2 == 0 and j % 2 == 0:
             cap = _max_abs_power(a1, b1, i) * _max_abs_power(a2, b2, j)
@@ -526,13 +529,13 @@ def fit_multipliers_2d(
 
 def density_values(d: ExpFamilyDensity1D, xs: np.ndarray) -> np.ndarray:
     """Vectorized density evaluation; +inf marks singular locations."""
-    xs = np.asarray(xs, dtype=float)
-    core = np.exp(-_exponent_poly(d.multipliers, xs))
-    return _factor_values(d.factors, xs) * core
+    log_zs, neg_p = _log_density(d, np.asarray(xs, dtype=float))
+    return np.exp(log_zs + neg_p)
 
 
 def density_eval(d: ExpFamilyDensity1D, x: float) -> float:
     """rho(x) = Z(x) S(x) exp(-sum a_i x^i); +inf flags a singular point."""
+    x = _as_number(x, "x")
     a, b = d.support
     if not a <= x <= b:
         raise DomainError(f"x = {x} outside support [{a}, {b}]")
@@ -540,6 +543,7 @@ def density_eval(d: ExpFamilyDensity1D, x: float) -> float:
 
 
 def density_eval_2d(d: ExpFamilyDensity2D, x: float, y: float) -> float:
+    x, y = _as_number(x, "x"), _as_number(y, "y")
     (a1, b1), (a2, b2) = d.support
     if not (a1 <= x <= b1 and a2 <= y <= b2):
         raise DomainError(f"({x}, {y}) outside support rectangle")
@@ -547,49 +551,31 @@ def density_eval_2d(d: ExpFamilyDensity2D, x: float, y: float) -> float:
     return math.exp(-expo)
 
 
-def _functional_nodes(d: ExpFamilyDensity1D):
-    """Reference nodes, nudged off any singular location by half a spacing."""
+def _log_average(d: ExpFamilyDensity1D, log_of) -> float:
+    """Quadrature of rho * log_of(ln(Z S), -P), set to its limit 0 where rho
+    vanishes; NumericError unless the integrand is finite at every node."""
     xs, w = reference_rule(d)
-    if d.factors is not None and d.factors.singularities:
-        half = 0.5 * (xs[1] - xs[0])
-        for loc, _ in d.factors.singularities:
-            hit = np.isclose(xs, loc, rtol=0.0, atol=1e-15 * max(1.0, abs(loc)))
-            xs = np.where(hit, np.where(xs <= 0.5 * (xs[0] + xs[-1]), xs + half, xs - half), xs)
-    return xs, w
+    log_zs, neg_p = _log_density(d, xs)
+    rho = np.exp(log_zs + neg_p)
+    with np.errstate(invalid="ignore"):
+        integrand = np.where(rho > 0.0, rho * log_of(log_zs, neg_p), 0.0)
+    if not np.all(np.isfinite(integrand)):
+        raise NumericError("non-integrable singularity configuration")
+    return float(w @ integrand)
 
 
 def information(d: ExpFamilyDensity1D) -> float:
-    """Average log-density <ln rho> by quadrature (the negated entropy).
-
-    The integrand rho ln rho is set to its limit 0 wherever rho
-    vanishes; nodes that land on declared singular locations are nudged
-    inward, so configurations with exponents p < 1 stay integrable.
-    """
-    xs, w = _functional_nodes(d)
-    rho = density_values(d, xs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(rho > 0.0, rho * np.log(rho), 0.0)
-    if not np.all(np.isfinite(integrand)):
-        raise NumericError("non-integrable singularity configuration")
-    return float(w @ integrand)
+    """Average log-density <ln rho> = <ln(Z S) - P> (the negated entropy)."""
+    return _log_average(d, np.add)
 
 
 def modified_information(d: ExpFamilyDensity1D) -> float:
-    """Average of ln(rho / (Z S)), finite even with zeros or singularities.
+    """Average of ln(rho / (Z S)) = -P, finite even with zeros or singularities.
 
-    With trivial factors this is the identity reduction: it returns
-    information(d) through the same code path, bit for bit.
+    It is the same integral as information(d) with ln(Z S) left out, so
+    without factors the two are equal bit for bit.
     """
-    if d.factors is None or d.factors.trivial:
-        return information(d)
-    xs, w = _functional_nodes(d)
-    rho = density_values(d, xs)
-    log_core = -_exponent_poly(d.multipliers, xs)
-    integrand = np.where(rho > 0.0, rho * log_core, 0.0)
-    integrand = np.where(np.isinf(rho), np.nan, integrand)
-    if not np.all(np.isfinite(integrand)):
-        raise NumericError("non-integrable singularity configuration")
-    return float(w @ integrand)
+    return _log_average(d, lambda log_zs, neg_p: neg_p)
 
 
 def moment_gradient_check(
@@ -604,23 +590,23 @@ def moment_gradient_check(
     if h < 1e-10:
         raise ValidationError("h below 1e-10 would be dominated by cancellation")
     order = _as_int(order, "order", 1)
-    xs, w = _functional_nodes(d)
-    weight = _factor_values(d.factors, xs)
+    xs, w = reference_rule(d)
+    log_rho = np.add(*_log_density(d, xs))
+    power = xs**order
 
     def log_norm(shift: float) -> float:
-        expo = -_exponent_poly(d.multipliers, xs, include_a0=False) - shift * xs**order
+        expo = log_rho - shift * power
         m = float(expo.max())
-        return m + math.log(float(w @ (weight * np.exp(expo - m))))
+        return m + math.log(float(w @ np.exp(expo - m)))
 
-    rho = density_values(d, xs)
-    analytic = float(w @ (rho * xs**order))
+    analytic = float(w @ (np.exp(log_rho) * power))
     numeric = -(log_norm(h) - log_norm(-h)) / (2.0 * h)
     return analytic, numeric
 
 
 def normalization_residual(d: ExpFamilyDensity1D) -> float:
     """|integral of rho - 1| under the reference quadrature."""
-    xs, w = _functional_nodes(d)
+    xs, w = reference_rule(d)
     return abs(float(w @ density_values(d, xs)) - 1.0)
 
 
@@ -669,7 +655,7 @@ def density_to_json(d: ExpFamilyDensity1D, diagnostics: FitDiagnostics | None = 
         "support": [_bound_to_json(d.support[0]), _bound_to_json(d.support[1])],
         "multipliers": [[o, v] for o, v in d.multipliers],
         "factors": None
-        if d.factors is None
+        if d.factors == EndpointFactors()
         else {
             "zeros": [[loc, mlt] for loc, mlt in d.factors.zeros],
             "singularities": [[loc, p] for loc, p in d.factors.singularities],
@@ -684,10 +670,8 @@ def density_from_json(doc) -> ExpFamilyDensity1D:
     try:
         if isinstance(doc, (str, bytes)):
             doc = json.loads(doc)
-        factors = None
-        if doc.get("factors"):
-            rows = doc["factors"]
-            factors = EndpointFactors(rows.get("zeros", []), rows.get("singularities", []))
+        rows = doc.get("factors") or {}
+        factors = EndpointFactors(rows.get("zeros", []), rows.get("singularities", []))
         support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
         multipliers = tuple((o, v) for o, v in doc["multipliers"])
     except _MALFORMED as exc:

@@ -11,7 +11,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .errors import NotFoundError, NumericError, ValidationError
+from .errors import DomainError, NotFoundError, NumericError, ValidationError
 from .maxent import ExpFamilyDensity2D
 from .numerics import Grid1D, _as_finite, _as_int, _as_number, _as_positive
 
@@ -95,6 +95,11 @@ class PowerSeries2D:
         coeffs.flags.writeable = False
 
     def coefficient(self, i: int, j: int) -> float:
+        """a_ij; DomainError unless i, j >= 0 and i + j <= truncation_order."""
+        n = self.truncation_order
+        i, j = _as_int(i, "i", 0, n, DomainError), _as_int(j, "j", 0, n, DomainError)
+        if i + j > n:
+            raise DomainError(f"a_ij needs i + j <= {n}, got ({i}, {j})")
         return float(self.coefficients[i, j])
 
     def eval(self, x: float, y: float) -> float:

@@ -187,6 +187,19 @@ class TestFeasibility:
         with pytest.raises(InfeasibleMomentsError):
             fit_multipliers_2d(MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints))
 
+    @pytest.mark.parametrize(
+        "constraints, axis",
+        [
+            (((0, 1, -3.5), (0, 2, 1.0), (2, 0, 1.0)), "y"),
+            (((1, 0, -3.5), (2, 0, 1.0), (0, 2, 1.0)), "x"),
+        ],
+        ids=["y-mean", "x-mean"],
+    )
+    def test_2d_marginal_error_names_its_axis(self, constraints, axis):
+        spec = MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints)
+        with pytest.raises(InfeasibleMomentsError, match=rf"^{axis} marginal: moment of order 1"):
+            fit_multipliers_2d(spec)
+
 
 class TestFit1D:
     def test_standard_gaussian(self):
@@ -448,6 +461,13 @@ class TestDensityEval:
         with pytest.raises(DomainError):
             density_eval(uniform_density(), 1.5)
 
+    def test_nan_point_is_outside_support(self):
+        with pytest.raises(DomainError):
+            density_eval(uniform_density(), math.nan)
+        d, _ = fit_multipliers_2d(MomentSpec2D(((0.0, 1.0), (0.0, 1.0)), ()))
+        with pytest.raises(DomainError):
+            density_eval_2d(d, 0.5, math.nan)
+
     def test_singularity_returns_inf(self):
         d = ExpFamilyDensity1D(
             ((0, 0.0),), (0.0, 1.0), EndpointFactors(singularities=((0.0, 0.5),))
@@ -571,6 +591,40 @@ class TestModifiedInformation:
         assert modified_information(gaussian_density()) == pytest.approx(-1.418939, abs=1e-6)
 
 
+# rho = (m + 1) x^m and (1 - p) x^-p on [0, 1] with a flat core: the closed
+# forms of <ln rho / (Z S)>, <ln rho> and <x>, and the tolerances of
+# modified_information, information, normalization_residual, the quadrature
+# <x> and the central-difference <x> of moment_gradient_check.  Each
+# tolerance is ten times the reference rule's measured error on its case
+# (1e-14 where that error is 0); the singular cases are loose because
+# Simpson on nodes nudged off the pole does not resolve x^-p.
+FACTOR_CLOSED_FORMS = {
+    "zero-0.5": (("zeros", 0.5), (7e-7, 9.9e-6, 1.8e-6, 3.7e-11, 1.1e-6)),
+    "zero-1": (("zeros", 1.0), (1e-14, 2.5e-8, 1e-14, 1e-14, 6.8e-11)),
+    "zero-1.5": (("zeros", 1.5), (5.7e-11, 8.4e-10, 6.2e-11, 1e-14, 9.6e-11)),
+    "zero-3": (("zeros", 3.0), (1e-14, 1.2e-14, 1e-14, 1e-14, 2.4e-10)),
+    "singularity-0.2": (("singularities", 0.2), (2.3e-4, 3e-3, 1.1e-3, 1.3e-7, 4.6e-4)),
+    "singularity-0.4": (("singularities", 0.4), (7e-3, 6.8e-2, 1.4e-2, 5.6e-7, 5.2e-3)),
+}
+
+
+class TestEndpointFactorClosedForms:
+    @pytest.mark.parametrize("case", FACTOR_CLOSED_FORMS)
+    def test_power_factor_on_unit_interval(self, case):
+        (kind, e), (tol_mod, tol_info, tol_norm, tol_mean, tol_grad) = FACTOR_CLOSED_FORMS[case]
+        q = e if kind == "zeros" else -e   # rho = (q + 1) x^q
+        d = ExpFamilyDensity1D(
+            ((0, -math.log(q + 1)),), (0.0, 1.0), EndpointFactors(**{kind: ((0.0, e),)})
+        )
+        mean = (q + 1) / (q + 2)
+        assert abs(modified_information(d) - math.log(q + 1)) <= tol_mod
+        assert abs(information(d) - (math.log(q + 1) - q / (q + 1))) <= tol_info
+        assert normalization_residual(d) <= tol_norm
+        analytic, numeric = moment_gradient_check(d, 1, 1e-5)
+        assert abs(analytic - mean) <= tol_mean
+        assert abs(numeric - mean) <= tol_grad
+
+
 class TestMomentGradient:
     def test_gaussian_second_moment(self):
         analytic, numeric = moment_gradient_check(gaussian_density(), 2, 1e-5)
@@ -629,6 +683,14 @@ class TestJsonInterfaces:
         doc = density_to_json(d)
         back = density_from_json(json.dumps(doc))
         assert back == d
+
+    @pytest.mark.parametrize("factors", [None, {"zeros": [], "singularities": []}, {}])
+    def test_no_factors_is_one_value(self, factors):
+        doc = {"support": [0.0, 1.0], "multipliers": [[0, 0.0]], "factors": factors}
+        d = density_from_json(doc)
+        assert d.factors == EndpointFactors()
+        assert d == ExpFamilyDensity1D(((0, 0.0),), (0.0, 1.0), None)
+        assert density_to_json(d)["factors"] is None
 
     def test_fitted_density_round_trip_with_diagnostics(self):
         spec = MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0)))

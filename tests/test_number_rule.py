@@ -29,6 +29,8 @@ from infoqm import (
     alpha_from_beta,
     beta_closure_residual,
     binomial_series_eval,
+    density_eval,
+    density_eval_2d,
     density_from_json,
     energy,
     find_root,
@@ -68,6 +70,8 @@ _CFG = FlowConfig(step=1e-3)
 _PROBE = Grid1D(-0.5, 0.5, 5)
 _BRACKET = RootBracket.from_function(lambda x: x, -1.0, 1.0)
 _GEOMETRIC = PowerSeries1D(0.0, (1.0,) * 12)
+_SERIES2 = PowerSeries2D(np.arange(25.0).reshape(5, 5), 4)
+_UNIT_2D = ExpFamilyDensity2D(((0, 0, 0.0),), ((0.0, 1.0), (0.0, 1.0)))
 
 
 def _spec_doc(order=1, value=0.5, lo=0.0):
@@ -99,6 +103,8 @@ COUNT_SITES = {
     "ratio_test_radius": (lambda v: _GEOMETRIC.ratio_test_radius(tail=v), ValidationError),
     "PowerSeries2D.truncation_order": (lambda v: PowerSeries2D([[1.0, 0.0], [0.0, 0.0]], v),
                                        ValidationError),
+    "PowerSeries2D.coefficient.i": (lambda v: _SERIES2.coefficient(v, 0), DomainError),
+    "PowerSeries2D.coefficient.j": (lambda v: _SERIES2.coefficient(0, v), DomainError),
     "energy": (lambda v: energy(v, 1.0, -1.0), ValidationError),
     "alpha_from_beta.n": (lambda v: alpha_from_beta(v, 0.3), ValidationError),
     "beta_closure_residual.n": (lambda v: beta_closure_residual(v, 0, 0.3), ValidationError),
@@ -163,6 +169,11 @@ REAL_SITES = {
     "OscillatorState.energy": (lambda v: OscillatorState(0, 0, 1.0, 0.5, -1.0, v), BAD_REALS),
     "energy.alpha": (lambda v: energy(0, v, -1.0), BAD_REALS),
     "energy.lam": (lambda v: energy(0, 1.0, v), BAD_REALS),
+    "density_eval.x": (lambda v: density_eval(_UNIT, v), {"bool": True, "str": "0.5"}),
+    "density_eval_2d.x": (lambda v: density_eval_2d(_UNIT_2D, v, 0.5),
+                          {"bool": True, "str": "0.5"}),
+    "density_eval_2d.y": (lambda v: density_eval_2d(_UNIT_2D, 0.5, v),
+                          {"bool": True, "str": "0.5"}),
     "fit_multipliers_1d.init": (
         lambda v: fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))),
                                      init=[v, 0.5]),
@@ -203,6 +214,15 @@ def test_bad_number_raises_typed_error(call, bad, error):
         call(bad)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 3), (5, 0), (0, 5)])
+def test_series2d_index_outside_the_triangle_raises(i, j):
+    # a negative index would wrap to a_4j; (3, 3) lies in the zero padding
+    # above total degree 4
+    series = taylor2_coeffs(lambda x, y: math.exp(x + y), 4, 0.02)
+    with pytest.raises(DomainError, match="must be in|i \\+ j <="):
+        series.coefficient(i, j)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -216,9 +236,11 @@ def test_bad_number_raises_typed_error(call, bad, error):
         lambda v: energy(v, 1.0, -1.0),
         lambda v: _GEOMETRIC.eval(0.5, n_terms=v),
         lambda v: _GEOMETRIC.ratio_test_radius(tail=v),
+        lambda v: _SERIES2.coefficient(v, 1),
     ],
     ids=["solve_state", "Grid1D", "hermite_eval", "binomial_series_eval", "FlowConfig",
-         "spec order", "alpha_from_beta", "energy", "PowerSeries1D.eval", "ratio_test_radius"],
+         "spec order", "alpha_from_beta", "energy", "PowerSeries1D.eval", "ratio_test_radius",
+         "PowerSeries2D.coefficient"],
 )
 def test_integral_float_counts_like_its_int(call):
     assert call(2.0) == call(2) == call(np.int64(2))
