@@ -10,8 +10,12 @@ p < 1) at the ends of the support.  Multipliers for the constrained
 orders are found by Newton iteration on the moment residuals, using the
 moment covariance matrix as the Jacobian; all other multipliers stay
 zero.  One Newton core serves both the 1-D and the 2-D fits: it works
-on a tensor-product Simpson grid from ``numerics.QuadratureRule``, and
-a 1-D fit is the case of a one-node second axis (y = 1, weight 1).
+on a tensor product of two ``numerics.QuadratureRule`` axes, and a 1-D
+fit is the case of a one-node second axis (y = 1, weight 1).  A 2-D fit
+runs it on Gauss-Legendre rules over a window per axis (the target mean
++-12 sd, clipped to the rectangle), doubling the nodes until the fitted
+moments hold on twice as many; an axis whose cut fails the 1-D tail-mass
+check is fitted again over its whole side.
 A 1-D density is integrated on one window read off its exponent: each
 infinite end is cut where sum_i a_i x^i has risen by 72 = 12^2/2 above
 its minimum (+-12 sigma for a Gaussian), with a tail-mass check in fits.
@@ -38,7 +42,8 @@ from .errors import (
 from .numerics import Grid1D, QuadratureRule, _as_finite, _as_int, _as_number, _as_positive
 
 _QUAD_POINTS = 8001          # reference Simpson resolution, 1-D
-_QUAD_POINTS_2D = 601        # per axis, tensor Simpson
+_GAUSS_NODES = 48            # first Gauss-Legendre level per axis, 2-D
+_GAUSS_NODES_MAX = 384       # last 2-D level; its recheck runs on twice as many
 _NEWTON_CAP = 100
 _STEP_CLIP = 10.0
 _TAIL_MASS_LIMIT = 1e-12
@@ -193,9 +198,11 @@ class ExpFamilyDensity2D:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Newton ``iterations`` of a fit, its final ``max_moment_residual``, the
-    integration ``window`` (for a 2-D fit, the x-axis range only) and the
-    ``tail_mass`` estimate beyond a window cut from unbounded 1-D support."""
+    """Newton ``iterations`` of a fit (in 2-D, summed over the node levels),
+    its final ``max_moment_residual`` (in 2-D, on the recheck rule of twice
+    the last level's nodes), the integration ``window`` (for a 2-D fit, the
+    x side of the rectangle) and the ``tail_mass`` estimate beyond a window
+    cut, from unbounded 1-D support or inside a 2-D rectangle."""
 
     iterations: int
     max_moment_residual: float
@@ -395,12 +402,14 @@ def _gaussian_start(pairs, targets: np.ndarray) -> np.ndarray:
     return np.array([start.get(p, 0.0) for p in pairs])
 
 
-def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules):
+def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
+                cap: int = _NEWTON_CAP):
     """Match the moments <x^i y^j> of exp(-sum_t a_t x^i_t y^j_t) to targets.
 
     Newton iteration on the moment residuals with the moment covariance as
-    Jacobian, each step clipped to _STEP_CLIP.  ``rules`` holds the x and
-    y quadrature rules of the tensor-product grid.  The exponent is one
+    Jacobian, each step clipped to _STEP_CLIP; ConvergenceError after
+    ``cap`` steps, so cap 0 only checks a.  ``rules`` holds the x and y
+    quadrature rules of the tensor-product grid.  The exponent is one
     product Px[i]^T diag(a) Py[j] of the constrained rows of the two power
     tables, and every moment and covariance entry is read from the one
     table Px (w_x w_y^T * core) Py^T.  Returns (a, a_0, diagnostics).
@@ -410,7 +419,7 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules):
     px = _power_table(rules[0].nodes, 2 * int(pi.max()))
     py = _power_table(rules[1].nodes, 2 * int(pj.max()))
     w = np.multiply.outer(rules[0].weights, rules[1].weights)
-    for iterations in range(_NEWTON_CAP + 1):
+    for iterations in range(cap + 1):
         log_core = -(px[pi].T @ (a[:, None] * py[pj]))
         shift = float(log_core.max())
         table = px @ (w * np.exp(log_core - shift)) @ py.T
@@ -423,9 +432,9 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules):
         residual = float(np.max(np.abs(r)))
         if residual <= tol:
             break
-        if iterations == _NEWTON_CAP:
+        if iterations == cap:
             raise ConvergenceError(
-                f"moment-matching Newton did not reach tol={tol} in {_NEWTON_CAP} "
+                f"moment-matching Newton did not reach tol={tol} in {cap} "
                 f"iterations (residual {residual:.3e})"
             )
         cov = mom[pi[:, None] + pi, pj[:, None] + pj] - np.outer(mean, mean)
@@ -493,6 +502,80 @@ def fit_multipliers_1d(
     return density, diag
 
 
+def _axis_windows(support, pairs, start: np.ndarray) -> list[tuple[float, float]]:
+    """Per axis, where the Gaussian exponent a_1 x + a_2 x^2 of the start
+    has risen by _WINDOW_RISE above its minimum, its target mean +-12 sd,
+    clipped to the side; an axis without a second moment keeps its side."""
+    a = dict(zip(pairs, start))
+    windows = []
+    for (lo, hi), first, second in zip(support, ((1, 0), (0, 1)), ((2, 0), (0, 2))):
+        if second in a:
+            mean = -a.get(first, 0.0) / (2.0 * a[second])
+            half = math.sqrt(_WINDOW_RISE / a[second])
+            lo, hi = max(lo, mean - half), min(hi, mean + half)
+        windows.append((lo, hi))
+    return windows
+
+
+def _gauss_rule(window: tuple[float, float], n: int) -> QuadratureRule:
+    """The n-node Gauss-Legendre rule mapped from [-1, 1] onto window."""
+    unit = QuadratureRule.gauss_legendre(n)
+    mid, half = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
+    return QuadratureRule("gauss_legendre", mid + half * unit.nodes, half * unit.weights)
+
+
+def _axis_tails(multipliers, support, windows, n: int) -> list[float]:
+    """Per axis, the largest over its window cuts inside the rectangle of
+    the peak of the normalized density beyond the cut times the area
+    beyond it (0 where the window is the whole side).
+
+    The peak is sampled on n evenly spaced lines across the strip beyond
+    the cut, its two edges included, at the other axis's n Gauss nodes,
+    window ends and side ends: with a negative top multiplier the density
+    can rise again toward the rectangle's edge."""
+    tails = []
+    for axis in (0, 1):
+        other_side, other_window = support[1 - axis], windows[1 - axis]
+        tail = 0.0
+        for cut, end in zip(windows[axis], support[axis]):
+            if cut != end:
+                along = np.concatenate(
+                    [_gauss_rule(other_window, n).nodes, other_window, other_side])
+                across = np.linspace(cut, end, n)
+                x, y = np.ix_(across, along) if axis == 0 else np.ix_(along, across)
+                with np.errstate(over="ignore"):  # a density that blows up reads inf
+                    peak = float(np.exp(-sum(v * x**i * y**j for i, j, v in multipliers)).max())
+                tail = max(tail, peak * abs(end - cut) * (other_side[1] - other_side[0]))
+        tails.append(tail)
+    return tails
+
+
+def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, windows):
+    """_newton_fit on the tensor Gauss-Legendre rules of windows, first with
+    _GAUSS_NODES per axis.  Once Newton converges on n nodes, the moments
+    are rechecked on 2n; where they miss tol, Newton goes on there, up to
+    _GAUSS_NODES_MAX, past which a failed recheck raises ConvergenceError.
+    Returns (a, a_0, diagnostics with the iterations of every level and the
+    recheck residual, the last level n)."""
+    n, iterations = _GAUSS_NODES, 0
+    while True:
+        rules = tuple(_gauss_rule(window, n) for window in windows)
+        # past the first level this is the recheck of the last one
+        cap = 0 if n > _GAUSS_NODES_MAX else _NEWTON_CAP
+        try:
+            a, a00, diag = _newton_fit(pairs, targets, a, tol, rules, cap)
+        except ConvergenceError as exc:
+            if cap:
+                raise
+            raise ConvergenceError(
+                f"2-D fit on {n // 2} Gauss nodes per axis fails its recheck on {n}: {exc}"
+            ) from exc
+        iterations += diag.iterations
+        if n > _GAUSS_NODES and diag.iterations == 0:
+            return a, a00, replace(diag, iterations=iterations), n // 2
+        n *= 2
+
+
 def fit_multipliers_2d(
     spec: MomentSpec2D, tol: float = 1e-9
 ) -> tuple[ExpFamilyDensity2D, FitDiagnostics]:
@@ -500,8 +583,11 @@ def fit_multipliers_2d(
 
     Each axis's marginal constraints are screened by check_feasible_1d and
     the Newton core starts from the Gaussian of each axis's target mean
-    and variance (_gaussian_start), on the tensor Simpson grid of
-    _QUAD_POINTS_2D nodes per axis.
+    and variance (_gaussian_start).  It integrates on Gauss-Legendre rules
+    over each axis's window (_axis_windows), doubling their nodes until
+    the moments hold on twice as many (_gauss_levels).  An axis whose
+    window cut fails the 1-D tail-mass check (_TAIL_MASS_LIMIT) is then
+    fitted over its whole side, from the multipliers reached.
     """
     tol = _as_positive(tol, "tol")
     _check_feasible_2d(spec)
@@ -514,13 +600,20 @@ def fit_multipliers_2d(
         density = ExpFamilyDensity2D(((0, 0, a00),), spec.support)
         return density, FitDiagnostics(0, 0.0, (a1, b1), 0.0)
 
-    rules = tuple(
-        QuadratureRule.simpson(Grid1D(lo, hi, _QUAD_POINTS_2D)) for lo, hi in spec.support
-    )
-    a, a00, diag = _newton_fit(pairs, targets, _gaussian_start(pairs, targets), tol, rules)
-    multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
-    density = ExpFamilyDensity2D(multipliers, spec.support)
-    return density, diag
+    a = _gaussian_start(pairs, targets)
+    windows = _axis_windows(spec.support, pairs, a)
+    iterations = 0
+    while True:
+        a, a00, diag, n = _gauss_levels(pairs, targets, a, tol, windows)
+        iterations += diag.iterations
+        multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
+        tails = _axis_tails(multipliers, spec.support, windows, n)
+        if max(tails) <= _TAIL_MASS_LIMIT:
+            break
+        windows = [side if tail > _TAIL_MASS_LIMIT else window
+                   for side, window, tail in zip(spec.support, windows, tails)]
+    diag = replace(diag, iterations=iterations, window=(a1, b1), tail_mass=max(tails))
+    return ExpFamilyDensity2D(multipliers, spec.support), diag
 
 
 # ---------------------------------------------------------------------------

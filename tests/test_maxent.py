@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
+    ConvergenceError,
     DomainError,
     EndpointFactors,
     ExpFamilyDensity1D,
@@ -367,6 +368,39 @@ def assert_multipliers_match(d, exact, rel=1e-6):
     assert max(abs(mult[p] - v) for p, v in exact.items()) <= rel * scale
 
 
+def simpson_moments_2d(support, multipliers, n=4001, rows=250):
+    """<x^i y^j>, i, j <= 4, of exp(-sum v x^i y^j) from a plain numpy
+    Simpson sum on n x n nodes of the rectangle, rows of x at a time."""
+    (a1, b1), (a2, b2) = support
+    axes = []
+    for lo, hi in ((a1, b1), (a2, b2)):
+        xs = np.linspace(lo, hi, n)
+        w = np.ones(n)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        axes.append((xs, w * (xs[1] - xs[0]) / 3.0))
+    (xs, wx), (ys, wy) = axes
+    powers_x, powers_y = np.vander(xs, 5, increasing=True).T, np.vander(ys, 5, increasing=True).T
+    table = np.zeros((5, 5))
+    for s in range(0, n, rows):
+        x = xs[s:s + rows, None]
+        rho = np.exp(-sum(v * x**i * ys**j for i, j, v in multipliers))
+        table += (powers_x[:, s:s + rows] * wx[s:s + rows]) @ rho @ (powers_y * wy).T
+    return table / table[0, 0]
+
+
+def reference_residual(spec, density):
+    table = simpson_moments_2d(spec.support, density.multipliers)
+    return max(abs(table[i, j] - v) for i, j, v in spec.constraints)
+
+
+def narrow_spec(sd, kurtosis):
+    """(2,0), (0,2), (4,0), (0,4) of a symmetric density of the given sd and
+    kurtosis on [-3, 3]^2, the same on both axes."""
+    v = sd * sd
+    constraints = ((2, 0, v), (0, 2, v), (4, 0, kurtosis * v * v), (0, 4, kurtosis * v * v))
+    return MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints)
+
+
 class TestFit2D:
     def test_product_gaussians(self):
         spec = MomentSpec2D(
@@ -441,6 +475,582 @@ class TestFit2D:
         d, _ = fit_multipliers_2d(MomentSpec2D(((0.0, 1.0), (0.0, 1.0)), ()))
         with pytest.raises(DomainError):
             density_eval_2d(d, 2.0, 0.5)
+
+    @pytest.mark.parametrize("sd", [0.5, 0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("kurtosis", [3.0, 2.65])
+    def test_narrow_specs(self, sd, kurtosis):
+        # Gaussian-like and platykurtic densities down to sd 0.05 on [-3, 3]^2;
+        # the platykurtic one at sd 0.05 has no fit on any rule tried so far
+        spec = narrow_spec(sd, kurtosis)
+        if (sd, kurtosis) == (0.05, 2.65):
+            with pytest.raises(ConvergenceError):
+                fit_multipliers_2d(spec, tol=1e-9)
+            return
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert diag.max_moment_residual <= 1e-9
+        assert diag.window == (-3.0, 3.0)
+        assert reference_residual(spec, d) <= 1e-8
+
+    def test_underresolved_start_escalates(self, monkeypatch):
+        # on 16 nodes the recheck fails, so Newton goes on at 32 nodes
+        levels = []
+        newton_fit = maxent._newton_fit
+
+        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            result = newton_fit(pairs, targets, a, tol, rules, cap)
+            levels.append((rules[0].nodes.size, result[2].iterations))
+            return result
+
+        monkeypatch.setattr(maxent, "_GAUSS_NODES", 16)
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        spec = narrow_spec(0.5, 2.65)
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        stepped = [n for n, iterations in levels if iterations]
+        assert len(stepped) > 1 and stepped[0] == 16
+        assert diag.iterations == sum(iterations for _, iterations in levels)
+        assert reference_residual(spec, d) <= 1e-9
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from infoqm import (
+    ConvergenceError,
+    DomainError,
+    EndpointFactors,
+    ExpFamilyDensity1D,
+    ExpFamilyDensity2D,
+    InfeasibleMomentsError,
+    MomentSpec1D,
+    MomentSpec2D,
+    NumericError,
+    ValidationError,
+    density_eval,
+    density_eval_2d,
+    density_from_json,
+    density_to_json,
+    density_values,
+    fit_multipliers_1d,
+    fit_multipliers_2d,
+    information,
+    modified_information,
+    moment_gradient_check,
+    moment_spec_from_json,
+    normalization_residual,
+)
+from infoqm import maxent
+from infoqm.maxent import reference_rule
+
+INF = math.inf
+
+# frozen from scripts/oracle_maxent_bisection.py (1-D bisection on the
+# quadratic multiplier with 100001-point Simpson quadrature)
+ORACLE_A2_SYMMETRIC = 1.8742066309485939
+
+# frozen 2-D moment-matching oracle; agrees with the truncation-free
+# bivariate Gaussian closed form -0.3 / (1 - 0.3^2)
+ORACLE_A11 = -0.3296703296703297
+
+
+def gaussian_density():
+    d, _ = fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), tol=1e-12)
+    return d
+
+
+def uniform_density(a=0.0, b=1.0):
+    return ExpFamilyDensity1D(((0, math.log(b - a)),), (a, b))
+
+
+def linear_ramp_density():
+    # rho(x) = 2x on [0,1]: single zero of multiplicity 1 at 0, a0 = -ln 2
+    return ExpFamilyDensity1D(
+        ((0, -math.log(2.0)),), (0.0, 1.0), EndpointFactors(zeros=((0.0, 1.0),))
+    )
+
+
+_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+
+# each term table: constructor from terms, key width, an out-of-range key
+TERM_TABLES = {
+    "MomentSpec1D": (lambda terms: MomentSpec1D((0.0, 1.0), terms), 1, (0,)),
+    "ExpFamilyDensity1D": (lambda terms: ExpFamilyDensity1D(terms, (0.0, 1.0)), 1, (-1,)),
+    "MomentSpec2D": (lambda terms: MomentSpec2D(_SQUARE, terms), 2, (3, 2)),
+    "ExpFamilyDensity2D": (lambda terms: ExpFamilyDensity2D(terms, _SQUARE), 2, (0, -1)),
+}
+
+# bad terms for a key width w and an out-of-range key
+BAD_TERMS = {
+    "non-integral-key": lambda w, out: ((1.5,) + (0.5,) * (w - 1) + (0.1,),),
+    "nan-key": lambda w, out: ((math.nan,) + (1,) * (w - 1) + (0.1,),),
+    "string-key": lambda w, out: (("1",) + (0,) * (w - 1) + (0.1,),),
+    "duplicate-key": lambda w, out: (
+        (1,) + (0,) * (w - 1) + (0.1,), (1.0,) + (0.0,) * (w - 1) + (0.2,)
+    ),
+    "infinite-value": lambda w, out: ((1,) + (0,) * (w - 1) + (INF,),),
+    "out-of-range-key": lambda w, out: (out + (0.1,),),
+}
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("case", BAD_TERMS)
+    @pytest.mark.parametrize("table", TERM_TABLES)
+    def test_term_table_rule(self, table, case):
+        build, width, out_of_range = TERM_TABLES[table]
+        with pytest.raises(ValidationError):
+            build(BAD_TERMS[case](width, out_of_range))
+
+    @pytest.mark.parametrize("table", TERM_TABLES)
+    def test_integral_keys_stored_as_ints(self, table):
+        build, width, _ = TERM_TABLES[table]
+        built = build(((2.0,) + (0.0,) * (width - 1) + (1,),))
+        terms = built.constraints if table.startswith("Moment") else built.multipliers
+        assert terms == ((2,) + (0,) * (width - 1) + (1.0,),)
+        assert all(type(c) is int for c in terms[0][:-1]) and type(terms[0][-1]) is float
+
+    def test_orders_sorted_and_distinct(self):
+        spec = MomentSpec1D((0.0, 1.0), ((2, 0.3), (1, 0.4)))
+        assert spec.orders == (1, 2)
+        with pytest.raises(ValidationError):
+            MomentSpec1D((0.0, 1.0), ((2, 0.3), (2, 0.4)))
+
+    def test_unbounded_needs_even_top_order(self):
+        with pytest.raises(ValidationError):
+            MomentSpec1D((-INF, INF), ((1, 0.0), (3, 0.1)))
+
+    def test_degenerate_support(self):
+        with pytest.raises(ValidationError):
+            MomentSpec1D((1.0, 1.0), ())
+
+    @pytest.mark.parametrize(
+        "support",
+        [((1.0, 0.0), (0.0, 1.0)), ((0.0, math.nan), (0.0, 1.0)), ((-INF, 1.0), (0.0, 1.0))],
+    )
+    def test_2d_density_support_must_be_finite_rectangle(self, support):
+        with pytest.raises(ValidationError):
+            ExpFamilyDensity2D(((2, 0, 1.0),), support)
+
+    def test_2d_total_degree_cap(self):
+        with pytest.raises(ValidationError):
+            MomentSpec2D(((-1, 1), (-1, 1)), ((3, 2, 0.1),))
+
+    def test_singularity_exponent_range(self):
+        with pytest.raises(ValidationError):
+            EndpointFactors(singularities=((0.0, 1.0),))
+
+    def test_factor_location_outside_support(self):
+        with pytest.raises(ValidationError):
+            ExpFamilyDensity1D(
+                ((0, 0.0),), (0.0, 1.0), EndpointFactors(zeros=((2.0, 1.0),))
+            )
+
+
+class TestFeasibility:
+    def test_second_moment_above_support_range(self):
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_1d(MomentSpec1D((-1.0, 1.0), ((2, 1.5),)))
+
+    def test_negative_even_moment(self):
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, -1.0),)))
+
+    def test_hankel_variance(self):
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.9), (2, 0.5),)))
+
+    def test_even_block_checked_with_odd_orders(self):
+        # m4 < m2^2 is infeasible whatever odd orders ride along
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0), (4, 0.5))))
+
+    @pytest.mark.parametrize(
+        "support, m1, m2",
+        [((0.0, 1.0), 0.3, 0.4), ((-1.0, 3.0), 1.0, 5.5), ((2.0, 4.0), 3.0, 10.0)],
+    )
+    def test_interval_localizing_condition(self, support, m1, m2):
+        # E[(x - a)(b - x)] = (a + b) m1 - m2 - ab must be positive on [a, b]
+        a, b = support
+        assert (a + b) * m1 - m2 - a * b <= 0
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_1d(MomentSpec1D(support, ((1, m1), (2, m2))))
+
+    def test_2d_covariance_not_psd(self):
+        spec = MomentSpec2D(((-6, 6), (-6, 6)), ((2, 0, 1.0), (1, 1, 2.0), (0, 2, 1.0)))
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_2d(spec)
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            ((1, 0, 0.9), (2, 0, 0.5), (0, 2, 1.0)),
+            ((0, 1, -0.9), (0, 2, 0.5), (2, 0, 1.0)),
+            ((2, 0, 1.0), (4, 0, 0.5), (0, 2, 1.0)),
+            ((2, 0, 1.0), (0, 2, 1.0), (0, 4, 0.9)),
+            ((1, 0, 3.5), (2, 0, 1.0), (0, 2, 1.0)),
+            ((0, 1, -3.5), (0, 2, 1.0), (2, 0, 1.0)),
+        ],
+        ids=["x-variance", "y-variance", "x-m40", "y-m04", "x-mean", "y-mean"],
+    )
+    def test_2d_marginal_screened_by_1d_rules(self, constraints):
+        # a negative marginal variance, m40 < m20^2 or a mean outside the
+        # rectangle is infeasible on the marginal alone
+        with pytest.raises(InfeasibleMomentsError):
+            fit_multipliers_2d(MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints))
+
+    @pytest.mark.parametrize(
+        "constraints, axis",
+        [
+            (((0, 1, -3.5), (0, 2, 1.0), (2, 0, 1.0)), "y"),
+            (((1, 0, -3.5), (2, 0, 1.0), (0, 2, 1.0)), "x"),
+        ],
+        ids=["y-mean", "x-mean"],
+    )
+    def test_2d_marginal_error_names_its_axis(self, constraints, axis):
+        spec = MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints)
+        with pytest.raises(InfeasibleMomentsError, match=rf"^{axis} marginal: moment of order 1"):
+            fit_multipliers_2d(spec)
+
+
+class TestFit1D:
+    def test_standard_gaussian(self):
+        d, diag = fit_multipliers_1d(
+            MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), tol=1e-12
+        )
+        mult = dict(d.multipliers)
+        assert abs(mult[1]) < 1e-8
+        assert abs(mult[2] - 0.5) < 1e-8
+        assert abs(mult[0] - math.log(math.sqrt(2 * math.pi))) < 1e-8
+        assert diag.tail_mass < 1e-12
+
+    def test_no_constraints_is_uniform(self):
+        d, _ = fit_multipliers_1d(MomentSpec1D((0.0, 1.0), ()))
+        assert d.multipliers == ((0, 0.0),)
+
+    def test_symmetric_interval_second_moment(self):
+        d, _ = fit_multipliers_1d(MomentSpec1D((-1.0, 1.0), ((2, 0.2),)), tol=1e-12)
+        assert dict(d.multipliers)[2] == pytest.approx(ORACLE_A2_SYMMETRIC, abs=1e-8)
+
+    def test_moments_recheck_against_independent_rule(self):
+        spec = MomentSpec1D((-1.0, 1.0), ((2, 0.2),))
+        d, _ = fit_multipliers_1d(spec, tol=1e-12)
+        xs = np.linspace(-1.0, 1.0, 20001)
+        rho = density_values(d, xs)
+        m2 = np.trapezoid(rho * xs**2, xs)
+        assert abs(m2 - 0.2) < 1e-8
+
+    def test_warm_start(self):
+        spec = MomentSpec1D((-1.0, 1.0), ((2, 0.2),))
+        d, _ = fit_multipliers_1d(spec, tol=1e-12)
+        init = np.array([dict(d.multipliers)[2]])
+        d2, diag2 = fit_multipliers_1d(spec, init=init, tol=1e-12)
+        assert diag2.iterations == 0
+        assert dict(d2.multipliers)[2] == pytest.approx(dict(d.multipliers)[2], abs=1e-12)
+
+    def test_bad_tol(self):
+        with pytest.raises(ValidationError):
+            fit_multipliers_1d(MomentSpec1D((0.0, 1.0), ()), tol=0.0)
+
+    def test_nan_tol_rejected_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("Newton ran")
+
+        monkeypatch.setattr(maxent, "_newton_fit", fail)
+        with pytest.raises(ValidationError):
+            fit_multipliers_1d(MomentSpec1D((0.0, 1.0), ((1, 0.4),)), tol=math.nan)
+        with pytest.raises(ValidationError):
+            fit_multipliers_2d(MomentSpec2D(_SQUARE, ((2, 0, 0.3),)), tol=math.nan)
+
+    def test_unbounded_without_constraints_rejected(self):
+        with pytest.raises(ValidationError):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ()))
+
+    def test_quartic_only_cold_start_is_exact(self):
+        # exp(-a4 x^4) has <x^4> = 1/(4 a4); a large t4 needs the window
+        # read off the start exponent, not one centered and scaled by a guess
+        for t4 in (3.0, 1e4):
+            d, _ = fit_multipliers_1d(MomentSpec1D((-INF, INF), ((4, t4),)))
+            assert dict(d.multipliers)[4] == pytest.approx(1.0 / (4.0 * t4), rel=1e-8, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "support, mean", [((0.0, INF), 1.0), ((-INF, 0.0), -1.0)], ids=["upper", "lower"]
+    )
+    def test_half_line_fit(self, support, mean):
+        # the finite end carries density; only the cut end bounds the tail mass
+        d, diag = fit_multipliers_1d(MomentSpec1D(support, ((1, mean), (2, 1.5))), tol=1e-12)
+        assert diag.tail_mass < 1e-12
+        finite = 0 if math.isfinite(support[0]) else 1
+        assert diag.window[finite] == support[finite]
+        xs = np.linspace(*diag.window, 20001)
+        rho = density_values(d, xs)
+        assert np.trapezoid(rho, xs) == pytest.approx(1.0, abs=1e-7)
+        assert np.trapezoid(rho * xs, xs) == pytest.approx(mean, abs=1e-7)
+        assert np.trapezoid(rho * xs**2, xs) == pytest.approx(1.5, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "mean, sd, orders",
+        [(5.0, 1.0, (1, 4)), (-5.0, 0.3, (1, 4)), (10.0, 3.0, (1, 4)), (3.0, 1.0, (1, 3, 4))],
+    )
+    def test_shifted_mean_without_second_moment(self, mean, sd, orders):
+        # raw moments of N(mean, sd^2); with no order-2 target the cold start,
+        # and so the window, must still cover a density far from the origin
+        v = sd * sd
+        raw = {1: mean, 3: mean**3 + 3 * mean * v, 4: mean**4 + 6 * mean**2 * v + 3 * v * v}
+        spec = MomentSpec1D((-INF, INF), tuple((o, raw[o]) for o in orders))
+        d, diag = fit_multipliers_1d(spec, tol=1e-10)
+        assert diag.window[0] < mean < diag.window[1]
+        xs = np.linspace(mean - 40.0 * sd, mean + 40.0 * sd, 40001)
+        rho = density_values(d, xs)
+        assert np.trapezoid(rho, xs) == pytest.approx(1.0, abs=1e-8)
+        for o in orders:
+            assert np.trapezoid(rho * xs**o, xs) == pytest.approx(raw[o], rel=1e-8)
+        assert math.isfinite(information(d))
+        assert normalization_residual(d) < 1e-8
+
+    @pytest.mark.parametrize("mean, var", [(0.0, 1.0), (1.5, 0.3), (-2.0, 2.5), (3.0, 0.05)])
+    def test_gaussian_moments_with_higher_orders(self, mean, var):
+        # the maxent solution has a3 = a4 = 0, the edge of the normalizable set;
+        # the functionals must accept the density the fit returns
+        raw = (mean, mean**2 + var, mean**3 + 3 * mean * var,
+               mean**4 + 6 * mean**2 * var + 3 * var * var)
+        d, _ = fit_multipliers_1d(MomentSpec1D((-INF, INF), tuple(zip((1, 2, 3, 4), raw))),
+                                  tol=1e-12)
+        exact = -0.5 * math.log(2.0 * math.pi * math.e * var)
+        assert information(d) == pytest.approx(exact, abs=1e-9)
+        assert normalization_residual(d) < 1e-10
+
+    def test_moments_past_the_normalizable_set_raise(self):
+        # <x^4> above 3 <x^2>^2 needs a4 < 0: no maxent density on the whole
+        # line, so the fit must not return one the functionals reject
+        with pytest.raises(NumericError, match="not normalizable"):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, 1.0), (4, 3.0 + 1e-9))), tol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(c2=st.floats(0.05, 0.32))
+    def test_fit_properties_on_interval(self, c2):
+        d, _ = fit_multipliers_1d(MomentSpec1D((-1.0, 1.0), ((2, c2),)), tol=1e-11)
+        assert normalization_residual(d) < 1e-8
+        xs, w = reference_rule(d)
+        rho = density_values(d, xs)
+        assert np.all(rho >= 0.0)
+        assert abs(float(w @ (rho * xs**2)) - c2) < 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(mean=st.floats(-2.0, 2.0), var=st.floats(0.5, 3.0))
+    def test_fit_properties_unbounded(self, mean, var):
+        c2 = var + mean * mean
+        d, _ = fit_multipliers_1d(
+            MomentSpec1D((-INF, INF), ((1, mean), (2, c2))), tol=1e-11
+        )
+        mult = dict(d.multipliers)
+        assert mult[2] == pytest.approx(1.0 / (2.0 * var), rel=1e-7)
+        assert mult[1] == pytest.approx(-mean / var, rel=1e-7, abs=1e-8)
+        assert normalization_residual(d) < 1e-8
+
+
+def truncated_gaussian(mean, sds, corr):
+    """Moment spec of the Gaussian (mean, sds, corr) truncated to
+    [-3, 3]^2, its moments from a 1601^2 Simpson sum, and the multipliers
+    that generate it: P/2 on the squares, P12 on xy and -P mean on x and
+    y, P the precision matrix."""
+    xs = np.linspace(-3.0, 3.0, 1601)
+    w = np.where(np.arange(xs.size) % 2 == 1, 4.0, 2.0)
+    w[0] = w[-1] = 1.0
+    cov = np.array([[sds[0] ** 2, corr * sds[0] * sds[1]],
+                    [corr * sds[0] * sds[1], sds[1] ** 2]])
+    p = np.linalg.inv(cov)
+    dx, dy = xs[:, None] - mean[0], xs[None, :] - mean[1]
+    rho = np.outer(w, w) * np.exp(-0.5 * (p[0, 0] * dx * dx + 2.0 * p[0, 1] * dx * dy
+                                          + p[1, 1] * dy * dy))
+    rho /= rho.sum()
+    pairs = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    constraints = tuple((i, j, float(xs**i @ rho @ xs**j)) for i, j in pairs)
+    b = p @ np.asarray(mean)
+    exact = {(2, 0): p[0, 0] / 2, (0, 2): p[1, 1] / 2, (1, 1): p[0, 1],
+             (1, 0): -b[0], (0, 1): -b[1]}
+    return MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints), exact
+
+
+def assert_multipliers_match(d, exact, rel=1e-6):
+    """Every fitted multiplier within rel of the largest exact one."""
+    mult = {(i, j): v for i, j, v in d.multipliers}
+    scale = max(abs(v) for v in exact.values())
+    assert max(abs(mult[p] - v) for p, v in exact.items()) <= rel * scale
+
+
+def simpson_moments_2d(support, multipliers, n=4001, rows=250):
+    """<x^i y^j>, i, j <= 4, of exp(-sum v x^i y^j) from a plain numpy
+    Simpson sum on n x n nodes of the rectangle, rows of x at a time."""
+    (a1, b1), (a2, b2) = support
+    axes = []
+    for lo, hi in ((a1, b1), (a2, b2)):
+        xs = np.linspace(lo, hi, n)
+        w = np.ones(n)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        axes.append((xs, w * (xs[1] - xs[0]) / 3.0))
+    (xs, wx), (ys, wy) = axes
+    powers_x, powers_y = np.vander(xs, 5, increasing=True).T, np.vander(ys, 5, increasing=True).T
+    table = np.zeros((5, 5))
+    for s in range(0, n, rows):
+        x = xs[s:s + rows, None]
+        rho = np.exp(-sum(v * x**i * ys**j for i, j, v in multipliers))
+        table += (powers_x[:, s:s + rows] * wx[s:s + rows]) @ rho @ (powers_y * wy).T
+    return table / table[0, 0]
+
+
+def reference_residual(spec, density):
+    table = simpson_moments_2d(spec.support, density.multipliers)
+    return max(abs(table[i, j] - v) for i, j, v in spec.constraints)
+
+
+def narrow_spec(sd, kurtosis):
+    """(2,0), (0,2), (4,0), (0,4) of a symmetric density of the given sd and
+    kurtosis on [-3, 3]^2, the same on both axes."""
+    v = sd * sd
+    constraints = ((2, 0, v), (0, 2, v), (4, 0, kurtosis * v * v), (0, 4, kurtosis * v * v))
+    return MomentSpec2D(((-3.0, 3.0), (-3.0, 3.0)), constraints)
+
+
+class TestFit2D:
+    def test_product_gaussians(self):
+        spec = MomentSpec2D(
+            ((-8.0, 8.0), (-8.0, 8.0)), ((2, 0, 1.0), (0, 2, 1.0), (1, 1, 0.0))
+        )
+        d, _ = fit_multipliers_2d(spec, tol=1e-10)
+        mult = {(i, j): v for i, j, v in d.multipliers}
+        assert mult[(2, 0)] == pytest.approx(0.5, abs=1e-6)
+        assert mult[(0, 2)] == pytest.approx(0.5, abs=1e-6)
+        assert abs(mult[(1, 1)]) < 1e-6
+
+    def test_no_constraints_uniform_unit_square(self):
+        d, _ = fit_multipliers_2d(MomentSpec2D(((0.0, 1.0), (0.0, 1.0)), ()))
+        assert d.multipliers == ((0, 0, 0.0),)
+        assert density_eval_2d(d, 0.5, 0.5) == pytest.approx(1.0)
+
+    def test_correlated_gaussian_cross_multiplier(self):
+        spec = MomentSpec2D(
+            ((-6.0, 6.0), (-6.0, 6.0)), ((2, 0, 1.0), (0, 2, 1.0), (1, 1, 0.3))
+        )
+        d, _ = fit_multipliers_2d(spec, tol=1e-10)
+        mult = {(i, j): v for i, j, v in d.multipliers}
+        assert mult[(1, 1)] == pytest.approx(ORACLE_A11, abs=1e-6)
+
+    def test_product_of_1d_fits(self):
+        # a separable 2-D spec fits the product of two 1-D fits
+        v = 0.75
+        square = ((-3.0, 3.0), (-3.0, 3.0))
+        d2, _ = fit_multipliers_2d(MomentSpec2D(square, ((2, 0, v), (0, 2, v))))
+        d1, _ = fit_multipliers_1d(MomentSpec1D((-3.0, 3.0), ((2, v),)))
+        mult2 = {(i, j): val for i, j, val in d2.multipliers}
+        mult1 = dict(d1.multipliers)
+        assert mult2[(2, 0)] == pytest.approx(mult1[2], abs=1e-8)
+        assert mult2[(0, 2)] == pytest.approx(mult1[2], abs=1e-8)
+        assert mult2[(0, 0)] == pytest.approx(2.0 * mult1[0], abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "sd, shift", [(0.3, 2.0), (0.3, 3.0), (0.3, 4.0), (0.5, 3.0), (0.5, 4.0)]
+    )
+    def test_off_centre_correlated_gaussian(self, sd, shift):
+        # means shift sd from the centre, in three quadrants; the start
+        # must follow the target means, not the centre
+        for signs in ((1, 1), (1, -1), (-1, -1)):
+            mean = (signs[0] * shift * sd, signs[1] * shift * sd)
+            spec, exact = truncated_gaussian(mean, (sd, sd), 0.3)
+            d, diag = fit_multipliers_2d(spec, tol=1e-9)
+            assert diag.max_moment_residual <= 1e-9
+            assert_multipliers_match(d, exact)
+
+    def test_one_given_mean(self):
+        # feasible, though reading the free y mean as 0 would give the
+        # covariance [[0.19, 0.95], [0.95, 1.0]], which is not positive definite
+        spec = MomentSpec2D(
+            ((-6.0, 6.0), (-6.0, 6.0)), ((1, 0, 0.9), (2, 0, 1.0), (1, 1, 0.95), (0, 2, 1.0))
+        )
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert diag.max_moment_residual <= 1e-9
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_truncated_gaussian_is_its_own_maxent_fit(self, data):
+        # the Gaussian truncated to the square is the maxent density of its
+        # own first and second moments, so the fit must return its multipliers
+        sds = [data.draw(st.floats(0.2, 0.8)) for _ in range(2)]
+        mean = [data.draw(st.floats(-3.0 + 2.0 * s, 3.0 - 2.0 * s)) for s in sds]
+        spec, exact = truncated_gaussian(mean, sds, data.draw(st.floats(-0.7, 0.7)))
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert diag.max_moment_residual <= 1e-9
+        assert_multipliers_match(d, exact)
+
+    def test_2d_eval_outside_domain(self):
+        d, _ = fit_multipliers_2d(MomentSpec2D(((0.0, 1.0), (0.0, 1.0)), ()))
+        with pytest.raises(DomainError):
+            density_eval_2d(d, 2.0, 0.5)
+
+    @pytest.mark.parametrize("sd", [0.5, 0.2, 0.1, 0.05])
+    @pytest.mark.parametrize("kurtosis", [3.0, 2.65])
+    def test_narrow_specs(self, sd, kurtosis):
+        # Gaussian-like and platykurtic densities down to sd 0.05 on [-3, 3]^2;
+        # the platykurtic one at sd 0.05 has no fit on any rule tried so far
+        spec = narrow_spec(sd, kurtosis)
+        if (sd, kurtosis) == (0.05, 2.65):
+            with pytest.raises(ConvergenceError):
+                fit_multipliers_2d(spec, tol=1e-9)
+            return
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert diag.max_moment_residual <= 1e-9
+        assert diag.window == (-3.0, 3.0)
+        assert reference_residual(spec, d) <= 1e-8
+
+    def test_underresolved_start_escalates(self, monkeypatch):
+        # on 16 nodes the recheck fails, so Newton goes on at 32 nodes
+        levels = []
+        newton_fit = maxent._newton_fit
+
+        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            result = newton_fit(pairs, targets, a, tol, rules, cap)
+            levels.append((rules[0].nodes.size, result[2].iterations))
+            return result
+
+        monkeypatch.setattr(maxent, "_GAUSS_NODES", 16)
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        spec = narrow_spec(0.5, 2.65)
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        stepped = [n for n, iterations in levels if iterations]
+        assert len(stepped) > 1 and stepped[0] == 16
+        assert diag.iterations == sum(iterations for _, iterations in levels)
+        assert reference_residual(spec, d) <= 1e-9
+
+    def test_failed_last_recheck_raises(self, monkeypatch):
+        # with 16 nodes as both the first and the last level, the recheck on
+        # 32 misses tol and nothing is left to escalate to
+        monkeypatch.setattr(maxent, "_GAUSS_NODES", 16)
+        monkeypatch.setattr(maxent, "_GAUSS_NODES_MAX", 16)
+        with pytest.raises(ConvergenceError, match=r"fails its recheck on 32.*residual"):
+            fit_multipliers_2d(narrow_spec(0.5, 2.65), tol=1e-9)
+
+    def test_tail_check_widens_a_cut_axis(self, monkeypatch):
+        # kurtosis 3.05 on a 14 sd half-side: the fit on the 12 sd window has
+        # a negative x^4 multiplier, and its density rises again past the cut,
+        # so the x axis is fitted again over its whole side
+        checks = []
+        axis_tails = maxent._axis_tails
+
+        def spy(multipliers, support, windows, n):
+            tails = axis_tails(multipliers, support, windows, n)
+            checks.append((list(windows), tails))
+            return tails
+
+        monkeypatch.setattr(maxent, "_axis_tails", spy)
+        spec = MomentSpec2D(((-14.0, 14.0), (-3.0, 3.0)), ((2, 0, 1.0), (4, 0, 3.05), (0, 2, 1.0)))
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        (cut, tails), (wide, wide_tails) = checks
+        assert cut[0] == pytest.approx((-12.0, 12.0)) and cut[1] == (-3.0, 3.0)
+        assert tails[0] > maxent._TAIL_MASS_LIMIT
+        assert wide == [(-14.0, 14.0), (-3.0, 3.0)] and wide_tails == [0.0, 0.0]
+        assert diag.tail_mass == 0.0
+        assert reference_residual(spec, d) <= 1e-9
 
 
 class TestDensityEval:

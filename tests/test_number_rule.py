@@ -86,6 +86,7 @@ def _density_doc(order=2, value=1.0, zero=(-1.0, 1.0)):
 COUNT_SITES = {
     "Grid1D.n_points": (lambda v: Grid1D(-1.0, 1.0, v), ValidationError),
     "gauss_hermite": (QuadratureRule.gauss_hermite, ValidationError),
+    "gauss_legendre": (QuadratureRule.gauss_legendre, ValidationError),
     "hermite_eval": (lambda v: hermite_eval(v, 0.3), DomainError),
     "hermite_deriv": (lambda v: hermite_deriv(v, 0.3), DomainError),
     "OscillatorState.n": (lambda v: OscillatorState(v, 0, 1.0, 0.5, -1.0, 1.0), ValidationError),
@@ -191,6 +192,7 @@ CASES = (
 )
 
 BELOW_RANGE = {
+    "gauss_legendre": lambda: QuadratureRule.gauss_legendre(0),
     "PowerSeries1D.eval": lambda: _GEOMETRIC.eval(0.5, n_terms=-1),
     "ratio_test_radius-0": lambda: _GEOMETRIC.ratio_test_radius(tail=0),
     "ratio_test_radius--1": lambda: _GEOMETRIC.ratio_test_radius(tail=-1),

@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +117,55 @@ class TestQuadrature:
         lhs = integrate(a * f + b * g, rule)
         rhs = a * integrate(f, rule) + b * integrate(g, rule)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+GAUSS_ORDERS = [1, 2, 3, 4, 5, 8, 13, 16, 24, 31, 40, 48, 64, 96, 100]
+
+
+class TestGaussRules:
+    # numpy.polynomial is the reference here only; the package builds its
+    # rules by Newton's method on the three-term recurrences
+    @pytest.mark.parametrize("n", GAUSS_ORDERS)
+    def test_legendre_matches_leggauss(self, n):
+        nodes, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(QuadratureRule.gauss_legendre(n).nodes - nodes)) <= 1e-15
+
+    @pytest.mark.parametrize("n", GAUSS_ORDERS)
+    def test_hermite_matches_hermgauss(self, n):
+        nodes, weights = np.polynomial.hermite.hermgauss(n)
+        rule = QuadratureRule.gauss_hermite(n)
+        assert np.all(np.abs(rule.nodes - nodes) <= 2e-15 * np.maximum(1.0, np.abs(nodes)))
+        assert np.all(np.abs(rule.weights - weights) <= 1e-12 * weights)
+
+    @pytest.mark.parametrize("n", GAUSS_ORDERS)
+    def test_monomials_integrate_exactly(self, n):
+        # degree < 2n is exact; the Hermite moments Gamma((k+1)/2) grow fast,
+        # so their error is measured against sum w |x|^k
+        legendre, hermite = QuadratureRule.gauss_legendre(n), QuadratureRule.gauss_hermite(n)
+        for k in range(min(2 * n - 1, 60) + 1):
+            even = k % 2 == 0
+            assert abs(legendre.weights @ legendre.nodes**k - even * 2.0 / (k + 1)) <= 1e-13
+            scale = hermite.weights @ np.abs(hermite.nodes) ** k
+            exact = math.gamma((k + 1) / 2) if even else 0.0
+            assert abs(hermite.weights @ hermite.nodes**k - exact) <= 1e-13 * scale
+
+    def test_legendre_weights_sum_to_two(self):
+        # measured: at most 2.7e-14, at n = 100
+        for n in GAUSS_ORDERS:
+            assert abs(QuadratureRule.gauss_legendre(n).weights.sum() - 2.0) <= 4e-14
+
+    def test_built_once_per_order(self):
+        assert QuadratureRule.gauss_legendre(48) is QuadratureRule.gauss_legendre(48.0)
+        assert QuadratureRule.gauss_hermite(7) is QuadratureRule.gauss_hermite(np.int64(7))
+
+    def test_no_rule_is_built_at_import(self):
+        code = ("import infoqm, infoqm.cli; from infoqm import numerics; "
+                "print(numerics._gauss_legendre.cache_info().currsize, "
+                "numerics._gauss_hermite.cache_info().currsize)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src})
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestFindRoot:
