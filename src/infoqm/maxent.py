@@ -11,14 +11,16 @@ orders are found by Newton iteration on the moment residuals, using the
 moment covariance matrix as the Jacobian; all other multipliers stay
 zero.  One Newton core serves both the 1-D and the 2-D fits: it works
 on a tensor product of two ``numerics.QuadratureRule`` axes, and a 1-D
-fit is the case of a one-node second axis (y = 1, weight 1).  A 2-D fit
-runs it on Gauss-Legendre rules over a window per axis (the target mean
-+-12 sd, clipped to the rectangle), doubling the nodes until the fitted
-moments hold on twice as many; an axis whose cut fails the 1-D tail-mass
+fit is the case of a one-node second axis (y = 1, weight 1).
+Every integral runs on Gauss-Legendre rules over a window that one rule
+reads off an exponent: each end of the support, finite or infinite, is
+cut where sum_i a_i x^i has risen by 72 = 12^2/2 above its minimum
+(+-12 sigma for a Gaussian).  A 1-D fit and every 1-D functional use one
+768-node rule on that window, with a tail-mass check in fits.  A 2-D fit
+takes each axis's window from its Gaussian start (the target mean +-12
+sd, clipped to the rectangle) and doubles the nodes until the fitted
+moments hold on twice as many; an axis whose cut fails the tail-mass
 check is fitted again over its whole side.
-A 1-D density is integrated on one window read off its exponent: each
-infinite end is cut where sum_i a_i x^i has risen by 72 = 12^2/2 above
-its minimum (+-12 sigma for a Gaussian), with a tail-mass check in fits.
 Every 1-D evaluator and functional reads ln rho from one function, in two
 parts, ln(Z S) and -sum_i a_i x^i (a_0 included), and integrates on one
 node set, reference_rule.  EndpointFactors() means no factors.
@@ -39,11 +41,11 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .numerics import Grid1D, QuadratureRule, _as_finite, _as_int, _as_number, _as_positive
+from .numerics import QuadratureRule, _as_finite, _as_int, _as_number, _as_positive
 
-_QUAD_POINTS = 8001          # reference Simpson resolution, 1-D
 _GAUSS_NODES = 48            # first Gauss-Legendre level per axis, 2-D
 _GAUSS_NODES_MAX = 384       # last 2-D level; its recheck runs on twice as many
+_NODES_1D = 2 * _GAUSS_NODES_MAX   # the one Gauss-Legendre rule of every 1-D integral
 _NEWTON_CAP = 100
 _STEP_CLIP = 10.0
 _TAIL_MASS_LIMIT = 1e-12
@@ -198,11 +200,13 @@ class ExpFamilyDensity2D:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Newton ``iterations`` of a fit (in 2-D, summed over the node levels),
-    its final ``max_moment_residual`` (in 2-D, on the recheck rule of twice
-    the last level's nodes), the integration ``window`` (for a 2-D fit, the
-    x side of the rectangle) and the ``tail_mass`` estimate beyond a window
-    cut, from unbounded 1-D support or inside a 2-D rectangle."""
+    """Newton ``iterations`` of a fit (in 2-D, summed over the node levels
+    on which Newton converged; the steps of a level that failed and was
+    fitted again on twice the nodes are not counted), its final
+    ``max_moment_residual`` (in 2-D, on the recheck rule of twice the last
+    level's nodes), the integration ``window`` (in 1-D, the ends of the
+    window the fit's Gauss rule spans; for a 2-D fit, the x side of the
+    rectangle) and the ``tail_mass`` estimate beyond the window's cut ends."""
 
     iterations: int
     max_moment_residual: float
@@ -230,59 +234,64 @@ def _log_density(d: ExpFamilyDensity1D, xs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _exponent_coeffs(support: tuple[float, float], multipliers) -> list[float]:
-    """P(x) = sum_i a_i x^i, highest order first; NumericError unless P grows
-    toward every infinite end of the support, as a normalizable exp(-P) must."""
+    """P(x) = sum_i a_i x^i, highest order first, at least the constant;
+    NumericError unless P grows toward every infinite end of the support,
+    as a normalizable exp(-P) must."""
     lo, hi = support
     mult = dict(multipliers)
     p = [float(mult.get(i, 0.0)) for i in range(max(mult, default=0), -1, -1)]
-    while p and p[0] == 0.0:
+    while len(p) > 1 and p[0] == 0.0:
         p.pop(0)
     k = len(p) - 1
-    if k < 1 or (math.isinf(hi) and p[0] <= 0) or (math.isinf(lo) and p[0] * (-1) ** k <= 0):
+    if (math.isinf(hi) and not (k and p[0] > 0)
+            or math.isinf(lo) and not (k and p[0] * (-1) ** k > 0)):
         raise NumericError(f"exp(-P), P coefficients {p[::-1]}, does not decay toward "
                            f"every infinite end of [{lo}, {hi}]: not normalizable")
     return p
 
 
-def _window_rule(support: tuple[float, float], multipliers) -> QuadratureRule:
-    """8001-node Simpson rule on the support of exp(-P), P(x) = sum_i a_i x^i.
+def _window(support: tuple[float, float], multipliers) -> tuple[float, float]:
+    """The ends of the integration window of exp(-P), P(x) = sum_i a_i x^i.
 
-    Each infinite end is cut where P has risen by _WINDOW_RISE above its
-    minimum on the support, which is 12 sigma for a Gaussian.  Raises
-    NumericError when exp(-P) is not normalizable on the support.
+    Every end of the support, finite or infinite, is cut where P has risen
+    by _WINDOW_RISE above its minimum on the support, which is 12 sigma for
+    a Gaussian: the window is the hull of the support points where P is no
+    higher, so a constant P on a finite support keeps the whole support.
+    Raises NumericError when exp(-P) is not normalizable on the support.
     """
     lo, hi = support
-    if math.isinf(lo) or math.isinf(hi):
-        p = _exponent_coeffs(support, multipliers)
-        # the minimum lies at a critical point or a finite end; real parts of
-        # complex critical points are support points too, so they do no harm
-        candidates = np.append(
-            np.clip(np.roots(np.polyder(p)).real, lo, hi),
-            [e for e in support if math.isfinite(e)],
-        )
-        p[-1] -= float(np.polyval(p, candidates).min()) + _WINDOW_RISE
-        roots = np.roots(p)
-        crossings = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
-        if crossings.size == 0:
-            raise NumericError(f"exponent has no real crossing {_WINDOW_RISE} above its minimum")
-        lo = float(crossings.min()) if math.isinf(lo) else lo
-        hi = float(crossings.max()) if math.isinf(hi) else hi
-    return QuadratureRule.simpson(Grid1D(lo, hi, _QUAD_POINTS))
+    p = _exponent_coeffs(support, multipliers)
+    # the minimum lies at a critical point or a finite end; real parts of
+    # complex critical points are support points too, so they do no harm
+    candidates = np.append(
+        np.clip(np.roots(np.polyder(p)).real, lo, hi),
+        [e for e in support if math.isfinite(e)],
+    )
+    values = np.polyval(p, candidates)
+    top = float(values.min()) + _WINDOW_RISE
+    p[-1] -= top
+    roots = np.roots(p)
+    crossings = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+    if crossings.size == 0 and (math.isinf(lo) or math.isinf(hi)):
+        raise NumericError(f"exponent has no real crossing {_WINDOW_RISE} above its minimum")
+    inside = np.append(crossings[(lo <= crossings) & (crossings <= hi)], candidates[values <= top])
+    return float(inside.min()), float(inside.max())
+
+
+def _gauss_rule(window: tuple[float, float], n: int) -> QuadratureRule:
+    """The n-node Gauss-Legendre rule mapped from [-1, 1] onto window."""
+    unit = QuadratureRule.gauss_legendre(n)
+    mid, half = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
+    return QuadratureRule("gauss_legendre", mid + half * unit.nodes, half * unit.weights)
 
 
 def reference_rule(d: ExpFamilyDensity1D):
-    """Nodes and Simpson weights of the one quadrature of every functional of d.
-
-    A node that lands on a declared singularity is nudged inward by half a
-    spacing, so the integrand stays finite there for exponents p < 1.
-    """
-    rule = _window_rule(d.support, d.multipliers)
-    xs = rule.nodes
-    half = 0.5 * (xs[1] - xs[0])
-    for loc, _ in d.factors.singularities:
-        hit = np.isclose(xs, loc, rtol=0.0, atol=1e-15 * max(1.0, abs(loc)))
-        xs = np.where(hit, np.where(xs <= 0.5 * (xs[0] + xs[-1]), xs + half, xs - half), xs)
-    return xs, rule.weights
+    """Nodes and weights of the one quadrature of every functional of d:
+    the _NODES_1D Gauss-Legendre rule on d's _window.  No node falls on a
+    window end, so a singularity at an end of the support is finite at
+    every node."""
+    rule = _gauss_rule(_window(d.support, d.multipliers), _NODES_1D)
+    return rule.nodes, rule.weights
 
 
 # ---------------------------------------------------------------------------
@@ -486,42 +495,28 @@ def fit_multipliers_1d(
         # window, out to where a x^k reaches 72, also covers the target mean
         a[-1] = 1.0 / (orders[-1] * targets[-1])
     # from the cold start even with init: a warm start integrates on the cold fit's window
-    rules = (_window_rule(spec.support, tuple(zip(orders, a))), _UNIT_AXIS)
+    window = _window(spec.support, tuple(zip(orders, a)))
+    rules = (_gauss_rule(window, _NODES_1D), _UNIT_AXIS)
     a, a0, diag = _newton_fit(pairs, targets, a if init is None else init, tol, rules)
     multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
     density = ExpFamilyDensity1D(multipliers, spec.support)
-    if spec.unbounded:
-        # a fit on the window alone may end just past the normalizable set
-        _exponent_coeffs(spec.support, multipliers)
-        lo, hi = diag.window
-        cut = [x for x, end in zip(diag.window, spec.support) if math.isinf(end)]
-        tail = float(density_values(density, np.array(cut)).max() * (hi - lo))
-        if tail > _TAIL_MASS_LIMIT:
-            raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
-        diag = replace(diag, tail_mass=tail)
-    return density, diag
+    # a fit on the window alone may end just past the normalizable set
+    _exponent_coeffs(spec.support, multipliers)
+    cut = [x for x, end in zip(window, spec.support) if x != end]
+    peak = max(density_values(density, np.array(cut)), default=0.0)
+    tail = float(peak * (window[1] - window[0]))
+    if tail > _TAIL_MASS_LIMIT:
+        raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
+    return density, replace(diag, window=window, tail_mass=tail)
 
 
 def _axis_windows(support, pairs, start: np.ndarray) -> list[tuple[float, float]]:
-    """Per axis, where the Gaussian exponent a_1 x + a_2 x^2 of the start
-    has risen by _WINDOW_RISE above its minimum, its target mean +-12 sd,
-    clipped to the side; an axis without a second moment keeps its side."""
+    """Per axis, the _window of its side under the start's Gaussian exponent
+    a_1 x + a_2 x^2: its target mean +-12 sd, clipped to the side.  An axis
+    without a second moment starts flat and keeps its side."""
     a = dict(zip(pairs, start))
-    windows = []
-    for (lo, hi), first, second in zip(support, ((1, 0), (0, 1)), ((2, 0), (0, 2))):
-        if second in a:
-            mean = -a.get(first, 0.0) / (2.0 * a[second])
-            half = math.sqrt(_WINDOW_RISE / a[second])
-            lo, hi = max(lo, mean - half), min(hi, mean + half)
-        windows.append((lo, hi))
-    return windows
-
-
-def _gauss_rule(window: tuple[float, float], n: int) -> QuadratureRule:
-    """The n-node Gauss-Legendre rule mapped from [-1, 1] onto window."""
-    unit = QuadratureRule.gauss_legendre(n)
-    mid, half = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
-    return QuadratureRule("gauss_legendre", mid + half * unit.nodes, half * unit.weights)
+    return [_window(side, ((1, a.get(first, 0.0)), (2, a.get(second, 0.0))))
+            for side, first, second in zip(support, ((1, 0), (0, 1)), ((2, 0), (0, 2)))]
 
 
 def _axis_tails(multipliers, support, windows, n: int) -> list[float]:
@@ -555,7 +550,9 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, windows
     _GAUSS_NODES per axis.  Once Newton converges on n nodes, the moments
     are rechecked on 2n; where they miss tol, Newton goes on there, up to
     _GAUSS_NODES_MAX, past which a failed recheck raises ConvergenceError.
-    Returns (a, a_0, diagnostics with the iterations of every level and the
+    Where Newton fails on a level below _GAUSS_NODES_MAX, that level is
+    fitted again on 2n nodes from the same multipliers.  Returns (a, a_0,
+    diagnostics with the iterations of every converged level and the
     recheck residual, the last level n)."""
     n, iterations = _GAUSS_NODES, 0
     while True:
@@ -565,6 +562,9 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, windows
         try:
             a, a00, diag = _newton_fit(pairs, targets, a, tol, rules, cap)
         except ConvergenceError as exc:
+            if n < _GAUSS_NODES_MAX:
+                n *= 2
+                continue
             if cap:
                 raise
             raise ConvergenceError(
