@@ -16,7 +16,10 @@ Every integral runs on Gauss-Legendre rules over a window that one rule
 reads off an exponent: each end of the support, finite or infinite, is
 cut where sum_i a_i x^i has risen by 72 = 12^2/2 above its minimum
 (+-12 sigma for a Gaussian).  A 1-D fit and every 1-D functional use one
-768-node rule on that window, with a tail-mass check in fits.  A 2-D fit
+768-node rule on that window.  A 1-D fit reads it off its start, checks
+the tail mass beyond each cut end and refits on its own window where
+that is much narrower.  A functional reads it off the density, whose
+finite ends it keeps when the density has a zero factor.  A 2-D fit
 takes each axis's window from its Gaussian start (the target mean +-12
 sd, clipped to the rectangle) and doubles the nodes until the fitted
 moments hold on twice as many; an axis whose cut fails the tail-mass
@@ -50,6 +53,10 @@ _NEWTON_CAP = 100
 _STEP_CLIP = 10.0
 _TAIL_MASS_LIMIT = 1e-12
 _WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a cut end: 12 sigma
+# the widest 1-D fit window, in widths of the fitted density's own: 768
+# nodes resolve a Gaussian, a quartic or a sextic exponent to rounding on it
+_WINDOW_SPREAD = 8.0
+_WINDOW_PASSES = 4   # windows a 1-D fit may try
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +207,9 @@ class ExpFamilyDensity2D:
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Newton ``iterations`` of a fit (in 2-D, summed over the node levels
-    on which Newton converged; the steps of a level that failed and was
-    fitted again on twice the nodes are not counted), its final
+    """Newton ``iterations`` of a fit (summed over the windows, in 1-D, and
+    the node levels, in 2-D, on which Newton converged; the steps of one
+    where it failed and the fit moved on are not counted), its final
     ``max_moment_residual`` (in 2-D, on the recheck rule of twice the last
     level's nodes), the integration ``window`` (in 1-D, the ends of the
     window the fit's Gauss rule spans; for a 2-D fit, the x side of the
@@ -287,10 +294,15 @@ def _gauss_rule(window: tuple[float, float], n: int) -> QuadratureRule:
 
 def reference_rule(d: ExpFamilyDensity1D):
     """Nodes and weights of the one quadrature of every functional of d:
-    the _NODES_1D Gauss-Legendre rule on d's _window.  No node falls on a
-    window end, so a singularity at an end of the support is finite at
-    every node."""
-    rule = _gauss_rule(_window(d.support, d.multipliers), _NODES_1D)
+    the _NODES_1D Gauss-Legendre rule on d's _window, whose finite ends
+    stay at the support's ends when d has a zero factor.  No node falls
+    on a window end, so a singularity at an end of the support is finite
+    at every node."""
+    window = _window(d.support, d.multipliers)
+    if d.factors.zeros:
+        # a zero's |x - x0|^m is not in P and can carry mass past a cut end
+        window = tuple(end if math.isfinite(end) else x for x, end in zip(window, d.support))
+    rule = _gauss_rule(window, _NODES_1D)
     return rule.nodes, rule.weights
 
 
@@ -330,21 +342,14 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
             raise InfeasibleMomentsError(
                 f"moment of order {order} = {value} outside the open range ({lo}, {hi})"
             )
+    # the Hankel matrices [<x^(s(i+j))>] over orders 0..2, 0..4 in steps
+    # of 2, and 0..4, wherever all their moments are given
+    moments = {0: 1.0, **targets}
     blocks = []
-    if {1, 2} <= targets.keys():
-        blocks.append(np.array([[1.0, targets[1]], [targets[1], targets[2]]]))
-    if {2, 4} <= targets.keys():
-        blocks.append(np.array([[1.0, targets[2]], [targets[2], targets[4]]]))
-    if {1, 2, 3, 4} <= targets.keys():
-        blocks.append(
-            np.array(
-                [
-                    [1.0, targets[1], targets[2]],
-                    [targets[1], targets[2], targets[3]],
-                    [targets[2], targets[3], targets[4]],
-                ]
-            )
-        )
+    for step, size in ((1, 2), (2, 2), (1, 3)):
+        keys = [[step * (i + j) for j in range(size)] for i in range(size)]
+        if all(k in moments for row in keys for k in row):
+            blocks.append(np.array([[moments[k] for k in row] for row in keys]))
     if {1, 2} <= targets.keys() and math.isfinite(a) and math.isfinite(b):
         # the 1x1 localizing matrix of (x - a)(b - x) >= 0 on [a, b]
         blocks.append(np.array([[(a + b) * targets[1] - targets[2] - a * b]]))
@@ -466,9 +471,19 @@ def fit_multipliers_1d(
 ) -> tuple[ExpFamilyDensity1D, FitDiagnostics]:
     """Fit multipliers so every constrained moment matches within tol.
 
-    Runs the shared Newton core with a one-node y axis.  ``init``, one
-    finite number per constrained order, replaces the cold start.  Returns
-    the normalized density (a_0 included) and fit diagnostics.
+    Runs the shared Newton core with a one-node y axis on the
+    _NODES_1D Gauss-Legendre rule of a window.  The cold start is the
+    Gaussian of the target mean and variance (exp(-x^k / (k t_k)) for an
+    even top order k without a second moment), and the first window is
+    its _window; a fit over the whole of a finite support starts flat.
+    Where Newton fails on a window with a cut finite end, or the density
+    at a cut end leaves more than _TAIL_MASS_LIMIT beyond it, the cut
+    finite ends go back to the support's ends (a cut infinite end
+    raises).  Where the window is more than _WINDOW_SPREAD times as wide
+    as the fitted density's own _window, the fit is done again on that.
+    ``init``, one finite number per constrained order, replaces the cold
+    start on the first window.  Returns the normalized density (a_0
+    included) and fit diagnostics.
     """
     tol = _as_positive(tol, "tol")
     check_feasible_1d(spec)
@@ -489,25 +504,45 @@ def fit_multipliers_1d(
         return density, FitDiagnostics(0, 0.0, (lo, hi), 0.0)
 
     pairs = tuple((o, 0) for o in orders)
-    a = _gaussian_start(pairs, targets) if spec.unbounded else np.zeros(m)
-    if spec.unbounded and 2 not in orders:
-        # exp(-a x^k) has <x^k> = 1/(k a) exactly; as t_k >= |<x>|^k, its
+    a = _gaussian_start(pairs, targets)
+    if 2 not in orders and orders[-1] % 2 == 0:
+        # exp(-a x^k) has <x^k> = 1/(k a) on the line; as t_k >= |<x>|^k, its
         # window, out to where a x^k reaches 72, also covers the target mean
         a[-1] = 1.0 / (orders[-1] * targets[-1])
     # from the cold start even with init: a warm start integrates on the cold fit's window
     window = _window(spec.support, tuple(zip(orders, a)))
-    rules = (_gauss_rule(window, _NODES_1D), _UNIT_AXIS)
-    a, a0, diag = _newton_fit(pairs, targets, a if init is None else init, tol, rules)
-    multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
-    density = ExpFamilyDensity1D(multipliers, spec.support)
-    # a fit on the window alone may end just past the normalizable set
-    _exponent_coeffs(spec.support, multipliers)
-    cut = [x for x, end in zip(window, spec.support) if x != end]
-    peak = max(density_values(density, np.array(cut)), default=0.0)
-    tail = float(peak * (window[1] - window[0]))
-    if tail > _TAIL_MASS_LIMIT:
-        raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
-    return density, replace(diag, window=window, tail_mass=tail)
+    # a fit over the whole of a finite support starts flat
+    flat = np.zeros(m)
+    a = init if init is not None else flat if window == spec.support else a
+    iterations = 0
+    for _ in range(_WINDOW_PASSES):
+        # the window with its cut finite ends put back at the support's ends
+        whole = tuple(end if math.isfinite(end) else x for x, end in zip(window, spec.support))
+        rules = (_gauss_rule(window, _NODES_1D), _UNIT_AXIS)
+        try:
+            a, a0, diag = _newton_fit(pairs, targets, a, tol, rules)
+        except ConvergenceError:
+            if window == whole:
+                raise
+            window, a = whole, flat if whole == spec.support else a
+            continue
+        iterations += diag.iterations
+        multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
+        density = ExpFamilyDensity1D(multipliers, spec.support)
+        # the fit's own window; a fit on the window alone may end just past
+        # the normalizable set, which raises here
+        own = _window(spec.support, multipliers)
+        cuts = np.array([x for x, end in zip(window, spec.support) if x != end])
+        tail = float(density_values(density, cuts).max(initial=0.0)) * (window[1] - window[0])
+        if tail > _TAIL_MASS_LIMIT:
+            if window == whole:
+                raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
+            window, a = whole, flat if whole == spec.support else a
+        elif _WINDOW_SPREAD * (own[1] - own[0]) < window[1] - window[0]:
+            window = own
+        else:
+            return density, replace(diag, iterations=iterations, window=window, tail_mass=tail)
+    raise NumericError(f"no integration window holds the fit after {_WINDOW_PASSES} passes")
 
 
 def _axis_windows(support, pairs, start: np.ndarray) -> list[tuple[float, float]]:
@@ -554,16 +589,16 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, windows
     fitted again on 2n nodes from the same multipliers.  Returns (a, a_0,
     diagnostics with the iterations of every converged level and the
     recheck residual, the last level n)."""
-    n, iterations = _GAUSS_NODES, 0
+    n, iterations, converged = _GAUSS_NODES, 0, False
     while True:
         rules = tuple(_gauss_rule(window, n) for window in windows)
-        # past the first level this is the recheck of the last one
+        # past the last level this is the recheck of the last one
         cap = 0 if n > _GAUSS_NODES_MAX else _NEWTON_CAP
         try:
             a, a00, diag = _newton_fit(pairs, targets, a, tol, rules, cap)
         except ConvergenceError as exc:
             if n < _GAUSS_NODES_MAX:
-                n *= 2
+                n, converged = 2 * n, False
                 continue
             if cap:
                 raise
@@ -571,9 +606,10 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, windows
                 f"2-D fit on {n // 2} Gauss nodes per axis fails its recheck on {n}: {exc}"
             ) from exc
         iterations += diag.iterations
-        if n > _GAUSS_NODES and diag.iterations == 0:
+        # the moments of the level on n // 2 nodes hold on n
+        if converged and diag.iterations == 0:
             return a, a00, replace(diag, iterations=iterations), n // 2
-        n *= 2
+        n, converged = 2 * n, True
 
 
 def fit_multipliers_2d(

@@ -286,6 +286,73 @@ class TestFit1D:
         assert diag.tail_mass < 1e-12
 
     @pytest.mark.parametrize(
+        "constraints",
+        [((2, 0.1),), ((1, 0.5), (2, 0.26)), ((4, 1e-3),)],
+        ids=["sd-0.3", "sd-0.1-off-centre", "quartic-only"],
+    )
+    def test_narrow_density_on_a_wide_interval(self, constraints):
+        # a density some 1e-3 of [-100, 100] wide: the window comes from the
+        # start, not the whole support, so the Gauss rule resolves it
+        spec = MomentSpec1D((-100.0, 100.0), constraints)
+        d, diag = fit_multipliers_1d(spec, tol=1e-10)
+        assert diag.window[1] - diag.window[0] < 10.0
+        xs = np.linspace(-100.0, 100.0, 400001)
+        rho = density_values(d, xs)
+        assert np.trapezoid(rho, xs) == pytest.approx(1.0, abs=1e-12)
+        for order, target in constraints:
+            assert np.trapezoid(rho * xs**order, xs) == pytest.approx(target, abs=1e-12)
+        assert normalization_residual(d) < 1e-13
+
+    @pytest.mark.parametrize("var", [1e-4, 1e-6])
+    def test_small_variance_on_the_unit_interval(self, var):
+        # the Gaussian start is all but the fit, as on the line
+        d, diag = fit_multipliers_1d(MomentSpec1D((-1.0, 1.0), ((2, var),)), tol=1e-12)
+        assert dict(d.multipliers)[2] == pytest.approx(0.5 / var, rel=1e-9)
+        assert diag.iterations <= 2
+
+    def test_wide_window_refits_on_the_fits_own(self, monkeypatch):
+        # a mean 1e-5 of the support from its end: the flat start integrates
+        # over all of [0, 1000], and the fit is done again on its own window,
+        # [0, 0.72] for exp(-100 x)
+        windows = []
+        newton_fit = maxent._newton_fit
+
+        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            windows.append((rules[0].nodes[0], rules[0].nodes[-1]))
+            return newton_fit(pairs, targets, a, tol, rules, cap)
+
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        d, diag = fit_multipliers_1d(MomentSpec1D((0.0, 1000.0), ((1, 0.01),)), tol=1e-12)
+        assert len(windows) == 2 and windows[0][1] > 999.0
+        assert diag.window == pytest.approx((0.0, 0.72), abs=1e-6)
+        assert dict(d.multipliers)[1] == pytest.approx(100.0, rel=1e-10)
+        assert normalization_residual(d) < 1e-13
+
+    def test_failed_start_window_falls_back_to_the_whole_support(self, monkeypatch):
+        # kurtosis 30 on [-20, 20] needs mass past the start's +-12 sd window:
+        # Newton fails there and the fit starts flat over the whole support
+        windows = []
+        newton_fit = maxent._newton_fit
+
+        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            windows.append((rules[0].nodes[0], rules[0].nodes[-1], tuple(a)))
+            return newton_fit(pairs, targets, a, tol, rules, cap)
+
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        spec = MomentSpec1D((-20.0, 20.0), ((2, 1.0), (4, 30.0)))
+        d, diag = fit_multipliers_1d(spec, tol=1e-10)
+        (lo0, hi0, _), (lo1, hi1, start) = windows
+        assert (lo0, hi0) == pytest.approx((-12.0, 12.0), abs=1e-2)
+        assert lo1 < -19.9 and hi1 > 19.9 and start == (0.0, 0.0)
+        assert diag.window == (-20.0, 20.0)
+        # the density rises steeply toward both ends: numpy's own 3000-node
+        # Gauss-Legendre rule checks it
+        xs, w = np.polynomial.legendre.leggauss(3000)
+        rho = density_values(d, 20.0 * xs)
+        assert 20.0 * (w @ rho) == pytest.approx(1.0, abs=1e-12)
+        assert 20.0 * (w @ (rho * (20.0 * xs) ** 4)) == pytest.approx(30.0, rel=1e-9)
+
+    @pytest.mark.parametrize(
         "mean, sd, orders",
         [(5.0, 1.0, (1, 4)), (-5.0, 0.3, (1, 4)), (10.0, 3.0, (1, 4)), (3.0, 1.0, (1, 3, 4))],
     )
@@ -519,9 +586,28 @@ class TestFit2D:
         monkeypatch.setattr(maxent, "_newton_fit", spy)
         spec = narrow_spec(0.2, kurtosis)
         d, diag = fit_multipliers_2d(spec, tol=1e-9)
-        assert levels[0] == (16, 0) and levels[1][0] == 32
+        # the retried level on 32 is rechecked on 64 like any other
+        assert levels[0] == (16, 0) and [n for n, _ in levels[1:3]] == [32, 64]
         assert diag.iterations == sum(iterations for _, iterations in levels)
         assert reference_residual(spec, d) <= 1e-9
+
+    def test_retried_level_is_rechecked(self, monkeypatch):
+        # the Gaussian start is the answer, so the retried level takes no
+        # Newton step; it was never converged on, so it is rechecked on 2n
+        levels = []
+        newton_fit = maxent._newton_fit
+
+        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            levels.append(rules[0].nodes.size)
+            if len(levels) == 1:
+                raise ConvergenceError("first level fails")
+            return newton_fit(pairs, targets, a, tol, rules, cap)
+
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        spec = MomentSpec2D(((-8.0, 8.0), (-8.0, 8.0)), ((2, 0, 1.0), (0, 2, 1.0)))
+        _, diag = fit_multipliers_2d(spec, tol=1e-9)
+        n = maxent._GAUSS_NODES
+        assert levels == [n, 2 * n, 4 * n] and diag.iterations == 0
 
     def test_underresolved_start_escalates(self, monkeypatch):
         # on 16 nodes the recheck fails, so Newton goes on at 32 nodes
@@ -634,6 +720,17 @@ class TestInformation:
         d = ExpFamilyDensity1D(((0, 0.5 * math.log(2 * math.pi * v)), (2, 0.5 / v)), (-1.0, 1.0))
         assert abs(information(d) + 0.5 * math.log(2 * math.pi * math.e * v)) <= 1e-12
         assert normalization_residual(d) < 1e-13
+
+    @pytest.mark.parametrize("m", [40, 60, 100])
+    def test_chi_density_on_a_finite_interval(self, m):
+        # x^m exp(-x^2/2) on [0, 20] peaks at sqrt(m), where x^2/2 has risen
+        # by m/2: the window keeps the finite end 20 that a cut at 12 would lose
+        log_z = 0.5 * (m - 1) * math.log(2.0) + math.lgamma(0.5 * (m + 1))
+        d = ExpFamilyDensity1D(((0, log_z), (2, 0.5)), (0.0, 20.0),
+                               EndpointFactors(zeros=((0.0, m),)))
+        assert normalization_residual(d) < 1e-13
+        # <-P> = -<x^2>/2 - a_0, with <x^2> = m + 1
+        assert modified_information(d) == pytest.approx(-0.5 * (m + 1) - log_z, abs=1e-11)
 
 
 # ln of the integral of exp(-u^4/12) over the line
