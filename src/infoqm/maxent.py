@@ -12,18 +12,19 @@ moment covariance matrix as the Jacobian; all other multipliers stay
 zero.  One Newton core serves both the 1-D and the 2-D fits: it works
 on a tensor product of two ``numerics.QuadratureRule`` axes, and a 1-D
 fit is the case of a one-node second axis (y = 1, weight 1).
-Every integral runs on Gauss-Legendre rules over a window that one rule
-reads off an exponent: each end of the support, finite or infinite, is
-cut where sum_i a_i x^i has risen by 72 = 12^2/2 above its minimum
-(+-12 sigma for a Gaussian).  A 1-D fit and every 1-D functional use one
-768-node rule on that window.  A 1-D fit reads it off its start, checks
-the tail mass beyond each cut end and refits on its own window where
-that is much narrower.  A functional reads it off the density, whose
-finite ends it keeps when the density has a zero factor.  A 2-D fit
-takes each axis's window from its Gaussian start (the target mean +-12
-sd, clipped to the rectangle) and doubles the nodes until the fitted
-moments hold on twice as many; an axis whose cut fails the tail-mass
-check is fitted again over its whole side.
+Every integral runs on Gauss-Legendre nodes that one axis rule places
+on a side of the support: n on a window, the hull of the points where
+sum_i a_i x^i is at most 72 = 12^2/2 above its minimum on the side
+(+-12 sigma for a Gaussian), and n // 4 on each finite piece of the
+side beyond it, so only an infinite end is cut.  A 1-D fit and every
+1-D functional put 768 nodes on the window.  A 1-D fit reads its window off its start,
+raises where the density at an infinite cut end leaves tail mass, and
+refits on its own window where that is much narrower.  A functional
+reads the window off the density.  A 2-D fit takes each axis's window
+from its Gaussian start (the target mean +-12 sd, clipped to the
+rectangle) and doubles the nodes until the fitted moments hold on twice
+as many.  Where Newton fails, both fits refit once from the flat start
+over the whole of a finite support, and otherwise raise.
 Every 1-D evaluator and functional reads ln rho from one function, in two
 parts, ln(Z S) and -sum_i a_i x^i (a_0 included), and integrates on one
 node set, reference_rule.  EndpointFactors() means no factors.
@@ -48,11 +49,11 @@ from .numerics import QuadratureRule, _as_finite, _as_int, _as_number, _as_posit
 
 _GAUSS_NODES = 48            # first Gauss-Legendre level per axis, 2-D
 _GAUSS_NODES_MAX = 384       # last 2-D level; its recheck runs on twice as many
-_NODES_1D = 2 * _GAUSS_NODES_MAX   # the one Gauss-Legendre rule of every 1-D integral
+_NODES_1D = 2 * _GAUSS_NODES_MAX   # window nodes of every 1-D integral
 _NEWTON_CAP = 100
 _STEP_CLIP = 10.0
 _TAIL_MASS_LIMIT = 1e-12
-_WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a cut end: 12 sigma
+_WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a window end: 12 sigma
 # the widest 1-D fit window, in widths of the fitted density's own: 768
 # nodes resolve a Gaussian, a quartic or a sextic exponent to rounding on it
 _WINDOW_SPREAD = 8.0
@@ -211,9 +212,10 @@ class FitDiagnostics:
     the node levels, in 2-D, on which Newton converged; the steps of one
     where it failed and the fit moved on are not counted), its final
     ``max_moment_residual`` (in 2-D, on the recheck rule of twice the last
-    level's nodes), the integration ``window`` (in 1-D, the ends of the
-    window the fit's Gauss rule spans; for a 2-D fit, the x side of the
-    rectangle) and the ``tail_mass`` estimate beyond the window's cut ends."""
+    level's nodes), the integration ``window`` (in 1-D, the window the
+    fit's nodes concentrate on; for a 2-D fit, the x side of the
+    rectangle) and the ``tail_mass`` estimate: the density at an infinite
+    cut end times the window's width, and 0 for a 2-D fit."""
 
     iterations: int
     max_moment_residual: float
@@ -258,12 +260,12 @@ def _exponent_coeffs(support: tuple[float, float], multipliers) -> list[float]:
 
 
 def _window(support: tuple[float, float], multipliers) -> tuple[float, float]:
-    """The ends of the integration window of exp(-P), P(x) = sum_i a_i x^i.
+    """The ends of the window that the nodes of exp(-P), P(x) = sum_i a_i x^i,
+    concentrate on.
 
-    Every end of the support, finite or infinite, is cut where P has risen
-    by _WINDOW_RISE above its minimum on the support, which is 12 sigma for
-    a Gaussian: the window is the hull of the support points where P is no
-    higher, so a constant P on a finite support keeps the whole support.
+    It is the hull of the support points where P is at most _WINDOW_RISE
+    above its minimum on the support, which is 12 sigma for a Gaussian, so
+    a constant P on a finite support keeps the whole support.
     Raises NumericError when exp(-P) is not normalizable on the support.
     """
     lo, hi = support
@@ -292,17 +294,34 @@ def _gauss_rule(window: tuple[float, float], n: int) -> QuadratureRule:
     return QuadratureRule("gauss_legendre", mid + half * unit.nodes, half * unit.weights)
 
 
+def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -> QuadratureRule:
+    """n Gauss-Legendre nodes on window and n // 4 on each finite piece of
+    side beyond it, in order along the side; an infinite end is cut at the
+    window.  Where the window is the whole side this is its _gauss_rule.
+    A piece within rounding of the window's end, whose nodes would
+    coincide, gets none."""
+    rule = _gauss_rule(window, n)
+
+    def piece(lo: float, hi: float) -> list:
+        if not 0.0 < hi - lo < math.inf:
+            return []
+        unit = QuadratureRule.gauss_legendre(n // 4)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid + half * unit.nodes
+        return [(nodes, half * unit.weights)] if np.all(np.diff(nodes) > 0) else []
+
+    parts = [*piece(side[0], window[0]), (rule.nodes, rule.weights), *piece(window[1], side[1])]
+    if len(parts) == 1:
+        return rule
+    return QuadratureRule("gauss_legendre", *(np.concatenate(c) for c in zip(*parts)))
+
+
 def reference_rule(d: ExpFamilyDensity1D):
     """Nodes and weights of the one quadrature of every functional of d:
-    the _NODES_1D Gauss-Legendre rule on d's _window, whose finite ends
-    stay at the support's ends when d has a zero factor.  No node falls
-    on a window end, so a singularity at an end of the support is finite
-    at every node."""
-    window = _window(d.support, d.multipliers)
-    if d.factors.zeros:
-        # a zero's |x - x0|^m is not in P and can carry mass past a cut end
-        window = tuple(end if math.isfinite(end) else x for x, end in zip(window, d.support))
-    rule = _gauss_rule(window, _NODES_1D)
+    the _axis_rule of d's support on d's _window with _NODES_1D nodes.  No
+    node falls on an end of the support or of the window, so a singularity
+    at an end of the support is finite at every node."""
+    rule = _axis_rule(d.support, _window(d.support, d.multipliers), _NODES_1D)
     return rule.nodes, rule.weights
 
 
@@ -471,19 +490,19 @@ def fit_multipliers_1d(
 ) -> tuple[ExpFamilyDensity1D, FitDiagnostics]:
     """Fit multipliers so every constrained moment matches within tol.
 
-    Runs the shared Newton core with a one-node y axis on the
-    _NODES_1D Gauss-Legendre rule of a window.  The cold start is the
+    Runs the shared Newton core with a one-node y axis on the support's
+    _axis_rule with _NODES_1D nodes on a window.  The cold start is the
     Gaussian of the target mean and variance (exp(-x^k / (k t_k)) for an
     even top order k without a second moment), and the first window is
     its _window; a fit over the whole of a finite support starts flat.
-    Where Newton fails on a window with a cut finite end, or the density
-    at a cut end leaves more than _TAIL_MASS_LIMIT beyond it, the cut
-    finite ends go back to the support's ends (a cut infinite end
-    raises).  Where the window is more than _WINDOW_SPREAD times as wide
-    as the fitted density's own _window, the fit is done again on that.
-    ``init``, one finite number per constrained order, replaces the cold
-    start on the first window.  Returns the normalized density (a_0
-    included) and fit diagnostics.
+    Where Newton fails, the fit is done once more from the flat start
+    over the whole of a finite support; on an infinite one it raises, as
+    it does where the density at an infinite cut end leaves more than
+    _TAIL_MASS_LIMIT beyond it.  Where the window is more than
+    _WINDOW_SPREAD times as wide as the fitted density's own _window, the
+    fit is done again on that.  ``init``, one finite number per
+    constrained order, replaces the cold start on the first window.
+    Returns the normalized density (a_0 included) and fit diagnostics.
     """
     tol = _as_positive(tol, "tol")
     check_feasible_1d(spec)
@@ -516,15 +535,15 @@ def fit_multipliers_1d(
     a = init if init is not None else flat if window == spec.support else a
     iterations = 0
     for _ in range(_WINDOW_PASSES):
-        # the window with its cut finite ends put back at the support's ends
-        whole = tuple(end if math.isfinite(end) else x for x, end in zip(window, spec.support))
-        rules = (_gauss_rule(window, _NODES_1D), _UNIT_AXIS)
+        rules = (_axis_rule(spec.support, window, _NODES_1D), _UNIT_AXIS)
         try:
             a, a0, diag = _newton_fit(pairs, targets, a, tol, rules)
         except ConvergenceError:
-            if window == whole:
+            # the recovery of both fits: once, from the flat start over the
+            # whole of a finite support
+            if spec.unbounded or window == spec.support and not a.any():
                 raise
-            window, a = whole, flat if whole == spec.support else a
+            window, a = spec.support, flat
             continue
         iterations += diag.iterations
         multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
@@ -532,13 +551,11 @@ def fit_multipliers_1d(
         # the fit's own window; a fit on the window alone may end just past
         # the normalizable set, which raises here
         own = _window(spec.support, multipliers)
-        cuts = np.array([x for x, end in zip(window, spec.support) if x != end])
+        cuts = np.array([x for x, end in zip(window, spec.support) if math.isinf(end)])
         tail = float(density_values(density, cuts).max(initial=0.0)) * (window[1] - window[0])
         if tail > _TAIL_MASS_LIMIT:
-            if window == whole:
-                raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
-            window, a = whole, flat if whole == spec.support else a
-        elif _WINDOW_SPREAD * (own[1] - own[0]) < window[1] - window[0]:
+            raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
+        if _WINDOW_SPREAD * (own[1] - own[0]) < window[1] - window[0]:
             window = own
         else:
             return density, replace(diag, iterations=iterations, window=window, tail_mass=tail)
@@ -554,44 +571,18 @@ def _axis_windows(support, pairs, start: np.ndarray) -> list[tuple[float, float]
             for side, first, second in zip(support, ((1, 0), (0, 1)), ((2, 0), (0, 2)))]
 
 
-def _axis_tails(multipliers, support, windows, n: int) -> list[float]:
-    """Per axis, the largest over its window cuts inside the rectangle of
-    the peak of the normalized density beyond the cut times the area
-    beyond it (0 where the window is the whole side).
-
-    The peak is sampled on n evenly spaced lines across the strip beyond
-    the cut, its two edges included, at the other axis's n Gauss nodes,
-    window ends and side ends: with a negative top multiplier the density
-    can rise again toward the rectangle's edge."""
-    tails = []
-    for axis in (0, 1):
-        other_side, other_window = support[1 - axis], windows[1 - axis]
-        tail = 0.0
-        for cut, end in zip(windows[axis], support[axis]):
-            if cut != end:
-                along = np.concatenate(
-                    [_gauss_rule(other_window, n).nodes, other_window, other_side])
-                across = np.linspace(cut, end, n)
-                x, y = np.ix_(across, along) if axis == 0 else np.ix_(along, across)
-                with np.errstate(over="ignore"):  # a density that blows up reads inf
-                    peak = float(np.exp(-sum(v * x**i * y**j for i, j, v in multipliers)).max())
-                tail = max(tail, peak * abs(end - cut) * (other_side[1] - other_side[0]))
-        tails.append(tail)
-    return tails
-
-
-def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, windows):
-    """_newton_fit on the tensor Gauss-Legendre rules of windows, first with
-    _GAUSS_NODES per axis.  Once Newton converges on n nodes, the moments
-    are rechecked on 2n; where they miss tol, Newton goes on there, up to
-    _GAUSS_NODES_MAX, past which a failed recheck raises ConvergenceError.
-    Where Newton fails on a level below _GAUSS_NODES_MAX, that level is
-    fitted again on 2n nodes from the same multipliers.  Returns (a, a_0,
-    diagnostics with the iterations of every converged level and the
-    recheck residual, the last level n)."""
+def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, support, windows):
+    """_newton_fit on the tensor product of each axis's _axis_rule of its
+    side and window, first with _GAUSS_NODES per axis.  Once Newton
+    converges on n nodes, the moments are rechecked on 2n; where they miss
+    tol, Newton goes on there, up to _GAUSS_NODES_MAX, past which a failed
+    recheck raises ConvergenceError.  Where Newton fails on a level below
+    _GAUSS_NODES_MAX, that level is fitted again on 2n nodes from the same
+    multipliers.  Returns (a, a_0, diagnostics with the iterations of every
+    converged level and the recheck residual)."""
     n, iterations, converged = _GAUSS_NODES, 0, False
     while True:
-        rules = tuple(_gauss_rule(window, n) for window in windows)
+        rules = tuple(_axis_rule(side, window, n) for side, window in zip(support, windows))
         # past the last level this is the recheck of the last one
         cap = 0 if n > _GAUSS_NODES_MAX else _NEWTON_CAP
         try:
@@ -608,7 +599,7 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, windows
         iterations += diag.iterations
         # the moments of the level on n // 2 nodes hold on n
         if converged and diag.iterations == 0:
-            return a, a00, replace(diag, iterations=iterations), n // 2
+            return a, a00, replace(diag, iterations=iterations)
         n, converged = 2 * n, True
 
 
@@ -619,11 +610,11 @@ def fit_multipliers_2d(
 
     Each axis's marginal constraints are screened by check_feasible_1d and
     the Newton core starts from the Gaussian of each axis's target mean
-    and variance (_gaussian_start).  It integrates on Gauss-Legendre rules
-    over each axis's window (_axis_windows), doubling their nodes until
-    the moments hold on twice as many (_gauss_levels).  An axis whose
-    window cut fails the 1-D tail-mass check (_TAIL_MASS_LIMIT) is then
-    fitted over its whole side, from the multipliers reached.
+    and variance (_gaussian_start).  It integrates on each axis's
+    _axis_rule, its nodes concentrated on the axis's window
+    (_axis_windows), doubling them until the moments hold on twice as
+    many (_gauss_levels).  Where that fails, the fit is done once more
+    from the flat start over the whole rectangle.
     """
     tol = _as_positive(tol, "tol")
     _check_feasible_2d(spec)
@@ -637,19 +628,16 @@ def fit_multipliers_2d(
         return density, FitDiagnostics(0, 0.0, (a1, b1), 0.0)
 
     a = _gaussian_start(pairs, targets)
-    windows = _axis_windows(spec.support, pairs, a)
-    iterations = 0
-    while True:
-        a, a00, diag, n = _gauss_levels(pairs, targets, a, tol, windows)
-        iterations += diag.iterations
-        multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
-        tails = _axis_tails(multipliers, spec.support, windows, n)
-        if max(tails) <= _TAIL_MASS_LIMIT:
-            break
-        windows = [side if tail > _TAIL_MASS_LIMIT else window
-                   for side, window, tail in zip(spec.support, windows, tails)]
-    diag = replace(diag, iterations=iterations, window=(a1, b1), tail_mass=max(tails))
-    return ExpFamilyDensity2D(multipliers, spec.support), diag
+    try:
+        a, a00, diag = _gauss_levels(pairs, targets, a, tol, spec.support,
+                                     _axis_windows(spec.support, pairs, a))
+    except ConvergenceError:
+        # the recovery of both fits: once, from the flat start over the
+        # whole rectangle
+        a, a00, diag = _gauss_levels(pairs, targets, np.zeros(len(pairs)), tol, spec.support,
+                                     spec.support)
+    multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
+    return ExpFamilyDensity2D(multipliers, spec.support), replace(diag, window=(a1, b1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 # allow running the suite from a fresh checkout without installing
@@ -33,3 +34,18 @@ GOLDEN_TABLE = {
     6: (5.7558755, 0.334322, -0.413460, 7.03368),
     7: (7.07846158, 0.330258, -0.426725, 8.81483),
 }
+
+
+@pytest.fixture(scope="session")
+def leggauss_4000():
+    """numpy's own 4000-node Gauss-Legendre rule on [-1, 1], an integration
+    reference that shares no code with the package's quadrature."""
+    return np.polynomial.legendre.leggauss(4000)
+
+
+def leggauss_moment(multipliers, side, order, rule):
+    """<x^order> of exp(-sum a_i x^i), a_0 included, on [-side, side] by
+    numpy's Gauss-Legendre rule (nodes, weights) on [-1, 1]."""
+    xs, w = rule
+    x = side * xs
+    return side * float(w @ (np.exp(-sum(v * x**o for o, v in multipliers)) * x**order))

@@ -21,7 +21,7 @@ from infoqm import (
 )
 from infoqm.cli import run
 
-from conftest import GOLDEN_TABLE
+from conftest import GOLDEN_TABLE, leggauss_moment
 
 # outputs frozen before the width solve became plain bisection
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -224,6 +224,19 @@ class TestMaxentFit:
         assert dict(map(tuple, redone["multipliers"]))[2] == pytest.approx(
             dict(map(tuple, original["multipliers"]))[2], abs=1e-9
         )
+
+    @pytest.mark.parametrize("side", [14.0, 16.0, 18.0])
+    def test_density_rising_toward_finite_ends(self, tmp_path, capsys, side, leggauss_4000):
+        # kurtosis 3.05 on [-side, side]: the written multipliers, a negative
+        # x^4 one among them, hold every moment on numpy's 4000-node rule
+        spec = tmp_path / "spec.json"
+        moments = [{"order": 2, "value": 1.0}, {"order": 4, "value": 3.05}]
+        spec.write_text(json.dumps({"support": [-side, side], "moments": moments}))
+        code, out, _ = run_captured(capsys, ["maxent", "fit", "--spec", str(spec)])
+        assert code == 0
+        multipliers = json.loads(out)["multipliers"]
+        for order, target in ((0, 1.0), (2, 1.0), (4, 3.05)):
+            assert abs(leggauss_moment(multipliers, side, order, leggauss_4000) - target) <= 1e-9
 
     def test_infeasible_spec(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -33,6 +33,8 @@ from infoqm import (
 from infoqm import maxent
 from infoqm.maxent import reference_rule
 
+from conftest import leggauss_moment
+
 INF = math.inf
 
 # frozen from scripts/oracle_maxent_bisection.py (1-D bisection on the
@@ -279,7 +281,8 @@ class TestFit1D:
 
     def test_half_line_window_cuts_the_finite_end(self):
         # unit variance at mean 20: the exponent rises 72 at 8 and at 32, so
-        # the window cuts the finite end 0 as well as the infinite one
+        # the nodes concentrate on (8, 32), not (0, 32); only the infinite
+        # end is cut, and the piece (0, 8) keeps nodes of its own
         spec = MomentSpec1D((0.0, INF), ((1, 20.0), (2, 401.0)))
         _, diag = fit_multipliers_1d(spec, tol=1e-10)
         assert diag.window == pytest.approx((8.0, 32.0), abs=1e-12)
@@ -329,21 +332,27 @@ class TestFit1D:
         assert normalization_residual(d) < 1e-13
 
     def test_failed_start_window_falls_back_to_the_whole_support(self, monkeypatch):
-        # kurtosis 30 on [-20, 20] needs mass past the start's +-12 sd window:
-        # Newton fails there and the fit starts flat over the whole support
-        windows = []
-        newton_fit = maxent._newton_fit
+        # kurtosis 30 on [-20, 20] needs mass far past the start's +-12 sd
+        # window: Newton fails from the Gaussian start, and the fit starts
+        # flat over the whole support
+        windows, starts = [], []
+        axis_rule, newton_fit = maxent._axis_rule, maxent._newton_fit
 
-        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
-            windows.append((rules[0].nodes[0], rules[0].nodes[-1], tuple(a)))
+        def rule_spy(side, window, n):
+            windows.append(window)
+            return axis_rule(side, window, n)
+
+        def newton_spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            starts.append(tuple(a))
             return newton_fit(pairs, targets, a, tol, rules, cap)
 
-        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        monkeypatch.setattr(maxent, "_axis_rule", rule_spy)
+        monkeypatch.setattr(maxent, "_newton_fit", newton_spy)
         spec = MomentSpec1D((-20.0, 20.0), ((2, 1.0), (4, 30.0)))
         d, diag = fit_multipliers_1d(spec, tol=1e-10)
-        (lo0, hi0, _), (lo1, hi1, start) = windows
-        assert (lo0, hi0) == pytest.approx((-12.0, 12.0), abs=1e-2)
-        assert lo1 < -19.9 and hi1 > 19.9 and start == (0.0, 0.0)
+        assert len(windows) == len(starts) == 2
+        assert windows[0] == pytest.approx((-12.0, 12.0), abs=1e-12)
+        assert windows[1] == (-20.0, 20.0) and starts[1] == (0.0, 0.0)
         assert diag.window == (-20.0, 20.0)
         # the density rises steeply toward both ends: numpy's own 3000-node
         # Gauss-Legendre rule checks it
@@ -351,6 +360,18 @@ class TestFit1D:
         rho = density_values(d, 20.0 * xs)
         assert 20.0 * (w @ rho) == pytest.approx(1.0, abs=1e-12)
         assert 20.0 * (w @ (rho * (20.0 * xs) ** 4)) == pytest.approx(30.0, rel=1e-9)
+
+    @pytest.mark.parametrize("side", [14.0, 16.0, 18.0])
+    def test_density_rising_toward_finite_ends(self, side, leggauss_4000):
+        # kurtosis 3.05 on [-side, side] has a negative x^4 multiplier: the
+        # density falls past the start's +-12 window and rises again toward
+        # both ends, so the nodes must reach the ends
+        spec = MomentSpec1D((-side, side), ((2, 1.0), (4, 3.05)))
+        d, diag = fit_multipliers_1d(spec, tol=1e-10)
+        assert dict(d.multipliers)[4] < 0.0 and diag.tail_mass == 0.0
+        for order, target in ((0, 1.0), (2, 1.0), (4, 3.05)):
+            assert abs(leggauss_moment(d.multipliers, side, order, leggauss_4000)
+                       - target) <= 1e-9
 
     @pytest.mark.parametrize(
         "mean, sd, orders",
@@ -468,6 +489,26 @@ def reference_residual(spec, density):
     return max(abs(table[i, j] - v) for i, j, v in spec.constraints)
 
 
+def leggauss_moments_2d(support, multipliers, nx=800, ny=200):
+    """<x^i y^j>, i, j <= 4, of exp(-sum v x^i y^j) from numpy's
+    Gauss-Legendre rules, nx by ny nodes, over the rectangle."""
+    axes = []
+    for (lo, hi), n in zip(support, (nx, ny)):
+        t, w = np.polynomial.legendre.leggauss(n)
+        axes.append((0.5 * (lo + hi) + 0.5 * (hi - lo) * t, 0.5 * (hi - lo) * w))
+    (xs, wx), (ys, wy) = axes
+    rho = np.exp(-sum(v * xs[:, None] ** i * ys**j for i, j, v in multipliers))
+    px, py = np.vander(xs, 5, increasing=True).T, np.vander(ys, 5, increasing=True).T
+    table = (px * wx) @ rho @ (py * wy).T
+    return table / table[0, 0]
+
+
+# (half-side of x, <x^4>) of leptokurtic specs, (2,0) = (0,2) = 1 and y on
+# [-3, 3]: each has a maxent density with a negative x^4 multiplier and
+# mass toward the x edges
+LEPTOKURTIC_2D = [(12.5, 3.2), (14.0, 3.2), (16.0, 3.2), (14.0, 3.5), (14.0, 4.0)]
+
+
 def narrow_spec(sd, kurtosis):
     """(2,0), (0,2), (4,0), (0,4) of a symmetric density of the given sd and
     kurtosis on [-3, 3]^2, the same on both axes."""
@@ -569,17 +610,19 @@ class TestFit2D:
     @pytest.mark.parametrize("kurtosis", [3.0, 2.65])
     def test_failed_level_retries_on_twice_the_nodes(self, monkeypatch, kurtosis):
         # Newton fails on 16 nodes at sd 0.2, so that level is fitted again on
-        # 32 from the same start; the failed level's steps are not counted
+        # 32 from the same start; the failed level's steps are not counted.
+        # A level is the number of x nodes on the +-12 sd window, +-2.4.
         levels = []
         newton_fit = maxent._newton_fit
 
         def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            level = int(np.count_nonzero(np.abs(rules[0].nodes) < 2.4))
             try:
                 result = newton_fit(pairs, targets, a, tol, rules, cap)
             except ConvergenceError:
-                levels.append((rules[0].nodes.size, 0))
+                levels.append((level, 0))
                 raise
-            levels.append((rules[0].nodes.size, result[2].iterations))
+            levels.append((level, result[2].iterations))
             return result
 
         monkeypatch.setattr(maxent, "_GAUSS_NODES", 16)
@@ -636,27 +679,66 @@ class TestFit2D:
         with pytest.raises(ConvergenceError, match=r"fails its recheck on 32.*residual"):
             fit_multipliers_2d(narrow_spec(0.5, 2.65), tol=1e-9)
 
-    def test_tail_check_widens_a_cut_axis(self, monkeypatch):
-        # kurtosis 3.05 on a 14 sd half-side: the fit on the 12 sd window has
-        # a negative x^4 multiplier, and its density rises again past the cut,
-        # so the x axis is fitted again over its whole side
-        checks = []
-        axis_tails = maxent._axis_tails
+    @pytest.mark.parametrize("half, m40", LEPTOKURTIC_2D)
+    def test_leptokurtic_specs_on_wide_rectangles(self, half, m40):
+        spec = MomentSpec2D(((-half, half), (-3.0, 3.0)), ((2, 0, 1.0), (4, 0, m40), (0, 2, 1.0)))
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert diag.max_moment_residual <= 1e-9 and diag.tail_mass == 0.0
+        table = leggauss_moments_2d(spec.support, d.multipliers)
+        assert max(abs(table[i, j] - v) for i, j, v in spec.constraints) <= 1e-9
 
-        def spy(multipliers, support, windows, n):
-            tails = axis_tails(multipliers, support, windows, n)
-            checks.append((list(windows), tails))
-            return tails
-
-        monkeypatch.setattr(maxent, "_axis_tails", spy)
+    def test_density_rising_past_a_cut_window(self):
+        # kurtosis 3.05 on a 14 sd half-side: the x^4 multiplier is negative
+        # and the density rises again past the 12 sd window, whose pieces of
+        # the side beyond it carry nodes of their own
         spec = MomentSpec2D(((-14.0, 14.0), (-3.0, 3.0)), ((2, 0, 1.0), (4, 0, 3.05), (0, 2, 1.0)))
         d, diag = fit_multipliers_2d(spec, tol=1e-9)
-        (cut, tails), (wide, wide_tails) = checks
-        assert cut[0] == pytest.approx((-12.0, 12.0)) and cut[1] == (-3.0, 3.0)
-        assert tails[0] > maxent._TAIL_MASS_LIMIT
-        assert wide == [(-14.0, 14.0), (-3.0, 3.0)] and wide_tails == [0.0, 0.0]
+        assert {(i, j): v for i, j, v in d.multipliers}[(4, 0)] < 0.0
         assert diag.tail_mass == 0.0
         assert reference_residual(spec, d) <= 1e-9
+
+
+class TestAxisRule:
+    def test_whole_side_window_is_the_windows_rule(self, monkeypatch):
+        made = []
+        gauss_rule = maxent._gauss_rule
+
+        def spy(window, n):
+            made.append(gauss_rule(window, n))
+            return made[-1]
+
+        monkeypatch.setattr(maxent, "_gauss_rule", spy)
+        rule = maxent._axis_rule((-3.0, 3.0), (-3.0, 3.0), 48)
+        assert made and rule is made[0]
+
+    @pytest.mark.parametrize(
+        "side, window, pieces",
+        [((-INF, INF), (-2.0, 3.0), 0), ((-INF, 5.0), (-2.0, 3.0), 1),
+         ((-4.0, INF), (-2.0, 3.0), 1)],
+    )
+    def test_an_infinite_end_is_cut(self, side, window, pieces):
+        # the nodes cover the window and the finite pieces of the side only
+        rule = maxent._axis_rule(side, window, 48)
+        covered = [w if math.isinf(s) else s for s, w in zip(side, window)]
+        assert rule.nodes.size == 48 + 12 * pieces
+        assert covered[0] < rule.nodes[0] and rule.nodes[-1] < covered[1]
+        assert rule.weights.sum() == pytest.approx(covered[1] - covered[0], rel=1e-14)
+
+    @pytest.mark.parametrize("ulps", [1, 4])
+    def test_a_piece_within_rounding_gets_no_nodes(self, ulps):
+        # a window end a few ulps inside a side end leaves a piece whose
+        # nodes would coincide
+        step = ulps * np.spacing(3.0)
+        for window in ((-3.0 + step, 2.0), (-2.0, 3.0 - step)):
+            rule = maxent._axis_rule((-3.0, 3.0), window, 48)
+            assert rule.nodes.size == 48 + 12
+
+    @pytest.mark.parametrize("window", [(-3.0, 3.0), (-1.0, 2.0), (-3.0, 0.5), (0.5, 3.0)])
+    def test_finite_side_weights_sum_to_its_length(self, window):
+        rule = maxent._axis_rule((-3.0, 3.0), window, 48)
+        assert rule.nodes.size == 48 + 12 * sum(w != s for w, s in zip(window, (-3.0, 3.0)))
+        assert -3.0 < rule.nodes[0] and rule.nodes[-1] < 3.0
+        assert rule.weights.sum() == pytest.approx(6.0, rel=1e-14)
 
 
 class TestDensityEval:
@@ -714,7 +796,7 @@ class TestInformation:
 
 
     def test_narrow_gaussian_on_a_wide_interval(self):
-        # sd 1e-4 on [-1, 1]: the window cuts both finite ends at +-12 sd, so
+        # sd 1e-4 on [-1, 1]: the nodes concentrate on the +-12 sd window, so
         # the rule resolves a density that fills a thousandth of the support
         v = 1e-8
         d = ExpFamilyDensity1D(((0, 0.5 * math.log(2 * math.pi * v)), (2, 0.5 / v)), (-1.0, 1.0))
@@ -724,7 +806,8 @@ class TestInformation:
     @pytest.mark.parametrize("m", [40, 60, 100])
     def test_chi_density_on_a_finite_interval(self, m):
         # x^m exp(-x^2/2) on [0, 20] peaks at sqrt(m), where x^2/2 has risen
-        # by m/2: the window keeps the finite end 20 that a cut at 12 would lose
+        # by m/2: the piece (12, 20) beyond the window keeps nodes of its own,
+        # so the mass past 12 is not lost
         log_z = 0.5 * (m - 1) * math.log(2.0) + math.lgamma(0.5 * (m + 1))
         d = ExpFamilyDensity1D(((0, log_z), (2, 0.5)), (0.0, 20.0),
                                EndpointFactors(zeros=((0.0, m),)))
