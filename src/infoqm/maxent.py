@@ -23,8 +23,12 @@ refits on its own window where that is much narrower.  A functional
 reads the window off the density.  A 2-D fit takes each axis's window
 from its Gaussian start (the target mean +-12 sd, clipped to the
 rectangle) and doubles the nodes until the fitted moments hold on twice
-as many.  Where Newton fails, both fits refit once from the flat start
-over the whole of a finite support, and otherwise raise.
+as many.  Each fit has one start and one restart: a 1-D fit starts
+from ``init`` or its cold start, a 2-D fit from its Gaussian start, and
+where Newton fails the fit restarts once, flat over the whole of a
+finite support (always, in 2-D) or from the cold start on its window
+where the support is infinite; where the failed attempt was the
+restart, or the restart fails too, it raises.
 Every 1-D evaluator and functional reads ln rho from one function, in two
 parts, ln(Z S) and -sum_i a_i x^i (a_0 included), and integrates on one
 node set, reference_rule.  EndpointFactors() means no factors.
@@ -84,18 +88,22 @@ def _term_table(terms, valid, name: str) -> tuple:
     return tuple(sorted(key + (value,) for key, value in table.items()))
 
 
-def _check_interval(support: tuple[float, float]) -> None:
-    """Raise ValidationError unless support is an interval a < b (ends may be infinite)."""
-    if not support[0] < support[1]:
-        raise ValidationError(f"support must satisfy a < b, got {list(support)}")
+def _interval(support) -> tuple[float, float]:
+    """support as a pair of floats a < b (ends may be infinite), each a
+    number under numerics._as_number; ValidationError otherwise."""
+    a, b = (_as_number(end, "support bound") for end in support)
+    if not a < b:
+        raise ValidationError(f"support must satisfy a < b, got {[a, b]}")
+    return a, b
 
 
-def _check_rectangle(support: tuple[tuple[float, float], tuple[float, float]]) -> None:
-    """Raise ValidationError unless support is a finite nondegenerate rectangle."""
-    (a1, b1), (a2, b2) = support
-    for lo, hi in ((a1, b1), (a2, b2)):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValidationError("2-D support must be a finite nondegenerate rectangle")
+def _rectangle(support) -> tuple[tuple[float, float], tuple[float, float]]:
+    """support as a finite nondegenerate rectangle of two _interval sides;
+    ValidationError otherwise."""
+    sides = tuple(_interval(side) for side in support)
+    if len(sides) != 2 or not all(math.isfinite(end) for side in sides for end in side):
+        raise ValidationError("2-D support must be a finite nondegenerate rectangle")
+    return sides
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,7 @@ class MomentSpec1D:
     constraints: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        _check_interval(self.support)
+        object.__setattr__(self, "support", _interval(self.support))
         ordered = _term_table(self.constraints, lambda o: o >= 1, "constraint order")
         object.__setattr__(self, "constraints", ordered)
         if self.unbounded and ordered and ordered[-1][0] % 2 == 1:
@@ -135,7 +143,7 @@ class MomentSpec2D:
     constraints: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        _check_rectangle(self.support)
+        object.__setattr__(self, "support", _rectangle(self.support))
         ordered = _term_table(
             self.constraints, lambda i, j: min(i, j) >= 0 and 1 <= i + j <= 4, "constraint pair"
         )
@@ -183,7 +191,7 @@ class ExpFamilyDensity1D:
     factors: EndpointFactors = EndpointFactors()
 
     def __post_init__(self):
-        _check_interval(self.support)
+        object.__setattr__(self, "support", _interval(self.support))
         ordered = _term_table(self.multipliers, lambda o: o >= 0, "multiplier order")
         object.__setattr__(self, "multipliers", ordered)
         object.__setattr__(self, "factors", self.factors or EndpointFactors())
@@ -201,7 +209,7 @@ class ExpFamilyDensity2D:
     support: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
-        _check_rectangle(self.support)
+        object.__setattr__(self, "support", _rectangle(self.support))
         ordered = _term_table(self.multipliers, lambda i, j: min(i, j) >= 0, "multiplier pair")
         object.__setattr__(self, "multipliers", ordered)
 
@@ -209,8 +217,8 @@ class ExpFamilyDensity2D:
 @dataclass(frozen=True)
 class FitDiagnostics:
     """Newton ``iterations`` of a fit (summed over the windows, in 1-D, and
-    the node levels, in 2-D, on which Newton converged; the steps of one
-    where it failed and the fit moved on are not counted), its final
+    the node levels, in 2-D, on which Newton converged; the steps of an
+    attempt that failed before the restart are not counted), its final
     ``max_moment_residual`` (in 2-D, on the recheck rule of twice the last
     level's nodes), the integration ``window`` (in 1-D, the window the
     fit's nodes concentrate on; for a 2-D fit, the x side of the
@@ -483,6 +491,14 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
     return a, shift + math.log(z), FitDiagnostics(iterations, residual, window)
 
 
+def _restart_failed(windows, first: Exception, second: Exception) -> ConvergenceError:
+    """The one error of a fit whose restart failed too: the first attempt's
+    window (one interval per axis) and error, then the restart's error."""
+    shown = " x ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in windows)
+    return ConvergenceError(f"Newton failed on window {shown}: {first}; "
+                            f"its one restart failed too: {second}")
+
+
 def fit_multipliers_1d(
     spec: MomentSpec1D,
     init: np.ndarray | None = None,
@@ -494,14 +510,16 @@ def fit_multipliers_1d(
     _axis_rule with _NODES_1D nodes on a window.  The cold start is the
     Gaussian of the target mean and variance (exp(-x^k / (k t_k)) for an
     even top order k without a second moment), and the first window is
-    its _window; a fit over the whole of a finite support starts flat.
-    Where Newton fails, the fit is done once more from the flat start
-    over the whole of a finite support; on an infinite one it raises, as
-    it does where the density at an infinite cut end leaves more than
-    _TAIL_MASS_LIMIT beyond it.  Where the window is more than
+    its _window, also where that is the whole support.  ``init``, one
+    finite number per constrained order, replaces the cold start on that
+    window.  Where Newton fails, the fit restarts once: flat over the
+    whole of a finite support, from the cold start on its window on an
+    infinite one.  It raises where the failed attempt was the restart,
+    where Newton fails again after it (one ConvergenceError naming both
+    attempts), and where the density at an infinite cut end leaves more
+    than _TAIL_MASS_LIMIT beyond it.  Where the window is more than
     _WINDOW_SPREAD times as wide as the fitted density's own _window, the
-    fit is done again on that.  ``init``, one finite number per
-    constrained order, replaces the cold start on the first window.
+    fit is done again on that.
     Returns the normalized density (a_0 included) and fit diagnostics.
     """
     tol = _as_positive(tol, "tol")
@@ -523,27 +541,28 @@ def fit_multipliers_1d(
         return density, FitDiagnostics(0, 0.0, (lo, hi), 0.0)
 
     pairs = tuple((o, 0) for o in orders)
-    a = _gaussian_start(pairs, targets)
+    cold = _gaussian_start(pairs, targets)
     if 2 not in orders and orders[-1] % 2 == 0:
         # exp(-a x^k) has <x^k> = 1/(k a) on the line; as t_k >= |<x>|^k, its
         # window, out to where a x^k reaches 72, also covers the target mean
-        a[-1] = 1.0 / (orders[-1] * targets[-1])
+        cold[-1] = 1.0 / (orders[-1] * targets[-1])
     # from the cold start even with init: a warm start integrates on the cold fit's window
-    window = _window(spec.support, tuple(zip(orders, a)))
-    # a fit over the whole of a finite support starts flat
-    flat = np.zeros(m)
-    a = init if init is not None else flat if window == spec.support else a
-    iterations = 0
+    window = _window(spec.support, tuple(zip(orders, cold)))
+    # the one restart: flat over the whole of a finite support, else the cold start
+    restart = (window, cold) if spec.unbounded else (spec.support, np.zeros(m))
+    a = cold if init is None else init
+    iterations, failed = 0, None
     for _ in range(_WINDOW_PASSES):
         rules = (_axis_rule(spec.support, window, _NODES_1D), _UNIT_AXIS)
         try:
             a, a0, diag = _newton_fit(pairs, targets, a, tol, rules)
-        except ConvergenceError:
-            # the recovery of both fits: once, from the flat start over the
-            # whole of a finite support
-            if spec.unbounded or window == spec.support and not a.any():
+        except ConvergenceError as exc:
+            if failed:
+                raise _restart_failed(*failed, exc) from exc
+            if window == restart[0] and np.array_equal(a, restart[1]):
                 raise
-            window, a = spec.support, flat
+            failed = ([window], exc)
+            window, a = restart
             continue
         iterations += diag.iterations
         multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
@@ -576,11 +595,11 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, support
     side and window, first with _GAUSS_NODES per axis.  Once Newton
     converges on n nodes, the moments are rechecked on 2n; where they miss
     tol, Newton goes on there, up to _GAUSS_NODES_MAX, past which a failed
-    recheck raises ConvergenceError.  Where Newton fails on a level below
-    _GAUSS_NODES_MAX, that level is fitted again on 2n nodes from the same
-    multipliers.  Returns (a, a_0, diagnostics with the iterations of every
-    converged level and the recheck residual)."""
-    n, iterations, converged = _GAUSS_NODES, 0, False
+    recheck raises ConvergenceError.  A level past the first is entered
+    only after the one below it converged, and where Newton fails on a
+    level, its ConvergenceError propagates.  Returns (a, a_0, diagnostics
+    with the iterations of every level and the recheck residual)."""
+    n, iterations = _GAUSS_NODES, 0
     while True:
         rules = tuple(_axis_rule(side, window, n) for side, window in zip(support, windows))
         # past the last level this is the recheck of the last one
@@ -588,9 +607,6 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, support
         try:
             a, a00, diag = _newton_fit(pairs, targets, a, tol, rules, cap)
         except ConvergenceError as exc:
-            if n < _GAUSS_NODES_MAX:
-                n, converged = 2 * n, False
-                continue
             if cap:
                 raise
             raise ConvergenceError(
@@ -598,9 +614,9 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, support
             ) from exc
         iterations += diag.iterations
         # the moments of the level on n // 2 nodes hold on n
-        if converged and diag.iterations == 0:
+        if n > _GAUSS_NODES and diag.iterations == 0:
             return a, a00, replace(diag, iterations=iterations)
-        n, converged = 2 * n, True
+        n *= 2
 
 
 def fit_multipliers_2d(
@@ -613,8 +629,10 @@ def fit_multipliers_2d(
     and variance (_gaussian_start).  It integrates on each axis's
     _axis_rule, its nodes concentrated on the axis's window
     (_axis_windows), doubling them until the moments hold on twice as
-    many (_gauss_levels).  Where that fails, the fit is done once more
-    from the flat start over the whole rectangle.
+    many (_gauss_levels).  Where Newton fails, the fit restarts once,
+    flat over the whole rectangle, and raises where the start already was
+    flat or the restart fails too (one ConvergenceError naming both
+    attempts).
     """
     tol = _as_positive(tol, "tol")
     _check_feasible_2d(spec)
@@ -628,14 +646,18 @@ def fit_multipliers_2d(
         return density, FitDiagnostics(0, 0.0, (a1, b1), 0.0)
 
     a = _gaussian_start(pairs, targets)
+    windows = _axis_windows(spec.support, pairs, a)
     try:
-        a, a00, diag = _gauss_levels(pairs, targets, a, tol, spec.support,
-                                     _axis_windows(spec.support, pairs, a))
-    except ConvergenceError:
-        # the recovery of both fits: once, from the flat start over the
-        # whole rectangle
-        a, a00, diag = _gauss_levels(pairs, targets, np.zeros(len(pairs)), tol, spec.support,
-                                     spec.support)
+        a, a00, diag = _gauss_levels(pairs, targets, a, tol, spec.support, windows)
+    except ConvergenceError as exc:
+        # the one restart: flat over the whole rectangle, unless the start was that
+        if not a.any():
+            raise
+        try:
+            a, a00, diag = _gauss_levels(pairs, targets, np.zeros(len(pairs)), tol,
+                                         spec.support, spec.support)
+        except ConvergenceError as again:
+            raise _restart_failed(windows, exc, again) from again
     multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
     return ExpFamilyDensity2D(multipliers, spec.support), replace(diag, window=(a1, b1))
 

@@ -204,7 +204,8 @@ def _gauss_hermite(n: int) -> QuadratureRule:
 
 @dataclass(frozen=True)
 class RootBracket:
-    """An interval [lo, hi] whose endpoint values enclose a sign change."""
+    """An interval [lo, hi], finite numbers under _as_finite, whose endpoint
+    values enclose a sign change."""
 
     lo: float
     hi: float
@@ -212,6 +213,8 @@ class RootBracket:
     f_hi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", _as_finite(self.lo, "bracket lo"))
+        object.__setattr__(self, "hi", _as_finite(self.hi, "bracket hi"))
         if not self.lo < self.hi:
             raise ValidationError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
         # comparisons, not a product: a NaN end fails both, and tiny values cannot underflow

@@ -38,9 +38,8 @@ class PowerSeries1D:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_finite(self.center, "center"))
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ValidationError("series coefficients must be finite")
+        object.__setattr__(self, "coefficients",
+                           tuple(_as_finite(c, "series coefficient") for c in self.coefficients))
         object.__setattr__(self, "radius", _as_number(self.radius, "radius"))
         if not self.radius >= 0:
             raise ValidationError(f"radius must be nonnegative, got {self.radius}")
@@ -66,7 +65,7 @@ class PowerSeries1D:
         return float(np.median(ratios))
 
     def eval(self, x: float, n_terms: int | None = None) -> float:
-        t = x - self.center
+        t = _as_finite(x, "x") - self.center
         coeffs = self.coefficients
         if n_terms is not None:
             coeffs = coeffs[: _as_int(n_terms, "n_terms", 0)]
@@ -103,6 +102,7 @@ class PowerSeries2D:
         return float(self.coefficients[i, j])
 
     def eval(self, x: float, y: float) -> float:
+        x, y = _as_finite(x, "x"), _as_finite(y, "y")
         n = self.truncation_order
         total = 0.0
         for i in range(n + 1):
@@ -127,7 +127,8 @@ def poly_taylor_coeffs(poly_coeffs: Sequence[float], x0: float) -> PowerSeries1D
     Exact (up to rounding) for degrees up to MAX_POLY_DEGREE; the result
     reproduces p identically since a polynomial is its own Taylor series.
     """
-    coeffs = [float(c) for c in poly_coeffs]
+    coeffs = [_as_finite(c, "polynomial coefficient") for c in poly_coeffs]
+    x0 = _as_finite(x0, "x0")
     if len(coeffs) - 1 > MAX_POLY_DEGREE:
         raise ValidationError(f"polynomial degree capped at {MAX_POLY_DEGREE}")
     work = list(coeffs) or [0.0]
@@ -178,8 +179,11 @@ def partial_sums(kind: SeriesKind, x: float, n_terms: int, a: float = 1.0,
     (1 + a x)^k and ``binomial_xy`` (1 + x y)^k, k required, converge iff
     |t| < 1 for t = a x or x y (for the latter the polar r < 1 condition on
     the unit-product locus); ``exp_xy``, exp(x y), converges everywhere.
-    The first sum that overflows raises NumericError naming its term count."""
+    a, k, x and y are finite numbers under numerics._as_finite.  The first
+    sum that overflows raises NumericError naming its term count."""
     n_terms = _as_int(n_terms, "n_terms", 0, MAX_SERIES_TERMS)
+    a, x, y = _as_finite(a, "a"), _as_finite(x, "x"), _as_finite(y, "y")
+    k = None if k is None else _as_finite(k, "k")
     if kind == "binomial":
         t = a * x
         names, values = "a, k, x and a*x", (a, k, x, t)
@@ -188,7 +192,7 @@ def partial_sums(kind: SeriesKind, x: float, n_terms: int, a: float = 1.0,
         names, values = "x, y, x*y and k", (x, y, t, k)
     else:
         raise ValidationError(f"unknown series kind {kind!r}")
-    if not all(math.isfinite(v) for v in values if v is not None):
+    if not math.isfinite(t):
         raise ValidationError(f"{names} must be finite, got {', '.join(map(str, values))}")
     if kind == "exp_xy":
         factor, convergent = (lambda m: t / (m + 1)), True

@@ -361,6 +361,65 @@ class TestFit1D:
         assert 20.0 * (w @ rho) == pytest.approx(1.0, abs=1e-12)
         assert 20.0 * (w @ (rho * (20.0 * xs) ** 4)) == pytest.approx(30.0, rel=1e-9)
 
+    def test_cold_window_on_the_whole_support_starts_gaussian(self, monkeypatch):
+        # the cold start's +-12 sd window covers all of [-1, 1]; the fit still
+        # starts from the Gaussian of its targets, a_2 = 1 / (2 * 0.2), not flat
+        starts = []
+        newton_fit = maxent._newton_fit
+
+        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
+            starts.append((tuple(a), rules[0].nodes.size, float(rules[0].weights.sum())))
+            return newton_fit(pairs, targets, a, tol, rules, cap)
+
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        d, diag = fit_multipliers_1d(MomentSpec1D((-1.0, 1.0), ((2, 0.2),)), tol=1e-12)
+        assert starts == [((2.5,), maxent._NODES_1D, pytest.approx(2.0, rel=1e-14))]
+        assert diag.window == (-1.0, 1.0)
+        assert dict(d.multipliers)[2] == pytest.approx(ORACLE_A2_SYMMETRIC, abs=1e-8)
+
+    @pytest.mark.parametrize("init", [(1.0, 0.5), (0.0, 2.0)], ids=["mean-1", "sd-0.5"])
+    def test_failed_warm_start_restarts_from_the_cold_start(self, init):
+        # Newton diverges from either warm start on the cold window; on the
+        # line the restart is the cold start, which is the unit Gaussian, so
+        # the fit takes no counted step
+        spec = MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0)))
+        d, diag = fit_multipliers_1d(spec, init=np.array(init), tol=1e-10)
+        assert diag.iterations == 0 and diag.window == (-12.0, 12.0)
+        mult = dict(d.multipliers)
+        assert mult[1] == 0.0 and mult[2] == 0.5
+
+    @pytest.mark.parametrize(
+        "spec, init, message",
+        [
+            (MomentSpec1D((-1.0, 1.0), ((2, 0.2),)), None,
+             r"^Newton failed on window \[-1, 1\]: attempt 1; its one restart failed too: "
+             r"attempt 2$"),
+            (MomentSpec1D((-INF, INF), ((2, 1.0),)), np.array([0.7]),
+             r"^Newton failed on window \[-12, 12\]: attempt 1; its one restart failed too: "
+             r"attempt 2$"),
+            # on the line without init the cold start is the restart: no second attempt
+            (MomentSpec1D((-INF, INF), ((2, 1.0),)), None, r"^attempt 1$"),
+        ],
+        ids=["bounded", "warm-unbounded", "cold-unbounded"],
+    )
+    def test_failed_restart_names_both_attempts(self, monkeypatch, spec, init, message):
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise ConvergenceError(f"attempt {len(calls)}")
+
+        monkeypatch.setattr(maxent, "_newton_fit", fail)
+        with pytest.raises(ConvergenceError, match=message):
+            fit_multipliers_1d(spec, init=init, tol=1e-10)
+        assert len(calls) == (1 if message == r"^attempt 1$" else 2)
+
+    def test_tail_mass_past_the_limit_raises(self, monkeypatch):
+        # the unit Gaussian's tail estimate at its +-12 window is 5.2e-31
+        monkeypatch.setattr(maxent, "_TAIL_MASS_LIMIT", 1e-40)
+        with pytest.raises(NumericError, match=r"^truncation window too narrow: tail mass ~ 5\.15e-31$"):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), tol=1e-10)
+
     @pytest.mark.parametrize("side", [14.0, 16.0, 18.0])
     def test_density_rising_toward_finite_ends(self, side, leggauss_4000):
         # kurtosis 3.05 on [-side, side] has a negative x^4 multiplier: the
@@ -594,63 +653,58 @@ class TestFit2D:
 
     @pytest.mark.parametrize("sd", [0.5, 0.2, 0.1, 0.05])
     @pytest.mark.parametrize("kurtosis", [3.0, 2.65])
-    def test_narrow_specs(self, sd, kurtosis):
+    def test_narrow_specs(self, monkeypatch, sd, kurtosis):
         # Gaussian-like and platykurtic densities down to sd 0.05 on [-3, 3]^2;
         # the platykurtic one at sd 0.05 has no fit on any rule tried so far
         spec = narrow_spec(sd, kurtosis)
         if (sd, kurtosis) == (0.05, 2.65):
-            with pytest.raises(ConvergenceError):
+            # the first level fails, then the flat restart, and one error
+            # names both attempts
+            calls = []
+            newton_fit = maxent._newton_fit
+
+            def spy(*args):
+                calls.append(args)
+                return newton_fit(*args)
+
+            monkeypatch.setattr(maxent, "_newton_fit", spy)
+            with pytest.raises(ConvergenceError, match=(
+                    r"^Newton failed on window \[-0\.6, 0\.6\] x \[-0\.6, 0\.6\]: .*"
+                    r"did not reach tol=1e-09 in 100 iterations \(residual [0-9.e+-]+\); "
+                    r"its one restart failed too: \w")):
                 fit_multipliers_2d(spec, tol=1e-9)
+            assert len(calls) <= 2
             return
         d, diag = fit_multipliers_2d(spec, tol=1e-9)
         assert diag.max_moment_residual <= 1e-9
         assert diag.window == (-3.0, 3.0)
         assert reference_residual(spec, d) <= 1e-8
 
-    @pytest.mark.parametrize("kurtosis", [3.0, 2.65])
-    def test_failed_level_retries_on_twice_the_nodes(self, monkeypatch, kurtosis):
-        # Newton fails on 16 nodes at sd 0.2, so that level is fitted again on
-        # 32 from the same start; the failed level's steps are not counted.
-        # A level is the number of x nodes on the +-12 sd window, +-2.4.
+    def test_failed_first_level_restarts_flat_over_the_rectangle(self, monkeypatch):
+        # no retry of the failed level: the restart is flat over the whole
+        # rectangle on _GAUSS_NODES per axis, then rechecked on twice as many
         levels = []
         newton_fit = maxent._newton_fit
 
         def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
-            level = int(np.count_nonzero(np.abs(rules[0].nodes) < 2.4))
-            try:
-                result = newton_fit(pairs, targets, a, tol, rules, cap)
-            except ConvergenceError:
-                levels.append((level, 0))
-                raise
-            levels.append((level, result[2].iterations))
-            return result
-
-        monkeypatch.setattr(maxent, "_GAUSS_NODES", 16)
-        monkeypatch.setattr(maxent, "_newton_fit", spy)
-        spec = narrow_spec(0.2, kurtosis)
-        d, diag = fit_multipliers_2d(spec, tol=1e-9)
-        # the retried level on 32 is rechecked on 64 like any other
-        assert levels[0] == (16, 0) and [n for n, _ in levels[1:3]] == [32, 64]
-        assert diag.iterations == sum(iterations for _, iterations in levels)
-        assert reference_residual(spec, d) <= 1e-9
-
-    def test_retried_level_is_rechecked(self, monkeypatch):
-        # the Gaussian start is the answer, so the retried level takes no
-        # Newton step; it was never converged on, so it is rechecked on 2n
-        levels = []
-        newton_fit = maxent._newton_fit
-
-        def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
-            levels.append(rules[0].nodes.size)
+            levels.append((rules[0].nodes.size, float(rules[0].weights.sum()), tuple(a)))
             if len(levels) == 1:
                 raise ConvergenceError("first level fails")
-            return newton_fit(pairs, targets, a, tol, rules, cap)
+            result = newton_fit(pairs, targets, a, tol, rules, cap)
+            levels[-1] += (result[2].iterations,)
+            return result
 
         monkeypatch.setattr(maxent, "_newton_fit", spy)
-        spec = MomentSpec2D(((-8.0, 8.0), (-8.0, 8.0)), ((2, 0, 1.0), (0, 2, 1.0)))
-        _, diag = fit_multipliers_2d(spec, tol=1e-9)
+        spec = MomentSpec2D(((-8.0, 8.0), (-8.0, 8.0)), ((2, 0, 0.25), (0, 2, 0.25)))
+        d, diag = fit_multipliers_2d(spec, tol=1e-9)
         n = maxent._GAUSS_NODES
-        assert levels == [n, 2 * n, 4 * n] and diag.iterations == 0
+        # the start's +-12 sd window, +-6, leaves a piece of n // 4 nodes at each end
+        assert levels[0] == (n + 2 * (n // 4), pytest.approx(16.0), (2.0, 2.0))
+        assert levels[1][:3] == (n, pytest.approx(16.0), (0.0, 0.0))
+        assert [level[0] for level in levels[2:]] == [2 * n, 4 * n]
+        assert diag.iterations == sum(level[3] for level in levels[1:])
+        assert diag.max_moment_residual <= 1e-9
+        assert reference_residual(spec, d) <= 1e-9
 
     def test_underresolved_start_escalates(self, monkeypatch):
         # on 16 nodes the recheck fails, so Newton goes on at 32 nodes
@@ -680,9 +734,20 @@ class TestFit2D:
             fit_multipliers_2d(narrow_spec(0.5, 2.65), tol=1e-9)
 
     @pytest.mark.parametrize("half, m40", LEPTOKURTIC_2D)
-    def test_leptokurtic_specs_on_wide_rectangles(self, half, m40):
+    def test_leptokurtic_specs_on_wide_rectangles(self, monkeypatch, half, m40):
+        # Newton fails on the first level from the Gaussian start; the flat
+        # restart then fits on three levels and its recheck
+        calls = []
+        newton_fit = maxent._newton_fit
+
+        def spy(*args):
+            calls.append(args)
+            return newton_fit(*args)
+
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
         spec = MomentSpec2D(((-half, half), (-3.0, 3.0)), ((2, 0, 1.0), (4, 0, m40), (0, 2, 1.0)))
         d, diag = fit_multipliers_2d(spec, tol=1e-9)
+        assert len(calls) <= 4
         assert diag.max_moment_residual <= 1e-9 and diag.tail_mass == 0.0
         table = leggauss_moments_2d(spec.support, d.multipliers)
         assert max(abs(table[i, j] - v) for i, j, v in spec.constraints) <= 1e-9

@@ -41,6 +41,8 @@ from infoqm import (
     lambda_from_beta,
     moment_gradient_check,
     moment_spec_from_json,
+    partial_sums,
+    poly_taylor_coeffs,
     radial_stationary_point,
     self_consistent_lambda,
     solve_state,
@@ -62,6 +64,10 @@ BAD_TOLERANCES = {"nan": math.nan, "inf": INF, "-inf": -INF, "zero": 0.0, "bool"
 # the document reals: a bool and a string always, NaN and infinities where a
 # finite value belongs
 BAD_REALS = {"nan": math.nan, "inf": INF, "-inf": -INF, "bool": True, "str": "0.5"}
+# a lower support bound may be -inf; False (0) and "0" would make [0, 2]
+BAD_BOUNDS = {"nan": math.nan, "inf": INF, "bool": False, "str": "0"}
+# True and "1" would pass through float() as 1.0
+BAD_COEFFICIENTS = {**BAD_REALS, "str": "1"}
 
 _UNIT = ExpFamilyDensity1D(((0, math.log(2.0)),), (-1.0, 1.0))
 _BOX = ExpFamilyDensity2D(((2, 0, 1.0), (0, 2, 1.0)), ((-1, 1), (-1, 1)))
@@ -180,6 +186,32 @@ REAL_SITES = {
                                      init=[v, 0.5]),
         BAD_REALS,
     ),
+    "MomentSpec1D.support": (lambda v: MomentSpec1D((v, 2.0), ((1, 1.5),)), BAD_BOUNDS),
+    "ExpFamilyDensity1D.support": (lambda v: ExpFamilyDensity1D(((0, 0.0),), (v, 2.0)),
+                                   BAD_BOUNDS),
+    "MomentSpec2D.support": (lambda v: MomentSpec2D(((v, 2.0), (0.0, 1.0)), ((2, 0, 0.3),)),
+                             BAD_REALS),
+    "ExpFamilyDensity2D.support": (lambda v: ExpFamilyDensity2D(((0, 0, 0.0),),
+                                                                ((0.0, 1.0), (v, 2.0))),
+                                   BAD_REALS),
+    "partial_sums.y": (lambda v: partial_sums("exp_xy", 0.5, 10, y=v), BAD_REALS),
+    "binomial_series_eval.a": (lambda v: binomial_series_eval(v, -1.0, 0.5, 10), BAD_REALS),
+    "binomial_series_eval.k": (lambda v: binomial_series_eval(1.0, v, 0.5, 10), BAD_REALS),
+    "binomial_series_eval.x": (lambda v: binomial_series_eval(1.0, -1.0, v, 10), BAD_REALS),
+    "two_var_series_eval.x": (lambda v: two_var_series_eval("binomial_xy", v, 0.5, 10, k=-1.0),
+                              BAD_REALS),
+    "two_var_series_eval.y": (lambda v: two_var_series_eval("binomial_xy", 0.5, v, 10, k=-1.0),
+                              BAD_REALS),
+    "two_var_series_eval.k": (lambda v: two_var_series_eval("binomial_xy", 0.5, 0.5, 10, k=v),
+                              BAD_REALS),
+    "PowerSeries1D.coefficients": (lambda v: PowerSeries1D(0.0, (1.0, v)), BAD_COEFFICIENTS),
+    "poly_taylor_coeffs": (lambda v: poly_taylor_coeffs((1.0, v), 0.5), BAD_COEFFICIENTS),
+    "poly_taylor_coeffs.x0": (lambda v: poly_taylor_coeffs((1.0, 2.0), v), BAD_REALS),
+    "PowerSeries1D.eval.x": (lambda v: _GEOMETRIC.eval(v), BAD_REALS),
+    "PowerSeries2D.eval.x": (lambda v: _SERIES2.eval(v, 0.5), BAD_REALS),
+    "PowerSeries2D.eval.y": (lambda v: _SERIES2.eval(0.5, v), BAD_REALS),
+    "RootBracket.lo": (lambda v: RootBracket(v, 2.0, -1.0, 1.0), BAD_REALS),
+    "RootBracket.hi": (lambda v: RootBracket(-1.0, v, -1.0, 1.0), BAD_REALS),
 }
 
 CASES = (
