@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllConditionedError, NumericError, ValidationError
-from .numerics import Grid1D, QuadratureRule, _as_int
+from .numerics import Grid1D, QuadratureRule, _as_array, _as_finite_array, _as_int
 from .oscillator import OscillatorState, eigen_residual, psi_eval
 
 DEFAULT_ANALYSIS_GRID = Grid1D(-14.0, 14.0, 8001)
@@ -28,13 +28,11 @@ class BasisSet:
     members: np.ndarray  # (n_members, n_points)
 
     def __post_init__(self):
-        members = np.asarray(self.members, dtype=float)
+        members = _as_finite_array(self.members, "basis members")
         if members.ndim != 2 or members.shape[0] < 1:
             raise ValidationError("basis needs at least one member")
         if members.shape[1] != self.grid.n_points:
             raise ValidationError("member samples do not match the grid")
-        if not np.all(np.isfinite(members)):
-            raise ValidationError("basis members must be finite on the grid")
         object.__setattr__(self, "members", members)
         members.flags.writeable = False
 
@@ -67,11 +65,7 @@ class ProjectionReport:
 
 
 def _samples_on(grid: Grid1D, f) -> np.ndarray:
-    values = np.asarray(f(grid.points()) if callable(f) else f, dtype=float)
-    if values.shape != (grid.n_points,):
-        raise ValidationError(
-            f"samples have {values.shape}, grid expects ({grid.n_points},)"
-        )
+    values = _as_array(f(grid.points()) if callable(f) else f, "samples", (grid.n_points,))
     if not np.all(np.isfinite(values)):
         raise ValidationError("samples must be finite on the grid")
     return values

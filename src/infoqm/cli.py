@@ -27,7 +27,7 @@ from .maxent import (
     moment_spec_from_json,
 )
 from .nls import DEFAULT_BRACKET, FlowConfig, GridProblem, ground_state, self_consistent_lambda
-from .numerics import Grid1D, _as_int, _as_number, _as_positive
+from .numerics import Grid1D, _as_int, _as_positive
 from .oscillator import psi_eval, solve_state, table
 from .series import MAX_SERIES_TERMS, partial_sums
 
@@ -210,9 +210,7 @@ def _cmd_nls_ground(args) -> str:
     cfg = FlowConfig(step=args.tau, tol_flow=args.tol_flow, max_iters=args.max_iters)
     init = None
     if args.resume:
-        init = _read_document(
-            args.resume, "--resume", lambda doc: np.array([_as_number(v, "psi") for v in doc["psi"]])
-        )
+        init = _read_document(args.resume, "--resume", lambda doc: doc["psi"])
     if args.lambda_solve:
         lam, sol = self_consistent_lambda(
             problem, cfg, bracket=tuple(args.bracket), init=init

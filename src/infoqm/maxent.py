@@ -49,7 +49,8 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .numerics import QuadratureRule, _as_finite, _as_int, _as_number, _as_positive
+from .numerics import (QuadratureRule, _as_array, _as_finite_array, _as_int, _as_number,
+                       _as_positive, _real_roots)
 
 _GAUSS_NODES = 48            # first Gauss-Legendre level per axis, 2-D
 _GAUSS_NODES_MAX = 384       # last 2-D level; its recheck runs on twice as many
@@ -287,8 +288,7 @@ def _window(support: tuple[float, float], multipliers) -> tuple[float, float]:
     values = np.polyval(p, candidates)
     top = float(values.min()) + _WINDOW_RISE
     p[-1] -= top
-    roots = np.roots(p)
-    crossings = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+    crossings = _real_roots(p)
     if crossings.size == 0 and (math.isinf(lo) or math.isinf(hi)):
         raise NumericError(f"exponent has no real crossing {_WINDOW_RISE} above its minimum")
     inside = np.append(crossings[(lo <= crossings) & (crossings <= hi)], candidates[values <= top])
@@ -529,9 +529,7 @@ def fit_multipliers_1d(
     m = len(orders)
 
     if init is not None:
-        if np.shape(init) != (m,):
-            raise ValidationError(f"init must have shape ({m},)")
-        init = np.array([_as_finite(v, "init") for v in init])
+        init = _as_finite_array(init, "init", (m,))
 
     if m == 0:
         if spec.unbounded:
@@ -668,7 +666,7 @@ def fit_multipliers_2d(
 
 def density_values(d: ExpFamilyDensity1D, xs: np.ndarray) -> np.ndarray:
     """Vectorized density evaluation; +inf marks singular locations."""
-    log_zs, neg_p = _log_density(d, np.asarray(xs, dtype=float))
+    log_zs, neg_p = _log_density(d, _as_array(xs, "xs"))
     return np.exp(log_zs + neg_p)
 
 

@@ -52,7 +52,8 @@ from .errors import (
     InstabilityError,
     ValidationError,
 )
-from .numerics import Grid1D, RootBracket, _as_finite, _as_int, _as_positive, find_root
+from .numerics import (Grid1D, RootBracket, _as_finite, _as_finite_array, _as_int, _as_positive,
+                       find_root)
 
 DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
@@ -76,13 +77,7 @@ class GridProblem:
     b: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.potential, dtype=float)
-        if v.shape != (self.grid.n_points,):
-            raise ValidationError(
-                f"potential must have {self.grid.n_points} samples, got {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("potential samples must be finite")
+        v = _as_finite_array(self.potential, "potential", (self.grid.n_points,))
         object.__setattr__(self, "b", _as_finite(self.b, "b"))
         object.__setattr__(self, "potential", v)
         v.flags.writeable = False
@@ -136,7 +131,7 @@ class GroundStateSolution:
     newton_steps: int = 0
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
+        psi = _as_finite_array(self.psi, "psi")
         object.__setattr__(self, "psi", psi)
         psi.flags.writeable = False
 
@@ -225,11 +220,7 @@ def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
     if init is None:
         psi = default_initial_guess(grid)
     else:
-        psi = np.asarray(init, dtype=float).copy()
-        if psi.shape != (grid.n_points,):
-            raise ValidationError(f"init must have {grid.n_points} samples")
-        if not np.all(np.isfinite(psi)):
-            raise ValidationError("init must be finite")
+        psi = _as_finite_array(init, "init", (grid.n_points,)).copy()
         if np.any(psi[1:-1] <= 0.0):
             raise ValidationError("init must be strictly positive in the interior")
     _pin_and_normalize(psi, grid.spacing)
@@ -498,10 +489,11 @@ def self_consistent_lambda(
 
     F is evaluated only by ground_state: at the lower end from init, at
     the upper end from the lower end's state.  A bracket that is not a
-    finite lo < hi raises ValidationError before any solve, and
-    BracketError is raised when F has no sign change on the bracket.  The
-    loose phase at the secant estimate of the root, started from the
-    nearer end's state, then a free-b Newton solve give the root, kept if
+    finite lo < hi raises ValidationError before any solve.  An end where
+    |F| < f_tol is the root; otherwise BracketError is raised when F has
+    no sign change on the bracket.  The loose phase at the secant estimate
+    of the root, started from the nearer end's state, then a free-b
+    Newton solve give the root, kept if
     its one-step flow norm is below cfg.tol_flow and |mu - b| < f_tol.
     Otherwise find_root bisects the same bracket, each midpoint a
     ground_state warm-started from the previous one, until |F| < f_tol;
@@ -530,12 +522,12 @@ def self_consistent_lambda(
 
     f_lo, sol_lo = evaluate(lo, init)
     f_hi, sol_hi = evaluate(hi, sol_lo.psi)
-    # constructing the bracket record also validates the sign change
-    bracket_record = RootBracket(lo, hi, f_lo, f_hi)
     if abs(f_lo) < f_tol:
         return found(sol_lo)
     if abs(f_hi) < f_tol:
         return found(sol_hi)
+    # constructing the bracket record also validates the sign change
+    bracket_record = RootBracket(lo, hi, f_lo, f_hi)
     guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     nearer = sol_lo if guess - lo < hi - guess else sol_hi
     try:
@@ -571,7 +563,7 @@ def uniqueness_probe(
     """Repeat the solve from n_inits seeded random positive guesses.
 
     Reports the largest pairwise eigenvalue gap and the largest pairwise
-    L2 distance between states up to sign.  With solve_lambda=False each
+    L2 distance between states.  With solve_lambda=False each
     state is the ground_state at the problem's fixed b and the spread of
     mu is reported instead.  Per-init convergence and bracket failures
     are recorded and the probe still returns; an invalid configuration
@@ -599,9 +591,8 @@ def uniqueness_probe(
     dist = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):
-            delta_minus = math.sqrt(h * float(np.sum((solutions[i].psi - solutions[j].psi) ** 2)))
-            delta_plus = math.sqrt(h * float(np.sum((solutions[i].psi + solutions[j].psi) ** 2)))
-            dist = max(dist, min(delta_minus, delta_plus))
+            delta = math.sqrt(h * float(np.sum((solutions[i].psi - solutions[j].psi) ** 2)))
+            dist = max(dist, delta)
     return UniquenessReport(
         eigenvalues=tuple(values),
         max_eigenvalue_spread=max(values) - min(values) if values else 0.0,

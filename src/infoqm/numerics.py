@@ -3,12 +3,15 @@
 Uniform grids, fixed quadrature rules (the trapezoid rule, and the
 Gauss-Legendre and Gauss-Hermite rules, built by Newton's method on their
 three-term recurrences), the physicists' Hermite recurrence, a
-bracketing root finder, and the one rule for what counts as a number:
-``_as_int`` for counts, orders and indices, ``_as_positive`` for
-tolerances and steps, ``_as_number`` for the reals of an input document
-and ``_as_finite`` for a real that must be finite.  All values are
-immutable after construction and every operation is pure, so everything
-here is safe to call concurrently.
+bracketing root finder, the real-root filter of ``np.roots``, and the one
+rule for what counts as a number: ``_as_int`` for counts, orders and
+indices, ``_as_positive`` for tolerances and steps, ``_as_number`` for
+the reals of an input document and ``_as_finite`` for a real that must
+be finite.  An array follows the same rule one entry at a time:
+``_as_array`` for sampled values and points, ``_as_finite_array`` where
+every entry must be finite.  All values are immutable after construction
+and every operation is pure, so everything here is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -45,6 +48,45 @@ def _as_finite(value, name: str) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def _as_array(values, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """values as a float ndarray.  An ndarray or numpy scalar of integer or
+    float dtype converts whole; anything else (a list, a tuple, a Python
+    scalar, a bool, string, object or complex array) converts one entry at
+    a time under the _as_number rule.  A ragged input, or a shape other
+    than ``shape`` where one is given, raises ValidationError."""
+    if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind in "iuf":
+        array = np.asarray(values, dtype=float)
+    else:
+        try:
+            entries = np.asarray(values, dtype=object)
+        except ValueError as exc:
+            raise ValidationError(f"{name} is not a rectangular array: {exc}") from exc
+        label = f"{name} entry"
+        array = np.array([_as_number(v, label) for v in entries.flat],
+                         dtype=float).reshape(entries.shape)
+    if shape is not None and array.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {array.shape}")
+    return array
+
+
+def _as_finite_array(values, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """values as a float ndarray under the _as_array rule whose entries are
+    all finite, else ValidationError."""
+    array = _as_array(values, name, shape)
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise ValidationError(f"{name} must be finite, got {float(array[~finite][0])}")
+    return array
+
+
+def _real_roots(coeffs) -> np.ndarray:
+    """The real roots of the polynomial with coefficients ``coeffs``, highest
+    power first: the real parts of the np.roots whose imaginary part is at
+    most 1e-9 (1 + |r|)."""
+    roots = np.roots(coeffs)
+    return roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
 
 
 def _as_positive(value, name: str) -> float:
@@ -110,14 +152,12 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValidationError("nodes and weights must be matching 1-D arrays")
+        nodes = _as_finite_array(self.nodes, "quadrature nodes")
+        if nodes.ndim != 1:
+            raise ValidationError(f"quadrature nodes must be 1-D, got shape {nodes.shape}")
+        weights = _as_finite_array(self.weights, "quadrature weights", nodes.shape)
         if not np.all(np.diff(nodes) > 0):
             raise ValidationError("quadrature nodes must be strictly increasing")
-        if not np.all(np.isfinite(weights)):
-            raise ValidationError("quadrature weights must be finite")
         if self.kind == "gauss_hermite" and abs(weights.sum() - math.sqrt(math.pi)) > 1e-12:
             raise ValidationError("gauss_hermite weights must sum to sqrt(pi)")
         object.__setattr__(self, "nodes", nodes)
@@ -205,7 +245,7 @@ def _gauss_hermite(n: int) -> QuadratureRule:
 @dataclass(frozen=True)
 class RootBracket:
     """An interval [lo, hi], finite numbers under _as_finite, whose endpoint
-    values enclose a sign change."""
+    values, numbers under _as_number, enclose a sign change."""
 
     lo: float
     hi: float
@@ -215,6 +255,8 @@ class RootBracket:
     def __post_init__(self):
         object.__setattr__(self, "lo", _as_finite(self.lo, "bracket lo"))
         object.__setattr__(self, "hi", _as_finite(self.hi, "bracket hi"))
+        object.__setattr__(self, "f_lo", _as_number(self.f_lo, "bracket f_lo"))
+        object.__setattr__(self, "f_hi", _as_number(self.f_hi, "bracket f_hi"))
         if not self.lo < self.hi:
             raise ValidationError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
         # comparisons, not a product: a NaN end fails both, and tiny values cannot underflow
@@ -231,12 +273,12 @@ class RootBracket:
 def hermite_eval(n: int, u):
     """H_n(u) by the physicists' recurrence H_{n+1} = 2u H_n - 2n H_{n-1}.
 
-    Accepts a scalar or an ndarray for ``u``.  Orders above
-    MAX_HERMITE_ORDER are rejected: the recurrence is this artifact's
-    stability-tested range.
+    Accepts a scalar or an array for ``u`` under the _as_array rule.
+    Orders above MAX_HERMITE_ORDER are rejected: the recurrence is this
+    artifact's stability-tested range.
     """
     n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
-    u = np.asarray(u, dtype=float)
+    u = _as_array(u, "u")
     h_prev = np.ones_like(u)
     if n == 0:
         return h_prev if h_prev.ndim else float(h_prev)
@@ -250,20 +292,14 @@ def hermite_deriv(n: int, u):
     """H_n'(u) = 2n H_{n-1}(u)."""
     n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
     if n == 0:
-        u = np.asarray(u, dtype=float)
-        z = np.zeros_like(u)
+        z = np.zeros_like(_as_array(u, "u"))
         return z if z.ndim else 0.0
-    d = 2.0 * n * np.asarray(hermite_eval(n - 1, u))
-    return d if d.ndim else float(d)
+    return 2.0 * n * hermite_eval(n - 1, u)
 
 
 def integrate(f, rule: QuadratureRule) -> float:
     """Quadrature estimate of a function or of samples taken at rule.nodes."""
-    samples = np.asarray(f(rule.nodes) if callable(f) else f, dtype=float)
-    if samples.shape != rule.nodes.shape:
-        raise ValidationError(
-            f"samples have shape {samples.shape}, rule has {rule.nodes.shape}"
-        )
+    samples = _as_array(f(rule.nodes) if callable(f) else f, "samples", rule.nodes.shape)
     if not np.all(np.isfinite(samples)):
         raise NumericError("non-finite sample passed to integrate")
     return float(rule.weights @ samples)

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NumericError, StructureError
-from .numerics import (RootBracket, _as_finite, _as_int, _as_positive, find_root, hermite_deriv,
-                       hermite_eval)
+from .numerics import (RootBracket, _as_array, _as_finite, _as_int, _as_positive, find_root,
+                       hermite_deriv, hermite_eval)
 
 MAX_QUANTUM_NUMBER = 20
 # the largest n whose normalization constant 2^n n! sqrt(pi) is a finite double
@@ -155,20 +155,20 @@ def table(n_max: int) -> list[OscillatorState]:
 
 def psi_eval(state: OscillatorState, x):
     """psi(x) = H_n(sqrt(2 beta) x) exp(-alpha - beta x^2)."""
-    x = np.asarray(x, dtype=float)
+    x = _as_array(x, "x")
     u = math.sqrt(2.0 * state.beta) * x
-    out = np.asarray(hermite_eval(state.n, u)) * np.exp(-state.alpha - state.beta * x * x)
+    out = hermite_eval(state.n, u) * np.exp(-state.alpha - state.beta * x * x)
     return out if out.ndim else float(out)
 
 
 def psi_deriv(state: OscillatorState, x):
     """First derivative of psi, via H_n' = 2n H_{n-1}."""
-    x = np.asarray(x, dtype=float)
+    x = _as_array(x, "x")
     s = math.sqrt(2.0 * state.beta)
     u = s * x
     g = np.exp(-state.alpha - state.beta * x * x)
-    h = np.asarray(hermite_eval(state.n, u))
-    dh = np.asarray(hermite_deriv(state.n, u))
+    h = hermite_eval(state.n, u)
+    dh = hermite_deriv(state.n, u)
     out = (s * dh - 2.0 * state.beta * x * h) * g
     return out if out.ndim else float(out)
 
@@ -176,9 +176,9 @@ def psi_deriv(state: OscillatorState, x):
 def psi_second_derivative(state: OscillatorState, x):
     """Second derivative of psi, analytic: the Hermite equation
     H_n'' = 2u H_n' - 2n H_n gives psi'' = (4 beta^2 x^2 - 2 beta (2n + 1)) psi."""
-    x = np.asarray(x, dtype=float)
+    x = _as_array(x, "x")
     b = state.beta
-    out = (4.0 * b * b * x * x - 2.0 * b * (2.0 * state.n + 1.0)) * np.asarray(psi_eval(state, x))
+    out = (4.0 * b * b * x * x - 2.0 * b * (2.0 * state.n + 1.0)) * psi_eval(state, x)
     return out if out.ndim else float(out)
 
 
@@ -189,9 +189,9 @@ def eigen_residual(state: OscillatorState, x):
     the Hermite factor of the state, so the log equals
     -2 alpha - 2 beta x^2 everywhere, including at nodes.
     """
-    x = np.asarray(x, dtype=float)
-    psi = np.asarray(psi_eval(state, x))
-    d2 = np.asarray(psi_second_derivative(state, x))
+    x = _as_array(x, "x")
+    psi = psi_eval(state, x)
+    d2 = psi_second_derivative(state, x)
     log_ratio = -2.0 * state.alpha - 2.0 * state.beta * x * x
     out = -0.5 * d2 + 0.5 * x * x * psi - state.lam * (1.0 + log_ratio) * psi
     return out if out.ndim else float(out)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import DomainError, NotFoundError, NumericError, ValidationError
 from .maxent import ExpFamilyDensity2D
-from .numerics import Grid1D, _as_finite, _as_int, _as_number, _as_positive
+from .numerics import (Grid1D, _as_finite, _as_finite_array, _as_int, _as_number, _as_positive,
+                       _real_roots)
 
 MAX_POLY_DEGREE = 32
 MAX_SERIES_TERMS = 200
@@ -83,13 +84,9 @@ class PowerSeries2D:
     truncation_order: int
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
         n = _as_int(self.truncation_order, "truncation_order", 0)
         object.__setattr__(self, "truncation_order", n)
-        if coeffs.shape != (n + 1, n + 1):
-            raise ValidationError(f"coefficient array must be ({n + 1}, {n + 1})")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValidationError("series coefficients must be finite")
+        coeffs = _as_finite_array(self.coefficients, "series coefficients", (n + 1, n + 1))
         object.__setattr__(self, "coefficients", coeffs)
         coeffs.flags.writeable = False
 
@@ -286,9 +283,7 @@ def radial_stationary_point(
     if not np.any(np.abs(dg) > 1e-14):
         raise NotFoundError("log-density is constant along this ray; no stationary point")
     # roots of the derivative polynomial (numpy wants descending powers)
-    roots = np.roots(dg[::-1]) if len(dg) > 1 else np.array([])
-    real = [float(r.real) for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
-    candidates = sorted(r for r in real if 1e-12 < r <= r_max)
+    candidates = sorted(float(r) for r in _real_roots(dg[::-1]) if 1e-12 < r <= r_max)
     if candidates:
         r_star = candidates[0]
     elif abs(dg[0]) <= 1e-14:

@@ -108,6 +108,10 @@ class TestGramMatrix:
         with pytest.raises(ValidationError):
             BasisSet(analysis_grid, np.empty((0, analysis_grid.n_points)))
 
+    def test_members_off_the_grid_rejected(self, analysis_grid):
+        with pytest.raises(ValidationError, match="do not match the grid"):
+            BasisSet(analysis_grid, np.zeros((1, analysis_grid.n_points - 1)))
+
 
 class TestMu0Estimate:
     def test_adjacent_solved_pair_vanishes(self, states):

@@ -192,6 +192,18 @@ class TestSelfConsistency:
         with pytest.raises(BracketError):
             self_consistent_lambda(problem, cfg, bracket=(-0.5, -0.1))
 
+    @pytest.mark.parametrize("root_end", ["hi", "lo"])
+    def test_bracket_end_within_f_tol_is_the_root(self, root_end):
+        # F(lambda*) = -2.2e-16 here, of the same sign as F(-3): an end within
+        # f_tol is returned before the sign change is checked
+        problem = harmonic_problem(96, half_width=8.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        lam, _ = self_consistent_lambda(problem, cfg)
+        bracket = (-3.0, lam) if root_end == "hi" else (lam, -0.5)
+        got, sol = self_consistent_lambda(problem, cfg, bracket=bracket)
+        assert got == sol.b == lam
+        assert abs(sol.mu - sol.b) < 1e-6
+
 
 def dense_bordered_system(problem, u, b, m, free_b):
     """Dense bordered Jacobian and right-hand side of one Newton step."""
@@ -533,6 +545,16 @@ class TestUniquenessProbe:
         values = report.eigenvalues
         gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
         assert report.max_eigenvalue_spread == max(values) - min(values) == max(gaps) > 0.0
+
+    def test_bracket_failures_are_recorded(self):
+        # F > 0 at both ends of [-0.9, -0.5]: every init fails, the probe returns
+        problem = harmonic_problem(48, half_width=8.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        report = uniqueness_probe(problem, cfg, 2, bracket=(-0.9, -0.5))
+        assert [i for i, _ in report.failures] == [0, 1]
+        assert all(msg.startswith("no sign change on [-0.9, -0.5]") for _, msg in report.failures)
+        assert report.eigenvalues == ()
+        assert report.max_eigenvalue_spread == report.max_state_l2_distance == 0.0
 
     def test_randomized_guesses_are_seeded(self):
         grid = Grid1D(-10.0, 10.0, 128)

@@ -1,7 +1,11 @@
 """One number rule: every count, tolerance and document real validates
-through numerics._as_int, _as_positive and _as_number."""
+through numerics._as_int, _as_positive and _as_number, and every array
+through numerics._as_array and _as_finite_array, one entry at a time."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
+    BasisSet,
     DomainError,
     EndpointFactors,
     ExpFamilyDensity1D,
@@ -18,6 +23,7 @@ from infoqm import (
     FlowConfig,
     Grid1D,
     GridProblem,
+    GroundStateSolution,
     MomentSpec1D,
     MomentSpec2D,
     OscillatorState,
@@ -32,17 +38,25 @@ from infoqm import (
     density_eval,
     density_eval_2d,
     density_from_json,
+    density_values,
+    eigen_residual,
     energy,
     find_root,
     fit_multipliers_1d,
     fit_multipliers_2d,
+    ground_state,
     hermite_deriv,
     hermite_eval,
+    inner_product,
+    integrate,
     lambda_from_beta,
     moment_gradient_check,
     moment_spec_from_json,
     partial_sums,
     poly_taylor_coeffs,
+    psi_deriv,
+    psi_eval,
+    psi_second_derivative,
     radial_stationary_point,
     self_consistent_lambda,
     solve_state,
@@ -52,8 +66,9 @@ from infoqm import (
     two_var_series_eval,
     uniqueness_probe,
 )
+from infoqm import cli
 from infoqm.cli import _target_from_spec
-from infoqm.numerics import _as_int, _as_number, _as_positive
+from infoqm.numerics import _as_array, _as_finite_array, _as_int, _as_number, _as_positive
 
 INF = math.inf
 # a float count, NaN, both infinities, a bool and a string
@@ -212,7 +227,106 @@ REAL_SITES = {
     "PowerSeries2D.eval.y": (lambda v: _SERIES2.eval(0.5, v), BAD_REALS),
     "RootBracket.lo": (lambda v: RootBracket(v, 2.0, -1.0, 1.0), BAD_REALS),
     "RootBracket.hi": (lambda v: RootBracket(-1.0, v, -1.0, 1.0), BAD_REALS),
+    # NaN end values pass and then fail the sign test as a BracketError;
+    # False (0) and True (1) would make a sign change
+    "RootBracket.f_lo": (lambda v: RootBracket(-1.0, 1.0, v, 1.0), {"bool": False, "str": "-1"}),
+    "RootBracket.f_hi": (lambda v: RootBracket(-1.0, 1.0, -1.0, v), {"bool": True, "str": "1"}),
 }
+
+_STATE = OscillatorState(0, 0, 1.0, 0.5, -1.0, 1.0)
+_RULE3 = QuadratureRule.trapezoid(Grid1D(0.0, 2.0, 3))
+
+
+def _resume(psi):
+    """Run ``nls ground`` on 16 points from a --resume document holding psi."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "resume.json"
+        path.write_text(json.dumps({"psi": psi}, default=np.ndarray.tolist))
+        args = cli._PARSER.parse_args(["nls", "ground", "--domain", "-4", "4", "--grid", "16",
+                                       "--resume", str(path)])
+        return args.handler(args)
+
+
+# every array input: the call, a valid input as a list of integral floats,
+# and whether each entry must also be finite
+ARRAY_SITES = {
+    "QuadratureRule.nodes": (lambda v: QuadratureRule("x", v, [1.0, 1.0, 1.0]),
+                             [0.0, 1.0, 2.0], True),
+    "QuadratureRule.weights": (lambda v: QuadratureRule("x", [0.0, 1.0, 2.0], v),
+                               [1.0, 1.0, 1.0], True),
+    "hermite_eval": (lambda v: hermite_eval(2, v), [0.0, 1.0], False),
+    # order 0 reads u itself; higher orders read it through hermite_eval
+    "hermite_deriv": (lambda v: hermite_deriv(0, v), [0.0, 1.0], False),
+    # a non-finite sample raises NumericError (TestQuadrature), not ValidationError
+    "integrate": (lambda v: integrate(v, _RULE3), [1.0, 1.0, 1.0], False),
+    "psi_eval": (lambda v: psi_eval(_STATE, v), [0.0, 1.0], False),
+    "psi_deriv": (lambda v: psi_deriv(_STATE, v), [0.0, 1.0], False),
+    "psi_second_derivative": (lambda v: psi_second_derivative(_STATE, v), [0.0, 1.0], False),
+    "eigen_residual": (lambda v: eigen_residual(_STATE, v), [0.0, 1.0], False),
+    "density_values": (lambda v: density_values(_UNIT, v), [0.0, 1.0], False),
+    "fit_multipliers_1d.init": (
+        lambda v: fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), init=v),
+        [0.0, 1.0], True,
+    ),
+    "GridProblem.potential": (lambda v: GridProblem(_PROBE, v), [0.0, 1.0, 2.0, 1.0, 0.0], True),
+    "GroundStateSolution.psi": (lambda v: GroundStateSolution(v, 0.5, 0.0, 1, 0.0),
+                                [0.0, 1.0, 1.0, 1.0, 0.0], True),
+    # nls._start_state, which every solve starts from
+    "ground_state.init": (lambda v: ground_state(GridProblem.harmonic(_PROBE), _CFG, init=v),
+                          [0.0, 1.0, 1.0, 1.0, 0.0], True),
+    "BasisSet.members": (lambda v: BasisSet(_PROBE, v), [[1.0, 0.0, 1.0, 0.0, 1.0]], True),
+    "inner_product": (lambda v: inner_product(v, np.ones(5), _PROBE),
+                      [1.0, 0.0, 1.0, 0.0, 1.0], True),
+    "PowerSeries2D.coefficients": (lambda v: PowerSeries2D(v, 1), [[1.0, 0.0], [0.0, 0.0]],
+                                   True),
+    "--resume": (_resume, [0.0] + [1.0] * 14 + [0.0], True),
+}
+
+
+def _with_entry(values, index, entry):
+    """A copy of the nested list values whose first (index 0) or last
+    (index -1) scalar entry is entry."""
+    if not isinstance(values, list):
+        return entry
+    copy = list(values)
+    copy[index] = _with_entry(values[index], index, entry)
+    return copy
+
+
+def _first(values):
+    return _first(values[0]) if isinstance(values, list) else values
+
+
+def _bad_arrays(good, finite):
+    """A bool and a numeric string equal to the first entry, a ragged input,
+    and NaN and inf entries where every entry must be finite."""
+    bad = {"bool": _with_entry(good, 0, bool(_first(good))),
+           "str": _with_entry(good, 0, repr(_first(good))),
+           "ragged": [good, [_first(good)]]}
+    if finite:
+        bad.update(nan=_with_entry(good, 0, math.nan), inf=_with_entry(good, -1, INF))
+    return bad
+
+
+ARRAY_CASES = [pytest.param(call, bad, id=f"{site}-{label}")
+               for site, (call, good, finite) in ARRAY_SITES.items()
+               for label, bad in _bad_arrays(good, finite).items()]
+
+
+@pytest.mark.parametrize("call, bad", ARRAY_CASES)
+def test_bad_array_entry_raises_validation_error(call, bad):
+    with pytest.raises(ValidationError):
+        call(bad)
+
+
+ARRAY_GOOD = [pytest.param(call, good, id=site) for site, (call, good, _) in ARRAY_SITES.items()]
+
+
+@pytest.mark.parametrize("call, good", ARRAY_GOOD)
+def test_array_site_takes_a_list_of_floats_and_an_integer_array(call, good):
+    call(good)
+    call(np.array(good, dtype=np.int64))
+
 
 CASES = (
     [pytest.param(call, bad, err, id=f"{site}-{label}")
@@ -368,3 +482,63 @@ def test_as_int_accepts_exactly_integral_values_in_range(tagged, lo, span, error
         with pytest.raises(error):
             _as_int(v, "x", lo, lo + span, error)
 
+
+
+# the array rule: an entry stands for a number exactly when _as_number takes it
+ENTRIES = VALUES.filter(lambda tagged: not isinstance(tagged[1], (list, tuple)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRIES, max_size=4))
+def test_as_array_follows_the_number_rule_entry_by_entry(tagged):
+    values = [v for _, v in tagged]
+    wants = [_real_value(tag, v) for tag, v in tagged]
+    if None in wants:
+        with pytest.raises(ValidationError):
+            _as_array(values, "x")
+    else:
+        got = _as_array(values, "x", (len(values),))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.array(wants, dtype=float), equal_nan=True)
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(3, dtype=np.int32),
+    np.arange(3, dtype=np.uint8),
+    np.arange(3.0, dtype=np.float32),
+    np.array([0, 1.0, 2], dtype=object),
+    (0, 1.0, np.int64(2)),
+    [np.float16(0), 1, 2.0],
+])
+def test_as_array_takes_numeric_arrays_and_sequences(values):
+    got = _as_array(values, "x", (3,))
+    assert got.dtype == np.float64 and got.tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("values", [np.array([True, False]), np.array(["1", "2"]),
+                                    np.array([1 + 0j, 2]), np.array([1.0, "2"], dtype=object),
+                                    np.bool_(True), "1.5", True, None, {"x": 1.0},
+                                    [[1.0, 2.0], [3.0]], [np.zeros((2, 2)), np.zeros((2, 3))]],
+                         ids=["bool array", "str array", "complex array", "object array",
+                              "numpy bool", "str", "bool", "None", "dict", "ragged",
+                              "ragged arrays"])
+def test_as_array_rejects_what_is_not_an_array_of_numbers(values):
+    with pytest.raises(ValidationError):
+        _as_array(values, "x")
+
+
+def test_as_array_keeps_a_scalar_zero_dimensional_and_checks_the_shape():
+    assert _as_array(1.5, "x").shape == _as_array(np.float64(1.5), "x").shape == ()
+    with pytest.raises(ValidationError, match=r"x must have shape \(3,\), got \(2,\)"):
+        _as_array([1.0, 2.0], "x", (3,))
+    with pytest.raises(ValidationError, match=r"x must have shape \(1, 2\), got \(2,\)"):
+        _as_array(np.zeros(2), "x", (1, 2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+def test_as_finite_array_rejects_a_non_finite_entry(bad):
+    assert np.array_equal(_as_array([0.0, bad], "x"), [0.0, bad], equal_nan=True)
+    with pytest.raises(ValidationError, match="x must be finite"):
+        _as_finite_array([0.0, bad], "x")
+    with pytest.raises(ValidationError, match="x must be finite"):
+        _as_finite_array(np.array([[0.0], [bad]]), "x")

@@ -99,6 +99,20 @@ class TestQuadrature:
         with pytest.raises(NumericError):
             integrate(bad, rule)
 
+    @pytest.mark.parametrize(
+        "kind, nodes, weights, match",
+        [
+            ("x", [[0.0, 1.0]], [[1.0, 1.0]], "must be 1-D"),
+            ("x", [0.0, 1.0], [1.0, 1.0, 1.0], r"weights must have shape \(2,\)"),
+            ("x", [1.0, 0.0], [1.0, 1.0], "strictly increasing"),
+            ("gauss_hermite", [-1.0, 1.0], [1.0, 1.0], "sum to sqrt"),
+        ],
+        ids=["2-D", "unmatched", "decreasing", "hermite-sum"],
+    )
+    def test_malformed_rule_rejected(self, kind, nodes, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            QuadratureRule(kind, nodes, weights)
+
     @settings(max_examples=30)
     @given(
         a=st.floats(-5, 5, allow_nan=False),
@@ -201,6 +215,17 @@ class TestFindRoot:
         f = lambda x: x**power - 2.0
         root = find_root(f, RootBracket.from_function(f, 1.0, 2.0), tol=tol)
         assert abs(Decimal(root) - Decimal(exact)) <= Decimal(math.ulp(root))
+
+    @pytest.mark.parametrize("f_lo, f_hi, root", [(0.0, 1.0, 0.25), (-1.0, 0.0, 0.75)])
+    def test_zero_end_is_the_root(self, f_lo, f_hi, root):
+        def f(x):
+            raise AssertionError("an exact zero at an end needs no evaluation")
+
+        assert find_root(f, RootBracket(0.25, 0.75, f_lo, f_hi), tol=1e-12) == root
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValidationError, match="lo < hi"):
+            RootBracket(1.0, 0.0, -1.0, 1.0)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):

@@ -39,6 +39,11 @@ class TestPowerSeries1D:
         with pytest.raises(ValidationError):
             PowerSeries1D(0.0, (1.0, math.inf))
 
+    @pytest.mark.parametrize("coefficients", [(1.0,) * 10, (1.0,) * 9 + (0.0, 1.0)],
+                             ids=["short", "zero-in-tail"])
+    def test_ratio_test_has_no_estimate(self, coefficients):
+        assert PowerSeries1D(0.0, coefficients).ratio_test_radius() is None
+
 
 class TestPolyTaylor:
     def test_square_about_origin(self):
@@ -341,6 +346,17 @@ class TestRadialStationaryPoint:
         d = ExpFamilyDensity2D(((0, 0, 0.0),), ((0, 1), (0, 1)))
         with pytest.raises(NotFoundError):
             radial_stationary_point(d, 0.0, 0.9)
+
+    def test_linear_ray_has_no_stationary_point(self):
+        # ln rho = -x along theta = 0: the derivative is a nonzero constant
+        d = ExpFamilyDensity2D(((1, 0, 1.0),), ((-1, 1), (-1, 1)))
+        with pytest.raises(NotFoundError, match="no stationary point in"):
+            radial_stationary_point(d, 0.0, 0.9)
+
+    def test_cubic_ray_is_a_saddle_at_the_origin(self):
+        # ln rho = -x^3 along theta = 0: r = 0 is a double root of the derivative
+        d = ExpFamilyDensity2D(((3, 0, 1.0),), ((-1, 1), (-1, 1)))
+        assert radial_stationary_point(d, 0.0, 0.9) == (0.0, "saddle-along-ray")
 
     def test_bad_r_max(self):
         d = ExpFamilyDensity2D(((2, 0, 1.0),), ((-1, 1), (-1, 1)))
