@@ -17,18 +17,19 @@ on a side of the support: n on a window, the hull of the points where
 sum_i a_i x^i is at most 72 = 12^2/2 above its minimum on the side
 (+-12 sigma for a Gaussian), and n // 4 on each finite piece of the
 side beyond it, so only an infinite end is cut.  A 1-D fit and every
-1-D functional put 768 nodes on the window.  A 1-D fit reads its window off its start,
-raises where the density at an infinite cut end leaves tail mass, and
-refits on its own window where that is much narrower.  A functional
-reads the window off the density.  A 2-D fit takes each axis's window
-from its Gaussian start (the target mean +-12 sd, clipped to the
-rectangle) and doubles the nodes until the fitted moments hold on twice
-as many.  Each fit has one start and one restart: a 1-D fit starts
-from ``init`` or its cold start, a 2-D fit from its Gaussian start, and
-where Newton fails the fit restarts once, flat over the whole of a
-finite support (always, in 2-D) or from the cold start on its window
-where the support is infinite; where the failed attempt was the
-restart, or the restart fails too, it raises.
+1-D functional put 768 nodes on the window.  A functional reads the
+window off the density.  A 1-D fit first reads it off its cold start,
+and once Newton converges it ends on, and reports, the density's own
+window: where that differs, Newton goes on there, and the fit raises
+where the density at an infinite cut end leaves tail mass.  A 2-D fit
+takes each axis's window from its Gaussian start (the target mean
++-12 sd, clipped to the rectangle) and doubles the nodes until the
+fitted moments hold on twice as many.  Both fits share one restart rule,
+_with_restart: a 1-D fit starts from ``init`` or its cold start, a 2-D
+fit from its Gaussian start, and where Newton fails the fit restarts
+once, flat over the whole of a finite support (always, in 2-D) or from
+the cold start on its window where the support is infinite; where the
+failed attempt was the restart, or the restart fails too, it raises.
 Every 1-D evaluator and functional reads ln rho from one function, in two
 parts, ln(Z S) and -sum_i a_i x^i (a_0 included), and integrates on one
 node set, reference_rule.  EndpointFactors() means no factors.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,10 +60,6 @@ _NEWTON_CAP = 100
 _STEP_CLIP = 10.0
 _TAIL_MASS_LIMIT = 1e-12
 _WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a window end: 12 sigma
-# the widest 1-D fit window, in widths of the fitted density's own: 768
-# nodes resolve a Gaussian, a quartic or a sextic exponent to rounding on it
-_WINDOW_SPREAD = 8.0
-_WINDOW_PASSES = 4   # windows a 1-D fit may try
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +219,8 @@ class FitDiagnostics:
     attempt that failed before the restart are not counted), its final
     ``max_moment_residual`` (in 2-D, on the recheck rule of twice the last
     level's nodes), the integration ``window`` (in 1-D, the window the
-    fit's nodes concentrate on; for a 2-D fit, the x side of the
+    last Newton pass's nodes concentrate on, the own _window of the
+    density that pass started from; for a 2-D fit, the x side of the
     rectangle) and the ``tail_mass`` estimate: the density at an infinite
     cut end times the window's width, and 0 for a 2-D fit."""
 
@@ -453,7 +451,8 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
     quadrature rules of the tensor-product grid.  The exponent is one
     product Px[i]^T diag(a) Py[j] of the constrained rows of the two power
     tables, and every moment and covariance entry is read from the one
-    table Px (w_x w_y^T * core) Py^T.  Returns (a, a_0, diagnostics).
+    table Px (w_x w_y^T * core) Py^T.  Returns (a, a_0, iterations,
+    residual).
     """
     pi = np.array([i for i, _ in pairs])
     pj = np.array([j for _, j in pairs])
@@ -487,16 +486,27 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
         if worst > _STEP_CLIP:
             delta *= _STEP_CLIP / worst
         a = a + delta
-    window = (float(rules[0].nodes[0]), float(rules[0].nodes[-1]))
-    return a, shift + math.log(z), FitDiagnostics(iterations, residual, window)
+    return a, shift + math.log(z), iterations, residual
 
 
-def _restart_failed(windows, first: Exception, second: Exception) -> ConvergenceError:
-    """The one error of a fit whose restart failed too: the first attempt's
-    window (one interval per axis) and error, then the restart's error."""
-    shown = " x ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in windows)
-    return ConvergenceError(f"Newton failed on window {shown}: {first}; "
-                            f"its one restart failed too: {second}")
+def _with_restart(attempt, start, restart):
+    """attempt(*start), and where Newton fails there, attempt(*restart) once.
+
+    start and restart are (windows, a): one window per axis and the
+    multipliers Newton starts from.  Where the start already was the
+    restart, its ConvergenceError propagates; where the restart fails too,
+    one ConvergenceError names the start's windows and both errors."""
+    try:
+        return attempt(*start)
+    except ConvergenceError as exc:
+        if start[0] == restart[0] and np.array_equal(start[1], restart[1]):
+            raise
+        try:
+            return attempt(*restart)
+        except ConvergenceError as again:
+            shown = " x ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in start[0])
+            raise ConvergenceError(f"Newton failed on window {shown}: {exc}; "
+                                   f"its one restart failed too: {again}") from again
 
 
 def fit_multipliers_1d(
@@ -512,14 +522,13 @@ def fit_multipliers_1d(
     even top order k without a second moment), and the first window is
     its _window, also where that is the whole support.  ``init``, one
     finite number per constrained order, replaces the cold start on that
-    window.  Where Newton fails, the fit restarts once: flat over the
-    whole of a finite support, from the cold start on its window on an
-    infinite one.  It raises where the failed attempt was the restart,
-    where Newton fails again after it (one ConvergenceError naming both
-    attempts), and where the density at an infinite cut end leaves more
-    than _TAIL_MASS_LIMIT beyond it.  Where the window is more than
-    _WINDOW_SPREAD times as wide as the fitted density's own _window, the
-    fit is done again on that.
+    window.  Where Newton fails, the fit restarts once (_with_restart):
+    flat over the whole of a finite support, from the cold start on its
+    window on an infinite one.  Where the converged density's own _window
+    differs from the window it was fitted on, Newton goes on from it on
+    that window, the one reference_rule reads, and a failure there raises.
+    The fit raises where the density at an infinite cut end of that last
+    window leaves more than _TAIL_MASS_LIMIT beyond it, and reports it.
     Returns the normalized density (a_0 included) and fit diagnostics.
     """
     tol = _as_positive(tol, "tol")
@@ -546,46 +555,37 @@ def fit_multipliers_1d(
         cold[-1] = 1.0 / (orders[-1] * targets[-1])
     # from the cold start even with init: a warm start integrates on the cold fit's window
     window = _window(spec.support, tuple(zip(orders, cold)))
+
+    def attempt(windows, a):
+        rules = (_axis_rule(spec.support, windows[0], _NODES_1D), _UNIT_AXIS)
+        return (windows[0], *_newton_fit(pairs, targets, a, tol, rules))
+
     # the one restart: flat over the whole of a finite support, else the cold start
-    restart = (window, cold) if spec.unbounded else (spec.support, np.zeros(m))
-    a = cold if init is None else init
-    iterations, failed = 0, None
-    for _ in range(_WINDOW_PASSES):
-        rules = (_axis_rule(spec.support, window, _NODES_1D), _UNIT_AXIS)
-        try:
-            a, a0, diag = _newton_fit(pairs, targets, a, tol, rules)
-        except ConvergenceError as exc:
-            if failed:
-                raise _restart_failed(*failed, exc) from exc
-            if window == restart[0] and np.array_equal(a, restart[1]):
-                raise
-            failed = ([window], exc)
-            window, a = restart
-            continue
-        iterations += diag.iterations
-        multipliers = ((0, a0),) + tuple((o, float(v)) for o, v in zip(orders, a))
-        density = ExpFamilyDensity1D(multipliers, spec.support)
-        # the fit's own window; a fit on the window alone may end just past
-        # the normalizable set, which raises here
-        own = _window(spec.support, multipliers)
-        cuts = np.array([x for x, end in zip(window, spec.support) if math.isinf(end)])
-        tail = float(density_values(density, cuts).max(initial=0.0)) * (window[1] - window[0])
-        if tail > _TAIL_MASS_LIMIT:
-            raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
-        if _WINDOW_SPREAD * (own[1] - own[0]) < window[1] - window[0]:
-            window = own
-        else:
-            return density, replace(diag, iterations=iterations, window=window, tail_mass=tail)
-    raise NumericError(f"no integration window holds the fit after {_WINDOW_PASSES} passes")
+    restart = ((window,), cold) if spec.unbounded else ((spec.support,), np.zeros(m))
+    start = ((window,), cold if init is None else init)
+    window, a, a0, iterations, residual = _with_restart(attempt, start, restart)
+    # a fit on the window alone may end just past the normalizable set,
+    # which raises here
+    own = _window(spec.support, ((0, a0), *zip(orders, a)))
+    if own != window:
+        # the nodes reference_rule builds for the density; no restart here
+        window, a, a0, steps, residual = attempt((own,), a)
+        iterations += steps
+    density = ExpFamilyDensity1D(((0, a0), *zip(orders, a)), spec.support)
+    cuts = np.array([x for x, end in zip(window, spec.support) if math.isinf(end)])
+    tail = float(density_values(density, cuts).max(initial=0.0)) * (window[1] - window[0])
+    if tail > _TAIL_MASS_LIMIT:
+        raise NumericError(f"truncation window too narrow: tail mass ~ {tail:.2e}")
+    return density, FitDiagnostics(iterations, residual, window, tail)
 
 
-def _axis_windows(support, pairs, start: np.ndarray) -> list[tuple[float, float]]:
+def _axis_windows(support, pairs, start: np.ndarray) -> tuple[tuple[float, float], ...]:
     """Per axis, the _window of its side under the start's Gaussian exponent
     a_1 x + a_2 x^2: its target mean +-12 sd, clipped to the side.  An axis
     without a second moment starts flat and keeps its side."""
     a = dict(zip(pairs, start))
-    return [_window(side, ((1, a.get(first, 0.0)), (2, a.get(second, 0.0))))
-            for side, first, second in zip(support, ((1, 0), (0, 1)), ((2, 0), (0, 2)))]
+    return tuple(_window(side, ((1, a.get(first, 0.0)), (2, a.get(second, 0.0))))
+                 for side, first, second in zip(support, ((1, 0), (0, 1)), ((2, 0), (0, 2))))
 
 
 def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, support, windows):
@@ -595,25 +595,25 @@ def _gauss_levels(pairs, targets: np.ndarray, a: np.ndarray, tol: float, support
     tol, Newton goes on there, up to _GAUSS_NODES_MAX, past which a failed
     recheck raises ConvergenceError.  A level past the first is entered
     only after the one below it converged, and where Newton fails on a
-    level, its ConvergenceError propagates.  Returns (a, a_0, diagnostics
-    with the iterations of every level and the recheck residual)."""
+    level, its ConvergenceError propagates.  Returns (a, a_0, the
+    iterations of every level, the recheck residual)."""
     n, iterations = _GAUSS_NODES, 0
     while True:
         rules = tuple(_axis_rule(side, window, n) for side, window in zip(support, windows))
         # past the last level this is the recheck of the last one
         cap = 0 if n > _GAUSS_NODES_MAX else _NEWTON_CAP
         try:
-            a, a00, diag = _newton_fit(pairs, targets, a, tol, rules, cap)
+            a, a00, steps, residual = _newton_fit(pairs, targets, a, tol, rules, cap)
         except ConvergenceError as exc:
             if cap:
                 raise
             raise ConvergenceError(
                 f"2-D fit on {n // 2} Gauss nodes per axis fails its recheck on {n}: {exc}"
             ) from exc
-        iterations += diag.iterations
+        iterations += steps
         # the moments of the level on n // 2 nodes hold on n
-        if n > _GAUSS_NODES and diag.iterations == 0:
-            return a, a00, replace(diag, iterations=iterations)
+        if n > _GAUSS_NODES and steps == 0:
+            return a, a00, iterations, residual
         n *= 2
 
 
@@ -627,10 +627,8 @@ def fit_multipliers_2d(
     and variance (_gaussian_start).  It integrates on each axis's
     _axis_rule, its nodes concentrated on the axis's window
     (_axis_windows), doubling them until the moments hold on twice as
-    many (_gauss_levels).  Where Newton fails, the fit restarts once,
-    flat over the whole rectangle, and raises where the start already was
-    flat or the restart fails too (one ConvergenceError naming both
-    attempts).
+    many (_gauss_levels).  Where Newton fails, the fit restarts once
+    (_with_restart), flat over the whole rectangle.
     """
     tol = _as_positive(tol, "tol")
     _check_feasible_2d(spec)
@@ -644,20 +642,13 @@ def fit_multipliers_2d(
         return density, FitDiagnostics(0, 0.0, (a1, b1), 0.0)
 
     a = _gaussian_start(pairs, targets)
-    windows = _axis_windows(spec.support, pairs, a)
-    try:
-        a, a00, diag = _gauss_levels(pairs, targets, a, tol, spec.support, windows)
-    except ConvergenceError as exc:
-        # the one restart: flat over the whole rectangle, unless the start was that
-        if not a.any():
-            raise
-        try:
-            a, a00, diag = _gauss_levels(pairs, targets, np.zeros(len(pairs)), tol,
-                                         spec.support, spec.support)
-        except ConvergenceError as again:
-            raise _restart_failed(windows, exc, again) from again
+    # the one restart: flat over the whole rectangle
+    a, a00, iterations, residual = _with_restart(
+        lambda windows, a: _gauss_levels(pairs, targets, a, tol, spec.support, windows),
+        (_axis_windows(spec.support, pairs, a), a), (spec.support, np.zeros(len(pairs))))
     multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
-    return ExpFamilyDensity2D(multipliers, spec.support), replace(diag, window=(a1, b1))
+    diag = FitDiagnostics(iterations, residual, (a1, b1))
+    return ExpFamilyDensity2D(multipliers, spec.support), diag
 
 
 # ---------------------------------------------------------------------------

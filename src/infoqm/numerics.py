@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,13 +34,15 @@ _REAL = (int, float, np.integer, np.floating)
 def _as_number(value, name: str) -> float:
     """value as a float: an int, a float or a numpy integer or float scalar,
     not a bool; NaN and the infinities pass.  Anything else raises
-    ValidationError, an int beyond the float range included."""
+    ValidationError, an int beyond the float range included; its message
+    shows the value through reprlib.repr, so a long list stays one short
+    line."""
     if isinstance(value, _REAL) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
             pass
-    raise ValidationError(f"{name} must be a number, got {value!r}")
+    raise ValidationError(f"{name} must be a number, got {reprlib.repr(value)}")
 
 
 def _as_finite(value, name: str) -> float:
@@ -153,8 +156,9 @@ class QuadratureRule:
 
     def __post_init__(self):
         nodes = _as_finite_array(self.nodes, "quadrature nodes")
-        if nodes.ndim != 1:
-            raise ValidationError(f"quadrature nodes must be 1-D, got shape {nodes.shape}")
+        if nodes.ndim != 1 or nodes.size == 0:
+            raise ValidationError(f"quadrature nodes must be 1-D and not empty, "
+                                  f"got shape {nodes.shape}")
         weights = _as_finite_array(self.weights, "quadrature weights", nodes.shape)
         if not np.all(np.diff(nodes) > 0):
             raise ValidationError("quadrature nodes must be strictly increasing")

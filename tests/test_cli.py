@@ -406,6 +406,17 @@ class TestNlsGround:
         assert resumed["mu"] == pytest.approx(original["mu"], abs=1e-9)
         assert resumed["iterations"] <= 50
 
+    def test_ragged_resume_document_is_one_short_error_line(self, tmp_path, capsys):
+        # the offending entry, a list of 2048 floats, is shown abbreviated
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"psi": [[1.0] * 2048, [1.0]]}))
+        code, out, err = run_captured(
+            capsys, ["nls", "ground", "--domain", "-10", "10", "--grid", "2048",
+                     "--tau", "5e-5", "--resume", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("infoqm: error: init entry must be a number, got [1.0, 1.0")
+        assert err.count("\n") == 1 and len(err) < 120
+
     def test_convergence_failure_exit_code(self, capsys):
         code, _, err = run_captured(
             capsys,

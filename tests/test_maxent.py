@@ -46,6 +46,13 @@ ORACLE_A2_SYMMETRIC = 1.8742066309485939
 ORACLE_A11 = -0.3296703296703297
 
 
+def quartic_moments(mean):
+    """Raw moments 1..4 of mean + Z, Z the unit-variance base exp(-c x^4)."""
+    kurtosis = 0.25 / (math.gamma(0.75) / math.gamma(0.25)) ** 2
+    return ((1, mean), (2, mean**2 + 1.0), (3, mean**3 + 3.0 * mean),
+            (4, mean**4 + 6.0 * mean**2 + kurtosis))
+
+
 def gaussian_density():
     d, _ = fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), tol=1e-12)
     return d
@@ -131,6 +138,10 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             EndpointFactors(singularities=((0.0, 1.0),))
 
+    def test_zero_and_singularity_at_one_location(self):
+        with pytest.raises(ValidationError, match="cannot carry both a zero and a singularity"):
+            EndpointFactors(zeros=((0, 1),), singularities=((0, 0.5),))
+
     def test_factor_location_outside_support(self):
         with pytest.raises(ValidationError):
             ExpFamilyDensity1D(
@@ -166,6 +177,13 @@ class TestFeasibility:
         assert (a + b) * m1 - m2 - a * b <= 0
         with pytest.raises(InfeasibleMomentsError):
             fit_multipliers_1d(MomentSpec1D(support, ((1, m1), (2, m2))))
+
+    def test_2d_even_even_cap(self):
+        # (2,2) = 1.5 passes both marginals but exceeds max x^2 y^2 = 1 on the square
+        spec = MomentSpec2D(((-1.0, 1.0), (-1.0, 1.0)), ((2, 0, 0.3), (0, 2, 0.3), (2, 2, 1.5)))
+        with pytest.raises(InfeasibleMomentsError,
+                           match=r"^moment \(2,2\) = 1\.5 outside \(0, 1\.0\)$"):
+            fit_multipliers_2d(spec)
 
     def test_2d_covariance_not_psd(self):
         spec = MomentSpec2D(((-6, 6), (-6, 6)), ((2, 0, 1.0), (1, 1, 2.0), (0, 2, 1.0)))
@@ -330,6 +348,60 @@ class TestFit1D:
         assert diag.window == pytest.approx((0.0, 0.72), abs=1e-6)
         assert dict(d.multipliers)[1] == pytest.approx(100.0, rel=1e-10)
         assert normalization_residual(d) < 1e-13
+
+    @pytest.mark.parametrize(
+        "spec, tol",
+        [
+            (MomentSpec1D((-INF, INF), quartic_moments(3.5)), 1e-8),
+            (MomentSpec1D((-20.0, 20.0), ((2, 1.0), (4, 2.5))), 1e-10),
+            (MomentSpec1D((0.0, INF), ((1, 1.0), (2, 1.5))), 1e-12),
+        ],
+        ids=["quartic-mean-3.5", "bounded-kurtosis-2.5", "half-line"],
+    )
+    def test_fit_ends_on_its_own_window(self, spec, tol):
+        # each start's window differs from the fitted density's own (wider
+        # for the quartic and on [-20, 20], narrower on the half line): the
+        # fit goes on there and reports the window whose nodes reference_rule
+        # builds for the density
+        d, diag = fit_multipliers_1d(spec, tol=tol)
+        assert diag.window == pytest.approx(maxent._window(d.support, d.multipliers), rel=1e-9)
+        xs, w = reference_rule(d)
+        rho = density_values(d, xs)
+        assert abs(float(w @ rho) - 1.0) <= 10.0 * tol
+        for order, target in spec.constraints:
+            assert abs(float(w @ (rho * xs**order)) - target) <= 10.0 * tol * max(1.0, abs(target))
+
+    def test_failed_own_window_pass_raises(self, monkeypatch):
+        # Newton converges on the quartic's start window; where it then fails
+        # on the density's own window, that error propagates: no restart
+        calls = []
+        newton_fit = maxent._newton_fit
+
+        def spy(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ConvergenceError("own window fails")
+            return newton_fit(*args)
+
+        monkeypatch.setattr(maxent, "_newton_fit", spy)
+        with pytest.raises(ConvergenceError, match=r"^own window fails$"):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), quartic_moments(3.5)), tol=1e-8)
+        assert len(calls) == 2
+
+    def test_bimodal_density_ends_on_its_own_window(self, leggauss_4000):
+        # orders 1, 3 and 4 of exp(-((x - 0.5) / 0.1)^4 / 12): the fitted
+        # exponent has a second well near -1.615, outside the start's window
+        # and 10.9 above the main one, so a fit that stays on the start's
+        # window reads a tail mass of 8.9e-12; its own window covers both
+        z2 = math.sqrt(12.0) * math.gamma(0.75) / math.gamma(0.25)   # <z^2>, and <z^4> = 3
+        mean, v2, v4 = 0.5, 0.01 * z2, 3e-4
+        raw = ((1, mean), (3, mean**3 + 3.0 * mean * v2),
+               (4, mean**4 + 6.0 * mean**2 * v2 + v4))
+        d, diag = fit_multipliers_1d(MomentSpec1D((-INF, INF), raw), tol=1e-10)
+        assert diag.window[0] < -1.615 < 0.5 < diag.window[1] and diag.tail_mass < 1e-12
+        for order, target in ((0, 1.0),) + raw:
+            assert abs(leggauss_moment(d.multipliers, 6.0, order, leggauss_4000)
+                       - target) <= 1e-11
 
     def test_failed_start_window_falls_back_to_the_whole_support(self, monkeypatch):
         # kurtosis 30 on [-20, 20] needs mass far past the start's +-12 sd
@@ -691,7 +763,7 @@ class TestFit2D:
             if len(levels) == 1:
                 raise ConvergenceError("first level fails")
             result = newton_fit(pairs, targets, a, tol, rules, cap)
-            levels[-1] += (result[2].iterations,)
+            levels[-1] += (result[2],)
             return result
 
         monkeypatch.setattr(maxent, "_newton_fit", spy)
@@ -713,7 +785,7 @@ class TestFit2D:
 
         def spy(pairs, targets, a, tol, rules, cap=maxent._NEWTON_CAP):
             result = newton_fit(pairs, targets, a, tol, rules, cap)
-            levels.append((rules[0].nodes.size, result[2].iterations))
+            levels.append((rules[0].nodes.size, result[2]))
             return result
 
         monkeypatch.setattr(maxent, "_GAUSS_NODES", 16)

@@ -586,6 +586,14 @@ class TestValidationAndErrors:
         with pytest.raises(ValidationError):
             gradient_flow_ground_state(problem, FlowConfig(step=1.0, tol_flow=1e-8))
 
+    def test_step_past_the_grid_stability_bound(self):
+        # max|V| = 1 on [-1, 1] passes the potential heuristic, but h = 0.01
+        # bounds the step by 2 / (2 / h^2 + 1)
+        problem = GridProblem.harmonic(Grid1D(-1.0, 1.0, 201))
+        with pytest.raises(ValidationError,
+                           match=r"^step 0\.001 is provably unstable .*need step < 1\.000e-04$"):
+            ground_state(problem, FlowConfig(step=1e-3))
+
     def test_step_against_potential_heuristic(self):
         problem = harmonic_problem(64, half_width=10.0)
         with pytest.raises(ValidationError):

@@ -103,11 +103,12 @@ class TestQuadrature:
         "kind, nodes, weights, match",
         [
             ("x", [[0.0, 1.0]], [[1.0, 1.0]], "must be 1-D"),
+            ("x", [], [], "not empty"),
             ("x", [0.0, 1.0], [1.0, 1.0, 1.0], r"weights must have shape \(2,\)"),
             ("x", [1.0, 0.0], [1.0, 1.0], "strictly increasing"),
             ("gauss_hermite", [-1.0, 1.0], [1.0, 1.0], "sum to sqrt"),
         ],
-        ids=["2-D", "unmatched", "decreasing", "hermite-sum"],
+        ids=["2-D", "empty", "unmatched", "decreasing", "hermite-sum"],
     )
     def test_malformed_rule_rejected(self, kind, nodes, weights, match):
         with pytest.raises(ValidationError, match=match):
