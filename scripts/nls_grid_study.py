@@ -3,8 +3,9 @@
 
 Solves mu(b) = b for the quadratic potential at increasing resolutions,
 warm-starting each level from the previous one, and prints the lambda
-estimates with their successive differences and their errors against the
-closed-form n = 0 multiplier.
+estimates with their successive differences, their errors against the
+closed-form n = 0 multiplier, and the work of each level's solve: its
+semi-implicit loose-phase steps and its bordered Newton steps.
 """
 
 import pathlib
@@ -32,7 +33,8 @@ def main() -> None:
     previous = None
     prev_grid = None
     prev_lambda = None
-    print(f"{'points':>7} {'step':>10} {'lambda':>14} {'delta_prev':>12} {'vs_closed':>10}")
+    print(f"{'points':>7} {'step':>10} {'lambda':>14} {'delta_prev':>12} {'vs_closed':>10} "
+          f"{'iterations':>10} {'newton_steps':>12}")
     for n in LEVELS:
         grid = Grid1D(-HALF_WIDTH, HALF_WIDTH, n)
         problem = GridProblem.harmonic(grid)
@@ -49,7 +51,7 @@ def main() -> None:
             )
         delta = "" if prev_lambda is None else f"{abs(lam - prev_lambda):.3e}"
         print(f"{n:>7} {cfg.step:>10.2e} {lam:>14.8f} {delta:>12} "
-              f"{abs(lam - closed_form):>10.2e}")
+              f"{abs(lam - closed_form):>10.2e} {sol.iterations:>10} {sol.newton_steps:>12}")
         previous, prev_grid, prev_lambda = sol.psi, grid, lam
 
 

@@ -11,21 +11,24 @@ on the unit sphere with explicit normalized gradient steps
 
     psi  <-  normalize( psi - tau (H psi - b (1 + ln psi^2) psi) )
 
-until the step norm drops below tolerance.  Both solves reach Newton's
-basin by a short loose phase instead: backward-Euler steps in H with the
-logarithm taken from the old state (BEFD, Bao & Du, SIAM J. Sci. Comput.
-25, 1674, 2004), each one Thomas solve of a tridiagonal M-matrix, to a
-loose norm.  Newton on the state bordered by the unit-norm constraint,
-whose tridiagonal Jacobian is solved by the Thomas algorithm too,
-follows.  At a fixed b (ground_state) the border
-unknown is the eigenvalue shift m = mu(b) - b; for the self-consistent
-root (mu(b) = b, so the stationarity eigenvalue equals the nonlinear
-coefficient) it is b itself.  A Newton state is kept only once one
-explicit step from it moves it by less than the flow tolerance.  Every
-value of F(b) = mu(b) - b is a ground_state, and one fallback rule holds:
-a loose phase or Newton solve that fails, or a state that does not
-verify, is dropped for flows, the full explicit flow at a fixed b and,
-for the root, bisection on the same bracket over ground_state midpoints.
+until the step norm drops below tolerance.  Both solves run Newton
+instead, on the state bordered by the unit-norm constraint, whose
+tridiagonal Jacobian is solved by the Thomas algorithm, straight from the
+start state: a converged state at a nearby b is already in Newton's basin
+(continuation, Allgower & Georg, Numerical Continuation Methods, 1990).
+Only where that direct attempt fails does a short loose phase run before
+Newton is tried once more: backward-Euler steps in H with the logarithm
+taken from the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674,
+2004), each one Thomas solve of a tridiagonal M-matrix, to a loose norm.
+At a fixed b (ground_state) the border unknown is the eigenvalue shift
+m = mu(b) - b; for the self-consistent root (mu(b) = b, so the
+stationarity eigenvalue equals the nonlinear coefficient) it is b
+itself.  A Newton state is kept only once one explicit step from it moves
+it by less than the flow tolerance.  Every value of F(b) = mu(b) - b is a
+ground_state, and one fallback rule holds: a loose phase or second Newton
+solve that fails, or a state that does not verify, is dropped for flows,
+the full explicit flow at a fixed b and, for the root, bisection on the
+same bracket over ground_state midpoints.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -35,8 +38,9 @@ pinned state, and _explicit_step takes one normalized step.  The flow,
 its verification of a Newton state, the discrete energy (which is mu) and
 the Newton residual and Jacobian go through _gradient; the loose phase
 needs only the logarithm, so it calls _floored_log and forms no gradient.
-One function, _newton_state, runs the loose phase and the Newton solve
-and verifies every Newton state kept, at a fixed b and for the root.
+One function, _newton_state, runs the direct Newton solve, the loose
+phase where that fails, and verifies every Newton state kept, at a fixed
+b and for the root.
 """
 
 from __future__ import annotations
@@ -113,13 +117,14 @@ class GroundStateSolution:
 
     ``iterations`` counts the steps and ``newton_steps`` the bordered
     Newton steps behind every state the solve kept: the semi-implicit steps
-    of the loose phase and the Newton solve that made each Newton state,
-    or the explicit steps of the full flow that made a fallback state, and
-    for a self-consistent solve the sum over the states it evaluated F at
-    and the root.  A loose phase whose Newton state was dropped is not
-    counted.  ``energy_trace`` starts with the energy of the normalized
-    start state, samples the full flow that made a fallback ``psi`` every
-    100 steps, and ends with the energy of ``psi`` at ``b``.
+    of the loose phase (0 where Newton held from the start state) and the
+    Newton solve that made each Newton state, or the explicit steps of the
+    full flow that made a fallback state, and for a self-consistent solve
+    the sum over the states it evaluated F at and the root.  A loose phase
+    whose Newton state was dropped is not counted, and neither is a failed
+    direct Newton attempt.  ``energy_trace`` starts with the energy of the
+    normalized start state, samples the full flow that made a fallback
+    ``psi`` every 100 steps, and ends with the energy of ``psi`` at ``b``.
     """
 
     psi: np.ndarray
@@ -427,20 +432,26 @@ def _bordered_newton(
 def _newton_state(
     problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None, free_b: bool
 ) -> GroundStateSolution:
-    """The loose phase from init, then a bordered Newton solve at the
-    problem's b, or with b free for the self-consistent root.
+    """A bordered Newton solve from init at the problem's b, or with b free
+    for the self-consistent root; where it raises ConvergenceError, the
+    loose phase from init and then Newton once more.
 
     Invalid input raises ValidationError before any step.  The Newton state
     is kept when _explicit_step, the step the flow stops on, moves it by a
     flow norm below cfg.tol_flow.  ConvergenceError is raised if it does
-    not, or if the loose phase or the Newton solve fails; InstabilityError
-    (a ConvergenceError) if a step leaves the positive cone.
+    not, or if the loose phase or the second Newton solve fails;
+    InstabilityError (a ConvergenceError) if a step leaves the positive
+    cone.  The failed direct attempt is not counted in newton_steps.
     """
     _validate_step(problem, cfg)
     psi = _start_state(problem.grid, init)
     trace = (discrete_energy(problem, psi),)
-    psi, loose_steps = _loose_phase(problem, psi)
-    psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
+    loose_steps = 0
+    try:
+        psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
+    except ConvergenceError:
+        psi, loose_steps = _loose_phase(problem, psi)
+        psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
     problem = problem.with_b(b)
     flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
     if not flow_norm < cfg.tol_flow:
@@ -464,12 +475,13 @@ def ground_state(
 ) -> GroundStateSolution:
     """Nodeless ground state at the problem's fixed b.
 
-    The loose phase from init, then a bordered Newton solve in
-    (psi, m = mu(b) - b), give a state whose one-step flow norm must be
-    below cfg.tol_flow.  If the loose phase or Newton fails, or the state
-    does not verify, the full gradient_flow_ground_state from init is
-    returned instead.  Invalid input raises ValidationError, before any
-    step, as the flow does.
+    A bordered Newton solve in (psi, m = mu(b) - b) from init, or where
+    that fails the loose phase from init and Newton again, gives a state
+    whose one-step flow norm must be below cfg.tol_flow.  If the loose
+    phase or the second Newton solve fails, or the state does not verify,
+    the full gradient_flow_ground_state from init is returned instead.
+    Invalid input raises ValidationError, before any step, as the flow
+    does.
     """
     try:
         return _newton_state(problem, cfg, init, free_b=False)
@@ -491,10 +503,12 @@ def self_consistent_lambda(
     the upper end from the lower end's state.  A bracket that is not a
     finite lo < hi raises ValidationError before any solve.  An end where
     |F| < f_tol is the root; otherwise BracketError is raised when F has
-    no sign change on the bracket.  The loose phase at the secant estimate
-    of the root, started from the nearer end's state, then a free-b
-    Newton solve give the root, kept if
-    its one-step flow norm is below cfg.tol_flow and |mu - b| < f_tol.
+    no sign change on the bracket.  A free-b Newton solve at the secant
+    estimate of the root, started from the lower end's state (from which
+    Newton continues upward; from the upper end's it can leave the
+    positive cone), gives the root, with the loose phase first only where
+    the direct attempt fails; the root is kept if its one-step flow norm
+    is below cfg.tol_flow and |mu - b| < f_tol.
     Otherwise find_root bisects the same bracket, each midpoint a
     ground_state warm-started from the previous one, until |F| < f_tol;
     ConvergenceError is raised if the bracket narrows below 1e-14 first.
@@ -529,9 +543,8 @@ def self_consistent_lambda(
     # constructing the bracket record also validates the sign change
     bracket_record = RootBracket(lo, hi, f_lo, f_hi)
     guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    nearer = sol_lo if guess - lo < hi - guess else sol_hi
     try:
-        root = _newton_state(problem.with_b(guess), cfg, nearer.psi, free_b=True)
+        root = _newton_state(problem.with_b(guess), cfg, sol_lo.psi, free_b=True)
         if lo <= root.b <= hi and abs(root.mu - root.b) < f_tol:
             kept.append(root)
             return found(root)

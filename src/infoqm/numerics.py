@@ -104,12 +104,14 @@ def _as_int(value, name: str, lo: float = -math.inf, hi: float = math.inf,
            error: type[ValueError] = ValidationError) -> int:
     """value as an int: an int or numpy integer, or a float or numpy float of
     integral value (2.0 counts as 2).  Anything else (a bool, a string, NaN,
-    an infinity, a fraction) or a value outside [lo, hi] raises ``error``."""
+    an infinity, a fraction) or a value outside [lo, hi] raises ``error``,
+    whose message shows the value through reprlib.repr, as _as_number's
+    does."""
     integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
     if isinstance(value, bool) or not (integral or isinstance(value, (int, np.integer))):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {reprlib.repr(value)}")
     if not lo <= int(value) <= hi:
-        raise error(f"{name} must be in [{lo}, {hi}], got {value!r}")
+        raise error(f"{name} must be in [{lo}, {hi}], got {reprlib.repr(value)}")
     return int(value)
 
 

@@ -356,9 +356,22 @@ class TestBorderedNewton:
         monkeypatch.setattr(nls, "gradient_flow_ground_state", counted_flow)
         monkeypatch.setattr(nls, "_bordered_newton", counted_newton)
         _, sol = self_consistent_lambda(problem, cfg)
-        assert len(loose) == 3  # both ends and the root step
-        assert not flows
-        assert sol.iterations == sum(loose)
+        # Newton starts from the default guess and then from the lower end's
+        # state, so no loose phase runs
+        assert not loose and not flows
+        assert len(newton) == 3  # both ends and the root step
+        assert sol.iterations == sum(loose) == 0
+        assert sol.newton_steps == sum(newton)
+
+        # from this start the direct Newton solve at the lower end leaves
+        # the positive cone; the loose phase then runs and is counted, and
+        # the failed direct attempt is not
+        newton.clear()
+        init = randomized_initial_guess(problem.grid, 9, 1)
+        _, sol = self_consistent_lambda(problem, cfg, init=init)
+        assert len(loose) == 1 and not flows
+        assert len(newton) == 3
+        assert sol.iterations == sum(loose) > 0
         assert sol.newton_steps == sum(newton)
 
         # with every Newton solve failing, each kept state is a full flow;
@@ -429,8 +442,20 @@ class TestFixedBNewton:
     def test_flow_fallback_when_loose_phase_hits_its_cap(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         init = randomized_initial_guess(problem.grid, 9, 0)
+        bordered_newton = nls._bordered_newton
+        calls = []
+
+        def direct_failure(problem, psi, free_b):
+            # the direct attempt fails, so the loose phase runs
+            calls.append(free_b)
+            if len(calls) == 1:
+                raise ConvergenceError("forced failure")
+            return bordered_newton(problem, psi, free_b)
+
+        monkeypatch.setattr(nls, "_bordered_newton", direct_failure)
         monkeypatch.setattr(nls, "_LOOSE_CAP", 1)
         sol = ground_state(problem, self.CFG, init=init)
+        assert calls == [False]  # the loose phase raised before a second Newton solve
         assert sol.newton_steps == 0
         assert_same_solution(sol, gradient_flow_ground_state(problem, self.CFG, init=init))
 
@@ -496,10 +521,11 @@ class TestLoosePhase:
             nls._loose_phase(problem, nls._start_state(problem.grid, None))
 
     def test_self_consistent_loose_steps_on_criterion_3_grid(self):
+        # measured: 0 semi-implicit and 22 Newton steps over both ends and the root
         problem = GridProblem.harmonic(Grid1D(-12.0, 12.0, 2048))
         _, sol = self_consistent_lambda(problem, FlowConfig(step=1e-4, tol_flow=1e-8))
-        assert sol.newton_steps > 0
-        assert sol.iterations <= 200
+        assert 0 < sol.newton_steps <= 30
+        assert sol.iterations <= 10
 
     def test_mu_is_the_final_energy(self, coarse_self_consistent):
         # one evaluation of the functional gives both, on every path
@@ -518,6 +544,58 @@ class TestLoosePhase:
         sol = ground_state(problem, TestFixedBNewton.CFG, init=init)
         assert sol.newton_steps > 0
         assert sol.energy_trace[0] == discrete_energy(problem, normalized_on(problem.grid, init))
+
+
+class TestContinuation:
+    """Newton runs straight from the start state; the loose phase runs only
+    where that direct attempt fails."""
+
+    CFG = FlowConfig(step=5e-3, tol_flow=1e-9)
+
+    def test_newton_continues_from_a_converged_state(self):
+        base = harmonic_problem(256, half_width=12.0)
+        start = ground_state(base.with_b(-3.0), self.CFG)
+        sol = ground_state(base.with_b(-0.5), self.CFG, init=start.psi)
+        assert sol.iterations == 0 and sol.newton_steps > 0
+        assert abs(sol.mu - ground_state(base.with_b(-0.5), self.CFG).mu) <= 1e-10
+
+    def test_direct_newton_leaving_the_cone_falls_back_to_the_loose_phase(self, monkeypatch):
+        base = harmonic_problem(256, half_width=12.0)
+        start = ground_state(base.with_b(-0.5), self.CFG)
+        cold = ground_state(base.with_b(-3.0), self.CFG)
+        bordered_newton = nls._bordered_newton
+        failures = []
+
+        def recorded_newton(problem, psi, free_b):
+            try:
+                return bordered_newton(problem, psi, free_b)
+            except ConvergenceError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
+        sol = ground_state(base.with_b(-3.0), self.CFG, init=start.psi)
+        assert failures == ["bordered Newton left the positive cone"]
+        assert sol.iterations > 0 and sol.newton_steps > 0
+        assert abs(sol.mu - cold.mu) <= 1e-10
+
+    def test_wide_domain_root_is_the_free_b_newton_root(self, monkeypatch):
+        # the free-b Newton solve, started from the lower end's state, holds;
+        # no bisection midpoint is evaluated
+        problem = harmonic_problem(512, half_width=20.0)
+        evaluated = []
+        solve = nls.ground_state
+
+        def counted_ground_state(problem, cfg, init=None):
+            evaluated.append(problem.b)
+            return solve(problem, cfg, init)
+
+        monkeypatch.setattr(nls, "ground_state", counted_ground_state)
+        lam, sol = self_consistent_lambda(problem, FlowConfig(step=1e-3, tol_flow=1e-9))
+        assert evaluated == list(nls.DEFAULT_BRACKET)
+        assert abs(sol.mu - sol.b) < 1e-12
+        assert abs(lam - GOLDEN_LAMBDA0) < 1e-3
+        assert sol.iterations <= 30 and 0 < sol.newton_steps <= 40
 
 
 class TestUniquenessProbe:

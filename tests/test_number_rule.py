@@ -483,6 +483,23 @@ def test_as_int_accepts_exactly_integral_values_in_range(tagged, lo, span, error
             _as_int(v, "x", lo, lo + span, error)
 
 
+@pytest.mark.parametrize(
+    "call, start",
+    [
+        (lambda: Grid1D(0.0, 1.0, [1.0] * 3000), "n_points must be an integer, got [1.0, 1.0"),
+        (lambda: _as_int(10**3000, "x", 0, 5), "x must be in [0, 5], got 1000"),
+    ],
+    ids=["not an integer", "out of range"],
+)
+def test_as_int_message_abbreviates_a_long_value(call, start):
+    # the value is shown through reprlib.repr, as _as_number shows it
+    with pytest.raises(ValidationError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(start) and "..." in message
+    assert len(message) < 100
+
+
 
 # the array rule: an entry stands for a number exactly when _as_number takes it
 ENTRIES = VALUES.filter(lambda tagged: not isinstance(tagged[1], (list, tuple)))
