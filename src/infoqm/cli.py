@@ -39,26 +39,60 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _json_ready(obj):
-    """Round floats to 12 significant digits for byte stability."""
+_JSON_STRING = json.encoder.encode_basestring_ascii
+
+
+def _json_float(value: float) -> str:
+    """value rounded to 12 significant digits for byte stability; an
+    infinity or NaN is written as the string of its str."""
+    if math.isfinite(value):
+        return float.__repr__(float(f"{value:.12g}"))
+    return _JSON_STRING(str(value))
+
+
+def _json_text(obj, newline: str) -> str:
+    """obj as JSON text, each nested entry on its own line one space further
+    in than ``newline`` (a line break and obj's own indent)."""
+    if isinstance(obj, str):
+        return _JSON_STRING(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(float(obj))
+    inner = newline + " "
     if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
+        if not obj:
+            return "{}"
+        entries = (f"{_JSON_STRING(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(entries) + newline + "}"
     if isinstance(obj, np.ndarray):
-        return [_json_ready(float(v)) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isinf(v) or math.isnan(v):
-            return str(v)
-        return float(f"{v:.12g}")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+        values = np.asarray(obj, dtype=float)
+        if np.isfinite(values).all():
+            entries = map(float.__repr__, [float(f"{v:.12g}") for v in values.tolist()])
+        else:
+            entries = map(_json_float, values.tolist())
+    elif isinstance(obj, (list, tuple)):
+        entries = [_json_text(v, inner) for v in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    text = ("," + inner).join(entries)
+    return "[" + inner + text + newline + "]" if text else "[]"
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(_json_ready(doc), sort_keys=True, indent=1) + "\n"
+    """The text of a JSON file: keys (all strings) sorted, one space of
+    indent per level, every float rounded to 12 significant digits (an
+    infinity or NaN written as the string "inf", "-inf" or "nan"), a tuple
+    or 1-D array written as a list of its entries, a numpy scalar as its
+    Python value; json.dumps(..., sort_keys=True, indent=1) of that, plus
+    a newline, byte for byte."""
+    return _json_text(doc, "\n") + "\n"
 
 
 def _read_document(path: str, flag: str, parse):
@@ -294,7 +328,7 @@ def _write_output(payload: str, out_path: str | None, manifest: dict) -> None:
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
     with open(out_path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+        fh.write(_dump_json(manifest))
 
 
 # built once per process; parse_args keeps no state between calls

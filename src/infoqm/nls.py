@@ -40,7 +40,10 @@ the Newton residual and Jacobian go through _gradient; the loose phase
 needs only the logarithm, so it calls _floored_log and forms no gradient.
 One function, _newton_state, runs the direct Newton solve, the loose
 phase where that fails, and verifies every Newton state kept, at a fixed
-b and for the root.
+b and for the root.  Every tridiagonal solve, a Newton step's two
+right-hand sides and a loose step's one, is one _thomas call: a
+sequential sweep over Python floats, whose first pass eliminates T and
+sweeps the first right-hand side forward together.
 """
 
 from __future__ import annotations
@@ -345,29 +348,36 @@ def _loose_phase(problem: GridProblem, psi: np.ndarray) -> tuple[np.ndarray, int
 def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
     """Solve T x = r for each r in ``rhs`` and the symmetric tridiagonal T
     with diagonal ``diag`` and constant off-diagonal ``off``: the Thomas
-    algorithm without pivoting, one elimination of T, then one forward and
-    one back sweep per right-hand side."""
+    algorithm without pivoting (L. H. Thomas, 1949).  One zip pass over
+    Python floats eliminates T and sweeps the first right-hand side
+    forward; each further one gets its own forward sweep, and each one
+    back pass.  Raises ConvergenceError on a zero pivot."""
     d = diag.tolist()
-    n = len(d)
-    pivots = [0.0] * n
-    ratio = [0.0] * n
+    first, *rest = (r.tolist() for r in rhs)
     try:
-        pivot = pivots[0] = d[0]
-        ratio[0] = off / pivot
-        for i in range(1, n):
-            pivot = pivots[i] = d[i] - off * ratio[i - 1]
-            ratio[i] = off / pivot
+        pivot = d[0]
+        ratio = off / pivot
+        y = first[0] / pivot
+        pivots, ratios, forward = [pivot], [ratio], [y]
+        for d_i, r_i in zip(d[1:], first[1:]):
+            pivot = d_i - off * ratio
+            ratio = off / pivot
+            y = (r_i - off * y) / pivot
+            pivots.append(pivot)
+            ratios.append(ratio)
+            forward.append(y)
     except ZeroDivisionError:
         raise ConvergenceError("tridiagonal solve met a zero pivot") from None
+    sweeps = [forward]
+    for r in rest:
+        x = r[0] / pivots[0]
+        sweeps.append([x] + [x := (r_i - off * x) / p for r_i, p in zip(r[1:], pivots[1:])])
+    back = ratios[-2::-1]
     solutions = []
-    for r in rhs:
-        x = r.tolist()
-        x[0] /= pivots[0]
-        for i in range(1, n):
-            x[i] = (x[i] - off * x[i - 1]) / pivots[i]
-        for i in range(n - 2, -1, -1):
-            x[i] -= ratio[i] * x[i + 1]
-        solutions.append(np.array(x))
+    for swept in sweeps:
+        x = swept[-1]
+        solutions.append(np.array([x := y_i - q * x for y_i, q in zip(swept[-2::-1], back)][::-1]
+                                  + [swept[-1]]))
     return solutions
 
 

@@ -9,7 +9,8 @@ indices, ``_as_positive`` for tolerances and steps, ``_as_number`` for
 the reals of an input document and ``_as_finite`` for a real that must
 be finite.  An array follows the same rule one entry at a time:
 ``_as_array`` for sampled values and points, ``_as_finite_array`` where
-every entry must be finite.  All values are immutable after construction
+every entry must be finite; a list of plain floats, which the rule passes
+unchanged, converts whole.  All values are immutable after construction
 and every operation is pure, so everything here is safe to call
 concurrently.
 """
@@ -55,12 +56,16 @@ def _as_finite(value, name: str) -> float:
 
 def _as_array(values, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """values as a float ndarray.  An ndarray or numpy scalar of integer or
-    float dtype converts whole; anything else (a list, a tuple, a Python
-    scalar, a bool, string, object or complex array) converts one entry at
-    a time under the _as_number rule.  A ragged input, or a shape other
-    than ``shape`` where one is given, raises ValidationError."""
+    float dtype converts whole, and so does a list whose entries are all
+    plain floats, which the _as_number rule passes unchanged; anything else
+    (any other list, a tuple, a Python scalar, a bool, string, object or
+    complex array) converts one entry at a time under the _as_number rule.
+    A ragged input, or a shape other than ``shape`` where one is given,
+    raises ValidationError."""
     if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind in "iuf":
         array = np.asarray(values, dtype=float)
+    elif isinstance(values, list) and set(map(type, values)) == {float}:
+        array = np.array(values, dtype=float)
     else:
         try:
             entries = np.asarray(values, dtype=object)

@@ -6,6 +6,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,7 +136,73 @@ class TestOscillatorTable:
         assert "wall_time_s" in manifest
 
 
+def json_ready(obj):
+    """The rounding rule the JSON writer applies, as a copy for json.dumps:
+    floats to 12 significant digits, an infinity or NaN as its str, tuples
+    and 1-D arrays as lists, numpy integers as ints."""
+    if isinstance(obj, dict):
+        return {k: json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [json_ready(float(v)) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        if math.isinf(v) or math.isnan(v):
+            return str(v)
+        return float(f"{v:.12g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+# zeros of both signs, integral floats, the range where repr and .12g disagree
+# on the notation, a small value written with an exponent, and non-finite values
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0**53, 1e-5, math.inf, -math.inf, math.nan]),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(1e12, 1e16, exclude_max=True),
+)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    JSON_FLOATS,
+    st.text(),
+    INT64.map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    JSON_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.lists(JSON_FLOATS, max_size=6).map(np.array),
+    st.lists(INT64, max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
 class TestDeterminism:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_writer_is_json_dumps_of_the_rounded_document(self, doc):
+        assert cli._dump_json(doc) == json.dumps(json_ready(doc), sort_keys=True, indent=1) + "\n"
+
+    @pytest.mark.parametrize("value", [np.bool_(True), {1.0}, 1j, b"x"],
+                             ids=["numpy bool", "set", "complex", "bytes"])
+    def test_writer_rejects_what_json_dumps_rejects(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps(json_ready({"x": [value]}))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._dump_json({"x": [value]})
+
     def test_table_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:

@@ -394,6 +394,54 @@ class TestBorderedNewton:
         assert sol.energy_trace[-1] == discrete_energy(problem, sol.psi)
 
 
+def tridiagonal_case(n, kind, rng):
+    """(diag, off) of an n-unknown system on [-12, 12]: an M-matrix like the
+    semi-implicit step's, or the bordered Newton Jacobian's diagonal
+    1/h^2 + V - b (3 + L) at b = -3 and u = exp(-x^2/2), which falls below
+    2 |off|, and then below zero, in the tails."""
+    h = 24.0 / (n + 1)
+    off = -0.5 / (h * h)
+    if kind == "dominant":
+        return 2.0 * abs(off) + rng.uniform(0.1, 1.0, n), off
+    x = np.linspace(-12.0, 12.0, n + 2)[1:-1]
+    return 1.0 / (h * h) + 0.5 * x * x + 3.0 * (3.0 - x * x), off
+
+
+class TestThomas:
+    @pytest.mark.parametrize("kind", ["dominant", "newton"])
+    @pytest.mark.parametrize("n_rhs", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 46, 510, 2046])
+    def test_matches_dense_solve(self, n, n_rhs, kind):
+        rng = np.random.default_rng(n)
+        diag, off = tridiagonal_case(n, kind, rng)
+        if kind == "newton" and n >= 46:
+            assert np.any(np.abs(diag) < 2.0 * abs(off))
+        rhs = rng.standard_normal((n_rhs, n))
+        dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+        expected = np.linalg.solve(dense, rhs.T).T
+        got = nls._thomas(diag, off, *rhs)
+        assert len(got) == n_rhs
+        for x, want in zip(got, expected):
+            assert x.shape == (n,) and x.dtype == np.float64
+            assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_each_right_hand_side_is_solved_alone(self):
+        # the first right-hand side rides on the elimination pass, the others
+        # do not; each one's solution is the same bits either way
+        rng = np.random.default_rng(7)
+        diag, off = tridiagonal_case(510, "newton", rng)
+        r, s = rng.standard_normal((2, 510))
+        x, y = nls._thomas(diag, off, r, s)
+        assert np.array_equal(x, nls._thomas(diag, off, r)[0])
+        assert np.array_equal(y, nls._thomas(diag, off, s)[0])
+
+    @pytest.mark.parametrize("diag", [[0.0, 1.0, 1.0], [1.0, 0.25, 1.0], [1.0, 1.0, 1.0 / 3.0]],
+                             ids=["first", "second", "last"])
+    def test_zero_pivot_raises(self, diag):
+        with pytest.raises(ConvergenceError, match="zero pivot"):
+            nls._thomas(np.array(diag), 0.5, np.ones(3), np.ones(3))
+
+
 class TestFixedBNewton:
     CFG = FlowConfig(step=5e-3, tol_flow=1e-9)
 

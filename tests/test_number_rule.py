@@ -1,6 +1,7 @@
 """One number rule: every count, tolerance and document real validates
 through numerics._as_int, _as_positive and _as_number, and every array
-through numerics._as_array and _as_finite_array, one entry at a time."""
+through numerics._as_array and _as_finite_array, one entry at a time
+(a list of plain floats, which the rule passes unchanged, converts whole)."""
 
 import json
 import math
@@ -320,6 +321,8 @@ def test_bad_array_entry_raises_validation_error(call, bad):
 
 
 ARRAY_GOOD = [pytest.param(call, good, id=site) for site, (call, good, _) in ARRAY_SITES.items()]
+# a resumed state whose pinned ends were written as the integer 0
+ARRAY_GOOD.append(pytest.param(_resume, [0] + [1.0] * 14 + [0], id="--resume-integer-ends"))
 
 
 @pytest.mark.parametrize("call, good", ARRAY_GOOD)
@@ -532,13 +535,19 @@ def test_as_array_takes_numeric_arrays_and_sequences(values):
     assert got.dtype == np.float64 and got.tolist() == [0.0, 1.0, 2.0]
 
 
+# a long list of floats whose last entry alone is not a number
+_LONG = [1.0] * 2047
+
+
 @pytest.mark.parametrize("values", [np.array([True, False]), np.array(["1", "2"]),
                                     np.array([1 + 0j, 2]), np.array([1.0, "2"], dtype=object),
                                     np.bool_(True), "1.5", True, None, {"x": 1.0},
-                                    [[1.0, 2.0], [3.0]], [np.zeros((2, 2)), np.zeros((2, 3))]],
+                                    [[1.0, 2.0], [3.0]], [np.zeros((2, 2)), np.zeros((2, 3))],
+                                    _LONG + [True], _LONG + ["1.0"], _LONG + [10**400]],
                          ids=["bool array", "str array", "complex array", "object array",
                               "numpy bool", "str", "bool", "None", "dict", "ragged",
-                              "ragged arrays"])
+                              "ragged arrays", "float list ending in a bool",
+                              "float list ending in a str", "float list ending in a huge int"])
 def test_as_array_rejects_what_is_not_an_array_of_numbers(values):
     with pytest.raises(ValidationError):
         _as_array(values, "x")
