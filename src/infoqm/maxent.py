@@ -16,12 +16,15 @@ Every integral runs on Gauss-Legendre nodes that one axis rule places
 on a side of the support: n on a window, the hull of the points where
 sum_i a_i x^i is at most 72 = 12^2/2 above its minimum on the side
 (+-12 sigma for a Gaussian), and n // 4 on each finite piece of the
-side beyond it, so only an infinite end is cut.  A 1-D fit and every
-1-D functional put 768 nodes on the window.  A functional reads the
-window off the density.  A 1-D fit first reads it off its cold start,
-and once Newton converges it ends on, and reports, the density's own
-window: where that differs, Newton goes on there, and the fit raises
-where the density at an infinite cut end leaves tail mass.  A 2-D fit
+side beyond it, so only an infinite end is cut.  The window is worked
+out in plain floats, its critical points and crossings the roots from
+the one root helper, numerics._poly_roots, and an axis rule is validated
+once, as a whole.  A 1-D fit and every 1-D functional put 768 nodes on
+the window.  A functional reads the window off the density.  A 1-D fit
+first reads it off its cold start, and once Newton converges it ends
+on, and reports, the density's own window: where that differs, Newton
+goes on there, and the fit raises where the density at an infinite cut
+end leaves tail mass.  A 2-D fit
 takes each axis's window from its Gaussian start (the target mean
 +-12 sd, clipped to the rectangle) and doubles the nodes until the
 fitted moments hold on twice as many.  Both fits share one restart rule,
@@ -51,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (QuadratureRule, _as_array, _as_finite_array, _as_int, _as_number,
-                       _as_positive, _real_roots)
+                       _as_positive, _poly_roots, _real_roots)
 
 _GAUSS_NODES = 48            # first Gauss-Legendre level per axis, 2-D
 _GAUSS_NODES_MAX = 384       # last 2-D level; its recheck runs on twice as many
@@ -272,32 +275,51 @@ def _window(support: tuple[float, float], multipliers) -> tuple[float, float]:
 
     It is the hull of the support points where P is at most _WINDOW_RISE
     above its minimum on the support, which is 12 sigma for a Gaussian, so
-    a constant P on a finite support keeps the whole support.
-    Raises NumericError when exp(-P) is not normalizable on the support.
+    a constant P on a finite support keeps the whole support.  It is worked
+    out in plain floats on the roots from numerics._poly_roots, to the bits
+    of the same rule over arrays (np.polyder, np.clip, np.polyval and
+    np.roots).  Raises NumericError when exp(-P) is not normalizable on the support.
     """
     lo, hi = support
     p = _exponent_coeffs(support, multipliers)
+    k = len(p) - 1
+
+    def horner(x: float) -> float:
+        y = 0.0
+        for c in p:
+            y = y * x + c
+        return y
+
     # the minimum lies at a critical point or a finite end; real parts of
-    # complex critical points are support points too, so they do no harm
-    candidates = np.append(
-        np.clip(np.roots(np.polyder(p)).real, lo, hi),
-        [e for e in support if math.isfinite(e)],
-    )
-    values = np.polyval(p, candidates)
-    top = float(values.min()) + _WINDOW_RISE
+    # complex critical points are support points too, so they do no harm.
+    # numpy breaks a tie of 0.0 and -0.0 by its SIMD path, so the clip and
+    # the hull stay numpy's
+    derivative = [c * (k - i) for i, c in enumerate(p[:-1])]
+    candidates = _poly_roots(derivative).real.clip(lo, hi).tolist()
+    candidates += [e for e in support if math.isfinite(e)]
+    values = [horner(x) for x in candidates]
+    top = min(values) + _WINDOW_RISE
     p[-1] -= top
     crossings = _real_roots(p)
-    if crossings.size == 0 and (math.isinf(lo) or math.isinf(hi)):
+    if not crossings and (math.isinf(lo) or math.isinf(hi)):
         raise NumericError(f"exponent has no real crossing {_WINDOW_RISE} above its minimum")
-    inside = np.append(crossings[(lo <= crossings) & (crossings <= hi)], candidates[values <= top])
-    return float(inside.min()), float(inside.max())
+    inside = ([x for x in crossings if lo <= x <= hi]
+              + [x for x, v in zip(candidates, values) if v <= top])
+    hull = np.array(inside)
+    return float(hull.min()), float(hull.max())
+
+
+def _mapped_gauss(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule mapped from
+    [-1, 1] onto [lo, hi], not yet validated."""
+    unit = QuadratureRule.gauss_legendre(n)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * unit.nodes, half * unit.weights
 
 
 def _gauss_rule(window: tuple[float, float], n: int) -> QuadratureRule:
     """The n-node Gauss-Legendre rule mapped from [-1, 1] onto window."""
-    unit = QuadratureRule.gauss_legendre(n)
-    mid, half = 0.5 * (window[0] + window[1]), 0.5 * (window[1] - window[0])
-    return QuadratureRule("gauss_legendre", mid + half * unit.nodes, half * unit.weights)
+    return QuadratureRule("gauss_legendre", *_mapped_gauss(*window, n))
 
 
 def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -> QuadratureRule:
@@ -305,20 +327,19 @@ def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -
     side beyond it, in order along the side; an infinite end is cut at the
     window.  Where the window is the whole side this is its _gauss_rule.
     A piece within rounding of the window's end, whose nodes would
-    coincide, gets none."""
-    rule = _gauss_rule(window, n)
+    coincide, gets none.  The pieces are mapped as arrays and the whole
+    rule is validated once."""
 
     def piece(lo: float, hi: float) -> list:
         if not 0.0 < hi - lo < math.inf:
             return []
-        unit = QuadratureRule.gauss_legendre(n // 4)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = mid + half * unit.nodes
-        return [(nodes, half * unit.weights)] if np.all(np.diff(nodes) > 0) else []
+        nodes, weights = _mapped_gauss(lo, hi, n // 4)
+        return [(nodes, weights)] if np.all(np.diff(nodes) > 0) else []
 
-    parts = [*piece(side[0], window[0]), (rule.nodes, rule.weights), *piece(window[1], side[1])]
-    if len(parts) == 1:
-        return rule
+    left, right = piece(side[0], window[0]), piece(window[1], side[1])
+    if not (left or right):
+        return _gauss_rule(window, n)
+    parts = [*left, _mapped_gauss(*window, n), *right]
     return QuadratureRule("gauss_legendre", *(np.concatenate(c) for c in zip(*parts)))
 
 

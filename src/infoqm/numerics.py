@@ -3,16 +3,17 @@
 Uniform grids, fixed quadrature rules (the trapezoid rule, and the
 Gauss-Legendre and Gauss-Hermite rules, built by Newton's method on their
 three-term recurrences), the physicists' Hermite recurrence, a
-bracketing root finder, the real-root filter of ``np.roots``, and the one
-rule for what counts as a number: ``_as_int`` for counts, orders and
-indices, ``_as_positive`` for tolerances and steps, ``_as_number`` for
-the reals of an input document and ``_as_finite`` for a real that must
-be finite.  An array follows the same rule one entry at a time:
-``_as_array`` for sampled values and points, ``_as_finite_array`` where
-every entry must be finite; a list of plain floats, which the rule passes
-unchanged, converts whole.  All values are immutable after construction
-and every operation is pure, so everything here is safe to call
-concurrently.
+bracketing root finder, the one polynomial root helper ``_poly_roots``
+(np.roots bit for bit, without its array plumbing) and its real-root
+filter ``_real_roots``, and the one rule for what counts as a number:
+``_as_int`` for counts, orders and indices, ``_as_positive`` for
+tolerances and steps, ``_as_number`` for the reals of an input document
+and ``_as_finite`` for a real that must be finite.  An array follows the
+same rule one entry at a time: ``_as_array`` for sampled values and
+points, ``_as_finite_array`` where every entry must be finite; a list of
+plain floats, which the rule passes unchanged, converts whole.  All
+values are immutable after construction and every operation is pure, so
+everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -89,12 +90,33 @@ def _as_finite_array(values, name: str, shape: tuple[int, ...] | None = None) ->
     return array
 
 
-def _real_roots(coeffs) -> np.ndarray:
+def _poly_roots(coeffs) -> np.ndarray:
+    """The roots of the polynomial with coefficients ``coeffs``, highest power
+    first, bit for bit those of np.roots without its array plumbing: the
+    eigenvalues of the same companion matrix (Edelman & Murakami, Math.
+    Comp. 64, 763, 1995), real where they all are, after leading zeros are
+    stripped, and one 0 per trailing zero."""
+    c = [float(v) for v in coeffs]
+    nonzero = [i for i, v in enumerate(c) if v != 0.0]
+    if not nonzero:
+        return np.array([])
+    trailing = len(c) - 1 - nonzero[-1]
+    c = c[nonzero[0]:nonzero[-1] + 1]
+    n = len(c) - 1
+    if n:
+        companion = np.eye(n, k=-1)
+        companion[0] = -np.array(c[1:]) / c[0]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.array([])
+    return np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
+
+
+def _real_roots(coeffs) -> list[float]:
     """The real roots of the polynomial with coefficients ``coeffs``, highest
-    power first: the real parts of the np.roots whose imaginary part is at
-    most 1e-9 (1 + |r|)."""
-    roots = np.roots(coeffs)
-    return roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+    power first, as floats: the real parts of the _poly_roots whose
+    imaginary part is at most 1e-9 (1 + |r|)."""
+    return [r.real for r in _poly_roots(coeffs).tolist() if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
 
 
 def _as_positive(value, name: str) -> float:

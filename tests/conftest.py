@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 # allow running the suite from a fresh checkout without installing
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -10,6 +11,13 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from infoqm import Grid1D, solve_state  # noqa: E402
+
+# polynomial coefficients for the bit-for-bit root and window tests: zeros
+# of both signs, and values of both signs across 1e-6..1e6
+SIGNED_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)),
+)
 
 
 @pytest.fixture(scope="session")

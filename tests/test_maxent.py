@@ -33,7 +33,7 @@ from infoqm import (
 from infoqm import maxent
 from infoqm.maxent import reference_rule
 
-from conftest import leggauss_moment
+from conftest import SIGNED_COEFFS, leggauss_moment
 
 INF = math.inf
 
@@ -876,6 +876,66 @@ class TestAxisRule:
         assert rule.nodes.size == 48 + 12 * sum(w != s for w, s in zip(window, (-3.0, 3.0)))
         assert -3.0 < rule.nodes[0] and rule.nodes[-1] < 3.0
         assert rule.weights.sum() == pytest.approx(6.0, rel=1e-14)
+
+
+def np_window(support, multipliers):
+    """maxent._window's rule written over numpy arrays, through np.polyder,
+    np.clip, np.polyval and np.roots: the plain-float _window gives its
+    bits, signed zeros and errors included."""
+    lo, hi = support
+    p = maxent._exponent_coeffs(support, multipliers)
+    candidates = np.append(np.clip(np.roots(np.polyder(p)).real, lo, hi),
+                           [e for e in support if math.isfinite(e)])
+    values = np.polyval(p, candidates)
+    top = float(values.min()) + maxent._WINDOW_RISE
+    p[-1] -= top
+    roots = np.roots(p)
+    crossings = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+    if crossings.size == 0 and (math.isinf(lo) or math.isinf(hi)):
+        raise NumericError(
+            f"exponent has no real crossing {maxent._WINDOW_RISE} above its minimum")
+    inside = np.append(crossings[(lo <= crossings) & (crossings <= hi)], candidates[values <= top])
+    return float(inside.min()), float(inside.max())
+
+
+def window_outcome(window, support, multipliers):
+    """The window's ends as hex, so that 0.0 and -0.0 differ, or the type and
+    message of what it raised."""
+    try:
+        return tuple(end.hex() for end in window(support, multipliers))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+WINDOW_SUPPORTS = [(-INF, INF), (0.0, INF), (-0.0, INF), (-INF, 0.0), (-INF, -0.0), (-3.0, INF),
+                   (-INF, 5.0), (0.0, 1.0), (-0.0, 0.5), (-10.0, -0.0), (-1.0, 2.0)]
+
+
+class TestWindow:
+    @settings(max_examples=400, deadline=None)
+    @given(support=st.sampled_from(WINDOW_SUPPORTS),
+           coeffs=st.lists(SIGNED_COEFFS, min_size=2, max_size=9))
+    @example(support=(0.0, INF), coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+    @example(support=(-0.0, INF), coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+    @example(support=(-INF, 0.0), coeffs=[0.0, 0.0, 1.0, 0.0, 1.0])
+    @example(support=(-INF, INF), coeffs=[0.0, 0.0, 0.0, 0.0, 0.0, -10.0, 1e-3])
+    @example(support=(0.0, 1.0), coeffs=[0.0])
+    def test_bits_of_the_numpy_rule(self, support, coeffs):
+        # coeffs[i] is a_i; where P does not grow toward an infinite end
+        # both raise the same NumericError
+        multipliers = tuple(enumerate(coeffs))
+        assert (window_outcome(maxent._window, support, multipliers)
+                == window_outcome(np_window, support, multipliers))
+
+    def test_no_real_crossing_raises(self):
+        # 1e-3 x^6 - 10 x^5 is about -6.7e19 at its minimum, x = 8333.3;
+        # 72 above it the computed crossings are the pair 8333.3 +- 6.4e-5 i,
+        # which the real-root filter rejects
+        d = ExpFamilyDensity1D(((0, 0.0), (5, -10.0), (6, 1e-3)), (-INF, INF))
+        for functional in (information, normalization_residual):
+            with pytest.raises(NumericError,
+                               match=r"^exponent has no real crossing 72\.0 above its minimum$"):
+                functional(d)
 
 
 class TestDensityEval:

@@ -22,6 +22,9 @@ from infoqm import (
     hermite_eval,
     integrate,
 )
+from infoqm.numerics import _poly_roots
+
+from conftest import SIGNED_COEFFS
 
 
 class TestGrid:
@@ -186,6 +189,28 @@ class TestGaussRules:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={"PYTHONPATH": src})
         assert out.stdout.split() == ["0", "0"]
+
+
+ZEROS = st.lists(st.sampled_from([0.0, -0.0]), max_size=3)
+
+
+class TestPolyRoots:
+    @settings(max_examples=500, deadline=None)
+    @given(lead=ZEROS, coeffs=st.lists(SIGNED_COEFFS, min_size=1, max_size=9), trail=ZEROS)
+    def test_bits_of_np_roots(self, lead, coeffs, trail):
+        # degrees 0-8 between leading and trailing zeros; a list and an
+        # array of the same coefficients give the same roots
+        c = lead + coeffs + trail
+        expected = np.roots(c)
+        for got in (_poly_roots(c), _poly_roots(np.array(c))):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_overflowing_degree_one_raises_as_np_roots_does(self):
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
+            np.roots([1e-300, 1e300])
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
+            _poly_roots([1e-300, 1e300])
 
 
 class TestFindRoot:
