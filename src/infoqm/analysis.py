@@ -2,6 +2,14 @@
 Gram matrices, the orthogonality-multiplier estimate, energy ordering,
 and least-squares completeness projections in a possibly non-orthogonal
 family.
+
+The library functions integrate on the grid their samples come with.  The
+``analyze`` subcommands sample the closed-form states through
+``_settled_level``, on nested levels of ``DEFAULT_ANALYSIS_GRID``: their
+integrands are smooth and decay like Gaussians, where the trapezoid rule
+converges geometrically (Trefethen & Weideman, SIAM Review 56, 385, 2014),
+so a coarse level, checked against the one below it, usually holds the
+full grid's answer.
 """
 
 from __future__ import annotations
@@ -18,6 +26,16 @@ from .oscillator import OscillatorState, eigen_residual, psi_eval
 
 DEFAULT_ANALYSIS_GRID = Grid1D(-14.0, 14.0, 8001)
 CONDITION_LIMIT = 1e12
+
+# every 32nd point of DEFAULT_ANALYSIS_GRID (251 points), every 16th, ..., all 8001
+_LEVELS = tuple(
+    Grid1D(DEFAULT_ANALYSIS_GRID.x_min, DEFAULT_ANALYSIS_GRID.x_max,
+           (DEFAULT_ANALYSIS_GRID.n_points - 1) // stride + 1)
+    for stride in (32, 16, 8, 4, 2, 1)
+)
+# a level settles where each Gram entry G_ij differs from the level below's
+# by at most this times sqrt(G_ii G_jj)
+_LEVEL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -80,12 +98,10 @@ def inner_product(f, g, grid: Grid1D) -> float:
 
 def gram_matrix(basis: BasisSet) -> np.ndarray:
     """Full symmetric, read-only Gram matrix of the basis members (trapezoid rule)."""
-    m = len(basis)
     w = QuadratureRule.trapezoid(basis.grid).weights
-    g = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            g[i, j] = g[j, i] = float(w @ (basis.members[i] * basis.members[j]))
+    g = (basis.members * w) @ basis.members.T
+    # the upper triangle, mirrored: the product need not come out symmetric
+    g = np.triu(g) + np.triu(g, 1).T
     g.flags.writeable = False
     return g
 
@@ -108,6 +124,37 @@ def energy_ordering_check(states: Sequence[OscillatorState]) -> bool:
     """True iff the energies increase strictly in the given order."""
     energies = [s.energy for s in states]
     return all(a < b for a, b in zip(energies, energies[1:]))
+
+
+def _settled_level(states: Sequence[OscillatorState], target=None):
+    """(basis, target samples, Gram, settled) on the first level of _LEVELS
+    whose Gram agrees with the level below's within _LEVEL_TOL.
+
+    The Gram is that of the states' rows with the target's samples appended
+    as the last row, so one product checks the basis Gram, the overlaps and
+    the target's norm together; without a target (None) it is the basis
+    Gram and the samples are None.  The coarsest level is not sampled on
+    its own: its rows are every other sample of the next level's.  The last
+    level, DEFAULT_ANALYSIS_GRID itself, is taken unchecked, with settled
+    False.  Target samples that are not finite raise ValidationError on the
+    level they are taken on; every level holds the grid's ends and its
+    midpoint.
+    """
+    previous = None
+    for coarse, level in zip(_LEVELS, _LEVELS[1:]):
+        basis = BasisSet.from_states(states, level)
+        samples = None if target is None else _samples_on(level, target)
+        rows = basis if target is None else BasisSet(level, np.vstack((basis.members, samples)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = gram_matrix(rows)
+            if level is _LEVELS[-1]:
+                return basis, samples, gram, False
+            if previous is None:
+                previous = gram_matrix(BasisSet(coarse, rows.members[:, ::2]))
+            scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+            if np.isfinite(gram).all() and np.all(np.abs(gram - previous) <= _LEVEL_TOL * scale):
+                return basis, samples, gram, True
+        previous = gram
 
 
 def completeness_projection(

@@ -13,11 +13,12 @@ import json
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_ANALYSIS_GRID, BasisSet, completeness_projection, gram_matrix
+from .analysis import DEFAULT_ANALYSIS_GRID, _settled_level, completeness_projection
 from .errors import InfoqmError, ValidationError
 from .maxent import (
     _MALFORMED,
@@ -273,8 +274,15 @@ def _cmd_nls_ground(args) -> str:
     return _dump_json(doc)
 
 
+def _unsettled_warning(what: str) -> str:
+    return (f"{what}: no level of the analysis grid below its {DEFAULT_ANALYSIS_GRID.n_points} "
+            "points agreed with the level below it; the full grid was used")
+
+
 def _cmd_analyze_gram(args) -> str:
-    gram = gram_matrix(BasisSet.from_states(table(args.n_max)))
+    _, _, gram, settled = _settled_level(table(args.n_max))
+    if not settled:
+        args.warnings.append(_unsettled_warning("gram"))
     header = "n," + ",".join(str(n) for n in range(args.n_max + 1))
     lines = [header]
     for i in range(args.n_max + 1):
@@ -283,19 +291,22 @@ def _cmd_analyze_gram(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _target_from_spec(doc, grid: Grid1D):
+def _target_from_spec(doc):
+    """(function of the nodes, label) of a projection target document."""
     kind = doc.get("kind")
-    xs = grid.points()
     if kind == "state":
         state = solve_state(doc["n"])
-        return psi_eval(state, xs), f"state n={state.n}"
+        return partial(psi_eval, state), f"state n={state.n}"
     if kind == "gauss_power":
         power = _as_int(doc.get("power", 0), "gauss_power power", 0)
         scale = _as_positive(doc.get("scale", 1.0), "gauss_power scale")
-        # samples that overflow are rejected by the projection, not warned about
-        with np.errstate(all="ignore"):
-            samples = xs**power * np.exp(-(xs * xs) / (2.0 * scale * scale))
-        return samples, f"gauss_power p={power}"
+
+        def gauss_power(xs):
+            # samples that overflow are rejected by the analysis, not warned about
+            with np.errstate(all="ignore"):
+                return xs**power * np.exp(-(xs * xs) / (2.0 * scale * scale))
+
+        return gauss_power, f"gauss_power p={power}"
     raise ValidationError(f"unknown target kind {kind!r}; use 'state' or 'gauss_power'")
 
 
@@ -304,12 +315,11 @@ def _cmd_analyze_project(args) -> str:
         orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
     except ValueError as exc:
         raise ValidationError(f"--orders must be comma-separated integers: {exc}") from exc
-    grid = DEFAULT_ANALYSIS_GRID
-    target, label = _read_document(
-        args.target, "--target", lambda doc: _target_from_spec(doc, grid)
-    )
-    basis = BasisSet.from_states(table(args.n_max), grid)
-    report = completeness_projection(target, basis, orders, target_label=label)
+    target, label = _read_document(args.target, "--target", _target_from_spec)
+    basis, samples, _, settled = _settled_level(table(args.n_max), target)
+    if not settled:
+        args.warnings.append(_unsettled_warning(label))
+    report = completeness_projection(samples, basis, orders, target_label=label)
     return _dump_json(
         {
             "target": report.target_label,
@@ -348,6 +358,7 @@ def run(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else _EXIT_INVALID
     start = time.perf_counter()
+    args.warnings = []  # the handler's notes for the manifest
     try:
         payload = args.handler(args)
         manifest = {
@@ -355,7 +366,7 @@ def run(argv: list[str]) -> int:
             "version": __version__,
             "argv": list(argv),
             "wall_time_s": round(time.perf_counter() - start, 6),
-            "warnings": [],
+            "warnings": args.warnings,
         }
         _write_output(payload, args.out, manifest)
     except (InfoqmError, OSError) as exc:

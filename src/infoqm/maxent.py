@@ -241,8 +241,14 @@ def _log_density(d: ExpFamilyDensity1D, xs: np.ndarray) -> tuple[np.ndarray, np.
     """The two parts of ln rho at xs: ln(Z S), -inf at a zero and +inf at a
     singularity, and -P = -sum_i a_i x^i, a_0 included."""
     total = np.zeros_like(xs)
+    # x^i by repeated multiplication, as in _power_table: numpy's power
+    # calls pow at every node for each order above 2
+    power, reached = 1.0, 0
     for order, value in d.multipliers:
-        total += value if order == 0 else value * xs**order
+        for _ in range(order - reached):
+            power = power * xs
+        reached = order
+        total += value * power
     log_zs = np.zeros_like(xs)
     with np.errstate(divide="ignore"):
         for loc, m in d.factors.zeros:

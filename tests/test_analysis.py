@@ -8,6 +8,7 @@ from infoqm import (
     IllConditionedError,
     NumericError,
     OscillatorState,
+    QuadratureRule,
     ValidationError,
     alpha_from_beta,
     completeness_projection,
@@ -16,7 +17,9 @@ from infoqm import (
     inner_product,
     mu0_estimate,
     psi_eval,
+    table,
 )
+from infoqm.analysis import _LEVELS, DEFAULT_ANALYSIS_GRID, _settled_level
 
 # frozen from scripts/oracle_overlaps.py (trapezoid, 8001 points on [-14, 14];
 # the 16001-point run agrees to 1e-12)
@@ -97,6 +100,13 @@ class TestGramMatrix:
         g = family_gram
         assert np.max(np.abs(g - g.T)) == 0.0
 
+    def test_matches_the_pairwise_sums(self, family_basis, family_gram):
+        # one weighted product in place of a dot product per pair: the sums
+        # run in another order, within a few ulp of entries of size <= 1
+        m, w = family_basis.members, QuadratureRule.trapezoid(family_basis.grid).weights
+        reference = np.array([[w @ (u * v) for v in m] for u in m])
+        assert np.max(np.abs(family_gram - reference)) < 1e-15
+
     def test_single_member(self, states, analysis_grid):
         xs = analysis_grid.points()
         basis = BasisSet(analysis_grid, psi_eval(states[0], xs)[None, :])
@@ -111,6 +121,52 @@ class TestGramMatrix:
     def test_members_off_the_grid_rejected(self, analysis_grid):
         with pytest.raises(ValidationError, match="do not match the grid"):
             BasisSet(analysis_grid, np.zeros((1, analysis_grid.n_points - 1)))
+
+
+class TestSettledLevel:
+    def test_levels_nest_in_the_analysis_grid(self):
+        full = DEFAULT_ANALYSIS_GRID.points()
+        assert [level.n_points for level in _LEVELS] == [251, 501, 1001, 2001, 4001, 8001]
+        assert _LEVELS[-1] == DEFAULT_ANALYSIS_GRID
+        for level in _LEVELS:
+            stride = (DEFAULT_ANALYSIS_GRID.n_points - 1) // (level.n_points - 1)
+            assert np.max(np.abs(level.points() - full[::stride])) < 1e-14
+
+    def test_family_gram_settles_on_a_coarse_level(self, states):
+        basis, samples, gram, settled = _settled_level(states)
+        full = gram_matrix(BasisSet.from_states(states))
+        assert settled and basis.grid.n_points < DEFAULT_ANALYSIS_GRID.n_points
+        assert samples is None
+        assert np.max(np.abs(gram - full)) < 1e-14
+        assert np.array_equal(gram, gram.T)
+
+    def test_target_row_holds_overlaps_and_norm(self, states):
+        target = lambda xs: xs * np.exp(-0.5 * xs * xs)  # noqa: E731
+        basis, samples, gram, settled = _settled_level(states, target)
+        assert settled and gram.shape == (len(states) + 1,) * 2
+        w = QuadratureRule.trapezoid(basis.grid).weights
+        assert np.max(np.abs(gram[-1, :-1] - basis.members @ (w * samples))) < 1e-15
+        assert gram[-1, -1] == pytest.approx(0.5 * np.sqrt(np.pi), abs=1e-14)
+        report = completeness_projection(samples, basis, (2, 4, 8))
+        for order, residual in zip(report.orders, report.residuals):
+            assert residual == pytest.approx(ORACLE_PROJECTION_RESIDUALS[order], abs=1e-12)
+
+    def test_target_cut_off_at_the_grid_ends_takes_the_full_grid(self, states):
+        target = lambda xs: xs**4 * np.exp(-(xs * xs) / 18.0)  # noqa: E731
+        basis, samples, _, settled = _settled_level(states, target)
+        assert not settled and basis.grid == DEFAULT_ANALYSIS_GRID
+        assert np.array_equal(samples, target(DEFAULT_ANALYSIS_GRID.points()))
+
+    def test_non_finite_target_raises_on_the_first_sampled_level(self, states):
+        sizes = []
+
+        def target(xs):
+            sizes.append(xs.size)
+            return np.where(np.abs(xs) > 10.0, np.inf, 0.0)
+
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            _settled_level(states, target)
+        assert sizes == [501]
 
 
 class TestMu0Estimate:

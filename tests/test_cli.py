@@ -12,14 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
+    BasisSet,
     ConvergenceError,
+    analysis,
     binomial_series_eval,
     cli,
+    completeness_projection,
     errors,
     nls,
     series,
+    table,
     two_var_series_eval,
 )
+from infoqm.analysis import DEFAULT_ANALYSIS_GRID
 from infoqm.cli import run
 
 from conftest import GOLDEN_TABLE, leggauss_moment
@@ -83,7 +88,7 @@ class TestOscillatorTable:
         # the logarithm floor is fixed
         code, _, _ = run_captured(capsys, nls_ground + ["--eps-log", "1e-50"])
         assert code == 2
-        # analyze always samples on DEFAULT_ANALYSIS_GRID
+        # analyze samples on nested levels of DEFAULT_ANALYSIS_GRID; no flag sets the grid
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"kind": "state", "n": 3}))
         project = ["analyze", "project", "--target", str(target), "--orders", "2"]
@@ -546,6 +551,54 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["residuals"][-1] == pytest.approx(0.0055379, abs=1e-6)
 
+    def test_gram_n20_matches_the_full_grid(self, capsys):
+        # pinned from the 8001-point trapezoid; the opposite-parity entries
+        # are roundoff, so the values are compared, not the bytes
+        code, out, _ = run_captured(capsys, ["analyze", "gram", "--n-max", "20"])
+        assert code == 0
+        golden = (GOLDEN_DIR / "analyze_gram_n20.csv").read_text(encoding="utf-8")
+        got, want = ([line.split(",") for line in text.strip().split("\n")]
+                     for text in (out, golden))
+        assert got[0] == want[0] and [row[0] for row in got] == [row[0] for row in want]
+        got, want = (np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+                     for rows in (got, want))
+        assert np.max(np.abs(got - want)) < 1e-13
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize(
+        "target, warned",
+        [({"kind": "gauss_power", "power": 4, "scale": 1.6}, False),
+         ({"kind": "gauss_power", "power": 4, "scale": 3.0}, True)],
+        ids=["settled", "unsettled"],
+    )
+    def test_unsettled_target_is_named_in_the_manifest(self, tmp_path, capsys, target, warned):
+        # x^4 exp(-x^2/18) is cut off at +-14, so no coarse level agrees with
+        # the one below it and the answer is the full grid's
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(target))
+        out_file = tmp_path / "proj.json"
+        code, _, _ = run_captured(capsys, ["analyze", "project", "--target", str(path),
+                                           "--orders", "2,4,8", "--out", str(out_file)])
+        assert code == 0
+        warnings = json.loads((tmp_path / "proj.json.manifest.json").read_text())["warnings"]
+        assert len(warnings) == warned
+        if warned:
+            assert warnings[0].startswith("gauss_power p=4: ") and "8001 points" in warnings[0]
+            xs = DEFAULT_ANALYSIS_GRID.points()
+            full = completeness_projection(xs**4 * np.exp(-(xs * xs) / 18.0),
+                                           BasisSet.from_states(table(7)), (2, 4, 8))
+            doc = json.loads(out_file.read_text())
+            assert doc["residuals"] == [float(f"{r:.12g}") for r in full.residuals]
+            assert doc["coefficients"] == [float(f"{c:.12g}") for c in full.coefficients]
+
+    def test_unsettled_gram_is_named_in_the_manifest(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "_LEVEL_TOL", -1.0)  # no level can agree
+        out_file = tmp_path / "gram.csv"
+        code, _, _ = run_captured(capsys, ["analyze", "gram", "--n-max", "2", "--out", str(out_file)])
+        assert code == 0
+        warnings = json.loads((tmp_path / "gram.csv.manifest.json").read_text())["warnings"]
+        assert len(warnings) == 1 and warnings[0].startswith("gram: ")
+
     def test_project_unknown_kind(self, tmp_path, capsys):
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"kind": "mystery"}))
@@ -561,6 +614,14 @@ class TestEntryPoints:
 
     def test_no_subcommand(self, capsys):
         assert run([]) == 2
+
+    @pytest.mark.parametrize("argv, code", [(["oscillator", "table", "--n-max", "1"], 0),
+                                            (["oscillator", "table", "--n-max", "21"], 2)])
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch, argv, code):
+        monkeypatch.setattr("sys.argv", ["infoqm"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
 
     def test_run_builds_no_parser(self, capsys, monkeypatch):
         built = []

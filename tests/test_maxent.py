@@ -974,6 +974,16 @@ class TestDensityEval:
         xs = np.linspace(-10, 10, 2001)
         assert np.all(density_values(d, xs) >= 0.0)
 
+    def test_exponent_matches_numpy_powers(self):
+        # the powers are running products, which round differently from
+        # xs**order in the last bits only
+        d = ExpFamilyDensity1D(((0, 18.28), (1, -19.59), (2, 8.396), (3, -1.599), (5, 1e-3),
+                                (6, 0.1142)), (-math.inf, math.inf))
+        xs = np.linspace(-4.0, 9.0, 769)
+        reference = sum(value * xs**order for order, value in d.multipliers)
+        _, neg_p = maxent._log_density(d, xs)
+        assert np.max(np.abs(neg_p + reference)) <= 1e-14 * np.max(np.abs(reference))
+
 
 class TestInformation:
     def test_uniform_on_0_2(self):

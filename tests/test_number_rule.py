@@ -138,8 +138,8 @@ COUNT_SITES = {
                                     ValidationError),
     "spec order": (lambda v: moment_spec_from_json(_spec_doc(order=v)), ValidationError),
     "density order": (lambda v: density_from_json(_density_doc(order=v)), ValidationError),
-    "target n": (lambda v: _target_from_spec({"kind": "state", "n": v}, _PROBE), DomainError),
-    "target power": (lambda v: _target_from_spec({"kind": "gauss_power", "power": v}, _PROBE),
+    "target n": (lambda v: _target_from_spec({"kind": "state", "n": v}), DomainError),
+    "target power": (lambda v: _target_from_spec({"kind": "gauss_power", "power": v}),
                      ValidationError),
 }
 
@@ -165,7 +165,7 @@ TOLERANCE_SITES = {
     "radial_stationary_point": (lambda v: radial_stationary_point(_BOX, 0.0, v),
                                 ValidationError),
     "gauss_power scale": (
-        lambda v: _target_from_spec({"kind": "gauss_power", "power": 1, "scale": v}, _PROBE),
+        lambda v: _target_from_spec({"kind": "gauss_power", "power": 1, "scale": v}),
         ValidationError,
     ),
 }

@@ -12,6 +12,7 @@ from infoqm import (
     NumericError,
     PowerSeries1D,
     PowerSeries2D,
+    RemainderReport,
     ValidationError,
     binomial_series_eval,
     partial_sums,
@@ -120,6 +121,11 @@ class TestRemainderScan:
     def test_order_out_of_range(self):
         with pytest.raises(ValidationError):
             taylor_remainder_scan(math.exp, lambda k: 1.0, 0.0, 4, Grid1D(-1, 1, 11), orders=(5,))
+
+    def test_report_needs_one_remainder_per_order(self):
+        assert RemainderReport((2, 4), (0.5, 0.1)).orders == (2, 4)
+        with pytest.raises(ValidationError, match="same length"):
+            RemainderReport((2, 4), (0.5,))
 
 
 class TestBinomialSeries:
