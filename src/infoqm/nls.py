@@ -27,8 +27,8 @@ itself.  A Newton state is kept only once one explicit step from it moves
 it by less than the flow tolerance.  Every value of F(b) = mu(b) - b is a
 ground_state, and one fallback rule holds: a loose phase or second Newton
 solve that fails, or a state that does not verify, is dropped for flows,
-the full explicit flow at a fixed b and, for the root, bisection on the
-same bracket over ground_state midpoints.
+the full explicit flow at a fixed b and, for the root, find_root on the
+same bracket over ground_state trial points.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -527,12 +527,12 @@ def self_consistent_lambda(
     positive cone), gives the root, with the loose phase first only where
     the direct attempt fails; the root is kept if its one-step flow norm
     is below cfg.tol_flow and |mu - b| < f_tol.
-    Otherwise find_root bisects the same bracket, each midpoint a
+    Otherwise find_root narrows the same bracket, each trial point a
     ground_state warm-started from the previous one, until |F| < f_tol;
     ConvergenceError is raised if the bracket narrows below 1e-14 first.
     ``iterations`` and ``newton_steps`` of the result are the totals over
-    every state the solve kept: both ends, then the root or every
-    midpoint.
+    every state the solve kept: both ends, then the root or every trial
+    point.
     """
     f_tol = _as_positive(f_tol, "f_tol")
     lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
@@ -570,7 +570,7 @@ def self_consistent_lambda(
         pass
 
     def f(b: float) -> float:
-        # each midpoint is warm-started from the last state evaluated
+        # each trial point is warm-started from the last state evaluated
         f_b, _ = evaluate(b, kept[-1].psi)
         return 0.0 if abs(f_b) < f_tol else f_b
 
@@ -578,7 +578,7 @@ def self_consistent_lambda(
     last = kept[-1]
     if not abs(last.mu - last.b) < f_tol:
         raise ConvergenceError(
-            f"self-consistency bisection stalled: |F| = {abs(last.mu - last.b):.3e} > {f_tol}"
+            f"self-consistency root search stalled: |F| = {abs(last.mu - last.b):.3e} > {f_tol}"
         )
     return found(last)
 

@@ -339,32 +339,58 @@ def integrate(f, rule: QuadratureRule) -> float:
 
 
 def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:
-    """Root of f inside a sign-change bracket, by bisection.
+    """Root of f inside a sign-change bracket, by safeguarded Illinois false
+    position (Dowell & Jarratt, BIT 11, 168, 1971).
 
-    Stops at a midpoint where f is exactly zero, once the bracket is
-    narrower than ``tol``, or once no double lies strictly between its
-    ends, and then returns the bracket's midpoint.  A ``tol`` below the
-    spacing of doubles in the bracket therefore bisects to adjacent
-    doubles.  Deterministic: identical inputs give bit-identical output.
+    Each step tries the point (lo w_hi - hi w_lo) / (w_hi - w_lo), where
+    an end's weight w is its value of f, halved each time that end is
+    kept twice in a row.  It takes the bracket's midpoint instead when
+    that point is not strictly inside (lo, hi), as with a NaN or infinite
+    weight, or when the last three steps have not cut the bracket below
+    half its width, the start counting as three steps at its full width;
+    so the worst case stays near bisection's (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    Returns an end or a trial point where f is exactly zero.  Otherwise
+    stops once the bracket is narrower than ``tol``, or once no double
+    lies strictly between its ends, and returns the bracket's midpoint.
+    A ``tol`` below the spacing of doubles in the bracket therefore
+    narrows it to adjacent doubles: where f changes sign once among the
+    doubles of the bracket, the pair bisection would end on.
+    Deterministic: identical inputs give bit-identical output.
     """
     tol = _as_positive(tol, "tol")
     lo, hi = bracket.lo, bracket.hi
-    f_lo = bracket.f_lo
-    if f_lo == 0.0:
+    w_lo, w_hi = bracket.f_lo, bracket.f_hi
+    if w_lo == 0.0:
         return lo
-    if bracket.f_hi == 0.0:
+    if w_hi == 0.0:
         return hi
+    # the sign of lo's values, kept apart from w_lo, whose halving can underflow to 0
+    lo_negative = w_lo < 0.0
+    kept = 0  # +1 after a step that kept hi, -1 after one that kept lo
+    widths = (hi - lo,) * 3  # the bracket's widths before each of the last three steps
     while True:
         mid = 0.5 * (lo + hi)
         # the rounded midpoint leaves (lo, hi) only when no double lies inside
         if not lo < mid < hi:
             return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):  # signs, not a product, which can underflow to 0
-            hi = mid
+        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        if not lo < x < hi or hi - lo >= 0.5 * widths[0]:
+            x = mid
+        widths = (widths[1], widths[2], hi - lo)
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == lo_negative:  # signs, not a product, which can underflow to 0
+            lo, w_lo = x, f_x
+            if kept > 0:
+                w_hi *= 0.5
+            kept = 1
         else:
-            lo, f_lo = mid, f_mid
+            hi, w_hi = x, f_x
+            if kept < 0:
+                w_lo *= 0.5
+            kept = -1
         if hi - lo < tol:
             return 0.5 * (lo + hi)

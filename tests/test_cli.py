@@ -29,7 +29,8 @@ from infoqm.cli import run
 
 from conftest import GOLDEN_TABLE, leggauss_moment
 
-# outputs frozen before the width solve became plain bisection
+# outputs frozen under earlier width solves: the 12-digit csv and the json before
+# plain bisection, the 17-digit csv under it
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
@@ -220,8 +221,10 @@ class TestDeterminism:
         [
             (["--digits", "12"], "oscillator_table_n20_digits12.csv"),
             (["--format", "json"], "oscillator_table_n20.json"),
+            # 17 significant digits round-trip every double: each width bit for bit
+            (["--digits", "17"], "oscillator_table_n20_digits17.csv"),
         ],
-        ids=["csv", "json"],
+        ids=["csv", "json", "csv17"],
     )
     def test_table_bytes_pinned(self, tmp_path, capsys, flags, golden):
         out = tmp_path / golden

@@ -308,11 +308,21 @@ class TestBorderedNewton:
                 raise ConvergenceError("forced failure")
             return fixed_b_newton(problem, psi, free_b)
 
+        solves = []
+        counted_ground_state = nls.ground_state
+
+        def counted(*args, **kwargs):
+            solves.append(args[0].b)
+            return counted_ground_state(*args, **kwargs)
+
         monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
+        monkeypatch.setattr(nls, "ground_state", counted)
         lam, sol = self_consistent_lambda(problem, cfg)
         assert abs(lam - lam_newton) < 1e-5
         assert abs(sol.mu - lam) < 1e-6
         assert sol.newton_steps > 0
+        # both ends and the trial points: 8 here, 21 by plain bisection
+        assert len(solves) <= 12
 
     def test_bisection_stall_raises(self, monkeypatch):
         # no midpoint meets an f_tol this small, so the bracket narrows below 1e-14

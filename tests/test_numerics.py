@@ -1,3 +1,4 @@
+import functools
 import math
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from infoqm import (
     hermite_eval,
     integrate,
 )
+from infoqm import oscillator
 from infoqm.numerics import _poly_roots
 
 from conftest import SIGNED_COEFFS
@@ -213,7 +215,105 @@ class TestPolyRoots:
             _poly_roots([1e-300, 1e300])
 
 
+def bisection_reference(f, bracket, tol):
+    """find_root as plain bisection, under the same stopping rules."""
+    lo, hi = bracket.lo, bracket.hi
+    f_lo = bracket.f_lo
+    if f_lo == 0.0:
+        return lo
+    if bracket.f_hi == 0.0:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+        if hi - lo < tol:
+            return 0.5 * (lo + hi)
+
+
+def counted_solve(solver, f, lo, hi, tol=math.ulp(0.0)):
+    """(root, evaluations of f) of solver on [lo, hi], the bracket's ends included."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    root = solver(counted, RootBracket.from_function(counted, lo, hi), tol)
+    return root, len(calls)
+
+
+def width_closure(n):
+    """The residual and bracket that solve_state hands to find_root for state n."""
+    norm = oscillator._norm_constant(n)
+    residual = functools.partial(oscillator._closure_residual, norm, n + n % 2)
+    return residual, oscillator.BETA_SCAN_LO, oscillator._admissible_beta_cap(norm)
+
+
+def infinite_ends(x):
+    return -math.inf if x == 0.0 else math.inf if x == 1.0 else x - 0.3
+
+
+# functions that defeat interpolation, each on [0, 1]
+HARD_ROOTS = {
+    "x51": lambda x: x**51 - 1e-30,
+    "step": lambda x: -1.0 if x < 0.7 else 1.0,
+    "root10": lambda x: math.copysign(abs(x - 0.7) ** 0.1, x - 0.7),
+    "atan": lambda x: math.atan(1e12 * (x - 0.3)),
+    "infinite-ends": infinite_ends,
+}
+
+
 class TestFindRoot:
+    @pytest.mark.parametrize("n", range(21))
+    def test_width_is_the_bisection_width(self, n):
+        # in at most 16 evaluations, the bracket's ends included; bisection takes 54-57
+        residual, lo, hi = width_closure(n)
+        root, calls = counted_solve(find_root, residual, lo, hi)
+        assert root == counted_solve(bisection_reference, residual, lo, hi)[0]
+        assert calls <= 16
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_closure_changes_sign_once_near_the_width(self, n):
+        # what the bit-for-bit identity rests on: over 4096 doubles each side of
+        # the width the computed residual changes sign exactly once
+        residual, _, _ = width_closure(n)
+        bits = np.float64(oscillator.solve_state(n).beta).view(np.int64)
+        betas = np.arange(bits - 4096, bits + 4097, dtype=np.int64).view(np.float64)
+        negative = [residual(beta) < 0.0 for beta in betas.tolist()]
+        assert negative[0] and not negative[-1]
+        assert sum(a != b for a, b in zip(negative, negative[1:])) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        slope=st.floats(1.0, 1e6) | st.floats(-1e6, -1.0),
+        lo=st.floats(-100.0, 100.0),
+        width=st.floats(1e-9, 100.0),
+        at=st.floats(0.0, 1.0),
+    )
+    def test_monotone_affine_root_is_the_bisection_root(self, slope, lo, width, at):
+        # |slope| >= 1 keeps every nonzero x - c nonzero after scaling
+        hi = lo + width
+        c = lo + at * (hi - lo)
+        f = lambda x: slope * (x - c)
+        bracket = RootBracket.from_function(f, lo, hi)
+        root = find_root(f, bracket, math.ulp(0.0))
+        assert root == bisection_reference(f, bracket, math.ulp(0.0))
+
+    @pytest.mark.parametrize("f", HARD_ROOTS.values(), ids=HARD_ROOTS.keys())
+    def test_worst_case_near_bisection(self, f):
+        root, calls = counted_solve(find_root, f, 0.0, 1.0)
+        expected, reference_calls = counted_solve(bisection_reference, f, 0.0, 1.0)
+        assert abs(root - expected) <= 2.0 * math.ulp(expected)
+        assert calls <= 2 * reference_calls
+
     def test_sqrt_two(self):
         bracket = RootBracket.from_function(lambda x: x * x - 2.0, 1.0, 2.0)
         root = find_root(lambda x: x * x - 2.0, bracket, tol=1e-12)

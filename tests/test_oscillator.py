@@ -52,7 +52,7 @@ class TestScalarRelations:
 
     @pytest.mark.parametrize("n", range(21))
     def test_closure_increasing_on_the_bracket(self, n):
-        # solve_state bisects on [BETA_SCAN_LO, cap] and relies on one root there
+        # solve_state narrows [BETA_SCAN_LO, cap] and relies on one root there
         k = n % 2
         cap = oscillator._admissible_beta_cap(oscillator._norm_constant(n))
         betas = np.linspace(oscillator.BETA_SCAN_LO, cap, 2001)
@@ -128,10 +128,13 @@ class TestSolveState:
         assert (a.alpha, a.beta, a.lam, a.energy) == (b.alpha, b.beta, b.lam, b.energy)
 
     def test_branch_invariants_through_n20(self):
+        # n = 0..20 is the whole domain of solve_state, and every state keeps a
+        # margin from the branch's edges 2 alpha = 1 and lambda = 0 (smallest
+        # 2 alpha - 1 is 0.1238, largest lambda -0.2785)
         for n in range(21):
             s = solve_state(n)
-            assert 2.0 * s.alpha > 1.0
-            assert s.lam < 0.0
+            assert 2.0 * s.alpha - 1.0 > 0.1
+            assert s.lam < -0.25
             assert 0.0 < s.beta < 0.5
 
     def test_x2_coefficient_consistency(self, states):
@@ -150,7 +153,7 @@ class TestSolveState:
 
     @pytest.mark.parametrize("n", range(21))
     def test_public_residual_changes_sign_at_solved_width(self, n):
-        # solve_state bisects a private residual; the public one must agree
+        # solve_state solves a private residual; the public one must agree
         beta = solve_state(n).beta
         g = beta_closure_residual(n, n % 2, beta)
         neighbours = [math.nextafter(beta, 0.0), math.nextafter(beta, math.inf)]
