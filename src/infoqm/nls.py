@@ -23,12 +23,14 @@ taken from the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674,
 At a fixed b (ground_state) the border unknown is the eigenvalue shift
 m = mu(b) - b; for the self-consistent root (mu(b) = b, so the
 stationarity eigenvalue equals the nonlinear coefficient) it is b
-itself.  A Newton state is kept only once one explicit step from it moves
-it by less than the flow tolerance.  Every value of F(b) = mu(b) - b is a
-ground_state, and one fallback rule holds: a loose phase or second Newton
-solve that fails, or a state that does not verify, is dropped for flows,
-the full explicit flow at a fixed b and, for the root, find_root on the
-same bracket over ground_state trial points.
+itself.  Where the plain Newton step would leave the positive cone, each
+entry it cuts by more than 90% takes the Newton step in ln u instead.  A
+Newton state is kept only once one explicit step from it moves it by less
+than the flow tolerance.  At a fixed b, a loose phase or second Newton
+solve that fails, or a state that does not verify, is dropped for the
+full explicit flow.  F(b) = mu(b) - b is evaluated only at the bracket's
+two ends, each a ground_state; the root is one free-b Newton solve, and
+the self-consistent solve raises where that fails.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -59,8 +61,7 @@ from .errors import (
     InstabilityError,
     ValidationError,
 )
-from .numerics import (Grid1D, RootBracket, _as_finite, _as_finite_array, _as_int, _as_positive,
-                       find_root)
+from .numerics import Grid1D, RootBracket, _as_finite, _as_finite_array, _as_int, _as_positive
 
 DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
@@ -73,6 +74,9 @@ _LOOSE_TAU = 0.1
 _LOOSE_CAP = 300
 _NEWTON_CAP = 50
 _NEWTON_TOL = 1e-10
+# a Newton step that cuts an entry by more than this fraction, where the
+# plain step leaves the positive cone, is taken in ln u for that entry
+_CUT = 0.9
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,8 @@ class GroundStateSolution:
     of the loose phase (0 where Newton held from the start state) and the
     Newton solve that made each Newton state, or the explicit steps of the
     full flow that made a fallback state, and for a self-consistent solve
-    the sum over the states it evaluated F at and the root.  A loose phase
-    whose Newton state was dropped is not counted, and neither is a failed
+    the sum over both bracket ends and the root.  A loose phase whose
+    Newton state was dropped is not counted, and neither is a failed
     direct Newton attempt.  ``energy_trace`` starts with the energy of the
     normalized start state, samples the full flow that made a fallback
     ``psi`` every 100 steps, and ends with the energy of ``psi`` at ``b``.
@@ -239,6 +243,10 @@ def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
         psi = _as_finite_array(init, "init", (grid.n_points,)).copy()
         if np.any(psi[1:-1] <= 0.0):
             raise ValidationError("init must be strictly positive in the interior")
+        with np.errstate(over="ignore"):
+            if not 0.0 < float((psi[1:-1] ** 2).sum()) < math.inf:
+                # squares that overflow or all underflow: scale by the largest entry first
+                psi /= float(psi[1:-1].max())
     _pin_and_normalize(psi, grid.spacing)
     return psi
 
@@ -246,11 +254,13 @@ def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
 def _explicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: np.ndarray) -> float:
     """out <- normalize(psi - tau g), pinned at both ends; returns the flow
     norm max|out - psi| / tau.  Raises InstabilityError if the step is not
-    finite or leaves the positive cone."""
+    finite, leaves the positive cone or underflows to zero."""
     out[1:-1] = psi[1:-1] - tau * _gradient(problem, psi, problem.b)[0]
     _pin_and_normalize(out, problem.grid.spacing)
-    if out[1:-1].min() < 0.0:
-        raise InstabilityError("flow iterate lost positivity; use a smaller step")
+    low = float(out[1:-1].min())
+    if not low > 0.0:
+        raise InstabilityError("flow iterate lost positivity; use a smaller step" if low < 0.0
+                               else "flow iterate underflowed to zero")
     return float(np.abs(out - psi).max()) / tau
 
 
@@ -424,15 +434,27 @@ def _bordered_newton(
 
     The border unknown is m at the problem's fixed b (free_b=False), so
     that m = mu(b) - b, or b with m = 0 (free_b=True), the self-consistent
-    root.  Returns (psi, b, steps); raises ConvergenceError past the
-    step cap, on a zero pivot, or when an iterate leaves the positive cone.
+    root.  Where the step u + d_u keeps every entry positive it is taken
+    as it is.  Otherwise each entry that it cuts by more than _CUT takes
+    the Newton step in ln u instead, u exp(d_u / u), and Newton does not
+    stop on that step unless every entry so changed lies below the
+    logarithm's floor.  Returns (psi, b, steps); raises ConvergenceError
+    past the step cap, on a zero pivot, or when an iterate still leaves the
+    positive cone (an entry whose exp underflowed, or a step not finite).
     """
     b = problem.b
     m = 0.0 if free_b else discrete_energy(problem, psi) - b
     u = psi[1:-1].copy()
     for step in range(1, _NEWTON_CAP + 1):
         d_u, d_p = _newton_step(problem, u, b, m, free_b)
-        u += d_u
+        new = u + d_u
+        may_stop = bool(np.all(new > 0.0))
+        if not may_stop:
+            cut = d_u < -_CUT * u
+            with np.errstate(over="ignore", divide="ignore"):
+                new[cut] = u[cut] * np.exp(d_u[cut] / u[cut])
+            may_stop = not bool(np.any(u[cut] * u[cut] > _EPS_LOG))
+        u = new
         if free_b:
             b += d_p
         else:
@@ -440,7 +462,8 @@ def _bordered_newton(
         if not (bool(np.all(u > 0.0)) and math.isfinite(d_p)):
             raise ConvergenceError("bordered Newton left the positive cone")
         if (
-            float(np.max(np.abs(d_u))) <= _NEWTON_TOL * float(np.max(u))
+            may_stop
+            and float(np.max(np.abs(d_u))) <= _NEWTON_TOL * float(np.max(u))
             and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
         ):
             return _pinned(u), b, step
@@ -517,70 +540,44 @@ def self_consistent_lambda(
     """Root b* of F(b) = mu(b) - b in the bracket: the returned coefficient
     is its own stationarity eigenvalue, |mu(b*) - b*| < f_tol.
 
-    F is evaluated only by ground_state: at the lower end from init, at
-    the upper end from the lower end's state.  A bracket that is not a
-    finite lo < hi raises ValidationError before any solve.  An end where
-    |F| < f_tol is the root; otherwise BracketError is raised when F has
-    no sign change on the bracket.  A free-b Newton solve at the secant
-    estimate of the root, started from the lower end's state (from which
-    Newton continues upward; from the upper end's it can leave the
-    positive cone), gives the root, with the loose phase first only where
-    the direct attempt fails; the root is kept if its one-step flow norm
-    is below cfg.tol_flow and |mu - b| < f_tol.
-    Otherwise find_root narrows the same bracket, each trial point a
-    ground_state warm-started from the previous one, until |F| < f_tol;
-    ConvergenceError is raised if the bracket narrows below 1e-14 first.
-    ``iterations`` and ``newton_steps`` of the result are the totals over
-    every state the solve kept: both ends, then the root or every trial
-    point.
+    F is evaluated at both ends by ground_state: at the lower end from
+    init, at the upper end from the lower end's state.  A bracket that is
+    not a finite lo < hi raises ValidationError before any solve.  An end
+    where |F| < f_tol is the root; otherwise BracketError is raised when F
+    has no sign change on the bracket.  The root is a free-b Newton solve
+    at the secant estimate of the root, started from the lower end's state
+    (from which Newton continues upward; from the upper end's it can leave
+    the positive cone), with the loose phase first only where the direct
+    attempt fails.  ConvergenceError is raised if that solve fails, its
+    state does not verify, or its b is outside the bracket or has
+    |mu - b| >= f_tol.  ``iterations`` and ``newton_steps`` of the result
+    are the totals over both ends and the root.
     """
     f_tol = _as_positive(f_tol, "f_tol")
     lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
     if not lo < hi:
         raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
-    kept: list[GroundStateSolution] = []
-
-    def evaluate(b: float, start: np.ndarray | None) -> tuple[float, GroundStateSolution]:
-        sol = ground_state(problem.with_b(b), cfg, init=start)
-        kept.append(sol)
-        return sol.mu - b, sol
-
-    def found(sol: GroundStateSolution) -> tuple[float, GroundStateSolution]:
-        return sol.b, replace(
-            sol,
-            iterations=sum(s.iterations for s in kept),
-            newton_steps=sum(s.newton_steps for s in kept),
-        )
-
-    f_lo, sol_lo = evaluate(lo, init)
-    f_hi, sol_hi = evaluate(hi, sol_lo.psi)
-    if abs(f_lo) < f_tol:
-        return found(sol_lo)
-    if abs(f_hi) < f_tol:
-        return found(sol_hi)
-    # constructing the bracket record also validates the sign change
-    bracket_record = RootBracket(lo, hi, f_lo, f_hi)
-    guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    try:
-        root = _newton_state(problem.with_b(guess), cfg, sol_lo.psi, free_b=True)
-        if lo <= root.b <= hi and abs(root.mu - root.b) < f_tol:
-            kept.append(root)
-            return found(root)
-    except ConvergenceError:
-        pass
-
-    def f(b: float) -> float:
-        # each trial point is warm-started from the last state evaluated
-        f_b, _ = evaluate(b, kept[-1].psi)
-        return 0.0 if abs(f_b) < f_tol else f_b
-
-    find_root(f, bracket_record, tol=1e-14)
-    last = kept[-1]
-    if not abs(last.mu - last.b) < f_tol:
-        raise ConvergenceError(
-            f"self-consistency root search stalled: |F| = {abs(last.mu - last.b):.3e} > {f_tol}"
-        )
-    return found(last)
+    sol_lo = ground_state(problem.with_b(lo), cfg, init=init)
+    sol_hi = ground_state(problem.with_b(hi), cfg, init=sol_lo.psi)
+    kept = [sol_lo, sol_hi]
+    ends = [sol for sol in kept if abs(sol.mu - sol.b) < f_tol]
+    if ends:
+        root = ends[0]
+    else:
+        f_lo, f_hi = sol_lo.mu - lo, sol_hi.mu - hi
+        # constructing the bracket record validates the sign change
+        RootBracket(lo, hi, f_lo, f_hi)
+        guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        try:
+            root = _newton_state(problem.with_b(guess), cfg, sol_lo.psi, free_b=True)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"free-b Newton solve from b = {guess!r} failed: {exc}") from exc
+        if not (lo <= root.b <= hi and abs(root.mu - root.b) < f_tol):
+            raise ConvergenceError(f"free-b Newton root b = {root.b!r} is not a root in "
+                                   f"[{lo}, {hi}]: |mu - b| = {abs(root.mu - root.b):.3e}")
+        kept.append(root)
+    return root.b, replace(root, iterations=sum(sol.iterations for sol in kept),
+                           newton_steps=sum(sol.newton_steps for sol in kept))
 
 
 def uniqueness_probe(

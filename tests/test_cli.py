@@ -501,6 +501,26 @@ class TestNlsGround:
         assert code == 3
         assert "error" in err
 
+    def test_free_b_root_failure_exit_code(self, capsys, monkeypatch):
+        # the free-b Newton solve is the one root path: where it fails, the
+        # lambda solve exits 3 with no output
+        fixed_b_newton = nls._bordered_newton
+
+        def free_b_failure(problem, psi, free_b):
+            if free_b:
+                raise ConvergenceError("forced failure")
+            return fixed_b_newton(problem, psi, free_b)
+
+        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
+        code, out, err = run_captured(
+            capsys,
+            ["nls", "ground", "--domain", "-10", "10", "--grid", "256",
+             "--lambda-solve", "--tau", "8e-4", "--tol-flow", "1e-9"],
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("infoqm: error: free-b Newton solve from b = ")
+        assert err.rstrip().endswith("failed: forced failure")
+
     def test_too_few_grid_points_rejected(self, capsys):
         code, _, err = run_captured(
             capsys, ["nls", "ground", "--domain", "-10", "10", "--grid", "2"]

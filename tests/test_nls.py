@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -287,58 +289,6 @@ class TestBorderedNewton:
         assert all(sol.newton_steps > 0 for _, sol in results)
         assert max(roots) - min(roots) <= 1e-12
 
-    def test_bisection_fallback_when_newton_fails(self, monkeypatch):
-        problem = harmonic_problem(256, half_width=12.0)
-        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
-        lam_newton, _ = self_consistent_lambda(problem, cfg)
-        monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
-        lam, sol = self_consistent_lambda(problem, cfg)
-        assert sol.newton_steps == 0
-        assert abs(sol.mu - lam) < 1e-6
-        assert abs(lam - lam_newton) < 1e-5
-
-    def test_bisection_midpoints_are_newton_states(self, monkeypatch):
-        problem = harmonic_problem(256, half_width=12.0)
-        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
-        lam_newton, _ = self_consistent_lambda(problem, cfg)
-        fixed_b_newton = nls._bordered_newton
-
-        def free_b_failure(problem, psi, free_b):
-            if free_b:
-                raise ConvergenceError("forced failure")
-            return fixed_b_newton(problem, psi, free_b)
-
-        solves = []
-        counted_ground_state = nls.ground_state
-
-        def counted(*args, **kwargs):
-            solves.append(args[0].b)
-            return counted_ground_state(*args, **kwargs)
-
-        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
-        monkeypatch.setattr(nls, "ground_state", counted)
-        lam, sol = self_consistent_lambda(problem, cfg)
-        assert abs(lam - lam_newton) < 1e-5
-        assert abs(sol.mu - lam) < 1e-6
-        assert sol.newton_steps > 0
-        # both ends and the trial points: 8 here, 21 by plain bisection
-        assert len(solves) <= 12
-
-    def test_bisection_stall_raises(self, monkeypatch):
-        # no midpoint meets an f_tol this small, so the bracket narrows below 1e-14
-        problem = harmonic_problem(192, half_width=8.0)
-        cfg = FlowConfig(step=2e-3, tol_flow=1e-8)
-        fixed_b_newton = nls._bordered_newton
-
-        def free_b_failure(problem, psi, free_b):
-            if free_b:
-                raise ConvergenceError("forced failure")
-            return fixed_b_newton(problem, psi, free_b)
-
-        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
-        with pytest.raises(ConvergenceError, match="stalled"):
-            self_consistent_lambda(problem, cfg, f_tol=1e-300)
-
     def test_work_totals_cover_every_kept_state(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
@@ -384,15 +334,14 @@ class TestBorderedNewton:
         assert sol.iterations == sum(loose) > 0
         assert sol.newton_steps == sum(newton)
 
-        # with every Newton solve failing, each kept state is a full flow;
-        # the loose phases before the failed Newton solves are not counted
+        # with every Newton solve failing, both ends are full flows and the
+        # free-b root fails: the solve raises, with no other path to try
         loose.clear()
         monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
-        _, sol = self_consistent_lambda(problem, cfg)
-        assert len(flows) > 2  # both ends and at least one midpoint
-        assert len(loose) == len(flows) + 1  # and the root step
-        assert sol.iterations == sum(flows)
-        assert sol.newton_steps == 0
+        with pytest.raises(ConvergenceError, match="free-b Newton solve .* failed: forced failure"):
+            self_consistent_lambda(problem, cfg)
+        assert len(flows) == 2  # both ends
+        assert len(loose) == 3  # before both ends' and the root's second Newton solve
 
     def test_returned_state_is_flow_stationary(self, coarse_self_consistent, coarse_cfg):
         lam, sol = coarse_self_consistent
@@ -656,6 +605,186 @@ class TestContinuation:
         assert sol.iterations <= 30 and 0 < sol.newton_steps <= 40
 
 
+POTENTIALS = {
+    "harmonic": lambda x: 0.5 * x * x,
+    "quartic": lambda x: 0.25 * x**4,
+    "double_well": lambda x: (x * x - 4.0) ** 2 / 8.0,
+}
+WIDE_BRACKET = (-6.0, 0.5)
+
+
+def stable_problem(name, n_points, half_width=12.0):
+    """The potential on n_points over +-half_width, and a config whose step
+    is 0.9 of the smaller of the two stability bounds."""
+    grid = Grid1D(-half_width, half_width, n_points)
+    v = POTENTIALS[name](grid.points())
+    v_max, h = float(np.max(np.abs(v))), grid.spacing
+    step = 0.9 * min(1.0 / v_max, 2.0 / (2.0 / (h * h) + v_max))
+    return GridProblem(grid, v), FlowConfig(step=step, tol_flow=1e-8)
+
+
+def spectral_oracle():
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "oracle_nls_spectral.py"
+    spec = importlib.util.spec_from_file_location("oracle_nls_spectral", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def solved_states(problem, cfg, bracket):
+    """self_consistent_lambda's (lam, sol) and the states it solved: the b
+    of each ground_state call, then "root" for each free-b solve."""
+    solved = []
+    solve, newton_state = nls.ground_state, nls._newton_state
+
+    def counted_ground_state(problem, cfg, init=None):
+        solved.append(problem.b)
+        return solve(problem, cfg, init)
+
+    def counted_newton_state(problem, cfg, init, free_b):
+        if free_b:
+            solved.append("root")
+        return newton_state(problem, cfg, init, free_b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nls, "ground_state", counted_ground_state)
+        mp.setattr(nls, "_newton_state", counted_newton_state)
+        lam, sol = self_consistent_lambda(problem, cfg, bracket=bracket)
+    return lam, sol, solved
+
+
+@pytest.fixture(scope="module")
+def bracket_roots():
+    """(potential, points) -> (default-bracket, wide-bracket) solved_states
+    on +-12."""
+    roots = {}
+    for name in POTENTIALS:
+        for n_points in (512, 1024, 2048):
+            problem, cfg = stable_problem(name, n_points)
+            roots[name, n_points] = tuple(solved_states(problem, cfg, bracket)
+                                          for bracket in (nls.DEFAULT_BRACKET, WIDE_BRACKET))
+    return roots
+
+
+class TestOneRootPath:
+    """The root is the free-b Newton solve from the lower end's state, or
+    the solve raises: three states, lo, hi and the root, on every return."""
+
+    @pytest.mark.parametrize("n_points", [512, 1024, 2048])
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_wide_bracket_ends_on_the_free_b_root(self, bracket_roots, name, n_points):
+        default, wide = bracket_roots[name, n_points]
+        brackets = (nls.DEFAULT_BRACKET, WIDE_BRACKET)
+        for (lo, hi), (lam, sol, solved) in zip(brackets, (default, wide)):
+            assert solved == [lo, hi, "root"]
+            assert sol.b == lam and sol.newton_steps > 0
+            assert abs(sol.mu - lam) < 1e-14
+        assert abs(wide[0] - default[0]) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_grid_error_against_spectral_oracle(self, bracket_roots, name):
+        # second order: the error falls by about 4 per doubling, on either
+        # bracket, against an oracle that shares no code with the grid solve
+        exact = spectral_oracle().spectral_lambda(POTENTIALS[name], 64)
+        for which in (0, 1):
+            errors = [abs(bracket_roots[name, n][which][0] - exact) for n in (512, 1024, 2048)]
+            assert errors[0] < 2e-4 and errors[-1] > 1e-7
+            for coarse, fine in zip(errors, errors[1:]):
+                assert 3.8 < coarse / fine < 4.2
+
+    def test_free_b_failure_raises(self, monkeypatch):
+        fixed_b_newton = nls._bordered_newton
+
+        def free_b_failure(problem, psi, free_b):
+            if free_b:
+                raise ConvergenceError("forced failure")
+            return fixed_b_newton(problem, psi, free_b)
+
+        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
+        with pytest.raises(ConvergenceError, match=r"^free-b Newton solve from .* failed: forced"):
+            self_consistent_lambda(harmonic_problem(256, half_width=12.0), FlowConfig(step=5e-3))
+
+    def test_root_outside_the_bracket_raises(self, monkeypatch):
+        # a free-b root past the upper end is not returned, and there is no
+        # other path to try
+        newton_state = nls._newton_state
+
+        def shifted_root(problem, cfg, init, free_b):
+            sol = newton_state(problem, cfg, init, free_b)
+            return replace(sol, b=sol.b + 3.0) if free_b else sol
+
+        monkeypatch.setattr(nls, "_newton_state", shifted_root)
+        problem = harmonic_problem(192, half_width=8.0)
+        with pytest.raises(ConvergenceError, match=r"is not a root in \[-3\.0, -0\.5\]"):
+            self_consistent_lambda(problem, FlowConfig(step=2e-3, tol_flow=1e-8))
+
+    def test_modified_step_keeps_the_cone(self, monkeypatch, bracket_roots):
+        # from the converged b = -6 state the plain free-b step cuts the
+        # tails below zero; the step in ln u for those entries keeps them
+        # positive, and Newton goes on to the root
+        problem, cfg = stable_problem("harmonic", 512)
+        start = ground_state(problem.with_b(-6.0), cfg)
+        u = start.psi[1:-1]
+        d_u, _ = nls._newton_step(problem, u, -6.0, 0.0, True)
+        assert np.any(u + d_u <= 0.0)
+        steps = []
+        newton_step = nls._newton_step
+
+        def recorded(problem, u, b, m, free_b):
+            d_u, d_p = newton_step(problem, u, b, m, free_b)
+            steps.append(bool(np.any(u + d_u <= 0.0)))
+            return d_u, d_p
+
+        monkeypatch.setattr(nls, "_newton_step", recorded)
+        psi, b, count = nls._bordered_newton(problem.with_b(-6.0), start.psi, True)
+        assert steps[0] and count == len(steps)
+        assert np.all(psi[1:-1] > 0.0)
+        assert abs(b - bracket_roots["harmonic", 512][0][0]) <= 1e-12
+
+    def test_stop_on_a_step_that_cut_only_tails_below_the_floor(self, monkeypatch):
+        # entries near 1e-60 shrink by a factor of e on every free-b step
+        # here, while b has long converged: Newton may stop on such a step,
+        # since every entry it cut is below the logarithm's floor
+        problem, cfg = stable_problem("quartic", 128, half_width=20.0)
+        init = randomized_initial_guess(problem.grid, 7, 0)
+        cut_peaks = []
+        newton_step = nls._newton_step
+
+        def recorded(problem, u, b, m, free_b):
+            d_u, d_p = newton_step(problem, u, b, m, free_b)
+            if free_b:
+                left = np.any(u + d_u <= 0.0)
+                cut_peaks.append(float(np.max(u[d_u < -nls._CUT * u] ** 2)) if left else None)
+            return d_u, d_p
+
+        monkeypatch.setattr(nls, "_newton_step", recorded)
+        lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET, init=init)
+        assert abs(sol.mu - lam) < 1e-14
+        assert cut_peaks[-1] is not None and 0.0 < cut_peaks[-1] <= nls._EPS_LOG
+        assert len(cut_peaks) < nls._NEWTON_CAP
+
+    def test_newton_step_cap_falls_back_to_the_flow(self, monkeypatch):
+        # with a zero tolerance Newton never stops: the direct attempt and
+        # the one after the loose phase both hit the cap
+        problem = harmonic_problem(256, half_width=12.0, b=-1.3)
+        cfg = TestFixedBNewton.CFG
+        failures = []
+        bordered_newton = nls._bordered_newton
+
+        def recorded_newton(problem, psi, free_b):
+            try:
+                return bordered_newton(problem, psi, free_b)
+            except ConvergenceError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
+        monkeypatch.setattr(nls, "_NEWTON_TOL", 0.0)
+        sol = ground_state(problem, cfg)
+        assert failures == [f"bordered Newton exceeded {nls._NEWTON_CAP} steps"] * 2
+        assert_same_solution(sol, gradient_flow_ground_state(problem, cfg))
+
+
 class TestUniquenessProbe:
     def test_requires_at_least_two_inits(self, coarse_cfg):
         with pytest.raises(ValidationError):
@@ -760,6 +889,38 @@ class TestValidationAndErrors:
         problem = harmonic_problem(256)
         with pytest.raises(ValidationError):
             gradient_flow_ground_state(problem, coarse_cfg, init=np.ones(17))
+
+    def test_explicit_step_past_the_tails_loses_positivity(self):
+        # the step passes both stability checks, but the first explicit
+        # steps drive the quartic's tails negative
+        grid = Grid1D(-12.0, 12.0, 2048)
+        problem = GridProblem(grid, POTENTIALS["quartic"](grid.points()), -6.0)
+        with pytest.raises(InstabilityError, match="lost positivity; use a smaller step"):
+            gradient_flow_ground_state(problem, FlowConfig(step=1e-4, tol_flow=1e-8))
+
+    def test_flow_tail_underflow_raises(self):
+        # after about 30000 steps two tail entries underflow to exactly 0.0;
+        # such a state is not positive, so it is not returned
+        problem, cfg = stable_problem("double_well", 1024, half_width=20.0)
+        with pytest.raises(InstabilityError, match="^flow iterate underflowed to zero$"):
+            ground_state(problem.with_b(-6.0), cfg)
+
+    def test_flow_that_overflows_raises(self):
+        # a b so large that the gradient overflows: with numpy's warnings
+        # off, the iterate's norm is not finite and the flow raises
+        problem = harmonic_problem(64, half_width=8.0, b=-1e306)
+        with np.errstate(all="ignore"):
+            with pytest.raises(InstabilityError, match="blew up"):
+                gradient_flow_ground_state(problem, FlowConfig(step=1e-3))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+    def test_start_out_of_the_square_range_normalizes(self, scale):
+        # squares that overflow or underflow: scaled by the largest entry
+        # first, these starts are the all-ones start bit for bit
+        problem = harmonic_problem(64, half_width=8.0, b=-1.0)
+        cfg = FlowConfig(step=1e-3)
+        sol = ground_state(problem, cfg, init=np.full(64, scale))
+        assert_same_solution(sol, ground_state(problem, cfg, init=np.ones(64)))
 
     def test_warm_restart_converges_immediately(self, coarse_cfg):
         problem = harmonic_problem(512)
