@@ -5,7 +5,10 @@ Solves mu(b) = b for the quadratic potential at increasing resolutions,
 warm-starting each level from the previous one, and prints the lambda
 estimates with their successive differences, their errors against the
 closed-form n = 0 multiplier, and the work of each level's solve: its
-semi-implicit loose-phase steps and its bordered Newton steps.
+semi-implicit loose-phase steps, its bordered Newton steps, and its
+tridiagonal solves (calls of nls._thomas, counted by a wrapper) with the
+right-hand sides they took: one a loose or fixed-b Newton step, two a
+free-b Newton step.
 """
 
 import pathlib
@@ -16,7 +19,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from infoqm import (  # noqa: E402
-    FlowConfig, Grid1D, GridProblem, self_consistent_lambda, solve_state,
+    FlowConfig, Grid1D, GridProblem, nls, self_consistent_lambda, solve_state,
 )
 
 HALF_WIDTH = 16.0
@@ -28,17 +31,32 @@ def stable_step(grid: Grid1D) -> float:
     return 0.9 / (2.0 / (h * h) + 0.5 * HALF_WIDTH**2)
 
 
+def count_thomas(work: dict[str, int]) -> None:
+    """Wrap nls._thomas so that each call adds to work's calls and rhs."""
+    thomas = nls._thomas
+
+    def counted(diag, off, *rhs):
+        work["calls"] += 1
+        work["rhs"] += len(rhs)
+        return thomas(diag, off, *rhs)
+
+    nls._thomas = counted
+
+
 def main() -> None:
     closed_form = solve_state(0).lam
+    work = {"calls": 0, "rhs": 0}
+    count_thomas(work)
     previous = None
     prev_grid = None
     prev_lambda = None
     print(f"{'points':>7} {'step':>10} {'lambda':>14} {'delta_prev':>12} {'vs_closed':>10} "
-          f"{'iterations':>10} {'newton_steps':>12}")
+          f"{'iterations':>10} {'newton_steps':>12} {'thomas':>6} {'rhs':>4}")
     for n in LEVELS:
         grid = Grid1D(-HALF_WIDTH, HALF_WIDTH, n)
         problem = GridProblem.harmonic(grid)
         cfg = FlowConfig(step=stable_step(grid), tol_flow=1e-8)
+        work.update(calls=0, rhs=0)
         if previous is None:
             lam, sol = self_consistent_lambda(problem, cfg, f_tol=1e-6)
         else:
@@ -51,7 +69,8 @@ def main() -> None:
             )
         delta = "" if prev_lambda is None else f"{abs(lam - prev_lambda):.3e}"
         print(f"{n:>7} {cfg.step:>10.2e} {lam:>14.8f} {delta:>12} "
-              f"{abs(lam - closed_form):>10.2e} {sol.iterations:>10} {sol.newton_steps:>12}")
+              f"{abs(lam - closed_form):>10.2e} {sol.iterations:>10} {sol.newton_steps:>12} "
+              f"{work['calls']:>6} {work['rhs']:>4}")
         previous, prev_grid, prev_lambda = sol.psi, grid, lam
 
 

@@ -38,14 +38,18 @@ The discretization is written once: _floored_log gives the floored
 logarithm, _gradient gives g and that logarithm on the interior of a
 pinned state, and _explicit_step takes one normalized step.  The flow,
 its verification of a Newton state, the discrete energy (which is mu) and
-the Newton residual and Jacobian go through _gradient; the loose phase
-needs only the logarithm, so it calls _floored_log and forms no gradient.
+the free-b Newton residual go through _gradient; the loose phase and the
+Newton Jacobian need only the logarithm, so they call _floored_log.
 One function, _newton_state, runs the direct Newton solve, the loose
 phase where that fails, and verifies every Newton state kept, at a fixed
-b and for the root.  Every tridiagonal solve, a Newton step's two
-right-hand sides and a loose step's one, is one _thomas call: a
+b and for the root.  Every tridiagonal solve is one _thomas call: a
 sequential sweep over Python floats, whose first pass eliminates T and
-sweeps the first right-hand side forward together.
+sweeps the first right-hand side forward together.  A loose step and a
+fixed-b Newton step take one right-hand side each: at a fixed b the
+Jacobian J satisfies J u = G - 2b u above the floor, so one solve serves
+both the residual and the border column (see _newton_step).  A free-b
+Newton step takes two, since its border column -(1 + L) u has no such
+identity.
 """
 
 from __future__ import annotations
@@ -408,21 +412,32 @@ def _newton_step(
     G = H u - b (1 + L) u - m u = 0 and h sum u^2 = 1, where
     L = ln max(u^2, _EPS_LOG).  The Jacobian is the tridiagonal
     J = 1/h^2 + V - b (1 + L + 2 [u^2 > _EPS_LOG]) - m, off-diagonal -1/(2h^2),
-    bordered by the column -u (or -(1 + L) u) and the row 2h u.  One
-    Thomas pass solves J for G and the column; the border unknown then
-    follows from the row (Keller's bordering algorithm).
+    bordered by the column -u (or -(1 + L) u) and the row 2h u.  J is solved
+    for G (y) and for the column (z); the border unknown then follows from
+    the row (Keller's bordering algorithm).
+
+    At a fixed b one solve gives both.  Row by row J u = G - 2b a u, with
+    a = [u^2 > _EPS_LOG], so for w = J^-1 (a u) the residual's solve is
+    y = u + 2b w exactly, and z = -w differs from J^-1 (-u) only through
+    the entries below the floor, whose amplitude is under 1e-50.  The step
+    is then a shifted inverse iteration, u + d_u = (d_p - 2b) w.  The free-b
+    column -(1 + L) u has no such identity, so that step takes two
+    right-hand sides in one Thomas pass.
     """
     h = problem.grid.spacing
     inv_h2 = 1.0 / (h * h)
     off = -0.5 * inv_h2
-    g, log_d = _gradient(problem, _pinned(u), b)
-    resid = g - m * u
     dens = u * u
     constraint = h * float(dens.sum()) - 1.0
     above_floor = dens > _EPS_LOG
+    log_d = _floored_log(u)
     diag = inv_h2 + problem.potential[1:-1] - b * (1.0 + log_d + 2.0 * above_floor) - m
-    border = -(1.0 + log_d) * u if free_b else -u
-    y, z = _thomas(diag, off, resid, border)
+    if free_b:
+        resid = _gradient(problem, _pinned(u), b)[0] - m * u
+        y, z = _thomas(diag, off, resid, -(1.0 + log_d) * u)
+    else:
+        (w,) = _thomas(diag, off, u * above_floor)
+        y, z = u + 2.0 * b * w, -w
     d_p = (constraint - 2.0 * h * float(u @ y)) / (2.0 * h * float(u @ z))
     return -y - z * d_p, d_p
 

@@ -208,14 +208,17 @@ class TestSelfConsistency:
 
 
 def dense_bordered_system(problem, u, b, m, free_b):
-    """Dense bordered Jacobian and right-hand side of one Newton step."""
+    """Dense bordered Jacobian and right-hand side of one Newton step.
+    Below the logarithm's floor (u^2 <= _EPS_LOG) the floored logarithm is a
+    constant, so the derivative of b (1 + L) u there lacks the 2b term."""
     h = problem.grid.spacing
     n = u.size
     log_d = np.log(np.maximum(u * u, nls._EPS_LOG))
+    above_floor = u * u > nls._EPS_LOG
     lap = (np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n)) / (h * h)
     h_op = -0.5 * lap + np.diag(problem.potential[1:-1])
     jac = np.zeros((n + 1, n + 1))
-    jac[:n, :n] = h_op - np.diag(b * (3.0 + log_d) + m)
+    jac[:n, :n] = h_op - np.diag(b * (1.0 + log_d + 2.0 * above_floor) + m)
     jac[:n, n] = -(1.0 + log_d) * u if free_b else -u
     jac[n, :n] = 2.0 * h * u
     resid = np.append(h_op @ u - (b * (1.0 + log_d) + m) * u, h * float(u @ u) - 1.0)
@@ -264,6 +267,23 @@ class TestBorderedNewton:
         d_u, d_p = nls._newton_step(problem, u, b, m, free_b)
         assert np.max(np.abs(d_u - expected[:-1])) <= 1e-12
         assert abs(d_p - expected[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("free_b", [False, True])
+    def test_step_matches_dense_solve_at_the_log_floor(self, free_b):
+        # the tails of exp(-x^2) on +-20 lie far below the floor, where the
+        # Jacobian has no 2b term and the fixed-b step's one solve differs
+        # from the border column's own solve
+        grid = Grid1D(-20.0, 20.0, 64)
+        problem = GridProblem.harmonic(grid)
+        u = normalized_on(grid, np.exp(-grid.points() ** 2))[1:-1]
+        assert int(np.sum(u * u <= nls._EPS_LOG)) == 28
+        b, m = -1.3, (0.0 if free_b else 0.2)
+        jac, resid = dense_bordered_system(problem, u, b, m, free_b)
+        expected = np.linalg.solve(jac, -resid)
+        d_u, d_p = nls._newton_step(problem, u, b, m, free_b)
+        # entry by entry, so that the tails count: they are near 1e-54 in d_u
+        assert np.all(np.abs(d_u - expected[:-1]) <= 1e-13 * np.abs(expected[:-1]))
+        assert abs(d_p - expected[-1]) <= 1e-13 * abs(expected[-1])
 
     @pytest.mark.parametrize("b", [0.0, -1.3])
     def test_mu_is_dense_rayleigh_quotient(self, b):
@@ -399,6 +419,66 @@ class TestThomas:
     def test_zero_pivot_raises(self, diag):
         with pytest.raises(ConvergenceError, match="zero pivot"):
             nls._thomas(np.array(diag), 0.5, np.ones(3), np.ones(3))
+
+
+class TestWorkCounts:
+    """Exact tridiagonal work: every _thomas call and its right-hand sides,
+    each attributed to the step that made it."""
+
+    @staticmethod
+    def counted(monkeypatch, solve):
+        """Run solve() with counting wrappers; return the calls and
+        right-hand sides per step kind (fixed-b, free-b or loose)."""
+        log = []
+        thomas, newton_step, loose_step = nls._thomas, nls._newton_step, nls._semi_implicit_step
+
+        def counted_thomas(diag, off, *rhs):
+            log.append(len(rhs))
+            return thomas(diag, off, *rhs)
+
+        def counted_newton_step(problem, u, b, m, free_b):
+            log.append("free_b" if free_b else "fixed_b")
+            return newton_step(problem, u, b, m, free_b)
+
+        def counted_loose_step(*args):
+            log.append("loose")
+            return loose_step(*args)
+
+        monkeypatch.setattr(nls, "_thomas", counted_thomas)
+        monkeypatch.setattr(nls, "_newton_step", counted_newton_step)
+        monkeypatch.setattr(nls, "_semi_implicit_step", counted_loose_step)
+        solve()
+        steps, rhs = log[::2], log[1::2]
+        # every step makes exactly one _thomas call
+        assert all(isinstance(kind, str) for kind in steps)
+        assert all(isinstance(n, int) for n in rhs) and len(rhs) == len(steps)
+        work = {}
+        for kind, n in zip(steps, rhs):
+            work[f"{kind}_calls"] = work.get(f"{kind}_calls", 0) + 1
+            work[f"{kind}_rhs"] = work.get(f"{kind}_rhs", 0) + n
+        return work
+
+    def test_fixed_b_cold_start(self, monkeypatch):
+        problem = harmonic_problem(2048, half_width=12.0, b=-2.0)
+        cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
+        work = self.counted(monkeypatch, lambda: ground_state(problem, cfg))
+        # one right-hand side a fixed-b step: J u = G - 2b u gives the residual's solve
+        assert work == {"fixed_b_calls": 8, "fixed_b_rhs": 8}
+
+    def test_criterion_3_solve(self, monkeypatch):
+        problem = harmonic_problem(2048, half_width=12.0)
+        cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
+        work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
+        # both bracket ends at a fixed b, then the free-b root, two a step
+        assert work == {"fixed_b_calls": 14, "fixed_b_rhs": 14,
+                        "free_b_calls": 8, "free_b_rhs": 16}
+
+    def test_probe_with_loose_phases(self, monkeypatch):
+        problem = harmonic_problem(48, half_width=8.0)
+        cfg = FlowConfig(step=0.02, tol_flow=1e-9, seed=0)
+        work = self.counted(monkeypatch, lambda: uniqueness_probe(problem, cfg, 2))
+        assert work == {"fixed_b_calls": 21, "fixed_b_rhs": 21, "loose_calls": 26,
+                        "loose_rhs": 26, "free_b_calls": 14, "free_b_rhs": 28}
 
 
 class TestFixedBNewton:
@@ -810,6 +890,16 @@ class TestUniquenessProbe:
         values = report.eigenvalues
         gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
         assert report.max_eigenvalue_spread == max(values) - min(values) == max(gaps) > 0.0
+
+    def test_self_consistent_runs_agree(self):
+        problem = harmonic_problem(48, half_width=8.0)
+        cfg = FlowConfig(step=0.02, tol_flow=1e-9, seed=0)
+        report = uniqueness_probe(problem, cfg, 2)
+        assert not report.failures
+        assert len(report.eigenvalues) == 2
+        assert report.max_eigenvalue_spread <= 1e-12
+        assert report.max_state_l2_distance <= 1e-9
+        assert all(abs(lam - GOLDEN_LAMBDA0) < 5e-3 for lam in report.eigenvalues)
 
     def test_bracket_failures_are_recorded(self):
         # F > 0 at both ends of [-0.9, -0.5]: every init fails, the probe returns
