@@ -24,7 +24,6 @@ from .errors import (
     InstabilityError,
     NotFoundError,
     NumericError,
-    StructureError,
     ValidationError,
 )
 from .maxent import (

@@ -349,7 +349,7 @@ def run(argv: list[str]) -> int:
     """Parse argv, run the subcommand's handler, write output; returns the exit code.
 
     A RuntimeError of the package (an iteration that did not converge, a
-    state off its branch, ...) exits 3; every other InfoqmError (the
+    feature not found in range, ...) exits 3; every other InfoqmError (the
     ValueError and ArithmeticError kinds) and every OSError exits 2.
     """
     try:

@@ -38,11 +38,6 @@ class InstabilityError(ConvergenceError):
     """A flow iterate left the admissible set (for example lost positivity)."""
 
 
-class StructureError(InfoqmError, RuntimeError):
-    """A solved state is not on the branch it was solved for; it is
-    reported, not returned."""
-
-
 class NotFoundError(InfoqmError, RuntimeError):
     """A requested feature (stationary point, ...) does not exist in range."""
 

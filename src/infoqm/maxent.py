@@ -362,16 +362,24 @@ def reference_rule(d: ExpFamilyDensity1D):
 # feasibility
 
 
+def _power(x: float, order: int) -> float:
+    """x**order, where a power past the float range counts as an infinite end."""
+    try:
+        return x**order
+    except OverflowError:
+        return math.copysign(math.inf, x) if order % 2 else math.inf
+
+
 def _max_abs_power(a: float, b: float, order: int) -> float:
     if math.isinf(a) or math.isinf(b):
         return math.inf
-    return max(abs(a), abs(b)) ** order
+    return _power(max(abs(a), abs(b)), order)
 
 
 def _min_even_power(a: float, b: float, order: int) -> float:
     if a <= 0.0 <= b:
         return 0.0
-    return min(abs(a), abs(b)) ** order
+    return _power(min(abs(a), abs(b)), order)
 
 
 def check_feasible_1d(spec: MomentSpec1D) -> None:
@@ -388,8 +396,7 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
             lo = _min_even_power(a, b, order)
             hi = _max_abs_power(a, b, order)
         else:
-            lo = -math.inf if math.isinf(a) else a**order
-            hi = math.inf if math.isinf(b) else b**order
+            lo, hi = _power(a, order), _power(b, order)
         if not lo < value < hi:
             raise InfeasibleMomentsError(
                 f"moment of order {order} = {value} outside the open range ({lo}, {hi})"
@@ -708,14 +715,15 @@ def density_eval_2d(d: ExpFamilyDensity2D, x: float, y: float) -> float:
 
 def _log_average(d: ExpFamilyDensity1D, log_of) -> float:
     """Quadrature of rho * log_of(ln(Z S), -P), set to its limit 0 where rho
-    vanishes; NumericError unless the integrand is finite at every node."""
+    vanishes; NumericError unless the integrand is finite at every node,
+    where rho overflows included."""
     xs, w = reference_rule(d)
     log_zs, neg_p = _log_density(d, xs)
-    rho = np.exp(log_zs + neg_p)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.exp(log_zs + neg_p)
         integrand = np.where(rho > 0.0, rho * log_of(log_zs, neg_p), 0.0)
     if not np.all(np.isfinite(integrand)):
-        raise NumericError("non-integrable singularity configuration")
+        raise NumericError("information integrand is not finite at every node")
     return float(w @ integrand)
 
 

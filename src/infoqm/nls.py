@@ -26,11 +26,12 @@ stationarity eigenvalue equals the nonlinear coefficient) it is b
 itself.  Where the plain Newton step would leave the positive cone, each
 entry it cuts by more than 90% takes the Newton step in ln u instead.  A
 Newton state is kept only once one explicit step from it moves it by less
-than the flow tolerance.  At a fixed b, a loose phase or second Newton
-solve that fails, or a state that does not verify, is dropped for the
-full explicit flow.  F(b) = mu(b) - b is evaluated only at the bracket's
-two ends, each a ground_state; the root is one free-b Newton solve, and
-the self-consistent solve raises where that fails.
+than the flow tolerance; where rounding alone keeps it above (a tolerance
+near 1e-12 or below), the full explicit flow at its b gives the state
+instead.  Where the loose phase or the second Newton solve fails, the
+solve raises.  F(b) = mu(b) - b is evaluated only at the bracket's two
+ends, each a ground_state; the root is one free-b Newton solve, and the
+self-consistent solve raises where that fails.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -42,14 +43,15 @@ the free-b Newton residual go through _gradient; the loose phase and the
 Newton Jacobian need only the logarithm, so they call _floored_log.
 One function, _newton_state, runs the direct Newton solve, the loose
 phase where that fails, and verifies every Newton state kept, at a fixed
-b and for the root.  Every tridiagonal solve is one _thomas call: a
-sequential sweep over Python floats, whose first pass eliminates T and
-sweeps the first right-hand side forward together.  A loose step and a
-fixed-b Newton step take one right-hand side each: at a fixed b the
-Jacobian J satisfies J u = G - 2b u above the floor, so one solve serves
-both the residual and the border column (see _newton_step).  A free-b
-Newton step takes two, since its border column -(1 + L) u has no such
-identity.
+b and for the root; it is the one solver behind both.  Every tridiagonal
+solve is one _thomas call: a sequential sweep over Python floats, whose
+first pass eliminates T and sweeps the first right-hand side forward
+together, and which moves an exactly zero pivot off zero, as inverse
+iteration does.  A loose step and a fixed-b Newton step take one
+right-hand side each: at a fixed b the Jacobian J satisfies
+J u = G - 2b u above the floor, so one solve serves both the residual
+and the border column (see _newton_step).  A free-b Newton step takes
+two, since its border column -(1 + L) u has no such identity.
 """
 
 from __future__ import annotations
@@ -130,12 +132,13 @@ class GroundStateSolution:
     Newton steps behind every state the solve kept: the semi-implicit steps
     of the loose phase (0 where Newton held from the start state) and the
     Newton solve that made each Newton state, or the explicit steps of the
-    full flow that made a fallback state, and for a self-consistent solve
-    the sum over both bracket ends and the root.  A loose phase whose
-    Newton state was dropped is not counted, and neither is a failed
-    direct Newton attempt.  ``energy_trace`` starts with the energy of the
-    normalized start state, samples the full flow that made a fallback
-    ``psi`` every 100 steps, and ends with the energy of ``psi`` at ``b``.
+    full flow that replaced a Newton state that did not verify, and for a
+    self-consistent solve the sum over both bracket ends and the root.  A
+    loose phase whose Newton state was so replaced is not counted, and
+    neither is a failed direct Newton attempt.  ``energy_trace`` starts
+    with the energy of the normalized start state, samples the full flow
+    that made a replacement ``psi`` every 100 steps, and ends with the
+    energy of ``psi`` at ``b``.
     """
 
     psi: np.ndarray
@@ -373,23 +376,24 @@ def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
     algorithm without pivoting (L. H. Thomas, 1949).  One zip pass over
     Python floats eliminates T and sweeps the first right-hand side
     forward; each further one gets its own forward sweep, and each one
-    back pass.  Raises ConvergenceError on a zero pivot."""
+    back pass.  A pivot of exactly 0 is replaced by 2^-52 |off|, as
+    inverse iteration does with an exactly singular shift (Peters &
+    Wilkinson, SIAM Rev. 21, 339, 1979): the solve is then that of T with
+    one diagonal entry moved by a rounding error of the off-diagonal."""
     d = diag.tolist()
     first, *rest = (r.tolist() for r in rhs)
-    try:
-        pivot = d[0]
+    tiny = 2.0**-52 * abs(off)
+    pivot = d[0] or tiny
+    ratio = off / pivot
+    y = first[0] / pivot
+    pivots, ratios, forward = [pivot], [ratio], [y]
+    for d_i, r_i in zip(d[1:], first[1:]):
+        pivot = d_i - off * ratio or tiny
         ratio = off / pivot
-        y = first[0] / pivot
-        pivots, ratios, forward = [pivot], [ratio], [y]
-        for d_i, r_i in zip(d[1:], first[1:]):
-            pivot = d_i - off * ratio
-            ratio = off / pivot
-            y = (r_i - off * y) / pivot
-            pivots.append(pivot)
-            ratios.append(ratio)
-            forward.append(y)
-    except ZeroDivisionError:
-        raise ConvergenceError("tridiagonal solve met a zero pivot") from None
+        y = (r_i - off * y) / pivot
+        pivots.append(pivot)
+        ratios.append(ratio)
+        forward.append(y)
     sweeps = [forward]
     for r in rest:
         x = r[0] / pivots[0]
@@ -454,8 +458,8 @@ def _bordered_newton(
     the Newton step in ln u instead, u exp(d_u / u), and Newton does not
     stop on that step unless every entry so changed lies below the
     logarithm's floor.  Returns (psi, b, steps); raises ConvergenceError
-    past the step cap, on a zero pivot, or when an iterate still leaves the
-    positive cone (an entry whose exp underflowed, or a step not finite).
+    past the step cap, or when an iterate still leaves the positive cone
+    (an entry whose exp underflowed, or a step not finite).
     """
     b = problem.b
     m = 0.0 if free_b else discrete_energy(problem, psi) - b
@@ -494,10 +498,13 @@ def _newton_state(
 
     Invalid input raises ValidationError before any step.  The Newton state
     is kept when _explicit_step, the step the flow stops on, moves it by a
-    flow norm below cfg.tol_flow.  ConvergenceError is raised if it does
-    not, or if the loose phase or the second Newton solve fails;
-    InstabilityError (a ConvergenceError) if a step leaves the positive
-    cone.  The failed direct attempt is not counted in newton_steps.
+    flow norm below cfg.tol_flow.  Where it does not, which only rounding
+    does, at a cfg.tol_flow near 1e-12 or below, the
+    gradient_flow_ground_state from init at the state's b is returned
+    instead.  If the loose phase or the second Newton solve fails, its
+    ConvergenceError is raised, or InstabilityError (a ConvergenceError)
+    where a step leaves the positive cone.  The failed direct attempt is not
+    counted in newton_steps.
     """
     _validate_step(problem, cfg)
     psi = _start_state(problem.grid, init)
@@ -511,7 +518,7 @@ def _newton_state(
     problem = problem.with_b(b)
     flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
     if not flow_norm < cfg.tol_flow:
-        raise ConvergenceError(f"Newton state did not verify: flow norm {flow_norm:.3e}")
+        return gradient_flow_ground_state(problem, cfg, init=init)
     trace += (discrete_energy(problem, psi),)
     return GroundStateSolution(
         psi=psi,
@@ -533,16 +540,13 @@ def ground_state(
 
     A bordered Newton solve in (psi, m = mu(b) - b) from init, or where
     that fails the loose phase from init and Newton again, gives a state
-    whose one-step flow norm must be below cfg.tol_flow.  If the loose
-    phase or the second Newton solve fails, or the state does not verify,
-    the full gradient_flow_ground_state from init is returned instead.
-    Invalid input raises ValidationError, before any step, as the flow
-    does.
+    whose one-step flow norm must be below cfg.tol_flow; where only
+    rounding keeps it above, the full gradient_flow_ground_state from init
+    is returned instead.  If the loose phase or the second Newton solve
+    fails, its ConvergenceError is raised.  Invalid input raises
+    ValidationError, before any step, as the flow does.
     """
-    try:
-        return _newton_state(problem, cfg, init, free_b=False)
-    except ConvergenceError:
-        return gradient_flow_ground_state(problem, cfg, init=init)
+    return _newton_state(problem, cfg, init, free_b=False)
 
 
 def self_consistent_lambda(
@@ -563,8 +567,9 @@ def self_consistent_lambda(
     at the secant estimate of the root, started from the lower end's state
     (from which Newton continues upward; from the upper end's it can leave
     the positive cone), with the loose phase first only where the direct
-    attempt fails.  ConvergenceError is raised if that solve fails, its
-    state does not verify, or its b is outside the bracket or has
+    attempt fails; where its state does not verify, the full flow at its b
+    gives the state instead, as in ground_state.  ConvergenceError is
+    raised if that solve fails, or its b is outside the bracket or has
     |mu - b| >= f_tol.  ``iterations`` and ``newton_steps`` of the result
     are the totals over both ends and the root.
     """

@@ -322,6 +322,17 @@ class TestMaxentFit:
         assert code == 2
         assert "moment" in err
 
+    def test_support_whose_powers_overflow(self, tmp_path, capsys):
+        # 1e80**4 overflows a float: the screen reads it as an infinite end,
+        # and the fit then fails with a typed error, exit 2, not a traceback
+        spec = tmp_path / "spec.json"
+        moments = [{"order": 2, "value": 1.0}, {"order": 4, "value": 3.0}]
+        spec.write_text(json.dumps({"support": [-1e80, 1e80], "moments": moments}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_captured(capsys, ["maxent", "fit", "--spec", str(spec)])
+        assert (code, out) == (2, "")
+        assert err.startswith("infoqm: error: ") and err.count("\n") == 1
+
     def test_missing_spec_file(self, capsys):
         code, _, _ = run_captured(capsys, ["maxent", "fit", "--spec", "/no/such/file.json"])
         assert code == 2
@@ -439,20 +450,15 @@ class TestNlsGround:
         assert doc["diagnostics"]["path"] == "newton"
         assert doc["diagnostics"]["newton_steps"] > 0
 
-    def test_fixed_b_flow_fallback(self, capsys, monkeypatch):
-        _, newton_out, _ = run_captured(capsys, FIXED_B_LINEAR)
-
+    def test_fixed_b_newton_failure_exits_3(self, capsys, monkeypatch):
+        # no full flow runs after a failed Newton solve: the run exits 3
         def fail(*args, **kwargs):
             raise ConvergenceError("forced failure")
 
         monkeypatch.setattr(nls, "_bordered_newton", fail)
-        code, out, _ = run_captured(capsys, FIXED_B_LINEAR)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["diagnostics"]["path"] == "flow"
-        assert doc["diagnostics"]["newton_steps"] == 0
-        assert doc["diagnostics"]["flow_norm"] < 1e-9
-        assert abs(doc["mu"] - json.loads(newton_out)["mu"]) <= 1e-8
+        code, out, err = run_captured(capsys, FIXED_B_LINEAR)
+        assert (code, out) == (3, "")
+        assert err == "infoqm: error: forced failure\n"
 
     def test_lambda_solve_coarse(self, capsys):
         code, out, _ = run_captured(
@@ -696,7 +702,6 @@ EXIT_CODES = {
     errors.NumericError: 2,
     errors.ConvergenceError: 3,
     errors.InstabilityError: 3,
-    errors.StructureError: 3,
     errors.NotFoundError: 3,
     errors.IllConditionedError: 3,
 }

@@ -185,6 +185,34 @@ class TestFeasibility:
                            match=r"^moment \(2,2\) = 1\.5 outside \(0, 1\.0\)$"):
             fit_multipliers_2d(spec)
 
+    @pytest.mark.parametrize(
+        "support, constraints, match",
+        [
+            ((-1e80, 1e80), ((2, 1.0), (4, 3.0)), None),
+            ((-1e120, 1e120), ((3, 0.5),), None),
+            ((1e80, 2e80), ((4, 1.0),), r"order 4 = 1\.0 outside the open range \(inf, inf\)$"),
+            ((-2e120, -1e110), ((3, 1.0),), r"order 3 = 1\.0 outside the open range \(-inf, -inf\)$"),
+        ],
+        ids=["even-passes", "odd-passes", "even-above", "odd-below"],
+    )
+    def test_power_past_the_float_range_is_an_infinite_end(self, support, constraints, match):
+        # 1e80**4 and (-2e120)**3 overflow a float: each bound counts as infinite
+        spec = MomentSpec1D(support, constraints)
+        if match is None:
+            maxent.check_feasible_1d(spec)
+        else:
+            with pytest.raises(InfeasibleMomentsError, match=match):
+                maxent.check_feasible_1d(spec)
+
+    def test_2d_caps_past_the_float_range(self):
+        # the (2,2) cap 1e160**2 * 1 overflows: it is infinite, so it passes,
+        # and a marginal whose range overflows raises as in 1-D
+        wide = ((-1e160, 1e160), (-1.0, 1.0))
+        maxent._check_feasible_2d(MomentSpec2D(wide, ((2, 0, 1.0), (0, 2, 0.3), (2, 2, 1.0))))
+        far = ((1e160, 2e160), (-1.0, 1.0))
+        with pytest.raises(InfeasibleMomentsError, match=r"^x marginal: .*\(inf, inf\)$"):
+            maxent._check_feasible_2d(MomentSpec2D(far, ((2, 0, 1.0), (0, 2, 0.3))))
+
     def test_2d_covariance_not_psd(self):
         spec = MomentSpec2D(((-6, 6), (-6, 6)), ((2, 0, 1.0), (1, 1, 2.0), (0, 2, 1.0)))
         with pytest.raises(InfeasibleMomentsError):
@@ -1009,6 +1037,13 @@ class TestInformation:
         d = ExpFamilyDensity1D(((0, 0.5 * math.log(2 * math.pi * v)), (2, 0.5 / v)), (-1.0, 1.0))
         assert abs(information(d) + 0.5 * math.log(2 * math.pi * math.e * v)) <= 1e-12
         assert normalization_residual(d) < 1e-13
+
+    def test_overflowing_density_raises(self):
+        # rho = e^800 overflows at every node: a typed error, and no numpy
+        # warning (the suite turns warnings into errors)
+        d = ExpFamilyDensity1D(((0, -800.0),), (0.0, 1.0))
+        with pytest.raises(NumericError, match="^information integrand is not finite"):
+            information(d)
 
     @pytest.mark.parametrize("m", [40, 60, 100])
     def test_chi_density_on_a_finite_interval(self, m):

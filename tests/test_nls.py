@@ -354,14 +354,14 @@ class TestBorderedNewton:
         assert sol.iterations == sum(loose) > 0
         assert sol.newton_steps == sum(newton)
 
-        # with every Newton solve failing, both ends are full flows and the
-        # free-b root fails: the solve raises, with no other path to try
+        # with every Newton solve failing, the lower end raises after its
+        # loose phase: no full flow runs, and no other state is solved
         loose.clear()
         monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
-        with pytest.raises(ConvergenceError, match="free-b Newton solve .* failed: forced failure"):
+        with pytest.raises(ConvergenceError, match="^forced failure$"):
             self_consistent_lambda(problem, cfg)
-        assert len(flows) == 2  # both ends
-        assert len(loose) == 3  # before both ends' and the root's second Newton solve
+        assert not flows
+        assert len(loose) == 1  # before the lower end's second Newton solve
 
     def test_returned_state_is_flow_stationary(self, coarse_self_consistent, coarse_cfg):
         lam, sol = coarse_self_consistent
@@ -414,11 +414,31 @@ class TestThomas:
         assert np.array_equal(x, nls._thomas(diag, off, r)[0])
         assert np.array_equal(y, nls._thomas(diag, off, s)[0])
 
-    @pytest.mark.parametrize("diag", [[0.0, 1.0, 1.0], [1.0, 0.25, 1.0], [1.0, 1.0, 1.0 / 3.0]],
+    @pytest.mark.parametrize("diag, at", [([0.0, 1.0, 1.0], 0), ([1.0, 0.25, 1.0], 1),
+                                          ([1.0, 1.0, 1.0 / 3.0], 2)],
                              ids=["first", "second", "last"])
-    def test_zero_pivot_raises(self, diag):
-        with pytest.raises(ConvergenceError, match="zero pivot"):
-            nls._thomas(np.array(diag), 0.5, np.ones(3), np.ones(3))
+    def test_zero_pivot_is_moved(self, diag, at):
+        # the pivot at ``at`` comes out exactly 0 and is replaced by 2^-52 |off|:
+        # each solution then solves the system with that diagonal entry so
+        # moved, to the backward error of elimination without pivoting,
+        # eps |L| |U| |x| (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2002, Thm. 9.3), whose growth the tiny pivot makes large
+        off, tiny = 0.5, 2.0**-53
+        pivots = [diag[0] or tiny]
+        for d_i in diag[1:]:
+            pivots.append(d_i - off * (off / pivots[-1]) or tiny)
+        assert pivots[at] == tiny
+        moved = np.array(diag)
+        moved[at] += tiny
+        dense = np.diag(moved) + off * (np.eye(3, k=1) + np.eye(3, k=-1))
+        lower = np.eye(3) + np.diag([off / p for p in pivots[:-1]], -1)
+        upper = np.diag(pivots) + off * np.eye(3, k=1)
+        growth = np.abs(lower) @ np.abs(upper)
+        rhs = np.array([[1.0, 1.0, 1.0], [1.0, -2.0, 3.0]])
+        for x, r in zip(nls._thomas(np.array(diag), off, *rhs), rhs):
+            assert np.all(np.isfinite(x))
+            bound = 4.0 * np.finfo(float).eps * (growth @ np.abs(x))
+            assert np.all(np.abs(dense @ x - r) <= bound)
 
 
 class TestWorkCounts:
@@ -506,13 +526,29 @@ class TestFixedBNewton:
         assert sol.flow_norm < self.CFG.tol_flow
         assert sol.energy_trace[-1] == discrete_energy(problem, sol.psi)
 
-    def test_flow_fallback_when_newton_fails(self, monkeypatch):
+    @staticmethod
+    def flow_calls(monkeypatch):
+        """The problems each gradient_flow_ground_state call ran on."""
+        calls = []
+        flow = nls.gradient_flow_ground_state
+
+        def spy(problem, cfg, init=None):
+            calls.append(problem)
+            return flow(problem, cfg, init)
+
+        monkeypatch.setattr(nls, "gradient_flow_ground_state", spy)
+        return calls
+
+    def test_newton_failure_raises(self, monkeypatch):
+        # the direct attempt and the one after the loose phase both fail:
+        # their error is raised, and no full flow runs
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         init = randomized_initial_guess(problem.grid, 9, 0)
+        flows = self.flow_calls(monkeypatch)
         monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
-        sol = ground_state(problem, self.CFG, init=init)
-        assert sol.newton_steps == 0
-        assert_same_solution(sol, gradient_flow_ground_state(problem, self.CFG, init=init))
+        with pytest.raises(ConvergenceError, match="^forced failure$"):
+            ground_state(problem, self.CFG, init=init)
+        assert not flows
 
     def test_flow_fallback_when_newton_state_does_not_verify(self):
         # at this step the Newton state's one-step flow norm is 1.4e-13,
@@ -526,9 +562,10 @@ class TestFixedBNewton:
         assert sol.newton_steps == 0
         assert_same_solution(sol, gradient_flow_ground_state(problem, cfg))
 
-    def test_flow_fallback_when_loose_phase_hits_its_cap(self, monkeypatch):
+    def test_loose_phase_cap_raises(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         init = randomized_initial_guess(problem.grid, 9, 0)
+        flows = self.flow_calls(monkeypatch)
         bordered_newton = nls._bordered_newton
         calls = []
 
@@ -541,10 +578,38 @@ class TestFixedBNewton:
 
         monkeypatch.setattr(nls, "_bordered_newton", direct_failure)
         monkeypatch.setattr(nls, "_LOOSE_CAP", 1)
-        sol = ground_state(problem, self.CFG, init=init)
+        with pytest.raises(ConvergenceError, match="^loose phase did not reach 0.01 in 1 steps"):
+            ground_state(problem, self.CFG, init=init)
         assert calls == [False]  # the loose phase raised before a second Newton solve
-        assert sol.newton_steps == 0
-        assert_same_solution(sol, gradient_flow_ground_state(problem, self.CFG, init=init))
+        assert not flows
+
+    def test_exactly_singular_shift_is_solved_by_newton(self, monkeypatch):
+        # three unknowns at b = 0: the last fixed-b step is an inverse
+        # iteration whose shift is mu to the last bit, so _thomas meets an
+        # exact zero pivot; Newton ends on the grid operator's lowest
+        # eigenvalue all the same
+        problem = GridProblem.harmonic(Grid1D(-0.5, 0.5, 5))
+        zero_pivots = []
+        thomas = nls._thomas
+
+        def recorded(diag, off, *rhs):
+            d = diag.tolist()
+            pivot = d[0]
+            for d_i in d[1:]:
+                if pivot == 0.0:
+                    break
+                pivot = d_i - off * (off / pivot)
+            zero_pivots.append(pivot == 0.0)
+            return thomas(diag, off, *rhs)
+
+        monkeypatch.setattr(nls, "_thomas", recorded)
+        sol = ground_state(problem, FlowConfig(), init=np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
+        assert any(zero_pivots)
+        assert sol.newton_steps > 0
+        h = problem.grid.spacing
+        dense = (np.diag(1.0 / (h * h) + problem.potential[1:-1])
+                 - 0.5 / (h * h) * (np.eye(3, k=1) + np.eye(3, k=-1)))
+        assert abs(sol.mu - np.linalg.eigvalsh(dense)[0]) <= 1e-15
 
     def test_invalid_init_raises_validation_error(self):
         problem = harmonic_problem(64)
@@ -602,7 +667,7 @@ class TestLoosePhase:
 
     def test_underflow_raises_instability(self):
         # far tails below the smallest double: Newton cannot take a state
-        # with zeros, so the loose phase raises and ground_state falls back
+        # with zeros, so the loose phase raises
         problem = harmonic_problem(1024, half_width=50.0, b=0.0)
         with pytest.raises(InstabilityError):
             nls._loose_phase(problem, nls._start_state(problem.grid, None))
@@ -843,9 +908,10 @@ class TestOneRootPath:
         assert cut_peaks[-1] is not None and 0.0 < cut_peaks[-1] <= nls._EPS_LOG
         assert len(cut_peaks) < nls._NEWTON_CAP
 
-    def test_newton_step_cap_falls_back_to_the_flow(self, monkeypatch):
+    def test_newton_step_cap_raises(self, monkeypatch):
         # with a zero tolerance Newton never stops: the direct attempt and
-        # the one after the loose phase both hit the cap
+        # the one after the loose phase both hit the cap, and ground_state
+        # raises the second one's error
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         cfg = TestFixedBNewton.CFG
         failures = []
@@ -860,9 +926,22 @@ class TestOneRootPath:
 
         monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
         monkeypatch.setattr(nls, "_NEWTON_TOL", 0.0)
-        sol = ground_state(problem, cfg)
-        assert failures == [f"bordered Newton exceeded {nls._NEWTON_CAP} steps"] * 2
-        assert_same_solution(sol, gradient_flow_ground_state(problem, cfg))
+        capped = f"bordered Newton exceeded {nls._NEWTON_CAP} steps"
+        with pytest.raises(ConvergenceError, match=f"^{capped}$"):
+            ground_state(problem, cfg)
+        assert failures == [capped] * 2
+
+    def test_root_that_does_not_verify_is_the_flow_at_its_b(self):
+        # at tol_flow 1e-13 rounding alone keeps this quartic root's Newton
+        # state from verifying (flow norm 3.1e-13): the full flow at its b
+        # gives the state, and lambda agrees with the solve at 1e-8
+        problem, cfg = stable_problem("quartic", 128, half_width=10.0)
+        lam, _ = self_consistent_lambda(problem, cfg)
+        tight_cfg = replace(cfg, tol_flow=1e-13, max_iters=100_000)
+        tight, sol = self_consistent_lambda(problem, tight_cfg)
+        assert sol.newton_steps == 0 and sol.iterations > 0
+        assert sol.flow_norm < 1e-13
+        assert abs(tight - lam) <= 1e-12
 
 
 class TestUniquenessProbe:
@@ -993,7 +1072,7 @@ class TestValidationAndErrors:
         # such a state is not positive, so it is not returned
         problem, cfg = stable_problem("double_well", 1024, half_width=20.0)
         with pytest.raises(InstabilityError, match="^flow iterate underflowed to zero$"):
-            ground_state(problem.with_b(-6.0), cfg)
+            gradient_flow_ground_state(problem.with_b(-6.0), cfg)
 
     def test_flow_that_overflows_raises(self):
         # a b so large that the gradient overflows: with numpy's warnings

@@ -23,7 +23,7 @@ from infoqm import (
     hermite_eval,
     integrate,
 )
-from infoqm import oscillator
+from infoqm import numerics, oscillator
 from infoqm.numerics import _poly_roots
 
 from conftest import SIGNED_COEFFS
@@ -178,6 +178,13 @@ class TestGaussRules:
         assert abs(rule.weights.sum() - 2.0) <= 4e-15
         x, w = 0.5 * (1.0 + rule.nodes), 0.5 * rule.weights   # on [0, 1]
         assert abs(w @ x**20 - 1.0 / 21.0) <= 1e-14
+
+    def test_nodes_that_do_not_converge_raise(self, monkeypatch):
+        # with no Newton step allowed the nodes never converge; an exception
+        # is not cached, and 977 nodes are built nowhere else
+        monkeypatch.setattr(numerics, "_GAUSS_NEWTON_CAP", 0)
+        with pytest.raises(NumericError, match="^Gauss nodes of order 977 did not converge$"):
+            QuadratureRule.gauss_legendre(977)
 
     def test_built_once_per_order(self):
         assert QuadratureRule.gauss_legendre(48) is QuadratureRule.gauss_legendre(48.0)
