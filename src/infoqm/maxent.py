@@ -20,14 +20,18 @@ side beyond it, so only an infinite end is cut.  The window is worked
 out in plain floats, its critical points and crossings the roots from
 the one root helper, numerics._poly_roots, and an axis rule is validated
 once, as a whole.  A 1-D fit and every 1-D functional put 768 nodes on
-the window.  A functional reads the window off the density.  A 1-D fit
-first reads it off its cold start, and once Newton converges it ends
-on, and reports, the density's own window: where that differs, Newton
-goes on there, and the fit raises where the density at an infinite cut
-end leaves tail mass.  A 2-D fit
-takes each axis's window from its Gaussian start (the target mean
-+-12 sd, clipped to the rectangle) and doubles the nodes until the
-fitted moments hold on twice as many.  Both fits share one restart rule,
+the window.  A density's own node set, on the window read off its
+exponent, is built once, on first use, and shared by every functional
+of that density (reference_rule).  A 1-D fit first reads the window off
+its cold start, and once Newton converges it ends on, and reports, the
+density's own window: where that differs, Newton goes on there, again
+while a pass takes steps and still moves the window by more than 1e-12
+of its width (three passes at most), and the fit raises where the
+density at an infinite cut end leaves tail mass.  The Newton core forms its power rows
+and index tables once per call.  A 2-D fit takes each axis's window
+from its Gaussian start (the target mean +-12 sd, clipped to the
+rectangle) and doubles the nodes until the fitted moments hold on twice
+as many.  Both fits share one restart rule,
 _with_restart: a 1-D fit starts from ``init`` or its cold start, a 2-D
 fit from its Gaussian start, and where Newton fails the fit restarts
 once, flat over the whole of a finite support (always, in 2-D) or from
@@ -43,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +68,8 @@ _NEWTON_CAP = 100
 _STEP_CLIP = 10.0
 _TAIL_MASS_LIMIT = 1e-12
 _WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a window end: 12 sigma
+_OWN_PASSES = 3              # most Newton passes of a 1-D fit on its density's own window
+_WINDOW_MOVE = 1e-12         # a window move, relative to its width, worth another pass
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +207,13 @@ class ExpFamilyDensity1D:
         for loc, _ in (*self.factors.zeros, *self.factors.singularities):
             if not a <= loc <= b:
                 raise ValidationError(f"factor location {loc} outside support [{a}, {b}]")
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """reference_rule's read-only nodes and weights, built on first use
+        and kept on this density (a frozen dataclass without __slots__)."""
+        rule = _axis_rule(self.support, _window(self.support, self.multipliers), _NODES_1D)
+        return rule.nodes, rule.weights
 
 
 @dataclass(frozen=True)
@@ -351,11 +365,12 @@ def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -
 
 def reference_rule(d: ExpFamilyDensity1D):
     """Nodes and weights of the one quadrature of every functional of d:
-    the _axis_rule of d's support on d's _window with _NODES_1D nodes.  No
-    node falls on an end of the support or of the window, so a singularity
-    at an end of the support is finite at every node."""
-    rule = _axis_rule(d.support, _window(d.support, d.multipliers), _NODES_1D)
-    return rule.nodes, rule.weights
+    the _axis_rule of d's support on d's _window with _NODES_1D nodes.  They
+    are built once per density, on first use, and every call returns the
+    same shared read-only arrays.  No node falls on an end of the support
+    or of the window, so a singularity at an end of the support is finite
+    at every node."""
+    return d._rule
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +508,11 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
     px = _power_table(rules[0].nodes, 2 * int(pi.max()))
     py = _power_table(rules[1].nodes, 2 * int(pj.max()))
     w = np.multiply.outer(rules[0].weights, rules[1].weights)
+    # loop invariants: the constrained power rows and the covariance's index tables
+    rows_x, rows_y = px[pi].T, py[pj]
+    cov_i, cov_j = pi[:, None] + pi, pj[:, None] + pj
     for iterations in range(cap + 1):
-        log_core = -(px[pi].T @ (a[:, None] * py[pj]))
+        log_core = -(rows_x @ (a[:, None] * rows_y))
         shift = float(log_core.max())
         table = px @ (w * np.exp(log_core - shift)) @ py.T
         z = float(table[0, 0])
@@ -511,7 +529,7 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
                 f"moment-matching Newton did not reach tol={tol} in {cap} "
                 f"iterations (residual {residual:.3e})"
             )
-        cov = mom[pi[:, None] + pi, pj[:, None] + pj] - np.outer(mean, mean)
+        cov = mom[cov_i, cov_j] - np.outer(mean, mean)
         try:
             delta = np.linalg.solve(cov, r)
         except np.linalg.LinAlgError as exc:
@@ -561,8 +579,10 @@ def fit_multipliers_1d(
     window on an infinite one.  Where the converged density's own _window
     differs from the window it was fitted on, Newton goes on from it on
     that window, the one reference_rule reads, and a failure there raises.
-    The fit raises where the density at an infinite cut end of that last
-    window leaves more than _TAIL_MASS_LIMIT beyond it, and reports it.
+    Where that pass takes Newton steps and still moves the window by more
+    than _WINDOW_MOVE of its width, it runs again, _OWN_PASSES passes at
+    most.  The fit raises where the density at an infinite cut end of that
+    last window leaves more than _TAIL_MASS_LIMIT beyond it, and reports it.
     Returns the normalized density (a_0 included) and fit diagnostics.
     """
     tol = _as_positive(tol, "tol")
@@ -598,13 +618,18 @@ def fit_multipliers_1d(
     restart = ((window,), cold) if spec.unbounded else ((spec.support,), np.zeros(m))
     start = ((window,), cold if init is None else init)
     window, a, a0, iterations, residual = _with_restart(attempt, start, restart)
-    # a fit on the window alone may end just past the normalizable set,
-    # which raises here
-    own = _window(spec.support, ((0, a0), *zip(orders, a)))
-    if own != window:
+    for passes in range(_OWN_PASSES):
+        # a fit on the window alone may end just past the normalizable set,
+        # which raises here
+        own = _window(spec.support, ((0, a0), *zip(orders, a)))
+        moved = max(abs(own[0] - window[0]), abs(own[1] - window[1]))
+        if own == window or passes and moved <= _WINDOW_MOVE * (window[1] - window[0]):
+            break
         # the nodes reference_rule builds for the density; no restart here
         window, a, a0, steps, residual = attempt((own,), a)
         iterations += steps
+        if not steps:
+            break  # a is as before: only the rounding of a_0 can move the window
     density = ExpFamilyDensity1D(((0, a0), *zip(orders, a)), spec.support)
     cuts = np.array([x for x, end in zip(window, spec.support) if math.isinf(end)])
     tail = float(density_values(density, cuts).max(initial=0.0)) * (window[1] - window[0])

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from infoqm import (
     ExpFamilyDensity1D,
     ExpFamilyDensity2D,
     InfeasibleMomentsError,
+    InfoqmError,
     MomentSpec1D,
     MomentSpec2D,
     NumericError,
@@ -362,7 +364,9 @@ class TestFit1D:
     def test_wide_window_refits_on_the_fits_own(self, monkeypatch):
         # a mean 1e-5 of the support from its end: the flat start integrates
         # over all of [0, 1000], and the fit is done again on its own window,
-        # [0, 0.72] for exp(-100 x)
+        # [0, 0.72] for exp(-100 x); that pass moves a_1 from 100.0000022 to
+        # 100 and the window by 2.2e-8 of its width, so one more pass runs on
+        # the moved window, and the fit reports its density's own exactly
         windows = []
         newton_fit = maxent._newton_fit
 
@@ -372,10 +376,52 @@ class TestFit1D:
 
         monkeypatch.setattr(maxent, "_newton_fit", spy)
         d, diag = fit_multipliers_1d(MomentSpec1D((0.0, 1000.0), ((1, 0.01),)), tol=1e-12)
-        assert len(windows) == 2 and windows[0][1] > 999.0
+        assert len(windows) == 3 and windows[0][1] > 999.0
         assert diag.window == pytest.approx((0.0, 0.72), abs=1e-6)
+        assert diag.window == maxent._window(d.support, d.multipliers)
         assert dict(d.multipliers)[1] == pytest.approx(100.0, rel=1e-10)
         assert normalization_residual(d) < 1e-13
+
+    @pytest.mark.parametrize("least_steps, own_passes", [(0, 1), (1, maxent._OWN_PASSES)])
+    def test_own_window_passes(self, monkeypatch, least_steps, own_passes):
+        # a window rule whose every reading moves by 1e-9 of the width: the
+        # own-window pass of this exact Gaussian start takes no Newton step
+        # and ends the fit, and where every pass reports a step, the fit
+        # stops after three; it reports the last window it ran on
+        reads, windows = [], []
+        window, axis_rule, newton_fit = maxent._window, maxent._axis_rule, maxent._newton_fit
+
+        def moving_window(support, multipliers):
+            lo, hi = window(support, multipliers)
+            reads.append((lo, hi))
+            return lo, hi + 1e-9 * len(reads) * (hi - lo)
+
+        def rule_spy(side, window, n):
+            windows.append(window)
+            return axis_rule(side, window, n)
+
+        def stepping(*args):
+            a, a0, steps, residual = newton_fit(*args)
+            return a, a0, max(steps, least_steps), residual
+
+        monkeypatch.setattr(maxent, "_window", moving_window)
+        monkeypatch.setattr(maxent, "_axis_rule", rule_spy)
+        monkeypatch.setattr(maxent, "_newton_fit", stepping)
+        _, diag = fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.5), (2, 1.25))), tol=1e-12)
+        assert len(windows) == len(reads) == 1 + own_passes
+        assert diag.window == windows[-1] != windows[-2]
+        assert diag.iterations == least_steps * (1 + own_passes)
+
+    def test_support_whose_powers_overflow_raises(self):
+        # 1e80**4 overflows a float: the screen reads it as an infinite end,
+        # and the nodes past the window reach |x| = 1e80, whose powers
+        # overflow, so the normalization integral is not finite; a typed
+        # error, although the same spec on +-1e70 fits the standard Gaussian
+        spec = MomentSpec1D((-1e80, 1e80), ((2, 1.0), (4, 3.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError,
+                               match="^normalization integral is not finite; fit diverged$"):
+                fit_multipliers_1d(spec)
 
     @pytest.mark.parametrize(
         "spec, tol",
@@ -1240,6 +1286,17 @@ class TestJsonInterfaces:
         with pytest.raises(ValidationError):
             moment_spec_from_json({"moments": []})
 
+    @pytest.mark.parametrize("doc", [
+        {"support": [0.0, 1.0]},
+        {"support": [0.0, 1.0], "multipliers": [[0]]},
+        {"support": [0.0, 1.0], "multipliers": [[0, 0.0]], "factors": 5},
+        {"support": ["wide", 1.0], "multipliers": [[0, 0.0]]},
+        "[0, 1",
+    ], ids=["no-multipliers", "short-pair", "factors-not-a-table", "bad-bound", "bad-json"])
+    def test_density_parsing_rejects_garbage(self, doc):
+        with pytest.raises(ValidationError, match="^malformed density document: "):
+            density_from_json(doc)
+
     def test_density_round_trip(self):
         d = linear_ramp_density()
         doc = density_to_json(d)
@@ -1261,3 +1318,78 @@ class TestJsonInterfaces:
         assert doc["diagnostics"]["iterations"] == diag.iterations
         back = density_from_json(json.dumps(doc))
         assert back.multipliers == d.multipliers
+
+
+# information, modified_information and normalization_residual of four
+# densities, and the iterations and multipliers of the unit-sd quartic fits
+# of the five mean strata of the benchmark's closed_form workload at seed 11,
+# written by the code that built a density's node set on every call
+GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent / "golden"
+                     / "maxent_functionals.json").read_text(encoding="utf-8"))
+FUNCTIONALS = (information, modified_information, normalization_residual,
+               lambda d: moment_gradient_check(d, 2, 1e-4))
+
+
+class TestSharedNodeSet:
+    """A density builds the node set of its functionals once and shares it."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["densities"]))
+    def test_one_window_and_one_rule_per_density(self, monkeypatch, name):
+        counts = {"_window": 0, "_axis_rule": 0}
+        for kernel in counts:
+            def counted(*args, _kernel=kernel, _inner=getattr(maxent, kernel)):
+                counts[_kernel] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(maxent, kernel, counted)
+        d = density_from_json(GOLDEN["densities"][name])
+        for functional in FUNCTIONALS:
+            functional(d)
+        assert counts == {"_window": 1, "_axis_rule": 1}
+        # an equal density is another object, with a node set of its own
+        information(density_from_json(GOLDEN["densities"][name]))
+        assert counts == {"_window": 2, "_axis_rule": 2}
+
+    def test_shared_arrays_are_read_only(self):
+        d = shifted_quartic(3.5, 1.0)
+        xs, w = reference_rule(d)
+        again = reference_rule(d)
+        assert again[0] is xs and again[1] is w
+        assert not (xs.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["densities"]))
+    def test_values_equal_those_of_a_fresh_equal_density(self, name):
+        d = density_from_json(GOLDEN["densities"][name])
+        shared = [functional(d) for functional in FUNCTIONALS * 2]
+        fresh = [functional(density_from_json(GOLDEN["densities"][name]))
+                 for functional in FUNCTIONALS * 2]
+        assert shared == fresh
+        rule = maxent._axis_rule(d.support, maxent._window(d.support, d.multipliers),
+                                 maxent._NODES_1D)
+        xs, w = reference_rule(d)
+        assert np.array_equal(xs, rule.nodes) and np.array_equal(w, rule.weights)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["densities"]))
+    def test_functionals_match_the_golden(self, name):
+        entry = GOLDEN["densities"][name]
+        d = density_from_json(entry)
+        for functional in (information, modified_information, normalization_residual):
+            assert functional(d) == entry[functional.__name__]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["quartic_fits"]))
+    def test_quartic_strata_fits_match_the_golden(self, name):
+        entry = GOLDEN["quartic_fits"][name]
+        spec = moment_spec_from_json(entry["spec"])
+        if "error" in entry:
+            # the last stratum lies past 18 sd, where Newton fails
+            with pytest.raises(InfoqmError) as raised:
+                fit_multipliers_1d(spec, tol=entry["tol"])
+            assert f"{type(raised.value).__name__}: {raised.value}" == entry["error"]
+            return
+        d, diag = fit_multipliers_1d(spec, tol=entry["tol"])
+        assert diag.iterations == entry["iterations"]
+        assert [list(pair) for pair in d.multipliers] == entry["multipliers"]
