@@ -7,8 +7,8 @@ estimates with their successive differences, their errors against the
 closed-form n = 0 multiplier, and the work of each level's solve: its
 semi-implicit loose-phase steps, its bordered Newton steps, and its
 tridiagonal solves (calls of nls._thomas, counted by a wrapper) with the
-right-hand sides they took: one a loose or fixed-b Newton step, two a
-free-b Newton step.
+right-hand sides they took: one a loose step or a Newton step in ln u
+or plain at a fixed b, two a plain free-b Newton step.
 """
 
 import pathlib

@@ -14,23 +14,30 @@ on the unit sphere with explicit normalized gradient steps
 until the step norm drops below tolerance.  Both solves run Newton
 instead, on the state bordered by the unit-norm constraint, whose
 tridiagonal Jacobian is solved by the Thomas algorithm, straight from the
-start state: a converged state at a nearby b is already in Newton's basin
-(continuation, Allgower & Georg, Numerical Continuation Methods, 1990).
-Only where that direct attempt fails does a short loose phase run before
-Newton is tried once more: backward-Euler steps in H with the logarithm
-taken from the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674,
-2004), each one Thomas solve of a tridiagonal M-matrix, to a loose norm.
-At a fixed b (ground_state) the border unknown is the eigenvalue shift
-m = mu(b) - b; for the self-consistent root (mu(b) = b, so the
-stationarity eigenvalue equals the nonlinear coefficient) it is b
-itself.  Where the plain Newton step would leave the positive cone, each
-entry it cuts by more than 90% takes the Newton step in ln u instead.  A
-Newton state is kept only once one explicit step from it moves it by less
-than the flow tolerance; where rounding alone keeps it above (a tolerance
-near 1e-12 or below), the full explicit flow at its b gives the state
-instead.  Where the loose phase or the second Newton solve fails, the
-solve raises.  F(b) = mu(b) - b is evaluated only at the bracket's two
-ends, each a ground_state; the root is one free-b Newton solve, and the
+start state.  At a fixed b (ground_state) the border unknown is the
+eigenvalue shift m = mu(b) - b; for the self-consistent root (mu(b) = b,
+so the stationarity eigenvalue equals the nonlinear coefficient) it is b
+itself.  Newton runs first in v = ln u, where the nonlinearity
+b (1 + 2v) is linear: it holds from starts where the plain Newton step in
+u leaves the positive cone, as Newton's basin depends on the variable it
+works in (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 1),
+and a converged state at a nearby b is in its basin too (continuation,
+Allgower & Georg, Numerical Continuation Methods, 1990).  Only where
+that attempt fails (an exp that leaves the range of floats, a step that
+is not finite, the step cap, or with b free a root outside the bracket)
+does the plain chain run from the same start: Newton in u, and where that
+fails a short loose phase before Newton in u is tried once more.  The
+loose phase takes backward-Euler steps in H with the logarithm taken from
+the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004), each
+one Thomas solve of a tridiagonal M-matrix, to a loose norm.  Where the
+plain Newton step would leave the positive cone, each entry it cuts by
+more than 90% takes the Newton step in ln u instead.  A Newton state is
+kept only once one explicit step from it moves it by less than the flow
+tolerance; where rounding alone keeps it above (a tolerance near 1e-12
+or below), the full explicit flow at its b gives the state instead.
+Where the loose phase or the last Newton solve fails, the solve raises.
+F(b) = mu(b) - b is evaluated only at the bracket's two ends, each a
+ground_state; the root is one free-b Newton solve, and the
 self-consistent solve raises where that fails.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
@@ -39,19 +46,22 @@ The discretization is written once: _floored_log gives the floored
 logarithm, _gradient gives g and that logarithm on the interior of a
 pinned state, and _explicit_step takes one normalized step.  The flow,
 its verification of a Newton state, the discrete energy (which is mu) and
-the free-b Newton residual go through _gradient; the loose phase and the
-Newton Jacobian need only the logarithm, so they call _floored_log.
-One function, _newton_state, runs the direct Newton solve, the loose
-phase where that fails, and verifies every Newton state kept, at a fixed
-b and for the root; it is the one solver behind both.  Every tridiagonal
-solve is one _thomas call: a sequential sweep over Python floats, whose
-first pass eliminates T and sweeps the first right-hand side forward
-together, and which moves an exactly zero pivot off zero, as inverse
-iteration does.  A loose step and a fixed-b Newton step take one
-right-hand side each: at a fixed b the Jacobian J satisfies
-J u = G - 2b u above the floor, so one solve serves both the residual
-and the border column (see _newton_step).  A free-b Newton step takes
-two, since its border column -(1 + L) u has no such identity.
+the Newton residuals in ln u and of the free-b plain step go through
+_gradient; the loose phase and the plain Newton Jacobian need only the
+logarithm, so they call _floored_log.  One function, _newton_state, runs
+Newton in ln u, the plain chain where that fails, and verifies every
+Newton state kept, at a fixed b and for the root; it is the one solver
+behind both.  Every tridiagonal solve is one _thomas call: a sequential
+sweep over Python floats, whose first pass eliminates T and sweeps the
+first right-hand side forward together, and which moves an exactly zero
+pivot off zero, as inverse iteration does.  A loose step, a Newton step
+in ln u and a plain fixed-b Newton step take one right-hand side each.
+In ln u the Jacobian J' satisfies J' u = -2b u above the floor, so the
+step splits into its part along u and one solve off it (see _log_step);
+the plain Jacobian J satisfies J u = G - 2b u, so at a fixed b one solve
+serves both the residual and the border column (see _newton_step).  A
+plain free-b step takes two, since its border column -(1 + L) u has no
+such identity.
 """
 
 from __future__ import annotations
@@ -130,12 +140,13 @@ class GroundStateSolution:
 
     ``iterations`` counts the steps and ``newton_steps`` the bordered
     Newton steps behind every state the solve kept: the semi-implicit steps
-    of the loose phase (0 where Newton held from the start state) and the
-    Newton solve that made each Newton state, or the explicit steps of the
+    of the loose phase (0 where Newton in ln u or the plain Newton solve
+    held from the start state) and the steps of the Newton attempt that
+    made each Newton state, in ln u or plain, or the explicit steps of the
     full flow that replaced a Newton state that did not verify, and for a
     self-consistent solve the sum over both bracket ends and the root.  A
     loose phase whose Newton state was so replaced is not counted, and
-    neither is a failed direct Newton attempt.  ``energy_trace`` starts
+    neither is a failed Newton attempt.  ``energy_trace`` starts
     with the energy of the normalized start state, samples the full flow
     that made a replacement ``psi`` every 100 steps, and ends with the
     energy of ``psi`` at ``b``.
@@ -489,32 +500,122 @@ def _bordered_newton(
     raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps")
 
 
+def _log_step(
+    problem: GridProblem, u: np.ndarray, b: float, m: float, free_b: bool
+) -> tuple[np.ndarray, float]:
+    """One bordered Newton step (d_u, d_p) in v = ln u for the interior u of
+    a state, with d_u = u d_v: the equations of _newton_step with G divided
+    by u.
+
+    In v the nonlinearity b (1 + L) is b (1 + 2v), linear, and the Jacobian
+    of G / u, scaled by u, is J' = J - diag(G / u): symmetric tridiagonal,
+    with diagonal (u_{i-1} + u_{i+1}) / (2h^2 u_i) - 2b [u_i^2 > _EPS_LOG]
+    and off-diagonal -1/(2h^2), so that V and m drop out.  Row by row
+    J' u = -2b u above the floor, so J' is singular at b = 0, and Keller's
+    bordering, which solves with J' alone, breaks down there and near it.
+    The step is split along u instead, since J' maps the space off u to
+    itself: the norm row gives the part along u, alpha u with
+    alpha = (1 - h |u|^2) / (2h |u|^2); the equations' component along u
+    gives d_p = (2b alpha |u|^2 - u.G) / (u.c) for the border column c (-u,
+    so that d_m = G.u / |u|^2 - 2b alpha, or -(1 + L) u with b free); and
+    the rest is -P J'^-1 P (G + d_p c), with P the projection off u: one
+    solve of one right-hand side.  Below the floor J' u = -2b u fails by
+    under 1e-50 an entry.
+    """
+    h = problem.grid.spacing
+    off = -0.5 / (h * h)
+    psi = _pinned(u)
+    g, log_d = _gradient(problem, psi, b)
+    g -= m * u
+    diag = (psi[:-2] + psi[2:]) * (-off) / u - (2.0 * b) * (u * u > _EPS_LOG)
+    norm2 = float(u @ u)
+    alpha = (1.0 - h * norm2) / (2.0 * h * norm2)
+    along = float(u @ g) / norm2
+    if free_b:
+        col = -(1.0 + log_d) * u
+        d_p = (2.0 * b * alpha - along) * norm2 / float(u @ col)
+        g += d_p * col
+        along = float(u @ g) / norm2
+    else:
+        d_p = along - 2.0 * b * alpha
+    (x,) = _thomas(diag, off, g - along * u)
+    return (alpha + float(x @ u) / norm2) * u - x, d_p
+
+
+def _log_newton(
+    problem: GridProblem, psi: np.ndarray, free_b: bool
+) -> tuple[np.ndarray, float, int]:
+    """Newton in ln u from psi to the positive state with G = 0 and unit
+    norm, for the border unknown of _bordered_newton: each _log_step takes
+    u to u exp(d_u / u).  Newton stops once max |d_u| is at most
+    _NEWTON_TOL times the largest entry of u before the step, so that a
+    step that grows u by orders of magnitude cannot pass.  Returns
+    (psi, b, steps); raises ConvergenceError past the step cap, or where a
+    step is not finite or its exp leaves the range of floats (an entry that
+    underflows to zero, or squares that overflow).
+    """
+    b = problem.b
+    m = 0.0 if free_b else discrete_energy(problem, psi) - b
+    u = psi[1:-1].copy()
+    for step in range(1, _NEWTON_CAP + 1):
+        d_u, d_p = _log_step(problem, u, b, m, free_b)
+        with np.errstate(over="ignore"):
+            new = u * np.exp(d_u / u)
+            # positive entries whose squares sum to a float: the next
+            # step's logarithm and norm are finite
+            in_range = new.min() > 0.0 and float(new @ new) < math.inf
+        if not (in_range and math.isfinite(d_p)):
+            raise ConvergenceError("Newton in ln u left the range of floats")
+        if free_b:
+            b += d_p
+        else:
+            m += d_p
+        if (
+            float(np.abs(d_u).max()) <= _NEWTON_TOL * float(u.max())
+            and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
+        ):
+            return _pinned(new), b, step
+        u = new
+    raise ConvergenceError(f"Newton in ln u exceeded {_NEWTON_CAP} steps")
+
+
 def _newton_state(
-    problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None, free_b: bool
+    problem: GridProblem,
+    cfg: FlowConfig,
+    init: np.ndarray | None,
+    bracket: tuple[float, float] | None = None,
 ) -> GroundStateSolution:
-    """A bordered Newton solve from init at the problem's b, or with b free
-    for the self-consistent root; where it raises ConvergenceError, the
-    loose phase from init and then Newton once more.
+    """A Newton solve from init at the problem's b, or with b free for the
+    self-consistent root in ``bracket``: Newton in ln u first, and where it
+    raises ConvergenceError or, with b free, ends outside the bracket, the
+    plain bordered Newton solve from init, then the loose phase from init
+    and the plain solve once more.
 
     Invalid input raises ValidationError before any step.  The Newton state
     is kept when _explicit_step, the step the flow stops on, moves it by a
     flow norm below cfg.tol_flow.  Where it does not, which only rounding
     does, at a cfg.tol_flow near 1e-12 or below, the
     gradient_flow_ground_state from init at the state's b is returned
-    instead.  If the loose phase or the second Newton solve fails, its
+    instead.  If the loose phase or the last Newton solve fails, its
     ConvergenceError is raised, or InstabilityError (a ConvergenceError)
-    where a step leaves the positive cone.  The failed direct attempt is not
-    counted in newton_steps.
+    where a step leaves the positive cone.  Failed attempts are not counted
+    in newton_steps.
     """
     _validate_step(problem, cfg)
-    psi = _start_state(problem.grid, init)
-    trace = (discrete_energy(problem, psi),)
+    start = _start_state(problem.grid, init)
+    trace = (discrete_energy(problem, start),)
+    free_b = bracket is not None
     loose_steps = 0
     try:
-        psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
+        psi, b, newton_steps = _log_newton(problem, start, free_b)
+        if free_b and not bracket[0] <= b <= bracket[1]:
+            raise ConvergenceError(f"Newton in ln u ended at b = {b!r}, outside the bracket")
     except ConvergenceError:
-        psi, loose_steps = _loose_phase(problem, psi)
-        psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
+        try:
+            psi, b, newton_steps = _bordered_newton(problem, start, free_b)
+        except ConvergenceError:
+            psi, loose_steps = _loose_phase(problem, start)
+            psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
     problem = problem.with_b(b)
     flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
     if not flow_norm < cfg.tol_flow:
@@ -538,15 +639,16 @@ def ground_state(
 ) -> GroundStateSolution:
     """Nodeless ground state at the problem's fixed b.
 
-    A bordered Newton solve in (psi, m = mu(b) - b) from init, or where
-    that fails the loose phase from init and Newton again, gives a state
-    whose one-step flow norm must be below cfg.tol_flow; where only
-    rounding keeps it above, the full gradient_flow_ground_state from init
-    is returned instead.  If the loose phase or the second Newton solve
-    fails, its ConvergenceError is raised.  Invalid input raises
-    ValidationError, before any step, as the flow does.
+    A bordered Newton solve in (ln psi, m = mu(b) - b) from init, or where
+    that fails the plain chain from init (Newton in psi, and where that
+    fails too the loose phase and Newton in psi again), gives a state whose
+    one-step flow norm must be below cfg.tol_flow; where only rounding
+    keeps it above, the full gradient_flow_ground_state from init is
+    returned instead.  If the loose phase or the last Newton solve fails,
+    its ConvergenceError is raised.  Invalid input raises ValidationError,
+    before any step, as the flow does.
     """
-    return _newton_state(problem, cfg, init, free_b=False)
+    return _newton_state(problem, cfg, init)
 
 
 def self_consistent_lambda(
@@ -566,8 +668,9 @@ def self_consistent_lambda(
     has no sign change on the bracket.  The root is a free-b Newton solve
     at the secant estimate of the root, started from the lower end's state
     (from which Newton continues upward; from the upper end's it can leave
-    the positive cone), with the loose phase first only where the direct
-    attempt fails; where its state does not verify, the full flow at its b
+    the positive cone): Newton in ln psi first, and the plain chain of
+    ground_state from the same start only where that fails or ends outside
+    the bracket; where its state does not verify, the full flow at its b
     gives the state instead, as in ground_state.  ConvergenceError is
     raised if that solve fails, or its b is outside the bracket or has
     |mu - b| >= f_tol.  ``iterations`` and ``newton_steps`` of the result
@@ -589,7 +692,7 @@ def self_consistent_lambda(
         RootBracket(lo, hi, f_lo, f_hi)
         guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         try:
-            root = _newton_state(problem.with_b(guess), cfg, sol_lo.psi, free_b=True)
+            root = _newton_state(problem.with_b(guess), cfg, sol_lo.psi, (lo, hi))
         except ConvergenceError as exc:
             raise ConvergenceError(f"free-b Newton solve from b = {guess!r} failed: {exc}") from exc
         if not (lo <= root.b <= hi and abs(root.mu - root.b) < f_tol):

@@ -451,10 +451,12 @@ class TestNlsGround:
         assert doc["diagnostics"]["newton_steps"] > 0
 
     def test_fixed_b_newton_failure_exits_3(self, capsys, monkeypatch):
-        # no full flow runs after a failed Newton solve: the run exits 3
+        # no full flow runs after failed Newton solves, in ln u and plain:
+        # the run exits 3
         def fail(*args, **kwargs):
             raise ConvergenceError("forced failure")
 
+        monkeypatch.setattr(nls, "_log_newton", fail)
         monkeypatch.setattr(nls, "_bordered_newton", fail)
         code, out, err = run_captured(capsys, FIXED_B_LINEAR)
         assert (code, out) == (3, "")
@@ -508,16 +510,17 @@ class TestNlsGround:
         assert "error" in err
 
     def test_free_b_root_failure_exit_code(self, capsys, monkeypatch):
-        # the free-b Newton solve is the one root path: where it fails, the
-        # lambda solve exits 3 with no output
-        fixed_b_newton = nls._bordered_newton
+        # the free-b Newton solve is the one root path: where it fails, in
+        # ln u and plain, the lambda solve exits 3 with no output
+        def free_b_failure(newton):
+            def attempt(problem, psi, free_b):
+                if free_b:
+                    raise ConvergenceError("forced failure")
+                return newton(problem, psi, free_b)
+            return attempt
 
-        def free_b_failure(problem, psi, free_b):
-            if free_b:
-                raise ConvergenceError("forced failure")
-            return fixed_b_newton(problem, psi, free_b)
-
-        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
+        monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
+        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure(nls._bordered_newton))
         code, out, err = run_captured(
             capsys,
             ["nls", "ground", "--domain", "-10", "10", "--grid", "256",

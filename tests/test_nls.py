@@ -225,6 +225,14 @@ def dense_bordered_system(problem, u, b, m, free_b):
     return jac, resid
 
 
+def dense_log_system(problem, u, b, m, free_b):
+    """Dense bordered Jacobian and right-hand side of one Newton step in
+    v = ln u, for d_u = u d_v: the u-block is J - diag(G / u)."""
+    jac, resid = dense_bordered_system(problem, u, b, m, free_b)
+    jac[:-1, :-1] -= np.diag(resid[:-1] / u)
+    return jac, resid
+
+
 def forced_newton_failure(*args, **kwargs):
     raise ConvergenceError("forced failure")
 
@@ -285,6 +293,52 @@ class TestBorderedNewton:
         assert np.all(np.abs(d_u - expected[:-1]) <= 1e-13 * np.abs(expected[:-1]))
         assert abs(d_p - expected[-1]) <= 1e-13 * abs(expected[-1])
 
+    @pytest.mark.parametrize("b", [0.0, -1e-8, -1.3])
+    @pytest.mark.parametrize("free_b", [False, True])
+    def test_log_step_matches_dense_solve(self, free_b, b):
+        # J' is singular at b = 0 with null vector u, and nearly so just
+        # below it; the bordered system is not, and the step solves it
+        grid = Grid1D(-6.0, 6.0, 22)
+        problem = GridProblem.harmonic(grid)
+        rng = np.random.default_rng(3)
+        u = np.exp(-0.2 * grid.points()[1:-1] ** 2) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, 20))
+        m = 0.0 if free_b else 0.2
+        jac, resid = dense_log_system(problem, u, b, m, free_b)
+
+        def scaled_residual(x):  # x = (v, border unknown), G divided by u
+            b_x, m_x = (x[-1], m) if free_b else (b, x[-1])
+            r = dense_bordered_system(problem, np.exp(x[:-1]), b_x, m_x, free_b)[1]
+            return np.append(r[:-1] / np.exp(x[:-1]), r[-1])
+
+        # the dense Jacobian, with d_u = u d_v, is the derivative of G / u in v
+        x0 = np.append(np.log(u), b if free_b else m)
+        scale = np.append(u, 1.0)
+        for k in range(x0.size):
+            e = np.zeros_like(x0)
+            e[k] = 1e-6
+            fd = scale * (scaled_residual(x0 + e) - scaled_residual(x0 - e)) / 2e-6
+            want = jac[:, k] * scale[k]
+            assert np.max(np.abs(fd - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
+        expected = np.linalg.solve(jac, -resid)
+        d_u, d_p = nls._log_step(problem, u, b, m, free_b)
+        assert np.max(np.abs(d_u - expected[:-1])) <= 1e-12 * np.max(np.abs(expected[:-1]))
+        assert abs(d_p - expected[-1]) <= 1e-12 * max(1.0, abs(expected[-1]))
+
+    @pytest.mark.parametrize("b", [0.0, -1e-8, -1.3])
+    @pytest.mark.parametrize("free_b", [False, True])
+    def test_log_step_matches_dense_solve_at_the_log_floor(self, free_b, b):
+        # the split along u takes J' u = -2b u, which fails below the floor
+        # by under 1e-50: entry by entry, the tails still match
+        grid = Grid1D(-20.0, 20.0, 64)
+        problem = GridProblem.harmonic(grid)
+        u = normalized_on(grid, np.exp(-grid.points() ** 2))[1:-1]
+        m = 0.0 if free_b else 0.2
+        jac, resid = dense_log_system(problem, u, b, m, free_b)
+        expected = np.linalg.solve(jac, -resid)
+        d_u, d_p = nls._log_step(problem, u, b, m, free_b)
+        assert np.all(np.abs(d_u - expected[:-1]) <= 1e-13 * np.abs(expected[:-1]))
+        assert abs(d_p - expected[-1]) <= 1e-13 * abs(expected[-1])
+
     @pytest.mark.parametrize("b", [0.0, -1.3])
     def test_mu_is_dense_rayleigh_quotient(self, b):
         # a pinned state that is neither normalized nor stationary
@@ -312,10 +366,8 @@ class TestBorderedNewton:
     def test_work_totals_cover_every_kept_state(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
-        loose, flows, newton = [], [], []
-        loose_phase, flow, bordered_newton = (
-            nls._loose_phase, nls.gradient_flow_ground_state, nls._bordered_newton
-        )
+        loose, flows, log_newton, newton = [], [], [], []
+        loose_phase, flow = nls._loose_phase, nls.gradient_flow_ground_state
 
         def counted_loose(problem, psi):
             out = loose_phase(problem, psi)
@@ -327,26 +379,30 @@ class TestBorderedNewton:
             flows.append(sol.iterations)
             return sol
 
-        def counted_newton(problem, psi, free_b):
-            out = bordered_newton(problem, psi, free_b)
-            newton.append(out[2])
-            return out
+        def counted(attempt, steps):
+            def counted_attempt(problem, psi, free_b):
+                out = attempt(problem, psi, free_b)
+                steps.append(out[2])
+                return out
+            return counted_attempt
 
         monkeypatch.setattr(nls, "_loose_phase", counted_loose)
         monkeypatch.setattr(nls, "gradient_flow_ground_state", counted_flow)
-        monkeypatch.setattr(nls, "_bordered_newton", counted_newton)
+        monkeypatch.setattr(nls, "_log_newton", counted(nls._log_newton, log_newton))
+        monkeypatch.setattr(nls, "_bordered_newton", counted(nls._bordered_newton, newton))
         _, sol = self_consistent_lambda(problem, cfg)
-        # Newton starts from the default guess and then from the lower end's
-        # state, so no loose phase runs
-        assert not loose and not flows
-        assert len(newton) == 3  # both ends and the root step
+        # Newton in ln u holds from the default guess and then from the lower
+        # end's state, so neither the plain solve nor a loose phase runs
+        assert not loose and not flows and not newton
+        assert len(log_newton) == 3  # both ends and the root step
         assert sol.iterations == sum(loose) == 0
-        assert sol.newton_steps == sum(newton)
+        assert sol.newton_steps == sum(log_newton)
 
-        # from this start the direct Newton solve at the lower end leaves
-        # the positive cone; the loose phase then runs and is counted, and
-        # the failed direct attempt is not
-        newton.clear()
+        # with Newton in ln u failing, from this start the plain Newton solve
+        # at the lower end leaves the positive cone; the loose phase then
+        # runs and is counted, and the failed attempts are not
+        log_newton.clear()
+        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
         init = randomized_initial_guess(problem.grid, 9, 1)
         _, sol = self_consistent_lambda(problem, cfg, init=init)
         assert len(loose) == 1 and not flows
@@ -448,24 +504,28 @@ class TestWorkCounts:
     @staticmethod
     def counted(monkeypatch, solve):
         """Run solve() with counting wrappers; return the calls and
-        right-hand sides per step kind (fixed-b, free-b or loose)."""
+        right-hand sides per step kind (fixed-b or free-b, in ln u or
+        plain, or loose)."""
         log = []
-        thomas, newton_step, loose_step = nls._thomas, nls._newton_step, nls._semi_implicit_step
+        thomas, loose_step = nls._thomas, nls._semi_implicit_step
 
         def counted_thomas(diag, off, *rhs):
             log.append(len(rhs))
             return thomas(diag, off, *rhs)
 
-        def counted_newton_step(problem, u, b, m, free_b):
-            log.append("free_b" if free_b else "fixed_b")
-            return newton_step(problem, u, b, m, free_b)
+        def counted(step, prefix):
+            def counted_step(problem, u, b, m, free_b):
+                log.append(prefix + ("free_b" if free_b else "fixed_b"))
+                return step(problem, u, b, m, free_b)
+            return counted_step
 
         def counted_loose_step(*args):
             log.append("loose")
             return loose_step(*args)
 
         monkeypatch.setattr(nls, "_thomas", counted_thomas)
-        monkeypatch.setattr(nls, "_newton_step", counted_newton_step)
+        monkeypatch.setattr(nls, "_log_step", counted(nls._log_step, "log_"))
+        monkeypatch.setattr(nls, "_newton_step", counted(nls._newton_step, ""))
         monkeypatch.setattr(nls, "_semi_implicit_step", counted_loose_step)
         solve()
         steps, rhs = log[::2], log[1::2]
@@ -482,23 +542,48 @@ class TestWorkCounts:
         problem = harmonic_problem(2048, half_width=12.0, b=-2.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
         work = self.counted(monkeypatch, lambda: ground_state(problem, cfg))
-        # one right-hand side a fixed-b step: J u = G - 2b u gives the residual's solve
-        assert work == {"fixed_b_calls": 8, "fixed_b_rhs": 8}
+        # one right-hand side a step in ln u; the plain chain alone takes 8
+        assert work == {"log_fixed_b_calls": 7, "log_fixed_b_rhs": 7}
 
     def test_criterion_3_solve(self, monkeypatch):
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
         work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
-        # both bracket ends at a fixed b, then the free-b root, two a step
-        assert work == {"fixed_b_calls": 14, "fixed_b_rhs": 14,
-                        "free_b_calls": 8, "free_b_rhs": 16}
+        # both bracket ends at a fixed b, then the free-b root, one
+        # right-hand side a step in ln u; the plain chain alone takes 14
+        # fixed-b steps and 8 free-b steps of two right-hand sides
+        assert work == {"log_fixed_b_calls": 15, "log_fixed_b_rhs": 15,
+                        "log_free_b_calls": 6, "log_free_b_rhs": 6}
 
     def test_probe_with_loose_phases(self, monkeypatch):
+        # Newton in ln u holds from each start of this probe, where the
+        # plain chain alone runs 26 loose steps besides 21 fixed-b and 14
+        # free-b Newton steps
         problem = harmonic_problem(48, half_width=8.0)
         cfg = FlowConfig(step=0.02, tol_flow=1e-9, seed=0)
         work = self.counted(monkeypatch, lambda: uniqueness_probe(problem, cfg, 2))
-        assert work == {"fixed_b_calls": 21, "fixed_b_rhs": 21, "loose_calls": 26,
-                        "loose_rhs": 26, "free_b_calls": 14, "free_b_rhs": 28}
+        assert work == {"log_fixed_b_calls": 26, "log_fixed_b_rhs": 26,
+                        "log_free_b_calls": 12, "log_free_b_rhs": 12}
+
+    def test_lambda_solve_from_a_perturbed_start(self, monkeypatch):
+        # a narrow, rippled --resume-like state on the 512-point lambda grid
+        # of the benchmark, from which the plain chain alone runs a loose
+        # phase of 19 steps at the lower end, and 38 tridiagonal solves of
+        # 46 right-hand sides
+        grid = Grid1D(-12.0, 12.0, 512)
+        x, width = grid.points(), 24.0
+        s = width / 8.0 * 0.7
+        init = np.exp(-((x + 0.08 * width) ** 2) / (2.0 * s * s))
+        for j, a in enumerate((0.08, 0.05, -0.06, 0.03, -0.02), start=1):
+            init *= 1.0 + a * np.cos(j * np.pi * (x - grid.x_min) / width)
+        cfg = FlowConfig(step=1.5e-3, tol_flow=1e-8)
+        solved = []
+        work = self.counted(monkeypatch, lambda: solved.append(
+            self_consistent_lambda(GridProblem.harmonic(grid), cfg, init=init)))
+        (lam, sol), = solved
+        assert sol.iterations == 0 and abs(sol.mu - lam) <= 1e-12
+        assert work == {"log_fixed_b_calls": 14, "log_fixed_b_rhs": 14,
+                        "log_free_b_calls": 6, "log_free_b_rhs": 6}
 
 
 class TestFixedBNewton:
@@ -540,11 +625,12 @@ class TestFixedBNewton:
         return calls
 
     def test_newton_failure_raises(self, monkeypatch):
-        # the direct attempt and the one after the loose phase both fail:
-        # their error is raised, and no full flow runs
+        # Newton in ln u, the plain attempt and the one after the loose
+        # phase all fail: the last error is raised, and no full flow runs
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         init = randomized_initial_guess(problem.grid, 9, 0)
         flows = self.flow_calls(monkeypatch)
+        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
         monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
         with pytest.raises(ConvergenceError, match="^forced failure$"):
             ground_state(problem, self.CFG, init=init)
@@ -570,12 +656,13 @@ class TestFixedBNewton:
         calls = []
 
         def direct_failure(problem, psi, free_b):
-            # the direct attempt fails, so the loose phase runs
+            # the attempts in ln u and plain fail, so the loose phase runs
             calls.append(free_b)
             if len(calls) == 1:
                 raise ConvergenceError("forced failure")
             return bordered_newton(problem, psi, free_b)
 
+        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
         monkeypatch.setattr(nls, "_bordered_newton", direct_failure)
         monkeypatch.setattr(nls, "_LOOSE_CAP", 1)
         with pytest.raises(ConvergenceError, match="^loose phase did not reach 0.01 in 1 steps"):
@@ -725,6 +812,10 @@ class TestContinuation:
                 failures.append(str(exc))
                 raise
 
+        # Newton in ln u holds from this start; forced to fail, it falls back
+        # to the plain attempt, which leaves the cone
+        assert ground_state(base.with_b(-3.0), self.CFG, init=start.psi).iterations == 0
+        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
         monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
         sol = ground_state(base.with_b(-3.0), self.CFG, init=start.psi)
         assert failures == ["bordered Newton left the positive cone"]
@@ -786,10 +877,10 @@ def solved_states(problem, cfg, bracket):
         solved.append(problem.b)
         return solve(problem, cfg, init)
 
-    def counted_newton_state(problem, cfg, init, free_b):
-        if free_b:
+    def counted_newton_state(problem, cfg, init, bracket=None):
+        if bracket is not None:
             solved.append("root")
-        return newton_state(problem, cfg, init, free_b)
+        return newton_state(problem, cfg, init, bracket)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nls, "ground_state", counted_ground_state)
@@ -838,14 +929,15 @@ class TestOneRootPath:
                 assert 3.8 < coarse / fine < 4.2
 
     def test_free_b_failure_raises(self, monkeypatch):
-        fixed_b_newton = nls._bordered_newton
+        def free_b_failure(newton):
+            def attempt(problem, psi, free_b):
+                if free_b:
+                    raise ConvergenceError("forced failure")
+                return newton(problem, psi, free_b)
+            return attempt
 
-        def free_b_failure(problem, psi, free_b):
-            if free_b:
-                raise ConvergenceError("forced failure")
-            return fixed_b_newton(problem, psi, free_b)
-
-        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure)
+        monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
+        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure(nls._bordered_newton))
         with pytest.raises(ConvergenceError, match=r"^free-b Newton solve from .* failed: forced"):
             self_consistent_lambda(harmonic_problem(256, half_width=12.0), FlowConfig(step=5e-3))
 
@@ -854,14 +946,49 @@ class TestOneRootPath:
         # other path to try
         newton_state = nls._newton_state
 
-        def shifted_root(problem, cfg, init, free_b):
-            sol = newton_state(problem, cfg, init, free_b)
-            return replace(sol, b=sol.b + 3.0) if free_b else sol
+        def shifted_root(problem, cfg, init, bracket=None):
+            sol = newton_state(problem, cfg, init, bracket)
+            return replace(sol, b=sol.b + 3.0) if bracket else sol
 
         monkeypatch.setattr(nls, "_newton_state", shifted_root)
         problem = harmonic_problem(192, half_width=8.0)
         with pytest.raises(ConvergenceError, match=r"is not a root in \[-3\.0, -0\.5\]"):
             self_consistent_lambda(problem, FlowConfig(step=2e-3, tol_flow=1e-8))
+
+    def test_log_attempts_that_fail_fall_back_to_the_plain_chain(self, monkeypatch, bracket_roots):
+        # on the wide bracket, Newton in ln u at the upper end b = 0.5 grows
+        # the state past the range of floats, and from the secant guess it
+        # ends on a root near b = 1.704, past the upper end: the plain chain
+        # from the same starts gives the end state (after a loose phase)
+        # and the root
+        problem, cfg = stable_problem("harmonic", 512)
+        log_attempts, plain_roots = [], []
+        log_newton, bordered_newton = nls._log_newton, nls._bordered_newton
+
+        def recorded_log_newton(problem, psi, free_b):
+            try:
+                out = log_newton(problem, psi, free_b)
+            except ConvergenceError as exc:
+                log_attempts.append((problem.b, str(exc)))
+                raise
+            log_attempts.append((problem.b, out[1]))
+            return out
+
+        def recorded_newton(problem, psi, free_b):
+            out = bordered_newton(problem, psi, free_b)
+            plain_roots.append(out[1] if free_b else None)
+            return out
+
+        monkeypatch.setattr(nls, "_log_newton", recorded_log_newton)
+        monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
+        lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET)
+        (lo, at_lo), (hi, at_hi), (_, log_root) = log_attempts
+        assert (lo, at_lo, hi) == (-6.0, -6.0, 0.5)
+        assert at_hi == "Newton in ln u left the range of floats"
+        assert abs(log_root - 1.704) < 1e-3
+        assert plain_roots == [None, lam]
+        assert abs(sol.mu - lam) < 1e-14
+        assert abs(lam - bracket_roots["harmonic", 512][0][0]) <= 1e-12
 
     def test_modified_step_keeps_the_cone(self, monkeypatch, bracket_roots):
         # from the converged b = -6 state the plain free-b step cuts the
