@@ -6,12 +6,11 @@ orthonormality/uniqueness/completeness diagnostics of the state family.
 __version__ = "0.1.0"
 
 from .analysis import (
-    BasisSet,
+    GaussPower,
     ProjectionReport,
     completeness_projection,
     energy_ordering_check,
     gram_matrix,
-    inner_product,
     mu0_estimate,
 )
 from .errors import (

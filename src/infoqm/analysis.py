@@ -1,74 +1,66 @@
-"""Numerical diagnostics for the closed-form state family: inner products,
-Gram matrices, the orthogonality-multiplier estimate, energy ordering,
-and least-squares completeness projections in a possibly non-orthogonal
-family.
+"""Numerical diagnostics for the closed-form state family: Gram matrices,
+the orthogonality-multiplier estimate, energy ordering, and least-squares
+completeness projections in a possibly non-orthogonal family.
 
-The library functions integrate on the grid their samples come with.  The
-``analyze`` subcommands sample the closed-form states through
-``_settled_level``, on nested levels of ``DEFAULT_ANALYSIS_GRID``: their
-integrands are smooth and decay like Gaussians, where the trapezoid rule
-converges geometrically (Trefethen & Weideman, SIAM Review 56, 385, 2014),
-so a coarse level, checked against the one below it, usually holds the
-full grid's answer.
+Every function integrated here is a polynomial times one Gaussian: a state
+psi_n = H_n(sqrt(2 beta_n) x) exp(-alpha_n - beta_n x^2), a ``GaussPower``
+target x^p exp(-x^2 / (2 s^2)), and the eigen-equation residual of a state,
+a polynomial of degree n + 2 times exp(-beta_n x^2).  So each overlap is the
+integral of a polynomial against exp(-c x^2) over the whole line, which a
+Gauss-Hermite rule of enough nodes, scaled by 1/sqrt(c), gives exactly
+(Golub & Welsch, Math. Comp. 23, 221, 1969).  ``_overlaps`` takes every
+pair's own rule in one vectorized pass.  Nothing is sampled on a grid or cut
+off at a domain's ends: the results differ from the exact integrals by
+rounding alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import IllConditionedError, NumericError, ValidationError
-from .numerics import Grid1D, QuadratureRule, _as_array, _as_finite_array, _as_int
-from .oscillator import OscillatorState, eigen_residual, psi_eval
+from .errors import IllConditionedError, ValidationError
+from .numerics import MAX_HERMITE_ORDER, QuadratureRule, _as_int, _as_positive
+from .oscillator import OscillatorState
 
-DEFAULT_ANALYSIS_GRID = Grid1D(-14.0, 14.0, 8001)
 CONDITION_LIMIT = 1e12
-
-# every 32nd point of DEFAULT_ANALYSIS_GRID (251 points), every 16th, ..., all 8001
-_LEVELS = tuple(
-    Grid1D(DEFAULT_ANALYSIS_GRID.x_min, DEFAULT_ANALYSIS_GRID.x_max,
-           (DEFAULT_ANALYSIS_GRID.n_points - 1) // stride + 1)
-    for stride in (32, 16, 8, 4, 2, 1)
-)
-# a level settles where each Gram entry G_ij differs from the level below's
-# by at most this times sqrt(G_ii G_jj)
-_LEVEL_TOL = 1e-13
+# the logarithms of the smallest and the largest positive finite float
+_LOG_FLOAT_RANGE = (math.log(math.ulp(0.0)), math.log(sys.float_info.max))
 
 
 @dataclass(frozen=True)
-class BasisSet:
-    """Functions sampled on a shared grid."""
+class GaussPower:
+    """The projection target x^power exp(-x^2 / (2 scale^2)).
 
-    grid: Grid1D
-    members: np.ndarray  # (n_members, n_points)
+    ``power`` is an integer in [0, MAX_HERMITE_ORDER] and ``scale`` a
+    positive finite number, under the number rule, and the squared norm
+    Gamma(power + 1/2) scale^(2 power + 1) must be a positive finite
+    float, so that every overlap with the target is one; each check
+    raises ValidationError.
+    """
+
+    power: int
+    scale: float
 
     def __post_init__(self):
-        members = _as_finite_array(self.members, "basis members")
-        if members.ndim != 2 or members.shape[0] < 1:
-            raise ValidationError("basis needs at least one member")
-        if members.shape[1] != self.grid.n_points:
-            raise ValidationError("member samples do not match the grid")
-        object.__setattr__(self, "members", members)
-        members.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.members.shape[0]
-
-    @classmethod
-    def from_states(
-        cls, states: Sequence[OscillatorState], grid: Grid1D = DEFAULT_ANALYSIS_GRID
-    ) -> "BasisSet":
-        xs = grid.points()
-        rows = np.array([psi_eval(s, xs) for s in states])
-        return cls(grid, rows)
+        power = _as_int(self.power, "gauss_power power", 0, MAX_HERMITE_ORDER)
+        scale = _as_positive(self.scale, "gauss_power scale")
+        log_norm2 = math.lgamma(power + 0.5) + (2 * power + 1) * math.log(scale)
+        if not _LOG_FLOAT_RANGE[0] < log_norm2 < _LOG_FLOAT_RANGE[1]:
+            raise ValidationError(
+                "gauss_power squared norm Gamma(power + 1/2) scale^(2 power + 1) = "
+                f"exp({log_norm2:.6g}) is not a positive finite float")
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "scale", scale)
 
 
 @dataclass(frozen=True)
 class ProjectionReport:
-    """Least-squares expansion of a target in leading basis members.
+    """Least-squares expansion of a target in leading states.
 
     ``coefficients`` belong to the largest truncation order tested;
     residuals and condition numbers are per order.  Residual
@@ -82,42 +74,98 @@ class ProjectionReport:
     coefficients: tuple[float, ...] = ()
 
 
-def _samples_on(grid: Grid1D, f) -> np.ndarray:
-    values = _as_array(f(grid.points()) if callable(f) else f, "samples", (grid.n_points,))
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("samples must be finite on the grid")
-    return values
+def _terms(functions) -> np.ndarray:
+    """One row (width, factor, power, order, sigma) per OscillatorState or
+    GaussPower, for the function factor x^power H_order(sigma x)
+    exp(-x^2 / width^2)."""
+    rows = []
+    for f in functions:
+        if isinstance(f, OscillatorState):
+            if f.alpha < -_LOG_FLOAT_RANGE[1]:
+                raise ValidationError(f"state n={f.n}: exp(-alpha) overflows at alpha {f.alpha}")
+            rows.append((1.0 / math.sqrt(f.beta), math.exp(-f.alpha), 0, f.n,
+                         math.sqrt(2.0 * f.beta)))
+        elif isinstance(f, GaussPower):
+            rows.append((math.sqrt(2.0) * f.scale, 1.0, f.power, 0, 0.0))
+        else:
+            raise ValidationError(f"expected an OscillatorState or a GaussPower, "
+                                  f"got {type(f).__name__}")
+    return np.array(rows, dtype=float).reshape(-1, 5)
 
 
-def inner_product(f, g, grid: Grid1D) -> float:
-    """Trapezoid quadrature of f*g over the grid's measure."""
-    fs = _samples_on(grid, f)
-    gs = _samples_on(grid, g)
-    return float(QuadratureRule.trapezoid(grid).weights @ (fs * gs))
+def _hermite_rows(orders: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """H_orders[i](u[i]) for every row i of u, by one physicists' recurrence
+    H_{m+1} = 2u H_m - 2m H_{m-1} over all rows at once."""
+    out = np.ones_like(u)
+    prev, h = np.ones_like(u), 2.0 * u
+    for m in range(1, int(orders.max()) + 1):
+        rows = orders == m
+        out[rows] = h[rows]
+        prev, h = h, 2.0 * u * h - 2.0 * m * prev
+    return out
 
 
-def gram_matrix(basis: BasisSet) -> np.ndarray:
-    """Full symmetric, read-only Gram matrix of the basis members (trapezoid rule)."""
-    w = QuadratureRule.trapezoid(basis.grid).weights
-    g = (basis.members * w) @ basis.members.T
-    # the upper triangle, mirrored: the product need not come out symmetric
-    g = np.triu(g) + np.triu(g, 1).T
+def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The whole-line integral of the product of the functions of row i of
+    left and of right, two _terms arrays of one shape, for every row i.
+
+    The product is a polynomial of degree d times exp(-x^2 / h^2), with
+    1/h^2 the sum of the two 1/width^2.  Put x = h y: the integral is h
+    times that of the polynomial against exp(-y^2), which the Gauss-Hermite
+    rule of d // 2 + 1 nodes gives exactly.  Each row takes its own rule,
+    padded with zero weights to the longest one.
+    """
+    (wl, fl, pl, nl, sl), (wr, fr, pr, nr, sr) = left.T, right.T
+    counts = (pl + nl + pr + nr).astype(int) // 2 + 1
+    nodes = np.zeros((counts.size, counts.max()))
+    root_w = np.zeros_like(nodes)
+    for k in np.unique(counts).tolist():
+        rule = QuadratureRule.gauss_hermite(k)
+        rows = counts == k
+        nodes[rows, :k] = rule.nodes
+        root_w[rows, :k] = np.sqrt(rule.weights)
+    # the same for (left, right) as for (right, left); the quotient first,
+    # which is at most 1, so h overflows only where a width does
+    h = np.minimum(wl, wr) * (np.maximum(wl, wr) / np.hypot(wl, wr))
+    x = h[:, None] * nodes
+    herm = _hermite_rows(np.concatenate((nl, nr)), np.vstack((sl[:, None] * x, sr[:, None] * x)))
+    # a square root of the weight on each side, so that no product is formed
+    # unweighted: x^(2 power) overflows at the outer nodes of the widest targets
+    lhs = fl[:, None] * root_w * x ** pl[:, None] * herm[: len(x)]
+    rhs = fr[:, None] * root_w * x ** pr[:, None] * herm[len(x):]
+    return h * np.einsum("ij,ij->i", lhs, rhs)
+
+
+def gram_matrix(states: Sequence[OscillatorState | GaussPower]) -> np.ndarray:
+    """Read-only Gram matrix of the states (GaussPower targets may be among
+    them): each pair's exact overlap, taken once and set on both sides of
+    the diagonal, so the matrix is exactly symmetric."""
+    terms = _terms(states)
+    if not len(terms):
+        raise ValidationError("a Gram matrix needs at least one state")
+    i, j = np.triu_indices(len(terms))
+    g = np.empty((len(terms), len(terms)))
+    g[i, j] = g[j, i] = _overlaps(terms[i], terms[j])
     g.flags.writeable = False
     return g
 
 
-def mu0_estimate(
-    lower: OscillatorState,
-    upper: OscillatorState,
-    grid: Grid1D = DEFAULT_ANALYSIS_GRID,
-) -> float:
+def mu0_estimate(lower: OscillatorState, upper: OscillatorState) -> float:
     """Numerical orthogonality multiplier <psi_lower, R(psi_upper)>.
 
-    R is the eigen-equation residual operator of the upper state; the
-    projection onto an opposite-parity lower state vanishes.
+    R is the eigen-equation residual of the upper state (as
+    oscillator.eigen_residual evaluates it).  Since psi'' = (4 beta^2 x^2 -
+    2 beta (2n + 1)) psi, it is (q0 + q2 x^2) psi, and the multiplier is two
+    exact overlaps.  The projection onto an opposite-parity lower state
+    vanishes.
     """
-    xs = grid.points()
-    return inner_product(psi_eval(lower, xs), eigen_residual(upper, xs), grid)
+    n, alpha, beta, lam = upper.n, upper.alpha, upper.beta, upper.lam
+    q0 = beta * (2 * n + 1) - lam * (1.0 - 2.0 * alpha)
+    q2 = 0.5 - 2.0 * beta * beta + 2.0 * lam * beta
+    right = _terms((upper, upper))
+    right[1, 2] = 2.0  # x^2 psi_upper
+    plain, squared = _overlaps(_terms((lower, lower)), right)
+    return float(q0 * plain + q2 * squared)
 
 
 def energy_ordering_check(states: Sequence[OscillatorState]) -> bool:
@@ -126,69 +174,35 @@ def energy_ordering_check(states: Sequence[OscillatorState]) -> bool:
     return all(a < b for a, b in zip(energies, energies[1:]))
 
 
-def _settled_level(states: Sequence[OscillatorState], target=None):
-    """(basis, target samples, Gram, settled) on the first level of _LEVELS
-    whose Gram agrees with the level below's within _LEVEL_TOL.
-
-    The Gram is that of the states' rows with the target's samples appended
-    as the last row, so one product checks the basis Gram, the overlaps and
-    the target's norm together; without a target (None) it is the basis
-    Gram and the samples are None.  The coarsest level is not sampled on
-    its own: its rows are every other sample of the next level's.  The last
-    level, DEFAULT_ANALYSIS_GRID itself, is taken unchecked, with settled
-    False.  Target samples that are not finite raise ValidationError on the
-    level they are taken on; every level holds the grid's ends and its
-    midpoint.
-    """
-    previous = None
-    for coarse, level in zip(_LEVELS, _LEVELS[1:]):
-        basis = BasisSet.from_states(states, level)
-        samples = None if target is None else _samples_on(level, target)
-        rows = basis if target is None else BasisSet(level, np.vstack((basis.members, samples)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = gram_matrix(rows)
-            if level is _LEVELS[-1]:
-                return basis, samples, gram, False
-            if previous is None:
-                previous = gram_matrix(BasisSet(coarse, rows.members[:, ::2]))
-            scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
-            if np.isfinite(gram).all() and np.all(np.abs(gram - previous) <= _LEVEL_TOL * scale):
-                return basis, samples, gram, True
-        previous = gram
-
-
 def completeness_projection(
-    target,
-    basis: BasisSet,
+    target: OscillatorState | GaussPower,
+    states: Sequence[OscillatorState],
     orders: Sequence[int],
     target_label: str = "target",
 ) -> ProjectionReport:
-    """Gram-system least squares of the target on leading basis members.
+    """Gram-system least squares of the target on leading states.
 
-    For each truncation order M the first M members are used; the
-    coefficients solve G c = <phi_i, target>, which is the right
-    projection even when the family is not orthogonal.  Each residual is
-    the quadrature norm of target - sum c_i phi_i.  A condition
-    number beyond CONDITION_LIMIT raises IllConditionedError carrying
-    the partial report.  A target whose samples are not finite raises
-    ValidationError, and an overlap or residual that is not finite (the
-    target's scale overflows the quadrature) raises NumericError.
+    For each truncation order M the first M states are used; the
+    coefficients solve G c = b, b_i = <psi_i, target>, which is the right
+    projection even when the family is not orthogonal.  G, b and |t|^2
+    are exact overlaps, from one Gram matrix of the states and the target,
+    and each residual is the norm of target - sum c_i psi_i,
+    sqrt(|t|^2 - 2 c.b + c^T G c), with a form that rounds below 0 read as
+    0: residuals below about 1e-8 |t| are rounding.  A condition number
+    beyond CONDITION_LIMIT raises IllConditionedError carrying the partial
+    report.
     """
-    orders = tuple(_as_int(m, "order", 1, len(basis)) for m in orders)
+    orders = tuple(_as_int(m, "order", 1, len(states)) for m in orders)
     if not orders:
         return ProjectionReport(target_label, (), (), (), ())
-    ts = _samples_on(basis.grid, target)
-    w = QuadratureRule.trapezoid(basis.grid).weights
-    with np.errstate(over="ignore"):
-        overlaps = np.array([float(w @ (basis.members[i] * ts)) for i in range(max(orders))])
-    if not np.all(np.isfinite(overlaps)):
-        raise NumericError(f"overlaps of {target_label} with the basis are not finite")
-    full_gram = gram_matrix(BasisSet(basis.grid, basis.members[: max(orders)]))
+    top = max(orders)
+    full = gram_matrix(list(states[:top]) + [target])
+    overlaps, norm2 = full[:top, top], full[top, top]
     residuals: list[float] = []
     conditions: list[float] = []
     coeffs: tuple[float, ...] = ()
     for idx, m in enumerate(orders):
-        g = full_gram[:m, :m]
+        g, b = full[:m, :m], overlaps[:m]
         cond = float(np.linalg.cond(g))
         conditions.append(cond)
         if cond > CONDITION_LIMIT:
@@ -199,13 +213,8 @@ def completeness_projection(
                 f"gram condition number {cond:.3e} beyond {CONDITION_LIMIT:.0e} at order {m}",
                 partial=partial,
             )
-        c = np.linalg.solve(g, overlaps[:m])
-        diff = ts - c @ basis.members[:m]
-        with np.errstate(over="ignore"):
-            residual = math.sqrt(float(w @ (diff * diff)))
-        if not math.isfinite(residual):
-            raise NumericError(f"residual of {target_label} at order {m} is not finite")
-        residuals.append(residual)
-        if m == max(orders):
+        c = np.linalg.solve(g, b)
+        residuals.append(math.sqrt(max(float(norm2 - 2.0 * (c @ b) + c @ g @ c), 0.0)))
+        if m == top:
             coeffs = tuple(float(v) for v in c)
     return ProjectionReport(target_label, orders, tuple(residuals), tuple(conditions), coeffs)

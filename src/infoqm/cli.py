@@ -13,12 +13,11 @@ import json
 import math
 import sys
 import time
-from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_ANALYSIS_GRID, _settled_level, completeness_projection
+from .analysis import GaussPower, completeness_projection, gram_matrix
 from .errors import InfoqmError, ValidationError
 from .maxent import (
     _MALFORMED,
@@ -28,8 +27,8 @@ from .maxent import (
     moment_spec_from_json,
 )
 from .nls import DEFAULT_BRACKET, FlowConfig, GridProblem, ground_state, self_consistent_lambda
-from .numerics import Grid1D, _as_int, _as_positive
-from .oscillator import psi_eval, solve_state, table
+from .numerics import Grid1D, _as_int
+from .oscillator import solve_state, table
 from .series import MAX_SERIES_TERMS, partial_sums
 
 _EXIT_INVALID = 2
@@ -274,15 +273,8 @@ def _cmd_nls_ground(args) -> str:
     return _dump_json(doc)
 
 
-def _unsettled_warning(what: str) -> str:
-    return (f"{what}: no level of the analysis grid below its {DEFAULT_ANALYSIS_GRID.n_points} "
-            "points agreed with the level below it; the full grid was used")
-
-
 def _cmd_analyze_gram(args) -> str:
-    _, _, gram, settled = _settled_level(table(args.n_max))
-    if not settled:
-        args.warnings.append(_unsettled_warning("gram"))
+    gram = gram_matrix(table(args.n_max))
     header = "n," + ",".join(str(n) for n in range(args.n_max + 1))
     lines = [header]
     for i in range(args.n_max + 1):
@@ -292,21 +284,14 @@ def _cmd_analyze_gram(args) -> str:
 
 
 def _target_from_spec(doc):
-    """(function of the nodes, label) of a projection target document."""
+    """(target, label) of a projection target document."""
     kind = doc.get("kind")
     if kind == "state":
         state = solve_state(doc["n"])
-        return partial(psi_eval, state), f"state n={state.n}"
+        return state, f"state n={state.n}"
     if kind == "gauss_power":
-        power = _as_int(doc.get("power", 0), "gauss_power power", 0)
-        scale = _as_positive(doc.get("scale", 1.0), "gauss_power scale")
-
-        def gauss_power(xs):
-            # samples that overflow are rejected by the analysis, not warned about
-            with np.errstate(all="ignore"):
-                return xs**power * np.exp(-(xs * xs) / (2.0 * scale * scale))
-
-        return gauss_power, f"gauss_power p={power}"
+        target = GaussPower(doc.get("power", 0), doc.get("scale", 1.0))
+        return target, f"gauss_power p={target.power}"
     raise ValidationError(f"unknown target kind {kind!r}; use 'state' or 'gauss_power'")
 
 
@@ -316,10 +301,7 @@ def _cmd_analyze_project(args) -> str:
     except ValueError as exc:
         raise ValidationError(f"--orders must be comma-separated integers: {exc}") from exc
     target, label = _read_document(args.target, "--target", _target_from_spec)
-    basis, samples, _, settled = _settled_level(table(args.n_max), target)
-    if not settled:
-        args.warnings.append(_unsettled_warning(label))
-    report = completeness_projection(samples, basis, orders, target_label=label)
+    report = completeness_projection(target, table(args.n_max), orders, target_label=label)
     return _dump_json(
         {
             "target": report.target_label,
@@ -358,7 +340,6 @@ def run(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else _EXIT_INVALID
     start = time.perf_counter()
-    args.warnings = []  # the handler's notes for the manifest
     try:
         payload = args.handler(args)
         manifest = {
@@ -366,7 +347,8 @@ def run(argv: list[str]) -> int:
             "version": __version__,
             "argv": list(argv),
             "wall_time_s": round(time.perf_counter() - start, 6),
-            "warnings": args.warnings,
+            # no subcommand records a warning yet; the key stays in the layout
+            "warnings": [],
         }
         _write_output(payload, args.out, manifest)
     except (InfoqmError, OSError) as exc:

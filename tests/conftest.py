@@ -10,7 +10,7 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from infoqm import Grid1D, solve_state  # noqa: E402
+from infoqm import solve_state  # noqa: E402
 
 # polynomial coefficients for the bit-for-bit root and window tests: zeros
 # of both signs, and values of both signs across 1e-6..1e6
@@ -24,11 +24,6 @@ SIGNED_COEFFS = st.one_of(
 def states():
     """Solved closed-form states n = 0..7, shared across the suite."""
     return [solve_state(n) for n in range(8)]
-
-
-@pytest.fixture(scope="session")
-def analysis_grid():
-    return Grid1D(-14.0, 14.0, 8001)
 
 
 # the published six-figure reference values the solver must reproduce

@@ -1,33 +1,33 @@
+import dataclasses
+import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
 from infoqm import (
-    BasisSet,
+    GaussPower,
     IllConditionedError,
-    NumericError,
     OscillatorState,
-    QuadratureRule,
     ValidationError,
     alpha_from_beta,
     completeness_projection,
+    eigen_residual,
     energy_ordering_check,
     gram_matrix,
-    inner_product,
     mu0_estimate,
     psi_eval,
-    table,
 )
-from infoqm.analysis import _LEVELS, DEFAULT_ANALYSIS_GRID, _settled_level
+from infoqm.analysis import _overlaps, _terms
 
-# frozen from scripts/oracle_overlaps.py (trapezoid, 8001 points on [-14, 14];
-# the 16001-point run agrees to 1e-12)
+# frozen from a trapezoid of 8001 points on [-14, 14]; the whole-line values
+# that scripts/oracle_overlaps.py prints agree within 1e-16
 ORACLE_OVERLAP_02 = 0.1611868415688419
 ORACLE_OVERLAP_13 = 0.2322275352000255
 
 # frozen least-squares residuals of x*exp(-x^2/2) in the family n <= 7
-# (dense-grid oracle, 16001 points on [-14, 14])
+# (trapezoid of 16001 points on [-14, 14]; within 1e-15 of the script's)
 ORACLE_PROJECTION_RESIDUALS = {
     2: 0.5208961282519861,
     4: 0.07481959286000289,
@@ -44,44 +44,42 @@ def linear_family(n_max: int) -> list[OscillatorState]:
 
 
 @pytest.fixture(scope="module")
-def family_basis(states, analysis_grid):
-    return BasisSet.from_states(states, analysis_grid)
+def family_gram(states):
+    return gram_matrix(states)
 
 
-@pytest.fixture(scope="module")
-def family_gram(family_basis):
-    return gram_matrix(family_basis)
+def dense_overlap(f, g) -> float:
+    """The trapezoid integral of f g on 16001 points of [-14, 14], where every
+    function of the family n <= 7 is below 1e-20."""
+    xs = np.linspace(-14.0, 14.0, 16001)
+    return float(np.trapezoid(f(xs) * g(xs), xs))
+
+
+
+
+def scaled_gh_overlap(f, g, c: float, nodes: int) -> float:
+    """The integral of f g, a polynomial times exp(-c x^2), by numpy's own
+    Gauss-Hermite rule, scaled by 1/sqrt(c) and applied to the sampled
+    product times exp(c x^2)."""
+    y, w = np.polynomial.hermite.hermgauss(nodes)
+    x = y / np.sqrt(c)
+    return float(w @ (np.exp(y * y) * f(x) * g(x))) / np.sqrt(c)
 
 
 class TestInnerProduct:
-    def test_normalization(self, states, analysis_grid):
-        xs = analysis_grid.points()
-        psi0 = psi_eval(states[0], xs)
-        assert abs(inner_product(psi0, psi0, analysis_grid) - 1.0) < 1e-8
+    def test_normalization(self, states):
+        assert abs(gram_matrix(states[:1])[0, 0] - 1.0) < 1e-8
 
-    def test_opposite_parity_vanishes(self, states, analysis_grid):
-        xs = analysis_grid.points()
-        val = inner_product(psi_eval(states[0], xs), psi_eval(states[1], xs), analysis_grid)
-        assert abs(val) < 1e-10
+    def test_opposite_parity_vanishes(self, states):
+        assert abs(gram_matrix(states[:2])[0, 1]) < 1e-10
 
-    def test_same_parity_overlap_matches_oracle(self, states, analysis_grid):
-        xs = analysis_grid.points()
-        val = inner_product(psi_eval(states[0], xs), psi_eval(states[2], xs), analysis_grid)
-        assert abs(val - ORACLE_OVERLAP_02) < 1e-6
-
-    def test_grid_mismatch(self, analysis_grid):
-        with pytest.raises(ValidationError):
-            inner_product(np.ones(10), np.ones(analysis_grid.n_points), analysis_grid)
-
-    def test_accepts_callables(self, analysis_grid):
-        val = inner_product(np.cos, np.sin, analysis_grid)
-        assert abs(val) < 1e-12  # odd integrand on a symmetric grid
+    def test_same_parity_overlap_matches_oracle(self, states):
+        assert abs(gram_matrix(states[:3])[0, 2] - ORACLE_OVERLAP_02) < 1e-6
 
 
 class TestGramMatrix:
-    def test_linear_family_is_orthonormal(self, analysis_grid):
-        basis = BasisSet.from_states(linear_family(5), analysis_grid)
-        g = gram_matrix(basis)
+    def test_linear_family_is_orthonormal(self):
+        g = gram_matrix(linear_family(5))
         assert np.max(np.abs(g - np.eye(6))) < 1e-8
 
     def test_family_diagonal_and_parity(self, family_gram):
@@ -99,74 +97,70 @@ class TestGramMatrix:
     def test_exact_symmetry(self, family_gram):
         g = family_gram
         assert np.max(np.abs(g - g.T)) == 0.0
+        assert not g.flags.writeable
 
-    def test_matches_the_pairwise_sums(self, family_basis, family_gram):
-        # one weighted product in place of a dot product per pair: the sums
-        # run in another order, within a few ulp of entries of size <= 1
-        m, w = family_basis.members, QuadratureRule.trapezoid(family_basis.grid).weights
-        reference = np.array([[w @ (u * v) for v in m] for u in m])
+    def test_matches_the_pairwise_sums(self, states, family_gram):
+        # one pass over all pairs, each row padded to the longest rule,
+        # against each pair integrated alone on a rule of its own size
+        terms = _terms(states)
+        reference = np.array([[_overlaps(terms[[m]], terms[[n]])[0] for n in range(8)]
+                              for m in range(8)])
         assert np.max(np.abs(family_gram - reference)) < 1e-15
 
-    def test_single_member(self, states, analysis_grid):
-        xs = analysis_grid.points()
-        basis = BasisSet(analysis_grid, psi_eval(states[0], xs)[None, :])
-        g = gram_matrix(basis)
+    def test_matches_numpy_gauss_hermite(self, states, family_gram):
+        # each pair sampled through psi_eval and integrated by numpy's own
+        # rule of the pair's size; exp(+-c x^2) rounds in the reference
+        reference = np.array([
+            [scaled_gh_overlap(partial(psi_eval, u), partial(psi_eval, v), u.beta + v.beta,
+                               (u.n + v.n) // 2 + 1) for v in states]
+            for u in states
+        ])
+        assert np.max(np.abs(family_gram - reference)) < 1e-14
+
+    def test_single_member(self, states):
+        g = gram_matrix(states[:1])
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_empty_basis_rejected(self, analysis_grid):
+    def test_empty_basis_rejected(self):
         with pytest.raises(ValidationError):
-            BasisSet(analysis_grid, np.empty((0, analysis_grid.n_points)))
+            gram_matrix([])
 
-    def test_members_off_the_grid_rejected(self, analysis_grid):
-        with pytest.raises(ValidationError, match="do not match the grid"):
-            BasisSet(analysis_grid, np.zeros((1, analysis_grid.n_points - 1)))
+    def test_member_of_another_kind_rejected(self, states):
+        with pytest.raises(ValidationError, match="OscillatorState or a GaussPower, got str"):
+            gram_matrix([states[0], "psi_1"])
+
+    def test_state_whose_factor_overflows_rejected(self):
+        # a hand-built state may hold any finite alpha; exp(-alpha) must be a float
+        state = OscillatorState(0, 0, -710.0, 0.5, -1.0, 1.0)
+        with pytest.raises(ValidationError, match="exp\\(-alpha\\) overflows"):
+            gram_matrix([state])
 
 
-class TestSettledLevel:
-    def test_levels_nest_in_the_analysis_grid(self):
-        full = DEFAULT_ANALYSIS_GRID.points()
-        assert [level.n_points for level in _LEVELS] == [251, 501, 1001, 2001, 4001, 8001]
-        assert _LEVELS[-1] == DEFAULT_ANALYSIS_GRID
-        for level in _LEVELS:
-            stride = (DEFAULT_ANALYSIS_GRID.n_points - 1) // (level.n_points - 1)
-            assert np.max(np.abs(level.points() - full[::stride])) < 1e-14
+class TestGaussPower:
+    @pytest.mark.parametrize("power, scale", [(0, 0.3), (1, 1.0), (4, 5.0), (20, 2.0),
+                                              (64, 1.0)])
+    def test_whole_line_norm(self, power, scale):
+        norm2 = math.gamma(power + 0.5) * scale ** (2 * power + 1)
+        assert gram_matrix([GaussPower(power, scale)])[0, 0] == pytest.approx(norm2, rel=1e-13)
 
-    def test_family_gram_settles_on_a_coarse_level(self, states):
-        basis, samples, gram, settled = _settled_level(states)
-        full = gram_matrix(BasisSet.from_states(states))
-        assert settled and basis.grid.n_points < DEFAULT_ANALYSIS_GRID.n_points
-        assert samples is None
-        assert np.max(np.abs(gram - full)) < 1e-14
-        assert np.array_equal(gram, gram.T)
+    @pytest.mark.parametrize("power, scale, message", [
+        (-1, 1.0, r"must be in \[0, 64\]"),
+        (65, 1.0, r"must be in \[0, 64\]"),
+        (2, 1e-300, "not a positive finite float"),
+    ])
+    def test_range_errors(self, power, scale, message):
+        with pytest.raises(ValidationError, match=message):
+            GaussPower(power, scale)
 
-    def test_target_row_holds_overlaps_and_norm(self, states):
-        target = lambda xs: xs * np.exp(-0.5 * xs * xs)  # noqa: E731
-        basis, samples, gram, settled = _settled_level(states, target)
-        assert settled and gram.shape == (len(states) + 1,) * 2
-        w = QuadratureRule.trapezoid(basis.grid).weights
-        assert np.max(np.abs(gram[-1, :-1] - basis.members @ (w * samples))) < 1e-15
-        assert gram[-1, -1] == pytest.approx(0.5 * np.sqrt(np.pi), abs=1e-14)
-        report = completeness_projection(samples, basis, (2, 4, 8))
-        for order, residual in zip(report.orders, report.residuals):
-            assert residual == pytest.approx(ORACLE_PROJECTION_RESIDUALS[order], abs=1e-12)
-
-    def test_target_cut_off_at_the_grid_ends_takes_the_full_grid(self, states):
-        target = lambda xs: xs**4 * np.exp(-(xs * xs) / 18.0)  # noqa: E731
-        basis, samples, _, settled = _settled_level(states, target)
-        assert not settled and basis.grid == DEFAULT_ANALYSIS_GRID
-        assert np.array_equal(samples, target(DEFAULT_ANALYSIS_GRID.points()))
-
-    def test_non_finite_target_raises_on_the_first_sampled_level(self, states):
-        sizes = []
-
-        def target(xs):
-            sizes.append(xs.size)
-            return np.where(np.abs(xs) > 10.0, np.inf, 0.0)
-
-        with pytest.raises(ValidationError, match="samples must be finite"):
-            _settled_level(states, target)
-        assert sizes == [501]
+    @pytest.mark.parametrize("power, scale", [(0, 1e300), (64, 50.0), (64, 1e-3), (0, 1e-300)])
+    def test_extreme_targets_stay_finite(self, states, power, scale):
+        # the widest, tallest and narrowest targets the range admits
+        target = GaussPower(power, scale)
+        norm = math.exp(0.5 * (math.lgamma(power + 0.5) + (2 * power + 1) * math.log(scale)))
+        report = completeness_projection(target, states, (1, 8))
+        assert all(0.0 <= r <= norm * (1.0 + 1e-12) for r in report.residuals)
+        assert all(math.isfinite(c) for c in report.coefficients)
 
 
 class TestMu0Estimate:
@@ -194,6 +188,11 @@ class TestMu0Estimate:
         expected = -2.0 * states[3].beta * ORACLE_OVERLAP_13
         assert val == pytest.approx(expected, abs=1e-6)
 
+    @pytest.mark.parametrize("m, n", [(0, 2), (1, 3), (2, 6), (3, 7), (7, 5)])
+    def test_matches_the_sampled_eigen_residual(self, states, m, n):
+        dense = dense_overlap(partial(psi_eval, states[m]), partial(eigen_residual, states[n]))
+        assert mu0_estimate(states[m], states[n]) == pytest.approx(dense, abs=1e-12)
+
 
 class TestEnergyOrdering:
     def test_solved_family_is_ordered(self, states):
@@ -210,73 +209,60 @@ class TestEnergyOrdering:
 
 
 class TestCompletenessProjection:
-    def test_in_span_target(self, states, family_basis, analysis_grid):
-        target = psi_eval(states[3], analysis_grid.points())
-        report = completeness_projection(target, family_basis, (2, 4, 8), "n=3")
+    def test_in_span_target(self, states):
+        report = completeness_projection(states[3], states, (2, 4, 8), "n=3")
         assert report.residuals[0] > 0.5  # not reachable with n <= 1
         assert report.residuals[1] <= 1e-8
         assert report.residuals[2] <= 1e-8
         assert len(report.coefficients) == 8
 
-    def test_out_of_span_target_matches_oracle(self, family_basis, analysis_grid):
-        xs = analysis_grid.points()
-        target = xs * np.exp(-0.5 * xs * xs)
-        report = completeness_projection(target, family_basis, (2, 4, 8))
+    def test_out_of_span_target_matches_oracle(self, states):
+        # x exp(-x^2 / 2)
+        report = completeness_projection(GaussPower(1, 1.0), states, (2, 4, 8))
         for order, residual in zip(report.orders, report.residuals):
             assert residual == pytest.approx(ORACLE_PROJECTION_RESIDUALS[order], abs=1e-6)
 
-    def test_condition_numbers_reported(self, family_basis, analysis_grid):
-        xs = analysis_grid.points()
-        report = completeness_projection(np.exp(-xs * xs), family_basis, (2, 8))
+    def test_condition_numbers_reported(self, states):
+        # exp(-x^2)
+        report = completeness_projection(GaussPower(0, math.sqrt(0.5)), states, (2, 8))
         assert len(report.condition_numbers) == 2
         assert all(c >= 1.0 for c in report.condition_numbers)
 
-    def test_empty_orders(self, family_basis):
-        report = completeness_projection(np.zeros(family_basis.grid.n_points), family_basis, ())
+    def test_empty_orders(self, states):
+        report = completeness_projection(GaussPower(0, 1.0), states, ())
         assert report.orders == ()
         assert report.residuals == ()
         assert report.coefficients == ()
 
-    def test_orders_out_of_range(self, family_basis, analysis_grid):
+    def test_orders_out_of_range(self, states):
         with pytest.raises(ValidationError):
-            completeness_projection(
-                np.zeros(analysis_grid.n_points), family_basis, (0,)
-            )
+            completeness_projection(GaussPower(0, 1.0), states, (0,))
         with pytest.raises(ValidationError):
-            completeness_projection(
-                np.zeros(analysis_grid.n_points), family_basis, (9,)
-            )
+            completeness_projection(GaussPower(0, 1.0), states, (9,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_samples_raise(self, family_basis, analysis_grid, bad):
-        target = np.zeros(analysis_grid.n_points)
-        target[analysis_grid.n_points // 2] = bad
+    def test_non_finite_samples_raise(self, bad):
+        # a target is a record, not samples: its scale is checked when it is built
         with pytest.raises(ValidationError, match="finite"):
-            completeness_projection(target, family_basis, (2,))
-        with pytest.raises(ValidationError, match="finite"):
-            inner_product(target, target, analysis_grid)
+            GaussPower(1, bad)
 
-    def test_overflowing_overlap_raises(self, family_basis, analysis_grid):
-        # finite samples whose quadrature sum leaves the double range
-        target = np.full(analysis_grid.n_points, 1e308)
-        with pytest.raises(NumericError, match="overlaps"):
-            completeness_projection(target, family_basis, (2,))
+    def test_overflowing_overlap_raises(self):
+        # Gamma(64.5) 60^129 is beyond the double range: rejected before any overlap
+        with pytest.raises(ValidationError, match="not a positive finite float"):
+            GaussPower(64, 60.0)
 
-    def test_overflowing_residual_raises(self, family_basis, analysis_grid):
-        # x^200 exp(-x^2/18) is finite on the grid, its square is not
-        xs = analysis_grid.points()
-        target = xs**200 * np.exp(-(xs * xs) / 18.0)
-        assert np.all(np.isfinite(target))
-        with pytest.raises(NumericError, match="residual of target at order 2"):
-            completeness_projection(target, family_basis, (2, 4))
+    def test_overflowing_residual_raises(self):
+        # x^200 exp(-x^2/18): its square is not integrable in doubles, and its
+        # power is beyond the Hermite range
+        with pytest.raises(ValidationError, match=r"gauss_power power must be in \[0, 64\]"):
+            GaussPower(200, 3.0)
 
-    def test_ill_conditioned_basis_raises_with_partial(self, states, analysis_grid):
-        xs = analysis_grid.points()
-        psi0 = psi_eval(states[0], xs)
-        near_dup = np.vstack([psi0, psi0 * (1.0 + 1e-14)])
-        basis = BasisSet(analysis_grid, near_dup)
+    def test_ill_conditioned_basis_raises_with_partial(self, states):
+        # psi_0 beside a copy whose width is 1e-6 wider: their Gram is near singular
+        beta = states[0].beta * (1.0 + 1e-6)
+        near_dup = dataclasses.replace(states[0], beta=beta, alpha=alpha_from_beta(0, beta))
         with pytest.raises(IllConditionedError) as err:
-            completeness_projection(psi0, basis, (1, 2))
-        partial = err.value.partial
-        assert partial.orders == (1,)
-        assert partial.residuals[0] <= 1e-7
+            completeness_projection(states[0], [states[0], near_dup], (1, 2))
+        partial_report = err.value.partial
+        assert partial_report.orders == (1,)
+        assert partial_report.residuals[0] <= 1e-7

@@ -8,23 +8,19 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
-    BasisSet,
     ConvergenceError,
-    analysis,
     binomial_series_eval,
     cli,
-    completeness_projection,
     errors,
     nls,
     series,
     table,
     two_var_series_eval,
 )
-from infoqm.analysis import DEFAULT_ANALYSIS_GRID
 from infoqm.cli import run
 
 from conftest import GOLDEN_TABLE, leggauss_moment
@@ -89,7 +85,7 @@ class TestOscillatorTable:
         # the logarithm floor is fixed
         code, _, _ = run_captured(capsys, nls_ground + ["--eps-log", "1e-50"])
         assert code == 2
-        # analyze samples on nested levels of DEFAULT_ANALYSIS_GRID; no flag sets the grid
+        # analyze integrates over the whole line; no flag sets a grid
         target = tmp_path / "target.json"
         target.write_text(json.dumps({"kind": "state", "n": 3}))
         project = ["analyze", "project", "--target", str(target), "--orders", "2"]
@@ -198,6 +194,8 @@ JSON_DOCS = st.recursive(
 class TestDeterminism:
     @settings(max_examples=300, deadline=None)
     @given(JSON_DOCS)
+    # every branch of the writer on every run, not only when drawn
+    @example({"a": [True, False, None], "b": {}, "c": np.array([1.0, math.inf, math.nan])})
     def test_writer_is_json_dumps_of_the_rounded_document(self, doc):
         assert cli._dump_json(doc) == json.dumps(json_ready(doc), sort_keys=True, indent=1) + "\n"
 
@@ -597,39 +595,41 @@ class TestAnalyze:
         assert np.max(np.abs(got - want)) < 1e-13
         assert np.array_equal(got, got.T)
 
-    @pytest.mark.parametrize(
-        "target, warned",
-        [({"kind": "gauss_power", "power": 4, "scale": 1.6}, False),
-         ({"kind": "gauss_power", "power": 4, "scale": 3.0}, True)],
-        ids=["settled", "unsettled"],
-    )
-    def test_unsettled_target_is_named_in_the_manifest(self, tmp_path, capsys, target, warned):
-        # x^4 exp(-x^2/18) is cut off at +-14, so no coarse level agrees with
-        # the one below it and the answer is the full grid's
+    @pytest.mark.parametrize("scale", [3.0, 5.0])
+    def test_wide_target_takes_the_whole_line(self, tmp_path, capsys, scale):
+        # x^4 exp(-x^2 / (2 s^2)) reaches far past +-14 at these scales.  The
+        # residuals are sqrt(|t|^2 - c.b) from closed forms: psi_n expanded
+        # in powers of x, and the integral of x^k exp(-c x^2) is
+        # Gamma((k + 1)/2) c^(-(k + 1)/2) for even k
         path = tmp_path / "target.json"
-        path.write_text(json.dumps(target))
+        path.write_text(json.dumps({"kind": "gauss_power", "power": 4, "scale": scale}))
         out_file = tmp_path / "proj.json"
         code, _, _ = run_captured(capsys, ["analyze", "project", "--target", str(path),
                                            "--orders", "2,4,8", "--out", str(out_file)])
         assert code == 0
-        warnings = json.loads((tmp_path / "proj.json.manifest.json").read_text())["warnings"]
-        assert len(warnings) == warned
-        if warned:
-            assert warnings[0].startswith("gauss_power p=4: ") and "8001 points" in warnings[0]
-            xs = DEFAULT_ANALYSIS_GRID.points()
-            full = completeness_projection(xs**4 * np.exp(-(xs * xs) / 18.0),
-                                           BasisSet.from_states(table(7)), (2, 4, 8))
-            doc = json.loads(out_file.read_text())
-            assert doc["residuals"] == [float(f"{r:.12g}") for r in full.residuals]
-            assert doc["coefficients"] == [float(f"{c:.12g}") for c in full.coefficients]
 
-    def test_unsettled_gram_is_named_in_the_manifest(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(analysis, "_LEVEL_TOL", -1.0)  # no level can agree
-        out_file = tmp_path / "gram.csv"
-        code, _, _ = run_captured(capsys, ["analyze", "gram", "--n-max", "2", "--out", str(out_file)])
-        assert code == 0
-        warnings = json.loads((tmp_path / "gram.csv.manifest.json").read_text())["warnings"]
-        assert len(warnings) == 1 and warnings[0].startswith("gram: ")
+        def moment(k, c):
+            return math.gamma((k + 1) / 2) * c ** (-(k + 1) / 2) if k % 2 == 0 else 0.0
+
+        states = table(7)
+        # psi_n = exp(-alpha) sum_j coeffs[n][j] x^j exp(-beta x^2)
+        coeffs = [np.polynomial.hermite.herm2poly([0] * s.n + [1])
+                  * np.sqrt(2.0 * s.beta) ** np.arange(s.n + 1) * math.exp(-s.alpha)
+                  for s in states]
+        gram = np.array([[sum(a * b * moment(i + j, u.beta + v.beta)
+                              for i, a in enumerate(cu) for j, b in enumerate(cv))
+                          for v, cv in zip(states, coeffs)] for u, cu in zip(states, coeffs)])
+        overlaps = np.array([sum(a * moment(i + 4, u.beta + 0.5 / scale**2)
+                                 for i, a in enumerate(cu)) for u, cu in zip(states, coeffs)])
+        norm2 = math.gamma(4.5) * scale**9
+        expected = []
+        for m in (2, 4, 8):
+            c = np.linalg.solve(gram[:m, :m], overlaps[:m])
+            expected.append(math.sqrt(norm2 - c @ overlaps[:m]))
+        doc = json.loads(out_file.read_text())
+        assert doc["residuals"] == pytest.approx(expected, rel=1e-10)
+        manifest = json.loads((tmp_path / "proj.json.manifest.json").read_text())
+        assert manifest["warnings"] == []
 
     def test_project_unknown_kind(self, tmp_path, capsys):
         target = tmp_path / "target.json"
@@ -761,10 +761,10 @@ VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
         ("--resume", {"psi": [0.0] + [True] * 62 + [0.0]}),
         # a power is at least 0: x^-1 is infinite at the node x = 0
         ("--target", {"kind": "gauss_power", "power": -1}),
-        # samples that overflow or divide by a zero width are not finite
+        # a power beyond the Hermite range; a squared norm that underflows
         ("--target", {"kind": "gauss_power", "power": 300}),
         ("--target", {"kind": "gauss_power", "power": 2, "scale": 1e-300}),
-        # finite samples whose residual overflows
+        # a power beyond the Hermite range, whose squared norm also overflows
         ("--target", {"kind": "gauss_power", "power": 200, "scale": 3}),
     ],
 )
