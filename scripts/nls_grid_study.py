@@ -4,7 +4,8 @@
 Solves mu(b) = b for the quadratic potential at increasing resolutions,
 warm-starting each level from the previous one, and prints the lambda
 estimates with their successive differences, their errors against the
-closed-form n = 0 multiplier, and the work of each level's solve: its
+closed-form n = 0 multiplier, and the work of each level's solve, summed
+over the lower bracket end and the root continued from it: its
 semi-implicit loose-phase steps, its bordered Newton steps, and its
 tridiagonal solves (calls of nls._thomas, counted by a wrapper) with the
 right-hand sides they took: one a loose step or a Newton step in ln u

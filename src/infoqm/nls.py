@@ -36,9 +36,11 @@ kept only once one explicit step from it moves it by less than the flow
 tolerance; where rounding alone keeps it above (a tolerance near 1e-12
 or below), the full explicit flow at its b gives the state instead.
 Where the loose phase or the last Newton solve fails, the solve raises.
-F(b) = mu(b) - b is evaluated only at the bracket's two ends, each a
-ground_state; the root is one free-b Newton solve, and the
-self-consistent solve raises where that fails.
+F(b) = mu(b) - b is evaluated at the bracket's lower end, a ground_state,
+and the root is continued from that end's state by one free-b Newton
+solve (natural-parameter continuation; Allgower & Georg, Numerical
+Continuation Methods, 1990); the upper end is solved only where that
+fails, to name the failure.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -144,7 +146,8 @@ class GroundStateSolution:
     held from the start state) and the steps of the Newton attempt that
     made each Newton state, in ln u or plain, or the explicit steps of the
     full flow that replaced a Newton state that did not verify, and for a
-    self-consistent solve the sum over both bracket ends and the root.  A
+    self-consistent solve the sum over the lower bracket end and the root
+    (the upper end, where it was returned as the root).  A
     loose phase whose Newton state was so replaced is not counted, and
     neither is a failed Newton attempt.  ``energy_trace`` starts
     with the energy of the normalized start state, samples the full flow
@@ -661,46 +664,45 @@ def self_consistent_lambda(
     """Root b* of F(b) = mu(b) - b in the bracket: the returned coefficient
     is its own stationarity eigenvalue, |mu(b*) - b*| < f_tol.
 
-    F is evaluated at both ends by ground_state: at the lower end from
-    init, at the upper end from the lower end's state.  A bracket that is
-    not a finite lo < hi raises ValidationError before any solve.  An end
-    where |F| < f_tol is the root; otherwise BracketError is raised when F
-    has no sign change on the bracket.  The root is a free-b Newton solve
-    at the secant estimate of the root, started from the lower end's state
-    (from which Newton continues upward; from the upper end's it can leave
-    the positive cone): Newton in ln psi first, and the plain chain of
-    ground_state from the same start only where that fails or ends outside
-    the bracket; where its state does not verify, the full flow at its b
-    gives the state instead, as in ground_state.  ConvergenceError is
-    raised if that solve fails, or its b is outside the bracket or has
-    |mu - b| >= f_tol.  ``iterations`` and ``newton_steps`` of the result
-    are the totals over both ends and the root.
+    A bracket that is not a finite lo < hi raises ValidationError before
+    any solve.  F is evaluated at the lower end by ground_state from init,
+    and that end is returned where |F(lo)| < f_tol.  Otherwise the root is
+    continued from the lower end's state: a free-b Newton solve started at
+    b = lo (Newton in ln psi first, and the plain chain of ground_state
+    from the same start only where that fails or ends outside the
+    bracket; where its state does not verify, the full flow at its b gives
+    the state instead, as in ground_state).  A continued root whose b lies
+    in the bracket with |mu - b| < f_tol is returned without checking the
+    sign change of F at the ends.  Only where the continuation fails is the
+    upper end solved, by ground_state from the lower end's state, to name
+    the failure: it is returned where |F(hi)| < f_tol; otherwise
+    BracketError is raised when F has no sign change on the bracket, and
+    ConvergenceError for the failed continuation when it has.
+    ``iterations`` and ``newton_steps`` of the result are the totals over
+    the lower end and the returned state.
     """
     f_tol = _as_positive(f_tol, "f_tol")
     lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
     if not lo < hi:
         raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
     sol_lo = ground_state(problem.with_b(lo), cfg, init=init)
-    sol_hi = ground_state(problem.with_b(hi), cfg, init=sol_lo.psi)
-    kept = [sol_lo, sol_hi]
-    ends = [sol for sol in kept if abs(sol.mu - sol.b) < f_tol]
-    if ends:
-        root = ends[0]
+    if abs(sol_lo.mu - lo) < f_tol:
+        return lo, sol_lo
+    try:
+        root = _newton_state(problem.with_b(lo), cfg, sol_lo.psi, (lo, hi))
+    except ConvergenceError as exc:
+        root, cause, failure = None, exc, f"free-b Newton solve from b = {lo!r} failed: {exc}"
     else:
-        f_lo, f_hi = sol_lo.mu - lo, sol_hi.mu - hi
-        # constructing the bracket record validates the sign change
-        RootBracket(lo, hi, f_lo, f_hi)
-        guess = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        try:
-            root = _newton_state(problem.with_b(guess), cfg, sol_lo.psi, (lo, hi))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"free-b Newton solve from b = {guess!r} failed: {exc}") from exc
-        if not (lo <= root.b <= hi and abs(root.mu - root.b) < f_tol):
-            raise ConvergenceError(f"free-b Newton root b = {root.b!r} is not a root in "
-                                   f"[{lo}, {hi}]: |mu - b| = {abs(root.mu - root.b):.3e}")
-        kept.append(root)
-    return root.b, replace(root, iterations=sum(sol.iterations for sol in kept),
-                           newton_steps=sum(sol.newton_steps for sol in kept))
+        cause, failure = None, (f"free-b Newton root b = {root.b!r} is not a root in "
+                                f"[{lo}, {hi}]: |mu - b| = {abs(root.mu - root.b):.3e}")
+    if root is None or not (lo <= root.b <= hi and abs(root.mu - root.b) < f_tol):
+        root = ground_state(problem.with_b(hi), cfg, init=sol_lo.psi)
+        if not abs(root.mu - hi) < f_tol:
+            # constructing the bracket record validates the sign change
+            RootBracket(lo, hi, sol_lo.mu - lo, root.mu - hi)
+            raise ConvergenceError(failure) from cause
+    return root.b, replace(root, iterations=sol_lo.iterations + root.iterations,
+                           newton_steps=sol_lo.newton_steps + root.newton_steps)
 
 
 def uniqueness_probe(

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import math
 import pathlib
@@ -394,7 +395,7 @@ class TestBorderedNewton:
         # Newton in ln u holds from the default guess and then from the lower
         # end's state, so neither the plain solve nor a loose phase runs
         assert not loose and not flows and not newton
-        assert len(log_newton) == 3  # both ends and the root step
+        assert len(log_newton) == 2  # the lower end and the continued root
         assert sol.iterations == sum(loose) == 0
         assert sol.newton_steps == sum(log_newton)
 
@@ -406,7 +407,7 @@ class TestBorderedNewton:
         init = randomized_initial_guess(problem.grid, 9, 1)
         _, sol = self_consistent_lambda(problem, cfg, init=init)
         assert len(loose) == 1 and not flows
-        assert len(newton) == 3
+        assert len(newton) == 2
         assert sol.iterations == sum(loose) > 0
         assert sol.newton_steps == sum(newton)
 
@@ -549,27 +550,27 @@ class TestWorkCounts:
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
         work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
-        # both bracket ends at a fixed b, then the free-b root, one
-        # right-hand side a step in ln u; the plain chain alone takes 14
-        # fixed-b steps and 8 free-b steps of two right-hand sides
-        assert work == {"log_fixed_b_calls": 15, "log_fixed_b_rhs": 15,
+        # the lower end at a fixed b, then the free-b root continued from
+        # it, one right-hand side a step in ln u; the plain chain alone
+        # takes 7 fixed-b steps and 7 free-b steps of two right-hand sides
+        assert work == {"log_fixed_b_calls": 8, "log_fixed_b_rhs": 8,
                         "log_free_b_calls": 6, "log_free_b_rhs": 6}
 
     def test_probe_with_loose_phases(self, monkeypatch):
         # Newton in ln u holds from each start of this probe, where the
-        # plain chain alone runs 26 loose steps besides 21 fixed-b and 14
+        # plain chain alone runs 26 loose steps besides 9 fixed-b and 14
         # free-b Newton steps
         problem = harmonic_problem(48, half_width=8.0)
         cfg = FlowConfig(step=0.02, tol_flow=1e-9, seed=0)
         work = self.counted(monkeypatch, lambda: uniqueness_probe(problem, cfg, 2))
-        assert work == {"log_fixed_b_calls": 26, "log_fixed_b_rhs": 26,
+        assert work == {"log_fixed_b_calls": 12, "log_fixed_b_rhs": 12,
                         "log_free_b_calls": 12, "log_free_b_rhs": 12}
 
     def test_lambda_solve_from_a_perturbed_start(self, monkeypatch):
         # a narrow, rippled --resume-like state on the 512-point lambda grid
         # of the benchmark, from which the plain chain alone runs a loose
-        # phase of 19 steps at the lower end, and 38 tridiagonal solves of
-        # 46 right-hand sides
+        # phase of 19 steps at the lower end, and 30 tridiagonal solves of
+        # 37 right-hand sides
         grid = Grid1D(-12.0, 12.0, 512)
         x, width = grid.points(), 24.0
         s = width / 8.0 * 0.7
@@ -582,7 +583,7 @@ class TestWorkCounts:
             self_consistent_lambda(GridProblem.harmonic(grid), cfg, init=init)))
         (lam, sol), = solved
         assert sol.iterations == 0 and abs(sol.mu - lam) <= 1e-12
-        assert work == {"log_fixed_b_calls": 14, "log_fixed_b_rhs": 14,
+        assert work == {"log_fixed_b_calls": 7, "log_fixed_b_rhs": 7,
                         "log_free_b_calls": 6, "log_free_b_rhs": 6}
 
 
@@ -824,7 +825,7 @@ class TestContinuation:
 
     def test_wide_domain_root_is_the_free_b_newton_root(self, monkeypatch):
         # the free-b Newton solve, started from the lower end's state, holds;
-        # no bisection midpoint is evaluated
+        # no bisection midpoint and no upper end is evaluated
         problem = harmonic_problem(512, half_width=20.0)
         evaluated = []
         solve = nls.ground_state
@@ -835,7 +836,7 @@ class TestContinuation:
 
         monkeypatch.setattr(nls, "ground_state", counted_ground_state)
         lam, sol = self_consistent_lambda(problem, FlowConfig(step=1e-3, tol_flow=1e-9))
-        assert evaluated == list(nls.DEFAULT_BRACKET)
+        assert evaluated == [nls.DEFAULT_BRACKET[0]]
         assert abs(sol.mu - sol.b) < 1e-12
         assert abs(lam - GOLDEN_LAMBDA0) < 1e-3
         assert sol.iterations <= 30 and 0 < sol.newton_steps <= 40
@@ -867,9 +868,10 @@ def spectral_oracle():
     return module
 
 
-def solved_states(problem, cfg, bracket):
-    """self_consistent_lambda's (lam, sol) and the states it solved: the b
-    of each ground_state call, then "root" for each free-b solve."""
+@contextlib.contextmanager
+def recorded_solves():
+    """A list of the states solved inside the block, in order: the b of
+    each ground_state call, and "root" for each free-b solve."""
     solved = []
     solve, newton_state = nls.ground_state, nls._newton_state
 
@@ -885,6 +887,13 @@ def solved_states(problem, cfg, bracket):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nls, "ground_state", counted_ground_state)
         mp.setattr(nls, "_newton_state", counted_newton_state)
+        yield solved
+
+
+def solved_states(problem, cfg, bracket):
+    """self_consistent_lambda's (lam, sol) and the states it solved, as
+    recorded_solves lists them."""
+    with recorded_solves() as solved:
         lam, sol = self_consistent_lambda(problem, cfg, bracket=bracket)
     return lam, sol, solved
 
@@ -903,8 +912,9 @@ def bracket_roots():
 
 
 class TestOneRootPath:
-    """The root is the free-b Newton solve from the lower end's state, or
-    the solve raises: three states, lo, hi and the root, on every return."""
+    """The root is the free-b Newton solve continued from the lower end's
+    state; the upper end is solved only where that fails, to name the
+    failure or to return the upper end as the root."""
 
     @pytest.mark.parametrize("n_points", [512, 1024, 2048])
     @pytest.mark.parametrize("name", list(POTENTIALS))
@@ -912,7 +922,7 @@ class TestOneRootPath:
         default, wide = bracket_roots[name, n_points]
         brackets = (nls.DEFAULT_BRACKET, WIDE_BRACKET)
         for (lo, hi), (lam, sol, solved) in zip(brackets, (default, wide)):
-            assert solved == [lo, hi, "root"]
+            assert solved == [lo, "root"]
             assert sol.b == lam and sol.newton_steps > 0
             assert abs(sol.mu - lam) < 1e-14
         assert abs(wide[0] - default[0]) <= 1e-12
@@ -928,7 +938,56 @@ class TestOneRootPath:
             for coarse, fine in zip(errors, errors[1:]):
                 assert 3.8 < coarse / fine < 4.2
 
+    @pytest.mark.parametrize("bracket", [nls.DEFAULT_BRACKET, WIDE_BRACKET])
+    def test_continued_root_solves_no_upper_end(self, bracket):
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        lam, sol, solved = solved_states(problem, cfg, bracket)
+        lo, hi = bracket
+        assert solved == [lo, "root"]
+        assert lo < lam < hi and sol.b == lam and abs(sol.mu - lam) < 1e-14
+        # the work totals are the lower end's and the continued root's
+        lower = ground_state(problem.with_b(lo), cfg)
+        root = nls._newton_state(problem.with_b(lo), cfg, lower.psi, bracket)
+        assert np.array_equal(sol.psi, root.psi) and sol.mu == root.mu
+        assert sol.newton_steps == lower.newton_steps + root.newton_steps
+        assert sol.iterations == lower.iterations + root.iterations == 0
+
+    def test_upper_end_within_f_tol_is_the_root_where_the_continuation_fails(self, monkeypatch):
+        # F(lambda*) = -2.2e-16 here, of the same sign as F(-3): the upper
+        # end is returned before the sign change is checked
+        problem = harmonic_problem(96, half_width=8.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        lam, _ = self_consistent_lambda(problem, cfg)
+        newton_state = nls._newton_state
+
+        def failed_continuation(problem, cfg, init, bracket=None):
+            if bracket is not None:
+                raise ConvergenceError("forced failure")
+            return newton_state(problem, cfg, init)
+
+        monkeypatch.setattr(nls, "_newton_state", failed_continuation)
+        got, sol, solved = solved_states(problem, cfg, (-3.0, lam))
+        assert solved == [-3.0, "root", lam]
+        assert got == sol.b == lam and abs(sol.mu - lam) < 1e-6
+        lower = ground_state(problem.with_b(-3.0), cfg)
+        upper = ground_state(problem.with_b(lam), cfg, init=lower.psi)
+        assert np.array_equal(sol.psi, upper.psi)
+        assert sol.newton_steps == lower.newton_steps + upper.newton_steps
+
+    def test_bracket_without_a_root_raises_after_the_continuation(self):
+        # the continued root lies past the upper end, at b = -1.34, so the
+        # upper end is solved: F has no sign change on the bracket
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        with recorded_solves() as solved, pytest.raises(BracketError,
+                                                        match=r"^no sign change on \[-3\.0, -2\.0\]"):
+            self_consistent_lambda(problem, cfg, bracket=(-3.0, -2.0))
+        assert solved == [-3.0, "root", -2.0]
+
     def test_free_b_failure_raises(self, monkeypatch):
+        # a failed continuation inside a bracket with a sign change: the
+        # upper end is solved, and the error names the continuation's start
         def free_b_failure(newton):
             def attempt(problem, psi, free_b):
                 if free_b:
@@ -938,8 +997,12 @@ class TestOneRootPath:
 
         monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
         monkeypatch.setattr(nls, "_bordered_newton", free_b_failure(nls._bordered_newton))
-        with pytest.raises(ConvergenceError, match=r"^free-b Newton solve from .* failed: forced"):
+        with recorded_solves() as solved, pytest.raises(
+                ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: forced failure$"
+        ) as raised:
             self_consistent_lambda(harmonic_problem(256, half_width=12.0), FlowConfig(step=5e-3))
+        assert solved == [-3.0, "root", -0.5]
+        assert str(raised.value.__cause__) == "forced failure"
 
     def test_root_outside_the_bracket_raises(self, monkeypatch):
         # a free-b root past the upper end is not returned, and there is no
@@ -956,38 +1019,30 @@ class TestOneRootPath:
             self_consistent_lambda(problem, FlowConfig(step=2e-3, tol_flow=1e-8))
 
     def test_log_attempts_that_fail_fall_back_to_the_plain_chain(self, monkeypatch, bracket_roots):
-        # on the wide bracket, Newton in ln u at the upper end b = 0.5 grows
-        # the state past the range of floats, and from the secant guess it
-        # ends on a root near b = 1.704, past the upper end: the plain chain
-        # from the same starts gives the end state (after a loose phase)
-        # and the root
+        # on the wide bracket, with the continuation's Newton in ln u made
+        # to fail, the plain chain from the same start, the lower end's
+        # state, gives the root, with no loose phase
         problem, cfg = stable_problem("harmonic", 512)
         log_attempts, plain_roots = [], []
         log_newton, bordered_newton = nls._log_newton, nls._bordered_newton
 
-        def recorded_log_newton(problem, psi, free_b):
-            try:
-                out = log_newton(problem, psi, free_b)
-            except ConvergenceError as exc:
-                log_attempts.append((problem.b, str(exc)))
-                raise
-            log_attempts.append((problem.b, out[1]))
-            return out
+        def failing_free_b_log_newton(problem, psi, free_b):
+            log_attempts.append((problem.b, free_b))
+            if free_b:
+                raise ConvergenceError("forced failure")
+            return log_newton(problem, psi, free_b)
 
         def recorded_newton(problem, psi, free_b):
             out = bordered_newton(problem, psi, free_b)
             plain_roots.append(out[1] if free_b else None)
             return out
 
-        monkeypatch.setattr(nls, "_log_newton", recorded_log_newton)
+        monkeypatch.setattr(nls, "_log_newton", failing_free_b_log_newton)
         monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
         lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET)
-        (lo, at_lo), (hi, at_hi), (_, log_root) = log_attempts
-        assert (lo, at_lo, hi) == (-6.0, -6.0, 0.5)
-        assert at_hi == "Newton in ln u left the range of floats"
-        assert abs(log_root - 1.704) < 1e-3
-        assert plain_roots == [None, lam]
-        assert abs(sol.mu - lam) < 1e-14
+        assert log_attempts == [(-6.0, False), (-6.0, True)]
+        assert plain_roots == [lam]
+        assert sol.iterations == 0 and abs(sol.mu - lam) < 1e-14
         assert abs(lam - bracket_roots["harmonic", 512][0][0]) <= 1e-12
 
     def test_modified_step_keeps_the_cone(self, monkeypatch, bracket_roots):
