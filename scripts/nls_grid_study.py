@@ -9,11 +9,15 @@ over the lower bracket end and the root continued from it: its
 semi-implicit loose-phase steps, its bordered Newton steps, and its
 tridiagonal solves (calls of nls._thomas, counted by a wrapper) with the
 right-hand sides they took: one a loose step or a Newton step in ln u
-or plain at a fixed b, two a plain free-b Newton step.
+or plain at a fixed b, two a plain free-b Newton step.  The last column
+is the median wall time of one of those calls, in microseconds: the
+one-solve layer's cost at each grid size, printed and not checked.
 """
 
 import pathlib
+import statistics
 import sys
+import time
 
 import numpy as np
 
@@ -32,14 +36,18 @@ def stable_step(grid: Grid1D) -> float:
     return 0.9 / (2.0 / (h * h) + 0.5 * HALF_WIDTH**2)
 
 
-def count_thomas(work: dict[str, int]) -> None:
-    """Wrap nls._thomas so that each call adds to work's calls and rhs."""
+def count_thomas(work: dict[str, int], seconds: list[float]) -> None:
+    """Wrap nls._thomas so that each call adds to work's calls and rhs,
+    and appends its wall time to seconds."""
     thomas = nls._thomas
 
     def counted(diag, off, *rhs):
         work["calls"] += 1
         work["rhs"] += len(rhs)
-        return thomas(diag, off, *rhs)
+        start = time.perf_counter()
+        solutions = thomas(diag, off, *rhs)
+        seconds.append(time.perf_counter() - start)
+        return solutions
 
     nls._thomas = counted
 
@@ -47,17 +55,19 @@ def count_thomas(work: dict[str, int]) -> None:
 def main() -> None:
     closed_form = solve_state(0).lam
     work = {"calls": 0, "rhs": 0}
-    count_thomas(work)
+    seconds: list[float] = []
+    count_thomas(work, seconds)
     previous = None
     prev_grid = None
     prev_lambda = None
     print(f"{'points':>7} {'step':>10} {'lambda':>14} {'delta_prev':>12} {'vs_closed':>10} "
-          f"{'iterations':>10} {'newton_steps':>12} {'thomas':>6} {'rhs':>4}")
+          f"{'iterations':>10} {'newton_steps':>12} {'thomas':>6} {'rhs':>4} {'us/call':>7}")
     for n in LEVELS:
         grid = Grid1D(-HALF_WIDTH, HALF_WIDTH, n)
         problem = GridProblem.harmonic(grid)
         cfg = FlowConfig(step=stable_step(grid), tol_flow=1e-8)
         work.update(calls=0, rhs=0)
+        seconds.clear()
         if previous is None:
             lam, sol = self_consistent_lambda(problem, cfg, f_tol=1e-6)
         else:
@@ -71,7 +81,7 @@ def main() -> None:
         delta = "" if prev_lambda is None else f"{abs(lam - prev_lambda):.3e}"
         print(f"{n:>7} {cfg.step:>10.2e} {lam:>14.8f} {delta:>12} "
               f"{abs(lam - closed_form):>10.2e} {sol.iterations:>10} {sol.newton_steps:>12} "
-              f"{work['calls']:>6} {work['rhs']:>4}")
+              f"{work['calls']:>6} {work['rhs']:>4} {1e6 * statistics.median(seconds):>7.0f}")
         previous, prev_grid, prev_lambda = sol.psi, grid, lam
 
 

@@ -40,6 +40,7 @@ def _fmt(value: float, digits: int) -> str:
 
 
 _JSON_STRING = json.encoder.encode_basestring_ascii
+_MIN_NORMAL = sys.float_info.min
 
 
 def _json_float(value: float) -> str:
@@ -48,6 +49,19 @@ def _json_float(value: float) -> str:
     if math.isfinite(value):
         return float.__repr__(float(f"{value:.12g}"))
     return _JSON_STRING(str(value))
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    """_json_float of each value, byte for byte.  Where the 12-digit %g
+    string of a normal float is positional with a "." or has a negative
+    exponent, it is already the repr of the float it rounds to: that float
+    has at most 12 significant digits, fewer than the 15 every decimal
+    keeps through a double, and repr writes it in the same form.  Every
+    other value, an integer (which needs its ".0"), an "e+" form (repr is
+    positional below 1e16), a subnormal (whose repr can be shorter), a
+    zero, an infinity or a NaN, goes through _json_float."""
+    return [text if ("e" in (text := f"{v:.12g}") or "." in text) and "e+" not in text
+            and abs(v) >= _MIN_NORMAL else _json_float(v) for v in values]
 
 
 def _json_text(obj, newline: str) -> str:
@@ -72,11 +86,7 @@ def _json_text(obj, newline: str) -> str:
         entries = (f"{_JSON_STRING(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(entries) + newline + "}"
     if isinstance(obj, np.ndarray):
-        values = np.asarray(obj, dtype=float)
-        if np.isfinite(values).all():
-            entries = map(float.__repr__, [float(f"{v:.12g}") for v in values.tolist()])
-        else:
-            entries = map(_json_float, values.tolist())
+        entries = _json_floats(np.asarray(obj, dtype=float).tolist())
     elif isinstance(obj, (list, tuple)):
         entries = [_json_text(v, inner) for v in obj]
     else:

@@ -13,7 +13,7 @@ on the unit sphere with explicit normalized gradient steps
 
 until the step norm drops below tolerance.  Both solves run Newton
 instead, on the state bordered by the unit-norm constraint, whose
-tridiagonal Jacobian is solved by the Thomas algorithm, straight from the
+tridiagonal Jacobian takes one tridiagonal solve a step, straight from the
 start state.  At a fixed b (ground_state) the border unknown is the
 eigenvalue shift m = mu(b) - b; for the self-consistent root (mu(b) = b,
 so the stationarity eigenvalue equals the nonlinear coefficient) it is b
@@ -29,7 +29,7 @@ does the plain chain run from the same start: Newton in u, and where that
 fails a short loose phase before Newton in u is tried once more.  The
 loose phase takes backward-Euler steps in H with the logarithm taken from
 the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004), each
-one Thomas solve of a tridiagonal M-matrix, to a loose norm.  Where the
+one tridiagonal solve of an M-matrix, to a loose norm.  Where the
 plain Newton step would leave the positive cone, each entry it cuts by
 more than 90% takes the Newton step in ln u instead.  A Newton state is
 kept only once one explicit step from it moves it by less than the flow
@@ -53,11 +53,17 @@ _gradient; the loose phase and the plain Newton Jacobian need only the
 logarithm, so they call _floored_log.  One function, _newton_state, runs
 Newton in ln u, the plain chain where that fails, and verifies every
 Newton state kept, at a fixed b and for the root; it is the one solver
-behind both.  Every tridiagonal solve is one _thomas call: a sequential
-sweep over Python floats, whose first pass eliminates T and sweeps the
-first right-hand side forward together, and which moves an exactly zero
-pivot off zero, as inverse iteration does.  A loose step, a Newton step
-in ln u and a plain fixed-b Newton step take one right-hand side each.
+behind both.  Every tridiagonal solve is one _thomas call: up to
+_SWEEP_MAX = 64 unknowns a sequential Thomas sweep over Python floats
+(_sweep), and above it odd-even cyclic reduction in whole-array
+operations down to at most 64 unknowns, which the sweep solves, so that
+a 2046-unknown solve takes five reduction levels instead of a loop of
+2046 steps.  Both eliminate without pivoting, which is backward stable
+for the symmetric positive definite Jacobian of a Newton step in ln u at
+b < 0 and the diagonally dominant matrix of a loose step, and both move
+an exactly zero pivot off zero, as inverse iteration does.  A loose
+step, a Newton step in ln u and a plain fixed-b Newton step take one
+right-hand side each.
 In ln u the Jacobian J' satisfies J' u = -2b u above the floor, so the
 step splits into its part along u and one solve off it (see _log_step);
 the plain Jacobian J satisfies J u = G - 2b u, so at a fixed b one solve
@@ -95,6 +101,10 @@ _NEWTON_TOL = 1e-10
 # a Newton step that cuts an entry by more than this fraction, where the
 # plain step leaves the positive cone, is taken in ln u for that entry
 _CUT = 0.9
+# the most unknowns a tridiagonal solve sweeps sequentially; a larger one
+# is first reduced below it (measured: a reduction level costs about the
+# sweep over 64 rows)
+_SWEEP_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -384,41 +394,105 @@ def _loose_phase(problem: GridProblem, psi: np.ndarray) -> tuple[np.ndarray, int
     )
 
 
-def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
-    """Solve T x = r for each r in ``rhs`` and the symmetric tridiagonal T
-    with diagonal ``diag`` and constant off-diagonal ``off``: the Thomas
-    algorithm without pivoting (L. H. Thomas, 1949).  One zip pass over
-    Python floats eliminates T and sweeps the first right-hand side
-    forward; each further one gets its own forward sweep, and each one
-    back pass.  A pivot of exactly 0 is replaced by 2^-52 |off|, as
-    inverse iteration does with an exactly singular shift (Peters &
-    Wilkinson, SIAM Rev. 21, 339, 1979): the solve is then that of T with
-    one diagonal entry moved by a rounding error of the off-diagonal."""
-    d = diag.tolist()
-    first, *rest = (r.tolist() for r in rhs)
-    tiny = 2.0**-52 * abs(off)
+def _sweep(
+    d: list[float], e: list[float], rhs: list[list[float]], tiny: float
+) -> list[list[float]]:
+    """The Thomas algorithm without pivoting (L. H. Thomas, 1949) over
+    Python floats, for the symmetric tridiagonal system with diagonal d and
+    off-diagonal e (e[i] couples rows i and i + 1) and each right-hand side
+    in rhs.  One zip pass eliminates the system and sweeps the first
+    right-hand side forward; each further one gets its own forward sweep,
+    and each one back pass.  A pivot of exactly 0 is replaced by tiny."""
+    first, *rest = rhs
     pivot = d[0] or tiny
-    ratio = off / pivot
     y = first[0] / pivot
-    pivots, ratios, forward = [pivot], [ratio], [y]
-    for d_i, r_i in zip(d[1:], first[1:]):
-        pivot = d_i - off * ratio or tiny
-        ratio = off / pivot
-        y = (r_i - off * y) / pivot
+    pivots, ratios, forward = [pivot], [], [y]
+    for d_i, e_i, r_i in zip(d[1:], e, first[1:]):
+        ratio = e_i / pivot
+        pivot = d_i - e_i * ratio or tiny
+        y = (r_i - e_i * y) / pivot
         pivots.append(pivot)
         ratios.append(ratio)
         forward.append(y)
     sweeps = [forward]
     for r in rest:
         x = r[0] / pivots[0]
-        sweeps.append([x] + [x := (r_i - off * x) / p for r_i, p in zip(r[1:], pivots[1:])])
-    back = ratios[-2::-1]
+        sweeps.append([x] + [x := (r_i - e_i * x) / p for r_i, e_i, p in zip(r[1:], e, pivots[1:])])
+    back = ratios[::-1]
     solutions = []
     for swept in sweeps:
         x = swept[-1]
-        solutions.append(np.array([x := y_i - q * x for y_i, q in zip(swept[-2::-1], back)][::-1]
-                                  + [swept[-1]]))
+        solutions.append([x := y_i - q * x for y_i, q in zip(swept[-2::-1], back)][::-1]
+                         + [swept[-1]])
     return solutions
+
+
+def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
+    """Solve T x = r for each r in ``rhs`` and the symmetric tridiagonal T
+    with diagonal ``diag`` and constant off-diagonal ``off``.
+
+    Up to _SWEEP_MAX unknowns this is the sequential _sweep.  A larger T is
+    first padded with decoupled unit rows to 2^L (m + 1) - 1 unknowns, with
+    L the fewest levels that leave m <= _SWEEP_MAX, and reduced by L levels
+    of odd-even cyclic reduction (Hockney, J. ACM 12, 95, 1965; Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 7, 627, 1970): each level
+    eliminates the even-indexed rows in whole-array operations, for every
+    right-hand side at once, and leaves a symmetric tridiagonal system on
+    the odd-indexed rows whose off-diagonal varies from row to row.  The m
+    unknowns left are solved by the sweep and the eliminated rows found
+    again level by level.  This is Gaussian elimination without pivoting
+    in odd-even order, backward stable where T is symmetric positive
+    definite, as the Jacobian of a Newton step in ln u is at b < 0
+    (J' u = -2b u > 0 with u > 0 makes it an M-matrix), or diagonally
+    dominant, as a loose step's matrix is.
+
+    A pivot of exactly 0, in a level or in the sweep, is replaced by
+    2^-52 |off|, as inverse iteration does with an exactly singular shift
+    (Peters & Wilkinson, SIAM Rev. 21, 339, 1979).  A level's pivot is a
+    diagonal entry of a Schur complement of T, so the solve is then that
+    of T with one diagonal entry moved by a rounding error of the
+    off-diagonal.  Each right-hand side's solution has the same bits
+    whether it is solved alone or with others."""
+    n = diag.size
+    tiny = 2.0**-52 * abs(off)
+    if n <= _SWEEP_MAX:
+        sweeps = _sweep(diag.tolist(), [off] * (n - 1), [r.tolist() for r in rhs], tiny)
+        return [np.array(x) for x in sweeps]
+    blocks, levels = n + 1, 0
+    while blocks > _SWEEP_MAX + 1:
+        blocks, levels = -(-blocks // 2), levels + 1
+    width = (blocks << levels) - 1
+    d = np.ones(width)
+    d[:n] = diag
+    # e[i] couples rows i - 1 and i; rows 0 and width - 1 have a zero
+    # coupling past their end, and the padding rows none at all
+    e = np.zeros(width + 1)
+    e[1:n] = off
+    r = np.zeros((len(rhs), width))
+    r[:, :n] = rhs
+    if len(rhs) == 1:
+        r = r[0]
+    eliminated = []
+    for _ in range(levels):
+        # even row 2k: x_2k = y_k - left_k x_2k-1 - right_k x_2k+1
+        pivots = d[0::2]
+        if np.count_nonzero(pivots) < pivots.size:
+            pivots = np.where(pivots == 0.0, tiny, pivots)
+        e_even, e_odd = e[0::2], e[1::2]
+        left, right, y = e_even / pivots, e_odd / pivots, r[..., 0::2] / pivots
+        eliminated.append((left, right, y))
+        d = d[1::2] - e_odd[:-1] * right[:-1] - e_even[1:] * left[1:]
+        r = r[..., 1::2] - e_odd[:-1] * y[..., :-1] - e_even[1:] * y[..., 1:]
+        e = -(e_even * right)
+    x = np.array(_sweep(d.tolist(), e[1:-1].tolist(), r.reshape(-1, d.size).tolist(), tiny))
+    x = x.reshape(r.shape)
+    for left, right, y in reversed(eliminated):
+        # the odd rows' solution between zeros, interleaved with the even rows'
+        full = np.zeros(x.shape[:-1] + (2 * x.shape[-1] + 3,))
+        full[..., 2:-1:2] = x
+        full[..., 1::2] = y - left * full[..., 0:-2:2] - right * full[..., 2::2]
+        x = full[..., 1:-1]
+    return list(np.atleast_2d(x)[:, :n])
 
 
 def _newton_step(
@@ -440,7 +514,7 @@ def _newton_step(
     the entries below the floor, whose amplitude is under 1e-50.  The step
     is then a shifted inverse iteration, u + d_u = (d_p - 2b) w.  The free-b
     column -(1 + L) u has no such identity, so that step takes two
-    right-hand sides in one Thomas pass.
+    right-hand sides in one _thomas call.
     """
     h = problem.grid.spacing
     inv_h2 = 1.0 / (h * h)
@@ -679,7 +753,9 @@ def self_consistent_lambda(
     BracketError is raised when F has no sign change on the bracket, and
     ConvergenceError for the failed continuation when it has.
     ``iterations`` and ``newton_steps`` of the result are the totals over
-    the lower end and the returned state.
+    the lower end and the returned state, and its ``energy_trace`` starts
+    with the energy of the normalized start state at b = lo, as the lower
+    end's does, and goes on with the returned state's own trace.
     """
     f_tol = _as_positive(f_tol, "f_tol")
     lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
@@ -702,7 +778,8 @@ def self_consistent_lambda(
             RootBracket(lo, hi, sol_lo.mu - lo, root.mu - hi)
             raise ConvergenceError(failure) from cause
     return root.b, replace(root, iterations=sol_lo.iterations + root.iterations,
-                           newton_steps=sol_lo.newton_steps + root.newton_steps)
+                           newton_steps=sol_lo.newton_steps + root.newton_steps,
+                           energy_trace=sol_lo.energy_trace[:1] + root.energy_trace[1:])
 
 
 def uniqueness_probe(

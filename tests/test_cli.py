@@ -5,6 +5,8 @@ import io
 import json
 import math
 import pathlib
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +168,14 @@ JSON_FLOATS = st.one_of(
     st.integers(-10**6, 10**6).map(float),
     st.floats(1e12, 1e16, exclude_max=True),
 )
+# every bit pattern, every decade from the subnormals to the overflow, and
+# the subnormals alone, where the shortest repr can be shorter than 12 digits
+ARRAY_FLOATS = st.one_of(
+    JSON_FLOATS,
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0), st.integers(-323, 307)),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+)
 INT64 = st.integers(-(2**63), 2**63 - 1)
 JSON_LEAVES = st.one_of(
     st.none(),
@@ -198,6 +208,19 @@ class TestDeterminism:
     @example({"a": [True, False, None], "b": {}, "c": np.array([1.0, math.inf, math.nan])})
     def test_writer_is_json_dumps_of_the_rounded_document(self, doc):
         assert cli._dump_json(doc) == json.dumps(json_ready(doc), sort_keys=True, indent=1) + "\n"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(ARRAY_FLOATS, max_size=20))
+    @example([0.0, -0.0, 999999999999.5, -999999999999.5, 1e12, 1e16, 9.9999999999995e-5,
+              1e-5, 123.0, 5e-324, -2.5e-320, sys.float_info.min,
+              math.nextafter(sys.float_info.min, 0.0), 2.2250738585e-308, sys.float_info.max,
+              math.inf, -math.inf, math.nan])
+    def test_array_entries_are_the_rounded_reprs(self, values):
+        # the fast path keeps the %g string only where it equals the old
+        # formula's text: the repr of the float rounded to 12 digits
+        expected = [float.__repr__(float(f"{v:.12g}")) if math.isfinite(v) else cli._json_float(v)
+                    for v in values]
+        assert cli._json_floats(values) == expected
 
     @pytest.mark.parametrize("value", [np.bool_(True), {1.0}, 1j, b"x"],
                              ids=["numpy bool", "set", "complex", "bytes"])
@@ -472,6 +495,24 @@ class TestNlsGround:
         assert abs(doc["mu"] - doc["lambda"]) < 1e-6
         assert doc["diagnostics"]["path"] == "newton"
         assert doc["diagnostics"]["newton_steps"] > 0
+
+    def test_lambda_energy_initial_is_that_of_the_start_state(self, tmp_path, capsys):
+        # the energy of the --resume state at the lower bracket end, as the
+        # fixed-b document at that b reads it, not the lower end's mu
+        start = tmp_path / "start.json"
+        grid = ["nls", "ground", "--domain", "-10", "10", "--grid", "256",
+                "--tau", "8e-4", "--tol-flow", "1e-9"]
+        assert run(grid + ["--b", "-1.0", "--out", str(start)]) == 0
+        docs = []
+        for flags in (["--lambda-solve", "--bracket", "-3", "-0.5"], ["--b", "-3"]):
+            code, out, _ = run_captured(capsys, grid + flags + ["--resume", str(start)])
+            assert code == 0
+            docs.append(json.loads(out))
+        lam_doc, lo_doc = docs
+        assert lam_doc["lambda"] is not None and lo_doc["lambda"] is None
+        initial = lam_doc["diagnostics"]["energy_initial"]
+        assert initial == lo_doc["diagnostics"]["energy_initial"]
+        assert initial != lo_doc["mu"]
 
     def test_resume_round_trip(self, tmp_path, capsys):
         argv = [

@@ -497,6 +497,138 @@ class TestThomas:
             bound = 4.0 * np.finfo(float).eps * (growth @ np.abs(x))
             assert np.all(np.abs(dense @ x - r) <= bound)
 
+    @pytest.mark.parametrize("kind", ["dominant", "newton"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 66, 127, 129, 4094])
+    def test_matches_dense_solve_across_the_crossover(self, n, kind):
+        # sizes on both sides of the sweep's limit, and ones whose reduction
+        # levels leave odd and even remainders
+        rng = np.random.default_rng(n)
+        diag, off = tridiagonal_case(n, kind, rng)
+        rhs = rng.standard_normal((2, n))
+        expected = np.linalg.solve(dense_tridiagonal(diag, off), rhs.T).T
+        for x, want in zip(nls._thomas(diag, off, *rhs), expected):
+            assert x.shape == (n,) and x.dtype == np.float64
+            assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_rhs", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 46, 63, 64])
+    def test_sweep_limit_and_below_is_the_sequential_sweep(self, n, n_rhs):
+        # up to _SWEEP_MAX unknowns no reduction level runs: the solve takes
+        # the operations of the plain Thomas sweep, bit for bit
+        assert nls._SWEEP_MAX == 64
+        rng = np.random.default_rng(n)
+        for kind in ("dominant", "newton"):
+            diag, off = tridiagonal_case(n, kind, rng)
+            rhs = rng.standard_normal((n_rhs, n))
+            got = nls._thomas(diag, off, *rhs)
+            assert all(np.array_equal(x, want)
+                       for x, want in zip(got, thomas_sweep(diag, off, *rhs), strict=True))
+
+    @pytest.mark.parametrize("n", [65, 2046])
+    def test_each_right_hand_side_is_solved_alone_past_the_sweep_limit(self, n):
+        # the reduction levels take every right-hand side at once, elementwise
+        rng = np.random.default_rng(n)
+        diag, off = tridiagonal_case(n, "newton", rng)
+        r, s = rng.standard_normal((2, n))
+        x, y = nls._thomas(diag, off, r, s)
+        assert np.array_equal(x, nls._thomas(diag, off, r)[0])
+        assert np.array_equal(y, nls._thomas(diag, off, s)[0])
+
+    def test_log_jacobian_of_a_converged_state(self):
+        # the Jacobian of a Newton step in ln u at b < 0, at the state Newton
+        # converged to: J' u = -2b u > 0 with u > 0 and a negative
+        # off-diagonal make it a symmetric M-matrix, so positive definite
+        b = -2.0
+        problem = harmonic_problem(1024, half_width=12.0, b=b)
+        psi = ground_state(problem, FlowConfig(step=5e-4, tol_flow=1e-8)).psi
+        u, off = psi[1:-1], -0.5 / problem.grid.spacing**2
+        assert np.all(u * u > nls._EPS_LOG)
+        diag = (psi[:-2] + psi[2:]) * (-off) / u - 2.0 * b
+        dense = dense_tridiagonal(diag, off)
+        assert np.all(dense @ u > 0.0) and np.linalg.eigvalsh(dense)[0] > 0.0
+        rhs = np.random.default_rng(3).standard_normal((2, u.size))
+        expected = np.linalg.solve(dense, rhs.T).T
+        for x, want in zip(nls._thomas(diag, off, *rhs), expected):
+            assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_zero_pivot_in_a_reduction_level_is_moved(self):
+        # diag[0] = 0 is the first pivot the first reduction level takes; it
+        # is replaced by 2^-52 |off|, and each solution solves the system
+        # with that entry so moved to the backward error eps |L| |U| |x| of
+        # elimination without pivoting in the odd-even order the levels take
+        n = 130
+        diag, off = tridiagonal_case(n, "dominant", np.random.default_rng(5))
+        diag[0] = 0.0
+        order, rest = [], np.arange(n)
+        while rest.size > nls._SWEEP_MAX:
+            order += rest[0::2].tolist()
+            rest = rest[1::2]
+        order += rest.tolist()
+        assert order[0] == 0 and n > nls._SWEEP_MAX
+        moved = diag.copy()
+        moved[0] = 2.0**-52 * abs(off)
+        dense = dense_tridiagonal(moved, off)
+        lower, upper = unpivoted_lu(dense[np.ix_(order, order)])
+        growth = np.empty_like(dense)
+        growth[np.ix_(order, order)] = np.abs(lower) @ np.abs(upper)
+        rhs = np.random.default_rng(6).standard_normal((2, n))
+        for x, r in zip(nls._thomas(diag, off, *rhs), rhs):
+            assert np.all(np.isfinite(x))
+            bound = 4.0 * np.finfo(float).eps * (growth @ np.abs(x))
+            assert np.all(np.abs(dense @ x - r) <= bound)
+
+
+def dense_tridiagonal(diag, off):
+    """The dense symmetric tridiagonal matrix of diag and constant off."""
+    n = diag.size
+    dense = np.zeros((n, n))
+    rows = np.arange(n)
+    dense[rows, rows] = diag
+    dense[rows[:-1], rows[1:]] = dense[rows[1:], rows[:-1]] = off
+    return dense
+
+
+def unpivoted_lu(a):
+    """(L, U) of Gaussian elimination without pivoting on the dense a."""
+    n = a.shape[0]
+    lower, upper = np.eye(n), a.copy()
+    for k in range(n - 1):
+        lower[k + 1:, k] = upper[k + 1:, k] / upper[k, k]
+        upper[k + 1:] -= np.outer(lower[k + 1:, k], upper[k])
+    return lower, upper
+
+
+def thomas_sweep(diag, off, *rhs):
+    """The sequential Thomas sweep over Python floats that _thomas took for
+    every size before the reduction levels: one pass eliminates and sweeps
+    the first right-hand side forward, each further one gets its own
+    forward sweep, and a pivot of exactly 0 is replaced by 2^-52 |off|."""
+    d = diag.tolist()
+    first, *rest = (r.tolist() for r in rhs)
+    tiny = 2.0**-52 * abs(off)
+    pivot = d[0] or tiny
+    ratio = off / pivot
+    y = first[0] / pivot
+    pivots, ratios, forward = [pivot], [ratio], [y]
+    for d_i, r_i in zip(d[1:], first[1:]):
+        pivot = d_i - off * ratio or tiny
+        ratio = off / pivot
+        y = (r_i - off * y) / pivot
+        pivots.append(pivot)
+        ratios.append(ratio)
+        forward.append(y)
+    sweeps = [forward]
+    for r in rest:
+        x = r[0] / pivots[0]
+        sweeps.append([x] + [x := (r_i - off * x) / p for r_i, p in zip(r[1:], pivots[1:])])
+    back = ratios[-2::-1]
+    solutions = []
+    for swept in sweeps:
+        x = swept[-1]
+        solutions.append(np.array([x := y_i - q * x for y_i, q in zip(swept[-2::-1], back)][::-1]
+                                  + [swept[-1]]))
+    return solutions
+
 
 class TestWorkCounts:
     """Exact tridiagonal work: every _thomas call and its right-hand sides,
@@ -784,6 +916,18 @@ class TestLoosePhase:
         sol = ground_state(problem, TestFixedBNewton.CFG, init=init)
         assert sol.newton_steps > 0
         assert sol.energy_trace[0] == discrete_energy(problem, normalized_on(problem.grid, init))
+
+    def test_lambda_energy_trace_starts_at_the_normalized_start_state(self):
+        # the root is continued from the lower end's state, but its trace
+        # starts where the lower end's does: at the start state, at b = lo
+        problem = harmonic_problem(256, half_width=12.0)
+        init = randomized_initial_guess(problem.grid, 9, 0)
+        lo = nls.DEFAULT_BRACKET[0]
+        lam, sol = self_consistent_lambda(problem, TestFixedBNewton.CFG, init=init)
+        assert lam != lo and sol.newton_steps > 0
+        start = normalized_on(problem.grid, init)
+        assert sol.energy_trace[0] == discrete_energy(problem.with_b(lo), start)
+        assert sol.energy_trace[-1] == sol.mu
 
 
 class TestContinuation:
