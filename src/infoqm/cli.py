@@ -60,7 +60,7 @@ def _json_floats(values: list[float]) -> list[str]:
     other value, an integer (which needs its ".0"), an "e+" form (repr is
     positional below 1e16), a subnormal (whose repr can be shorter), a
     zero, an infinity or a NaN, goes through _json_float."""
-    return [text if ("e" in (text := f"{v:.12g}") or "." in text) and "e+" not in text
+    return [text if ("." in (text := f"{v:.12g}") or "e-" in text) and "e+" not in text
             and abs(v) >= _MIN_NORMAL else _json_float(v) for v in values]
 
 
