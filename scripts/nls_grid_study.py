@@ -7,9 +7,9 @@ estimates with their successive differences, their errors against the
 closed-form n = 0 multiplier, and the work of each level's solve, summed
 over the lower bracket end and the root continued from it: its
 semi-implicit loose-phase steps, its bordered Newton steps, and its
-tridiagonal solves (calls of nls._thomas, counted by a wrapper) with the
-right-hand sides they took: one a loose step or a Newton step in ln u
-or plain at a fixed b, two a plain free-b Newton step.  The last column
+tridiagonal solves (calls of nls._thomas, counted by a wrapper): one a
+loose step or a Newton step in ln u or plain at a fixed b, two a plain
+free-b Newton step.  The last column
 is the median wall time of one of those calls, in microseconds: the
 one-solve layer's cost at each grid size, printed and not checked.
 """
@@ -37,36 +37,35 @@ def stable_step(grid: Grid1D) -> float:
 
 
 def count_thomas(work: dict[str, int], seconds: list[float]) -> None:
-    """Wrap nls._thomas so that each call adds to work's calls and rhs,
-    and appends its wall time to seconds."""
+    """Wrap nls._thomas so that each call adds to work's calls and appends
+    its wall time to seconds."""
     thomas = nls._thomas
 
-    def counted(diag, off, *rhs):
+    def counted(diag, off, rhs):
         work["calls"] += 1
-        work["rhs"] += len(rhs)
         start = time.perf_counter()
-        solutions = thomas(diag, off, *rhs)
+        solution = thomas(diag, off, rhs)
         seconds.append(time.perf_counter() - start)
-        return solutions
+        return solution
 
     nls._thomas = counted
 
 
 def main() -> None:
     closed_form = solve_state(0).lam
-    work = {"calls": 0, "rhs": 0}
+    work = {"calls": 0}
     seconds: list[float] = []
     count_thomas(work, seconds)
     previous = None
     prev_grid = None
     prev_lambda = None
     print(f"{'points':>7} {'step':>10} {'lambda':>14} {'delta_prev':>12} {'vs_closed':>10} "
-          f"{'iterations':>10} {'newton_steps':>12} {'thomas':>6} {'rhs':>4} {'us/call':>7}")
+          f"{'iterations':>10} {'newton_steps':>12} {'thomas':>6} {'us/call':>7}")
     for n in LEVELS:
         grid = Grid1D(-HALF_WIDTH, HALF_WIDTH, n)
         problem = GridProblem.harmonic(grid)
         cfg = FlowConfig(step=stable_step(grid), tol_flow=1e-8)
-        work.update(calls=0, rhs=0)
+        work["calls"] = 0
         seconds.clear()
         if previous is None:
             lam, sol = self_consistent_lambda(problem, cfg, f_tol=1e-6)
@@ -81,7 +80,7 @@ def main() -> None:
         delta = "" if prev_lambda is None else f"{abs(lam - prev_lambda):.3e}"
         print(f"{n:>7} {cfg.step:>10.2e} {lam:>14.8f} {delta:>12} "
               f"{abs(lam - closed_form):>10.2e} {sol.iterations:>10} {sol.newton_steps:>12} "
-              f"{work['calls']:>6} {work['rhs']:>4} {1e6 * statistics.median(seconds):>7.0f}")
+              f"{work['calls']:>6} {1e6 * statistics.median(seconds):>7.0f}")
         previous, prev_grid, prev_lambda = sol.psi, grid, lam
 
 

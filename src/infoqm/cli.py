@@ -174,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ground.add_argument("--bracket", type=float, nargs=2, default=DEFAULT_BRACKET)
     ground.add_argument("--tau", type=float, default=1e-4)
     ground.add_argument("--tol-flow", type=float, default=1e-8)
-    ground.add_argument("--max-iters", type=int, default=400_000)
     ground.add_argument("--resume", help="previous solution JSON to warm-start from")
     ground.add_argument("--out")
     ground.set_defaults(handler=_cmd_nls_ground)
@@ -251,7 +250,7 @@ def _cmd_series_probe(args) -> str:
 def _cmd_nls_ground(args) -> str:
     grid = Grid1D(args.domain[0], args.domain[1], args.grid)
     problem = GridProblem.harmonic(grid, b=args.b)
-    cfg = FlowConfig(step=args.tau, tol_flow=args.tol_flow, max_iters=args.max_iters)
+    cfg = FlowConfig(step=args.tau, tol_flow=args.tol_flow)
     init = None
     if args.resume:
         init = _read_document(args.resume, "--resume", lambda doc: doc["psi"])
@@ -273,7 +272,6 @@ def _cmd_nls_ground(args) -> str:
         "diagnostics": {
             "flow_norm": sol.flow_norm,
             "newton_steps": sol.newton_steps,
-            "path": "newton" if sol.newton_steps else "flow",
             "energy_initial": sol.energy_trace[0],
             "energy_final": sol.energy_trace[-1],
             "tau": args.tau,

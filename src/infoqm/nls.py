@@ -32,10 +32,10 @@ the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004), each
 one tridiagonal solve of an M-matrix, to a loose norm.  Where the
 plain Newton step would leave the positive cone, each entry it cuts by
 more than 90% takes the Newton step in ln u instead.  A Newton state is
-kept only once one explicit step from it moves it by less than the flow
-tolerance; where rounding alone keeps it above (a tolerance near 1e-12
-or below), the full explicit flow at its b gives the state instead.
-Where the loose phase or the last Newton solve fails, the solve raises.
+returned only once one explicit step from it moves it by less than the
+flow tolerance; otherwise the solve raises and names that flow norm and
+the rounding scale, as it does where the loose phase or the last Newton
+solve fails.
 F(b) = mu(b) - b is evaluated at the bracket's lower end, a ground_state,
 and the root is continued from that end's state by one free-b Newton
 solve (natural-parameter continuation; Allgower & Georg, Numerical
@@ -51,19 +51,19 @@ its verification of a Newton state, the discrete energy (which is mu) and
 the Newton residuals in ln u and of the free-b plain step go through
 _gradient; the loose phase and the plain Newton Jacobian need only the
 logarithm, so they call _floored_log.  One function, _newton_state, runs
-Newton in ln u, the plain chain where that fails, and verifies every
-Newton state kept, at a fixed b and for the root; it is the one solver
-behind both.  Every tridiagonal solve is one _thomas call: up to
-_SWEEP_MAX = 64 unknowns a sequential Thomas sweep over Python floats
-(_sweep), and above it odd-even cyclic reduction in whole-array
-operations down to at most 64 unknowns, which the sweep solves, so that
-a 2046-unknown solve takes five reduction levels instead of a loop of
-2046 steps.  Both eliminate without pivoting, which is backward stable
-for the symmetric positive definite Jacobian of a Newton step in ln u at
-b < 0 and the diagonally dominant matrix of a loose step, and both move
-an exactly zero pivot off zero, as inverse iteration does.  A loose
-step, a Newton step in ln u and a plain fixed-b Newton step take one
-right-hand side each.
+Newton in ln u, the plain chain where that fails, and verifies the
+Newton state it returns, at a fixed b and for the root; it is the one
+solver behind both, and it has one exit.  Every tridiagonal solve is one
+_thomas call of one right-hand side: up to _SWEEP_MAX = 64 unknowns a
+sequential Thomas sweep over Python floats (_sweep), and above it
+odd-even cyclic reduction in whole-array operations down to at most 64
+unknowns, which the sweep solves, so that a 2046-unknown solve takes
+five reduction levels instead of a loop of 2046 steps.  Both eliminate
+without pivoting, which is backward stable for the symmetric positive
+definite Jacobian of a Newton step in ln u at b < 0 and the diagonally
+dominant matrix of a loose step, and both move an exactly zero pivot off
+zero, as inverse iteration does.  A loose step, a Newton step in ln u
+and a plain fixed-b Newton step take one solve each.
 In ln u the Jacobian J' satisfies J' u = -2b u above the floor, so the
 step splits into its part along u and one solve off it (see _log_step);
 the plain Jacobian J satisfies J u = G - 2b u, so at a fixed b one solve
@@ -154,15 +154,13 @@ class GroundStateSolution:
     Newton steps behind every state the solve kept: the semi-implicit steps
     of the loose phase (0 where Newton in ln u or the plain Newton solve
     held from the start state) and the steps of the Newton attempt that
-    made each Newton state, in ln u or plain, or the explicit steps of the
-    full flow that replaced a Newton state that did not verify, and for a
-    self-consistent solve the sum over the lower bracket end and the root
-    (the upper end, where it was returned as the root).  A
-    loose phase whose Newton state was so replaced is not counted, and
-    neither is a failed Newton attempt.  ``energy_trace`` starts
-    with the energy of the normalized start state, samples the full flow
-    that made a replacement ``psi`` every 100 steps, and ends with the
-    energy of ``psi`` at ``b``.
+    made the state, in ln u or plain, and for a self-consistent solve the
+    sum over the lower bracket end and the root (the upper end, where it
+    was returned as the root); a failed Newton attempt is not counted.
+    ``energy_trace`` starts with the energy of the normalized start state
+    and ends with the energy of ``psi`` at ``b``.  gradient_flow_ground_state
+    counts its explicit steps in ``iterations`` and samples every 100th
+    step's energy between.
     """
 
     psi: np.ndarray
@@ -370,7 +368,7 @@ def _semi_implicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: 
     u = psi[1:-1]
     local = problem.potential[1:-1] - problem.b * (1.0 + _floored_log(u))
     diag = 1.0 + tau * (inv_h2 + local - min(0.0, float(local.min())))
-    (out[1:-1],) = _thomas(diag, -0.5 * tau * inv_h2, u)
+    out[1:-1] = _thomas(diag, -0.5 * tau * inv_h2, u)
     _pin_and_normalize(out, h)
     if not out[1:-1].min() > 0.0:
         raise InstabilityError("semi-implicit iterate underflowed to zero")
@@ -394,70 +392,53 @@ def _loose_phase(problem: GridProblem, psi: np.ndarray) -> tuple[np.ndarray, int
     )
 
 
-def _sweep(
-    d: list[float], e: list[float], rhs: list[list[float]], tiny: float
-) -> list[list[float]]:
+def _sweep(d: list[float], e: list[float], r: list[float], tiny: float) -> list[float]:
     """The Thomas algorithm without pivoting (L. H. Thomas, 1949) over
-    Python floats, for the symmetric tridiagonal system with diagonal d and
-    off-diagonal e (e[i] couples rows i and i + 1) and each right-hand side
-    in rhs.  One zip pass eliminates the system and sweeps the first
-    right-hand side forward; each further one gets its own forward sweep,
-    and each one back pass.  A pivot of exactly 0 is replaced by tiny."""
-    first, *rest = rhs
+    Python floats, for the symmetric tridiagonal system with diagonal d,
+    off-diagonal e (e[i] couples rows i and i + 1) and right-hand side r.
+    One zip pass eliminates the system and sweeps r forward, and one pass
+    sweeps back.  A pivot of exactly 0 is replaced by tiny."""
     pivot = d[0] or tiny
-    y = first[0] / pivot
-    pivots, ratios, forward = [pivot], [], [y]
-    for d_i, e_i, r_i in zip(d[1:], e, first[1:]):
+    y = r[0] / pivot
+    ratios, forward = [], [y]
+    for d_i, e_i, r_i in zip(d[1:], e, r[1:]):
         ratio = e_i / pivot
         pivot = d_i - e_i * ratio or tiny
         y = (r_i - e_i * y) / pivot
-        pivots.append(pivot)
         ratios.append(ratio)
         forward.append(y)
-    sweeps = [forward]
-    for r in rest:
-        x = r[0] / pivots[0]
-        sweeps.append([x] + [x := (r_i - e_i * x) / p for r_i, e_i, p in zip(r[1:], e, pivots[1:])])
-    back = ratios[::-1]
-    solutions = []
-    for swept in sweeps:
-        x = swept[-1]
-        solutions.append([x := y_i - q * x for y_i, q in zip(swept[-2::-1], back)][::-1]
-                         + [swept[-1]])
-    return solutions
+    x = y
+    return [x := y_i - q * x for y_i, q in zip(forward[-2::-1], ratios[::-1])][::-1] + [y]
 
 
-def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
-    """Solve T x = r for each r in ``rhs`` and the symmetric tridiagonal T
-    with diagonal ``diag`` and constant off-diagonal ``off``.
+def _thomas(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = rhs for the symmetric tridiagonal T with diagonal
+    ``diag`` and constant off-diagonal ``off``.
 
     Up to _SWEEP_MAX unknowns this is the sequential _sweep.  A larger T is
     first padded with decoupled unit rows to 2^L (m + 1) - 1 unknowns, with
     L the fewest levels that leave m <= _SWEEP_MAX, and reduced by L levels
     of odd-even cyclic reduction (Hockney, J. ACM 12, 95, 1965; Buzbee,
     Golub & Nielson, SIAM J. Numer. Anal. 7, 627, 1970): each level
-    eliminates the even-indexed rows in whole-array operations, for every
-    right-hand side at once, and leaves a symmetric tridiagonal system on
-    the odd-indexed rows whose off-diagonal varies from row to row.  The m
-    unknowns left are solved by the sweep and the eliminated rows found
-    again level by level.  This is Gaussian elimination without pivoting
-    in odd-even order, backward stable where T is symmetric positive
-    definite, as the Jacobian of a Newton step in ln u is at b < 0
-    (J' u = -2b u > 0 with u > 0 makes it an M-matrix), or diagonally
-    dominant, as a loose step's matrix is.
+    eliminates the even-indexed rows in whole-array operations and leaves a
+    symmetric tridiagonal system on the odd-indexed rows whose off-diagonal
+    varies from row to row.  The m unknowns left are solved by the sweep
+    and the eliminated rows found again level by level.  This is Gaussian
+    elimination without pivoting in odd-even order, backward stable where T
+    is symmetric positive definite, as the Jacobian of a Newton step in
+    ln u is at b < 0 (J' u = -2b u > 0 with u > 0 makes it an M-matrix), or
+    diagonally dominant, as a loose step's matrix is.
 
     A pivot of exactly 0, in a level or in the sweep, is replaced by
     2^-52 |off|, as inverse iteration does with an exactly singular shift
     (Peters & Wilkinson, SIAM Rev. 21, 339, 1979).  A level's pivot is a
     diagonal entry of a Schur complement of T, so the solve is then that
     of T with one diagonal entry moved by a rounding error of the
-    off-diagonal.  Each right-hand side's solution has the same bits
-    whether it is solved alone or with others."""
+    off-diagonal."""
     n = diag.size
     tiny = 2.0**-52 * abs(off)
     if n <= _SWEEP_MAX:
-        sweeps = _sweep(diag.tolist(), [off] * (n - 1), [r.tolist() for r in rhs], tiny)
-        return [np.array(x) for x in sweeps]
+        return np.array(_sweep(diag.tolist(), [off] * (n - 1), rhs.tolist(), tiny))
     blocks, levels = n + 1, 0
     while blocks > _SWEEP_MAX + 1:
         blocks, levels = -(-blocks // 2), levels + 1
@@ -468,11 +449,8 @@ def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
     # coupling past their end, and the padding rows none at all
     e = np.zeros(width + 1)
     e[1:n] = off
-    r = np.zeros((len(rhs), width))
-    r[:, :n] = rhs
-    if len(rhs) == 1:
-        # one right-hand side stays 1-D: strided 2-D slices cost more
-        r = r[0]
+    r = np.zeros(width)
+    r[:n] = rhs
     eliminated = []
     for _ in range(levels):
         # even row 2k: x_2k = y_k - left_k x_2k-1 - right_k x_2k+1
@@ -480,20 +458,19 @@ def _thomas(diag: np.ndarray, off: float, *rhs: np.ndarray) -> list[np.ndarray]:
         if np.count_nonzero(pivots) < pivots.size:
             pivots = np.where(pivots == 0.0, tiny, pivots)
         e_even, e_odd = e[0::2], e[1::2]
-        left, right, y = e_even / pivots, e_odd / pivots, r[..., 0::2] / pivots
+        left, right, y = e_even / pivots, e_odd / pivots, r[0::2] / pivots
         eliminated.append((left, right, y))
         d = d[1::2] - e_odd[:-1] * right[:-1] - e_even[1:] * left[1:]
-        r = r[..., 1::2] - e_odd[:-1] * y[..., :-1] - e_even[1:] * y[..., 1:]
+        r = r[1::2] - e_odd[:-1] * y[:-1] - e_even[1:] * y[1:]
         e = -(e_even * right)
-    x = np.array(_sweep(d.tolist(), e[1:-1].tolist(), r.reshape(-1, d.size).tolist(), tiny))
-    x = x.reshape(r.shape)
+    x = np.array(_sweep(d.tolist(), e[1:-1].tolist(), r.tolist(), tiny))
     for left, right, y in reversed(eliminated):
         # the odd rows' solution between zeros, interleaved with the even rows'
-        full = np.zeros(x.shape[:-1] + (2 * x.shape[-1] + 3,))
-        full[..., 2:-1:2] = x
-        full[..., 1::2] = y - left * full[..., 0:-2:2] - right * full[..., 2::2]
-        x = full[..., 1:-1]
-    return list(np.atleast_2d(x)[:, :n])
+        full = np.zeros(2 * x.size + 3)
+        full[2:-1:2] = x
+        full[1::2] = y - left * full[0:-2:2] - right * full[2::2]
+        x = full[1:-1]
+    return x[:n]
 
 
 def _newton_step(
@@ -514,8 +491,8 @@ def _newton_step(
     y = u + 2b w exactly, and z = -w differs from J^-1 (-u) only through
     the entries below the floor, whose amplitude is under 1e-50.  The step
     is then a shifted inverse iteration, u + d_u = (d_p - 2b) w.  The free-b
-    column -(1 + L) u has no such identity, so that step takes two
-    right-hand sides in one _thomas call.
+    column -(1 + L) u has no such identity, so that step takes two _thomas
+    calls, one for y and one for z.
     """
     h = problem.grid.spacing
     inv_h2 = 1.0 / (h * h)
@@ -526,10 +503,10 @@ def _newton_step(
     log_d = _floored_log(u)
     diag = inv_h2 + problem.potential[1:-1] - b * (1.0 + log_d + 2.0 * above_floor) - m
     if free_b:
-        resid = _gradient(problem, _pinned(u), b)[0] - m * u
-        y, z = _thomas(diag, off, resid, -(1.0 + log_d) * u)
+        y = _thomas(diag, off, _gradient(problem, _pinned(u), b)[0] - m * u)
+        z = _thomas(diag, off, -(1.0 + log_d) * u)
     else:
-        (w,) = _thomas(diag, off, u * above_floor)
+        w = _thomas(diag, off, u * above_floor)
         y, z = u + 2.0 * b * w, -w
     d_p = (constraint - 2.0 * h * float(u @ y)) / (2.0 * h * float(u @ z))
     return -y - z * d_p, d_p
@@ -616,7 +593,7 @@ def _log_step(
         along = float(u @ g) / norm2
     else:
         d_p = along - 2.0 * b * alpha
-    (x,) = _thomas(diag, off, g - along * u)
+    x = _thomas(diag, off, g - along * u)
     return (alpha + float(x @ u) / norm2) * u - x, d_p
 
 
@@ -670,11 +647,13 @@ def _newton_state(
     and the plain solve once more.
 
     Invalid input raises ValidationError before any step.  The Newton state
-    is kept when _explicit_step, the step the flow stops on, moves it by a
-    flow norm below cfg.tol_flow.  Where it does not, which only rounding
-    does, at a cfg.tol_flow near 1e-12 or below, the
-    gradient_flow_ground_state from init at the state's b is returned
-    instead.  If the loose phase or the last Newton solve fails, its
+    is returned when _explicit_step, the step the flow stops on, moves it
+    by a flow norm below cfg.tol_flow.  Where it does not, ConvergenceError
+    names the flow norm, cfg.tol_flow and the rounding scale
+    eps max(psi) / cfg.step of the state: rounding alone keeps the flow
+    norm above a cfg.tol_flow near 1e-12 or below, and on a coarse grid
+    of a steep potential so do far tails that still move when Newton
+    stops.  If the loose phase or the last Newton solve fails, its
     ConvergenceError is raised, or InstabilityError (a ConvergenceError)
     where a step leaves the positive cone.  Failed attempts are not counted
     in newton_steps.
@@ -697,7 +676,11 @@ def _newton_state(
     problem = problem.with_b(b)
     flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
     if not flow_norm < cfg.tol_flow:
-        return gradient_flow_ground_state(problem, cfg, init=init)
+        scale = np.finfo(float).eps * float(psi.max()) / cfg.step
+        raise ConvergenceError(
+            f"Newton state at b = {b!r} did not verify: flow norm {flow_norm:.3e} is not "
+            f"below tol_flow {cfg.tol_flow!r} (rounding scale eps*max(psi)/step = {scale:.3e})"
+        )
     trace += (discrete_energy(problem, psi),)
     return GroundStateSolution(
         psi=psi,
@@ -720,11 +703,11 @@ def ground_state(
     A bordered Newton solve in (ln psi, m = mu(b) - b) from init, or where
     that fails the plain chain from init (Newton in psi, and where that
     fails too the loose phase and Newton in psi again), gives a state whose
-    one-step flow norm must be below cfg.tol_flow; where only rounding
-    keeps it above, the full gradient_flow_ground_state from init is
-    returned instead.  If the loose phase or the last Newton solve fails,
-    its ConvergenceError is raised.  Invalid input raises ValidationError,
-    before any step, as the flow does.
+    one-step flow norm must be below cfg.tol_flow; otherwise
+    ConvergenceError names the flow norm and the rounding scale.  If the
+    loose phase or the last Newton solve fails, its ConvergenceError is
+    raised.  Invalid input raises ValidationError, before any step, as the
+    flow does.
     """
     return _newton_state(problem, cfg, init)
 
@@ -745,8 +728,8 @@ def self_consistent_lambda(
     continued from the lower end's state: a free-b Newton solve started at
     b = lo (Newton in ln psi first, and the plain chain of ground_state
     from the same start only where that fails or ends outside the
-    bracket; where its state does not verify, the full flow at its b gives
-    the state instead, as in ground_state).  A continued root whose b lies
+    bracket; a state that does not verify is a failure, as in
+    ground_state).  A continued root whose b lies
     in the bracket with |mu - b| < f_tol is returned without checking the
     sign change of F at the ends.  Only where the continuation fails is the
     upper end solved, by ground_state from the lower end's state, to name

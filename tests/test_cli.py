@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import struct
 import sys
 
@@ -86,6 +87,9 @@ class TestOscillatorTable:
         assert code == 2
         # the logarithm floor is fixed
         code, _, _ = run_captured(capsys, nls_ground + ["--eps-log", "1e-50"])
+        assert code == 2
+        # nls ground runs no full flow, so no flag caps its steps
+        code, _, _ = run_captured(capsys, nls_ground + ["--max-iters", "20"])
         assert code == 2
         # analyze integrates over the whole line; no flag sets a grid
         target = tmp_path / "target.json"
@@ -283,7 +287,7 @@ class TestDeterminism:
             assert run(argv + ["--out", str(p)]) == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert json.loads(paths[0].read_text())["diagnostics"]["path"] == "newton"
+        assert json.loads(paths[0].read_text())["diagnostics"]["newton_steps"] > 0
 
 
 class TestMaxentFit:
@@ -468,7 +472,6 @@ class TestNlsGround:
         assert doc["mu"] == pytest.approx(0.5, abs=2e-3)
         assert len(doc["psi"]) == 256
         assert doc["diagnostics"]["flow_norm"] < 1e-8
-        assert doc["diagnostics"]["path"] == "newton"
         assert doc["diagnostics"]["newton_steps"] > 0
 
     def test_fixed_b_newton_failure_exits_3(self, capsys, monkeypatch):
@@ -493,7 +496,6 @@ class TestNlsGround:
         doc = json.loads(out)
         assert doc["lambda"] == pytest.approx(GOLDEN_TABLE[0][2], abs=2e-2)
         assert abs(doc["mu"] - doc["lambda"]) < 1e-6
-        assert doc["diagnostics"]["path"] == "newton"
         assert doc["diagnostics"]["newton_steps"] > 0
 
     def test_lambda_energy_initial_is_that_of_the_start_state(self, tmp_path, capsys):
@@ -543,10 +545,13 @@ class TestNlsGround:
         code, _, err = run_captured(
             capsys,
             ["nls", "ground", "--domain", "-10", "10", "--grid", "256",
-             "--tau", "8e-4", "--tol-flow", "1e-13", "--max-iters", "20"],
+             "--tau", "8e-4", "--tol-flow", "1e-13"],
         )
+        # rounding alone keeps the Newton state's flow norm above 1e-13
         assert code == 3
-        assert "error" in err
+        assert re.fullmatch(r"infoqm: error: Newton state at b = 0\.0 did not verify: flow norm "
+                            r"\S+ is not below tol_flow 1e-13 \(rounding scale "
+                            r"eps\*max\(psi\)/step = \S+\)\n", err)
 
     def test_free_b_root_failure_exit_code(self, capsys, monkeypatch):
         # the free-b Newton solve is the one root path: where it fails, in

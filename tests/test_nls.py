@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import math
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -455,21 +456,10 @@ class TestThomas:
         rhs = rng.standard_normal((n_rhs, n))
         dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
         expected = np.linalg.solve(dense, rhs.T).T
-        got = nls._thomas(diag, off, *rhs)
-        assert len(got) == n_rhs
-        for x, want in zip(got, expected):
+        for r, want in zip(rhs, expected, strict=True):
+            x = nls._thomas(diag, off, r)
             assert x.shape == (n,) and x.dtype == np.float64
             assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
-
-    def test_each_right_hand_side_is_solved_alone(self):
-        # the first right-hand side rides on the elimination pass, the others
-        # do not; each one's solution is the same bits either way
-        rng = np.random.default_rng(7)
-        diag, off = tridiagonal_case(510, "newton", rng)
-        r, s = rng.standard_normal((2, 510))
-        x, y = nls._thomas(diag, off, r, s)
-        assert np.array_equal(x, nls._thomas(diag, off, r)[0])
-        assert np.array_equal(y, nls._thomas(diag, off, s)[0])
 
     @pytest.mark.parametrize("diag, at", [([0.0, 1.0, 1.0], 0), ([1.0, 0.25, 1.0], 1),
                                           ([1.0, 1.0, 1.0 / 3.0], 2)],
@@ -492,7 +482,8 @@ class TestThomas:
         upper = np.diag(pivots) + off * np.eye(3, k=1)
         growth = np.abs(lower) @ np.abs(upper)
         rhs = np.array([[1.0, 1.0, 1.0], [1.0, -2.0, 3.0]])
-        for x, r in zip(nls._thomas(np.array(diag), off, *rhs), rhs):
+        for r in rhs:
+            x = nls._thomas(np.array(diag), off, r)
             assert np.all(np.isfinite(x))
             bound = 4.0 * np.finfo(float).eps * (growth @ np.abs(x))
             assert np.all(np.abs(dense @ x - r) <= bound)
@@ -506,7 +497,8 @@ class TestThomas:
         diag, off = tridiagonal_case(n, kind, rng)
         rhs = rng.standard_normal((2, n))
         expected = np.linalg.solve(dense_tridiagonal(diag, off), rhs.T).T
-        for x, want in zip(nls._thomas(diag, off, *rhs), expected):
+        for r, want in zip(rhs, expected, strict=True):
+            x = nls._thomas(diag, off, r)
             assert x.shape == (n,) and x.dtype == np.float64
             assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -520,19 +512,8 @@ class TestThomas:
         for kind in ("dominant", "newton"):
             diag, off = tridiagonal_case(n, kind, rng)
             rhs = rng.standard_normal((n_rhs, n))
-            got = nls._thomas(diag, off, *rhs)
-            assert all(np.array_equal(x, want)
-                       for x, want in zip(got, thomas_sweep(diag, off, *rhs), strict=True))
-
-    @pytest.mark.parametrize("n", [65, 2046])
-    def test_each_right_hand_side_is_solved_alone_past_the_sweep_limit(self, n):
-        # the reduction levels take every right-hand side at once, elementwise
-        rng = np.random.default_rng(n)
-        diag, off = tridiagonal_case(n, "newton", rng)
-        r, s = rng.standard_normal((2, n))
-        x, y = nls._thomas(diag, off, r, s)
-        assert np.array_equal(x, nls._thomas(diag, off, r)[0])
-        assert np.array_equal(y, nls._thomas(diag, off, s)[0])
+            assert all(np.array_equal(nls._thomas(diag, off, r), thomas_sweep(diag, off, r))
+                       for r in rhs)
 
     def test_log_jacobian_of_a_converged_state(self):
         # the Jacobian of a Newton step in ln u at b < 0, at the state Newton
@@ -548,7 +529,8 @@ class TestThomas:
         assert np.all(dense @ u > 0.0) and np.linalg.eigvalsh(dense)[0] > 0.0
         rhs = np.random.default_rng(3).standard_normal((2, u.size))
         expected = np.linalg.solve(dense, rhs.T).T
-        for x, want in zip(nls._thomas(diag, off, *rhs), expected):
+        for r, want in zip(rhs, expected, strict=True):
+            x = nls._thomas(diag, off, r)
             assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_zero_pivot_in_a_reduction_level_is_moved(self):
@@ -572,7 +554,8 @@ class TestThomas:
         growth = np.empty_like(dense)
         growth[np.ix_(order, order)] = np.abs(lower) @ np.abs(upper)
         rhs = np.random.default_rng(6).standard_normal((2, n))
-        for x, r in zip(nls._thomas(diag, off, *rhs), rhs):
+        for r in rhs:
+            x = nls._thomas(diag, off, r)
             assert np.all(np.isfinite(x))
             bound = 4.0 * np.finfo(float).eps * (growth @ np.abs(x))
             assert np.all(np.abs(dense @ x - r) <= bound)
@@ -598,62 +581,51 @@ def unpivoted_lu(a):
     return lower, upper
 
 
-def thomas_sweep(diag, off, *rhs):
+def thomas_sweep(diag, off, rhs):
     """The sequential Thomas sweep over Python floats that _thomas took for
     every size before the reduction levels: one pass eliminates and sweeps
-    the first right-hand side forward, each further one gets its own
-    forward sweep, and a pivot of exactly 0 is replaced by 2^-52 |off|."""
-    d = diag.tolist()
-    first, *rest = (r.tolist() for r in rhs)
+    the right-hand side forward, one sweeps back, and a pivot of exactly 0
+    is replaced by 2^-52 |off|."""
+    d, r = diag.tolist(), rhs.tolist()
     tiny = 2.0**-52 * abs(off)
     pivot = d[0] or tiny
     ratio = off / pivot
-    y = first[0] / pivot
-    pivots, ratios, forward = [pivot], [ratio], [y]
-    for d_i, r_i in zip(d[1:], first[1:]):
+    y = r[0] / pivot
+    ratios, forward = [ratio], [y]
+    for d_i, r_i in zip(d[1:], r[1:]):
         pivot = d_i - off * ratio or tiny
         ratio = off / pivot
         y = (r_i - off * y) / pivot
-        pivots.append(pivot)
         ratios.append(ratio)
         forward.append(y)
-    sweeps = [forward]
-    for r in rest:
-        x = r[0] / pivots[0]
-        sweeps.append([x] + [x := (r_i - off * x) / p for r_i, p in zip(r[1:], pivots[1:])])
-    back = ratios[-2::-1]
-    solutions = []
-    for swept in sweeps:
-        x = swept[-1]
-        solutions.append(np.array([x := y_i - q * x for y_i, q in zip(swept[-2::-1], back)][::-1]
-                                  + [swept[-1]]))
-    return solutions
+    x = y
+    return np.array([x := y_i - q * x for y_i, q in zip(forward[-2::-1], ratios[-2::-1])][::-1]
+                    + [y])
 
 
 class TestWorkCounts:
-    """Exact tridiagonal work: every _thomas call and its right-hand sides,
-    each attributed to the step that made it."""
+    """Exact tridiagonal work: every _thomas call, attributed to the step
+    that made it."""
 
     @staticmethod
     def counted(monkeypatch, solve):
-        """Run solve() with counting wrappers; return the calls and
-        right-hand sides per step kind (fixed-b or free-b, in ln u or
-        plain, or loose)."""
-        log = []
+        """Run solve() with counting wrappers; return the _thomas calls per
+        step kind (fixed-b or free-b, in ln u or plain, or loose)."""
+        log = []  # [kind, _thomas calls] of each step, in order
         thomas, loose_step = nls._thomas, nls._semi_implicit_step
 
-        def counted_thomas(diag, off, *rhs):
-            log.append(len(rhs))
-            return thomas(diag, off, *rhs)
+        def counted_thomas(diag, off, rhs):
+            log[-1][1] += 1
+            return thomas(diag, off, rhs)
 
         def counted(step, prefix):
             def counted_step(problem, u, b, m, free_b):
-                log.append(prefix + ("free_b" if free_b else "fixed_b"))
+                log.append([prefix + ("free_b" if free_b else "fixed_b"), 0])
                 return step(problem, u, b, m, free_b)
             return counted_step
 
         def counted_loose_step(*args):
-            log.append("loose")
+            log.append(["loose", 0])
             return loose_step(*args)
 
         monkeypatch.setattr(nls, "_thomas", counted_thomas)
@@ -661,32 +633,38 @@ class TestWorkCounts:
         monkeypatch.setattr(nls, "_newton_step", counted(nls._newton_step, ""))
         monkeypatch.setattr(nls, "_semi_implicit_step", counted_loose_step)
         solve()
-        steps, rhs = log[::2], log[1::2]
-        # every step makes exactly one _thomas call
-        assert all(isinstance(kind, str) for kind in steps)
-        assert all(isinstance(n, int) for n in rhs) and len(rhs) == len(steps)
         work = {}
-        for kind, n in zip(steps, rhs):
-            work[f"{kind}_calls"] = work.get(f"{kind}_calls", 0) + 1
-            work[f"{kind}_rhs"] = work.get(f"{kind}_rhs", 0) + n
+        for kind, calls in log:
+            # every step makes one _thomas call, and a plain free-b step two
+            assert calls == (2 if kind == "free_b" else 1), kind
+            work[f"{kind}_calls"] = work.get(f"{kind}_calls", 0) + calls
         return work
 
     def test_fixed_b_cold_start(self, monkeypatch):
         problem = harmonic_problem(2048, half_width=12.0, b=-2.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
         work = self.counted(monkeypatch, lambda: ground_state(problem, cfg))
-        # one right-hand side a step in ln u; the plain chain alone takes 8
-        assert work == {"log_fixed_b_calls": 7, "log_fixed_b_rhs": 7}
+        # one solve a step in ln u; the plain chain alone takes 8
+        assert work == {"log_fixed_b_calls": 7}
 
     def test_criterion_3_solve(self, monkeypatch):
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
         work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
         # the lower end at a fixed b, then the free-b root continued from
-        # it, one right-hand side a step in ln u; the plain chain alone
-        # takes 7 fixed-b steps and 7 free-b steps of two right-hand sides
-        assert work == {"log_fixed_b_calls": 8, "log_fixed_b_rhs": 8,
-                        "log_free_b_calls": 6, "log_free_b_rhs": 6}
+        # it, one solve a step in ln u; the plain chain alone takes 7
+        # fixed-b steps and 7 free-b steps of two solves each
+        assert work == {"log_fixed_b_calls": 8, "log_free_b_calls": 6}
+
+    def test_plain_chain_of_the_criterion_3_solve(self, monkeypatch):
+        # with Newton in ln u made to fail, the plain chain gives both
+        # states: each free-b step solves for the residual and for the
+        # border column, one _thomas call each
+        problem = harmonic_problem(2048, half_width=12.0)
+        cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
+        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
+        work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
+        assert work == {"fixed_b_calls": 7, "free_b_calls": 14}
 
     def test_probe_with_loose_phases(self, monkeypatch):
         # Newton in ln u holds from each start of this probe, where the
@@ -695,14 +673,12 @@ class TestWorkCounts:
         problem = harmonic_problem(48, half_width=8.0)
         cfg = FlowConfig(step=0.02, tol_flow=1e-9, seed=0)
         work = self.counted(monkeypatch, lambda: uniqueness_probe(problem, cfg, 2))
-        assert work == {"log_fixed_b_calls": 12, "log_fixed_b_rhs": 12,
-                        "log_free_b_calls": 12, "log_free_b_rhs": 12}
+        assert work == {"log_fixed_b_calls": 12, "log_free_b_calls": 12}
 
     def test_lambda_solve_from_a_perturbed_start(self, monkeypatch):
         # a narrow, rippled --resume-like state on the 512-point lambda grid
         # of the benchmark, from which the plain chain alone runs a loose
-        # phase of 19 steps at the lower end, and 30 tridiagonal solves of
-        # 37 right-hand sides
+        # phase of 19 steps at the lower end, and 37 tridiagonal solves
         grid = Grid1D(-12.0, 12.0, 512)
         x, width = grid.points(), 24.0
         s = width / 8.0 * 0.7
@@ -715,8 +691,7 @@ class TestWorkCounts:
             self_consistent_lambda(GridProblem.harmonic(grid), cfg, init=init)))
         (lam, sol), = solved
         assert sol.iterations == 0 and abs(sol.mu - lam) <= 1e-12
-        assert work == {"log_fixed_b_calls": 7, "log_fixed_b_rhs": 7,
-                        "log_free_b_calls": 6, "log_free_b_rhs": 6}
+        assert work == {"log_fixed_b_calls": 7, "log_free_b_calls": 6}
 
 
 class TestFixedBNewton:
@@ -769,17 +744,25 @@ class TestFixedBNewton:
             ground_state(problem, self.CFG, init=init)
         assert not flows
 
-    def test_flow_fallback_when_newton_state_does_not_verify(self):
+    def test_newton_state_that_does_not_verify_raises(self, monkeypatch):
         # at this step the Newton state's one-step flow norm is 1.4e-13,
-        # rounding error alone, while the flow itself gets below 1e-13
+        # rounding error alone at the scale eps max(psi) / step = 1.6e-13:
+        # the solve raises, naming both, and runs no full flow
         problem = harmonic_problem(256, b=-1.3)
         cfg = FlowConfig(step=8e-4, tol_flow=1e-13)
         newton = ground_state(problem, replace(cfg, tol_flow=1e-9))
         assert newton.newton_steps > 0
         assert one_step_flow_norm(problem, newton.psi, cfg.step) >= cfg.tol_flow
-        sol = ground_state(problem, cfg)
-        assert sol.newton_steps == 0
-        assert_same_solution(sol, gradient_flow_ground_state(problem, cfg))
+        flow_norm = nls._explicit_step(problem, newton.psi, cfg.step, np.empty(256))
+        scale = np.finfo(float).eps * float(newton.psi.max()) / cfg.step
+        flows = self.flow_calls(monkeypatch)
+        with pytest.raises(ConvergenceError) as raised:
+            ground_state(problem, cfg)
+        assert str(raised.value) == (
+            f"Newton state at b = -1.3 did not verify: flow norm {flow_norm:.3e} is not "
+            f"below tol_flow 1e-13 (rounding scale eps*max(psi)/step = {scale:.3e})")
+        assert 0.1 < flow_norm / scale < 10.0
+        assert not flows
 
     def test_loose_phase_cap_raises(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
@@ -1257,17 +1240,33 @@ class TestOneRootPath:
             ground_state(problem, cfg)
         assert failures == [capped] * 2
 
-    def test_root_that_does_not_verify_is_the_flow_at_its_b(self):
-        # at tol_flow 1e-13 rounding alone keeps this quartic root's Newton
-        # state from verifying (flow norm 3.1e-13): the full flow at its b
-        # gives the state, and lambda agrees with the solve at 1e-8
+    def test_root_that_does_not_verify_raises(self, monkeypatch):
+        # at tol_flow 1e-13 rounding alone keeps this quartic's Newton states
+        # from verifying: the free-b root continued from the lower end
+        # (flow norm 3.1e-13, at the rounding scale eps max(psi) / step =
+        # 3.7e-13) and the lower end itself (3.1e-13 at 3.4e-13), so the
+        # self-consistent solve raises at the lower end; each error names
+        # both numbers, and no full flow runs
         problem, cfg = stable_problem("quartic", 128, half_width=10.0)
-        lam, _ = self_consistent_lambda(problem, cfg)
-        tight_cfg = replace(cfg, tol_flow=1e-13, max_iters=100_000)
-        tight, sol = self_consistent_lambda(problem, tight_cfg)
-        assert sol.newton_steps == 0 and sol.iterations > 0
-        assert sol.flow_norm < 1e-13
-        assert abs(tight - lam) <= 1e-12
+        lo, hi = nls.DEFAULT_BRACKET
+        tight = replace(cfg, tol_flow=1e-13)
+        start = ground_state(problem.with_b(lo), cfg).psi
+        flows = TestFixedBNewton.flow_calls(monkeypatch)
+
+        def floor_b(solve):
+            """The b at which solve() raises for a state that did not verify."""
+            with pytest.raises(ConvergenceError) as raised:
+                solve()
+            floor = re.fullmatch(r"Newton state at b = (\S+) did not verify: flow norm (\S+) is "
+                                 r"not below tol_flow 1e-13 \(rounding scale "
+                                 r"eps\*max\(psi\)/step = (\S+)\)", str(raised.value))
+            b, flow_norm, scale = (float(v) for v in floor.groups())
+            assert flow_norm >= 1e-13 and 0.1 < flow_norm / scale < 10.0
+            return b
+
+        assert lo < floor_b(lambda: nls._newton_state(problem.with_b(lo), tight, start, (lo, hi))) < hi
+        assert floor_b(lambda: self_consistent_lambda(problem, tight)) == lo
+        assert not flows
 
 
 class TestUniquenessProbe:
