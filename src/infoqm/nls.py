@@ -31,11 +31,14 @@ loose phase takes backward-Euler steps in H with the logarithm taken from
 the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004), each
 one tridiagonal solve of an M-matrix, to a loose norm.  Where the
 plain Newton step would leave the positive cone, each entry it cuts by
-more than 90% takes the Newton step in ln u instead.  A Newton state is
-returned only once one explicit step from it moves it by less than the
-flow tolerance; otherwise the solve raises and names that flow norm and
-the rounding scale, as it does where the loose phase or the last Newton
-solve fails.
+more than 90% takes the Newton step in ln u instead.  Newton stops
+only where its step is small and one explicit step from the state moves
+it by less than the flow tolerance: the step test is relative to the
+peak, so tails far below it can still move when it first passes, and
+Newton steps on until the flow norm is below the tolerance or the step
+cap is reached, whose error then gives that flow norm, the tolerance
+and eps max(psi) / step.  Where the loose phase or the last Newton solve
+fails, its error is raised.
 F(b) = mu(b) - b is evaluated at the bracket's lower end, a ground_state,
 and the root is continued from that end's state by one free-b Newton
 solve (natural-parameter continuation; Allgower & Georg, Numerical
@@ -51,9 +54,8 @@ its verification of a Newton state, the discrete energy (which is mu) and
 the Newton residuals in ln u and of the free-b plain step go through
 _gradient; the loose phase and the plain Newton Jacobian need only the
 logarithm, so they call _floored_log.  One function, _newton_state, runs
-Newton in ln u, the plain chain where that fails, and verifies the
-Newton state it returns, at a fixed b and for the root; it is the one
-solver behind both, and it has one exit.  Every tridiagonal solve is one
+Newton in ln u and the plain chain where that fails, at a fixed b and
+for the root; it is the one solver behind both, and it has one exit.  Every tridiagonal solve is one
 _thomas call of one right-hand side: up to _SWEEP_MAX = 64 unknowns a
 sequential Thomas sweep over Python floats (_sweep), and above it
 odd-even cyclic reduction in whole-array operations down to at most 64
@@ -512,9 +514,25 @@ def _newton_step(
     return -y - z * d_p, d_p
 
 
+def _flow_check(
+    problem: GridProblem, u: np.ndarray, b: float, cfg: FlowConfig
+) -> tuple[np.ndarray, float, str]:
+    """The state psi with interior u, its flow norm at b (how far
+    _explicit_step, the step the flow stops on, moves it) and "" where that
+    norm is below cfg.tol_flow, else a note that gives the norm, tol_flow
+    and eps max(psi) / cfg.step, the scale of rounding in that norm."""
+    psi = _pinned(u)
+    flow_norm = _explicit_step(problem.with_b(b), psi, cfg.step, np.empty_like(psi))
+    if flow_norm < cfg.tol_flow:
+        return psi, flow_norm, ""
+    scale = np.finfo(float).eps * float(psi.max()) / cfg.step
+    return psi, flow_norm, (f"; at b = {b!r} the flow norm {flow_norm:.3e} is not below "
+                            f"tol_flow {cfg.tol_flow!r} (eps*max(psi)/step = {scale:.3e})")
+
+
 def _bordered_newton(
-    problem: GridProblem, psi: np.ndarray, free_b: bool
-) -> tuple[np.ndarray, float, int]:
+    problem: GridProblem, psi: np.ndarray, free_b: bool, cfg: FlowConfig
+) -> tuple[np.ndarray, float, int, float]:
     """Newton from psi to the positive state with G = 0 and unit norm.
 
     The border unknown is m at the problem's fixed b (free_b=False), so
@@ -523,13 +541,16 @@ def _bordered_newton(
     as it is.  Otherwise each entry that it cuts by more than _CUT takes
     the Newton step in ln u instead, u exp(d_u / u), and Newton does not
     stop on that step unless every entry so changed lies below the
-    logarithm's floor.  Returns (psi, b, steps); raises ConvergenceError
-    past the step cap, or when an iterate still leaves the positive cone
-    (an entry whose exp underflowed, or a step not finite).
+    logarithm's floor, nor before _flow_check verifies the state.
+    Returns (psi, b, steps, flow norm); raises ConvergenceError past the
+    step cap, with _flow_check's note on the last state that passed the
+    step test, or when an iterate still leaves the positive cone (an
+    entry whose exp underflowed, or a step not finite).
     """
     b = problem.b
     m = 0.0 if free_b else discrete_energy(problem, psi) - b
     u = psi[1:-1].copy()
+    unverified = ""
     for step in range(1, _NEWTON_CAP + 1):
         d_u, d_p = _newton_step(problem, u, b, m, free_b)
         new = u + d_u
@@ -551,8 +572,10 @@ def _bordered_newton(
             and float(np.max(np.abs(d_u))) <= _NEWTON_TOL * float(np.max(u))
             and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
         ):
-            return _pinned(u), b, step
-    raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps")
+            psi, flow_norm, unverified = _flow_check(problem, u, b, cfg)
+            if not unverified:
+                return psi, b, step, flow_norm
+    raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps{unverified}")
 
 
 def _log_step(
@@ -598,20 +621,23 @@ def _log_step(
 
 
 def _log_newton(
-    problem: GridProblem, psi: np.ndarray, free_b: bool
-) -> tuple[np.ndarray, float, int]:
+    problem: GridProblem, psi: np.ndarray, free_b: bool, cfg: FlowConfig
+) -> tuple[np.ndarray, float, int, float]:
     """Newton in ln u from psi to the positive state with G = 0 and unit
     norm, for the border unknown of _bordered_newton: each _log_step takes
     u to u exp(d_u / u).  Newton stops once max |d_u| is at most
     _NEWTON_TOL times the largest entry of u before the step, so that a
-    step that grows u by orders of magnitude cannot pass.  Returns
-    (psi, b, steps); raises ConvergenceError past the step cap, or where a
-    step is not finite or its exp leaves the range of floats (an entry that
-    underflows to zero, or squares that overflow).
+    step that grows u by orders of magnitude cannot pass, and _flow_check
+    verifies the new state.  Returns (psi, b, steps, flow norm); raises
+    ConvergenceError past the step cap, with _flow_check's note on the
+    last state that passed the step test, or where a step is not finite
+    or its exp leaves the range of floats (an entry that underflows to
+    zero, or squares that overflow).
     """
     b = problem.b
     m = 0.0 if free_b else discrete_energy(problem, psi) - b
     u = psi[1:-1].copy()
+    unverified = ""
     for step in range(1, _NEWTON_CAP + 1):
         d_u, d_p = _log_step(problem, u, b, m, free_b)
         with np.errstate(over="ignore"):
@@ -629,9 +655,11 @@ def _log_newton(
             float(np.abs(d_u).max()) <= _NEWTON_TOL * float(u.max())
             and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
         ):
-            return _pinned(new), b, step
+            psi, flow_norm, unverified = _flow_check(problem, new, b, cfg)
+            if not unverified:
+                return psi, b, step, flow_norm
         u = new
-    raise ConvergenceError(f"Newton in ln u exceeded {_NEWTON_CAP} steps")
+    raise ConvergenceError(f"Newton in ln u exceeded {_NEWTON_CAP} steps{unverified}")
 
 
 def _newton_state(
@@ -646,17 +674,15 @@ def _newton_state(
     plain bordered Newton solve from init, then the loose phase from init
     and the plain solve once more.
 
-    Invalid input raises ValidationError before any step.  The Newton state
-    is returned when _explicit_step, the step the flow stops on, moves it
-    by a flow norm below cfg.tol_flow.  Where it does not, ConvergenceError
-    names the flow norm, cfg.tol_flow and the rounding scale
-    eps max(psi) / cfg.step of the state: rounding alone keeps the flow
-    norm above a cfg.tol_flow near 1e-12 or below, and on a coarse grid
-    of a steep potential so do far tails that still move when Newton
-    stops.  If the loose phase or the last Newton solve fails, its
-    ConvergenceError is raised, or InstabilityError (a ConvergenceError)
-    where a step leaves the positive cone.  Failed attempts are not counted
-    in newton_steps.
+    Invalid input raises ValidationError before any step.  Each Newton
+    attempt ends on a state whose flow norm, how far _explicit_step (the
+    step the flow stops on) moves it, is below cfg.tol_flow; one that
+    cannot reach it within the step cap fails like any other attempt, and
+    where rounding alone keeps the norm above cfg.tol_flow (near 1e-12 or
+    below) every attempt does.  If the loose phase or the last Newton
+    solve fails, its ConvergenceError is raised, or InstabilityError (a
+    ConvergenceError) where a step leaves the positive cone.  Failed
+    attempts are not counted in newton_steps.
     """
     _validate_step(problem, cfg)
     start = _start_state(problem.grid, init)
@@ -664,23 +690,16 @@ def _newton_state(
     free_b = bracket is not None
     loose_steps = 0
     try:
-        psi, b, newton_steps = _log_newton(problem, start, free_b)
+        psi, b, newton_steps, flow_norm = _log_newton(problem, start, free_b, cfg)
         if free_b and not bracket[0] <= b <= bracket[1]:
             raise ConvergenceError(f"Newton in ln u ended at b = {b!r}, outside the bracket")
     except ConvergenceError:
         try:
-            psi, b, newton_steps = _bordered_newton(problem, start, free_b)
+            psi, b, newton_steps, flow_norm = _bordered_newton(problem, start, free_b, cfg)
         except ConvergenceError:
             psi, loose_steps = _loose_phase(problem, start)
-            psi, b, newton_steps = _bordered_newton(problem, psi, free_b)
+            psi, b, newton_steps, flow_norm = _bordered_newton(problem, psi, free_b, cfg)
     problem = problem.with_b(b)
-    flow_norm = _explicit_step(problem, psi, cfg.step, np.empty_like(psi))
-    if not flow_norm < cfg.tol_flow:
-        scale = np.finfo(float).eps * float(psi.max()) / cfg.step
-        raise ConvergenceError(
-            f"Newton state at b = {b!r} did not verify: flow norm {flow_norm:.3e} is not "
-            f"below tol_flow {cfg.tol_flow!r} (rounding scale eps*max(psi)/step = {scale:.3e})"
-        )
     trace += (discrete_energy(problem, psi),)
     return GroundStateSolution(
         psi=psi,
@@ -702,12 +721,12 @@ def ground_state(
 
     A bordered Newton solve in (ln psi, m = mu(b) - b) from init, or where
     that fails the plain chain from init (Newton in psi, and where that
-    fails too the loose phase and Newton in psi again), gives a state whose
-    one-step flow norm must be below cfg.tol_flow; otherwise
-    ConvergenceError names the flow norm and the rounding scale.  If the
-    loose phase or the last Newton solve fails, its ConvergenceError is
-    raised.  Invalid input raises ValidationError, before any step, as the
-    flow does.
+    fails too the loose phase and Newton in psi again), each stepping on
+    until one explicit step moves the state by a flow norm below
+    cfg.tol_flow.  If the loose phase or the last Newton solve fails, its
+    ConvergenceError is raised; at the step cap it gives the last flow
+    norm, cfg.tol_flow and eps max(psi) / cfg.step.  Invalid input raises
+    ValidationError, before any step, as the flow does.
     """
     return _newton_state(problem, cfg, init)
 
@@ -728,7 +747,7 @@ def self_consistent_lambda(
     continued from the lower end's state: a free-b Newton solve started at
     b = lo (Newton in ln psi first, and the plain chain of ground_state
     from the same start only where that fails or ends outside the
-    bracket; a state that does not verify is a failure, as in
+    bracket; each attempt steps on until its state verifies, as in
     ground_state).  A continued root whose b lies
     in the bracket with |mu - b| < f_tol is returned without checking the
     sign change of F at the ends.  Only where the continuation fails is the

@@ -547,20 +547,20 @@ class TestNlsGround:
             ["nls", "ground", "--domain", "-10", "10", "--grid", "256",
              "--tau", "8e-4", "--tol-flow", "1e-13"],
         )
-        # rounding alone keeps the Newton state's flow norm above 1e-13
+        # rounding alone keeps every Newton state's flow norm above 1e-13
         assert code == 3
-        assert re.fullmatch(r"infoqm: error: Newton state at b = 0\.0 did not verify: flow norm "
-                            r"\S+ is not below tol_flow 1e-13 \(rounding scale "
-                            r"eps\*max\(psi\)/step = \S+\)\n", err)
+        assert re.fullmatch(r"infoqm: error: bordered Newton exceeded 50 steps; at b = 0\.0 the "
+                            r"flow norm \S+ is not below tol_flow 1e-13 "
+                            r"\(eps\*max\(psi\)/step = \S+\)\n", err)
 
     def test_free_b_root_failure_exit_code(self, capsys, monkeypatch):
         # the free-b Newton solve is the one root path: where it fails, in
         # ln u and plain, the lambda solve exits 3 with no output
         def free_b_failure(newton):
-            def attempt(problem, psi, free_b):
+            def attempt(problem, psi, free_b, cfg):
                 if free_b:
                     raise ConvergenceError("forced failure")
-                return newton(problem, psi, free_b)
+                return newton(problem, psi, free_b, cfg)
             return attempt
 
         monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))

@@ -382,8 +382,8 @@ class TestBorderedNewton:
             return sol
 
         def counted(attempt, steps):
-            def counted_attempt(problem, psi, free_b):
-                out = attempt(problem, psi, free_b)
+            def counted_attempt(problem, psi, free_b, cfg):
+                out = attempt(problem, psi, free_b, cfg)
                 steps.append(out[2])
                 return out
             return counted_attempt
@@ -745,24 +745,56 @@ class TestFixedBNewton:
         assert not flows
 
     def test_newton_state_that_does_not_verify_raises(self, monkeypatch):
-        # at this step the Newton state's one-step flow norm is 1.4e-13,
-        # rounding error alone at the scale eps max(psi) / step = 1.6e-13:
-        # the solve raises, naming both, and runs no full flow
-        problem = harmonic_problem(256, b=-1.3)
+        # rounding alone keeps this state's one-step flow norm at 1.4e-13,
+        # at the scale eps max(psi) / step = 1.6e-13: Newton in ln u and
+        # both plain attempts step on to the cap without verifying, and
+        # each error gives both numbers; no full flow runs
+        problem = harmonic_problem(256, half_width=8.0, b=-1.3)
         cfg = FlowConfig(step=8e-4, tol_flow=1e-13)
         newton = ground_state(problem, replace(cfg, tol_flow=1e-9))
         assert newton.newton_steps > 0
         assert one_step_flow_norm(problem, newton.psi, cfg.step) >= cfg.tol_flow
-        flow_norm = nls._explicit_step(problem, newton.psi, cfg.step, np.empty(256))
-        scale = np.finfo(float).eps * float(newton.psi.max()) / cfg.step
+        failures = []
+
+        def recorded(attempt):
+            def recorded_attempt(problem, psi, free_b, cfg):
+                try:
+                    return attempt(problem, psi, free_b, cfg)
+                except ConvergenceError as exc:
+                    failures.append(str(exc))
+                    raise
+            return recorded_attempt
+
+        monkeypatch.setattr(nls, "_log_newton", recorded(nls._log_newton))
+        monkeypatch.setattr(nls, "_bordered_newton", recorded(nls._bordered_newton))
         flows = self.flow_calls(monkeypatch)
         with pytest.raises(ConvergenceError) as raised:
             ground_state(problem, cfg)
-        assert str(raised.value) == (
-            f"Newton state at b = -1.3 did not verify: flow norm {flow_norm:.3e} is not "
-            f"below tol_flow 1e-13 (rounding scale eps*max(psi)/step = {scale:.3e})")
-        assert 0.1 < flow_norm / scale < 10.0
+        assert str(raised.value) == failures[-1] and len(failures) == 3
+        for failure, name in zip(failures, ["Newton in ln u"] + ["bordered Newton"] * 2):
+            floor = re.fullmatch(
+                rf"{name} exceeded {nls._NEWTON_CAP} steps; at b = -1\.3 the flow norm (\S+) is "
+                r"not below tol_flow 1e-13 \(eps\*max\(psi\)/step = (\S+)\)", failure)
+            flow_norm, scale = (float(v) for v in floor.groups())
+            assert flow_norm >= 1e-13 and 0.1 < flow_norm / scale < 10.0
         assert not flows
+
+    def test_newton_steps_on_until_the_state_verifies(self):
+        # on 64 points the quartic's tails near 1e-9 still move by 4% a
+        # step when max |d_u| first falls below _NEWTON_TOL max u: the
+        # flow norm there is 3.3e-9, far above rounding, and Newton steps
+        # on until it is below tol_flow
+        problem, cfg = stable_problem("quartic", 64, half_width=8.0)
+        problem = problem.with_b(-0.5)
+        cfg = replace(cfg, tol_flow=1e-10)
+        early = ground_state(problem, replace(cfg, tol_flow=1.0))
+        scale = np.finfo(float).eps * float(early.psi.max()) / cfg.step
+        assert early.flow_norm > 1e4 * scale and early.flow_norm > cfg.tol_flow
+        sol = ground_state(problem, cfg)
+        assert sol.iterations == 0 and sol.newton_steps > early.newton_steps
+        assert sol.flow_norm < cfg.tol_flow
+        assert one_step_flow_norm(problem, sol.psi, cfg.step) < cfg.tol_flow
+        assert abs(sol.mu - early.mu) < 1e-12
 
     def test_loose_phase_cap_raises(self, monkeypatch):
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
@@ -771,12 +803,12 @@ class TestFixedBNewton:
         bordered_newton = nls._bordered_newton
         calls = []
 
-        def direct_failure(problem, psi, free_b):
+        def direct_failure(problem, psi, free_b, cfg):
             # the attempts in ln u and plain fail, so the loose phase runs
             calls.append(free_b)
             if len(calls) == 1:
                 raise ConvergenceError("forced failure")
-            return bordered_newton(problem, psi, free_b)
+            return bordered_newton(problem, psi, free_b, cfg)
 
         monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
         monkeypatch.setattr(nls, "_bordered_newton", direct_failure)
@@ -933,9 +965,9 @@ class TestContinuation:
         bordered_newton = nls._bordered_newton
         failures = []
 
-        def recorded_newton(problem, psi, free_b):
+        def recorded_newton(problem, psi, free_b, cfg):
             try:
-                return bordered_newton(problem, psi, free_b)
+                return bordered_newton(problem, psi, free_b, cfg)
             except ConvergenceError as exc:
                 failures.append(str(exc))
                 raise
@@ -1116,10 +1148,10 @@ class TestOneRootPath:
         # a failed continuation inside a bracket with a sign change: the
         # upper end is solved, and the error names the continuation's start
         def free_b_failure(newton):
-            def attempt(problem, psi, free_b):
+            def attempt(problem, psi, free_b, cfg):
                 if free_b:
                     raise ConvergenceError("forced failure")
-                return newton(problem, psi, free_b)
+                return newton(problem, psi, free_b, cfg)
             return attempt
 
         monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
@@ -1153,14 +1185,14 @@ class TestOneRootPath:
         log_attempts, plain_roots = [], []
         log_newton, bordered_newton = nls._log_newton, nls._bordered_newton
 
-        def failing_free_b_log_newton(problem, psi, free_b):
+        def failing_free_b_log_newton(problem, psi, free_b, cfg):
             log_attempts.append((problem.b, free_b))
             if free_b:
                 raise ConvergenceError("forced failure")
-            return log_newton(problem, psi, free_b)
+            return log_newton(problem, psi, free_b, cfg)
 
-        def recorded_newton(problem, psi, free_b):
-            out = bordered_newton(problem, psi, free_b)
+        def recorded_newton(problem, psi, free_b, cfg):
+            out = bordered_newton(problem, psi, free_b, cfg)
             plain_roots.append(out[1] if free_b else None)
             return out
 
@@ -1190,7 +1222,7 @@ class TestOneRootPath:
             return d_u, d_p
 
         monkeypatch.setattr(nls, "_newton_step", recorded)
-        psi, b, count = nls._bordered_newton(problem.with_b(-6.0), start.psi, True)
+        psi, b, count, _ = nls._bordered_newton(problem.with_b(-6.0), start.psi, True, cfg)
         assert steps[0] and count == len(steps)
         assert np.all(psi[1:-1] > 0.0)
         assert abs(b - bracket_roots["harmonic", 512][0][0]) <= 1e-12
@@ -1226,9 +1258,9 @@ class TestOneRootPath:
         failures = []
         bordered_newton = nls._bordered_newton
 
-        def recorded_newton(problem, psi, free_b):
+        def recorded_newton(problem, psi, free_b, cfg):
             try:
-                return bordered_newton(problem, psi, free_b)
+                return bordered_newton(problem, psi, free_b, cfg)
             except ConvergenceError as exc:
                 failures.append(str(exc))
                 raise
@@ -1240,32 +1272,29 @@ class TestOneRootPath:
             ground_state(problem, cfg)
         assert failures == [capped] * 2
 
-    def test_root_that_does_not_verify_raises(self, monkeypatch):
-        # at tol_flow 1e-13 rounding alone keeps this quartic's Newton states
-        # from verifying: the free-b root continued from the lower end
-        # (flow norm 3.1e-13, at the rounding scale eps max(psi) / step =
-        # 3.7e-13) and the lower end itself (3.1e-13 at 3.4e-13), so the
-        # self-consistent solve raises at the lower end; each error names
-        # both numbers, and no full flow runs
+    def test_lower_end_that_does_not_verify_raises(self, monkeypatch):
+        # at tol_flow 1e-13 the free-b root continued from the lower end
+        # verifies once Newton steps past its first state that passes the
+        # step test (flow norm 3.1e-13); the lower end itself stays at
+        # 3.1e-13, at the rounding scale eps max(psi) / step = 3.4e-13, in
+        # every attempt, so the self-consistent solve raises there, giving
+        # both numbers; no full flow runs
         problem, cfg = stable_problem("quartic", 128, half_width=10.0)
         lo, hi = nls.DEFAULT_BRACKET
         tight = replace(cfg, tol_flow=1e-13)
         start = ground_state(problem.with_b(lo), cfg).psi
         flows = TestFixedBNewton.flow_calls(monkeypatch)
-
-        def floor_b(solve):
-            """The b at which solve() raises for a state that did not verify."""
-            with pytest.raises(ConvergenceError) as raised:
-                solve()
-            floor = re.fullmatch(r"Newton state at b = (\S+) did not verify: flow norm (\S+) is "
-                                 r"not below tol_flow 1e-13 \(rounding scale "
-                                 r"eps\*max\(psi\)/step = (\S+)\)", str(raised.value))
-            b, flow_norm, scale = (float(v) for v in floor.groups())
-            assert flow_norm >= 1e-13 and 0.1 < flow_norm / scale < 10.0
-            return b
-
-        assert lo < floor_b(lambda: nls._newton_state(problem.with_b(lo), tight, start, (lo, hi))) < hi
-        assert floor_b(lambda: self_consistent_lambda(problem, tight)) == lo
+        root = nls._newton_state(problem.with_b(lo), tight, start, (lo, hi))
+        assert lo < root.b < hi and abs(root.mu - root.b) < 1e-12
+        assert root.flow_norm < 1e-13
+        assert one_step_flow_norm(problem.with_b(root.b), root.psi, tight.step) < 1e-13
+        with pytest.raises(ConvergenceError) as raised:
+            self_consistent_lambda(problem, tight)
+        floor = re.fullmatch(rf"bordered Newton exceeded {nls._NEWTON_CAP} steps; at b = -3\.0 "
+                             r"the flow norm (\S+) is not below tol_flow 1e-13 "
+                             r"\(eps\*max\(psi\)/step = (\S+)\)", str(raised.value))
+        flow_norm, scale = (float(v) for v in floor.groups())
+        assert flow_norm >= 1e-13 and 0.1 < flow_norm / scale < 10.0
         assert not flows
 
 
