@@ -68,14 +68,12 @@ def main() -> None:
         work["calls"] = 0
         seconds.clear()
         if previous is None:
-            lam, sol = self_consistent_lambda(problem, cfg, f_tol=1e-6)
+            lam, sol = self_consistent_lambda(problem, cfg)
         else:
             init = np.interp(grid.points(), prev_grid.points(), previous)
             init[init <= 0] = 1e-12
             lam, sol = self_consistent_lambda(
-                problem, cfg,
-                bracket=(prev_lambda - 0.003, prev_lambda + 0.003),
-                f_tol=1e-6, init=init,
+                problem, cfg, bracket=(prev_lambda - 0.003, prev_lambda + 0.003), init=init
             )
         delta = "" if prev_lambda is None else f"{abs(lam - prev_lambda):.3e}"
         print(f"{n:>7} {cfg.step:>10.2e} {lam:>14.8f} {delta:>12} "

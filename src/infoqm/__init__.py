@@ -51,7 +51,6 @@ from .nls import (
     GroundStateSolution,
     UniquenessReport,
     discrete_energy,
-    flow_gradient,
     gradient_flow_ground_state,
     ground_state,
     self_consistent_lambda,

@@ -24,9 +24,10 @@ works in (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 1),
 and a converged state at a nearby b is in its basin too (continuation,
 Allgower & Georg, Numerical Continuation Methods, 1990).  Only where
 that attempt fails (an exp that leaves the range of floats, a step that
-is not finite, the step cap, or with b free a root outside the bracket)
-does the plain chain run from the same start: Newton in u, and where that
-fails a short loose phase before Newton in u is tried once more.  The
+is not finite, or the step cap) does the plain chain run from the same
+start: Newton in u, and where that fails a short loose phase before
+Newton in u is tried once more.  With b free, the root that the chain
+ends on is checked against the bracket once, after it.  The
 loose phase takes backward-Euler steps in H with the logarithm taken from
 the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004), each
 one tridiagonal solve of an M-matrix, to a loose norm.  Where the
@@ -43,7 +44,8 @@ F(b) = mu(b) - b is evaluated at the bracket's lower end, a ground_state,
 and the root is continued from that end's state by one free-b Newton
 solve (natural-parameter continuation; Allgower & Georg, Numerical
 Continuation Methods, 1990); the upper end is solved only where that
-fails, to name the failure.
+fails, to name the failure.  A bracket end or root is returned only where
+|mu - b| < _F_TOL = 1e-6.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -93,6 +95,10 @@ DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
 _EPS_LOG = 1e-100
 _ENERGY_SAMPLE_EVERY = 100
+# the explicit flow's step cap
+_FLOW_CAP = 400_000
+# a returned self-consistent state has |mu - b| below this
+_F_TOL = 1e-6
 # the semi-implicit loose phase: its step, its step cap, and the loose norm
 # at which it hands over to Newton
 _LOOSE_FLOW_NORM = 1e-2
@@ -138,13 +144,11 @@ class FlowConfig:
 
     step: float = 1e-4
     tol_flow: float = 1e-8
-    max_iters: int = 400_000
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "step", _as_positive(self.step, "step"))
         object.__setattr__(self, "tol_flow", _as_positive(self.tol_flow, "tol_flow"))
-        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1, 1_000_000))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
 
@@ -295,14 +299,9 @@ def _explicit_step(problem: GridProblem, psi: np.ndarray, tau: float, out: np.nd
     return float(np.abs(out - psi).max()) / tau
 
 
-def flow_gradient(problem: GridProblem, psi: np.ndarray) -> np.ndarray:
-    """g = H psi - b (1 + ln max(psi^2, _EPS_LOG)) psi with pinned boundary."""
-    return _pinned(_gradient(problem, psi, problem.b)[0])
-
-
 def discrete_energy(problem: GridProblem, psi: np.ndarray) -> float:
     """Discrete descent functional of a pinned state psi, whose
-    half-gradient is flow_gradient.  By summation by parts it is the
+    half-gradient is _gradient.  By summation by parts it is the
     Rayleigh quotient h <u, H u> - b h <u^2, L> of the interior u, read off
     g as h (u.g + b u.u), so at a returned state it equals mu."""
     u = psi[1:-1]
@@ -317,9 +316,9 @@ def gradient_flow_ground_state(
 ) -> GroundStateSolution:
     """Normalized explicit descent to the nodeless ground state at fixed b.
 
-    Iterates psi <- normalize(psi - step * flow_gradient) until the
+    Iterates psi <- normalize(psi - step * g), g from _gradient, until the
     sup-norm of the update per unit step is below cfg.tol_flow.  Raises
-    ConvergenceError past cfg.max_iters and InstabilityError if the
+    ConvergenceError past _FLOW_CAP steps and InstabilityError if the
     iterate loses positivity (use a smaller step).
     """
     _validate_step(problem, cfg)
@@ -328,7 +327,7 @@ def gradient_flow_ground_state(
     flow_norm = math.inf
     iterations = 0
     new = psi.copy()
-    while iterations < cfg.max_iters:
+    while iterations < _FLOW_CAP:
         if iterations % _ENERGY_SAMPLE_EVERY == 0:
             trace.append(discrete_energy(problem, psi))
         flow_norm = _explicit_step(problem, psi, cfg.step, new)
@@ -338,7 +337,7 @@ def gradient_flow_ground_state(
             break
     else:
         raise ConvergenceError(
-            f"flow did not reach tol {cfg.tol_flow} in {cfg.max_iters} iterations "
+            f"flow did not reach tol {cfg.tol_flow} in {_FLOW_CAP} iterations "
             f"(flow norm {flow_norm:.3e})"
         )
     trace.append(discrete_energy(problem, psi))
@@ -670,9 +669,10 @@ def _newton_state(
 ) -> GroundStateSolution:
     """A Newton solve from init at the problem's b, or with b free for the
     self-consistent root in ``bracket``: Newton in ln u first, and where it
-    raises ConvergenceError or, with b free, ends outside the bracket, the
-    plain bordered Newton solve from init, then the loose phase from init
-    and the plain solve once more.
+    raises ConvergenceError the plain bordered Newton solve from init, then
+    the loose phase from init and the plain solve once more.  With b free,
+    the root of whichever attempt held is then checked against the bracket
+    once, and a root outside it raises ConvergenceError.
 
     Invalid input raises ValidationError before any step.  Each Newton
     attempt ends on a state whose flow norm, how far _explicit_step (the
@@ -691,14 +691,14 @@ def _newton_state(
     loose_steps = 0
     try:
         psi, b, newton_steps, flow_norm = _log_newton(problem, start, free_b, cfg)
-        if free_b and not bracket[0] <= b <= bracket[1]:
-            raise ConvergenceError(f"Newton in ln u ended at b = {b!r}, outside the bracket")
     except ConvergenceError:
         try:
             psi, b, newton_steps, flow_norm = _bordered_newton(problem, start, free_b, cfg)
         except ConvergenceError:
             psi, loose_steps = _loose_phase(problem, start)
             psi, b, newton_steps, flow_norm = _bordered_newton(problem, psi, free_b, cfg)
+    if free_b and not bracket[0] <= b <= bracket[1]:
+        raise ConvergenceError(f"root b = {b!r} is outside the bracket [{bracket[0]}, {bracket[1]}]")
     problem = problem.with_b(b)
     trace += (discrete_energy(problem, psi),)
     return GroundStateSolution(
@@ -735,51 +735,45 @@ def self_consistent_lambda(
     problem: GridProblem,
     cfg: FlowConfig,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
-    f_tol: float = 1e-6,
     init: np.ndarray | None = None,
 ) -> tuple[float, GroundStateSolution]:
     """Root b* of F(b) = mu(b) - b in the bracket: the returned coefficient
-    is its own stationarity eigenvalue, |mu(b*) - b*| < f_tol.
+    is its own stationarity eigenvalue, |mu(b*) - b*| < _F_TOL.
 
     A bracket that is not a finite lo < hi raises ValidationError before
     any solve.  F is evaluated at the lower end by ground_state from init,
-    and that end is returned where |F(lo)| < f_tol.  Otherwise the root is
+    and that end is returned where |F(lo)| < _F_TOL.  Otherwise the root is
     continued from the lower end's state: a free-b Newton solve started at
     b = lo (Newton in ln psi first, and the plain chain of ground_state
-    from the same start only where that fails or ends outside the
-    bracket; each attempt steps on until its state verifies, as in
-    ground_state).  A continued root whose b lies
-    in the bracket with |mu - b| < f_tol is returned without checking the
-    sign change of F at the ends.  Only where the continuation fails is the
-    upper end solved, by ground_state from the lower end's state, to name
-    the failure: it is returned where |F(hi)| < f_tol; otherwise
-    BracketError is raised when F has no sign change on the bracket, and
-    ConvergenceError for the failed continuation when it has.
+    from the same start only where that fails; each attempt steps on until
+    its state verifies, as in ground_state), whose root must lie in the
+    bracket.  A continued root with |mu - b| < _F_TOL is returned without
+    checking the sign change of F at the ends.  Only where the continuation
+    fails is the upper end solved, by ground_state from the lower end's
+    state, to name the failure: it is returned where |F(hi)| < _F_TOL;
+    otherwise BracketError is raised when F has no sign change on the
+    bracket, and ConvergenceError for the failed continuation when it has.
     ``iterations`` and ``newton_steps`` of the result are the totals over
     the lower end and the returned state, and its ``energy_trace`` starts
     with the energy of the normalized start state at b = lo, as the lower
     end's does, and goes on with the returned state's own trace.
     """
-    f_tol = _as_positive(f_tol, "f_tol")
     lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
     if not lo < hi:
         raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
     sol_lo = ground_state(problem.with_b(lo), cfg, init=init)
-    if abs(sol_lo.mu - lo) < f_tol:
+    if abs(sol_lo.mu - lo) < _F_TOL:
         return lo, sol_lo
     try:
         root = _newton_state(problem.with_b(lo), cfg, sol_lo.psi, (lo, hi))
+        if not abs(root.mu - root.b) < _F_TOL:
+            raise ConvergenceError(f"root b = {root.b!r} has |mu - b| = {abs(root.mu - root.b):.3e}")
     except ConvergenceError as exc:
-        root, cause, failure = None, exc, f"free-b Newton solve from b = {lo!r} failed: {exc}"
-    else:
-        cause, failure = None, (f"free-b Newton root b = {root.b!r} is not a root in "
-                                f"[{lo}, {hi}]: |mu - b| = {abs(root.mu - root.b):.3e}")
-    if root is None or not (lo <= root.b <= hi and abs(root.mu - root.b) < f_tol):
         root = ground_state(problem.with_b(hi), cfg, init=sol_lo.psi)
-        if not abs(root.mu - hi) < f_tol:
+        if not abs(root.mu - hi) < _F_TOL:
             # constructing the bracket record validates the sign change
             RootBracket(lo, hi, sol_lo.mu - lo, root.mu - hi)
-            raise ConvergenceError(failure) from cause
+            raise ConvergenceError(f"free-b Newton solve from b = {lo!r} failed: {exc}") from exc
     return root.b, replace(root, iterations=sol_lo.iterations + root.iterations,
                            newton_steps=sol_lo.newton_steps + root.newton_steps,
                            energy_trace=sol_lo.energy_trace[:1] + root.energy_trace[1:])
@@ -789,18 +783,15 @@ def uniqueness_probe(
     problem: GridProblem,
     cfg: FlowConfig,
     n_inits: int,
-    solve_lambda: bool = True,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    f_tol: float = 1e-6,
 ) -> UniquenessReport:
-    """Repeat the solve from n_inits seeded random positive guesses.
+    """Repeat the self-consistent solve on DEFAULT_BRACKET from n_inits
+    seeded random positive guesses.
 
-    Reports the largest pairwise eigenvalue gap and the largest pairwise
-    L2 distance between states.  With solve_lambda=False each
-    state is the ground_state at the problem's fixed b and the spread of
-    mu is reported instead.  Per-init convergence and bracket failures
-    are recorded and the probe still returns; an invalid configuration
-    raises ValidationError, since the seeded guesses are always valid.
+    Reports each root's lambda, the largest pairwise lambda gap and the
+    largest pairwise L2 distance between states.  Per-init convergence and
+    bracket failures are recorded and the probe still returns; an invalid
+    configuration raises ValidationError, since the seeded guesses are
+    always valid.
     """
     n_inits = _as_int(n_inits, "n_inits", 2)
     h = problem.grid.spacing
@@ -810,14 +801,8 @@ def uniqueness_probe(
     for i in range(n_inits):
         guess = randomized_initial_guess(problem.grid, cfg.seed, i)
         try:
-            if solve_lambda:
-                lam, sol = self_consistent_lambda(
-                    problem, cfg, bracket=bracket, f_tol=f_tol, init=guess
-                )
-                values.append(lam)
-            else:
-                sol = ground_state(problem, cfg, init=guess)
-                values.append(sol.mu)
+            lam, sol = self_consistent_lambda(problem, cfg, init=guess)
+            values.append(lam)
             solutions.append(sol)
         except (ConvergenceError, BracketError) as exc:
             failures.append((i, str(exc)))

@@ -3,6 +3,7 @@ run, the result fields that perfbench/run.py prints."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,10 @@ def test_record_has_results(path):
     assert doc["runs"]
     for run in doc["runs"]:
         assert isinstance(run["correct"], bool)
+        # the measured checkout's commit, or null where it was not a git
+        # work tree, as a `git archive` is not
+        commit = run["environment"]["git_commit"]
+        assert commit is None or re.fullmatch(r"[0-9a-f]{40}", commit), commit
         assert run["metrics"]
         for name, metric in run["metrics"].items():
             assert math.isfinite(metric["value"]), name

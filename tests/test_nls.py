@@ -17,7 +17,6 @@ from infoqm import (
     InstabilityError,
     ValidationError,
     discrete_energy,
-    flow_gradient,
     gradient_flow_ground_state,
     ground_state,
     psi_eval,
@@ -40,6 +39,12 @@ def l2_distance(psi_a, psi_b, h):
     return math.sqrt(h * float(np.sum((psi_a - psi_b) ** 2)))
 
 
+def pinned_gradient(problem, psi):
+    """g = H psi - b (1 + L) psi of the pinned state psi at the problem's b,
+    pinned at 0 at both ends."""
+    return nls._pinned(nls._gradient(problem, psi, problem.b)[0])
+
+
 def normalized_on(grid, values):
     v = np.asarray(values, dtype=float).copy()
     v[0] = v[-1] = 0.0
@@ -48,7 +53,7 @@ def normalized_on(grid, values):
 
 @pytest.fixture(scope="module")
 def coarse_cfg():
-    return FlowConfig(step=5e-4, tol_flow=1e-9, max_iters=400_000, seed=0)
+    return FlowConfig(step=5e-4, tol_flow=1e-9, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +90,7 @@ class TestLinearFlow:
         problem = harmonic_problem(256)
         grid = problem.grid
         psi = normalized_on(grid, default_initial_guess(grid))
-        stepped = psi - coarse_cfg.step * flow_gradient(problem, psi)
+        stepped = psi - coarse_cfg.step * pinned_gradient(problem, psi)
         stepped = normalized_on(grid, stepped)
         assert abs(grid.spacing * float(np.sum(stepped**2)) - 1.0) < 1e-12
 
@@ -110,7 +115,7 @@ class TestNonlinearFlow:
         problem = GridProblem.harmonic(grid, b=-1.3)
         rng = np.random.default_rng(42)
         psi = normalized_on(grid, np.exp(-0.4 * grid.points() ** 2) * (1 + 0.1 * rng.uniform(-1, 1, 101)))
-        g = flow_gradient(problem, psi)
+        g = pinned_gradient(problem, psi)
         h = grid.spacing
         eps = 1e-6
         for _ in range(10):
@@ -150,13 +155,11 @@ class TestSelfConsistency:
         assert l2_distance(sol.psi, exact, grid.spacing) < 2e-3
 
     def test_grid_refinement_agreement(self):
-        # coarse estimate first, then a 4x finer solve warm-started from it;
-        # both tolerances resolve lambda far below the 1e-3 comparison target
+        # coarse estimate first, then a 4x finer solve warm-started from it
         half_width = 16.0
         lam_1024, sol_1024 = self_consistent_lambda(
             harmonic_problem(1024, half_width=half_width),
             FlowConfig(step=4e-4, tol_flow=1e-8),
-            f_tol=1e-5,
         )
         grid_fine = Grid1D(-half_width, half_width, 4096)
         interp = np.interp(
@@ -167,7 +170,6 @@ class TestSelfConsistency:
             GridProblem.harmonic(grid_fine),
             FlowConfig(step=5.5e-5, tol_flow=1e-7),
             bracket=(lam_1024 - 0.003, lam_1024 + 0.003),
-            f_tol=1e-4,
             init=interp,
         )
         assert abs(lam_1024 - lam_4096) < 1e-3
@@ -197,9 +199,9 @@ class TestSelfConsistency:
             self_consistent_lambda(problem, cfg, bracket=(-0.5, -0.1))
 
     @pytest.mark.parametrize("root_end", ["hi", "lo"])
-    def test_bracket_end_within_f_tol_is_the_root(self, root_end):
+    def test_bracket_end_within_F_TOL_is_the_root(self, root_end):
         # F(lambda*) = -2.2e-16 here, of the same sign as F(-3): an end within
-        # f_tol is returned before the sign change is checked
+        # _F_TOL is returned before the sign change is checked
         problem = harmonic_problem(96, half_width=8.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         lam, _ = self_consistent_lambda(problem, cfg)
@@ -239,8 +241,17 @@ def forced_newton_failure(*args, **kwargs):
     raise ConvergenceError("forced failure")
 
 
+def free_b_failure(newton):
+    """The Newton attempt newton, made to fail with b free."""
+    def attempt(problem, psi, free_b, cfg):
+        if free_b:
+            raise ConvergenceError("forced failure")
+        return newton(problem, psi, free_b, cfg)
+    return attempt
+
+
 def one_step_flow_norm(problem, psi, step):
-    stepped = normalized_on(problem.grid, psi - step * flow_gradient(problem, psi))
+    stepped = normalized_on(problem.grid, psi - step * pinned_gradient(problem, psi))
     return float(np.max(np.abs(stepped - psi))) / step
 
 
@@ -1112,7 +1123,7 @@ class TestOneRootPath:
         assert sol.newton_steps == lower.newton_steps + root.newton_steps
         assert sol.iterations == lower.iterations + root.iterations == 0
 
-    def test_upper_end_within_f_tol_is_the_root_where_the_continuation_fails(self, monkeypatch):
+    def test_upper_end_within_F_TOL_is_the_root_where_the_continuation_fails(self, monkeypatch):
         # F(lambda*) = -2.2e-16 here, of the same sign as F(-3): the upper
         # end is returned before the sign change is checked
         problem = harmonic_problem(96, half_width=8.0)
@@ -1147,13 +1158,6 @@ class TestOneRootPath:
     def test_free_b_failure_raises(self, monkeypatch):
         # a failed continuation inside a bracket with a sign change: the
         # upper end is solved, and the error names the continuation's start
-        def free_b_failure(newton):
-            def attempt(problem, psi, free_b, cfg):
-                if free_b:
-                    raise ConvergenceError("forced failure")
-                return newton(problem, psi, free_b, cfg)
-            return attempt
-
         monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
         monkeypatch.setattr(nls, "_bordered_newton", free_b_failure(nls._bordered_newton))
         with recorded_solves() as solved, pytest.raises(
@@ -1163,19 +1167,51 @@ class TestOneRootPath:
         assert solved == [-3.0, "root", -0.5]
         assert str(raised.value.__cause__) == "forced failure"
 
-    def test_root_outside_the_bracket_raises(self, monkeypatch):
-        # a free-b root past the upper end is not returned, and there is no
-        # other path to try
-        newton_state = nls._newton_state
+    @pytest.mark.parametrize("attempt", ["_log_newton", "_bordered_newton"])
+    def test_root_outside_the_bracket_raises(self, monkeypatch, attempt):
+        # the attempt that makes the root, Newton in ln u or, with ln u made
+        # to fail, the plain attempt from the start state, ends past the
+        # upper end: _newton_state checks the bracket once, after the chain,
+        # and raises; self_consistent_lambda then solves the upper end and
+        # raises, as F changes sign on the bracket
+        if attempt == "_bordered_newton":
+            monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
+        newton, roots = getattr(nls, attempt), []
 
-        def shifted_root(problem, cfg, init, bracket=None):
-            sol = newton_state(problem, cfg, init, bracket)
-            return replace(sol, b=sol.b + 3.0) if bracket else sol
+        def shifted_root(problem, psi, free_b, cfg):
+            psi, b, steps, flow_norm = newton(problem, psi, free_b, cfg)
+            if free_b:
+                roots.append(b)
+                b += 3.0
+            return psi, b, steps, flow_norm
 
-        monkeypatch.setattr(nls, "_newton_state", shifted_root)
+        monkeypatch.setattr(nls, attempt, shifted_root)
         problem = harmonic_problem(192, half_width=8.0)
-        with pytest.raises(ConvergenceError, match=r"is not a root in \[-3\.0, -0\.5\]"):
-            self_consistent_lambda(problem, FlowConfig(step=2e-3, tol_flow=1e-8))
+        cfg = FlowConfig(step=2e-3, tol_flow=1e-8)
+        lo, hi = nls.DEFAULT_BRACKET
+        outside = r"root b = (\S+) is outside the bracket \[-3\.0, -0\.5\]$"
+        start = ground_state(problem.with_b(lo), cfg).psi
+        with pytest.raises(ConvergenceError, match=f"^{outside}") as raised:
+            nls._newton_state(problem.with_b(lo), cfg, start, (lo, hi))
+        (root,) = roots
+        assert lo < root < hi and float(re.search(outside, str(raised.value))[1]) == root + 3.0
+        with recorded_solves() as solved, pytest.raises(
+                ConvergenceError, match=rf"^free-b Newton solve from b = -3\.0 failed: {outside}"):
+            self_consistent_lambda(problem, cfg)
+        assert solved == [lo, "root", hi]
+        assert roots == [root, root]
+
+    def test_root_off_the_tolerance_raises(self, monkeypatch):
+        # no state passes a zero tolerance: the continued root is not
+        # returned, and the upper end, solved to name the failure, is not
+        # either
+        monkeypatch.setattr(nls, "_F_TOL", 0.0)
+        with recorded_solves() as solved, pytest.raises(
+                ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: "
+                                        r"root b = \S+ has \|mu - b\| = \S+$"):
+            self_consistent_lambda(harmonic_problem(192, half_width=8.0),
+                                   FlowConfig(step=2e-3, tol_flow=1e-8))
+        assert solved == [-3.0, "root", -0.5]
 
     def test_log_attempts_that_fail_fall_back_to_the_plain_chain(self, monkeypatch, bracket_roots):
         # on the wide bracket, with the continuation's Newton in ln u made
@@ -1303,26 +1339,24 @@ class TestUniquenessProbe:
         with pytest.raises(ValidationError):
             uniqueness_probe(harmonic_problem(256), coarse_cfg, 1)
 
-    @pytest.mark.parametrize("solve_lambda", [True, False])
-    def test_invalid_config_raises(self, solve_lambda):
+    def test_invalid_config_raises(self):
         # the seeded guesses are valid, so a ValidationError is the configuration's
         problem = harmonic_problem(192, half_width=8.0)
         with pytest.raises(ValidationError, match="stability heuristic"):
-            uniqueness_probe(
-                problem, FlowConfig(step=0.5, tol_flow=1e-8), 3, solve_lambda=solve_lambda
-            )
+            uniqueness_probe(problem, FlowConfig(step=0.5, tol_flow=1e-8), 3)
 
     def test_linear_fixed_coefficient_runs_agree(self):
+        # ground_state at b = 0 from three seeded random guesses
         problem = harmonic_problem(256, b=0.0)
         cfg = FlowConfig(step=8e-4, tol_flow=1e-9, seed=11)
-        report = uniqueness_probe(problem, cfg, 3, solve_lambda=False)
-        assert not report.failures
-        assert report.max_eigenvalue_spread < 1e-6
-        assert all(abs(mu - 0.5) < 1e-3 for mu in report.eigenvalues)
-        # the largest pairwise gap is max - min bit for bit: rounding is monotone
-        values = report.eigenvalues
-        gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
-        assert report.max_eigenvalue_spread == max(values) - min(values) == max(gaps) > 0.0
+        guesses = [randomized_initial_guess(problem.grid, cfg.seed, i) for i in range(3)]
+        sols = [ground_state(problem, cfg, init=guess) for guess in guesses]
+        mus = [sol.mu for sol in sols]
+        assert max(mus) - min(mus) < 1e-6
+        assert all(abs(mu - 0.5) < 1e-3 for mu in mus)
+        h = problem.grid.spacing
+        distances = [l2_distance(a.psi, b.psi, h) for i, a in enumerate(sols) for b in sols[i + 1:]]
+        assert max(distances) < 1e-9
 
     def test_self_consistent_runs_agree(self):
         problem = harmonic_problem(48, half_width=8.0)
@@ -1333,14 +1367,20 @@ class TestUniquenessProbe:
         assert report.max_eigenvalue_spread <= 1e-12
         assert report.max_state_l2_distance <= 1e-9
         assert all(abs(lam - GOLDEN_LAMBDA0) < 5e-3 for lam in report.eigenvalues)
+        # the largest pairwise gap is max - min bit for bit: rounding is monotone
+        values = report.eigenvalues
+        gaps = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1:]]
+        assert report.max_eigenvalue_spread == max(values) - min(values) == max(gaps)
 
     def test_bracket_failures_are_recorded(self):
-        # F > 0 at both ends of [-0.9, -0.5]: every init fails, the probe returns
-        problem = harmonic_problem(48, half_width=8.0)
+        # with V = 2x^2, F > 0 at both ends of the default bracket: every
+        # init fails, the probe returns
+        grid = Grid1D(-8.0, 8.0, 48)
+        problem = GridProblem(grid, 2.0 * grid.points() ** 2)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
-        report = uniqueness_probe(problem, cfg, 2, bracket=(-0.9, -0.5))
+        report = uniqueness_probe(problem, cfg, 2)
         assert [i for i, _ in report.failures] == [0, 1]
-        assert all(msg.startswith("no sign change on [-0.9, -0.5]") for _, msg in report.failures)
+        assert all(msg.startswith("no sign change on [-3.0, -0.5]") for _, msg in report.failures)
         assert report.eigenvalues == ()
         assert report.max_eigenvalue_spread == report.max_state_l2_distance == 0.0
 
@@ -1360,15 +1400,6 @@ class TestValidationAndErrors:
         with pytest.raises(ValidationError):
             FlowConfig(**{field: math.nan})
 
-    def test_nan_f_tol_rejected_before_any_solve(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(nls, "ground_state", lambda *args, **kwargs: calls.append(1))
-        with pytest.raises(ValidationError):
-            self_consistent_lambda(
-                harmonic_problem(192, half_width=8.0), FlowConfig(step=2e-3), f_tol=math.nan
-            )
-        assert not calls
-
     def test_unstable_step_rejected(self):
         problem = harmonic_problem(512)
         with pytest.raises(ValidationError):
@@ -1387,19 +1418,16 @@ class TestValidationAndErrors:
         with pytest.raises(ValidationError):
             gradient_flow_ground_state(problem, FlowConfig(step=0.05, tol_flow=1e-8))
 
-    def test_convergence_cap(self):
+    def test_convergence_cap(self, monkeypatch):
         problem = harmonic_problem(256)
-        with pytest.raises(ConvergenceError):
-            gradient_flow_ground_state(problem, FlowConfig(step=5e-4, tol_flow=1e-13, max_iters=10))
+        monkeypatch.setattr(nls, "_FLOW_CAP", 10)
+        with pytest.raises(ConvergenceError, match=r"^flow did not reach tol 1e-13 in 10 iterations"):
+            gradient_flow_ground_state(problem, FlowConfig(step=5e-4, tol_flow=1e-13))
 
     def test_potential_shape_mismatch(self):
         grid = Grid1D(-1.0, 1.0, 64)
         with pytest.raises(ValidationError):
             GridProblem(grid, np.zeros(65))
-
-    def test_max_iters_cap(self):
-        with pytest.raises(ValidationError):
-            FlowConfig(max_iters=2_000_000)
 
     def test_init_must_be_positive(self, coarse_cfg):
         problem = harmonic_problem(256)

@@ -58,7 +58,6 @@ from infoqm import (
     psi_eval,
     psi_second_derivative,
     radial_stationary_point,
-    self_consistent_lambda,
     solve_state,
     table,
     taylor2_coeffs,
@@ -131,7 +130,7 @@ COUNT_SITES = {
     "alpha_from_beta.n": (lambda v: alpha_from_beta(v, 0.3), ValidationError),
     "beta_closure_residual.n": (lambda v: beta_closure_residual(v, 0, 0.3), ValidationError),
     "beta_closure_residual.k": (lambda v: beta_closure_residual(2, v, 0.3), ValidationError),
-    "FlowConfig.max_iters": (lambda v: FlowConfig(max_iters=v), ValidationError),
+    "FlowConfig.seed": (lambda v: FlowConfig(seed=v), ValidationError),
     "uniqueness_probe": (lambda v: uniqueness_probe(_PROBLEM, _CFG, v), ValidationError),
     "moment_gradient_check.order": (lambda v: moment_gradient_check(_UNIT, v, 1e-5),
                                     ValidationError),
@@ -147,7 +146,6 @@ TOLERANCE_SITES = {
     "find_root": (lambda v: find_root(lambda x: x, _BRACKET, v), ValidationError),
     "FlowConfig.step": (lambda v: FlowConfig(step=v), ValidationError),
     "FlowConfig.tol_flow": (lambda v: FlowConfig(tol_flow=v), ValidationError),
-    "f_tol": (lambda v: self_consistent_lambda(_PROBLEM, _CFG, f_tol=v), ValidationError),
     "fit_multipliers_1d": (
         lambda v: fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, 1.0),)), tol=v),
         ValidationError,
@@ -379,7 +377,7 @@ def test_series2d_index_outside_the_triangle_raises(i, j):
         lambda v: Grid1D(-1.0, 1.0, v + 3),
         lambda v: hermite_eval(v, 0.3),
         lambda v: binomial_series_eval(1.0, -1.0, 0.5, v),
-        lambda v: FlowConfig(max_iters=v + 1),
+        lambda v: FlowConfig(seed=v + 1),
         lambda v: moment_spec_from_json(_spec_doc(order=v, value=0.9)),
         lambda v: alpha_from_beta(v, 0.3),
         lambda v: energy(v, 1.0, -1.0),
