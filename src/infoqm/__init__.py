@@ -63,7 +63,6 @@ from .numerics import (
     find_root,
     hermite_deriv,
     hermite_eval,
-    integrate,
 )
 from .oscillator import (
     OscillatorState,

@@ -734,8 +734,10 @@ def density_eval_2d(d: ExpFamilyDensity2D, x: float, y: float) -> float:
     (a1, b1), (a2, b2) = d.support
     if not (a1 <= x <= b1 and a2 <= y <= b2):
         raise DomainError(f"({x}, {y}) outside support rectangle")
-    expo = sum(v * x**i * y**j for i, j, v in d.multipliers)
-    return math.exp(-expo)
+    try:
+        return math.exp(-sum(v * x**i * y**j for i, j, v in d.multipliers))
+    except OverflowError:
+        raise NumericError(f"density overflows at ({x}, {y})") from None
 
 
 def _log_average(d: ExpFamilyDensity1D, log_of) -> float:

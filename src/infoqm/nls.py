@@ -52,26 +52,31 @@ tails finite; the floor is far below any physical amplitude.
 The discretization is written once: _floored_log gives the floored
 logarithm, _gradient gives g and that logarithm on the interior of a
 pinned state, and _explicit_step takes one normalized step.  The flow,
-its verification of a Newton state, the discrete energy (which is mu) and
-the Newton residuals in ln u and of the free-b plain step go through
+its verification of a Newton state, the discrete energy (which is mu)
+and the Newton residuals in ln u and of the free-b plain step go through
 _gradient; the loose phase and the plain Newton Jacobian need only the
 logarithm, so they call _floored_log.  One function, _newton_state, runs
 Newton in ln u and the plain chain where that fails, at a fixed b and
-for the root; it is the one solver behind both, and it has one exit.  Every tridiagonal solve is one
-_thomas call of one right-hand side: up to _SWEEP_MAX = 64 unknowns a
-sequential Thomas sweep over Python floats (_sweep), and above it
-odd-even cyclic reduction in whole-array operations down to at most 64
-unknowns, which the sweep solves, so that a 2046-unknown solve takes
-five reduction levels instead of a loop of 2046 steps.  Both eliminate
-without pivoting, which is backward stable for the symmetric positive
-definite Jacobian of a Newton step in ln u at b < 0 and the diagonally
-dominant matrix of a loose step, and both move an exactly zero pivot off
-zero, as inverse iteration does.  A loose step, a Newton step in ln u
-and a plain fixed-b Newton step take one solve each.
+for the root; it is the one solver behind both, and it has one exit.
+Every Newton attempt is one loop, _newton, given one of two step rules:
+_log_step, in ln u, or _newton_step, plain.  A rule makes the step and
+the new interior and raises where that is unusable; the loop holds the
+border unknown, the stop test, _flow_check and the step cap.  Every
+tridiagonal solve is one _thomas call of one right-hand side: up to
+_SWEEP_MAX = 64 unknowns a sequential Thomas sweep over Python floats
+(_sweep), and above it odd-even cyclic reduction in whole-array
+operations down to at most 64 unknowns, which the sweep solves, so that
+a 2046-unknown solve takes five reduction levels instead of a loop of
+2046 steps.  Both eliminate without pivoting, which is backward stable
+for the symmetric positive definite Jacobian of a Newton step in ln u at
+b < 0 and the diagonally dominant matrix of a loose step, and both move
+an exactly zero pivot off zero, as inverse iteration does.  A loose
+step, a Newton step in ln u and a plain fixed-b Newton step take one
+solve each.
 In ln u the Jacobian J' satisfies J' u = -2b u above the floor, so the
 step splits into its part along u and one solve off it (see _log_step);
 the plain Jacobian J satisfies J u = G - 2b u, so at a fixed b one solve
-serves both the residual and the border column (see _newton_step).  A
+serves both the residual and the border column (see _plain_direction).  A
 plain free-b step takes two, since its border column -(1 + L) u has no
 such identity.
 """
@@ -474,7 +479,7 @@ def _thomas(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
     return x[:n]
 
 
-def _newton_step(
+def _plain_direction(
     problem: GridProblem, u: np.ndarray, b: float, m: float, free_b: bool
 ) -> tuple[np.ndarray, float]:
     """One bordered Newton step (d_u, d_p) for the interior u of a state.
@@ -513,6 +518,33 @@ def _newton_step(
     return -y - z * d_p, d_p
 
 
+def _newton_step(
+    problem: GridProblem, u: np.ndarray, b: float, m: float, free_b: bool
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """The plain step rule of _newton: the step (d_u, d_p) of
+    _plain_direction and the new interior it takes u to.
+
+    Where u + d_u keeps every entry positive it is the new interior as it
+    is.  Otherwise each entry that it cuts by more than _CUT takes the
+    Newton step in ln u instead, u exp(d_u / u), and Newton may not stop on
+    the step unless every entry so changed lies below the logarithm's
+    floor.  Returns (new interior, d_u, d_p, whether Newton may stop);
+    raises ConvergenceError where the new interior still leaves the
+    positive cone (an entry whose exp underflowed) or d_p is not finite.
+    """
+    d_u, d_p = _plain_direction(problem, u, b, m, free_b)
+    new = u + d_u
+    may_stop = bool(np.all(new > 0.0))
+    if not may_stop:
+        cut = d_u < -_CUT * u
+        with np.errstate(over="ignore", divide="ignore"):
+            new[cut] = u[cut] * np.exp(d_u[cut] / u[cut])
+        may_stop = not bool(np.any(u[cut] * u[cut] > _EPS_LOG))
+    if not (bool(np.all(new > 0.0)) and math.isfinite(d_p)):
+        raise ConvergenceError("bordered Newton left the positive cone")
+    return new, d_u, d_p, may_stop
+
+
 def _flow_check(
     problem: GridProblem, u: np.ndarray, b: float, cfg: FlowConfig
 ) -> tuple[np.ndarray, float, str]:
@@ -529,60 +561,13 @@ def _flow_check(
                             f"tol_flow {cfg.tol_flow!r} (eps*max(psi)/step = {scale:.3e})")
 
 
-def _bordered_newton(
-    problem: GridProblem, psi: np.ndarray, free_b: bool, cfg: FlowConfig
-) -> tuple[np.ndarray, float, int, float]:
-    """Newton from psi to the positive state with G = 0 and unit norm.
-
-    The border unknown is m at the problem's fixed b (free_b=False), so
-    that m = mu(b) - b, or b with m = 0 (free_b=True), the self-consistent
-    root.  Where the step u + d_u keeps every entry positive it is taken
-    as it is.  Otherwise each entry that it cuts by more than _CUT takes
-    the Newton step in ln u instead, u exp(d_u / u), and Newton does not
-    stop on that step unless every entry so changed lies below the
-    logarithm's floor, nor before _flow_check verifies the state.
-    Returns (psi, b, steps, flow norm); raises ConvergenceError past the
-    step cap, with _flow_check's note on the last state that passed the
-    step test, or when an iterate still leaves the positive cone (an
-    entry whose exp underflowed, or a step not finite).
-    """
-    b = problem.b
-    m = 0.0 if free_b else discrete_energy(problem, psi) - b
-    u = psi[1:-1].copy()
-    unverified = ""
-    for step in range(1, _NEWTON_CAP + 1):
-        d_u, d_p = _newton_step(problem, u, b, m, free_b)
-        new = u + d_u
-        may_stop = bool(np.all(new > 0.0))
-        if not may_stop:
-            cut = d_u < -_CUT * u
-            with np.errstate(over="ignore", divide="ignore"):
-                new[cut] = u[cut] * np.exp(d_u[cut] / u[cut])
-            may_stop = not bool(np.any(u[cut] * u[cut] > _EPS_LOG))
-        u = new
-        if free_b:
-            b += d_p
-        else:
-            m += d_p
-        if not (bool(np.all(u > 0.0)) and math.isfinite(d_p)):
-            raise ConvergenceError("bordered Newton left the positive cone")
-        if (
-            may_stop
-            and float(np.max(np.abs(d_u))) <= _NEWTON_TOL * float(np.max(u))
-            and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
-        ):
-            psi, flow_norm, unverified = _flow_check(problem, u, b, cfg)
-            if not unverified:
-                return psi, b, step, flow_norm
-    raise ConvergenceError(f"bordered Newton exceeded {_NEWTON_CAP} steps{unverified}")
-
-
 def _log_step(
     problem: GridProblem, u: np.ndarray, b: float, m: float, free_b: bool
-) -> tuple[np.ndarray, float]:
-    """One bordered Newton step (d_u, d_p) in v = ln u for the interior u of
-    a state, with d_u = u d_v: the equations of _newton_step with G divided
-    by u.
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """The ln u step rule of _newton: one bordered Newton step (d_u, d_p) in
+    v = ln u for the interior u of a state, with d_u = u d_v (the equations
+    of _plain_direction with G divided by u), and the new interior
+    u exp(d_u / u) it takes u to.
 
     In v the nonlinearity b (1 + L) is b (1 + 2v), linear, and the Jacobian
     of G / u, scaled by u, is J' = J - diag(G / u): symmetric tridiagonal,
@@ -598,6 +583,11 @@ def _log_step(
     the rest is -P J'^-1 P (G + d_p c), with P the projection off u: one
     solve of one right-hand side.  Below the floor J' u = -2b u fails by
     under 1e-50 an entry.
+
+    Returns (new interior, d_u, d_p, True): Newton may stop on any step.
+    Raises ConvergenceError where d_p is not finite or the exp leaves the
+    range of floats (an entry that underflows to zero, or squares that
+    overflow).
     """
     h = problem.grid.spacing
     off = -0.5 / (h * h)
@@ -616,49 +606,56 @@ def _log_step(
     else:
         d_p = along - 2.0 * b * alpha
     x = _thomas(diag, off, g - along * u)
-    return (alpha + float(x @ u) / norm2) * u - x, d_p
+    d_u = (alpha + float(x @ u) / norm2) * u - x
+    with np.errstate(over="ignore"):
+        new = u * np.exp(d_u / u)
+        # positive entries whose squares sum to a float: the next step's
+        # logarithm and norm are finite
+        in_range = new.min() > 0.0 and float(new @ new) < math.inf
+    if not (in_range and math.isfinite(d_p)):
+        raise ConvergenceError("Newton in ln u left the range of floats")
+    return new, d_u, d_p, True
 
 
-def _log_newton(
-    problem: GridProblem, psi: np.ndarray, free_b: bool, cfg: FlowConfig
+def _newton(
+    problem: GridProblem, psi: np.ndarray, free_b: bool, cfg: FlowConfig, step
 ) -> tuple[np.ndarray, float, int, float]:
-    """Newton in ln u from psi to the positive state with G = 0 and unit
-    norm, for the border unknown of _bordered_newton: each _log_step takes
-    u to u exp(d_u / u).  Newton stops once max |d_u| is at most
-    _NEWTON_TOL times the largest entry of u before the step, so that a
-    step that grows u by orders of magnitude cannot pass, and _flow_check
-    verifies the new state.  Returns (psi, b, steps, flow norm); raises
-    ConvergenceError past the step cap, with _flow_check's note on the
-    last state that passed the step test, or where a step is not finite
-    or its exp leaves the range of floats (an entry that underflows to
-    zero, or squares that overflow).
+    """Newton from psi to the positive state with G = 0 and unit norm, each
+    step taken by the step rule ``step``: _log_step, in ln u, or
+    _newton_step, plain.
+
+    The border unknown is m at the problem's fixed b (free_b=False), so
+    that m = mu(b) - b, or b with m = 0 (free_b=True), the self-consistent
+    root.  Newton stops on a step that the rule lets it stop on, whose
+    max |d_u| is at most _NEWTON_TOL times the largest entry of u before
+    the step, so that a step that grows u by orders of magnitude cannot
+    pass, and whose |d_p| is at most _NEWTON_TOL max(1, |b|, |m|), once
+    _flow_check verifies the new state.  Returns (psi, b, steps, flow norm);
+    raises the rule's ConvergenceError, or past the step cap one that names
+    the attempt and gives _flow_check's note on the last state that passed
+    the step test.
     """
     b = problem.b
     m = 0.0 if free_b else discrete_energy(problem, psi) - b
     u = psi[1:-1].copy()
     unverified = ""
-    for step in range(1, _NEWTON_CAP + 1):
-        d_u, d_p = _log_step(problem, u, b, m, free_b)
-        with np.errstate(over="ignore"):
-            new = u * np.exp(d_u / u)
-            # positive entries whose squares sum to a float: the next
-            # step's logarithm and norm are finite
-            in_range = new.min() > 0.0 and float(new @ new) < math.inf
-        if not (in_range and math.isfinite(d_p)):
-            raise ConvergenceError("Newton in ln u left the range of floats")
+    for count in range(1, _NEWTON_CAP + 1):
+        new, d_u, d_p, may_stop = step(problem, u, b, m, free_b)
         if free_b:
             b += d_p
         else:
             m += d_p
         if (
-            float(np.abs(d_u).max()) <= _NEWTON_TOL * float(u.max())
+            may_stop
+            and float(np.abs(d_u).max()) <= _NEWTON_TOL * float(u.max())
             and abs(d_p) <= _NEWTON_TOL * max(1.0, abs(b), abs(m))
         ):
             psi, flow_norm, unverified = _flow_check(problem, new, b, cfg)
             if not unverified:
-                return psi, b, step, flow_norm
+                return psi, b, count, flow_norm
         u = new
-    raise ConvergenceError(f"Newton in ln u exceeded {_NEWTON_CAP} steps{unverified}")
+    name = "Newton in ln u" if step is _log_step else "bordered Newton"
+    raise ConvergenceError(f"{name} exceeded {_NEWTON_CAP} steps{unverified}")
 
 
 def _newton_state(
@@ -668,9 +665,9 @@ def _newton_state(
     bracket: tuple[float, float] | None = None,
 ) -> GroundStateSolution:
     """A Newton solve from init at the problem's b, or with b free for the
-    self-consistent root in ``bracket``: Newton in ln u first, and where it
-    raises ConvergenceError the plain bordered Newton solve from init, then
-    the loose phase from init and the plain solve once more.  With b free,
+    self-consistent root in ``bracket``: _newton with the step rule in ln u
+    first, and where it raises ConvergenceError _newton with the plain rule
+    from init, then the loose phase from init and the plain rule once more.  With b free,
     the root of whichever attempt held is then checked against the bracket
     once, and a root outside it raises ConvergenceError.
 
@@ -690,13 +687,13 @@ def _newton_state(
     free_b = bracket is not None
     loose_steps = 0
     try:
-        psi, b, newton_steps, flow_norm = _log_newton(problem, start, free_b, cfg)
+        psi, b, newton_steps, flow_norm = _newton(problem, start, free_b, cfg, _log_step)
     except ConvergenceError:
         try:
-            psi, b, newton_steps, flow_norm = _bordered_newton(problem, start, free_b, cfg)
+            psi, b, newton_steps, flow_norm = _newton(problem, start, free_b, cfg, _newton_step)
         except ConvergenceError:
             psi, loose_steps = _loose_phase(problem, start)
-            psi, b, newton_steps, flow_norm = _bordered_newton(problem, psi, free_b, cfg)
+            psi, b, newton_steps, flow_norm = _newton(problem, psi, free_b, cfg, _newton_step)
     if free_b and not bracket[0] <= b <= bracket[1]:
         raise ConvergenceError(f"root b = {b!r} is outside the bracket [{bracket[0]}, {bracket[1]}]")
     problem = problem.with_b(b)
@@ -719,9 +716,10 @@ def ground_state(
 ) -> GroundStateSolution:
     """Nodeless ground state at the problem's fixed b.
 
-    A bordered Newton solve in (ln psi, m = mu(b) - b) from init, or where
-    that fails the plain chain from init (Newton in psi, and where that
-    fails too the loose phase and Newton in psi again), each stepping on
+    One Newton loop, with the step rule in (ln psi, m = mu(b) - b), from
+    init, or where that fails the plain chain from init (the same loop with
+    the rule in psi, and where that fails too the loose phase and the rule
+    in psi again), each attempt stepping on
     until one explicit step moves the state by a flow norm below
     cfg.tol_flow.  If the loose phase or the last Newton solve fails, its
     ConvergenceError is raised; at the step cap it gives the last flow

@@ -1,8 +1,8 @@
 """Deterministic numerical primitives shared by every other module.
 
-Uniform grids, fixed quadrature rules (the trapezoid rule, and the
-Gauss-Legendre and Gauss-Hermite rules, built by Newton's method on their
-three-term recurrences), the physicists' Hermite recurrence, a
+Uniform grids, fixed quadrature rules (the Gauss-Legendre and
+Gauss-Hermite rules, built by Newton's method on their three-term
+recurrences), the physicists' Hermite recurrence, a
 bracketing root finder, the one polynomial root helper ``_poly_roots``
 (np.roots bit for bit, without its array plumbing) and its real-root
 filter ``_real_roots``, and the one rule for what counts as a number:
@@ -171,11 +171,11 @@ class Grid1D:
 class QuadratureRule:
     """Nodes and weights of a fixed quadrature rule.
 
-    ``trapezoid`` integrates plain samples f(x_i) over a Grid1D, and
-    ``gauss_legendre`` over [-1, 1].  ``gauss_hermite``
-    integrates against the weight e^{-x^2}: given samples g(x_i) it
-    estimates the integral of g(x) e^{-x^2} over the whole real line, so
-    the weights sum to sqrt(pi).  Each n-node Gauss rule is exact for
+    A rule integrates samples f(x_i) at its nodes as ``weights @ samples``.
+    ``gauss_legendre`` integrates plain samples over [-1, 1].
+    ``gauss_hermite`` integrates against the weight e^{-x^2}: given samples
+    g(x_i) it estimates the integral of g(x) e^{-x^2} over the whole real
+    line, so the weights sum to sqrt(pi).  Each n-node Gauss rule is exact for
     polynomials of degree below 2n and is built once per n, on first use.
     """
 
@@ -197,13 +197,6 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         nodes.flags.writeable = False
         weights.flags.writeable = False
-
-    @classmethod
-    def trapezoid(cls, grid: Grid1D) -> "QuadratureRule":
-        w = np.full(grid.n_points, grid.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return cls("trapezoid", grid.points(), w)
 
     @classmethod
     def gauss_legendre(cls, n: int) -> "QuadratureRule":
@@ -328,14 +321,6 @@ def hermite_deriv(n: int, u):
         z = np.zeros_like(_as_array(u, "u"))
         return z if z.ndim else 0.0
     return 2.0 * n * hermite_eval(n - 1, u)
-
-
-def integrate(f, rule: QuadratureRule) -> float:
-    """Quadrature estimate of a function or of samples taken at rule.nodes."""
-    samples = _as_array(f(rule.nodes) if callable(f) else f, "samples", rule.nodes.shape)
-    if not np.all(np.isfinite(samples)):
-        raise NumericError("non-finite sample passed to integrate")
-    return float(rule.weights @ samples)
 
 
 def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:

@@ -19,6 +19,8 @@ from .numerics import (Grid1D, _as_finite, _as_finite_array, _as_int, _as_number
 MAX_POLY_DEGREE = 32
 MAX_SERIES_TERMS = 200
 MAX_TAYLOR2_ORDER = 6
+# the coefficient pairs the ratio test reads
+_RATIO_TAIL = 10
 
 SeriesKind = Literal["binomial", "binomial_xy", "exp_xy"]
 RayClassification = Literal["max", "min", "saddle-along-ray"]
@@ -46,32 +48,24 @@ class PowerSeries1D:
             raise ValidationError(f"radius must be nonnegative, got {self.radius}")
         if math.isfinite(self.radius):
             estimate = self.ratio_test_radius()
-            if estimate is not None and not (0.5 <= estimate / self.radius <= 2.0):
+            if estimate is not None and not (0.5 * self.radius <= estimate <= 2.0 * self.radius):
                 raise ValidationError(
                     f"declared radius {self.radius} disagrees with ratio-test "
                     f"estimate {estimate:.6g}"
                 )
 
-    def ratio_test_radius(self, tail: int = 10) -> float | None:
-        """Median |a_i / a_{i+1}| over the last ``tail`` coefficient pairs,
-        or None when the tail has zeros (no estimate possible)."""
-        tail = _as_int(tail, "tail", 1)
-        coeffs = self.coefficients
-        if len(coeffs) < tail + 1:
+    def ratio_test_radius(self) -> float | None:
+        """Median |a_i / a_{i+1}| over the last _RATIO_TAIL coefficient
+        pairs, or None when the tail has zeros (no estimate possible)."""
+        last = self.coefficients[-(_RATIO_TAIL + 1):]
+        if len(last) < _RATIO_TAIL + 1 or 0.0 in last:
             return None
-        last = coeffs[-(tail + 1):]
-        if any(c == 0.0 for c in last):
-            return None
-        ratios = [abs(last[i] / last[i + 1]) for i in range(tail)]
-        return float(np.median(ratios))
+        return float(np.median([abs(a / b) for a, b in zip(last, last[1:])]))
 
-    def eval(self, x: float, n_terms: int | None = None) -> float:
+    def eval(self, x: float) -> float:
         t = _as_finite(x, "x") - self.center
-        coeffs = self.coefficients
-        if n_terms is not None:
-            coeffs = coeffs[: _as_int(n_terms, "n_terms", 0)]
         total = 0.0
-        for c in reversed(coeffs):
+        for c in reversed(self.coefficients):
             total = total * t + c
         return total
 

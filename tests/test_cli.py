@@ -480,8 +480,7 @@ class TestNlsGround:
         def fail(*args, **kwargs):
             raise ConvergenceError("forced failure")
 
-        monkeypatch.setattr(nls, "_log_newton", fail)
-        monkeypatch.setattr(nls, "_bordered_newton", fail)
+        monkeypatch.setattr(nls, "_newton", fail)
         code, out, err = run_captured(capsys, FIXED_B_LINEAR)
         assert (code, out) == (3, "")
         assert err == "infoqm: error: forced failure\n"
@@ -556,15 +555,14 @@ class TestNlsGround:
     def test_free_b_root_failure_exit_code(self, capsys, monkeypatch):
         # the free-b Newton solve is the one root path: where it fails, in
         # ln u and plain, the lambda solve exits 3 with no output
-        def free_b_failure(newton):
-            def attempt(problem, psi, free_b, cfg):
-                if free_b:
-                    raise ConvergenceError("forced failure")
-                return newton(problem, psi, free_b, cfg)
-            return attempt
+        newton = nls._newton
 
-        monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
-        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure(nls._bordered_newton))
+        def free_b_failure(problem, psi, free_b, cfg, step):
+            if free_b:
+                raise ConvergenceError("forced failure")
+            return newton(problem, psi, free_b, cfg, step)
+
+        monkeypatch.setattr(nls, "_newton", free_b_failure)
         code, out, err = run_captured(
             capsys,
             ["nls", "ground", "--domain", "-10", "10", "--grid", "256",

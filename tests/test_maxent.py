@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -796,6 +797,17 @@ class TestFit2D:
         d, _ = fit_multipliers_2d(MomentSpec2D(((0.0, 1.0), (0.0, 1.0)), ()))
         with pytest.raises(DomainError):
             density_eval_2d(d, 2.0, 0.5)
+
+    @pytest.mark.parametrize("multipliers, support, point", [
+        # exp(1000) overflows
+        (((2, 0, -1000.0),), ((-1.0, 1.0), (-1.0, 1.0)), (1.0, 0.0)),
+        # x^2 = 1e400 overflows before the exp
+        (((2, 0, 1.0),), ((-1e200, 1e200), (-1.0, 1.0)), (1e200, 0.0)),
+    ], ids=["exp", "power"])
+    def test_2d_eval_overflow_is_a_numeric_error(self, multipliers, support, point):
+        d = ExpFamilyDensity2D(multipliers, support)
+        with pytest.raises(NumericError, match=f"^{re.escape(f'density overflows at {point}')}$"):
+            density_eval_2d(d, *point)
 
     @pytest.mark.parametrize("sd", [0.5, 0.2, 0.1, 0.05])
     @pytest.mark.parametrize("kurtosis", [3.0, 2.65])

@@ -241,13 +241,38 @@ def forced_newton_failure(*args, **kwargs):
     raise ConvergenceError("forced failure")
 
 
-def free_b_failure(newton):
-    """The Newton attempt newton, made to fail with b free."""
-    def attempt(problem, psi, free_b, cfg):
+def failing(attempt):
+    """A Newton attempt made to fail at once, in place of ``attempt``."""
+    return forced_newton_failure
+
+
+def free_b_failure(attempt):
+    """The Newton attempt ``attempt``, made to fail with b free."""
+    def failing_free_b(problem, psi, free_b, cfg):
         if free_b:
             raise ConvergenceError("forced failure")
-        return newton(problem, psi, free_b, cfg)
-    return attempt
+        return attempt(problem, psi, free_b, cfg)
+    return failing_free_b
+
+
+def wrap_attempts(monkeypatch, log=None, plain=None):
+    """Wrap nls._newton so that each Newton attempt with the step rule in
+    ln u runs as log(attempt) and each with the plain rule as
+    plain(attempt), where attempt(problem, psi, free_b, cfg) is the attempt
+    itself; a wrapper of None leaves its attempts as they are.  Returns the
+    wrappers by "log" and "plain", a dict that may be changed between
+    solves."""
+    wrappers = {"log": log, "plain": plain}
+    newton = nls._newton
+
+    def wrapped(problem, psi, free_b, cfg, step):
+        def attempt(problem, psi, free_b, cfg):
+            return newton(problem, psi, free_b, cfg, step)
+        wrap = wrappers["log" if step is nls._log_step else "plain"]
+        return (wrap(attempt) if wrap else attempt)(problem, psi, free_b, cfg)
+
+    monkeypatch.setattr(nls, "_newton", wrapped)
+    return wrappers
 
 
 def one_step_flow_norm(problem, psi, step):
@@ -285,7 +310,7 @@ class TestBorderedNewton:
             fd = (residual(x0 + e) - residual(x0 - e)) / 2e-6
             assert np.max(np.abs(fd - jac[:, k])) <= 1e-6 * max(1.0, np.max(np.abs(jac[:, k])))
         expected = np.linalg.solve(jac, -resid)
-        d_u, d_p = nls._newton_step(problem, u, b, m, free_b)
+        d_u, d_p = nls._plain_direction(problem, u, b, m, free_b)
         assert np.max(np.abs(d_u - expected[:-1])) <= 1e-12
         assert abs(d_p - expected[-1]) <= 1e-12
 
@@ -301,7 +326,7 @@ class TestBorderedNewton:
         b, m = -1.3, (0.0 if free_b else 0.2)
         jac, resid = dense_bordered_system(problem, u, b, m, free_b)
         expected = np.linalg.solve(jac, -resid)
-        d_u, d_p = nls._newton_step(problem, u, b, m, free_b)
+        d_u, d_p = nls._plain_direction(problem, u, b, m, free_b)
         # entry by entry, so that the tails count: they are near 1e-54 in d_u
         assert np.all(np.abs(d_u - expected[:-1]) <= 1e-13 * np.abs(expected[:-1]))
         assert abs(d_p - expected[-1]) <= 1e-13 * abs(expected[-1])
@@ -333,7 +358,7 @@ class TestBorderedNewton:
             want = jac[:, k] * scale[k]
             assert np.max(np.abs(fd - want)) <= 1e-6 * max(1.0, np.max(np.abs(want)))
         expected = np.linalg.solve(jac, -resid)
-        d_u, d_p = nls._log_step(problem, u, b, m, free_b)
+        _, d_u, d_p, _ = nls._log_step(problem, u, b, m, free_b)
         assert np.max(np.abs(d_u - expected[:-1])) <= 1e-12 * np.max(np.abs(expected[:-1]))
         assert abs(d_p - expected[-1]) <= 1e-12 * max(1.0, abs(expected[-1]))
 
@@ -348,7 +373,7 @@ class TestBorderedNewton:
         m = 0.0 if free_b else 0.2
         jac, resid = dense_log_system(problem, u, b, m, free_b)
         expected = np.linalg.solve(jac, -resid)
-        d_u, d_p = nls._log_step(problem, u, b, m, free_b)
+        _, d_u, d_p, _ = nls._log_step(problem, u, b, m, free_b)
         assert np.all(np.abs(d_u - expected[:-1]) <= 1e-13 * np.abs(expected[:-1]))
         assert abs(d_p - expected[-1]) <= 1e-13 * abs(expected[-1])
 
@@ -401,8 +426,8 @@ class TestBorderedNewton:
 
         monkeypatch.setattr(nls, "_loose_phase", counted_loose)
         monkeypatch.setattr(nls, "gradient_flow_ground_state", counted_flow)
-        monkeypatch.setattr(nls, "_log_newton", counted(nls._log_newton, log_newton))
-        monkeypatch.setattr(nls, "_bordered_newton", counted(nls._bordered_newton, newton))
+        wrappers = wrap_attempts(monkeypatch, lambda attempt: counted(attempt, log_newton),
+                                 lambda attempt: counted(attempt, newton))
         _, sol = self_consistent_lambda(problem, cfg)
         # Newton in ln u holds from the default guess and then from the lower
         # end's state, so neither the plain solve nor a loose phase runs
@@ -415,7 +440,7 @@ class TestBorderedNewton:
         # at the lower end leaves the positive cone; the loose phase then
         # runs and is counted, and the failed attempts are not
         log_newton.clear()
-        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
+        wrappers["log"] = failing
         init = randomized_initial_guess(problem.grid, 9, 1)
         _, sol = self_consistent_lambda(problem, cfg, init=init)
         assert len(loose) == 1 and not flows
@@ -426,7 +451,7 @@ class TestBorderedNewton:
         # with every Newton solve failing, the lower end raises after its
         # loose phase: no full flow runs, and no other state is solved
         loose.clear()
-        monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
+        wrappers["plain"] = failing
         with pytest.raises(ConvergenceError, match="^forced failure$"):
             self_consistent_lambda(problem, cfg)
         assert not flows
@@ -673,7 +698,7 @@ class TestWorkCounts:
         # border column, one _thomas call each
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
-        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
+        wrap_attempts(monkeypatch, log=failing)
         work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
         assert work == {"fixed_b_calls": 7, "free_b_calls": 14}
 
@@ -749,8 +774,7 @@ class TestFixedBNewton:
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         init = randomized_initial_guess(problem.grid, 9, 0)
         flows = self.flow_calls(monkeypatch)
-        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
-        monkeypatch.setattr(nls, "_bordered_newton", forced_newton_failure)
+        monkeypatch.setattr(nls, "_newton", forced_newton_failure)
         with pytest.raises(ConvergenceError, match="^forced failure$"):
             ground_state(problem, self.CFG, init=init)
         assert not flows
@@ -776,8 +800,7 @@ class TestFixedBNewton:
                     raise
             return recorded_attempt
 
-        monkeypatch.setattr(nls, "_log_newton", recorded(nls._log_newton))
-        monkeypatch.setattr(nls, "_bordered_newton", recorded(nls._bordered_newton))
+        wrap_attempts(monkeypatch, recorded, recorded)
         flows = self.flow_calls(monkeypatch)
         with pytest.raises(ConvergenceError) as raised:
             ground_state(problem, cfg)
@@ -811,18 +834,18 @@ class TestFixedBNewton:
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         init = randomized_initial_guess(problem.grid, 9, 0)
         flows = self.flow_calls(monkeypatch)
-        bordered_newton = nls._bordered_newton
         calls = []
 
-        def direct_failure(problem, psi, free_b, cfg):
+        def direct_failure(attempt):
             # the attempts in ln u and plain fail, so the loose phase runs
-            calls.append(free_b)
-            if len(calls) == 1:
-                raise ConvergenceError("forced failure")
-            return bordered_newton(problem, psi, free_b, cfg)
+            def first_fails(problem, psi, free_b, cfg):
+                calls.append(free_b)
+                if len(calls) == 1:
+                    raise ConvergenceError("forced failure")
+                return attempt(problem, psi, free_b, cfg)
+            return first_fails
 
-        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
-        monkeypatch.setattr(nls, "_bordered_newton", direct_failure)
+        wrap_attempts(monkeypatch, failing, direct_failure)
         monkeypatch.setattr(nls, "_LOOSE_CAP", 1)
         with pytest.raises(ConvergenceError, match="^loose phase did not reach 0.01 in 1 steps"):
             ground_state(problem, self.CFG, init=init)
@@ -973,21 +996,21 @@ class TestContinuation:
         base = harmonic_problem(256, half_width=12.0)
         start = ground_state(base.with_b(-0.5), self.CFG)
         cold = ground_state(base.with_b(-3.0), self.CFG)
-        bordered_newton = nls._bordered_newton
         failures = []
 
-        def recorded_newton(problem, psi, free_b, cfg):
-            try:
-                return bordered_newton(problem, psi, free_b, cfg)
-            except ConvergenceError as exc:
-                failures.append(str(exc))
-                raise
+        def recorded_newton(attempt):
+            def recorded_attempt(problem, psi, free_b, cfg):
+                try:
+                    return attempt(problem, psi, free_b, cfg)
+                except ConvergenceError as exc:
+                    failures.append(str(exc))
+                    raise
+            return recorded_attempt
 
         # Newton in ln u holds from this start; forced to fail, it falls back
         # to the plain attempt, which leaves the cone
         assert ground_state(base.with_b(-3.0), self.CFG, init=start.psi).iterations == 0
-        monkeypatch.setattr(nls, "_log_newton", forced_newton_failure)
-        monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
+        wrap_attempts(monkeypatch, failing, recorded_newton)
         sol = ground_state(base.with_b(-3.0), self.CFG, init=start.psi)
         assert failures == ["bordered Newton left the positive cone"]
         assert sol.iterations > 0 and sol.newton_steps > 0
@@ -1158,8 +1181,7 @@ class TestOneRootPath:
     def test_free_b_failure_raises(self, monkeypatch):
         # a failed continuation inside a bracket with a sign change: the
         # upper end is solved, and the error names the continuation's start
-        monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
-        monkeypatch.setattr(nls, "_bordered_newton", free_b_failure(nls._bordered_newton))
+        wrap_attempts(monkeypatch, free_b_failure, free_b_failure)
         with recorded_solves() as solved, pytest.raises(
                 ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: forced failure$"
         ) as raised:
@@ -1167,25 +1189,26 @@ class TestOneRootPath:
         assert solved == [-3.0, "root", -0.5]
         assert str(raised.value.__cause__) == "forced failure"
 
-    @pytest.mark.parametrize("attempt", ["_log_newton", "_bordered_newton"])
-    def test_root_outside_the_bracket_raises(self, monkeypatch, attempt):
+    @pytest.mark.parametrize("rule", ["log", "plain"])
+    def test_root_outside_the_bracket_raises(self, monkeypatch, rule):
         # the attempt that makes the root, Newton in ln u or, with ln u made
         # to fail, the plain attempt from the start state, ends past the
         # upper end: _newton_state checks the bracket once, after the chain,
         # and raises; self_consistent_lambda then solves the upper end and
         # raises, as F changes sign on the bracket
-        if attempt == "_bordered_newton":
-            monkeypatch.setattr(nls, "_log_newton", free_b_failure(nls._log_newton))
-        newton, roots = getattr(nls, attempt), []
+        roots = []
 
-        def shifted_root(problem, psi, free_b, cfg):
-            psi, b, steps, flow_norm = newton(problem, psi, free_b, cfg)
-            if free_b:
-                roots.append(b)
-                b += 3.0
-            return psi, b, steps, flow_norm
+        def shifted_root(attempt):
+            def shifted(problem, psi, free_b, cfg):
+                psi, b, steps, flow_norm = attempt(problem, psi, free_b, cfg)
+                if free_b:
+                    roots.append(b)
+                    b += 3.0
+                return psi, b, steps, flow_norm
+            return shifted
 
-        monkeypatch.setattr(nls, attempt, shifted_root)
+        wrappers = wrap_attempts(monkeypatch, log=free_b_failure)
+        wrappers[rule] = shifted_root
         problem = harmonic_problem(192, half_width=8.0)
         cfg = FlowConfig(step=2e-3, tol_flow=1e-8)
         lo, hi = nls.DEFAULT_BRACKET
@@ -1219,21 +1242,21 @@ class TestOneRootPath:
         # state, gives the root, with no loose phase
         problem, cfg = stable_problem("harmonic", 512)
         log_attempts, plain_roots = [], []
-        log_newton, bordered_newton = nls._log_newton, nls._bordered_newton
 
-        def failing_free_b_log_newton(problem, psi, free_b, cfg):
-            log_attempts.append((problem.b, free_b))
-            if free_b:
-                raise ConvergenceError("forced failure")
-            return log_newton(problem, psi, free_b, cfg)
+        def failing_free_b_log(attempt):
+            def recorded_attempt(problem, psi, free_b, cfg):
+                log_attempts.append((problem.b, free_b))
+                return free_b_failure(attempt)(problem, psi, free_b, cfg)
+            return recorded_attempt
 
-        def recorded_newton(problem, psi, free_b, cfg):
-            out = bordered_newton(problem, psi, free_b, cfg)
-            plain_roots.append(out[1] if free_b else None)
-            return out
+        def recorded_newton(attempt):
+            def recorded_attempt(problem, psi, free_b, cfg):
+                out = attempt(problem, psi, free_b, cfg)
+                plain_roots.append(out[1] if free_b else None)
+                return out
+            return recorded_attempt
 
-        monkeypatch.setattr(nls, "_log_newton", failing_free_b_log_newton)
-        monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
+        wrap_attempts(monkeypatch, failing_free_b_log, recorded_newton)
         lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET)
         assert log_attempts == [(-6.0, False), (-6.0, True)]
         assert plain_roots == [lam]
@@ -1247,18 +1270,18 @@ class TestOneRootPath:
         problem, cfg = stable_problem("harmonic", 512)
         start = ground_state(problem.with_b(-6.0), cfg)
         u = start.psi[1:-1]
-        d_u, _ = nls._newton_step(problem, u, -6.0, 0.0, True)
-        assert np.any(u + d_u <= 0.0)
+        new, d_u, _, may_stop = nls._newton_step(problem, u, -6.0, 0.0, True)
+        assert np.any(u + d_u <= 0.0) and np.all(new > 0.0) and not may_stop
         steps = []
         newton_step = nls._newton_step
 
         def recorded(problem, u, b, m, free_b):
-            d_u, d_p = newton_step(problem, u, b, m, free_b)
-            steps.append(bool(np.any(u + d_u <= 0.0)))
-            return d_u, d_p
+            out = newton_step(problem, u, b, m, free_b)
+            steps.append(bool(np.any(u + out[1] <= 0.0)))
+            return out
 
         monkeypatch.setattr(nls, "_newton_step", recorded)
-        psi, b, count, _ = nls._bordered_newton(problem.with_b(-6.0), start.psi, True, cfg)
+        psi, b, count, _ = nls._newton(problem.with_b(-6.0), start.psi, True, cfg, nls._newton_step)
         assert steps[0] and count == len(steps)
         assert np.all(psi[1:-1] > 0.0)
         assert abs(b - bracket_roots["harmonic", 512][0][0]) <= 1e-12
@@ -1273,11 +1296,12 @@ class TestOneRootPath:
         newton_step = nls._newton_step
 
         def recorded(problem, u, b, m, free_b):
-            d_u, d_p = newton_step(problem, u, b, m, free_b)
+            out = newton_step(problem, u, b, m, free_b)
+            d_u = out[1]
             if free_b:
                 left = np.any(u + d_u <= 0.0)
                 cut_peaks.append(float(np.max(u[d_u < -nls._CUT * u] ** 2)) if left else None)
-            return d_u, d_p
+            return out
 
         monkeypatch.setattr(nls, "_newton_step", recorded)
         lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET, init=init)
@@ -1292,16 +1316,17 @@ class TestOneRootPath:
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         cfg = TestFixedBNewton.CFG
         failures = []
-        bordered_newton = nls._bordered_newton
 
-        def recorded_newton(problem, psi, free_b, cfg):
-            try:
-                return bordered_newton(problem, psi, free_b, cfg)
-            except ConvergenceError as exc:
-                failures.append(str(exc))
-                raise
+        def recorded_newton(attempt):
+            def recorded_attempt(problem, psi, free_b, cfg):
+                try:
+                    return attempt(problem, psi, free_b, cfg)
+                except ConvergenceError as exc:
+                    failures.append(str(exc))
+                    raise
+            return recorded_attempt
 
-        monkeypatch.setattr(nls, "_bordered_newton", recorded_newton)
+        wrap_attempts(monkeypatch, plain=recorded_newton)
         monkeypatch.setattr(nls, "_NEWTON_TOL", 0.0)
         capped = f"bordered Newton exceeded {nls._NEWTON_CAP} steps"
         with pytest.raises(ConvergenceError, match=f"^{capped}$"):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
+    DomainError,
     ExpFamilyDensity2D,
     Grid1D,
     NotFoundError,
@@ -35,6 +36,16 @@ class TestPowerSeries1D:
     def test_radius_consistency_rejects_mismatch(self):
         with pytest.raises(ValidationError):
             PowerSeries1D(0.0, (1.0,) * 15, radius=5.0)
+
+    def test_zero_radius_disagrees_with_the_ratio_test(self):
+        # the ratio test reads radius 2; a declared 0 is a mismatch, not a
+        # division by zero
+        with pytest.raises(ValidationError, match="declared radius 0.0 disagrees"):
+            PowerSeries1D(0.0, tuple(0.5**i for i in range(12)), 0.0)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValidationError, match="radius must be nonnegative"):
+            PowerSeries1D(0.0, (1.0, 1.0), -1.0)
 
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValidationError):
@@ -374,3 +385,10 @@ class TestPowerSeries2DType:
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             PowerSeries2D(np.zeros((2, 3)), 2)
+
+    def test_coefficient_above_the_truncation_order_raises(self):
+        # (1, 1) lies in the array's zero padding above total degree 1
+        series = PowerSeries2D([[1.0, 2.0], [3.0, 0.0]], 1)
+        assert (series.coefficient(0, 1), series.coefficient(1, 0)) == (2.0, 3.0)
+        with pytest.raises(DomainError, match=r"a_ij needs i \+ j <= 1, got \(1, 1\)"):
+            series.coefficient(1, 1)
