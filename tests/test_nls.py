@@ -255,6 +255,20 @@ def free_b_failure(attempt):
     return failing_free_b
 
 
+def failures_into(failures):
+    """A Newton attempt wrapper that appends the message of each attempt
+    that fails to failures."""
+    def recorded(attempt):
+        def recorded_attempt(problem, psi, free_b, cfg):
+            try:
+                return attempt(problem, psi, free_b, cfg)
+            except ConvergenceError as exc:
+                failures.append(str(exc))
+                raise
+        return recorded_attempt
+    return recorded
+
+
 def wrap_attempts(monkeypatch, log=None, plain=None):
     """Wrap nls._newton so that each Newton attempt with the step rule in
     ln u runs as log(attempt) and each with the plain rule as
@@ -791,16 +805,7 @@ class TestFixedBNewton:
         assert one_step_flow_norm(problem, newton.psi, cfg.step) >= cfg.tol_flow
         failures = []
 
-        def recorded(attempt):
-            def recorded_attempt(problem, psi, free_b, cfg):
-                try:
-                    return attempt(problem, psi, free_b, cfg)
-                except ConvergenceError as exc:
-                    failures.append(str(exc))
-                    raise
-            return recorded_attempt
-
-        wrap_attempts(monkeypatch, recorded, recorded)
+        wrap_attempts(monkeypatch, failures_into(failures), failures_into(failures))
         flows = self.flow_calls(monkeypatch)
         with pytest.raises(ConvergenceError) as raised:
             ground_state(problem, cfg)
@@ -998,19 +1003,10 @@ class TestContinuation:
         cold = ground_state(base.with_b(-3.0), self.CFG)
         failures = []
 
-        def recorded_newton(attempt):
-            def recorded_attempt(problem, psi, free_b, cfg):
-                try:
-                    return attempt(problem, psi, free_b, cfg)
-                except ConvergenceError as exc:
-                    failures.append(str(exc))
-                    raise
-            return recorded_attempt
-
         # Newton in ln u holds from this start; forced to fail, it falls back
         # to the plain attempt, which leaves the cone
         assert ground_state(base.with_b(-3.0), self.CFG, init=start.psi).iterations == 0
-        wrap_attempts(monkeypatch, failing, recorded_newton)
+        wrap_attempts(monkeypatch, failing, failures_into(failures))
         sol = ground_state(base.with_b(-3.0), self.CFG, init=start.psi)
         assert failures == ["bordered Newton left the positive cone"]
         assert sol.iterations > 0 and sol.newton_steps > 0
@@ -1316,17 +1312,7 @@ class TestOneRootPath:
         problem = harmonic_problem(256, half_width=12.0, b=-1.3)
         cfg = TestFixedBNewton.CFG
         failures = []
-
-        def recorded_newton(attempt):
-            def recorded_attempt(problem, psi, free_b, cfg):
-                try:
-                    return attempt(problem, psi, free_b, cfg)
-                except ConvergenceError as exc:
-                    failures.append(str(exc))
-                    raise
-            return recorded_attempt
-
-        wrap_attempts(monkeypatch, plain=recorded_newton)
+        wrap_attempts(monkeypatch, plain=failures_into(failures))
         monkeypatch.setattr(nls, "_NEWTON_TOL", 0.0)
         capped = f"bordered Newton exceeded {nls._NEWTON_CAP} steps"
         with pytest.raises(ConvergenceError, match=f"^{capped}$"):
