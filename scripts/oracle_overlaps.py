@@ -15,8 +15,10 @@ that share no code with the module's Gauss-Hermite kernel:
 
 Gram entries are compared absolutely (the diagonal is 1), and residuals,
 coefficients and norms relative to |t|.  It also prints the overlaps and the
-residuals of x exp(-x^2 / 2) frozen into tests/test_analysis.py.  It exits 1
-where a distance is above BOUND.
+residuals of x exp(-x^2 / 2) frozen into tests/test_analysis.py, each with
+its distance from the frozen value (and <psi0, psi1> with its distance from
+0, its value by parity).  It exits 1 where a distance from a reference is
+above BOUND or one from a frozen value above FROZEN_BOUND.
 
     python scripts/oracle_overlaps.py
 """
@@ -36,6 +38,10 @@ ORDERS = tuple(range(1, 9))
 POWERS = range(5)
 SCALES = (0.3, 0.6, 1.6, 3.0, 5.0)
 BOUND = 1e-12
+# the values tests/test_analysis.py freezes, from denser trapezoids on [-14, 14]
+FROZEN_OVERLAPS = {(0, 2): 0.1611868415688419, (1, 3): 0.2322275352000255, (0, 1): 0.0}
+FROZEN_RESIDUALS = {2: 0.5208961282519861, 4: 0.07481959286000289, 8: 0.0055379007164926735}
+FROZEN_BOUND = 1e-14
 
 
 def dense_gram(members: np.ndarray) -> np.ndarray:
@@ -59,19 +65,24 @@ def dense_projection(ts: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, n
 def main() -> int:
     failures = 0
 
-    def report(what: str, distance: float) -> None:
+    def report(what: str, distance: float, bound: float = BOUND) -> None:
         nonlocal failures
-        bad = not distance <= BOUND
+        bad = not distance <= bound
         failures += bad
         print(f"  {what:28s} {distance:.1e}" + ("  FAIL" if bad else ""))
 
     members = np.array([psi_eval(s, XS) for s in table(20)])
-    print("values frozen into tests/test_analysis.py, dense trapezoid:")
-    for m, n in ((0, 2), (1, 3), (0, 1)):
-        print(f"  <psi{m}, psi{n}> = {float(np.trapezoid(members[m] * members[n], XS))!r}")
+    print("values frozen into tests/test_analysis.py, dense trapezoid, and their distance "
+          f"from the frozen value (bound {FROZEN_BOUND:.0e}):")
+    for (m, n), frozen in FROZEN_OVERLAPS.items():
+        value = float(np.trapezoid(members[m] * members[n], XS))
+        print(f"  <psi{m}, psi{n}> = {value!r}")
+        report(f"<psi{m}, psi{n}>", abs(value - frozen), FROZEN_BOUND)
     residuals, _ = dense_projection(XS * np.exp(-0.5 * XS * XS), members[:8])
-    for order in (2, 4, 8):
-        print(f"  residual of x exp(-x^2/2) at order {order}: {float(residuals[order - 1])!r}")
+    for order, frozen in FROZEN_RESIDUALS.items():
+        value = float(residuals[order - 1])
+        print(f"  residual of x exp(-x^2/2) at order {order}: {value!r}")
+        report(f"residual at order {order}", abs(value - frozen), FROZEN_BOUND)
 
     print(f"distance of the exact kernel from the references (bound {BOUND:.0e}):")
     for n_max in (7, 20):
@@ -90,7 +101,7 @@ def main() -> int:
                            abs(math.sqrt(gram_matrix([target])[0, 0]) - norm))
             report(f"gauss_power p={power} s={scale}", float(distance) / norm)
     if failures:
-        print(f"{failures} distance(s) above {BOUND:.0e}")
+        print(f"{failures} distance(s) above their bound")
     return 1 if failures else 0
 
 

@@ -9,9 +9,10 @@ a polynomial of degree n + 2 times exp(-beta_n x^2).  So each overlap is the
 integral of a polynomial against exp(-c x^2) over the whole line, which a
 Gauss-Hermite rule of enough nodes, scaled by 1/sqrt(c), gives exactly
 (Golub & Welsch, Math. Comp. 23, 221, 1969).  ``_overlaps`` takes every
-pair's own rule in one vectorized pass.  Nothing is sampled on a grid or cut
-off at a domain's ends: the results differ from the exact integrals by
-rounding alone.
+pair's own rule in one vectorized pass, its Hermite factors from the one
+physicists' recurrence, ``numerics._hermite_rows``.  Nothing is sampled on
+a grid or cut off at a domain's ends: the results differ from the exact
+integrals by rounding alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IllConditionedError, ValidationError
-from .numerics import MAX_HERMITE_ORDER, QuadratureRule, _as_int, _as_positive
+from .numerics import MAX_HERMITE_ORDER, QuadratureRule, _as_int, _as_positive, _hermite_rows
 from .oscillator import OscillatorState
 
 CONDITION_LIMIT = 1e12
@@ -91,18 +92,6 @@ def _terms(functions) -> np.ndarray:
             raise ValidationError(f"expected an OscillatorState or a GaussPower, "
                                   f"got {type(f).__name__}")
     return np.array(rows, dtype=float).reshape(-1, 5)
-
-
-def _hermite_rows(orders: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """H_orders[i](u[i]) for every row i of u, by one physicists' recurrence
-    H_{m+1} = 2u H_m - 2m H_{m-1} over all rows at once."""
-    out = np.ones_like(u)
-    prev, h = np.ones_like(u), 2.0 * u
-    for m in range(1, int(orders.max()) + 1):
-        rows = orders == m
-        out[rows] = h[rows]
-        prev, h = h, 2.0 * u * h - 2.0 * m * prev
-    return out
 
 
 def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:

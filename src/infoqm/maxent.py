@@ -18,7 +18,9 @@ sum_i a_i x^i is at most 72 = 12^2/2 above its minimum on the side
 (+-12 sigma for a Gaussian), and n // 4 on each finite piece of the
 side beyond it, so only an infinite end is cut.  The window is worked
 out in plain floats, its critical points and crossings the roots from
-the one root helper, numerics._poly_roots, and an axis rule is validated
+the one root helper, numerics._poly_roots, its values from the one
+Horner loop, numerics._horner, and an axis rule is one concatenation of
+its mapped Gauss parts, where the window is the whole side too, validated
 once, as a whole.  A 1-D fit and every 1-D functional put 768 nodes on
 the window.  A density's own node set, on the window read off its
 exponent, is built once, on first use, and shared by every functional
@@ -27,12 +29,13 @@ its cold start, and once Newton converges it ends on, and reports, the
 density's own window: where that differs, Newton goes on there, again
 while a pass takes steps and still moves the window by more than 1e-12
 of its width (three passes at most), and the fit raises where the
-density at an infinite cut end leaves tail mass.  The Newton core forms its power rows
-and index tables once per call.  A 2-D fit takes each axis's window
-from its Gaussian start (the target mean +-12 sd, clipped to the
-rectangle) and doubles the nodes until the fitted moments hold on twice
-as many.  Both fits share one restart rule,
-_with_restart: a 1-D fit starts from ``init`` or its cold start, a 2-D
+density at an infinite cut end leaves tail mass.  The Newton core forms
+its power rows and index tables once per call; its powers and those of
+ln rho come from one running product, _power_table.  A 2-D fit takes
+each axis's window from its Gaussian start (the target mean +-12 sd,
+clipped to the rectangle) and doubles the nodes until the fitted moments
+hold on twice as many.  Both fits share one restart rule, _with_restart:
+a 1-D fit starts from ``init`` or its cold start, a 2-D
 fit from its Gaussian start, and where Newton fails the fit restarts
 once, flat over the whole of a finite support (always, in 2-D) or from
 the cold start on its window where the support is infinite; where the
@@ -59,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (QuadratureRule, _as_array, _as_finite_array, _as_int, _as_number,
-                       _as_positive, _poly_roots, _real_roots)
+                       _as_positive, _horner, _poly_roots, _real_roots)
 
 _GAUSS_NODES = 48            # first Gauss-Legendre level per axis, 2-D
 _GAUSS_NODES_MAX = 384       # last 2-D level; its recheck runs on twice as many
@@ -251,18 +254,24 @@ class FitDiagnostics:
 # quadrature plumbing
 
 
+def _power_table(nodes: np.ndarray, top: int) -> np.ndarray:
+    """Rows nodes**0 .. nodes**top, each of the shape of nodes, by repeated
+    multiplication: numpy's power calls pow at every node for each order
+    above 2."""
+    table = np.empty((top + 1, *nodes.shape))
+    table[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(table[k - 1], nodes, out=table[k, ...])
+    return table
+
+
 def _log_density(d: ExpFamilyDensity1D, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two parts of ln rho at xs: ln(Z S), -inf at a zero and +inf at a
     singularity, and -P = -sum_i a_i x^i, a_0 included."""
     total = np.zeros_like(xs)
-    # x^i by repeated multiplication, as in _power_table: numpy's power
-    # calls pow at every node for each order above 2
-    power, reached = 1.0, 0
+    powers = _power_table(xs, max((order for order, _ in d.multipliers), default=0))
     for order, value in d.multipliers:
-        for _ in range(order - reached):
-            power = power * xs
-        reached = order
-        total += value * power
+        total += value * powers[order]
     log_zs = np.zeros_like(xs)
     with np.errstate(divide="ignore"):
         for loc, m in d.factors.zeros:
@@ -303,13 +312,6 @@ def _window(support: tuple[float, float], multipliers) -> tuple[float, float]:
     lo, hi = support
     p = _exponent_coeffs(support, multipliers)
     k = len(p) - 1
-
-    def horner(x: float) -> float:
-        y = 0.0
-        for c in p:
-            y = y * x + c
-        return y
-
     # the minimum lies at a critical point or a finite end; real parts of
     # complex critical points are support points too, so they do no harm.
     # numpy breaks a tie of 0.0 and -0.0 by its SIMD path, so the clip and
@@ -317,7 +319,7 @@ def _window(support: tuple[float, float], multipliers) -> tuple[float, float]:
     derivative = [c * (k - i) for i, c in enumerate(p[:-1])]
     candidates = _poly_roots(derivative).real.clip(lo, hi).tolist()
     candidates += [e for e in support if math.isfinite(e)]
-    values = [horner(x) for x in candidates]
+    values = [_horner(p, x) for x in candidates]
     top = min(values) + _WINDOW_RISE
     p[-1] -= top
     crossings = _real_roots(p)
@@ -337,18 +339,13 @@ def _mapped_gauss(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]
     return mid + half * unit.nodes, half * unit.weights
 
 
-def _gauss_rule(window: tuple[float, float], n: int) -> QuadratureRule:
-    """The n-node Gauss-Legendre rule mapped from [-1, 1] onto window."""
-    return QuadratureRule("gauss_legendre", *_mapped_gauss(*window, n))
-
-
 def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -> QuadratureRule:
     """n Gauss-Legendre nodes on window and n // 4 on each finite piece of
     side beyond it, in order along the side; an infinite end is cut at the
-    window.  Where the window is the whole side this is its _gauss_rule.
-    A piece within rounding of the window's end, whose nodes would
-    coincide, gets none.  The pieces are mapped as arrays and the whole
-    rule is validated once."""
+    window.  A piece within rounding of the window's end, whose nodes would
+    coincide, gets none.  The parts are mapped as arrays and concatenated,
+    where the window is the whole side too, and the whole rule is
+    validated once."""
 
     def piece(lo: float, hi: float) -> list:
         if not 0.0 < hi - lo < math.inf:
@@ -356,11 +353,8 @@ def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -
         nodes, weights = _mapped_gauss(lo, hi, n // 4)
         return [(nodes, weights)] if np.all(np.diff(nodes) > 0) else []
 
-    left, right = piece(side[0], window[0]), piece(window[1], side[1])
-    if not (left or right):
-        return _gauss_rule(window, n)
-    parts = [*left, _mapped_gauss(*window, n), *right]
-    return QuadratureRule("gauss_legendre", *(np.concatenate(c) for c in zip(*parts)))
+    parts = [*piece(side[0], window[0]), _mapped_gauss(*window, n), *piece(window[1], side[1])]
+    return QuadratureRule(*(np.concatenate(c) for c in zip(*parts)))
 
 
 def reference_rule(d: ExpFamilyDensity1D):
@@ -464,16 +458,7 @@ def _check_feasible_2d(spec: MomentSpec2D) -> None:
 
 
 # y = 1 with weight 1: the second axis of a 1-D fit on the 2-D core
-_UNIT_AXIS = QuadratureRule("point", np.ones(1), np.ones(1))
-
-
-def _power_table(nodes: np.ndarray, top: int) -> np.ndarray:
-    """Rows nodes**0 .. nodes**top, by repeated multiplication."""
-    table = np.empty((top + 1, nodes.size))
-    table[0] = 1.0
-    for k in range(1, top + 1):
-        np.multiply(table[k - 1], nodes, out=table[k])
-    return table
+_UNIT_AXIS = QuadratureRule(np.ones(1), np.ones(1))
 
 
 def _gaussian_start(pairs, targets: np.ndarray) -> np.ndarray:
@@ -730,14 +715,20 @@ def density_eval(d: ExpFamilyDensity1D, x: float) -> float:
 
 
 def density_eval_2d(d: ExpFamilyDensity2D, x: float, y: float) -> float:
+    """rho(x, y) = exp(-sum a_ij x^i y^j); NumericError where a power, a
+    term, their sum or its exp overflows: a float product overflows to
+    +-inf without raising, and two such terms sum to NaN."""
     x, y = _as_number(x, "x"), _as_number(y, "y")
     (a1, b1), (a2, b2) = d.support
     if not (a1 <= x <= b1 and a2 <= y <= b2):
         raise DomainError(f"({x}, {y}) outside support rectangle")
     try:
-        return math.exp(-sum(v * x**i * y**j for i, j, v in d.multipliers))
+        exponent = -sum(v * x**i * y**j for i, j, v in d.multipliers)
+        if math.isfinite(exponent):
+            return math.exp(exponent)
     except OverflowError:
-        raise NumericError(f"density overflows at ({x}, {y})") from None
+        pass
+    raise NumericError(f"density overflows at ({x}, {y})")
 
 
 def _log_average(d: ExpFamilyDensity1D, log_of) -> float:

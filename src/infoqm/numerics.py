@@ -1,9 +1,12 @@
 """Deterministic numerical primitives shared by every other module.
 
-Uniform grids, fixed quadrature rules (the Gauss-Legendre and
-Gauss-Hermite rules, built by Newton's method on their three-term
-recurrences), the physicists' Hermite recurrence, a
-bracketing root finder, the one polynomial root helper ``_poly_roots``
+Uniform grids, fixed quadrature rules (a ``QuadratureRule`` is its nodes
+and weights, with no kind; the Gauss-Legendre and Gauss-Hermite rules are
+built by Newton's method on their three-term recurrences, ``_three_term``),
+the one physicists' Hermite recurrence ``_hermite_rows``, a different order
+per row (``hermite_eval`` and ``hermite_deriv`` are its one-row cases), the
+one Horner loop ``_horner`` in plain floats, a bracketing root finder, the
+one polynomial root helper ``_poly_roots``
 (np.roots bit for bit, without its array plumbing) and its real-root
 filter ``_real_roots``, and the one rule for what counts as a number:
 ``_as_int`` for counts, orders and indices, ``_as_positive`` for
@@ -169,9 +172,11 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a fixed quadrature rule.
+    """Nodes and weights of a fixed quadrature rule: finite, 1-D, not
+    empty, one weight per node and the nodes strictly increasing.
 
-    A rule integrates samples f(x_i) at its nodes as ``weights @ samples``.
+    A rule integrates samples f(x_i) at its nodes as ``weights @ samples``;
+    it carries no kind, so what it integrates against is its maker's word.
     ``gauss_legendre`` integrates plain samples over [-1, 1].
     ``gauss_hermite`` integrates against the weight e^{-x^2}: given samples
     g(x_i) it estimates the integral of g(x) e^{-x^2} over the whole real
@@ -179,7 +184,6 @@ class QuadratureRule:
     polynomials of degree below 2n and is built once per n, on first use.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -191,8 +195,6 @@ class QuadratureRule:
         weights = _as_finite_array(self.weights, "quadrature weights", nodes.shape)
         if not np.all(np.diff(nodes) > 0):
             raise ValidationError("quadrature nodes must be strictly increasing")
-        if self.kind == "gauss_hermite" and abs(weights.sum() - math.sqrt(math.pi)) > 1e-12:
-            raise ValidationError("gauss_hermite weights must sum to sqrt(pi)")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         nodes.flags.writeable = False
@@ -246,7 +248,7 @@ def _gauss_legendre(n: int) -> QuadratureRule:
     x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     x, slope = _gauss_nodes(x, n, lambda k: ((2 * k + 1) / (k + 1), k / (k + 1)), 1.0,
                             lambda x, p, prev: n * (prev - x * p) / ((1.0 - x) * (1.0 + x)))
-    return QuadratureRule("gauss_legendre", x, 2.0 / ((1.0 - x) * (1.0 + x) * slope**2))
+    return QuadratureRule(x, 2.0 / ((1.0 - x) * (1.0 + x) * slope**2))
 
 
 @functools.lru_cache(maxsize=32)
@@ -265,7 +267,10 @@ def _gauss_hermite(n: int) -> QuadratureRule:
     x, slope = _gauss_nodes(x, n, lambda k: (math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))),
                             math.pi**-0.25, lambda x, p, prev: math.sqrt(2.0 * n) * prev)
     # the quotient first: psi_n'^2 overflows at the outer nodes from n ~ 360
-    return QuadratureRule("gauss_hermite", x, (math.sqrt(2.0) / slope) ** 2)
+    rule = QuadratureRule(x, (math.sqrt(2.0) / slope) ** 2)
+    if abs(rule.weights.sum() - math.sqrt(math.pi)) > 1e-12:
+        raise NumericError(f"Gauss-Hermite weights of order {n} do not sum to sqrt(pi)")
+    return rule
 
 
 @dataclass(frozen=True)
@@ -296,31 +301,46 @@ class RootBracket:
         return cls(lo, hi, f(lo), f(hi))
 
 
+def _hermite_rows(orders: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """H_orders[i](u[i]) for every row i of u, by one physicists' recurrence
+    H_{m+1} = 2u H_m - 2m H_{m-1}, H_{-1} = 0, over all rows at once; a row
+    of order -1 or 0 reads 1."""
+    out = np.ones_like(u)
+    two_u = 2.0 * u  # one product per step fewer, and the same bits
+    prev, h = np.zeros_like(u), np.ones_like(u)
+    for m in range(int(orders.max())):
+        prev, h = h, two_u * h - 2.0 * m * prev
+        rows = orders == m + 1
+        out[rows] = h[rows]
+    return out
+
+
 def hermite_eval(n: int, u):
-    """H_n(u) by the physicists' recurrence H_{n+1} = 2u H_n - 2n H_{n-1}.
+    """H_n(u), the one-row case of _hermite_rows.
 
     Accepts a scalar or an array for ``u`` under the _as_array rule.
     Orders above MAX_HERMITE_ORDER are rejected: the recurrence is this
     artifact's stability-tested range.
     """
     n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
-    u = _as_array(u, "u")
-    h_prev = np.ones_like(u)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * u
-    for m in range(1, n):
-        h_prev, h = h, 2.0 * u * h - 2.0 * m * h_prev
+    h = _hermite_rows(np.array([n]), _as_array(u, "u")[None])[0]
     return h if h.ndim else float(h)
 
 
 def hermite_deriv(n: int, u):
-    """H_n'(u) = 2n H_{n-1}(u)."""
+    """H_n'(u) = 2n H_{n-1}(u), where the order -1 row of _hermite_rows reads 1."""
     n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
-    if n == 0:
-        z = np.zeros_like(_as_array(u, "u"))
-        return z if z.ndim else 0.0
-    return 2.0 * n * hermite_eval(n - 1, u)
+    dh = 2.0 * n * _hermite_rows(np.array([n - 1]), _as_array(u, "u")[None])[0]
+    return dh if dh.ndim else float(dh)
+
+
+def _horner(coeffs, x: float) -> float:
+    """The polynomial with coefficients ``coeffs``, highest power first, at
+    x, by Horner's rule in plain floats."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
 
 
 def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import (RootBracket, _as_array, _as_finite, _as_int, _as_positive, find_root,
-                       hermite_deriv, hermite_eval)
+from .numerics import (MAX_HERMITE_ORDER, RootBracket, _as_array, _as_finite, _as_int,
+                       _as_positive, _hermite_rows, find_root, hermite_eval)
 
 MAX_QUANTUM_NUMBER = 20
 # the largest n whose normalization constant 2^n n! sqrt(pi) is a finite double
@@ -163,14 +163,16 @@ def psi_eval(state: OscillatorState, x):
 
 
 def psi_deriv(state: OscillatorState, x):
-    """First derivative of psi, via H_n' = 2n H_{n-1}."""
+    """First derivative of psi, via H_n' = 2n H_{n-1}: H_{n-1} and H_n from
+    one _hermite_rows call on two rows (at n = 0 the order -1 row reads 1,
+    times 2n = 0)."""
     x = _as_array(x, "x")
+    n = _as_int(state.n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
     s = math.sqrt(2.0 * state.beta)
     u = s * x
     g = np.exp(-state.alpha - state.beta * x * x)
-    h = hermite_eval(state.n, u)
-    dh = hermite_deriv(state.n, u)
-    out = (s * dh - 2.0 * state.beta * x * h) * g
+    h_prev, h = _hermite_rows(np.array([n - 1, n]), np.stack((u, u)))
+    out = (s * (2.0 * n * h_prev) - 2.0 * state.beta * x * h) * g
     return out if out.ndim else float(out)
 
 

@@ -14,13 +14,11 @@ import numpy as np
 from .errors import DomainError, NotFoundError, NumericError, ValidationError
 from .maxent import ExpFamilyDensity2D
 from .numerics import (Grid1D, _as_finite, _as_finite_array, _as_int, _as_number, _as_positive,
-                       _real_roots)
+                       _horner, _real_roots)
 
 MAX_POLY_DEGREE = 32
 MAX_SERIES_TERMS = 200
 MAX_TAYLOR2_ORDER = 6
-# the coefficient pairs the ratio test reads
-_RATIO_TAIL = 10
 
 SeriesKind = Literal["binomial", "binomial_xy", "exp_xy"]
 RayClassification = Literal["max", "min", "saddle-along-ray"]
@@ -28,46 +26,19 @@ RayClassification = Literal["max", "min", "saddle-along-ray"]
 
 @dataclass(frozen=True)
 class PowerSeries1D:
-    """Coefficients a_i of sum a_i (x - center)^i with a declared radius.
-
-    A finite declared radius must agree with the ratio-test estimate
-    from the trailing coefficients (within a factor of 2) whenever that
-    estimate exists.
-    """
+    """Finite coefficients a_i of sum a_i (x - center)^i about a finite center."""
 
     center: float
     coefficients: tuple[float, ...]
-    radius: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_finite(self.center, "center"))
         object.__setattr__(self, "coefficients",
                            tuple(_as_finite(c, "series coefficient") for c in self.coefficients))
-        object.__setattr__(self, "radius", _as_number(self.radius, "radius"))
-        if not self.radius >= 0:
-            raise ValidationError(f"radius must be nonnegative, got {self.radius}")
-        if math.isfinite(self.radius):
-            estimate = self.ratio_test_radius()
-            if estimate is not None and not (0.5 * self.radius <= estimate <= 2.0 * self.radius):
-                raise ValidationError(
-                    f"declared radius {self.radius} disagrees with ratio-test "
-                    f"estimate {estimate:.6g}"
-                )
-
-    def ratio_test_radius(self) -> float | None:
-        """Median |a_i / a_{i+1}| over the last _RATIO_TAIL coefficient
-        pairs, or None when the tail has zeros (no estimate possible)."""
-        last = self.coefficients[-(_RATIO_TAIL + 1):]
-        if len(last) < _RATIO_TAIL + 1 or 0.0 in last:
-            return None
-        return float(np.median([abs(a / b) for a, b in zip(last, last[1:])]))
 
     def eval(self, x: float) -> float:
-        t = _as_finite(x, "x") - self.center
-        total = 0.0
-        for c in reversed(self.coefficients):
-            total = total * t + c
-        return total
+        """The sum at x by numerics._horner."""
+        return _horner(reversed(self.coefficients), _as_finite(x, "x") - self.center)
 
 
 @dataclass(frozen=True)
@@ -133,7 +104,7 @@ def poly_taylor_coeffs(poly_coeffs: Sequence[float], x0: float) -> PowerSeries1D
             carry = work[idx] + x0 * carry
         shifted.append(carry)
         work = quotient
-    return PowerSeries1D(x0, tuple(shifted), math.inf)
+    return PowerSeries1D(x0, tuple(shifted))
 
 
 def taylor_remainder_scan(

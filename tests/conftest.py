@@ -20,6 +20,26 @@ SIGNED_COEFFS = st.one_of(
 )
 
 
+def reference_hermite(n: int, u: np.ndarray) -> np.ndarray:
+    """H_n(u) by the physicists' recurrence H_{m+1} = 2u H_m - 2m H_{m-1},
+    run from H_0 = 1 and H_1 = 2u as hermite_eval ran it on its own, before
+    it became the one-row case of numerics._hermite_rows: the bit-for-bit
+    reference of that recurrence."""
+    h_prev = np.ones_like(u)
+    if n == 0:
+        return h_prev
+    h = 2.0 * u
+    for m in range(1, n):
+        h_prev, h = h, 2.0 * u * h - 2.0 * m * h_prev
+    return h
+
+
+# Hermite arguments for the bit-for-bit tests: both zeros, a subnormal-scale
+# pair and a span wide enough that H_64 is large but finite
+HERMITE_POINTS = np.concatenate(
+    (np.linspace(-30.0, 30.0, 2801), [0.0, -0.0, 1e-300, -1e-300, 5e-324]))
+
+
 @pytest.fixture(scope="session")
 def states():
     """Solved closed-form states n = 0..7, shared across the suite."""

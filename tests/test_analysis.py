@@ -22,12 +22,14 @@ from infoqm import (
 from infoqm.analysis import _overlaps, _terms
 
 # frozen from a trapezoid of 8001 points on [-14, 14]; the whole-line values
-# that scripts/oracle_overlaps.py prints agree within 1e-16
+# that scripts/oracle_overlaps.py prints differ by 1.0e-15 (<psi0, psi2>) and
+# 2.7e-15 (<psi1, psi3>), and the script fails beyond 1e-14
 ORACLE_OVERLAP_02 = 0.1611868415688419
 ORACLE_OVERLAP_13 = 0.2322275352000255
 
 # frozen least-squares residuals of x*exp(-x^2/2) in the family n <= 7
-# (trapezoid of 16001 points on [-14, 14]; within 1e-15 of the script's)
+# (trapezoid of 16001 points on [-14, 14]; within 1e-15 of the script's,
+# which fails beyond 1e-14)
 ORACLE_PROJECTION_RESIDUALS = {
     2: 0.5208961282519861,
     4: 0.07481959286000289,

@@ -803,7 +803,11 @@ class TestFit2D:
         (((2, 0, -1000.0),), ((-1.0, 1.0), (-1.0, 1.0)), (1.0, 0.0)),
         # x^2 = 1e400 overflows before the exp
         (((2, 0, 1.0),), ((-1e200, 1e200), (-1.0, 1.0)), (1e200, 0.0)),
-    ], ids=["exp", "power"])
+        # -1e300 x^2 = -inf at x = 1e5 without an OverflowError, and exp(inf) = inf
+        (((2, 0, -1e300),), ((-1e60, 1e60), (-1.0, 1.0)), (1e5, 0.0)),
+        # -inf + inf: the two terms overflow to a NaN exponent
+        (((2, 0, -1e300), (4, 0, 1e300)), ((-1e60, 1e60), (-1.0, 1.0)), (1e5, 0.0)),
+    ], ids=["exp", "power", "term", "terms"])
     def test_2d_eval_overflow_is_a_numeric_error(self, multipliers, support, point):
         d = ExpFamilyDensity2D(multipliers, support)
         with pytest.raises(NumericError, match=f"^{re.escape(f'density overflows at {point}')}$"):
@@ -922,17 +926,12 @@ class TestFit2D:
 
 
 class TestAxisRule:
-    def test_whole_side_window_is_the_windows_rule(self, monkeypatch):
-        made = []
-        gauss_rule = maxent._gauss_rule
-
-        def spy(window, n):
-            made.append(gauss_rule(window, n))
-            return made[-1]
-
-        monkeypatch.setattr(maxent, "_gauss_rule", spy)
+    def test_whole_side_window_is_the_windows_rule(self):
+        # a one-part concatenation: the window's mapped Gauss rule, bit for bit
         rule = maxent._axis_rule((-3.0, 3.0), (-3.0, 3.0), 48)
-        assert made and rule is made[0]
+        nodes, weights = maxent._mapped_gauss(-3.0, 3.0, 48)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize(
         "side, window, pieces",
@@ -1059,6 +1058,28 @@ class TestDensityEval:
         d = gaussian_density()
         xs = np.linspace(-10, 10, 2001)
         assert np.all(density_values(d, xs) >= 0.0)
+
+    @pytest.mark.parametrize("xs", [
+        np.concatenate((np.linspace(-4.0, 9.0, 769), [0.0, -0.0, 1e-300, -1e-300])),
+        np.linspace(-4.0, 9.0, 770).reshape(35, 22), np.float64(-0.0), 1e-300, 2.5],
+        ids=["nodes", "2-D", "zero", "tiny", "scalar"])
+    def test_powers_are_the_power_table_bit_for_bit(self, xs):
+        # -P reads its powers from _power_table, of any shape, and rounds as
+        # the running product it kept on its own did
+        d = ExpFamilyDensity1D(((0, 18.28), (1, -19.59), (2, 8.396), (3, -1.599), (5, 1e-3),
+                                (6, 0.1142)), (-math.inf, math.inf))
+        xs = np.asarray(xs, dtype=float)
+        total = np.zeros_like(xs)
+        power, reached = 1.0, 0
+        for order, value in d.multipliers:
+            for _ in range(order - reached):
+                power = power * xs
+            reached = order
+            total += value * power
+        _, neg_p = maxent._log_density(d, xs)
+        assert neg_p.shape == xs.shape and neg_p.tobytes() == (-total).tobytes()
+        values = density_values(d, xs)
+        assert values.shape == xs.shape and values.tobytes() == np.exp(-total).tobytes()
 
     def test_exponent_matches_numpy_powers(self):
         # the powers are running products, which round differently from

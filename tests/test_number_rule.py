@@ -174,9 +174,6 @@ REAL_SITES = {
     "factor location": (lambda v: density_from_json(_density_doc(zero=(v, 1.0))), BAD_REALS),
     "factor exponent": (lambda v: density_from_json(_density_doc(zero=(-1.0, v))), BAD_REALS),
     "EndpointFactors": (lambda v: EndpointFactors(singularities=((0.0, v),)), BAD_REALS),
-    # an infinite radius is the default, so only +inf passes
-    "PowerSeries1D.radius": (lambda v: PowerSeries1D(0.0, (1.0, 2.0), radius=v),
-                             {"nan": math.nan, "-inf": -INF, "bool": True, "str": "0.5"}),
     "PowerSeries1D.center": (lambda v: PowerSeries1D(v, (1.0, 2.0)), BAD_REALS),
     "radial_stationary_point.theta": (lambda v: radial_stationary_point(_BOX, v, 1.0),
                                       BAD_REALS),
@@ -246,12 +243,12 @@ def _resume(psi):
 # every array input: the call, a valid input as a list of integral floats,
 # and whether each entry must also be finite
 ARRAY_SITES = {
-    "QuadratureRule.nodes": (lambda v: QuadratureRule("x", v, [1.0, 1.0, 1.0]),
+    "QuadratureRule.nodes": (lambda v: QuadratureRule(v, [1.0, 1.0, 1.0]),
                              [0.0, 1.0, 2.0], True),
-    "QuadratureRule.weights": (lambda v: QuadratureRule("x", [0.0, 1.0, 2.0], v),
+    "QuadratureRule.weights": (lambda v: QuadratureRule([0.0, 1.0, 2.0], v),
                                [1.0, 1.0, 1.0], True),
     "hermite_eval": (lambda v: hermite_eval(2, v), [0.0, 1.0], False),
-    # order 0 reads u itself; higher orders read it through hermite_eval
+    # order 0 reads u too, though its order -1 row does not depend on it
     "hermite_deriv": (lambda v: hermite_deriv(0, v), [0.0, 1.0], False),
     "psi_eval": (lambda v: psi_eval(_STATE, v), [0.0, 1.0], False),
     "psi_deriv": (lambda v: psi_deriv(_STATE, v), [0.0, 1.0], False),

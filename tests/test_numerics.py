@@ -23,9 +23,16 @@ from infoqm import (
     hermite_eval,
 )
 from infoqm import numerics, oscillator
-from infoqm.numerics import _poly_roots
+from infoqm.numerics import _hermite_rows, _poly_roots
 
-from conftest import SIGNED_COEFFS
+from conftest import HERMITE_POINTS, SIGNED_COEFFS, reference_hermite
+
+
+def same_bits(a, b) -> bool:
+    """True iff a and b are float arrays or scalars of one shape and the
+    same bits: -0.0 is not 0.0, and a NaN matches only its own pattern."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestGrid:
@@ -77,6 +84,30 @@ class TestHermite:
         vec = hermite_eval(5, u)
         assert vec == pytest.approx([hermite_eval(5, x) for x in u])
 
+    @pytest.mark.parametrize("n", range(65))
+    def test_one_row_case_is_the_recurrence_bit_for_bit(self, n):
+        # hermite_eval and hermite_deriv read _hermite_rows, and round as
+        # the recurrence they ran on their own did
+        derivative = 2.0 * n * reference_hermite(n - 1, HERMITE_POINTS) if n else 0.0
+        assert same_bits(hermite_eval(n, HERMITE_POINTS), reference_hermite(n, HERMITE_POINTS))
+        assert same_bits(hermite_deriv(n, HERMITE_POINTS),
+                         derivative * np.ones_like(HERMITE_POINTS))
+        for u in (0.0, -0.0, 1e-300, 0.7):
+            value, slope = hermite_eval(n, u), hermite_deriv(n, u)
+            assert type(value) is float and type(slope) is float
+            assert same_bits(value, reference_hermite(n, np.array(u)))
+            assert same_bits(slope, 2.0 * n * reference_hermite(n - 1, np.array(u)) if n else 0.0)
+
+    def test_rows_of_mixed_orders(self):
+        # one recurrence gives every row its own order; a row of order -1 reads 1
+        orders = np.array([3, -1, 64, 0, 1, 64, 17])
+        u = np.tile(HERMITE_POINTS, (orders.size, 1))
+        rows = _hermite_rows(orders, u)
+        assert same_bits(rows[1], np.ones_like(HERMITE_POINTS))
+        for order, row in zip(orders.tolist(), rows):
+            if order >= 0:
+                assert same_bits(row, reference_hermite(order, HERMITE_POINTS))
+
 
 class TestQuadrature:
     def test_gauss_hermite_weight_sum(self):
@@ -84,19 +115,35 @@ class TestQuadrature:
         assert abs(rule.weights.sum() - math.sqrt(math.pi)) < 1e-12
 
     @pytest.mark.parametrize(
-        "kind, nodes, weights, match",
+        "nodes, weights, match",
         [
-            ("x", [[0.0, 1.0]], [[1.0, 1.0]], "must be 1-D"),
-            ("x", [], [], "not empty"),
-            ("x", [0.0, 1.0], [1.0, 1.0, 1.0], r"weights must have shape \(2,\)"),
-            ("x", [1.0, 0.0], [1.0, 1.0], "strictly increasing"),
-            ("gauss_hermite", [-1.0, 1.0], [1.0, 1.0], "sum to sqrt"),
+            ([[0.0, 1.0]], [[1.0, 1.0]], "must be 1-D"),
+            ([], [], "not empty"),
+            ([0.0, 1.0], [1.0, 1.0, 1.0], r"weights must have shape \(2,\)"),
+            ([1.0, 0.0], [1.0, 1.0], "strictly increasing"),
         ],
-        ids=["2-D", "empty", "unmatched", "decreasing", "hermite-sum"],
+        ids=["2-D", "empty", "unmatched", "decreasing"],
     )
-    def test_malformed_rule_rejected(self, kind, nodes, weights, match):
+    def test_malformed_rule_rejected(self, nodes, weights, match):
         with pytest.raises(ValidationError, match=match):
-            QuadratureRule(kind, nodes, weights)
+            QuadratureRule(nodes, weights)
+
+    def test_hermite_weights_off_sqrt_pi_raise(self, monkeypatch):
+        # the Gauss-Hermite builder checks its own weights: perturbed slopes
+        # at the nodes move their sum off sqrt(pi) by about 3.5e-6.  The
+        # cached rules go, so that order 7 is built again; a failed build
+        # is not cached
+        gauss_nodes = numerics._gauss_nodes
+
+        def perturbed(*args):
+            x, slope = gauss_nodes(*args)
+            return x, slope * (1.0 + 1e-6)
+
+        monkeypatch.setattr(numerics, "_gauss_nodes", perturbed)
+        numerics._gauss_hermite.cache_clear()
+        with pytest.raises(NumericError,
+                           match=r"^Gauss-Hermite weights of order 7 do not sum to sqrt\(pi\)$"):
+            QuadratureRule.gauss_hermite(7)
 
 
 GAUSS_ORDERS = [1, 2, 3, 4, 5, 8, 13, 16, 24, 31, 40, 48, 64, 96, 100]

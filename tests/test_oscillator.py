@@ -23,7 +23,7 @@ from infoqm import (
 )
 from infoqm import oscillator
 
-from conftest import GOLDEN_TABLE
+from conftest import GOLDEN_TABLE, HERMITE_POINTS, reference_hermite
 
 
 def linear_limit_state(n: int) -> OscillatorState:
@@ -203,6 +203,23 @@ class TestPsi:
             fd2 = (psi_eval(s, x + h) - 2 * psi_eval(s, x) + psi_eval(s, x - h)) / (h * h)
             assert psi_deriv(s, x) == pytest.approx(fd1, rel=1e-7, abs=1e-9)
             assert psi_second_derivative(s, x) == pytest.approx(fd2, rel=1e-5, abs=1e-5)
+
+    def test_first_derivative_is_the_recurrence_bit_for_bit(self):
+        # H_{n-1} and H_n from one two-row recurrence round as the separate
+        # runs of hermite_deriv and hermite_eval did; at n = 0, 2n H_{-1} = 0
+        xs = np.concatenate((np.linspace(-12.0, 12.0, 8001), HERMITE_POINTS[-5:]))
+        for s in table(20):
+            scale = math.sqrt(2.0 * s.beta)
+            u = scale * xs
+            dh = 2.0 * s.n * reference_hermite(s.n - 1, u) if s.n else np.zeros_like(u)
+            g = np.exp(-s.alpha - s.beta * xs * xs)
+            expected = (scale * dh - 2.0 * s.beta * xs * reference_hermite(s.n, u)) * g
+            assert psi_deriv(s, xs).tobytes() == expected.tobytes()
+
+    def test_derivative_order_bound(self):
+        # the Hermite recurrence's tested range, as for hermite_eval
+        with pytest.raises(DomainError, match=r"^hermite order must be in \[0, 64\], got 65$"):
+            psi_deriv(linear_limit_state(65), 0.5)
 
     @pytest.mark.parametrize("n", range(8))
     def test_second_derivative_closed_form(self, states, n):

@@ -30,31 +30,9 @@ class TestPowerSeries1D:
         s = PowerSeries1D(1.0, (1.0, 2.0, 1.0))
         assert s.eval(3.0) == pytest.approx(9.0)  # (x-1)^2 + 2(x-1) + 1 = x^2
 
-    def test_radius_consistency_accepts_geometric(self):
-        PowerSeries1D(0.0, (1.0,) * 15, radius=1.0)
-
-    def test_radius_consistency_rejects_mismatch(self):
-        with pytest.raises(ValidationError):
-            PowerSeries1D(0.0, (1.0,) * 15, radius=5.0)
-
-    def test_zero_radius_disagrees_with_the_ratio_test(self):
-        # the ratio test reads radius 2; a declared 0 is a mismatch, not a
-        # division by zero
-        with pytest.raises(ValidationError, match="declared radius 0.0 disagrees"):
-            PowerSeries1D(0.0, tuple(0.5**i for i in range(12)), 0.0)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValidationError, match="radius must be nonnegative"):
-            PowerSeries1D(0.0, (1.0, 1.0), -1.0)
-
     def test_nonfinite_coefficients_rejected(self):
         with pytest.raises(ValidationError):
             PowerSeries1D(0.0, (1.0, math.inf))
-
-    @pytest.mark.parametrize("coefficients", [(1.0,) * 10, (1.0,) * 9 + (0.0, 1.0)],
-                             ids=["short", "zero-in-tail"])
-    def test_ratio_test_has_no_estimate(self, coefficients):
-        assert PowerSeries1D(0.0, coefficients).ratio_test_radius() is None
 
 
 class TestPolyTaylor:
