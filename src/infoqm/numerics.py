@@ -306,7 +306,7 @@ def _hermite_rows(orders: np.ndarray, u: np.ndarray) -> np.ndarray:
     H_{m+1} = 2u H_m - 2m H_{m-1}, H_{-1} = 0, over all rows at once; a row
     of order -1 or 0 reads 1."""
     out = np.ones_like(u)
-    two_u = 2.0 * u  # one product per step fewer, and the same bits
+    two_u = 2.0 * u  # formed once, not per step; each product rounds the same
     prev, h = np.zeros_like(u), np.ones_like(u)
     for m in range(int(orders.max())):
         prev, h = h, two_u * h - 2.0 * m * prev

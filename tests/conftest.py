@@ -34,8 +34,8 @@ def reference_hermite(n: int, u: np.ndarray) -> np.ndarray:
     return h
 
 
-# Hermite arguments for the bit-for-bit tests: both zeros, a subnormal-scale
-# pair and a span wide enough that H_64 is large but finite
+# Hermite arguments for the bit-for-bit tests: a span wide enough that H_64
+# is large but finite, then both zeros, +-1e-300 and the smallest subnormal
 HERMITE_POINTS = np.concatenate(
     (np.linspace(-30.0, 30.0, 2801), [0.0, -0.0, 1e-300, -1e-300, 5e-324]))
 

@@ -88,10 +88,10 @@ class TestHermite:
     def test_one_row_case_is_the_recurrence_bit_for_bit(self, n):
         # hermite_eval and hermite_deriv read _hermite_rows, and round as
         # the recurrence they ran on their own did
-        derivative = 2.0 * n * reference_hermite(n - 1, HERMITE_POINTS) if n else 0.0
+        derivative = (2.0 * n * reference_hermite(n - 1, HERMITE_POINTS) if n
+                      else np.zeros_like(HERMITE_POINTS))
         assert same_bits(hermite_eval(n, HERMITE_POINTS), reference_hermite(n, HERMITE_POINTS))
-        assert same_bits(hermite_deriv(n, HERMITE_POINTS),
-                         derivative * np.ones_like(HERMITE_POINTS))
+        assert same_bits(hermite_deriv(n, HERMITE_POINTS), derivative)
         for u in (0.0, -0.0, 1e-300, 0.7):
             value, slope = hermite_eval(n, u), hermite_deriv(n, u)
             assert type(value) is float and type(slope) is float
