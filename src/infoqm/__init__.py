@@ -59,7 +59,6 @@ from .nls import (
 from .numerics import (
     Grid1D,
     QuadratureRule,
-    RootBracket,
     find_root,
     hermite_deriv,
     hermite_eval,

@@ -94,7 +94,8 @@ from .errors import (
     InstabilityError,
     ValidationError,
 )
-from .numerics import Grid1D, RootBracket, _as_finite, _as_finite_array, _as_int, _as_positive
+from .numerics import (Grid1D, _as_finite, _as_finite_array, _as_int, _as_positive,
+                       _check_sign_change)
 
 DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
@@ -750,7 +751,8 @@ def self_consistent_lambda(
     fails is the upper end solved, by ground_state from the lower end's
     state, to name the failure: it is returned where |F(hi)| < _F_TOL;
     otherwise BracketError is raised when F has no sign change on the
-    bracket, and ConvergenceError for the failed continuation when it has.
+    bracket, by numerics._check_sign_change, the rule find_root applies,
+    and ConvergenceError for the failed continuation when it has.
     ``iterations`` and ``newton_steps`` of the result are the totals over
     the lower end and the returned state, and its ``energy_trace`` starts
     with the energy of the normalized start state at b = lo, as the lower
@@ -769,8 +771,7 @@ def self_consistent_lambda(
     except ConvergenceError as exc:
         root = ground_state(problem.with_b(hi), cfg, init=sol_lo.psi)
         if not abs(root.mu - hi) < _F_TOL:
-            # constructing the bracket record validates the sign change
-            RootBracket(lo, hi, sol_lo.mu - lo, root.mu - hi)
+            _check_sign_change(lo, hi, sol_lo.mu - lo, root.mu - hi)
             raise ConvergenceError(f"free-b Newton solve from b = {lo!r} failed: {exc}") from exc
     return root.b, replace(root, iterations=sol_lo.iterations + root.iterations,
                            newton_steps=sol_lo.newton_steps + root.newton_steps,

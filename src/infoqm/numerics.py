@@ -5,18 +5,19 @@ and weights, with no kind; the Gauss-Legendre and Gauss-Hermite rules are
 built by Newton's method on their three-term recurrences, ``_three_term``),
 the one physicists' Hermite recurrence ``_hermite_rows``, a different order
 per row (``hermite_eval`` and ``hermite_deriv`` are its one-row cases), the
-one Horner loop ``_horner`` in plain floats, a bracketing root finder, the
-one polynomial root helper ``_poly_roots``
-(np.roots bit for bit, without its array plumbing) and its real-root
-filter ``_real_roots``, and the one rule for what counts as a number:
-``_as_int`` for counts, orders and indices, ``_as_positive`` for
-tolerances and steps, ``_as_number`` for the reals of an input document
-and ``_as_finite`` for a real that must be finite.  An array follows the
-same rule one entry at a time: ``_as_array`` for sampled values and
-points, ``_as_finite_array`` where every entry must be finite; a list of
-plain floats, which the rule passes unchanged, converts whole.  All
-values are immutable after construction and every operation is pure, so
-everything here is safe to call concurrently.
+one Horner loop ``_horner`` in plain floats, the one bracketed root finder
+``find_root(f, lo, hi)``, which narrows the bracket to adjacent doubles,
+with the one sign-change rule ``_check_sign_change``, the one polynomial
+root helper ``_poly_roots`` (np.roots bit for bit, without its array
+plumbing) and its real-root filter ``_real_roots``, and the one rule for
+what counts as a number: ``_as_int`` for counts, orders and indices,
+``_as_positive`` for tolerances and steps, ``_as_number`` for the reals of
+an input document and ``_as_finite`` for a real that must be finite.  An
+array follows the same rule one entry at a time: ``_as_array`` for
+sampled values and points, ``_as_finite_array`` where every entry must be
+finite; a list of plain floats, which the rule passes unchanged, converts
+whole.  All values are immutable after construction and every operation
+is pure, so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -273,34 +274,6 @@ def _gauss_hermite(n: int) -> QuadratureRule:
     return rule
 
 
-@dataclass(frozen=True)
-class RootBracket:
-    """An interval [lo, hi], finite numbers under _as_finite, whose endpoint
-    values, numbers under _as_number, enclose a sign change."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _as_finite(self.lo, "bracket lo"))
-        object.__setattr__(self, "hi", _as_finite(self.hi, "bracket hi"))
-        object.__setattr__(self, "f_lo", _as_number(self.f_lo, "bracket f_lo"))
-        object.__setattr__(self, "f_hi", _as_number(self.f_hi, "bracket f_hi"))
-        if not self.lo < self.hi:
-            raise ValidationError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
-        # comparisons, not a product: a NaN end fails both, and tiny values cannot underflow
-        if not (self.f_lo <= 0.0 <= self.f_hi or self.f_hi <= 0.0 <= self.f_lo):
-            raise BracketError(
-                f"no sign change on [{self.lo}, {self.hi}]: f values {self.f_lo}, {self.f_hi}"
-            )
-
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "RootBracket":
-        return cls(lo, hi, f(lo), f(hi))
-
-
 def _hermite_rows(orders: np.ndarray, u: np.ndarray) -> np.ndarray:
     """H_orders[i](u[i]) for every row i of u, by one physicists' recurrence
     H_{m+1} = 2u H_m - 2m H_{m-1}, H_{-1} = 0, over all rows at once; a row
@@ -343,9 +316,19 @@ def _horner(coeffs, x: float) -> float:
     return y
 
 
-def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> float:
-    """Root of f inside a sign-change bracket, by safeguarded Illinois false
-    position (Dowell & Jarratt, BIT 11, 168, 1971).
+def _check_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> None:
+    """BracketError unless f_lo and f_hi enclose a sign change, a zero end
+    included; comparisons, not a product: a NaN end fails both, and tiny
+    values cannot underflow."""
+    if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f values {f_lo}, {f_hi}")
+
+
+def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi], finite ends under _as_finite with lo < hi
+    whose values of f, numbers under _as_number, enclose a sign change, by
+    safeguarded Illinois false position (Dowell & Jarratt, BIT 11, 168,
+    1971).  f is evaluated once at each end.
 
     Each step tries the point (lo w_hi - hi w_lo) / (w_hi - w_lo), where
     an end's weight w is its value of f, halved each time that end is
@@ -357,16 +340,16 @@ def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> 
     Minimization without Derivatives, 1973, ch. 4).
 
     Returns an end or a trial point where f is exactly zero.  Otherwise
-    stops once the bracket is narrower than ``tol``, or once no double
-    lies strictly between its ends, and returns the bracket's midpoint.
-    A ``tol`` below the spacing of doubles in the bracket therefore
-    narrows it to adjacent doubles: where f changes sign once among the
-    doubles of the bracket, the pair bisection would end on.
+    narrows the bracket until no double lies strictly between its ends,
+    and returns its rounded midpoint: where f changes sign once among the
+    doubles of the bracket, an end of the pair bisection would end on.
     Deterministic: identical inputs give bit-identical output.
     """
-    tol = _as_positive(tol, "tol")
-    lo, hi = bracket.lo, bracket.hi
-    w_lo, w_hi = bracket.f_lo, bracket.f_hi
+    lo, hi = _as_finite(lo, "bracket lo"), _as_finite(hi, "bracket hi")
+    if not lo < hi:
+        raise ValidationError(f"bracket needs lo < hi, got [{lo}, {hi}]")
+    w_lo, w_hi = _as_number(f(lo), "bracket f_lo"), _as_number(f(hi), "bracket f_hi")
+    _check_sign_change(lo, hi, w_lo, w_hi)
     if w_lo == 0.0:
         return lo
     if w_hi == 0.0:
@@ -397,5 +380,3 @@ def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float) -> 
             if kept < 0:
                 w_lo *= 0.5
             kept = -1
-        if hi - lo < tol:
-            return 0.5 * (lo + hi)

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .numerics import (MAX_HERMITE_ORDER, RootBracket, _as_array, _as_finite, _as_int,
-                       _as_positive, _hermite_rows, find_root, hermite_eval)
+from .numerics import (MAX_HERMITE_ORDER, _as_array, _as_finite, _as_int, _as_positive,
+                       _hermite_rows, find_root, hermite_eval)
 
 MAX_QUANTUM_NUMBER = 20
 # the largest n whose normalization constant 2^n n! sqrt(pi) is a finite double
@@ -139,10 +139,8 @@ def solve_state(n: int) -> OscillatorState:
     n = _as_int(n, "n", 0, MAX_QUANTUM_NUMBER, DomainError)
     k = n % 2
     norm = _norm_constant(n)
-    residual = partial(_closure_residual, norm, n + k)
-    bracket = RootBracket.from_function(residual, BETA_SCAN_LO, _admissible_beta_cap(norm))
-    # a tol below every double spacing: narrow until the ends are adjacent
-    beta = find_root(residual, bracket, tol=math.ulp(0.0))
+    beta = find_root(partial(_closure_residual, norm, n + k), BETA_SCAN_LO,
+                     _admissible_beta_cap(norm))
     alpha = alpha_from_beta(n, beta)
     lam = lambda_from_beta(beta)
     return OscillatorState(n, k, alpha, beta, lam, energy(n, alpha, lam))

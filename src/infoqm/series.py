@@ -24,6 +24,14 @@ SeriesKind = Literal["binomial", "binomial_xy", "exp_xy"]
 RayClassification = Literal["max", "min", "saddle-along-ray"]
 
 
+def _finite_sum(total: float, point) -> float:
+    """total, or NumericError naming the point if it is not finite: a power
+    or a term that overflows leaves the sum infinite or NaN."""
+    if not math.isfinite(total):
+        raise NumericError(f"series sum is not finite at {point!r}")
+    return total
+
+
 @dataclass(frozen=True)
 class PowerSeries1D:
     """Finite coefficients a_i of sum a_i (x - center)^i about a finite center."""
@@ -37,8 +45,9 @@ class PowerSeries1D:
                            tuple(_as_finite(c, "series coefficient") for c in self.coefficients))
 
     def eval(self, x: float) -> float:
-        """The sum at x by numerics._horner."""
-        return _horner(reversed(self.coefficients), _as_finite(x, "x") - self.center)
+        """The sum at x by numerics._horner; NumericError where it is not finite."""
+        x = _as_finite(x, "x")
+        return _finite_sum(_horner(reversed(self.coefficients), x - self.center), x)
 
 
 @dataclass(frozen=True)
@@ -64,13 +73,19 @@ class PowerSeries2D:
         return float(self.coefficients[i, j])
 
     def eval(self, x: float, y: float) -> float:
+        """The sum at (x, y) in plain floats; NumericError where a power, a
+        term or the sum is not finite."""
         x, y = _as_finite(x, "x"), _as_finite(y, "y")
         n = self.truncation_order
+        coeffs = self.coefficients.tolist()
         total = 0.0
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                total += self.coefficients[i, j] * x**i * y**j
-        return total
+        try:
+            for i in range(n + 1):
+                for j in range(n + 1 - i):
+                    total += coeffs[i][j] * x**i * y**j
+        except OverflowError:  # a float ** that overflows raises; a * gives inf
+            total = math.inf
+        return _finite_sum(total, (x, y))
 
 
 @dataclass(frozen=True)
@@ -104,6 +119,9 @@ def poly_taylor_coeffs(poly_coeffs: Sequence[float], x0: float) -> PowerSeries1D
             carry = work[idx] + x0 * carry
         shifted.append(carry)
         work = quotient
+    # an overflow anywhere leaves a remainder infinite or NaN
+    if not all(map(math.isfinite, shifted)):
+        raise NumericError(f"re-centered coefficients are not finite at x0 = {x0!r}")
     return PowerSeries1D(x0, tuple(shifted))
 
 

@@ -181,6 +181,19 @@ class TestFeasibility:
         with pytest.raises(InfeasibleMomentsError):
             fit_multipliers_1d(MomentSpec1D(support, ((1, m1), (2, m2))))
 
+    @pytest.mark.parametrize("kurtosis", [3.05, 3.2, 5.0])
+    def test_whole_line_kurtosis_above_three(self, kurtosis):
+        # a4 >= 0 keeps <x^4> <= 3 <x^2>^2 on the whole line
+        spec = MomentSpec1D((-INF, INF), ((2, 1.0), (4, kurtosis)))
+        with pytest.raises(InfeasibleMomentsError, match=rf"^kurtosis {kurtosis} exceeds 3"):
+            fit_multipliers_1d(spec, tol=1e-10)
+
+    @pytest.mark.parametrize("kurtosis", [2.9, 2.99, 3.0, 3.0 + 1e-10])
+    def test_whole_line_kurtosis_up_to_three_within_tol_fits(self, kurtosis):
+        spec = MomentSpec1D((-INF, INF), ((2, 1.0), (4, kurtosis)))
+        _, diag = fit_multipliers_1d(spec, tol=1e-10)
+        assert diag.max_moment_residual <= 1e-10
+
     def test_2d_even_even_cap(self):
         # (2,2) = 1.5 passes both marginals but exceeds max x^2 y^2 = 1 on the square
         spec = MomentSpec2D(((-1.0, 1.0), (-1.0, 1.0)), ((2, 0, 0.3), (0, 2, 0.3), (2, 2, 1.5)))
@@ -613,9 +626,14 @@ class TestFit1D:
 
     def test_moments_past_the_normalizable_set_raise(self):
         # <x^4> above 3 <x^2>^2 needs a4 < 0: no maxent density on the whole
-        # line, so the fit must not return one the functionals reject
-        with pytest.raises(NumericError, match="not normalizable"):
+        # line, so the fit must not return one the functionals reject.  With
+        # orders (2, 4) alone the kurtosis screen names the cause; with a mean
+        # constraint as well the fit runs and ends past the normalizable set
+        with pytest.raises(InfeasibleMomentsError, match="^kurtosis 3.000000001 exceeds 3"):
             fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, 1.0), (4, 3.0 + 1e-9))), tol=1e-12)
+        with pytest.raises(NumericError, match="not normalizable"):
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0), (4, 3.0 + 1e-9))),
+                               tol=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(c2=st.floats(0.05, 0.32))

@@ -31,7 +31,6 @@ from infoqm import (
     PowerSeries1D,
     PowerSeries2D,
     QuadratureRule,
-    RootBracket,
     ValidationError,
     alpha_from_beta,
     beta_closure_residual,
@@ -87,7 +86,6 @@ _BOX = ExpFamilyDensity2D(((2, 0, 1.0), (0, 2, 1.0)), ((-1, 1), (-1, 1)))
 _PROBLEM = GridProblem.harmonic(Grid1D(-8.0, 8.0, 64))
 _CFG = FlowConfig(step=1e-3)
 _PROBE = Grid1D(-0.5, 0.5, 5)
-_BRACKET = RootBracket.from_function(lambda x: x, -1.0, 1.0)
 _GEOMETRIC = PowerSeries1D(0.0, (1.0,) * 12)
 _SERIES2 = PowerSeries2D(np.arange(25.0).reshape(5, 5), 4)
 _UNIT_2D = ExpFamilyDensity2D(((0, 0, 0.0),), ((0.0, 1.0), (0.0, 1.0)))
@@ -140,7 +138,6 @@ COUNT_SITES = {
 }
 
 TOLERANCE_SITES = {
-    "find_root": (lambda v: find_root(lambda x: x, _BRACKET, v), ValidationError),
     "FlowConfig.step": (lambda v: FlowConfig(step=v), ValidationError),
     "FlowConfig.tol_flow": (lambda v: FlowConfig(tol_flow=v), ValidationError),
     "fit_multipliers_1d": (
@@ -219,12 +216,14 @@ REAL_SITES = {
     "PowerSeries1D.eval.x": (lambda v: _GEOMETRIC.eval(v), BAD_REALS),
     "PowerSeries2D.eval.x": (lambda v: _SERIES2.eval(v, 0.5), BAD_REALS),
     "PowerSeries2D.eval.y": (lambda v: _SERIES2.eval(0.5, v), BAD_REALS),
-    "RootBracket.lo": (lambda v: RootBracket(v, 2.0, -1.0, 1.0), BAD_REALS),
-    "RootBracket.hi": (lambda v: RootBracket(-1.0, v, -1.0, 1.0), BAD_REALS),
+    "find_root.lo": (lambda v: find_root(lambda x: x, v, 2.0), BAD_REALS),
+    "find_root.hi": (lambda v: find_root(lambda x: x, -1.0, v), BAD_REALS),
     # NaN end values pass and then fail the sign test as a BracketError;
     # False (0) and True (1) would make a sign change
-    "RootBracket.f_lo": (lambda v: RootBracket(-1.0, 1.0, v, 1.0), {"bool": False, "str": "-1"}),
-    "RootBracket.f_hi": (lambda v: RootBracket(-1.0, 1.0, -1.0, v), {"bool": True, "str": "1"}),
+    "find_root.f_lo": (lambda v: find_root(lambda x: v if x < 0.0 else x, -1.0, 1.0),
+                       {"bool": False, "str": "-1"}),
+    "find_root.f_hi": (lambda v: find_root(lambda x: v if x > 0.0 else x, -1.0, 1.0),
+                       {"bool": True, "str": "1"}),
 }
 
 _STATE = OscillatorState(0, 0, 1.0, 0.5, -1.0, 1.0)

@@ -16,7 +16,6 @@ from infoqm import (
     Grid1D,
     NumericError,
     QuadratureRule,
-    RootBracket,
     ValidationError,
     find_root,
     hermite_deriv,
@@ -233,13 +232,12 @@ class TestPolyRoots:
             _poly_roots([1e-300, 1e300])
 
 
-def bisection_reference(f, bracket, tol):
+def bisection_reference(f, lo, hi):
     """find_root as plain bisection, under the same stopping rules."""
-    lo, hi = bracket.lo, bracket.hi
-    f_lo = bracket.f_lo
+    f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
-    if bracket.f_hi == 0.0:
+    if f_hi == 0.0:
         return hi
     while True:
         mid = 0.5 * (lo + hi)
@@ -252,11 +250,9 @@ def bisection_reference(f, bracket, tol):
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-        if hi - lo < tol:
-            return 0.5 * (lo + hi)
 
 
-def counted_solve(solver, f, lo, hi, tol=math.ulp(0.0)):
+def counted_solve(solver, f, lo, hi):
     """(root, evaluations of f) of solver on [lo, hi], the bracket's ends included."""
     calls = []
 
@@ -264,8 +260,13 @@ def counted_solve(solver, f, lo, hi, tol=math.ulp(0.0)):
         calls.append(x)
         return f(x)
 
-    root = solver(counted, RootBracket.from_function(counted, lo, hi), tol)
+    root = solver(counted, lo, hi)
     return root, len(calls)
+
+
+def end_values(f_lo, f_hi):
+    """f with the value f_lo at 0, f_hi at 1 and x - 0.5 in between."""
+    return lambda x: f_lo if x == 0.0 else f_hi if x == 1.0 else x - 0.5
 
 
 def width_closure(n):
@@ -321,9 +322,7 @@ class TestFindRoot:
         hi = lo + width
         c = lo + at * (hi - lo)
         f = lambda x: slope * (x - c)
-        bracket = RootBracket.from_function(f, lo, hi)
-        root = find_root(f, bracket, math.ulp(0.0))
-        assert root == bisection_reference(f, bracket, math.ulp(0.0))
+        assert find_root(f, lo, hi) == bisection_reference(f, lo, hi)
 
     @pytest.mark.parametrize("f", HARD_ROOTS.values(), ids=HARD_ROOTS.keys())
     def test_worst_case_near_bisection(self, f):
@@ -333,47 +332,49 @@ class TestFindRoot:
         assert calls <= 2 * reference_calls
 
     def test_sqrt_two(self):
-        bracket = RootBracket.from_function(lambda x: x * x - 2.0, 1.0, 2.0)
-        root = find_root(lambda x: x * x - 2.0, bracket, tol=1e-12)
+        root = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_cosine(self):
-        bracket = RootBracket.from_function(math.cos, 1.0, 2.0)
-        assert find_root(math.cos, bracket, tol=1e-12) == pytest.approx(math.pi / 2, abs=1e-12)
+        assert find_root(math.cos, 1.0, 2.0) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_identity(self):
-        bracket = RootBracket.from_function(lambda x: x, -1.0, 1.0)
-        assert find_root(lambda x: x, bracket, tol=1e-12) == pytest.approx(0.0, abs=1e-12)
+        assert find_root(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "power,exact,tol",
+        "power,exact",
         [
-            (3, "1.2599210498948731647672106072782283505702514647015", 1e-300),
-            (2, "1.4142135623730950488016887242096980785696718753769", 1e-17),
+            (3, "1.2599210498948731647672106072782283505702514647015"),
+            (2, "1.4142135623730950488016887242096980785696718753769"),
         ],
         ids=["cube", "square"],
     )
-    def test_tol_below_double_spacing(self, power, exact, tol):
-        # no double lies strictly inside the final bracket, so bisection
-        # stops there, within one ulp of the root
-        f = lambda x: x**power - 2.0
-        root = find_root(f, RootBracket.from_function(f, 1.0, 2.0), tol=tol)
+    def test_root_within_one_ulp(self, power, exact):
+        # no double lies strictly inside the final bracket, so the root is
+        # within one ulp
+        root = find_root(lambda x: x**power - 2.0, 1.0, 2.0)
         assert abs(Decimal(root) - Decimal(exact)) <= Decimal(math.ulp(root))
 
     @pytest.mark.parametrize("f_lo, f_hi, root", [(0.0, 1.0, 0.25), (-1.0, 0.0, 0.75)])
     def test_zero_end_is_the_root(self, f_lo, f_hi, root):
-        def f(x):
-            raise AssertionError("an exact zero at an end needs no evaluation")
+        # an exact zero at an end needs no evaluation inside the bracket
+        calls = []
 
-        assert find_root(f, RootBracket(0.25, 0.75, f_lo, f_hi), tol=1e-12) == root
+        def f(x):
+            calls.append(x)
+            return f_lo if x == 0.25 else f_hi if x == 0.75 else x - 0.5
+
+        assert find_root(f, 0.25, 0.75) == root
+        assert calls == [0.25, 0.75]
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValidationError, match="lo < hi"):
-            RootBracket(1.0, 0.0, -1.0, 1.0)
+            find_root(lambda x: x - 0.5, 1.0, 0.0)
 
     def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            RootBracket.from_function(lambda x: x * x + 1.0, -1.0, 1.0)
+        message = r"no sign change on \[-1.0, 1.0\]: f values 2.0, 2.0"
+        with pytest.raises(BracketError, match=message):
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
     @pytest.mark.parametrize("f_lo, f_hi", [(math.nan, 1.0), (-1.0, math.nan),
                                             (math.nan, math.nan), (1e-200, 1e-200),
@@ -381,27 +382,19 @@ class TestFindRoot:
     def test_nan_or_same_sign_end_values(self, f_lo, f_hi):
         # a product test passes NaN ends, and tiny same-sign ends whose product is 0
         with pytest.raises(BracketError):
-            RootBracket(0.0, 1.0, f_lo, f_hi)
+            find_root(end_values(f_lo, f_hi), 0.0, 1.0)
 
     @pytest.mark.parametrize("f_lo, f_hi", [(-1e-200, 1e-200), (0.0, 1.0), (math.inf, 0.0),
                                             (-math.inf, math.inf)])
     def test_sign_change_or_zero_end_is_a_bracket(self, f_lo, f_hi):
-        assert RootBracket(0.0, 1.0, f_lo, f_hi).f_hi == f_hi
+        root = 0.0 if f_lo == 0.0 else 1.0 if f_hi == 0.0 else 0.5
+        assert find_root(end_values(f_lo, f_hi), 0.0, 1.0) == root
 
     def test_tiny_values_keep_their_signs(self):
         # f_lo * f_mid underflows to -0.0 here, which a product test reads as no sign change
-        f = lambda x: (x - 0.3) * 1e-200
-        root = find_root(f, RootBracket.from_function(f, 0.0, 1.0), tol=1e-12)
+        root = find_root(lambda x: (x - 0.3) * 1e-200, 0.0, 1.0)
         assert abs(root - 0.3) < 1e-12
 
     def test_deterministic(self):
         f = lambda x: math.sin(x) - 0.3
-        bracket = RootBracket.from_function(f, 0.0, 1.0)
-        a = find_root(f, bracket, tol=1e-13)
-        b = find_root(f, bracket, tol=1e-13)
-        assert a == b  # bit-identical
-
-    def test_bad_tol(self):
-        bracket = RootBracket.from_function(lambda x: x, -1.0, 1.0)
-        with pytest.raises(ValidationError):
-            find_root(lambda x: x, bracket, tol=0.0)
+        assert find_root(f, 0.0, 1.0) == find_root(f, 0.0, 1.0)  # bit-identical

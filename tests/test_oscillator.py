@@ -180,6 +180,22 @@ class TestTable:
         with pytest.raises(DomainError):
             table(21)
 
+    def test_width_solve_work(self, monkeypatch):
+        # closure evaluations per state, the bracket's two ends included: the
+        # width solve's work, counted exactly
+        norms = []
+        residual = oscillator._closure_residual
+
+        def counted(norm, nk, beta):
+            norms.append(norm)
+            return residual(norm, nk, beta)
+
+        monkeypatch.setattr(oscillator, "_closure_residual", counted)
+        table(20)
+        assert [norms.count(oscillator._norm_constant(n)) for n in range(21)] == [
+            12, 13, 15, 15, 15, 14, 15, 16, 15, 14, 15, 16, 16, 14, 15, 14, 14, 14, 16, 15, 14]
+        assert len(norms) == 307
+
 
 class TestPsi:
     def test_ground_value_at_origin(self, states):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,29 @@ class TestPowerSeries1D:
         with pytest.raises(ValidationError):
             PowerSeries1D(0.0, (1.0, math.inf))
 
+    @pytest.mark.parametrize("coeffs, x", [((1.0, 1.0, 1.0), 1e200), ((1.0, 1e300, -1e300), 1e10)],
+                             ids=["inf", "-inf"])
+    def test_overflowing_sum_raises(self, coeffs, x):
+        with pytest.raises(NumericError, match=re.escape(f"not finite at {x!r}")):
+            PowerSeries1D(0.0, coeffs).eval(x)
+
+
+class TestPowerSeries2D:
+    def test_eval_is_the_sum_of_terms(self):
+        # bit for bit the sum of a_ij x^i y^j in numpy scalars, term by term
+        coeffs = np.arange(1.0, 10.0).reshape(3, 3) / 7.0
+        expected = 0.0
+        for i in range(3):
+            for j in range(3 - i):
+                expected += coeffs[i, j] * 0.3**i * (-1.7)**j
+        assert PowerSeries2D(coeffs, 2).eval(0.3, -1.7) == expected
+
+    @pytest.mark.parametrize("coeff, x", [(1.0, 1e200), (1e300, 1e10)], ids=["power", "term"])
+    def test_overflow_raises(self, coeff, x):
+        # a power that raises OverflowError, and a term that overflows to inf
+        with pytest.raises(NumericError, match=re.escape(f"not finite at {(x, 1.0)}")):
+            PowerSeries2D(np.full((3, 3), coeff), 2).eval(x, 1.0)
+
 
 class TestPolyTaylor:
     def test_square_about_origin(self):
@@ -54,6 +78,11 @@ class TestPolyTaylor:
     def test_degree_cap(self):
         with pytest.raises(ValidationError):
             poly_taylor_coeffs([1.0] * 34, 0.0)
+
+    def test_overflowing_recentering_raises(self):
+        # the input is valid; its re-centered coefficients overflow
+        with pytest.raises(NumericError, match=r"not finite at x0 = 1e\+200"):
+            poly_taylor_coeffs([1.0, 1.0, 1.0], 1e200)
 
     @settings(max_examples=40)
     @given(
