@@ -4,8 +4,9 @@
 Solves mu(b) = b for the quadratic potential at increasing resolutions,
 warm-starting each level from the previous one, and prints the lambda
 estimates with their successive differences, their errors against the
-closed-form n = 0 multiplier, and the work of each level's solve, summed
-over the lower bracket end and the root continued from it: its
+closed-form n = 0 multiplier, and the work of each level's solve (the
+first attempt's fixed-b step and root, or where that attempt fails the
+lower bracket end and the root continued from it): its
 semi-implicit loose-phase steps, its bordered Newton steps, and its
 tridiagonal solves (calls of nls._thomas, counted by a wrapper): one a
 loose step or a Newton step in ln u or plain at a fixed b, two a plain

@@ -569,19 +569,23 @@ def fit_multipliers_1d(
     most.  The fit raises where the density at an infinite cut end of that
     last window leaves more than _TAIL_MASS_LIMIT beyond it, and reports it.
     Returns the normalized density (a_0 included) and fit diagnostics.
-    On the whole line with orders exactly (2, 4), a kurtosis m4 / m2^2
-    above 3 by more than tol allows, m4 - 3 m2^2 > (6 m2 + 3 tol + 1) tol,
-    raises InfeasibleMomentsError before any iteration.
+    On the whole line with constrained even orders exactly (2, 4) and every
+    constrained odd order's target exactly 0, a kurtosis m4 / m2^2 above 3
+    by more than tol allows, m4 - 3 m2^2 > (6 m2 + 3 tol + 1) tol, raises
+    InfeasibleMomentsError before any iteration.
     """
     tol = _as_positive(tol, "tol")
     check_feasible_1d(spec)
     orders = spec.orders
     targets = np.array(spec.targets)
     m = len(orders)
-    if spec.support == (-math.inf, math.inf) and orders == (2, 4):
-        # a4 >= 0 keeps <x^4> <= 3 <x^2>^2, so a fit within tol needs
-        # m4 <= 3 (m2 + tol)^2 + tol
-        m2, m4 = spec.targets
+    moments = dict(spec.constraints)
+    if (spec.support == (-math.inf, math.inf) and [o for o in orders if o % 2 == 0] == [2, 4]
+            and not any(moments[o] for o in orders if o % 2)):
+        # the constraints are even under x -> -x, and so is the unique
+        # maxent density, whose odd multipliers vanish; a4 >= 0 then keeps
+        # <x^4> <= 3 <x^2>^2, so a fit within tol needs m4 <= 3 (m2 + tol)^2 + tol
+        m2, m4 = moments[2], moments[4]
         if m4 - 3.0 * m2 * m2 > (6.0 * m2 + 3.0 * tol + 1.0) * tol:
             raise InfeasibleMomentsError(f"kurtosis {m4 / (m2 * m2)} exceeds 3, the most of any "
                                          f"exp(-a0 - a2 x^2 - a4 x^4), by more than tol = {tol}")

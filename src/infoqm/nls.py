@@ -27,10 +27,12 @@ that attempt fails (an exp that leaves the range of floats, a step that
 is not finite, or the step cap) does the plain chain run from the same
 start: Newton in u, and where that fails a short loose phase before
 Newton in u is tried once more.  With b free, the root that the chain
-ends on is checked against the bracket once, after it.  The
-loose phase takes backward-Euler steps in H with the logarithm taken from
-the old state (BEFD, Bao & Du, SIAM J. Sci. Comput. 25, 1674, 2004), each
-one tridiagonal solve of an M-matrix, to a loose norm.  Where the
+ends on is checked against the bracket once, after it, and each attempt
+stops as soon as its b leaves the bracket by more than half the
+bracket's width.  The loose phase takes backward-Euler steps in H with
+the logarithm taken from the old state (BEFD, Bao & Du, SIAM J. Sci.
+Comput. 25, 1674, 2004), each one tridiagonal solve of an M-matrix, to a
+loose norm.  Where the
 plain Newton step would leave the positive cone, each entry it cuts by
 more than 90% takes the Newton step in ln u instead.  Newton stops
 only where its step is small and one explicit step from the state moves
@@ -40,12 +42,16 @@ Newton steps on until the flow norm is below the tolerance or the step
 cap is reached, whose error then gives that flow norm, the tolerance
 and eps max(psi) / step.  Where the loose phase or the last Newton solve
 fails, its error is raised.
-F(b) = mu(b) - b is evaluated at the bracket's lower end, a ground_state,
-and the root is continued from that end's state by one free-b Newton
-solve (natural-parameter continuation; Allgower & Georg, Numerical
-Continuation Methods, 1990); the upper end is solved only where that
-fails, to name the failure.  A bracket end or root is returned only where
-|mu - b| < _F_TOL = 1e-6.
+The self-consistent root is first sought by a predictor and a corrector
+(Allgower & Georg, Numerical Continuation Methods, 1990): one fixed-b
+Newton step in ln u at the bracket's lower end from the normalized start,
+then the free-b Newton in ln u from that state.  Only where that attempt
+fails, its root outside the bracket or off _F_TOL included, does the
+solve of the lower end run: F(b) = mu(b) - b is evaluated there, a
+ground_state, and the root is continued from that end's state by one
+free-b Newton solve (natural-parameter continuation); the upper end is
+solved only where that fails too, to name the failure.  A bracket end or
+root is returned only where |mu - b| < _F_TOL = 1e-6.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -57,7 +63,9 @@ and the Newton residuals in ln u and of the free-b plain step go through
 _gradient; the loose phase and the plain Newton Jacobian need only the
 logarithm, so they call _floored_log.  One function, _newton_state, runs
 Newton in ln u and the plain chain where that fails, at a fixed b and
-for the root; it is the one solver behind both, and it has one exit.
+for the continued root; it is the one solver behind both, and it has one
+exit.  The first attempt at the root, _predicted_root, takes its fixed-b
+step and its free-b Newton attempt with the same rule and loop.
 Every Newton attempt is one loop, _newton, given one of two step rules:
 _log_step, in ln u, or _newton_step, plain.  A rule makes the step and
 the new interior and raises where that is unusable; the loop holds the
@@ -166,9 +174,12 @@ class GroundStateSolution:
     Newton steps behind every state the solve kept: the semi-implicit steps
     of the loose phase (0 where Newton in ln u or the plain Newton solve
     held from the start state) and the steps of the Newton attempt that
-    made the state, in ln u or plain, and for a self-consistent solve the
-    sum over the lower bracket end and the root (the upper end, where it
-    was returned as the root); a failed Newton attempt is not counted.
+    made the state, in ln u or plain.  For a self-consistent solve whose
+    first attempt holds they are 0 and the fixed-b step plus the root's
+    steps; otherwise they are the sum over the lower bracket end and the
+    root (the upper end, where it was returned as the root).  A failed
+    Newton attempt, the first attempt of a self-consistent solve included,
+    is not counted.
     ``energy_trace`` starts with the energy of the normalized start state
     and ends with the energy of ``psi`` at ``b``.  gradient_flow_ground_state
     counts its explicit steps in ``iterations`` and samples every 100th
@@ -619,23 +630,34 @@ def _log_step(
 
 
 def _newton(
-    problem: GridProblem, psi: np.ndarray, free_b: bool, cfg: FlowConfig, step
+    problem: GridProblem,
+    psi: np.ndarray,
+    bracket: tuple[float, float] | None,
+    cfg: FlowConfig,
+    step,
 ) -> tuple[np.ndarray, float, int, float]:
     """Newton from psi to the positive state with G = 0 and unit norm, each
     step taken by the step rule ``step``: _log_step, in ln u, or
     _newton_step, plain.
 
-    The border unknown is m at the problem's fixed b (free_b=False), so
-    that m = mu(b) - b, or b with m = 0 (free_b=True), the self-consistent
-    root.  Newton stops on a step that the rule lets it stop on, whose
-    max |d_u| is at most _NEWTON_TOL times the largest entry of u before
-    the step, so that a step that grows u by orders of magnitude cannot
-    pass, and whose |d_p| is at most _NEWTON_TOL max(1, |b|, |m|), once
+    The border unknown is m at the problem's fixed b (bracket None), so
+    that m = mu(b) - b, or, for the self-consistent root in ``bracket``
+    (lo, hi), b itself with m = 0, starting at the problem's b.  Such a
+    free-b attempt raises ConvergenceError as soon as b leaves
+    [lo - w, hi + w], w half the bracket's width.  Newton stops on a step
+    that the rule lets it stop on, whose max |d_u| is at most _NEWTON_TOL
+    times the largest entry of u before the step, so that a step that
+    grows u by orders of magnitude cannot pass, and whose |d_p| is at most
+    _NEWTON_TOL max(1, |b|, |m|), once
     _flow_check verifies the new state.  Returns (psi, b, steps, flow norm);
     raises the rule's ConvergenceError, or past the step cap one that names
     the attempt and gives _flow_check's note on the last state that passed
     the step test.
     """
+    free_b = bracket is not None
+    if free_b:
+        lo, hi = bracket
+        reach = 0.5 * (hi - lo)
     b = problem.b
     m = 0.0 if free_b else discrete_energy(problem, psi) - b
     u = psi[1:-1].copy()
@@ -644,6 +666,9 @@ def _newton(
         new, d_u, d_p, may_stop = step(problem, u, b, m, free_b)
         if free_b:
             b += d_p
+            if not lo - reach <= b <= hi + reach:
+                raise ConvergenceError(f"free-b Newton left the bracket [{lo}, {hi}] by more "
+                                       f"than half its width: b = {b!r}")
         else:
             m += d_p
         if (
@@ -685,17 +710,16 @@ def _newton_state(
     _validate_step(problem, cfg)
     start = _start_state(problem.grid, init)
     trace = (discrete_energy(problem, start),)
-    free_b = bracket is not None
     loose_steps = 0
     try:
-        psi, b, newton_steps, flow_norm = _newton(problem, start, free_b, cfg, _log_step)
+        psi, b, newton_steps, flow_norm = _newton(problem, start, bracket, cfg, _log_step)
     except ConvergenceError:
         try:
-            psi, b, newton_steps, flow_norm = _newton(problem, start, free_b, cfg, _newton_step)
+            psi, b, newton_steps, flow_norm = _newton(problem, start, bracket, cfg, _newton_step)
         except ConvergenceError:
             psi, loose_steps = _loose_phase(problem, start)
-            psi, b, newton_steps, flow_norm = _newton(problem, psi, free_b, cfg, _newton_step)
-    if free_b and not bracket[0] <= b <= bracket[1]:
+            psi, b, newton_steps, flow_norm = _newton(problem, psi, bracket, cfg, _newton_step)
+    if bracket is not None and not bracket[0] <= b <= bracket[1]:
         raise ConvergenceError(f"root b = {b!r} is outside the bracket [{bracket[0]}, {bracket[1]}]")
     problem = problem.with_b(b)
     trace += (discrete_energy(problem, psi),)
@@ -730,6 +754,35 @@ def ground_state(
     return _newton_state(problem, cfg, init)
 
 
+def _predicted_root(
+    problem: GridProblem,
+    cfg: FlowConfig,
+    init: np.ndarray | None,
+    bracket: tuple[float, float],
+) -> GroundStateSolution:
+    """The self-consistent root from init by one fixed-b Newton step in
+    ln u at the problem's b, with m as border unknown, from the normalized
+    start (the predictor), and the free-b Newton in ln u from that state,
+    pinned and normalized (the corrector; Allgower & Georg, Numerical
+    Continuation Methods, 1990).  Its energy_trace is the start state's
+    energy at the problem's b and the root's mu; newton_steps counts the
+    fixed-b step and the root's steps.  Invalid input raises
+    ValidationError before any step; a failed step or root, or a predicted
+    state with an entry that underflows to zero on normalizing, raises
+    ConvergenceError.  The root is not checked against the bracket."""
+    _validate_step(problem, cfg)
+    start = _start_state(problem.grid, init)
+    energy = discrete_energy(problem, start)
+    psi = _pinned(_log_step(problem, start[1:-1], problem.b, energy - problem.b, False)[0])
+    _pin_and_normalize(psi, problem.grid.spacing)
+    if not psi[1:-1].min() > 0.0:
+        raise ConvergenceError("the predicted state underflowed to zero")
+    psi, b, steps, flow_norm = _newton(problem, psi, bracket, cfg, _log_step)
+    mu = discrete_energy(problem.with_b(b), psi)
+    return GroundStateSolution(psi=psi, mu=mu, b=b, iterations=0, flow_norm=flow_norm,
+                               energy_trace=(energy, mu), newton_steps=1 + steps)
+
+
 def self_consistent_lambda(
     problem: GridProblem,
     cfg: FlowConfig,
@@ -740,7 +793,14 @@ def self_consistent_lambda(
     is its own stationarity eigenvalue, |mu(b*) - b*| < _F_TOL.
 
     A bracket that is not a finite lo < hi raises ValidationError before
-    any solve.  F is evaluated at the lower end by ground_state from init,
+    any solve.  The first attempt, _predicted_root, takes one fixed-b Newton
+    step in ln psi at b = lo from the normalized init and runs the free-b
+    Newton in ln psi from that state; its root is returned where it lies in
+    the bracket with |mu - b| < _F_TOL, with ``iterations`` 0 and
+    ``newton_steps`` the fixed-b step plus the root's steps.  Where that
+    attempt raises ConvergenceError or its root fails those checks, the
+    solve below runs from init as if it had not been tried.
+    F is evaluated at the lower end by ground_state from init,
     and that end is returned where |F(lo)| < _F_TOL.  Otherwise the root is
     continued from the lower end's state: a free-b Newton solve started at
     b = lo (Newton in ln psi first, and the plain chain of ground_state
@@ -753,14 +813,22 @@ def self_consistent_lambda(
     otherwise BracketError is raised when F has no sign change on the
     bracket, by numerics._check_sign_change, the rule find_root applies,
     and ConvergenceError for the failed continuation when it has.
-    ``iterations`` and ``newton_steps`` of the result are the totals over
-    the lower end and the returned state, and its ``energy_trace`` starts
-    with the energy of the normalized start state at b = lo, as the lower
-    end's does, and goes on with the returned state's own trace.
+    ``iterations`` and ``newton_steps`` of that result are the totals over
+    the lower end and the returned state.  On either path ``energy_trace``
+    starts with the energy of the normalized start state at b = lo, as the
+    lower end's does, and ends with the returned state's mu.  Every free-b
+    attempt stops as soon as its b leaves the bracket by more than half the
+    bracket's width (see _newton).
     """
     lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
     if not lo < hi:
         raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
+    try:
+        root = _predicted_root(problem.with_b(lo), cfg, init, (lo, hi))
+        if lo <= root.b <= hi and abs(root.mu - root.b) < _F_TOL:
+            return root.b, root
+    except ConvergenceError:
+        pass
     sol_lo = ground_state(problem.with_b(lo), cfg, init=init)
     if abs(sol_lo.mu - lo) < _F_TOL:
         return lo, sol_lo

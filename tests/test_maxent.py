@@ -194,6 +194,25 @@ class TestFeasibility:
         _, diag = fit_multipliers_1d(spec, tol=1e-10)
         assert diag.max_moment_residual <= 1e-10
 
+    @pytest.mark.parametrize("kurtosis", [3.05, 3.2, 5.0])
+    @pytest.mark.parametrize("odd", [(1,), (3,), (1, 3)], ids=["1", "3", "1-3"])
+    def test_whole_line_kurtosis_above_three_with_zero_odd_moments(self, odd, kurtosis):
+        # the constraints are even under x -> -x, so the maxent density is
+        # even, its odd multipliers vanish and a4 >= 0 bounds the kurtosis
+        spec = MomentSpec1D((-INF, INF), ((2, 1.0), (4, kurtosis), *((o, 0.0) for o in odd)))
+        with pytest.raises(InfeasibleMomentsError, match=rf"^kurtosis {kurtosis} exceeds 3"):
+            fit_multipliers_1d(spec, tol=1e-10)
+
+    @pytest.mark.parametrize("kurtosis, iterations", [(2.9, 4), (3.0, 0)])
+    @pytest.mark.parametrize("odd", [(1,), (3,), (1, 3)], ids=["1", "3", "1-3"])
+    def test_whole_line_kurtosis_up_to_three_with_zero_odd_moments_fits(self, odd, kurtosis,
+                                                                       iterations):
+        spec = MomentSpec1D((-INF, INF), ((2, 1.0), (4, kurtosis), *((o, 0.0) for o in odd)))
+        density, diag = fit_multipliers_1d(spec, tol=1e-10)
+        assert diag.max_moment_residual <= 1e-10 and diag.iterations == iterations
+        # the even density's odd multipliers, up to rounding (under 1e-16 here)
+        assert all(abs(dict(density.multipliers)[o]) <= 1e-14 for o in odd)
+
     def test_2d_even_even_cap(self):
         # (2,2) = 1.5 passes both marginals but exceeds max x^2 y^2 = 1 on the square
         spec = MomentSpec2D(((-1.0, 1.0), (-1.0, 1.0)), ((2, 0, 0.3), (0, 2, 0.3), (2, 2, 1.5)))
@@ -627,12 +646,16 @@ class TestFit1D:
     def test_moments_past_the_normalizable_set_raise(self):
         # <x^4> above 3 <x^2>^2 needs a4 < 0: no maxent density on the whole
         # line, so the fit must not return one the functionals reject.  With
-        # orders (2, 4) alone the kurtosis screen names the cause; with a mean
-        # constraint as well the fit runs and ends past the normalizable set
-        with pytest.raises(InfeasibleMomentsError, match="^kurtosis 3.000000001 exceeds 3"):
-            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, 1.0), (4, 3.0 + 1e-9))), tol=1e-12)
+        # orders (2, 4), and a zero mean besides, the kurtosis screen names
+        # the cause; with a mean of 0.1, <x^4> above the Gaussian's 2.9998
+        # needs a4 < 0 as well, and the fit runs and ends past the
+        # normalizable set
+        for odd in ((), ((1, 0.0),)):
+            with pytest.raises(InfeasibleMomentsError, match="^kurtosis 3.000000001 exceeds 3"):
+                fit_multipliers_1d(MomentSpec1D((-INF, INF), ((2, 1.0), (4, 3.0 + 1e-9), *odd)),
+                                   tol=1e-12)
         with pytest.raises(NumericError, match="not normalizable"):
-            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0), (4, 3.0 + 1e-9))),
+            fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.1), (2, 1.0), (4, 2.9998 + 1e-9))),
                                tol=1e-12)
 
     @settings(max_examples=20, deadline=None)

@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+import json
 import math
 import pathlib
 import re
@@ -199,16 +200,22 @@ class TestSelfConsistency:
             self_consistent_lambda(problem, cfg, bracket=(-0.5, -0.1))
 
     @pytest.mark.parametrize("root_end", ["hi", "lo"])
-    def test_bracket_end_within_F_TOL_is_the_root(self, root_end):
+    def test_bracket_end_within_F_TOL_is_the_root(self, monkeypatch, root_end):
         # F(lambda*) = -2.2e-16 here, of the same sign as F(-3): an end within
-        # _F_TOL is returned before the sign change is checked
+        # _F_TOL is returned before the sign change is checked.  The first
+        # attempt returns the free-b root, which lies within rounding of
+        # lambda*; where it fails, the end itself is returned
         problem = harmonic_problem(96, half_width=8.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         lam, _ = self_consistent_lambda(problem, cfg)
         bracket = (-3.0, lam) if root_end == "hi" else (lam, -0.5)
-        got, sol = self_consistent_lambda(problem, cfg, bracket=bracket)
-        assert got == sol.b == lam
-        assert abs(sol.mu - sol.b) < 1e-6
+        for first_attempt in (True, False):
+            if not first_attempt:
+                without_first_attempt(monkeypatch)
+            got, sol = self_consistent_lambda(problem, cfg, bracket=bracket)
+            assert got == sol.b and abs(got - lam) <= 1e-15
+            assert abs(sol.mu - sol.b) < 1e-6
+        assert root_end == "hi" or got == lam  # the lower end itself
 
 
 def dense_bordered_system(problem, u, b, m, free_b):
@@ -241,6 +248,13 @@ def forced_newton_failure(*args, **kwargs):
     raise ConvergenceError("forced failure")
 
 
+def without_first_attempt(monkeypatch):
+    """Make the first attempt of self_consistent_lambda, the predicted
+    root, fail at once, so that the lower end and the root continued from
+    it are solved as where that attempt fails on its own."""
+    monkeypatch.setattr(nls, "_predicted_root", forced_newton_failure)
+
+
 def failing(attempt):
     """A Newton attempt made to fail at once, in place of ``attempt``."""
     return forced_newton_failure
@@ -248,10 +262,10 @@ def failing(attempt):
 
 def free_b_failure(attempt):
     """The Newton attempt ``attempt``, made to fail with b free."""
-    def failing_free_b(problem, psi, free_b, cfg):
-        if free_b:
+    def failing_free_b(problem, psi, bracket, cfg):
+        if bracket is not None:
             raise ConvergenceError("forced failure")
-        return attempt(problem, psi, free_b, cfg)
+        return attempt(problem, psi, bracket, cfg)
     return failing_free_b
 
 
@@ -259,9 +273,9 @@ def failures_into(failures):
     """A Newton attempt wrapper that appends the message of each attempt
     that fails to failures."""
     def recorded(attempt):
-        def recorded_attempt(problem, psi, free_b, cfg):
+        def recorded_attempt(problem, psi, bracket, cfg):
             try:
-                return attempt(problem, psi, free_b, cfg)
+                return attempt(problem, psi, bracket, cfg)
             except ConvergenceError as exc:
                 failures.append(str(exc))
                 raise
@@ -272,18 +286,18 @@ def failures_into(failures):
 def wrap_attempts(monkeypatch, log=None, plain=None):
     """Wrap nls._newton so that each Newton attempt with the step rule in
     ln u runs as log(attempt) and each with the plain rule as
-    plain(attempt), where attempt(problem, psi, free_b, cfg) is the attempt
-    itself; a wrapper of None leaves its attempts as they are.  Returns the
-    wrappers by "log" and "plain", a dict that may be changed between
-    solves."""
+    plain(attempt), where attempt(problem, psi, bracket, cfg) is the attempt
+    itself (bracket None at a fixed b); a wrapper of None leaves its
+    attempts as they are.  Returns the wrappers by "log" and "plain", a dict
+    that may be changed between solves."""
     wrappers = {"log": log, "plain": plain}
     newton = nls._newton
 
-    def wrapped(problem, psi, free_b, cfg, step):
-        def attempt(problem, psi, free_b, cfg):
-            return newton(problem, psi, free_b, cfg, step)
+    def wrapped(problem, psi, bracket, cfg, step):
+        def attempt(problem, psi, bracket, cfg):
+            return newton(problem, psi, bracket, cfg, step)
         wrap = wrappers["log" if step is nls._log_step else "plain"]
-        return (wrap(attempt) if wrap else attempt)(problem, psi, free_b, cfg)
+        return (wrap(attempt) if wrap else attempt)(problem, psi, bracket, cfg)
 
     monkeypatch.setattr(nls, "_newton", wrapped)
     return wrappers
@@ -432,8 +446,8 @@ class TestBorderedNewton:
             return sol
 
         def counted(attempt, steps):
-            def counted_attempt(problem, psi, free_b, cfg):
-                out = attempt(problem, psi, free_b, cfg)
+            def counted_attempt(problem, psi, bracket, cfg):
+                out = attempt(problem, psi, bracket, cfg)
                 steps.append(out[2])
                 return out
             return counted_attempt
@@ -443,8 +457,19 @@ class TestBorderedNewton:
         wrappers = wrap_attempts(monkeypatch, lambda attempt: counted(attempt, log_newton),
                                  lambda attempt: counted(attempt, newton))
         _, sol = self_consistent_lambda(problem, cfg)
-        # Newton in ln u holds from the default guess and then from the lower
-        # end's state, so neither the plain solve nor a loose phase runs
+        # the first attempt holds from the default guess: one fixed-b step
+        # in ln u and one free-b Newton attempt in ln u, so neither the plain
+        # solve nor a loose phase runs
+        assert not loose and not flows and not newton
+        assert len(log_newton) == 1
+        assert sol.iterations == sum(loose) == 0
+        assert sol.newton_steps == 1 + sum(log_newton)
+
+        # with the first attempt made to fail, Newton in ln u holds from the
+        # default guess at the lower end and then from that end's state
+        log_newton.clear()
+        without_first_attempt(monkeypatch)
+        _, sol = self_consistent_lambda(problem, cfg)
         assert not loose and not flows and not newton
         assert len(log_newton) == 2  # the lower end and the continued root
         assert sol.iterations == sum(loose) == 0
@@ -701,33 +726,46 @@ class TestWorkCounts:
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
         work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
-        # the lower end at a fixed b, then the free-b root continued from
-        # it, one solve a step in ln u; the plain chain alone takes 7
-        # fixed-b steps and 7 free-b steps of two solves each
+        # the first attempt: one fixed-b step at the lower end, then the
+        # free-b root, one solve a step in ln u
+        assert work == {"log_fixed_b_calls": 1, "log_free_b_calls": 6}
+
+    def test_lower_end_and_continuation_of_the_criterion_3_solve(self, monkeypatch):
+        # with the first attempt made to fail: the lower end at a fixed b,
+        # then the free-b root continued from it, one solve a step in ln u;
+        # the plain chain alone takes 7 fixed-b steps and 7 free-b steps of
+        # two solves each
+        problem = harmonic_problem(2048, half_width=12.0)
+        cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
+        without_first_attempt(monkeypatch)
+        work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
         assert work == {"log_fixed_b_calls": 8, "log_free_b_calls": 6}
 
     def test_plain_chain_of_the_criterion_3_solve(self, monkeypatch):
-        # with Newton in ln u made to fail, the plain chain gives both
-        # states: each free-b step solves for the residual and for the
-        # border column, one _thomas call each
+        # with the first attempt and Newton in ln u made to fail, the plain
+        # chain gives both states: each free-b step solves for the residual
+        # and for the border column, one _thomas call each
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
+        without_first_attempt(monkeypatch)
         wrap_attempts(monkeypatch, log=failing)
         work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
         assert work == {"fixed_b_calls": 7, "free_b_calls": 14}
 
     def test_probe_with_loose_phases(self, monkeypatch):
-        # Newton in ln u holds from each start of this probe, where the
-        # plain chain alone runs 26 loose steps besides 9 fixed-b and 14
+        # the first attempt holds from each start of this probe, where the
+        # lower end and its continuation take 12 and 12 solves in ln u, and
+        # the plain chain alone runs 26 loose steps besides 9 fixed-b and 14
         # free-b Newton steps
         problem = harmonic_problem(48, half_width=8.0)
         cfg = FlowConfig(step=0.02, tol_flow=1e-9, seed=0)
         work = self.counted(monkeypatch, lambda: uniqueness_probe(problem, cfg, 2))
-        assert work == {"log_fixed_b_calls": 12, "log_free_b_calls": 12}
+        assert work == {"log_fixed_b_calls": 2, "log_free_b_calls": 12}
 
     def test_lambda_solve_from_a_perturbed_start(self, monkeypatch):
         # a narrow, rippled --resume-like state on the 512-point lambda grid
-        # of the benchmark, from which the plain chain alone runs a loose
+        # of the benchmark, from which the lower end and its continuation
+        # take 13 solves in ln u, and the plain chain alone runs a loose
         # phase of 19 steps at the lower end, and 37 tridiagonal solves
         grid = Grid1D(-12.0, 12.0, 512)
         x, width = grid.points(), 24.0
@@ -741,7 +779,7 @@ class TestWorkCounts:
             self_consistent_lambda(GridProblem.harmonic(grid), cfg, init=init)))
         (lam, sol), = solved
         assert sol.iterations == 0 and abs(sol.mu - lam) <= 1e-12
-        assert work == {"log_fixed_b_calls": 7, "log_free_b_calls": 6}
+        assert work == {"log_fixed_b_calls": 1, "log_free_b_calls": 6}
 
 
 class TestFixedBNewton:
@@ -843,18 +881,18 @@ class TestFixedBNewton:
 
         def direct_failure(attempt):
             # the attempts in ln u and plain fail, so the loose phase runs
-            def first_fails(problem, psi, free_b, cfg):
-                calls.append(free_b)
+            def first_fails(problem, psi, bracket, cfg):
+                calls.append(bracket)
                 if len(calls) == 1:
                     raise ConvergenceError("forced failure")
-                return attempt(problem, psi, free_b, cfg)
+                return attempt(problem, psi, bracket, cfg)
             return first_fails
 
         wrap_attempts(monkeypatch, failing, direct_failure)
         monkeypatch.setattr(nls, "_LOOSE_CAP", 1)
         with pytest.raises(ConvergenceError, match="^loose phase did not reach 0.01 in 1 steps"):
             ground_state(problem, self.CFG, init=init)
-        assert calls == [False]  # the loose phase raised before a second Newton solve
+        assert calls == [None]  # the loose phase raised before a second Newton solve
         assert not flows
 
     def test_exactly_singular_shift_is_solved_by_newton(self, monkeypatch):
@@ -1012,23 +1050,29 @@ class TestContinuation:
         assert sol.iterations > 0 and sol.newton_steps > 0
         assert abs(sol.mu - cold.mu) <= 1e-10
 
-    def test_wide_domain_root_is_the_free_b_newton_root(self, monkeypatch):
-        # the free-b Newton solve, started from the lower end's state, holds;
-        # no bisection midpoint and no upper end is evaluated
+    @staticmethod
+    def wide_domain_root():
+        """self_consistent_lambda on +-20 at 512 points, checked, and the
+        states it solved, as recorded_solves lists them."""
         problem = harmonic_problem(512, half_width=20.0)
-        evaluated = []
-        solve = nls.ground_state
-
-        def counted_ground_state(problem, cfg, init=None):
-            evaluated.append(problem.b)
-            return solve(problem, cfg, init)
-
-        monkeypatch.setattr(nls, "ground_state", counted_ground_state)
-        lam, sol = self_consistent_lambda(problem, FlowConfig(step=1e-3, tol_flow=1e-9))
-        assert evaluated == [nls.DEFAULT_BRACKET[0]]
+        with recorded_solves() as solved:
+            lam, sol = self_consistent_lambda(problem, FlowConfig(step=1e-3, tol_flow=1e-9))
         assert abs(sol.mu - sol.b) < 1e-12
         assert abs(lam - GOLDEN_LAMBDA0) < 1e-3
         assert sol.iterations <= 30 and 0 < sol.newton_steps <= 40
+        return solved
+
+    def test_wide_domain_root_is_the_free_b_newton_root(self):
+        # the free-b Newton solve from one fixed-b step at the lower end,
+        # the first attempt, holds: no end, bisection midpoint or continued
+        # root is solved
+        assert self.wide_domain_root() == ["predicted"]
+
+    def test_wide_domain_continued_root_is_the_free_b_newton_root(self, monkeypatch):
+        # with the first attempt made to fail, the free-b Newton solve from
+        # the lower end's state holds; no upper end is solved
+        without_first_attempt(monkeypatch)
+        assert self.wide_domain_root() == ["predicted", nls.DEFAULT_BRACKET[0], "root"]
 
 
 POTENTIALS = {
@@ -1049,6 +1093,17 @@ def stable_problem(name, n_points, half_width=12.0):
     return GridProblem(grid, v), FlowConfig(step=step, tol_flow=1e-8)
 
 
+def sweep_case(potential, half_width, n_points):
+    """A case of scripts/nls_start_sweep.py: the potential on n_points over
+    +-half_width, and the sweep's config, step
+    min(0.9 / (2/h^2 + max V), 0.9 / max V) at tol_flow 1e-8."""
+    grid = Grid1D(-half_width, half_width, n_points)
+    h, v = grid.spacing, potential(grid.points())
+    v_max = float(v.max())
+    cfg = FlowConfig(step=min(0.9 / (2.0 / (h * h) + v_max), 0.9 / v_max), tol_flow=1e-8)
+    return GridProblem(grid, v), cfg
+
+
 def spectral_oracle():
     path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "oracle_nls_spectral.py"
     spec = importlib.util.spec_from_file_location("oracle_nls_spectral", path)
@@ -1059,10 +1114,16 @@ def spectral_oracle():
 
 @contextlib.contextmanager
 def recorded_solves():
-    """A list of the states solved inside the block, in order: the b of
-    each ground_state call, and "root" for each free-b solve."""
+    """A list of the states solved inside the block, in order: "predicted"
+    for each first attempt of self_consistent_lambda, whether it holds or
+    not, the b of each ground_state call, and "root" for each free-b solve
+    continued from a state."""
     solved = []
-    solve, newton_state = nls.ground_state, nls._newton_state
+    predicted_root, solve, newton_state = nls._predicted_root, nls.ground_state, nls._newton_state
+
+    def counted_predicted_root(problem, cfg, init, bracket):
+        solved.append("predicted")
+        return predicted_root(problem, cfg, init, bracket)
 
     def counted_ground_state(problem, cfg, init=None):
         solved.append(problem.b)
@@ -1074,6 +1135,7 @@ def recorded_solves():
         return newton_state(problem, cfg, init, bracket)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nls, "_predicted_root", counted_predicted_root)
         mp.setattr(nls, "ground_state", counted_ground_state)
         mp.setattr(nls, "_newton_state", counted_newton_state)
         yield solved
@@ -1101,20 +1163,40 @@ def bracket_roots():
 
 
 class TestOneRootPath:
-    """The root is the free-b Newton solve continued from the lower end's
-    state; the upper end is solved only where that fails, to name the
-    failure or to return the upper end as the root."""
+    """The root is first the free-b Newton solve from one fixed-b step at
+    the lower end; where that fails, the free-b Newton solve continued from
+    the lower end's state, and where that fails too the upper end is
+    solved, to name the failure or to return the upper end as the root."""
 
     @pytest.mark.parametrize("n_points", [512, 1024, 2048])
     @pytest.mark.parametrize("name", list(POTENTIALS))
     def test_wide_bracket_ends_on_the_free_b_root(self, bracket_roots, name, n_points):
+        # the first attempt holds, but for the quartic on the default
+        # bracket, where its fixed-b step at b = -3 leaves the range of
+        # floats and the root is continued from the lower end's state
         default, wide = bracket_roots[name, n_points]
-        brackets = (nls.DEFAULT_BRACKET, WIDE_BRACKET)
-        for (lo, hi), (lam, sol, solved) in zip(brackets, (default, wide)):
-            assert solved == [lo, "root"]
-            assert sol.b == lam and sol.newton_steps > 0
+        fallback = ["predicted", nls.DEFAULT_BRACKET[0], "root"]
+        assert default[2] == (fallback if name == "quartic" else ["predicted"])
+        assert wide[2] == ["predicted"]
+        for lam, sol, _ in (default, wide):
+            assert sol.b == lam and sol.newton_steps > 0 and sol.iterations == 0
             assert abs(sol.mu - lam) < 1e-14
         assert abs(wide[0] - default[0]) <= 1e-12
+
+    @pytest.mark.parametrize("n_points", [512, 1024, 2048])
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_wide_bracket_continued_root_is_the_first_attempts_root(self, monkeypatch,
+                                                                    bracket_roots, name, n_points):
+        # with the first attempt made to fail, both brackets end on the
+        # root continued from the lower end's state, the same root
+        problem, cfg = stable_problem(name, n_points)
+        without_first_attempt(monkeypatch)
+        for (lo, hi), (first, _, _) in zip((nls.DEFAULT_BRACKET, WIDE_BRACKET),
+                                          bracket_roots[name, n_points]):
+            lam, sol, solved = solved_states(problem, cfg, (lo, hi))
+            assert solved == ["predicted", lo, "root"]
+            assert sol.b == lam and abs(sol.mu - lam) < 1e-14
+            assert abs(lam - first) <= 1e-12
 
     @pytest.mark.parametrize("name", list(POTENTIALS))
     def test_grid_error_against_spectral_oracle(self, bracket_roots, name):
@@ -1128,12 +1210,34 @@ class TestOneRootPath:
                 assert 3.8 < coarse / fine < 4.2
 
     @pytest.mark.parametrize("bracket", [nls.DEFAULT_BRACKET, WIDE_BRACKET])
-    def test_continued_root_solves_no_upper_end(self, bracket):
+    def test_first_attempt_solves_no_end(self, bracket):
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         lam, sol, solved = solved_states(problem, cfg, bracket)
         lo, hi = bracket
-        assert solved == [lo, "root"]
+        assert solved == ["predicted"]
+        assert lo < lam < hi and sol.b == lam and abs(sol.mu - lam) < 1e-14
+        # one fixed-b step in ln u from the normalized start at b = lo, then
+        # the free-b Newton in ln u from that state, pinned and normalized
+        lower = problem.with_b(lo)
+        start = nls._start_state(problem.grid, None)
+        energy = discrete_energy(lower, start)
+        psi = nls._pinned(nls._log_step(lower, start[1:-1], lo, energy - lo, False)[0])
+        psi /= math.sqrt(problem.grid.spacing * float((psi * psi).sum()))
+        root_psi, root_b, steps, _ = nls._newton(lower, psi, bracket, cfg, nls._log_step)
+        assert np.array_equal(sol.psi, root_psi) and sol.b == root_b
+        assert sol.mu == discrete_energy(problem.with_b(root_b), root_psi)
+        assert sol.newton_steps == 1 + steps and sol.iterations == 0
+        assert sol.energy_trace == (energy, sol.mu)
+
+    @pytest.mark.parametrize("bracket", [nls.DEFAULT_BRACKET, WIDE_BRACKET])
+    def test_continued_root_solves_no_upper_end(self, monkeypatch, bracket):
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        without_first_attempt(monkeypatch)
+        lam, sol, solved = solved_states(problem, cfg, bracket)
+        lo, hi = bracket
+        assert solved == ["predicted", lo, "root"]
         assert lo < lam < hi and sol.b == lam and abs(sol.mu - lam) < 1e-14
         # the work totals are the lower end's and the continued root's
         lower = ground_state(problem.with_b(lo), cfg)
@@ -1141,6 +1245,115 @@ class TestOneRootPath:
         assert np.array_equal(sol.psi, root.psi) and sol.mu == root.mu
         assert sol.newton_steps == lower.newton_steps + root.newton_steps
         assert sol.iterations == lower.iterations + root.iterations == 0
+
+    @pytest.mark.parametrize("failure", ["raises", "outside", "off_tolerance"])
+    def test_first_attempt_that_fails_falls_back(self, monkeypatch, failure):
+        # a first attempt that raises, or whose root lies outside the
+        # bracket or has |mu - b| = 2 _F_TOL, is not returned: the lower end
+        # and the root continued from it are solved from init as they are
+        # where no first attempt runs
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        init = randomized_initial_guess(problem.grid, 9, 0)
+        lo, hi = nls.DEFAULT_BRACKET
+        predicted_root = nls._predicted_root
+
+        def failed(problem, cfg, init, bracket):
+            if failure == "raises":
+                raise ConvergenceError("forced failure")
+            root = predicted_root(problem, cfg, init, bracket)
+            if failure == "outside":
+                return replace(root, b=hi + 1e-3, mu=hi + 1e-3)
+            return replace(root, mu=root.b + 2.0 * nls._F_TOL)
+
+        monkeypatch.setattr(nls, "_predicted_root", failed)
+        with recorded_solves() as solved:
+            lam, sol = self_consistent_lambda(problem, cfg, init=init)
+        assert solved == ["predicted", lo, "root"]
+        lower = ground_state(problem.with_b(lo), cfg, init=init)
+        root = nls._newton_state(problem.with_b(lo), cfg, lower.psi, (lo, hi))
+        assert lam == sol.b == root.b and sol.mu == root.mu
+        assert np.array_equal(sol.psi, root.psi)
+        assert sol.newton_steps == lower.newton_steps + root.newton_steps
+        assert sol.energy_trace == (lower.energy_trace[0], root.mu)
+
+    def test_first_attempt_that_fails_on_its_own_falls_back(self, monkeypatch):
+        # the start sweep's quartic on +-16 at 128 points from the default
+        # start, where the fixed-b step at b = -3 leaves the range of
+        # floats; the lower end and the root continued from it give the
+        # root, bit for bit as where the first attempt is made to fail, and
+        # the lambda of the sweep's committed baseline
+        problem, cfg = sweep_case(POTENTIALS["quartic"], 16.0, 128)
+        lo, hi = nls.DEFAULT_BRACKET
+        with pytest.raises(ConvergenceError, match="^Newton in ln u left the range of floats$"):
+            nls._predicted_root(problem.with_b(lo), cfg, None, (lo, hi))
+        with recorded_solves() as solved:
+            lam, sol = self_consistent_lambda(problem, cfg)
+        assert solved == ["predicted", lo, "root"]
+        assert abs(sol.mu - lam) < 1e-14
+        sweep = pathlib.Path(__file__).resolve().parent / "golden" / "nls_start_sweep.json"
+        baseline = json.loads(sweep.read_text())["lambda"]["quartic +-16 n=128 start=default"]
+        assert abs(lam - baseline) <= 1e-14
+        without_first_attempt(monkeypatch)
+        assert self_consistent_lambda(problem, cfg)[0] == lam
+
+    def test_predicted_state_that_underflows_fails_the_first_attempt(self):
+        # the start sweep's double well x^4/4 - x^2 on +-12 at 512 points
+        # from randomized_initial_guess(grid, 7, 2): the fixed-b step at
+        # b = -3 grows the state to a norm of 1.8e4 with an entry of 3.6e-321,
+        # which normalizing takes to zero.  The first attempt fails there,
+        # before a step divides by it, and the upper end names the failure:
+        # F < 0 at both ends
+        problem, cfg = sweep_case(lambda x: 0.25 * x**4 - x * x, 12.0, 512)
+        init = randomized_initial_guess(problem.grid, 7, 2)
+        lo, hi = nls.DEFAULT_BRACKET
+        with pytest.raises(ConvergenceError, match="^the predicted state underflowed to zero$"):
+            nls._predicted_root(problem.with_b(lo), cfg, init, (lo, hi))
+        no_sign_change = r"^no sign change on \[-3\.0, -0\.5\]"
+        with recorded_solves() as solved, pytest.raises(BracketError, match=no_sign_change):
+            self_consistent_lambda(problem, cfg, init=init)
+        assert solved == ["predicted", lo, "root", hi]
+
+    def test_free_b_attempt_that_leaves_the_bracket_by_far_stops(self, monkeypatch):
+        # the root, at b = -1.34, lies past the bracket (-3, -2.5): a free-b
+        # attempt raises on the step that first takes b past hi + 0.25,
+        # half the bracket's width, where with a wider bracket it goes on
+        # to the root
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        lo, hi = -3.0, -2.5
+        start = ground_state(problem.with_b(lo), cfg).psi
+        stepped = []  # b after each free-b step
+        log_step = nls._log_step
+
+        def recorded(problem, u, b, m, free_b):
+            out = log_step(problem, u, b, m, free_b)
+            stepped.append(b + out[2])
+            return out
+
+        monkeypatch.setattr(nls, "_log_step", recorded)
+        left = (r"^free-b Newton left the bracket \[-3\.0, -2\.5\] by more than half its width: "
+                r"b = (\S+)$")
+        with pytest.raises(ConvergenceError, match=left) as raised:
+            nls._newton(problem.with_b(lo), start, (lo, hi), cfg, nls._log_step)
+        assert float(re.match(left, str(raised.value))[1]) == stepped[-1] > hi + 0.25
+        assert all(lo - 0.25 <= b <= hi + 0.25 for b in stepped[:-1])
+        early = len(stepped)
+        stepped.clear()
+        _, b, steps, _ = nls._newton(problem.with_b(lo), start, (lo, 0.0), cfg, nls._log_step)
+        assert abs(b - GOLDEN_LAMBDA0) < 1e-3 and steps == len(stepped) > early
+
+        # the self-consistent solve: every free-b attempt, the first one and
+        # the three of the continuation, stops so, and the upper end names
+        # the failure
+        failures = []
+        monkeypatch.setattr(nls, "_log_step", log_step)
+        wrap_attempts(monkeypatch, failures_into(failures), failures_into(failures))
+        no_sign_change = r"^no sign change on \[-3\.0, -2\.5\]"
+        with recorded_solves() as solved, pytest.raises(BracketError, match=no_sign_change):
+            self_consistent_lambda(problem, cfg, bracket=(lo, hi))
+        assert solved == ["predicted", lo, "root", hi]
+        assert len(failures) == 4 and all(re.match(left, failure) for failure in failures)
 
     def test_upper_end_within_F_TOL_is_the_root_where_the_continuation_fails(self, monkeypatch):
         # F(lambda*) = -2.2e-16 here, of the same sign as F(-3): the upper
@@ -1156,8 +1369,9 @@ class TestOneRootPath:
             return newton_state(problem, cfg, init)
 
         monkeypatch.setattr(nls, "_newton_state", failed_continuation)
+        without_first_attempt(monkeypatch)
         got, sol, solved = solved_states(problem, cfg, (-3.0, lam))
-        assert solved == [-3.0, "root", lam]
+        assert solved == ["predicted", -3.0, "root", lam]
         assert got == sol.b == lam and abs(sol.mu - lam) < 1e-6
         lower = ground_state(problem.with_b(-3.0), cfg)
         upper = ground_state(problem.with_b(lam), cfg, init=lower.psi)
@@ -1165,14 +1379,15 @@ class TestOneRootPath:
         assert sol.newton_steps == lower.newton_steps + upper.newton_steps
 
     def test_bracket_without_a_root_raises_after_the_continuation(self):
-        # the continued root lies past the upper end, at b = -1.34, so the
-        # upper end is solved: F has no sign change on the bracket
+        # the root lies past the upper end, at b = -1.34, so the first
+        # attempt and the continuation fail and the upper end is solved: F
+        # has no sign change on the bracket
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         with recorded_solves() as solved, pytest.raises(BracketError,
                                                         match=r"^no sign change on \[-3\.0, -2\.0\]"):
             self_consistent_lambda(problem, cfg, bracket=(-3.0, -2.0))
-        assert solved == [-3.0, "root", -2.0]
+        assert solved == ["predicted", -3.0, "root", -2.0]
 
     def test_free_b_failure_raises(self, monkeypatch):
         # a failed continuation inside a bracket with a sign change: the
@@ -1182,27 +1397,29 @@ class TestOneRootPath:
                 ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: forced failure$"
         ) as raised:
             self_consistent_lambda(harmonic_problem(256, half_width=12.0), FlowConfig(step=5e-3))
-        assert solved == [-3.0, "root", -0.5]
+        assert solved == ["predicted", -3.0, "root", -0.5]
         assert str(raised.value.__cause__) == "forced failure"
 
     @pytest.mark.parametrize("rule", ["log", "plain"])
     def test_root_outside_the_bracket_raises(self, monkeypatch, rule):
-        # the attempt that makes the root, Newton in ln u or, with ln u made
-        # to fail, the plain attempt from the start state, ends past the
-        # upper end: _newton_state checks the bracket once, after the chain,
-        # and raises; self_consistent_lambda then solves the upper end and
+        # with the first attempt made to fail, the attempt that makes the
+        # continued root, Newton in ln u or, with ln u made to fail, the
+        # plain attempt from the start state, ends past the upper end:
+        # _newton_state checks the bracket once, after the chain, and
+        # raises; self_consistent_lambda then solves the upper end and
         # raises, as F changes sign on the bracket
         roots = []
 
         def shifted_root(attempt):
-            def shifted(problem, psi, free_b, cfg):
-                psi, b, steps, flow_norm = attempt(problem, psi, free_b, cfg)
-                if free_b:
+            def shifted(problem, psi, bracket, cfg):
+                psi, b, steps, flow_norm = attempt(problem, psi, bracket, cfg)
+                if bracket is not None:
                     roots.append(b)
                     b += 3.0
                 return psi, b, steps, flow_norm
             return shifted
 
+        without_first_attempt(monkeypatch)
         wrappers = wrap_attempts(monkeypatch, log=free_b_failure)
         wrappers[rule] = shifted_root
         problem = harmonic_problem(192, half_width=8.0)
@@ -1217,41 +1434,42 @@ class TestOneRootPath:
         with recorded_solves() as solved, pytest.raises(
                 ConvergenceError, match=rf"^free-b Newton solve from b = -3\.0 failed: {outside}"):
             self_consistent_lambda(problem, cfg)
-        assert solved == [lo, "root", hi]
+        assert solved == ["predicted", lo, "root", hi]
         assert roots == [root, root]
 
     def test_root_off_the_tolerance_raises(self, monkeypatch):
-        # no state passes a zero tolerance: the continued root is not
-        # returned, and the upper end, solved to name the failure, is not
-        # either
+        # no state passes a zero tolerance: the first attempt's root and the
+        # continued root are not returned, and the upper end, solved to name
+        # the failure, is not either
         monkeypatch.setattr(nls, "_F_TOL", 0.0)
         with recorded_solves() as solved, pytest.raises(
                 ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: "
                                         r"root b = \S+ has \|mu - b\| = \S+$"):
             self_consistent_lambda(harmonic_problem(192, half_width=8.0),
                                    FlowConfig(step=2e-3, tol_flow=1e-8))
-        assert solved == [-3.0, "root", -0.5]
+        assert solved == ["predicted", -3.0, "root", -0.5]
 
     def test_log_attempts_that_fail_fall_back_to_the_plain_chain(self, monkeypatch, bracket_roots):
-        # on the wide bracket, with the continuation's Newton in ln u made
-        # to fail, the plain chain from the same start, the lower end's
-        # state, gives the root, with no loose phase
+        # on the wide bracket, with the first attempt and the continuation's
+        # Newton in ln u made to fail, the plain chain from the same start,
+        # the lower end's state, gives the root, with no loose phase
         problem, cfg = stable_problem("harmonic", 512)
         log_attempts, plain_roots = [], []
 
         def failing_free_b_log(attempt):
-            def recorded_attempt(problem, psi, free_b, cfg):
-                log_attempts.append((problem.b, free_b))
-                return free_b_failure(attempt)(problem, psi, free_b, cfg)
+            def recorded_attempt(problem, psi, bracket, cfg):
+                log_attempts.append((problem.b, bracket is not None))
+                return free_b_failure(attempt)(problem, psi, bracket, cfg)
             return recorded_attempt
 
         def recorded_newton(attempt):
-            def recorded_attempt(problem, psi, free_b, cfg):
-                out = attempt(problem, psi, free_b, cfg)
-                plain_roots.append(out[1] if free_b else None)
+            def recorded_attempt(problem, psi, bracket, cfg):
+                out = attempt(problem, psi, bracket, cfg)
+                plain_roots.append(out[1] if bracket else None)
                 return out
             return recorded_attempt
 
+        without_first_attempt(monkeypatch)
         wrap_attempts(monkeypatch, failing_free_b_log, recorded_newton)
         lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET)
         assert log_attempts == [(-6.0, False), (-6.0, True)]
@@ -1277,7 +1495,8 @@ class TestOneRootPath:
             return out
 
         monkeypatch.setattr(nls, "_newton_step", recorded)
-        psi, b, count, _ = nls._newton(problem.with_b(-6.0), start.psi, True, cfg, nls._newton_step)
+        psi, b, count, _ = nls._newton(problem.with_b(-6.0), start.psi, WIDE_BRACKET, cfg,
+                                       nls._newton_step)
         assert steps[0] and count == len(steps)
         assert np.all(psi[1:-1] > 0.0)
         assert abs(b - bracket_roots["harmonic", 512][0][0]) <= 1e-12
@@ -1322,10 +1541,11 @@ class TestOneRootPath:
     def test_lower_end_that_does_not_verify_raises(self, monkeypatch):
         # at tol_flow 1e-13 the free-b root continued from the lower end
         # verifies once Newton steps past its first state that passes the
-        # step test (flow norm 3.1e-13); the lower end itself stays at
-        # 3.1e-13, at the rounding scale eps max(psi) / step = 3.4e-13, in
-        # every attempt, so the self-consistent solve raises there, giving
-        # both numbers; no full flow runs
+        # step test (flow norm 3.1e-13), and so does the first attempt's
+        # root; the lower end itself stays at 3.1e-13, at the rounding scale
+        # eps max(psi) / step = 3.4e-13, in every attempt, so with the first
+        # attempt made to fail the self-consistent solve raises there,
+        # giving both numbers; no full flow runs
         problem, cfg = stable_problem("quartic", 128, half_width=10.0)
         lo, hi = nls.DEFAULT_BRACKET
         tight = replace(cfg, tol_flow=1e-13)
@@ -1335,6 +1555,9 @@ class TestOneRootPath:
         assert lo < root.b < hi and abs(root.mu - root.b) < 1e-12
         assert root.flow_norm < 1e-13
         assert one_step_flow_norm(problem.with_b(root.b), root.psi, tight.step) < 1e-13
+        lam, sol = self_consistent_lambda(problem, tight)
+        assert abs(lam - root.b) <= 1e-14 and sol.flow_norm < 1e-13
+        without_first_attempt(monkeypatch)
         with pytest.raises(ConvergenceError) as raised:
             self_consistent_lambda(problem, tight)
         floor = re.fullmatch(rf"bordered Newton exceeded {nls._NEWTON_CAP} steps; at b = -3\.0 "
