@@ -810,9 +810,10 @@ def normalization_residual(d: ExpFamilyDensity1D) -> float:
 
 
 _INF_STRINGS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf, "−inf": -math.inf}
-# what reading a malformed document raises; the parsers below and the CLI's
+# what reading a malformed document raises (RecursionError: brackets nested
+# deeper than the decoder's recursion limit); the parsers below and the CLI's
 # document reader map it to ValidationError
-_MALFORMED = (AttributeError, KeyError, TypeError, IndexError, ValueError)
+_MALFORMED = (AttributeError, KeyError, TypeError, IndexError, ValueError, RecursionError)
 
 
 def _parse_bound(v) -> float:

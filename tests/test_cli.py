@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import errno
 import inspect
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import struct
@@ -142,6 +144,51 @@ class TestOscillatorTable:
         assert manifest["tool"] == "infoqm"
         assert "--n-max" in manifest["argv"]
         assert "wall_time_s" in manifest
+
+
+JUNK = bytes(range(256)) * 40  # 10 KB, longer than any output below
+
+
+class TestOutputFiles:
+    """An existing --out and its manifest are overwritten whole."""
+
+    PROBE = ["series", "probe", "--kind", "binomial", "--x", "0.9", "--n-max", "40"]
+
+    def test_overwrite_keeps_the_file_and_cuts_the_old_tail(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh" / "probe.csv"
+        fresh.parent.mkdir()
+        assert run(self.PROBE + ["--out", str(fresh)]) == 0
+        out = tmp_path / "probe.csv"
+        manifest = tmp_path / "probe.csv.manifest.json"
+        for path in (out, manifest):
+            path.write_bytes(JUNK)
+        inodes = [path.stat().st_ino for path in (out, manifest)]
+        argv = self.PROBE + ["--digits", "12", "--out", str(out)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == fresh.read_bytes()
+        text = manifest.read_text(encoding="utf-8")
+        assert json.loads(text)["argv"] == argv
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+        assert [path.stat().st_ino for path in (out, manifest)] == inodes
+
+    def test_read_only_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "probe.csv"
+        out.write_bytes(JUNK)
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):
+            # a superuser writes past the mode bits: refuse the write as the
+            # kernel refuses it to everyone else
+            def open_as_user(path, mode="r", *args, **kwargs):
+                if path == str(out) and mode != "r":
+                    raise PermissionError(errno.EACCES, "Permission denied", path)
+                return open(path, mode, *args, **kwargs)
+
+            monkeypatch.setattr(cli, "open", open_as_user, raising=False)
+        code, out_text, err = run_captured(capsys, self.PROBE + ["--out", str(out)])
+        assert (code, out_text) == (2, "")
+        assert err.startswith("infoqm: error: ") and "Permission denied" in err
+        assert out.read_bytes() == JUNK
 
 
 def json_ready(obj):
@@ -721,6 +768,66 @@ class TestEntryPoints:
         assert codes == [0, 2, 0, 0]
         assert built == []
 
+    def test_each_subcommand_parses_without_the_whole_parser(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(VALID_SPEC))
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps({"kind": "state", "n": 1}))
+        subcommands = [
+            ["oscillator", "table", "--n-max", "1"],
+            ["maxent", "fit", "--spec", str(spec)],
+            ["series", "probe", "--kind", "binomial", "--x", "0.5", "--n-max", "3"],
+            ["nls", "ground", "--domain", "-5", "5", "--grid", "64"],
+            ["analyze", "gram", "--n-max", "1"],
+            ["analyze", "project", "--target", str(target), "--orders", "2"],
+        ]
+        assert sorted(cli._LEAF_PARSERS) == sorted(tuple(argv[:2]) for argv in subcommands)
+        expected = [vars(cli._PARSER.parse_args(argv)) for argv in subcommands]
+        parsed = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(parser, *args, **kwargs):
+            namespace = parse_args(parser, *args, **kwargs)
+            parsed.append(vars(namespace))
+            return namespace
+
+        def whole_parser(*args, **kwargs):
+            raise AssertionError("the whole parser parsed a subcommand")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        monkeypatch.setattr(cli._PARSER, "parse_args", whole_parser)
+        for argv in subcommands:
+            assert run(argv) == 0, argv
+        capsys.readouterr()
+        # the same namespace, handler included, as the nested parse gives
+        assert parsed == expected
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--version"], 0), (["--help"], 0), ([], 2), (["oscillator"], 2), (["nope"], 2),
+         (["oscillator", "nope"], 2), (["oscillator", "--help"], 0)],
+    )
+    def test_argv_without_a_subcommand_goes_to_the_whole_parser(self, capsys, monkeypatch,
+                                                                 argv, code):
+        calls = []
+        parse_args = cli._PARSER.parse_args
+
+        def spy(args):
+            calls.append(args)
+            return parse_args(args)
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", spy)
+        assert run(argv) == code
+        assert calls == [argv]
+        out, err = capsys.readouterr()
+        assert (out if code == 0 else err).startswith(("usage: infoqm", "infoqm "))
+
+    def test_bad_flag_is_reported_by_the_subcommand_parser(self, capsys):
+        code, out, err = run_captured(capsys, ["analyze", "gram", "--n-max", "3", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: infoqm analyze gram [-h]")
+        assert err.endswith("infoqm analyze gram: error: unrecognized arguments: --bogus\n")
+
     def test_failed_runs_leave_the_next_run_unchanged(self, capsys):
         good = ["oscillator", "table", "--n-max", "2"]
         first = run_captured(capsys, good)
@@ -775,6 +882,18 @@ def test_error_exit_code(capsys, monkeypatch, error, expected):
 VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
 
 
+def document_argv(tmp_path, flag, path):
+    """A command line that reads path as its flag document."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(VALID_SPEC))
+    return {
+        "--resume": ["nls", "ground", "--domain", "-10", "10", "--grid", "64", "--resume"],
+        "--init": ["maxent", "fit", "--spec", str(spec), "--init"],
+        "--target": ["analyze", "project", "--orders", "2", "--target"],
+        "--spec": ["maxent", "fit", "--spec"],
+    }[flag] + [str(path)]
+
+
 @pytest.mark.parametrize(
     "flag, doc",
     [
@@ -815,19 +934,29 @@ VALID_SPEC = {"support": [0.0, 1.0], "moments": []}
 def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(VALID_SPEC))
-    argv = {
-        "--resume": ["nls", "ground", "--domain", "-10", "10", "--grid", "64", "--resume"],
-        "--init": ["maxent", "fit", "--spec", str(spec), "--init"],
-        "--target": ["analyze", "project", "--orders", "2", "--target"],
-        "--spec": ["maxent", "fit", "--spec"],
-    }[flag]
-    code, out, err = run_captured(capsys, argv + [str(path)])
+    code, out, err = run_captured(capsys, document_argv(tmp_path, flag, path))
     assert code == 2
     assert out == ""
     assert err.startswith("infoqm: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--init", "--resume", "--target"])
+@pytest.mark.parametrize(
+    "data, detail",
+    [
+        (b'{"kind": "state", "n": 1}\xff' + JUNK, "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200000 + b"]" * 200000, "RecursionError("),
+    ],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_unreadable_document_exits_2(tmp_path, capsys, flag, data, detail):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, out, err = run_captured(capsys, document_argv(tmp_path, flag, path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"infoqm: error: malformed {flag} document: {detail}")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize(

@@ -1371,6 +1371,12 @@ class TestJsonInterfaces:
         with pytest.raises(ValidationError, match="^malformed density document: "):
             density_from_json(doc)
 
+    @pytest.mark.parametrize("parse, kind", [(moment_spec_from_json, "moment spec"),
+                                             (density_from_json, "density")])
+    def test_document_nested_too_deep_is_malformed(self, parse, kind):
+        with pytest.raises(ValidationError, match=f"^malformed {kind} document: RecursionError"):
+            parse("[" * 200000 + "]" * 200000)
+
     def test_density_round_trip(self):
         d = linear_ramp_density()
         doc = density_to_json(d)
