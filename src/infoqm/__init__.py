@@ -21,7 +21,6 @@ from .errors import (
     InfeasibleMomentsError,
     InfoqmError,
     InstabilityError,
-    NotFoundError,
     NumericError,
     ValidationError,
 )
@@ -32,8 +31,6 @@ from .maxent import (
     FitDiagnostics,
     MomentSpec1D,
     MomentSpec2D,
-    density_eval,
-    density_eval_2d,
     density_from_json,
     density_to_json,
     density_values,
@@ -60,7 +57,6 @@ from .numerics import (
     Grid1D,
     QuadratureRule,
     find_root,
-    hermite_deriv,
     hermite_eval,
 )
 from .oscillator import (
@@ -74,18 +70,12 @@ from .oscillator import (
     psi_eval,
     psi_second_derivative,
     solve_state,
-    state_information,
     table,
 )
 from .series import (
-    PowerSeries1D,
     PowerSeries2D,
-    RemainderReport,
     binomial_series_eval,
     partial_sums,
-    poly_taylor_coeffs,
-    radial_stationary_point,
     taylor2_coeffs,
-    taylor_remainder_scan,
     two_var_series_eval,
 )

@@ -12,7 +12,7 @@ Gauss-Hermite rule of enough nodes, scaled by 1/sqrt(c), gives exactly
 pair's own rule in one vectorized pass, its Hermite factors from the one
 physicists' recurrence, ``numerics._hermite_rows``.  Nothing is sampled on
 a grid or cut off at a domain's ends: the results differ from the exact
-integrals by rounding alone.
+integrals by rounding alone, and a pair of opposite parity reads exactly 0.
 """
 
 from __future__ import annotations
@@ -102,9 +102,15 @@ def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     1/h^2 the sum of the two 1/width^2.  Put x = h y: the integral is h
     times that of the polynomial against exp(-y^2), which the Gauss-Hermite
     rule of d // 2 + 1 nodes gives exactly.  Each row takes its own rule,
-    padded with zero weights to the longest one.
+    padded with zero weights to the longest one.  Where d is odd the
+    product is odd and its integral is exactly 0, so only the even rows
+    are integrated.
     """
-    (wl, fl, pl, nl, sl), (wr, fr, pr, nr, sr) = left.T, right.T
+    out = np.zeros(len(left))
+    even = (left[:, 2] + left[:, 3] + right[:, 2] + right[:, 3]) % 2 == 0
+    if not even.any():
+        return out
+    (wl, fl, pl, nl, sl), (wr, fr, pr, nr, sr) = left[even].T, right[even].T
     counts = (pl + nl + pr + nr).astype(int) // 2 + 1
     nodes = np.zeros((counts.size, counts.max()))
     root_w = np.zeros_like(nodes)
@@ -122,7 +128,8 @@ def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     # unweighted: x^(2 power) overflows at the outer nodes of the widest targets
     lhs = fl[:, None] * root_w * x ** pl[:, None] * herm[: len(x)]
     rhs = fr[:, None] * root_w * x ** pr[:, None] * herm[len(x):]
-    return h * np.einsum("ij,ij->i", lhs, rhs)
+    out[even] = h * np.einsum("ij,ij->i", lhs, rhs)
+    return out
 
 
 def gram_matrix(states: Sequence[OscillatorState | GaussPower]) -> np.ndarray:
@@ -146,7 +153,7 @@ def mu0_estimate(lower: OscillatorState, upper: OscillatorState) -> float:
     oscillator.eigen_residual evaluates it).  Since psi'' = (4 beta^2 x^2 -
     2 beta (2n + 1)) psi, it is (q0 + q2 x^2) psi, and the multiplier is two
     exact overlaps.  The projection onto an opposite-parity lower state
-    vanishes.
+    is exactly 0.
     """
     n, alpha, beta, lam = upper.n, upper.alpha, upper.beta, upper.lam
     q0 = beta * (2 * n + 1) - lam * (1.0 - 2.0 * alpha)

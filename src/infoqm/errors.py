@@ -1,8 +1,11 @@
 """Exception hierarchy shared by all infoqm modules.
 
-Input problems subclass ValueError, runtime/iteration problems subclass
-RuntimeError, so callers that only know the standard library still catch
-the right category.
+Input problems subclass ValueError and a non-finite value ArithmeticError.
+A run that did not finish subclasses RuntimeError: an iteration that
+missed its tolerance (ConvergenceError, and InstabilityError for a flow
+that left the admissible set) or a system too ill-conditioned to solve
+(IllConditionedError).  So callers that only know the standard library
+still catch the right category.
 """
 
 
@@ -36,10 +39,6 @@ class ConvergenceError(InfoqmError, RuntimeError):
 
 class InstabilityError(ConvergenceError):
     """A flow iterate left the admissible set (for example lost positivity)."""
-
-
-class NotFoundError(InfoqmError, RuntimeError):
-    """A requested feature (stationary point, ...) does not exist in range."""
 
 
 class IllConditionedError(InfoqmError, RuntimeError):

@@ -54,13 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InfeasibleMomentsError,
-    NumericError,
-    ValidationError,
-)
+from .errors import ConvergenceError, InfeasibleMomentsError, NumericError, ValidationError
 from .numerics import (QuadratureRule, _as_array, _as_finite_array, _as_int, _as_number,
                        _as_positive, _horner, _poly_roots, _real_roots)
 
@@ -717,32 +711,6 @@ def density_values(d: ExpFamilyDensity1D, xs: np.ndarray) -> np.ndarray:
     """Vectorized density evaluation; +inf marks singular locations."""
     log_zs, neg_p = _log_density(d, _as_array(xs, "xs"))
     return np.exp(log_zs + neg_p)
-
-
-def density_eval(d: ExpFamilyDensity1D, x: float) -> float:
-    """rho(x) = Z(x) S(x) exp(-sum a_i x^i); +inf flags a singular point."""
-    x = _as_number(x, "x")
-    a, b = d.support
-    if not a <= x <= b:
-        raise DomainError(f"x = {x} outside support [{a}, {b}]")
-    return float(density_values(d, np.array([x]))[0])
-
-
-def density_eval_2d(d: ExpFamilyDensity2D, x: float, y: float) -> float:
-    """rho(x, y) = exp(-sum a_ij x^i y^j); NumericError where a power, a
-    term, their sum or its exp overflows: a float product overflows to
-    +-inf without raising, and two such terms sum to NaN."""
-    x, y = _as_number(x, "x"), _as_number(y, "y")
-    (a1, b1), (a2, b2) = d.support
-    if not (a1 <= x <= b1 and a2 <= y <= b2):
-        raise DomainError(f"({x}, {y}) outside support rectangle")
-    try:
-        exponent = -sum(v * x**i * y**j for i, j, v in d.multipliers)
-        if math.isfinite(exponent):
-            return math.exp(exponent)
-    except OverflowError:
-        pass
-    raise NumericError(f"density overflows at ({x}, {y})")
 
 
 def _log_average(d: ExpFamilyDensity1D, log_of) -> float:

@@ -4,8 +4,8 @@ Uniform grids, fixed quadrature rules (a ``QuadratureRule`` is its nodes
 and weights, with no kind; the Gauss-Legendre and Gauss-Hermite rules are
 built by Newton's method on their three-term recurrences, ``_three_term``),
 the one physicists' Hermite recurrence ``_hermite_rows``, a different order
-per row (``hermite_eval`` and ``hermite_deriv`` are its one-row cases), the
-one Horner loop ``_horner`` in plain floats, the one bracketed root finder
+per row (``hermite_eval`` is its one-row case), the one Horner loop
+``_horner`` in plain floats, the one bracketed root finder
 ``find_root(f, lo, hi)``, which narrows the bracket to adjacent doubles,
 with the one sign-change rule ``_check_sign_change``, the one polynomial
 root helper ``_poly_roots`` (np.roots bit for bit, without its array
@@ -298,13 +298,6 @@ def hermite_eval(n: int, u):
     n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
     h = _hermite_rows(np.array([n]), _as_array(u, "u")[None])[0]
     return h if h.ndim else float(h)
-
-
-def hermite_deriv(n: int, u):
-    """H_n'(u) = 2n H_{n-1}(u), where the order -1 row of _hermite_rows reads 1."""
-    n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
-    dh = 2.0 * n * _hermite_rows(np.array([n - 1]), _as_array(u, "u")[None])[0]
-    return dh if dh.ndim else float(dh)
 
 
 def _horner(coeffs, x: float) -> float:

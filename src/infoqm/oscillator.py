@@ -197,11 +197,3 @@ def eigen_residual(state: OscillatorState, x):
     out = -0.5 * d2 + 0.5 * x * x * psi - state.lam * (1.0 + log_ratio) * psi
     return out if out.ndim else float(out)
 
-
-def state_information(state: OscillatorState) -> float:
-    """Average of ln(psi^2/Z^2) in the state: -2 alpha - (2n + 1)/2.
-
-    Closed form of the quadrature average, since 2 beta <x^2> = n + 1/2
-    for a Hermite-Gaussian state.
-    """
-    return -2.0 * state.alpha - (2.0 * state.n + 1.0) / 2.0

@@ -20,6 +20,7 @@ from infoqm import (
     lambda_from_beta,
     moment_gradient_check,
     mu0_estimate,
+    normalization_residual,
     psi_deriv,
     psi_eval,
     self_consistent_lambda,
@@ -165,6 +166,7 @@ def test_criterion_6_maxent_recovery(capsys):
             fit_multipliers_1d(MomentSpec1D((0.0, 2.0), ((1, 1.2),)), tol=1e-12)[0],
         ]
         for density in fits:
+            assert normalization_residual(density) < 1e-12
             for order, _ in density.multipliers:
                 if order == 0:
                     continue
@@ -173,7 +175,8 @@ def test_criterion_6_maxent_recovery(capsys):
 
     capsys.readouterr()
     with capsys.disabled():
-        check(6, "Gaussian moments give (a1, a2) = (0, 1/2); dual gradient identity holds", body)
+        check(6, "Gaussian moments give (a1, a2) = (0, 1/2); normalized fits; dual gradient "
+                 "identity holds", body)
 
 
 def test_criterion_7_family_diagnostics(states, capsys):

@@ -28,15 +28,12 @@ from infoqm import (
     MomentSpec1D,
     MomentSpec2D,
     OscillatorState,
-    PowerSeries1D,
     PowerSeries2D,
     QuadratureRule,
     ValidationError,
     alpha_from_beta,
     beta_closure_residual,
     binomial_series_eval,
-    density_eval,
-    density_eval_2d,
     density_from_json,
     density_values,
     eigen_residual,
@@ -45,21 +42,17 @@ from infoqm import (
     fit_multipliers_1d,
     fit_multipliers_2d,
     ground_state,
-    hermite_deriv,
     hermite_eval,
     lambda_from_beta,
     moment_gradient_check,
     moment_spec_from_json,
     partial_sums,
-    poly_taylor_coeffs,
     psi_deriv,
     psi_eval,
     psi_second_derivative,
-    radial_stationary_point,
     solve_state,
     table,
     taylor2_coeffs,
-    taylor_remainder_scan,
     two_var_series_eval,
     uniqueness_probe,
 )
@@ -78,17 +71,12 @@ BAD_TOLERANCES = {"nan": math.nan, "inf": INF, "-inf": -INF, "zero": 0.0, "bool"
 BAD_REALS = {"nan": math.nan, "inf": INF, "-inf": -INF, "bool": True, "str": "0.5"}
 # a lower support bound may be -inf; False (0) and "0" would make [0, 2]
 BAD_BOUNDS = {"nan": math.nan, "inf": INF, "bool": False, "str": "0"}
-# True and "1" would pass through float() as 1.0
-BAD_COEFFICIENTS = {**BAD_REALS, "str": "1"}
 
 _UNIT = ExpFamilyDensity1D(((0, math.log(2.0)),), (-1.0, 1.0))
-_BOX = ExpFamilyDensity2D(((2, 0, 1.0), (0, 2, 1.0)), ((-1, 1), (-1, 1)))
 _PROBLEM = GridProblem.harmonic(Grid1D(-8.0, 8.0, 64))
 _CFG = FlowConfig(step=1e-3)
 _PROBE = Grid1D(-0.5, 0.5, 5)
-_GEOMETRIC = PowerSeries1D(0.0, (1.0,) * 12)
 _SERIES2 = PowerSeries2D(np.arange(25.0).reshape(5, 5), 4)
-_UNIT_2D = ExpFamilyDensity2D(((0, 0, 0.0),), ((0.0, 1.0), (0.0, 1.0)))
 
 
 def _spec_doc(order=1, value=0.5, lo=0.0):
@@ -105,14 +93,9 @@ COUNT_SITES = {
     "gauss_hermite": (QuadratureRule.gauss_hermite, ValidationError),
     "gauss_legendre": (QuadratureRule.gauss_legendre, ValidationError),
     "hermite_eval": (lambda v: hermite_eval(v, 0.3), DomainError),
-    "hermite_deriv": (lambda v: hermite_deriv(v, 0.3), DomainError),
     "OscillatorState.n": (lambda v: OscillatorState(v, 0, 1.0, 0.5, -1.0, 1.0), ValidationError),
     "solve_state": (solve_state, DomainError),
     "table": (table, DomainError),
-    "taylor_remainder_scan": (
-        lambda v: taylor_remainder_scan(math.exp, lambda k: 1.0, 0.0, v, _PROBE),
-        ValidationError,
-    ),
     "taylor2_coeffs": (lambda v: taylor2_coeffs(lambda x, y: 1.0, v, 0.01), ValidationError),
     "binomial_series_eval": (lambda v: binomial_series_eval(1.0, -1.0, 0.5, v), ValidationError),
     "two_var_series_eval": (lambda v: two_var_series_eval("exp_xy", 0.5, 0.5, v),
@@ -154,8 +137,6 @@ TOLERANCE_SITES = {
     "lambda_from_beta": (lambda v: lambda_from_beta(v), ValidationError),
     "moment_gradient_check.h": (lambda v: moment_gradient_check(_UNIT, 1, v), ValidationError),
     "taylor2_coeffs.h": (lambda v: taylor2_coeffs(lambda x, y: 1.0, 2, v), ValidationError),
-    "radial_stationary_point": (lambda v: radial_stationary_point(_BOX, 0.0, v),
-                                ValidationError),
     "gauss_power scale": (
         lambda v: _target_from_spec({"kind": "gauss_power", "power": 1, "scale": v}),
         ValidationError,
@@ -171,9 +152,6 @@ REAL_SITES = {
     "factor location": (lambda v: density_from_json(_density_doc(zero=(v, 1.0))), BAD_REALS),
     "factor exponent": (lambda v: density_from_json(_density_doc(zero=(-1.0, v))), BAD_REALS),
     "EndpointFactors": (lambda v: EndpointFactors(singularities=((0.0, v),)), BAD_REALS),
-    "PowerSeries1D.center": (lambda v: PowerSeries1D(v, (1.0, 2.0)), BAD_REALS),
-    "radial_stationary_point.theta": (lambda v: radial_stationary_point(_BOX, v, 1.0),
-                                      BAD_REALS),
     "GridProblem.b": (lambda v: GridProblem.harmonic(_PROBE, b=v), BAD_REALS),
     "Grid1D.x_min": (lambda v: Grid1D(v, 5.0, 11), BAD_REALS),
     "Grid1D.x_max": (lambda v: Grid1D(-5.0, v, 11), BAD_REALS),
@@ -182,11 +160,6 @@ REAL_SITES = {
     "OscillatorState.energy": (lambda v: OscillatorState(0, 0, 1.0, 0.5, -1.0, v), BAD_REALS),
     "energy.alpha": (lambda v: energy(0, v, -1.0), BAD_REALS),
     "energy.lam": (lambda v: energy(0, 1.0, v), BAD_REALS),
-    "density_eval.x": (lambda v: density_eval(_UNIT, v), {"bool": True, "str": "0.5"}),
-    "density_eval_2d.x": (lambda v: density_eval_2d(_UNIT_2D, v, 0.5),
-                          {"bool": True, "str": "0.5"}),
-    "density_eval_2d.y": (lambda v: density_eval_2d(_UNIT_2D, 0.5, v),
-                          {"bool": True, "str": "0.5"}),
     "fit_multipliers_1d.init": (
         lambda v: fit_multipliers_1d(MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))),
                                      init=[v, 0.5]),
@@ -210,12 +183,6 @@ REAL_SITES = {
                               BAD_REALS),
     "two_var_series_eval.k": (lambda v: two_var_series_eval("binomial_xy", 0.5, 0.5, 10, k=v),
                               BAD_REALS),
-    "PowerSeries1D.coefficients": (lambda v: PowerSeries1D(0.0, (1.0, v)), BAD_COEFFICIENTS),
-    "poly_taylor_coeffs": (lambda v: poly_taylor_coeffs((1.0, v), 0.5), BAD_COEFFICIENTS),
-    "poly_taylor_coeffs.x0": (lambda v: poly_taylor_coeffs((1.0, 2.0), v), BAD_REALS),
-    "PowerSeries1D.eval.x": (lambda v: _GEOMETRIC.eval(v), BAD_REALS),
-    "PowerSeries2D.eval.x": (lambda v: _SERIES2.eval(v, 0.5), BAD_REALS),
-    "PowerSeries2D.eval.y": (lambda v: _SERIES2.eval(0.5, v), BAD_REALS),
     "find_root.lo": (lambda v: find_root(lambda x: x, v, 2.0), BAD_REALS),
     "find_root.hi": (lambda v: find_root(lambda x: x, -1.0, v), BAD_REALS),
     # NaN end values pass and then fail the sign test as a BracketError;
@@ -247,8 +214,6 @@ ARRAY_SITES = {
     "QuadratureRule.weights": (lambda v: QuadratureRule([0.0, 1.0, 2.0], v),
                                [1.0, 1.0, 1.0], True),
     "hermite_eval": (lambda v: hermite_eval(2, v), [0.0, 1.0], False),
-    # order 0 reads u too, though its order -1 row does not depend on it
-    "hermite_deriv": (lambda v: hermite_deriv(0, v), [0.0, 1.0], False),
     "psi_eval": (lambda v: psi_eval(_STATE, v), [0.0, 1.0], False),
     "psi_deriv": (lambda v: psi_deriv(_STATE, v), [0.0, 1.0], False),
     "psi_second_derivative": (lambda v: psi_second_derivative(_STATE, v), [0.0, 1.0], False),

@@ -18,7 +18,6 @@ from infoqm import (
     QuadratureRule,
     ValidationError,
     find_root,
-    hermite_deriv,
     hermite_eval,
 )
 from infoqm import numerics, oscillator
@@ -54,18 +53,10 @@ class TestHermite:
     def test_values(self, n, u, expected):
         assert hermite_eval(n, u) == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "n,u,expected", [(0, 5.0, 0.0), (1, 2.5, 2.0), (2, 1.0, 8.0), (3, 0.5, -6.0)]
-    )
-    def test_derivatives(self, n, u, expected):
-        assert hermite_deriv(n, u) == pytest.approx(expected, abs=1e-12)
-
     @pytest.mark.parametrize("n", [-1, 65, 300])
     def test_order_bounds(self, n):
         with pytest.raises(DomainError):
             hermite_eval(n, 0.0)
-        with pytest.raises(DomainError):
-            hermite_deriv(n, 0.0)
 
     def test_orthogonality_under_gauss_hermite(self):
         rule = QuadratureRule.gauss_hermite(40)
@@ -85,17 +76,13 @@ class TestHermite:
 
     @pytest.mark.parametrize("n", range(65))
     def test_one_row_case_is_the_recurrence_bit_for_bit(self, n):
-        # hermite_eval and hermite_deriv read _hermite_rows, and round as
-        # the recurrence they ran on their own did
-        derivative = (2.0 * n * reference_hermite(n - 1, HERMITE_POINTS) if n
-                      else np.zeros_like(HERMITE_POINTS))
+        # hermite_eval reads _hermite_rows, and rounds as the recurrence it
+        # ran on its own did
         assert same_bits(hermite_eval(n, HERMITE_POINTS), reference_hermite(n, HERMITE_POINTS))
-        assert same_bits(hermite_deriv(n, HERMITE_POINTS), derivative)
         for u in (0.0, -0.0, 1e-300, 0.7):
-            value, slope = hermite_eval(n, u), hermite_deriv(n, u)
-            assert type(value) is float and type(slope) is float
+            value = hermite_eval(n, u)
+            assert type(value) is float
             assert same_bits(value, reference_hermite(n, np.array(u)))
-            assert same_bits(slope, 2.0 * n * reference_hermite(n - 1, np.array(u)) if n else 0.0)
 
     def test_rows_of_mixed_orders(self):
         # one recurrence gives every row its own order; a row of order -1 reads 1

@@ -8,142 +8,14 @@ from hypothesis import strategies as st
 
 from infoqm import (
     DomainError,
-    ExpFamilyDensity2D,
-    Grid1D,
-    NotFoundError,
     NumericError,
-    PowerSeries1D,
     PowerSeries2D,
-    RemainderReport,
     ValidationError,
     binomial_series_eval,
     partial_sums,
-    poly_taylor_coeffs,
-    radial_stationary_point,
     taylor2_coeffs,
-    taylor_remainder_scan,
     two_var_series_eval,
 )
-
-
-class TestPowerSeries1D:
-    def test_eval_is_horner(self):
-        s = PowerSeries1D(1.0, (1.0, 2.0, 1.0))
-        assert s.eval(3.0) == pytest.approx(9.0)  # (x-1)^2 + 2(x-1) + 1 = x^2
-
-    def test_nonfinite_coefficients_rejected(self):
-        with pytest.raises(ValidationError):
-            PowerSeries1D(0.0, (1.0, math.inf))
-
-    @pytest.mark.parametrize("coeffs, x", [((1.0, 1.0, 1.0), 1e200), ((1.0, 1e300, -1e300), 1e10)],
-                             ids=["inf", "-inf"])
-    def test_overflowing_sum_raises(self, coeffs, x):
-        with pytest.raises(NumericError, match=re.escape(f"not finite at {x!r}")):
-            PowerSeries1D(0.0, coeffs).eval(x)
-
-
-class TestPowerSeries2D:
-    def test_eval_is_the_sum_of_terms(self):
-        # bit for bit the sum of a_ij x^i y^j in numpy scalars, term by term
-        coeffs = np.arange(1.0, 10.0).reshape(3, 3) / 7.0
-        expected = 0.0
-        for i in range(3):
-            for j in range(3 - i):
-                expected += coeffs[i, j] * 0.3**i * (-1.7)**j
-        assert PowerSeries2D(coeffs, 2).eval(0.3, -1.7) == expected
-
-    @pytest.mark.parametrize("coeff, x", [(1.0, 1e200), (1e300, 1e10)], ids=["power", "term"])
-    def test_overflow_raises(self, coeff, x):
-        # a power that raises OverflowError, and a term that overflows to inf
-        with pytest.raises(NumericError, match=re.escape(f"not finite at {(x, 1.0)}")):
-            PowerSeries2D(np.full((3, 3), coeff), 2).eval(x, 1.0)
-
-
-class TestPolyTaylor:
-    def test_square_about_origin(self):
-        assert poly_taylor_coeffs([0.0, 0.0, 1.0], 0.0).coefficients == (0.0, 0.0, 1.0)
-
-    def test_square_about_one(self):
-        assert poly_taylor_coeffs([0.0, 0.0, 1.0], 1.0).coefficients == (1.0, 2.0, 1.0)
-
-    def test_cubic_hermite_power_form(self):
-        # 8x^3 - 12x re-centered at 0 is itself
-        assert poly_taylor_coeffs([0.0, -12.0, 0.0, 8.0], 0.0).coefficients == (
-            0.0,
-            -12.0,
-            0.0,
-            8.0,
-        )
-
-    def test_degree_cap(self):
-        with pytest.raises(ValidationError):
-            poly_taylor_coeffs([1.0] * 34, 0.0)
-
-    def test_overflowing_recentering_raises(self):
-        # the input is valid; its re-centered coefficients overflow
-        with pytest.raises(NumericError, match=r"not finite at x0 = 1e\+200"):
-            poly_taylor_coeffs([1.0, 1.0, 1.0], 1e200)
-
-    @settings(max_examples=40)
-    @given(
-        coeffs=st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=9),
-        x0=st.floats(-2, 2, allow_nan=False),
-    )
-    def test_reexpansion_reproduces_polynomial(self, coeffs, x0):
-        series = poly_taylor_coeffs(coeffs, x0)
-        scale = max(1.0, max(abs(c) for c in coeffs))
-        for x in np.linspace(x0 - 1.0, x0 + 1.0, 20):
-            direct = sum(c * x**i for i, c in enumerate(coeffs))
-            assert series.eval(float(x)) == pytest.approx(direct, rel=1e-12, abs=1e-12 * scale)
-
-
-class TestRemainderScan:
-    def test_exponential_remainders_decrease(self):
-        probe = Grid1D(-1.0, 1.0, 41)
-        report = taylor_remainder_scan(
-            math.exp, lambda k: 1.0, 0.0, 8, probe, orders=(2, 4, 8)
-        )
-        assert report.orders == (2, 4, 8)
-        r2, r4, r8 = report.sup_remainders
-        assert r2 > r4 > r8
-        # sup残 at order 2 is attained at x = 1: e - (1 + 1 + 1/2)
-        assert r2 == pytest.approx(math.e - 2.5, abs=1e-12)
-        assert r2 < math.e / math.factorial(3)  # Lagrange bound
-
-    def test_cubic_truncates_exactly(self):
-        probe = Grid1D(-2.0, 2.0, 21)
-        poly = lambda x: 1.0 + 2.0 * x - x**3
-
-        def derivs(k):
-            return {0: 1.0, 1: 2.0, 2: 0.0, 3: -6.0}.get(k, 0.0)
-
-        report = taylor_remainder_scan(poly, derivs, 0.0, 3, probe)
-        assert report.sup_remainders[-1] <= 1e-12
-
-    def test_geometric_decay_rate(self):
-        # 1/(1+x): derivative oracle (-1)^k k!, remainders halve per order on [-1/2, 1/2]
-        probe = Grid1D(-0.5, 0.5, 41)
-        f = lambda x: 1.0 / (1.0 + x)
-        derivs = lambda k: (-1.0) ** k * math.factorial(k)
-        report = taylor_remainder_scan(f, derivs, 0.0, 10, probe, orders=tuple(range(4, 11)))
-        sup = report.sup_remainders
-        ratios = [sup[i + 1] / sup[i] for i in range(len(sup) - 1)]
-        assert all(abs(r - 0.5) < 0.02 for r in ratios)
-
-    def test_remainders_monotone_for_entire_function(self):
-        probe = Grid1D(-1.5, 1.5, 31)
-        report = taylor_remainder_scan(math.cos, lambda k: [1.0, 0.0, -1.0, 0.0][k % 4], 0.0, 12, probe)
-        sup = report.sup_remainders
-        assert all(a >= b - 1e-15 for a, b in zip(sup, sup[1:]))
-
-    def test_order_out_of_range(self):
-        with pytest.raises(ValidationError):
-            taylor_remainder_scan(math.exp, lambda k: 1.0, 0.0, 4, Grid1D(-1, 1, 11), orders=(5,))
-
-    def test_report_needs_one_remainder_per_order(self):
-        assert RemainderReport((2, 4), (0.5, 0.1)).orders == (2, 4)
-        with pytest.raises(ValidationError, match="same length"):
-            RemainderReport((2, 4), (0.5,))
 
 
 class TestBinomialSeries:
@@ -323,7 +195,9 @@ class TestTaylor2:
     def test_partial_sum_matches_series_eval(self):
         series = taylor2_coeffs(lambda x, y: math.exp(x * y), 6, 0.02)
         direct, _ = two_var_series_eval("exp_xy", 0.3, 0.4, 3)
-        assert series.eval(0.3, 0.4) == pytest.approx(direct, abs=1e-5)
+        total = sum(series.coefficient(i, j) * 0.3**i * 0.4**j
+                    for i in range(7) for j in range(7 - i))
+        assert total == pytest.approx(direct, abs=1e-5)
 
     @pytest.mark.parametrize("h", [0.5, 1e-7])
     def test_step_validation(self, h):
@@ -333,59 +207,6 @@ class TestTaylor2:
     def test_order_cap(self):
         with pytest.raises(ValidationError):
             taylor2_coeffs(lambda x, y: x * y, 7, 0.02)
-
-
-class TestRadialStationaryPoint:
-    def test_radial_gaussian_peaks_at_origin(self):
-        d = ExpFamilyDensity2D(((2, 0, 1.0), (0, 2, 1.0)), ((-5, 5), (-5, 5)))
-        for theta in (0.0, 0.7, math.pi / 2):
-            r, kind = radial_stationary_point(d, theta, 3.0)
-            assert r == 0.0
-            assert kind == "max"
-
-    def test_quartic_ring_maximum(self):
-        # ln rho = (x^2+y^2) - (x^2+y^2)^2 up to a constant
-        d = ExpFamilyDensity2D(
-            (
-                (2, 0, -1.0),
-                (0, 2, -1.0),
-                (4, 0, 1.0),
-                (2, 2, 2.0),
-                (0, 4, 1.0),
-            ),
-            ((-5, 5), (-5, 5)),
-        )
-        r, kind = radial_stationary_point(d, 0.0, 3.0)
-        assert r == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
-        assert kind == "max"
-
-    def test_log_convex_ray_minimum(self):
-        # rho ~ exp(+x^2 - x^4) reversed: exp(x^2)... use exp(-( -x^2 + x^4 )) flipped sign
-        d = ExpFamilyDensity2D(((2, 0, 1.0), (4, 0, -0.25)), ((-2, 2), (-2, 2)))
-        r, kind = radial_stationary_point(d, 0.0, 1.9)
-        assert r == pytest.approx(math.sqrt(2.0), abs=1e-9)
-        assert kind == "min"
-
-    def test_uniform_box_has_no_stationary_point(self):
-        d = ExpFamilyDensity2D(((0, 0, 0.0),), ((0, 1), (0, 1)))
-        with pytest.raises(NotFoundError):
-            radial_stationary_point(d, 0.0, 0.9)
-
-    def test_linear_ray_has_no_stationary_point(self):
-        # ln rho = -x along theta = 0: the derivative is a nonzero constant
-        d = ExpFamilyDensity2D(((1, 0, 1.0),), ((-1, 1), (-1, 1)))
-        with pytest.raises(NotFoundError, match="no stationary point in"):
-            radial_stationary_point(d, 0.0, 0.9)
-
-    def test_cubic_ray_is_a_saddle_at_the_origin(self):
-        # ln rho = -x^3 along theta = 0: r = 0 is a double root of the derivative
-        d = ExpFamilyDensity2D(((3, 0, 1.0),), ((-1, 1), (-1, 1)))
-        assert radial_stationary_point(d, 0.0, 0.9) == (0.0, "saddle-along-ray")
-
-    def test_bad_r_max(self):
-        d = ExpFamilyDensity2D(((2, 0, 1.0),), ((-1, 1), (-1, 1)))
-        with pytest.raises(ValidationError):
-            radial_stationary_point(d, 0.0, 0.0)
 
 
 class TestPowerSeries2DType:
