@@ -9,14 +9,18 @@ a polynomial of degree n + 2 times exp(-beta_n x^2).  So each overlap is the
 integral of a polynomial against exp(-c x^2) over the whole line, which a
 Gauss-Hermite rule of enough nodes, scaled by 1/sqrt(c), gives exactly
 (Golub & Welsch, Math. Comp. 23, 221, 1969).  ``_overlaps`` takes every
-pair's own rule in one vectorized pass, its Hermite factors from the one
-physicists' recurrence, ``numerics._hermite_rows``.  Nothing is sampled on
-a grid or cut off at a domain's ends: the results differ from the exact
-integrals by rounding alone, and a pair of opposite parity reads exactly 0.
+pair's own rule in one vectorized pass: one fancy index reads each pair's
+nodes and square-root weights from ``_gauss_hermite_table``, the rules
+1..k_max zero-padded and built once per k_max, and its Hermite factors
+come from the one physicists' recurrence, ``numerics._hermite_rows``.
+Nothing is sampled on a grid or cut off at a domain's ends: the results
+differ from the exact integrals by rounding alone, and a pair of opposite
+parity reads exactly 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -94,6 +98,21 @@ def _terms(functions) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 5)
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_hermite_table(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, root_weights), read-only arrays of shape (k_max, k_max): row
+    k - 1 holds the nodes and the square roots of the weights of the
+    k-node Gauss-Hermite rule, zero-padded.  Built once per k_max, on first
+    use, from QuadratureRule.gauss_hermite."""
+    nodes, root_w = np.zeros((k_max, k_max)), np.zeros((k_max, k_max))
+    for k in range(1, k_max + 1):
+        rule = QuadratureRule.gauss_hermite(k)
+        nodes[k - 1, :k] = rule.nodes
+        root_w[k - 1, :k] = np.sqrt(rule.weights)
+    nodes.flags.writeable = root_w.flags.writeable = False
+    return nodes, root_w
+
+
 def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The whole-line integral of the product of the functions of row i of
     left and of right, two _terms arrays of one shape, for every row i.
@@ -102,9 +121,9 @@ def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     1/h^2 the sum of the two 1/width^2.  Put x = h y: the integral is h
     times that of the polynomial against exp(-y^2), which the Gauss-Hermite
     rule of d // 2 + 1 nodes gives exactly.  Each row takes its own rule,
-    padded with zero weights to the longest one.  Where d is odd the
-    product is odd and its integral is exactly 0, so only the even rows
-    are integrated.
+    padded with zero weights to the longest one, by one fancy index into
+    _gauss_hermite_table.  Where d is odd the product is odd and its
+    integral is exactly 0, so only the even rows are integrated.
     """
     out = np.zeros(len(left))
     even = (left[:, 2] + left[:, 3] + right[:, 2] + right[:, 3]) % 2 == 0
@@ -112,13 +131,8 @@ def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return out
     (wl, fl, pl, nl, sl), (wr, fr, pr, nr, sr) = left[even].T, right[even].T
     counts = (pl + nl + pr + nr).astype(int) // 2 + 1
-    nodes = np.zeros((counts.size, counts.max()))
-    root_w = np.zeros_like(nodes)
-    for k in np.unique(counts).tolist():
-        rule = QuadratureRule.gauss_hermite(k)
-        rows = counts == k
-        nodes[rows, :k] = rule.nodes
-        root_w[rows, :k] = np.sqrt(rule.weights)
+    nodes, root_w = _gauss_hermite_table(int(counts.max()))
+    nodes, root_w = nodes[counts - 1], root_w[counts - 1]
     # the same for (left, right) as for (right, left); the quotient first,
     # which is at most 1, so h overflows only where a width does
     h = np.minimum(wl, wr) * (np.maximum(wl, wr) / np.hypot(wl, wr))
@@ -126,9 +140,13 @@ def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     herm = _hermite_rows(np.concatenate((nl, nr)), np.vstack((sl[:, None] * x, sr[:, None] * x)))
     # a square root of the weight on each side, so that no product is formed
     # unweighted: x^(2 power) overflows at the outer nodes of the widest targets
-    lhs = fl[:, None] * root_w * x ** pl[:, None] * herm[: len(x)]
-    rhs = fr[:, None] * root_w * x ** pr[:, None] * herm[len(x):]
-    out[even] = h * np.einsum("ij,ij->i", lhs, rhs)
+    lhs, rhs = fl[:, None] * root_w, fr[:, None] * root_w
+    # x^0 is exactly 1, so a side of power 0 throughout skips the factor
+    if pl.any():
+        lhs = lhs * x ** pl[:, None]
+    if pr.any():
+        rhs = rhs * x ** pr[:, None]
+    out[even] = h * np.einsum("ij,ij->i", lhs * herm[: len(x)], rhs * herm[len(x):])
     return out
 
 

@@ -52,17 +52,32 @@ def _json_float(value: float) -> str:
     return _JSON_STRING(str(value))
 
 
-def _json_floats(values: list[float]) -> list[str]:
-    """_json_float of each value, byte for byte.  Where the 12-digit %g
-    string of a normal float is positional with a "." or has a negative
-    exponent, it is already the repr of the float it rounds to: that float
-    has at most 12 significant digits, fewer than the 15 every decimal
-    keeps through a double, and repr writes it in the same form.  Every
-    other value, an integer (which needs its ".0"), an "e+" form (repr is
-    positional below 1e16), a subnormal (whose repr can be shorter), a
-    zero, an infinity or a NaN, goes through _json_float."""
-    return [text if ("." in (text := f"{v:.12g}") or "e-" in text) and "e+" not in text
-            and abs(v) >= _MIN_NORMAL else _json_float(v) for v in values]
+def _json_floats(values) -> list[str]:
+    """_json_float of each entry of a 1-D float array, byte for byte, from
+    one %-format call.  Where the 12-digit %g string of a normal float is
+    positional with a "." or has a negative exponent, it is already the
+    repr of the float it rounds to: that float has at most 12 significant
+    digits, fewer than the 15 every decimal keeps through a double, and
+    repr writes it in the same form.  Only an entry whose %g string can be
+    otherwise goes through _json_float: a zero, a subnormal, an infinity
+    or a NaN, one of size at least 1e11 (an "e+" form from 1e12 on; repr
+    is positional below 1e16), and one of size at least 0.5 within 1e-11
+    of its size of an integer (12 digits that may round to an integer,
+    which needs its ".0")."""
+    array = np.asarray(values, dtype=float)
+    if not array.size:
+        return []
+    floats = array.tolist()
+    texts = (("%.12g," * len(floats))[:-1] % tuple(floats)).split(",")
+    size = np.abs(array)
+    # an infinity and a NaN, special anyway, read 0 here: no invalid operation
+    below = np.where(size < 1e11, size, 0.0)
+    near_integer = np.abs(below - np.rint(below)) <= 1e-11 * below
+    # a NaN fails every comparison, so the first term takes it
+    special = ~(size >= _MIN_NORMAL) | (size >= 1e11) | (size >= 0.5) & near_integer
+    for i in special.nonzero()[0].tolist():
+        texts[i] = _json_float(floats[i])
+    return texts
 
 
 def _json_text(obj, newline: str) -> str:
@@ -87,7 +102,7 @@ def _json_text(obj, newline: str) -> str:
         entries = (f"{_JSON_STRING(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(entries) + newline + "}"
     if isinstance(obj, np.ndarray):
-        entries = _json_floats(np.asarray(obj, dtype=float).tolist())
+        entries = _json_floats(obj)
     elif isinstance(obj, (list, tuple)):
         entries = [_json_text(v, inner) for v in obj]
     else:
@@ -291,12 +306,10 @@ def _cmd_nls_ground(args) -> str:
 
 
 def _cmd_analyze_gram(args) -> str:
-    gram = gram_matrix(table(args.n_max))
-    header = "n," + ",".join(str(n) for n in range(args.n_max + 1))
-    lines = [header]
-    for i in range(args.n_max + 1):
-        row = ",".join(_fmt(gram[i, j], args.digits) for j in range(args.n_max + 1))
-        lines.append(f"{i},{row}")
+    gram = gram_matrix(table(args.n_max)).tolist()
+    lines = ["n," + ",".join(str(n) for n in range(args.n_max + 1))]
+    for i, row in enumerate(gram):
+        lines.append(f"{i}," + ",".join(_fmt(v, args.digits) for v in row))
     return "\n".join(lines) + "\n"
 
 

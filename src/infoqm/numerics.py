@@ -4,7 +4,8 @@ Uniform grids, fixed quadrature rules (a ``QuadratureRule`` is its nodes
 and weights, with no kind; the Gauss-Legendre and Gauss-Hermite rules are
 built by Newton's method on their three-term recurrences, ``_three_term``),
 the one physicists' Hermite recurrence ``_hermite_rows``, a different order
-per row (``hermite_eval`` is its one-row case), the one Horner loop
+per row, each taken by one gather from the arrays of the distinct orders
+asked for (``hermite_eval`` is its one-row case), the one Horner loop
 ``_horner`` in plain floats, the one bracketed root finder
 ``find_root(f, lo, hi)``, which narrows the bracket to adjacent doubles,
 with the one sign-change rule ``_check_sign_change``, the one polynomial
@@ -277,15 +278,25 @@ def _gauss_hermite(n: int) -> QuadratureRule:
 def _hermite_rows(orders: np.ndarray, u: np.ndarray) -> np.ndarray:
     """H_orders[i](u[i]) for every row i of u, by one physicists' recurrence
     H_{m+1} = 2u H_m - 2m H_{m-1}, H_{-1} = 0, over all rows at once; a row
-    of order -1 or 0 reads 1."""
-    out = np.ones_like(u)
+    of order -1 or 0 reads 1.
+
+    The recurrence keeps its whole array at each distinct order asked for,
+    no other, so it holds that many arrays of u's shape besides its own
+    three; one fancy index then takes each row from the array of its order.
+    """
+    orders = np.maximum(orders, 0).astype(int)
+    wanted = sorted(set(orders.tolist()))
+    slot = np.zeros(wanted[-1] + 1, dtype=int)  # the index in kept of each wanted order
+    slot[wanted] = range(len(wanted))
+    kept = np.empty((len(wanted),) + u.shape)
     two_u = 2.0 * u  # formed once, not per step; each product rounds the same
     prev, h = np.zeros_like(u), np.ones_like(u)
-    for m in range(int(orders.max())):
-        prev, h = h, two_u * h - 2.0 * m * prev
-        rows = orders == m + 1
-        out[rows] = h[rows]
-    return out
+    done = 0  # the order of h
+    for j, order in enumerate(wanted):
+        for m in range(done, order):
+            prev, h = h, two_u * h - 2.0 * m * prev
+        kept[j], done = h, order
+    return kept[slot[orders], np.arange(len(u))]
 
 
 def hermite_eval(n: int, u):

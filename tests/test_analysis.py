@@ -5,11 +5,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoqm import (
     GaussPower,
     IllConditionedError,
     OscillatorState,
+    QuadratureRule,
     ValidationError,
     alpha_from_beta,
     completeness_projection,
@@ -19,7 +22,9 @@ from infoqm import (
     mu0_estimate,
     psi_eval,
 )
-from infoqm.analysis import _overlaps, _terms
+from infoqm.analysis import _gauss_hermite_table, _overlaps, _terms
+
+from conftest import reference_hermite
 
 # frozen from a trapezoid of 8001 points on [-14, 14]; the whole-line values
 # that scripts/oracle_overlaps.py prints differ by 1.0e-15 (<psi0, psi2>) and
@@ -137,6 +142,69 @@ class TestGramMatrix:
         state = OscillatorState(0, 0, -710.0, 0.5, -1.0, 1.0)
         with pytest.raises(ValidationError, match="exp\\(-alpha\\) overflows"):
             gram_matrix([state])
+
+
+def masked_overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """_overlaps as it was written before its gathers: each distinct rule
+    size built by QuadratureRule.gauss_hermite and written into the rows of
+    that size by a mask, and each row's Hermite factor from the plain
+    recurrence run on that row alone; the bit-for-bit reference."""
+    out = np.zeros(len(left))
+    even = (left[:, 2] + left[:, 3] + right[:, 2] + right[:, 3]) % 2 == 0
+    if not even.any():
+        return out
+    (wl, fl, pl, nl, sl), (wr, fr, pr, nr, sr) = left[even].T, right[even].T
+    counts = (pl + nl + pr + nr).astype(int) // 2 + 1
+    nodes = np.zeros((counts.size, counts.max()))
+    root_w = np.zeros_like(nodes)
+    for k in np.unique(counts).tolist():
+        rule = QuadratureRule.gauss_hermite(k)
+        rows = counts == k
+        nodes[rows, :k] = rule.nodes
+        root_w[rows, :k] = np.sqrt(rule.weights)
+    h = np.minimum(wl, wr) * (np.maximum(wl, wr) / np.hypot(wl, wr))
+    x = h[:, None] * nodes
+    herm_l = np.array([reference_hermite(int(n), u) for n, u in zip(nl, sl[:, None] * x)])
+    herm_r = np.array([reference_hermite(int(n), u) for n, u in zip(nr, sr[:, None] * x)])
+    lhs = fl[:, None] * root_w * x ** pl[:, None] * herm_l
+    rhs = fr[:, None] * root_w * x ** pr[:, None] * herm_r
+    out[even] = h * np.einsum("ij,ij->i", lhs, rhs)
+    return out
+
+
+STATES = st.builds(lambda n, beta: OscillatorState(n, n % 2, alpha_from_beta(n, beta), beta,
+                                                   -1.0, 1.0),
+                   st.integers(0, 40), st.floats(0.05, 5.0))
+TARGETS = st.builds(GaussPower, st.integers(0, 64), st.floats(0.05, 5.0))
+MEMBERS = st.one_of(STATES, TARGETS)
+
+
+class TestOverlapKernel:
+    def test_table_rows_are_the_rules(self):
+        nodes, root_w = _gauss_hermite_table(24)
+        assert nodes.shape == root_w.shape == (24, 24)
+        assert not nodes.flags.writeable and not root_w.flags.writeable
+        for k in range(1, 25):
+            rule = QuadratureRule.gauss_hermite(k)
+            assert nodes[k - 1, :k].tobytes() == rule.nodes.tobytes()
+            assert root_w[k - 1, :k].tobytes() == np.sqrt(rule.weights).tobytes()
+            assert not nodes[k - 1, k:].any() and not root_w[k - 1, k:].any()
+        assert _gauss_hermite_table(24) is _gauss_hermite_table(24)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(MEMBERS, MEMBERS), min_size=1, max_size=12))
+    def test_same_bits_as_the_masked_kernel(self, pairs):
+        # the whole batch against the masked kernel on that batch, and each
+        # pair alone, on a rule of its own size, against the masked kernel
+        # on that pair.  A pair alone is not compared with its row of the
+        # batch: the batch pads the row with zeros to its longest rule, and
+        # einsum's reduction groups a padded row differently, so the two
+        # can differ in the last bits
+        left, right = _terms([a for a, _ in pairs]), _terms([b for _, b in pairs])
+        assert _overlaps(left, right).tobytes() == masked_overlaps(left, right).tobytes()
+        for i in range(len(pairs)):
+            alone = _overlaps(left[[i]], right[[i]])
+            assert alone.tobytes() == masked_overlaps(left[[i]], right[[i]]).tobytes()
 
 
 class TestGaussPower:

@@ -266,12 +266,17 @@ class TestDeterminism:
               1e-5, 123.0, 5e-324, -2.5e-320, sys.float_info.min,
               math.nextafter(sys.float_info.min, 0.0), 2.2250738585e-308, sys.float_info.max,
               math.inf, -math.inf, math.nan])
+    # the edges of the entries that skip _json_float: a zero, the subnormals,
+    # 12 digits that round to an integer, 1e11, and %g's switch to "e-"
+    @example([-0.0, 5e-324, sys.float_info.min, 0.9999999999996, 999999999999.5, 1e11,
+              1e16, 12.0, 9.99999999999995e-05, math.nan, math.inf, -math.inf])
     def test_array_entries_are_the_rounded_reprs(self, values):
         # the fast path keeps the %g string only where it equals the old
         # formula's text: the repr of the float rounded to 12 digits
         expected = [float.__repr__(float(f"{v:.12g}")) if math.isfinite(v) else cli._json_float(v)
                     for v in values]
         assert cli._json_floats(values) == expected
+        assert cli._json_floats(np.array(values, dtype=float)) == expected
 
     @pytest.mark.parametrize("value", [np.bool_(True), {1.0}, 1j, b"x"],
                              ids=["numpy bool", "set", "complex", "bytes"])
@@ -677,6 +682,21 @@ class TestAnalyze:
         code, out, _ = run_captured(capsys, ["analyze", "gram", "--n-max", "20"])
         assert code == 0
         assert out == (GOLDEN_DIR / "analyze_gram_n20.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("spec, golden", [
+        ({"kind": "state", "n": 5}, "analyze_project_state_n5.json"),
+        ({"kind": "gauss_power", "power": 2, "scale": 1.1},
+         "analyze_project_gauss_power_p2_s1.1.json"),
+    ], ids=["state", "gauss_power"])
+    def test_project_is_the_golden_document(self, tmp_path, capsys, spec, golden):
+        # orders 1..8 on n <= 7, byte for byte; written before the overlap
+        # kernel gathered its rules and Hermite rows
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(spec))
+        code, out, _ = run_captured(capsys, ["analyze", "project", "--target", str(target),
+                                             "--orders", "1,2,3,4,5,6,7,8"])
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("scale", [3.0, 5.0])
     def test_wide_target_takes_the_whole_line(self, tmp_path, capsys, scale):

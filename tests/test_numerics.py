@@ -2,6 +2,7 @@ import functools
 import math
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -85,14 +86,30 @@ class TestHermite:
             assert same_bits(value, reference_hermite(n, np.array(u)))
 
     def test_rows_of_mixed_orders(self):
-        # one recurrence gives every row its own order; a row of order -1 reads 1
-        orders = np.array([3, -1, 64, 0, 1, 64, 17])
-        u = np.tile(HERMITE_POINTS, (orders.size, 1))
-        rows = _hermite_rows(orders, u)
-        assert same_bits(rows[1], np.ones_like(HERMITE_POINTS))
-        for order, row in zip(orders.tolist(), rows):
-            if order >= 0:
-                assert same_bits(row, reference_hermite(order, HERMITE_POINTS))
+        # one recurrence gives every row its own order, each row on its own
+        # points, whatever the orders' sequence; a row of order -1 reads 1
+        for orders in ([3, -1, 64, 0, 1, 64, 17],  # mixed
+                       [17, 3, 17, 64, 0, 3, -1, 2, 64, 1, 0, -1],  # unsorted, repeated
+                       [-1, 0, -1, 0],  # all below 1
+                       [64]):
+            u = np.vstack([np.roll(HERMITE_POINTS, 7 * i) for i in range(len(orders))])
+            rows = _hermite_rows(np.array(orders), u)
+            assert rows.shape == u.shape
+            for order, row, points in zip(orders, rows, u):
+                assert same_bits(row, reference_hermite(max(order, 0), points)), orders
+
+    def test_memory_stays_near_the_input(self):
+        # the recurrence keeps its arrays at the orders asked for only: one
+        # order-64 row peaks at 6 times its input's bytes, where a table of
+        # all 65 orders would hold 65
+        u = np.linspace(-3.0, 3.0, 200_000)
+        tracemalloc.start()
+        try:
+            hermite_eval(64, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * u.nbytes
 
 
 class TestQuadrature:
