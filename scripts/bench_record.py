@@ -7,8 +7,14 @@
 Each LABEL=CHECKOUT runs ``perfbench/run.py --trace 0`` from the root of
 that source checkout, one after another in the order given, and keeps the
 three lines it prints.  The file holds one entry per run under ``runs``:
-its ``label``, ``environment`` and ``details``, and the result's
-``correct``, ``attempted``, ``failed`` and ``metrics``.
+its ``label``, ``environment`` and ``details``, the result's
+``correct``, ``attempted``, ``failed`` and ``metrics``, and ``checkout``,
+how the checkout was made, taken before the run: ``git_dir``, whether
+``CHECKOUT/.git`` exists (a clone has it, a ``git archive`` does not);
+``head``, its ``git rev-parse HEAD``; and ``dirty``, whether its
+``git status --porcelain`` lists anything (edits not yet committed).
+``head`` and ``dirty`` are null where CHECKOUT is not the top of a git
+work tree.
 """
 
 from __future__ import annotations
@@ -18,6 +24,19 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+
+def checkout_state(checkout: Path) -> dict:
+    """How checkout was made: its .git, HEAD and whether its tree is dirty."""
+    head = dirty = None
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                         capture_output=True, text=True)
+    if top.returncode == 0 and Path(top.stdout.split()[0]).resolve() == checkout.resolve():
+        head = top.stdout.split()[1]
+        status = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
+                                capture_output=True, text=True, check=True)
+        dirty = bool(status.stdout.strip())
+    return {"git_dir": (checkout / ".git").exists(), "head": head, "dirty": dirty}
 
 
 def run_checkout(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -42,8 +61,9 @@ def main(argv=None) -> int:
         label, sep, checkout = spec.partition("=")
         if not sep or not label or not checkout:
             parser.error(f"expected LABEL=CHECKOUT, got {spec!r}")
+        state = checkout_state(Path(checkout))
         record = run_checkout(Path(checkout), args.workload, args.seed, args.seconds)
-        runs.append({"label": label, **record})
+        runs.append({"label": label, "checkout": state, **record})
     args.out.write_text(json.dumps({"runs": runs}, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
     return 0

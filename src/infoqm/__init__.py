@@ -62,7 +62,6 @@ from .numerics import (
 from .oscillator import (
     OscillatorState,
     alpha_from_beta,
-    beta_closure_residual,
     eigen_residual,
     energy,
     lambda_from_beta,

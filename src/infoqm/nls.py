@@ -87,6 +87,9 @@ the plain Jacobian J satisfies J u = G - 2b u, so at a fixed b one solve
 serves both the residual and the border column (see _plain_direction).  A
 plain free-b step takes two, since its border column -(1 + L) u has no
 such identity.
+The seeded starts of the uniqueness probe draw their six doubles a start
+from Philox4x64-10 written in plain integers (_philox_uniforms), which
+gives numpy's Philox bits, so no random-number library is loaded for them.
 """
 
 from __future__ import annotations
@@ -127,6 +130,11 @@ _CUT = 0.9
 # is first reduced below it (measured: of 32, 64, 96 and 128, 64 and 96
 # are fastest from 126 to 2046 unknowns)
 _SWEEP_MAX = 64
+# Philox4x64-10's multipliers and key bumps (Random123's constants)
+_PHILOX_MUL0, _PHILOX_MUL1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_BUMP0, _PHILOX_BUMP1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_MASK64 = (1 << 64) - 1
+_MASK256 = (1 << 256) - 1
 
 
 @dataclass(frozen=True)
@@ -233,22 +241,55 @@ def default_initial_guess(grid: Grid1D) -> np.ndarray:
     return np.exp(-((x - center) ** 2) / (2.0 * s * s))
 
 
+def _philox_uniforms(seed: int, index: int, count: int) -> list[float]:
+    """The first count doubles of numpy's
+    Generator(Philox(key=seed mod 2**128).jumped(index)), bit for bit.
+
+    Philox4x64-10 (Salmon et al., SC11, 2011) in Python ints: the key is
+    two 64-bit words, low first; the 256-bit counter starts at
+    index * 2**128, which is jumped(index), and is incremented before each
+    block of four words; each word w reads as (w >> 11) * 2**-53.
+    """
+    key = seed % (1 << 128)
+    counter = index << 128
+    out: list[float] = []
+    while len(out) < count:
+        counter = (counter + 1) & _MASK256
+        c0, c1, c2, c3 = (counter >> shift & _MASK64 for shift in (0, 64, 128, 192))
+        k0, k1 = key & _MASK64, key >> 64
+        for rnd in range(10):
+            if rnd:
+                k0, k1 = (k0 + _PHILOX_BUMP0) & _MASK64, (k1 + _PHILOX_BUMP1) & _MASK64
+            p0, p1 = _PHILOX_MUL0 * c0, _PHILOX_MUL1 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+        out += [(w >> 11) * 2.0**-53 for w in (c0, c1, c2, c3)]
+    return out[:count]
+
+
 def randomized_initial_guess(grid: Grid1D, seed: int, index: int) -> np.ndarray:
     """Seeded positive smooth random guess for probe runs.
 
-    All randomness flows from the (seed, index) pair through a
-    counter-based Philox generator, so probes are reproducible.
+    All randomness flows from the (seed, index) pair through the
+    counter-based Philox4x64-10 generator, so probes are reproducible.  It
+    is written in plain integers (_philox_uniforms) and gives numpy's bits,
+    so no random-number library is loaded for the six doubles of a start;
+    each uniform on [low, high) is low + (high - low) u, as
+    Generator.uniform forms it.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)).jumped(index))
+    u = iter(_philox_uniforms(seed, index, 6))
+
+    def uniform(low: float = 0.0, high: float = 1.0) -> float:
+        return low + (high - low) * next(u)
+
     x = grid.points()
     width = grid.x_max - grid.x_min
-    center = 0.5 * (grid.x_min + grid.x_max) + 0.1 * width * rng.uniform(-1.0, 1.0)
-    s = width / 8.0 * (0.75 + 0.5 * rng.uniform())
+    center = 0.5 * (grid.x_min + grid.x_max) + 0.1 * width * uniform(-1.0, 1.0)
+    s = width / 8.0 * (0.75 + 0.5 * uniform())
     bump = np.exp(-((x - center) ** 2) / (2.0 * s * s))
     phase = np.pi * (x - grid.x_min) / width
     mod = np.ones_like(x)
     for j in range(1, 5):
-        mod += rng.uniform(-0.1, 0.1) * np.cos(j * phase)
+        mod += uniform(-0.1, 0.1) * np.cos(j * phase)
     return bump * mod
 
 

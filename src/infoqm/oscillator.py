@@ -66,17 +66,12 @@ def _norm_constant(n: int) -> float:
 
 
 def _closure_residual(norm: float, nk: int, beta: float) -> float:
-    # beta_closure_residual of norm = 2^n n! sqrt(pi) and nk = n + k, which
-    # solve_state forms once per state and then evaluates about 15 times
+    # g(beta) = 8 beta^2 (n + k + alpha(beta)) - (2 alpha(beta) - 1), the
+    # width closure cleared of denominators, whose root is the width of
+    # state n; of norm = 2^n n! sqrt(pi) and nk = n + k, which solve_state
+    # forms once per state and then evaluates about 15 times
     a = 0.5 * math.log(norm / math.sqrt(2.0 * beta))
     return 8.0 * beta * beta * (nk + a) - (2.0 * a - 1.0)
-
-
-def _finite(value: float, what: str, n: int, beta: float) -> float:
-    """value, or NumericError naming n and beta if it is not finite."""
-    if not math.isfinite(value):
-        raise NumericError(f"{what} is not finite at n = {n}, beta = {beta!r}")
-    return value
 
 
 def alpha_from_beta(n: int, beta: float) -> float:
@@ -87,21 +82,10 @@ def alpha_from_beta(n: int, beta: float) -> float:
     n = _as_int(n, "n", 0)
     norm = _norm_constant(n)
     beta = _as_positive(beta, "beta")
-    return _finite(0.5 * math.log(norm / math.sqrt(2.0 * beta)), "alpha", n, beta)
-
-
-def beta_closure_residual(n: int, k: int, beta: float) -> float:
-    """g(beta) = 8 beta^2 (n + k + alpha(beta)) - (2 alpha(beta) - 1).
-
-    A root of g is the width of state n; g carries the same sign
-    information as the closure relation cleared of denominators.  Raises
-    NumericError when g is not finite, as alpha_from_beta does.
-    """
-    n = _as_int(n, "n", 0)
-    k = _as_int(k, "parity index", 0, 1)
-    norm = _norm_constant(n)
-    beta = _as_positive(beta, "beta")
-    return _finite(_closure_residual(norm, n + k, beta), "closure residual", n, beta)
+    alpha = 0.5 * math.log(norm / math.sqrt(2.0 * beta))
+    if not math.isfinite(alpha):
+        raise NumericError(f"alpha is not finite at n = {n}, beta = {beta!r}")
+    return alpha
 
 
 def lambda_from_beta(beta: float) -> float:

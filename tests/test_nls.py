@@ -4,6 +4,8 @@ import json
 import math
 import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -1626,6 +1628,53 @@ class TestUniquenessProbe:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert np.all(a > 0.0)
+
+
+def numpy_guess(grid, seed, index):
+    """randomized_initial_guess with its uniforms drawn by numpy's generator."""
+    rng = np.random.Generator(np.random.Philox(key=seed % 2**128).jumped(index))
+    x = grid.points()
+    width = grid.x_max - grid.x_min
+    center = 0.5 * (grid.x_min + grid.x_max) + 0.1 * width * rng.uniform(-1.0, 1.0)
+    s = width / 8.0 * (0.75 + 0.5 * rng.uniform())
+    bump = np.exp(-((x - center) ** 2) / (2.0 * s * s))
+    phase = np.pi * (x - grid.x_min) / width
+    mod = np.ones_like(x)
+    for j in range(1, 5):
+        mod += rng.uniform(-0.1, 0.1) * np.cos(j * phase)
+    return bump * mod
+
+
+class TestSeededStarts:
+    """The plain-integer Philox4x64-10 gives numpy's bits, and the program
+    loads no random-number library for it (the tests may)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 9, 2**64 - 1, 2**64, 2**127 + 5, -5, 2**200 + 1])
+    @pytest.mark.parametrize("index", [0, 1, 2, 7, 1000])
+    def test_uniforms_are_numpys(self, seed, index):
+        # counts up to 9 cross the first two blocks of four words
+        for count in range(1, 10):
+            ref = np.random.Generator(np.random.Philox(key=seed % 2**128).jumped(index)).random(count)
+            assert np.array(nls._philox_uniforms(seed, index, count)).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_points", [48, 256, 1024])
+    def test_guess_is_numpys(self, n_points):
+        grid = Grid1D(-12.0, 12.0, n_points)
+        for seed in (0, 9, -5, 2**70 + 3):
+            for index in (0, 1, 2, 7):
+                guess = randomized_initial_guess(grid, seed, index)
+                assert guess.tobytes() == numpy_guess(grid, seed, index).tobytes()
+
+    def test_probe_loads_no_random_library(self):
+        code = ("import sys; from infoqm import FlowConfig, Grid1D, GridProblem, uniqueness_probe; "
+                "problem = GridProblem.harmonic(Grid1D(-8.0, 8.0, 48)); "
+                "report = uniqueness_probe(problem, FlowConfig(step=0.02, tol_flow=1e-9), 2); "
+                "print(len(report.eigenvalues), 'numpy.random' in sys.modules, "
+                "'secrets' in sys.modules)")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src})
+        assert out.stdout.split() == ["2", "False", "False"]
 
 
 class TestValidationAndErrors:

@@ -32,7 +32,6 @@ from infoqm import (
     QuadratureRule,
     ValidationError,
     alpha_from_beta,
-    beta_closure_residual,
     binomial_series_eval,
     density_from_json,
     density_values,
@@ -106,8 +105,6 @@ COUNT_SITES = {
     "PowerSeries2D.coefficient.j": (lambda v: _SERIES2.coefficient(0, v), DomainError),
     "energy": (lambda v: energy(v, 1.0, -1.0), ValidationError),
     "alpha_from_beta.n": (lambda v: alpha_from_beta(v, 0.3), ValidationError),
-    "beta_closure_residual.n": (lambda v: beta_closure_residual(v, 0, 0.3), ValidationError),
-    "beta_closure_residual.k": (lambda v: beta_closure_residual(2, v, 0.3), ValidationError),
     "FlowConfig.seed": (lambda v: FlowConfig(seed=v), ValidationError),
     "uniqueness_probe": (lambda v: uniqueness_probe(_PROBLEM, _CFG, v), ValidationError),
     "moment_gradient_check.order": (lambda v: moment_gradient_check(_UNIT, v, 1e-5),
@@ -296,14 +293,12 @@ BELOW_RANGE = {
     "PowerSeries2D.truncation_order": lambda: PowerSeries2D(np.zeros((0, 0)), -1),
     "alpha_from_beta.n": lambda: alpha_from_beta(-1, 0.3),
     "energy": lambda: energy(-1, 1.0, -1.0),
-    "beta_closure_residual.k-2": lambda: beta_closure_residual(2, 2, 0.3),
-    "beta_closure_residual.k--1": lambda: beta_closure_residual(2, -1, 0.3),
 }
 
 
 @pytest.mark.parametrize("call", BELOW_RANGE.values(), ids=BELOW_RANGE.keys())
 def test_count_out_of_range_raises(call):
-    with pytest.raises(ValidationError, match=r"must be (in \[|0 or 1)"):
+    with pytest.raises(ValidationError, match=r"must be in \["):
         call()
 
 

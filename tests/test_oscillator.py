@@ -10,7 +10,6 @@ from infoqm import (
     OscillatorState,
     ValidationError,
     alpha_from_beta,
-    beta_closure_residual,
     eigen_residual,
     energy,
     lambda_from_beta,
@@ -23,6 +22,11 @@ from infoqm import (
 from infoqm import oscillator
 
 from conftest import GOLDEN_TABLE, HERMITE_POINTS, reference_hermite
+
+
+def closure_residual(n: int, k: int, beta: float) -> float:
+    """The width closure residual g(beta) that solve_state narrows."""
+    return oscillator._closure_residual(oscillator._norm_constant(n), n + k, beta)
 
 
 def linear_limit_state(n: int) -> OscillatorState:
@@ -45,7 +49,7 @@ class TestScalarRelations:
 
     @pytest.mark.parametrize("n,k,beta", [(0, 0, 0.165957), (7, 1, 0.330258)])
     def test_closure_holds_on_reference_rows(self, n, k, beta):
-        assert abs(beta_closure_residual(n, k, beta)) < 1e-4
+        assert abs(closure_residual(n, k, beta)) < 1e-4
 
     @pytest.mark.parametrize("n", range(21))
     def test_closure_increasing_on_the_bracket(self, n):
@@ -53,13 +57,12 @@ class TestScalarRelations:
         k = n % 2
         cap = oscillator._admissible_beta_cap(oscillator._norm_constant(n))
         betas = np.linspace(oscillator.BETA_SCAN_LO, cap, 2001)
-        g = np.array([beta_closure_residual(n, k, b) for b in betas])
+        g = np.array([closure_residual(n, k, b) for b in betas])
         assert np.all(np.diff(g) > 0.0)
         assert g[0] < 0.0 < g[-1]
 
-    @pytest.mark.parametrize("call", [lambda n: alpha_from_beta(n, 1.0),
-                                      lambda n: beta_closure_residual(n, n % 2, 1.0)],
-                             ids=["alpha_from_beta", "beta_closure_residual"])
+    @pytest.mark.parametrize("call", [lambda n: alpha_from_beta(n, 1.0)],
+                             ids=["alpha_from_beta"])
     def test_normalization_constant_overflow(self, call):
         # 2^n n! sqrt(pi) is a finite double up to n = 150
         assert math.isfinite(oscillator._norm_constant(oscillator._MAX_NORM_N))
@@ -69,9 +72,8 @@ class TestScalarRelations:
                 call(n)
 
     @pytest.mark.parametrize("call", [lambda: alpha_from_beta(150, 0.3),
-                                      lambda: alpha_from_beta(100, 1e-300),
-                                      lambda: beta_closure_residual(150, 0, 0.3)],
-                             ids=["alpha_n150", "alpha_tiny_beta", "residual_n150"])
+                                      lambda: alpha_from_beta(100, 1e-300)],
+                             ids=["alpha_n150", "alpha_tiny_beta"])
     def test_non_finite_result_raises(self, call):
         # the constant is finite, but its quotient by sqrt(2 beta) is not
         with pytest.raises(NumericError, match=r"not finite at n = \d+, beta = "):
@@ -79,7 +81,7 @@ class TestScalarRelations:
 
     def test_closure_sign_at_small_beta(self):
         # the (2 alpha - 1) term dominates as beta -> 0+
-        assert beta_closure_residual(0, 0, 1e-4) < 0.0
+        assert closure_residual(0, 0, oscillator.BETA_SCAN_LO) < 0.0
 
     def test_lambda_linear_limit_exact(self):
         assert lambda_from_beta(0.5) == 0.0
@@ -150,11 +152,12 @@ class TestSolveState:
 
     @pytest.mark.parametrize("n", range(21))
     def test_public_residual_changes_sign_at_solved_width(self, n):
-        # solve_state solves a private residual; the public one must agree
+        # the solved width is a root of the residual solve_state narrows:
+        # g is 0 there or changes sign at a neighbouring double
         beta = solve_state(n).beta
-        g = beta_closure_residual(n, n % 2, beta)
+        g = closure_residual(n, n % 2, beta)
         neighbours = [math.nextafter(beta, 0.0), math.nextafter(beta, math.inf)]
-        assert g == 0.0 or any((g < 0.0) != (beta_closure_residual(n, n % 2, b) < 0.0)
+        assert g == 0.0 or any((g < 0.0) != (closure_residual(n, n % 2, b) < 0.0)
                                for b in neighbours)
 
     def test_normalization(self, states):
