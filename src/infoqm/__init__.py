@@ -16,7 +16,6 @@ from .analysis import (
 from .errors import (
     BracketError,
     ConvergenceError,
-    DomainError,
     IllConditionedError,
     InfeasibleMomentsError,
     InfoqmError,

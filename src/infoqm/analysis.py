@@ -72,7 +72,6 @@ class ProjectionReport:
     monotonicity is reported, never asserted.
     """
 
-    target_label: str
     orders: tuple[int, ...]
     residuals: tuple[float, ...]
     condition_numbers: tuple[float, ...]
@@ -192,7 +191,6 @@ def completeness_projection(
     target: OscillatorState | GaussPower,
     states: Sequence[OscillatorState],
     orders: Sequence[int],
-    target_label: str = "target",
 ) -> ProjectionReport:
     """Gram-system least squares of the target on leading states.
 
@@ -208,7 +206,7 @@ def completeness_projection(
     """
     orders = tuple(_as_int(m, "order", 1, len(states)) for m in orders)
     if not orders:
-        return ProjectionReport(target_label, (), (), (), ())
+        return ProjectionReport((), (), (), ())
     top = max(orders)
     full = gram_matrix(list(states[:top]) + [target])
     overlaps, norm2 = full[:top, top], full[top, top]
@@ -220,9 +218,7 @@ def completeness_projection(
         cond = float(np.linalg.cond(g))
         conditions.append(cond)
         if cond > CONDITION_LIMIT:
-            partial = ProjectionReport(
-                target_label, orders[:idx], tuple(residuals), tuple(conditions[:-1]), coeffs
-            )
+            partial = ProjectionReport(orders[:idx], tuple(residuals), tuple(conditions[:-1]), coeffs)
             raise IllConditionedError(
                 f"gram condition number {cond:.3e} beyond {CONDITION_LIMIT:.0e} at order {m}",
                 partial=partial,
@@ -231,4 +227,4 @@ def completeness_projection(
         residuals.append(math.sqrt(max(float(norm2 - 2.0 * (c @ b) + c @ g @ c), 0.0)))
         if m == top:
             coeffs = tuple(float(v) for v in c)
-    return ProjectionReport(target_label, orders, tuple(residuals), tuple(conditions), coeffs)
+    return ProjectionReport(orders, tuple(residuals), tuple(conditions), coeffs)

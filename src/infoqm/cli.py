@@ -331,10 +331,10 @@ def _cmd_analyze_project(args) -> str:
     except ValueError as exc:
         raise ValidationError(f"--orders must be comma-separated integers: {exc}") from exc
     target, label = _read_document(args.target, "--target", _target_from_spec)
-    report = completeness_projection(target, table(args.n_max), orders, target_label=label)
+    report = completeness_projection(target, table(args.n_max), orders)
     return _dump_json(
         {
-            "target": report.target_label,
+            "target": label,
             "orders": list(report.orders),
             "residuals": list(report.residuals),
             "condition_numbers": list(report.condition_numbers),

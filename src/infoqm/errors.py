@@ -17,10 +17,6 @@ class ValidationError(InfoqmError, ValueError):
     """An argument or configuration violates a documented precondition."""
 
 
-class DomainError(InfoqmError, ValueError):
-    """A point or index lies outside the domain an operation supports."""
-
-
 class BracketError(InfoqmError, ValueError):
     """A root bracket does not actually bracket a sign change."""
 

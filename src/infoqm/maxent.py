@@ -373,16 +373,13 @@ def _power(x: float, order: int) -> float:
         return math.copysign(math.inf, x) if order % 2 else math.inf
 
 
-def _max_abs_power(a: float, b: float, order: int) -> float:
-    if math.isinf(a) or math.isinf(b):
-        return math.inf
-    return _power(max(abs(a), abs(b)), order)
-
-
-def _min_even_power(a: float, b: float, order: int) -> float:
-    if a <= 0.0 <= b:
-        return 0.0
-    return _power(min(abs(a), abs(b)), order)
+def _power_range(a: float, b: float, order: int) -> tuple[float, float]:
+    """The least and the largest x**order on [a, b], by _power: at both
+    ends, and also at 0 for an even order where a <= 0 <= b.  A stable sort
+    keeps odd powers that round to -0.0 and 0.0 in the order of their ends."""
+    ends = (a, b, 0.0) if order % 2 == 0 and a <= 0.0 <= b else (a, b)
+    values = sorted(_power(x, order) for x in ends)
+    return values[0], values[-1]
 
 
 def check_feasible_1d(spec: MomentSpec1D) -> None:
@@ -395,11 +392,7 @@ def check_feasible_1d(spec: MomentSpec1D) -> None:
     a, b = spec.support
     targets = dict(zip(spec.orders, spec.targets))
     for order, value in spec.constraints:
-        if order % 2 == 0:
-            lo = _min_even_power(a, b, order)
-            hi = _max_abs_power(a, b, order)
-        else:
-            lo, hi = _power(a, order), _power(b, order)
+        lo, hi = _power_range(a, b, order)
         if not lo < value < hi:
             raise InfeasibleMomentsError(
                 f"moment of order {order} = {value} outside the open range ({lo}, {hi})"
@@ -435,7 +428,7 @@ def _check_feasible_2d(spec: MomentSpec2D) -> None:
             raise InfeasibleMomentsError(f"{'xy'[axis]} marginal: {exc}") from exc
     for (i, j), v in targets.items():
         if i % 2 == 0 and j % 2 == 0:
-            cap = _max_abs_power(a1, b1, i) * _max_abs_power(a2, b2, j)
+            cap = _power_range(a1, b1, i)[1] * _power_range(a2, b2, j)[1]
             if not 0.0 < v < cap:
                 raise InfeasibleMomentsError(f"moment ({i},{j}) = {v} outside (0, {cap})")
     if {(2, 0), (0, 2), (1, 1)} <= targets.keys():

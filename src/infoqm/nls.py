@@ -65,7 +65,10 @@ logarithm, so they call _floored_log.  One function, _newton_state, runs
 Newton in ln u and the plain chain where that fails, at a fixed b and
 for the continued root; it is the one solver behind both, and it has one
 exit.  The first attempt at the root, _predicted_root, takes its fixed-b
-step and its free-b Newton attempt with the same rule and loop.
+step and its free-b Newton attempt with the same rule and loop.  Both
+start in _newton_start (the step check, the normalized start state and
+its energy) and end in _newton_result (mu at the returned b and the
+energy trace from the start's energy to mu).
 Every Newton attempt is one loop, _newton, given one of two step rules:
 _log_step, in ln u, or _newton_step, plain.  A rule makes the step and
 the new interior and raises where that is unusable; the loop holds the
@@ -106,7 +109,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (Grid1D, _as_finite, _as_finite_array, _as_int, _as_positive,
-                       _check_sign_change)
+                       _check_bracket, _check_sign_change)
 
 DEFAULT_BRACKET = (-3.0, -0.5)
 # floor of u^2 inside the logarithm
@@ -725,6 +728,24 @@ def _newton(
     raise ConvergenceError(f"{name} exceeded {_NEWTON_CAP} steps{unverified}")
 
 
+def _newton_start(problem: GridProblem, cfg: FlowConfig,
+                  init: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """The start of every Newton solve: the pinned, normalized start state
+    from init (_start_state) and its energy at the problem's b, after
+    _validate_step.  Invalid input raises ValidationError before any step."""
+    _validate_step(problem, cfg)
+    start = _start_state(problem.grid, init)
+    return start, discrete_energy(problem, start)
+
+
+def _newton_result(problem: GridProblem, psi: np.ndarray, b: float, energy: float,
+                   flow_norm: float, iterations: int, newton_steps: int) -> GroundStateSolution:
+    """The result of every Newton solve: the state psi at b, whose mu is its
+    energy at b, with energy_trace (the start state's energy, mu)."""
+    mu = discrete_energy(problem.with_b(b), psi)
+    return GroundStateSolution(psi, mu, b, iterations, flow_norm, (energy, mu), newton_steps)
+
+
 def _newton_state(
     problem: GridProblem,
     cfg: FlowConfig,
@@ -748,9 +769,7 @@ def _newton_state(
     ConvergenceError) where a step leaves the positive cone.  Failed
     attempts are not counted in newton_steps.
     """
-    _validate_step(problem, cfg)
-    start = _start_state(problem.grid, init)
-    trace = (discrete_energy(problem, start),)
+    start, energy = _newton_start(problem, cfg, init)
     loose_steps = 0
     try:
         psi, b, newton_steps, flow_norm = _newton(problem, start, bracket, cfg, _log_step)
@@ -762,17 +781,7 @@ def _newton_state(
             psi, b, newton_steps, flow_norm = _newton(problem, psi, bracket, cfg, _newton_step)
     if bracket is not None and not bracket[0] <= b <= bracket[1]:
         raise ConvergenceError(f"root b = {b!r} is outside the bracket [{bracket[0]}, {bracket[1]}]")
-    problem = problem.with_b(b)
-    trace += (discrete_energy(problem, psi),)
-    return GroundStateSolution(
-        psi=psi,
-        mu=trace[-1],
-        b=problem.b,
-        iterations=loose_steps,
-        flow_norm=flow_norm,
-        energy_trace=trace,
-        newton_steps=newton_steps,
-    )
+    return _newton_result(problem, psi, b, energy, flow_norm, loose_steps, newton_steps)
 
 
 def ground_state(
@@ -811,17 +820,13 @@ def _predicted_root(
     ValidationError before any step; a failed step or root, or a predicted
     state with an entry that underflows to zero on normalizing, raises
     ConvergenceError.  The root is not checked against the bracket."""
-    _validate_step(problem, cfg)
-    start = _start_state(problem.grid, init)
-    energy = discrete_energy(problem, start)
+    start, energy = _newton_start(problem, cfg, init)
     psi = _pinned(_log_step(problem, start[1:-1], problem.b, energy - problem.b, False)[0])
     _pin_and_normalize(psi, problem.grid.spacing)
     if not psi[1:-1].min() > 0.0:
         raise ConvergenceError("the predicted state underflowed to zero")
     psi, b, steps, flow_norm = _newton(problem, psi, bracket, cfg, _log_step)
-    mu = discrete_energy(problem.with_b(b), psi)
-    return GroundStateSolution(psi=psi, mu=mu, b=b, iterations=0, flow_norm=flow_norm,
-                               energy_trace=(energy, mu), newton_steps=1 + steps)
+    return _newton_result(problem, psi, b, energy, flow_norm, 0, 1 + steps)
 
 
 def self_consistent_lambda(
@@ -834,7 +839,7 @@ def self_consistent_lambda(
     is its own stationarity eigenvalue, |mu(b*) - b*| < _F_TOL.
 
     A bracket that is not a finite lo < hi raises ValidationError before
-    any solve.  The first attempt, _predicted_root, takes one fixed-b Newton
+    any solve, by numerics._check_bracket, the rule find_root applies.  The first attempt, _predicted_root, takes one fixed-b Newton
     step in ln psi at b = lo from the normalized init and runs the free-b
     Newton in ln psi from that state; its root is returned where it lies in
     the bracket with |mu - b| < _F_TOL, with ``iterations`` 0 and
@@ -861,9 +866,7 @@ def self_consistent_lambda(
     attempt stops as soon as its b leaves the bracket by more than half the
     bracket's width (see _newton).
     """
-    lo, hi = _as_finite(bracket[0], "bracket end"), _as_finite(bracket[1], "bracket end")
-    if not lo < hi:
-        raise ValidationError(f"bracket needs finite lo < hi, got [{lo}, {hi}]")
+    lo, hi = _check_bracket(bracket[0], bracket[1])
     try:
         root = _predicted_root(problem.with_b(lo), cfg, init, (lo, hi))
         if lo <= root.b <= hi and abs(root.mu - root.b) < _F_TOL:

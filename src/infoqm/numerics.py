@@ -8,12 +8,14 @@ per row, each taken by one gather from the arrays of the distinct orders
 asked for (``hermite_eval`` is its one-row case), the one Horner loop
 ``_horner`` in plain floats, the one bracketed root finder
 ``find_root(f, lo, hi)``, which narrows the bracket to adjacent doubles,
-with the one sign-change rule ``_check_sign_change``, the one polynomial
-root helper ``_poly_roots`` (np.roots bit for bit, without its array
-plumbing) and its real-root filter ``_real_roots``, and the one rule for
-what counts as a number: ``_as_int`` for counts, orders and indices,
-``_as_positive`` for tolerances and steps, ``_as_number`` for the reals of
-an input document and ``_as_finite`` for a real that must be finite.  An
+with the one bracket rule ``_check_bracket`` and the one sign-change rule
+``_check_sign_change``, the one polynomial root helper ``_poly_roots``
+(np.roots bit for bit, without its array plumbing) and its real-root
+filter ``_real_roots``, and the one rule for what counts as a number:
+``_as_int`` for counts, orders and indices (one out of range raises
+ValidationError, as every other broken number does), ``_as_positive`` for
+tolerances and steps, ``_as_number`` for the reals of an input document
+and ``_as_finite`` for a real that must be finite.  An
 array follows the same rule one entry at a time: ``_as_array`` for
 sampled values and points, ``_as_finite_array`` where every entry must be
 finite; a list of plain floats, which the rule passes unchanged, converts
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, DomainError, NumericError, ValidationError
+from .errors import BracketError, NumericError, ValidationError
 
 MAX_HERMITE_ORDER = 64
 
@@ -132,18 +134,17 @@ def _as_positive(value, name: str) -> float:
     return number
 
 
-def _as_int(value, name: str, lo: float = -math.inf, hi: float = math.inf,
-           error: type[ValueError] = ValidationError) -> int:
+def _as_int(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
     """value as an int: an int or numpy integer, or a float or numpy float of
     integral value (2.0 counts as 2).  Anything else (a bool, a string, NaN,
-    an infinity, a fraction) or a value outside [lo, hi] raises ``error``,
-    whose message shows the value through reprlib.repr, as _as_number's
-    does."""
+    an infinity, a fraction) or a value outside [lo, hi] raises
+    ValidationError, whose message shows the value through reprlib.repr, as
+    _as_number's does."""
     integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
     if isinstance(value, bool) or not (integral or isinstance(value, (int, np.integer))):
-        raise error(f"{name} must be an integer, got {reprlib.repr(value)}")
+        raise ValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
     if not lo <= int(value) <= hi:
-        raise error(f"{name} must be in [{lo}, {hi}], got {reprlib.repr(value)}")
+        raise ValidationError(f"{name} must be in [{lo}, {hi}], got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -306,7 +307,7 @@ def hermite_eval(n: int, u):
     Orders above MAX_HERMITE_ORDER are rejected: the recurrence is this
     artifact's stability-tested range.
     """
-    n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
+    n = _as_int(n, "hermite order", 0, MAX_HERMITE_ORDER)
     h = _hermite_rows(np.array([n]), _as_array(u, "u")[None])[0]
     return h if h.ndim else float(h)
 
@@ -320,6 +321,15 @@ def _horner(coeffs, x: float) -> float:
     return y
 
 
+def _check_bracket(lo, hi) -> tuple[float, float]:
+    """(lo, hi) as finite floats under _as_finite with lo < hi, else
+    ValidationError: the one rule for a root bracket."""
+    lo, hi = _as_finite(lo, "bracket lo"), _as_finite(hi, "bracket hi")
+    if not lo < hi:
+        raise ValidationError(f"bracket needs lo < hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def _check_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> None:
     """BracketError unless f_lo and f_hi enclose a sign change, a zero end
     included; comparisons, not a product: a NaN end fails both, and tiny
@@ -329,10 +339,10 @@ def _check_sign_change(lo: float, hi: float, f_lo: float, f_hi: float) -> None:
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f on [lo, hi], finite ends under _as_finite with lo < hi
-    whose values of f, numbers under _as_number, enclose a sign change, by
-    safeguarded Illinois false position (Dowell & Jarratt, BIT 11, 168,
-    1971).  f is evaluated once at each end.
+    """Root of f on [lo, hi], a bracket under _check_bracket, whose values
+    of f, numbers under _as_number, enclose a sign change, by safeguarded
+    Illinois false position (Dowell & Jarratt, BIT 11, 168, 1971).  f is
+    evaluated once at each end.
 
     Each step tries the point (lo w_hi - hi w_lo) / (w_hi - w_lo), where
     an end's weight w is its value of f, halved each time that end is
@@ -349,9 +359,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     doubles of the bracket, an end of the pair bisection would end on.
     Deterministic: identical inputs give bit-identical output.
     """
-    lo, hi = _as_finite(lo, "bracket lo"), _as_finite(hi, "bracket hi")
-    if not lo < hi:
-        raise ValidationError(f"bracket needs lo < hi, got [{lo}, {hi}]")
+    lo, hi = _check_bracket(lo, hi)
     w_lo, w_hi = _as_number(f(lo), "bracket f_lo"), _as_number(f(hi), "bracket f_hi")
     _check_sign_change(lo, hi, w_lo, w_hi)
     if w_lo == 0.0:

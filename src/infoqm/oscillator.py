@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import NumericError
 from .numerics import (MAX_HERMITE_ORDER, _as_array, _as_finite, _as_int, _as_positive,
                        _hermite_rows, find_root, hermite_eval)
 
@@ -120,7 +120,7 @@ def solve_state(n: int) -> OscillatorState:
     the width is the one plain bisection would give, bit for bit.  Every
     solved state has 2*alpha - 1 > 0.12 and lambda < -0.27.
     """
-    n = _as_int(n, "n", 0, MAX_QUANTUM_NUMBER, DomainError)
+    n = _as_int(n, "n", 0, MAX_QUANTUM_NUMBER)
     k = n % 2
     norm = _norm_constant(n)
     beta = find_root(partial(_closure_residual, norm, n + k), BETA_SCAN_LO,
@@ -132,7 +132,7 @@ def solve_state(n: int) -> OscillatorState:
 
 def table(n_max: int) -> list[OscillatorState]:
     """States n = 0..n_max, the table's rows, each from an independent solve."""
-    n_max = _as_int(n_max, "n_max", 0, MAX_QUANTUM_NUMBER, DomainError)
+    n_max = _as_int(n_max, "n_max", 0, MAX_QUANTUM_NUMBER)
     return [solve_state(n) for n in range(n_max + 1)]
 
 
@@ -149,7 +149,7 @@ def psi_deriv(state: OscillatorState, x):
     one _hermite_rows call on two rows (at n = 0 the order -1 row reads 1,
     times 2n = 0)."""
     x = _as_array(x, "x")
-    n = _as_int(state.n, "hermite order", 0, MAX_HERMITE_ORDER, DomainError)
+    n = _as_int(state.n, "hermite order", 0, MAX_HERMITE_ORDER)
     s = math.sqrt(2.0 * state.beta)
     u = s * x
     g = np.exp(-state.alpha - state.beta * x * x)

@@ -11,7 +11,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError
+from .errors import NumericError, ValidationError
 from .numerics import _as_finite, _as_finite_array, _as_int, _as_number
 
 MAX_SERIES_TERMS = 200
@@ -35,11 +35,11 @@ class PowerSeries2D:
         coeffs.flags.writeable = False
 
     def coefficient(self, i: int, j: int) -> float:
-        """a_ij; DomainError unless i, j >= 0 and i + j <= truncation_order."""
+        """a_ij; ValidationError unless i, j >= 0 and i + j <= truncation_order."""
         n = self.truncation_order
-        i, j = _as_int(i, "i", 0, n, DomainError), _as_int(j, "j", 0, n, DomainError)
+        i, j = _as_int(i, "i", 0, n), _as_int(j, "j", 0, n)
         if i + j > n:
-            raise DomainError(f"a_ij needs i + j <= {n}, got ({i}, {j})")
+            raise ValidationError(f"a_ij needs i + j <= {n}, got ({i}, {j})")
         return float(self.coefficients[i, j])
 
 

@@ -280,7 +280,7 @@ class TestEnergyOrdering:
 
 class TestCompletenessProjection:
     def test_in_span_target(self, states):
-        report = completeness_projection(states[3], states, (2, 4, 8), "n=3")
+        report = completeness_projection(states[3], states, (2, 4, 8))
         assert report.residuals[0] > 0.5  # not reachable with n <= 1
         assert report.residuals[1] <= 1e-8
         assert report.residuals[2] <= 1e-8

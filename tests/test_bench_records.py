@@ -1,12 +1,14 @@
 """The committed BENCH_*.json benchmark records parse and hold, for every
-run, the result fields that perfbench/run.py prints, and
-scripts/bench_record.py tells how a checkout was made."""
+run, the result fields that perfbench/run.py prints,
+scripts/bench_record.py tells how a checkout was made, and
+scripts/bench_outputs.py digests the same job outputs on every run."""
 
 import importlib.util
 import json
 import math
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,19 @@ def test_checkout_state_tells_a_clone_from_an_archive(tmp_path):
     # a directory inside a work tree is not a checkout of it
     (clone / "sub").mkdir()
     assert bench_record.checkout_state(clone / "sub")["head"] is None
+
+
+def test_output_digest_repeats(monkeypatch):
+    # the script puts src/ and perfbench/ on sys.path and turns off
+    # bytecode writing; monkeypatch restores both after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("bench_outputs", ROOT / "scripts" / "bench_outputs.py")
+    bench_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_outputs)
+    workloads = bench_outputs.bench_jobs.WORKLOADS
+    # each run builds its jobs in a new temporary directory
+    first, second = ([bench_outputs.digest(w, 3, smoke=True) for w in workloads] for _ in range(2))
+    assert first == second
+    for workload, line in zip(workloads, first):
+        assert re.fullmatch(rf"{workload} 3 [1-9][0-9]* [0-9a-f]{{64}}", line), line

@@ -862,7 +862,6 @@ def _subclasses(cls):
 # RuntimeError kinds a run that did not finish
 EXIT_CODES = {
     errors.ValidationError: 2,
-    errors.DomainError: 2,
     errors.BracketError: 2,
     errors.InfeasibleMomentsError: 2,
     errors.NumericError: 2,

@@ -236,6 +236,46 @@ class TestFeasibility:
             with pytest.raises(InfeasibleMomentsError, match=match):
                 maxent.check_feasible_1d(spec)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2, unique=True),
+           st.integers(0, 6))
+    @example([-INF, INF], 2)
+    @example([-INF, INF], 3)
+    @example([-1e200, 1e-3], 3)
+    @example([1e155, INF], 2)
+    @example([-1e-200, 1e-200], 3)
+    @example([-1e-200, 1e-200], 2)
+    @example([-3.0, -0.0], 4)
+    def test_power_range_is_the_brute_force_range(self, ends, order):
+        a, b = sorted(ends)
+        if not a < b:  # -0.0 and 0.0
+            return
+
+        def power(x):
+            try:
+                return x**order
+            except OverflowError:
+                return math.copysign(INF, x) if order % 2 else INF
+
+        points = [a, b] + [0.0] * (a <= 0.0 <= b)
+        if math.isfinite(b - a):
+            points += [a + t * (b - a) for t in (0.1, 0.5, 0.9)]
+        values = [power(x) for x in points]
+        lo, hi = maxent._power_range(a, b, order)
+        assert (lo, hi) == (min(values), max(values))
+        # the same floats, the sign of a zero included, as the even and odd
+        # rules it replaces wherever they ran: the range from order 1 (1-D
+        # and 2-D) and the top at order 0 on a finite interval (a 2-D cap)
+        if order % 2:
+            old = (power(a), power(b))
+        else:
+            old = (0.0 if a <= 0.0 <= b else power(min(abs(a), abs(b))),
+                   INF if INF in (abs(a), abs(b)) else power(max(abs(a), abs(b))))
+        if order:
+            assert (repr(lo), repr(hi)) == tuple(map(repr, old))
+        elif math.isfinite(a) and math.isfinite(b):
+            assert repr(hi) == repr(old[1])
+
     def test_2d_caps_past_the_float_range(self):
         # the (2,2) cap 1e160**2 * 1 overflows: it is infinite, so it passes,
         # and a marginal whose range overflows raises as in 1-D

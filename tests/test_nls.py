@@ -20,6 +20,7 @@ from infoqm import (
     InstabilityError,
     ValidationError,
     discrete_energy,
+    find_root,
     gradient_flow_ground_state,
     ground_state,
     psi_eval,
@@ -178,7 +179,8 @@ class TestSelfConsistency:
         assert abs(lam_1024 - lam_4096) < 1e-3
 
     @pytest.mark.parametrize(
-        "bracket", [(-0.5, -3.0), (-1.0, -1.0), (math.nan, -0.5), (-3.0, math.inf)]
+        "bracket", [(-0.5, -3.0), (-1.0, -1.0), (math.nan, -0.5), (-3.0, math.inf),
+                    (True, -0.5), (-3.0, "-0.5")]
     )
     def test_bad_bracket_rejected_before_any_solve(self, monkeypatch, bracket):
         calls = []
@@ -189,11 +191,16 @@ class TestSelfConsistency:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(nls, "ground_state", counted)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as lambda_error:
             self_consistent_lambda(
                 harmonic_problem(192, half_width=8.0), FlowConfig(step=2e-3), bracket=bracket
             )
         assert not calls
+        # one bracket rule, numerics._check_bracket, with find_root's text
+        with pytest.raises(ValidationError) as root_error:
+            find_root(lambda x: x, *bracket)
+        assert str(lambda_error.value) == str(root_error.value)
+        assert re.match(r"bracket (lo|hi) must be|bracket needs lo < hi", str(root_error.value))
 
     def test_bracket_without_sign_change(self):
         problem = harmonic_problem(192)

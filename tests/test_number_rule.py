@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
-    DomainError,
     EndpointFactors,
     ExpFamilyDensity1D,
     ExpFamilyDensity2D,
@@ -91,18 +90,18 @@ COUNT_SITES = {
     "Grid1D.n_points": (lambda v: Grid1D(-1.0, 1.0, v), ValidationError),
     "gauss_hermite": (QuadratureRule.gauss_hermite, ValidationError),
     "gauss_legendre": (QuadratureRule.gauss_legendre, ValidationError),
-    "hermite_eval": (lambda v: hermite_eval(v, 0.3), DomainError),
+    "hermite_eval": (lambda v: hermite_eval(v, 0.3), ValidationError),
     "OscillatorState.n": (lambda v: OscillatorState(v, 0, 1.0, 0.5, -1.0, 1.0), ValidationError),
-    "solve_state": (solve_state, DomainError),
-    "table": (table, DomainError),
+    "solve_state": (solve_state, ValidationError),
+    "table": (table, ValidationError),
     "taylor2_coeffs": (lambda v: taylor2_coeffs(lambda x, y: 1.0, v, 0.01), ValidationError),
     "binomial_series_eval": (lambda v: binomial_series_eval(1.0, -1.0, 0.5, v), ValidationError),
     "two_var_series_eval": (lambda v: two_var_series_eval("exp_xy", 0.5, 0.5, v),
                             ValidationError),
     "PowerSeries2D.truncation_order": (lambda v: PowerSeries2D([[1.0, 0.0], [0.0, 0.0]], v),
                                        ValidationError),
-    "PowerSeries2D.coefficient.i": (lambda v: _SERIES2.coefficient(v, 0), DomainError),
-    "PowerSeries2D.coefficient.j": (lambda v: _SERIES2.coefficient(0, v), DomainError),
+    "PowerSeries2D.coefficient.i": (lambda v: _SERIES2.coefficient(v, 0), ValidationError),
+    "PowerSeries2D.coefficient.j": (lambda v: _SERIES2.coefficient(0, v), ValidationError),
     "energy": (lambda v: energy(v, 1.0, -1.0), ValidationError),
     "alpha_from_beta.n": (lambda v: alpha_from_beta(v, 0.3), ValidationError),
     "FlowConfig.seed": (lambda v: FlowConfig(seed=v), ValidationError),
@@ -111,7 +110,7 @@ COUNT_SITES = {
                                     ValidationError),
     "spec order": (lambda v: moment_spec_from_json(_spec_doc(order=v)), ValidationError),
     "density order": (lambda v: density_from_json(_density_doc(order=v)), ValidationError),
-    "target n": (lambda v: _target_from_spec({"kind": "state", "n": v}), DomainError),
+    "target n": (lambda v: _target_from_spec({"kind": "state", "n": v}), ValidationError),
     "target power": (lambda v: _target_from_spec({"kind": "gauss_power", "power": v}),
                      ValidationError),
     "GaussPower.power": (lambda v: GaussPower(v, 1.0), ValidationError),
@@ -288,18 +287,34 @@ CASES = (
        for site, (call, bads) in REAL_SITES.items() for label, bad in bads.items()]
 )
 
-BELOW_RANGE = {
-    "gauss_legendre": lambda: QuadratureRule.gauss_legendre(0),
-    "PowerSeries2D.truncation_order": lambda: PowerSeries2D(np.zeros((0, 0)), -1),
-    "alpha_from_beta.n": lambda: alpha_from_beta(-1, 0.3),
-    "energy": lambda: energy(-1, 1.0, -1.0),
+# a count below its least or above its largest value, with the exact text
+# it raises: one error type, ValidationError, for every count
+OUT_OF_RANGE = {
+    "gauss_legendre": (lambda: QuadratureRule.gauss_legendre(0),
+                       "gauss_legendre order must be in [1, inf], got 0"),
+    "PowerSeries2D.truncation_order": (lambda: PowerSeries2D(np.zeros((0, 0)), -1),
+                                       "truncation_order must be in [0, inf], got -1"),
+    "alpha_from_beta.n": (lambda: alpha_from_beta(-1, 0.3), "n must be in [0, inf], got -1"),
+    "energy": (lambda: energy(-1, 1.0, -1.0), "n must be in [0, inf], got -1"),
+    "hermite_eval": (lambda: hermite_eval(65, 0.3), "hermite order must be in [0, 64], got 65"),
+    "psi_deriv": (lambda: psi_deriv(OscillatorState(65, 1, 1.0, 0.5, -1.0, 1.0), 0.3),
+                  "hermite order must be in [0, 64], got 65"),
+    "solve_state": (lambda: solve_state(21), "n must be in [0, 20], got 21"),
+    "table": (lambda: table(21), "n_max must be in [0, 20], got 21"),
+    "GaussPower": (lambda: GaussPower(65, 1.0), "gauss_power power must be in [0, 64], got 65"),
+    "partial_sums": (lambda: partial_sums("exp_xy", 0.5, 201, y=0.5),
+                     "n_terms must be in [0, 200], got 201"),
+    "PowerSeries2D.coefficient": (lambda: _SERIES2.coefficient(0, 5), "j must be in [0, 4], got 5"),
+    "target n": (lambda: _target_from_spec({"kind": "state", "n": 21}),
+                 "n must be in [0, 20], got 21"),
 }
 
 
-@pytest.mark.parametrize("call", BELOW_RANGE.values(), ids=BELOW_RANGE.keys())
-def test_count_out_of_range_raises(call):
-    with pytest.raises(ValidationError, match=r"must be in \["):
+@pytest.mark.parametrize("call, text", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_count_out_of_range_raises(call, text):
+    with pytest.raises(ValidationError) as info:
         call()
+    assert type(info.value) is ValidationError and str(info.value) == text
 
 
 @pytest.mark.parametrize("call, bad, error", CASES)
@@ -313,7 +328,7 @@ def test_series2d_index_outside_the_triangle_raises(i, j):
     # a negative index would wrap to a_4j; (3, 3) lies in the zero padding
     # above total degree 4
     series = taylor2_coeffs(lambda x, y: math.exp(x + y), 4, 0.02)
-    with pytest.raises(DomainError, match="must be in|i \\+ j <="):
+    with pytest.raises(ValidationError, match="must be in|i \\+ j <="):
         series.coefficient(i, j)
 
 
@@ -404,9 +419,8 @@ def test_as_positive_accepts_exactly_finite_positive_reals(tagged):
 
 
 @settings(max_examples=400, deadline=None)
-@given(VALUES, st.integers(-5, 5), st.integers(0, 10), st.sampled_from([ValidationError,
-                                                                        DomainError]))
-def test_as_int_accepts_exactly_integral_values_in_range(tagged, lo, span, error):
+@given(VALUES, st.integers(-5, 5), st.integers(0, 10))
+def test_as_int_accepts_exactly_integral_values_in_range(tagged, lo, span):
     tag, v = tagged
     if tag in ("int", "huge int", "numpy int"):
         want = int(v)
@@ -415,16 +429,16 @@ def test_as_int_accepts_exactly_integral_values_in_range(tagged, lo, span, error
     else:
         want = None
     if want is None:
-        with pytest.raises(error):
-            _as_int(v, "x", error=error)
+        with pytest.raises(ValidationError):
+            _as_int(v, "x")
     else:
-        got = _as_int(v, "x", error=error)
+        got = _as_int(v, "x")
         assert type(got) is int and got == want
     if want is not None and lo <= want <= lo + span:
-        assert _as_int(v, "x", lo, lo + span, error) == want
+        assert _as_int(v, "x", lo, lo + span) == want
     else:
-        with pytest.raises(error):
-            _as_int(v, "x", lo, lo + span, error)
+        with pytest.raises(ValidationError):
+            _as_int(v, "x", lo, lo + span)
 
 
 @pytest.mark.parametrize(

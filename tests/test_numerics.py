@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from infoqm import (
     BracketError,
-    DomainError,
     Grid1D,
     NumericError,
     QuadratureRule,
@@ -56,7 +55,7 @@ class TestHermite:
 
     @pytest.mark.parametrize("n", [-1, 65, 300])
     def test_order_bounds(self, n):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             hermite_eval(n, 0.0)
 
     def test_orthogonality_under_gauss_hermite(self):

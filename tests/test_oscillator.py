@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from infoqm import (
-    DomainError,
     Grid1D,
     NumericError,
     OscillatorState,
@@ -147,7 +146,7 @@ class TestSolveState:
 
     @pytest.mark.parametrize("n", [-1, 21])
     def test_out_of_range(self, n):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             solve_state(n)
 
     @pytest.mark.parametrize("n", range(21))
@@ -179,7 +178,7 @@ class TestTable:
         assert len(rows) == 1 and rows[0].n == 0
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             table(21)
 
     def test_width_solve_work(self, monkeypatch):
@@ -236,7 +235,7 @@ class TestPsi:
 
     def test_derivative_order_bound(self):
         # the Hermite recurrence's tested range, as for hermite_eval
-        with pytest.raises(DomainError, match=r"^hermite order must be in \[0, 64\], got 65$"):
+        with pytest.raises(ValidationError, match=r"^hermite order must be in \[0, 64\], got 65$"):
             psi_deriv(linear_limit_state(65), 0.5)
 
     @pytest.mark.parametrize("n", range(8))

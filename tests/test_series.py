@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoqm import (
-    DomainError,
     NumericError,
     PowerSeries2D,
     ValidationError,
@@ -218,5 +217,5 @@ class TestPowerSeries2DType:
         # (1, 1) lies in the array's zero padding above total degree 1
         series = PowerSeries2D([[1.0, 2.0], [3.0, 0.0]], 1)
         assert (series.coefficient(0, 1), series.coefficient(1, 0)) == (2.0, 3.0)
-        with pytest.raises(DomainError, match=r"a_ij needs i \+ j <= 1, got \(1, 1\)"):
+        with pytest.raises(ValidationError, match=r"a_ij needs i \+ j <= 1, got \(1, 1\)"):
             series.coefficient(1, 1)
