@@ -27,7 +27,8 @@ from .maxent import (
     fit_multipliers_1d,
     moment_spec_from_json,
 )
-from .nls import DEFAULT_BRACKET, FlowConfig, GridProblem, ground_state, self_consistent_lambda
+from .nls import (_AGMON_DISTANCE, DEFAULT_BRACKET, FlowConfig, GridProblem, ground_state,
+                  self_consistent_lambda)
 from .numerics import Grid1D, _as_int
 from .oscillator import solve_state, table
 from .series import MAX_SERIES_TERMS, partial_sums
@@ -286,6 +287,10 @@ def _cmd_nls_ground(args) -> str:
     else:
         sol = ground_state(problem, cfg, init=init)
         lam_out = None
+    if sol.kept is not None:
+        args.warnings.append(f"the solve ran on x in [{sol.kept[0]:.12g}, {sol.kept[1]:.12g}], the "
+                             f"points within Agmon distance {_AGMON_DISTANCE:g} of the allowed "
+                             "region; psi is written as 0 outside it")
     doc = {
         "lambda": lam_out,
         "mu": sol.mu,
@@ -377,6 +382,7 @@ def run(argv: list[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return 0 if code == 0 else _EXIT_INVALID
     start = time.perf_counter()
+    args.warnings = []  # a handler appends what the manifest warns of
     try:
         payload = args.handler(args)
         manifest = {
@@ -384,8 +390,7 @@ def run(argv: list[str]) -> int:
             "version": __version__,
             "argv": list(argv),
             "wall_time_s": round(time.perf_counter() - start, 6),
-            # no subcommand records a warning yet; the key stays in the layout
-            "warnings": [],
+            "warnings": args.warnings,
         }
         _write_output(payload, args.out, manifest)
     except (InfoqmError, OSError) as exc:

@@ -17,7 +17,19 @@ tridiagonal Jacobian takes one tridiagonal solve a step, straight from the
 start state.  At a fixed b (ground_state) the border unknown is the
 eigenvalue shift m = mu(b) - b; for the self-consistent root (mu(b) = b,
 so the stationarity eigenvalue equals the nonlinear coefficient) it is b
-itself.  Newton runs first in v = ln u, where the nonlinearity
+itself.
+Every Newton solve runs on a sub-grid of the grid's own points: those
+whose Agmon distance from the classically allowed region {V <= min V +
+_AGMON_ENERGY} is at most _AGMON_DISTANCE = 250, and one pinned end on
+each side (Agmon, Lectures on Exponential Decay of Solutions of
+Second-Order Elliptic Equations, 1982).  Past a distance of about 115 a
+bound state's psi^2 is below the logarithm's floor, where the floored
+equation is not the physical one anyway, and past about 745 psi itself
+is below the smallest double, which no Newton step or loose step holds.  The cut reads only
+V and the grid, so a solve resumed from a written state keeps the same
+points; the returned state is exactly 0 outside them.  On an uncut grid
+the sub-grid is the grid itself.
+At a fixed b Newton runs first in v = ln u, where the nonlinearity
 b (1 + 2v) is linear: it holds from starts where the plain Newton step in
 u leaves the positive cone, as Newton's basin depends on the variable it
 works in (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 1),
@@ -26,13 +38,10 @@ Allgower & Georg, Numerical Continuation Methods, 1990).  Only where
 that attempt fails (an exp that leaves the range of floats, a step that
 is not finite, or the step cap) does the plain chain run from the same
 start: Newton in u, and where that fails a short loose phase before
-Newton in u is tried once more.  With b free, the root that the chain
-ends on is checked against the bracket once, after it, and each attempt
-stops as soon as its b leaves the bracket by more than half the
-bracket's width.  The loose phase takes backward-Euler steps in H with
-the logarithm taken from the old state (BEFD, Bao & Du, SIAM J. Sci.
-Comput. 25, 1674, 2004), each one tridiagonal solve of an M-matrix, to a
-loose norm.  Where the
+Newton in u is tried once more.  The loose phase takes backward-Euler
+steps in H with the logarithm taken from the old state (BEFD, Bao & Du,
+SIAM J. Sci. Comput. 25, 1674, 2004), each one tridiagonal solve of an
+M-matrix, to a loose norm.  Where the
 plain Newton step would leave the positive cone, each entry it cuts by
 more than 90% takes the Newton step in ln u instead.  Newton stops
 only where its step is small and one explicit step from the state moves
@@ -42,16 +51,16 @@ Newton steps on until the flow norm is below the tolerance or the step
 cap is reached, whose error then gives that flow norm, the tolerance
 and eps max(psi) / step.  Where the loose phase or the last Newton solve
 fails, its error is raised.
-The self-consistent root is first sought by a predictor and a corrector
+The self-consistent root has one path, a predictor and a corrector
 (Allgower & Georg, Numerical Continuation Methods, 1990): one fixed-b
 Newton step in ln u at the bracket's lower end from the normalized start,
-then the free-b Newton in ln u from that state.  Only where that attempt
-fails, its root outside the bracket or off _F_TOL included, does the
-solve of the lower end run: F(b) = mu(b) - b is evaluated there, a
-ground_state, and the root is continued from that end's state by one
-free-b Newton solve (natural-parameter continuation); the upper end is
-solved only where that fails too, to name the failure.  A bracket end or
-root is returned only where |mu - b| < _F_TOL = 1e-6.
+then the free-b Newton in ln u from that state, which stops as soon as
+its b leaves the bracket by more than half the bracket's width.  Its root
+is returned where it lies in the bracket with |mu - b| < _F_TOL = 1e-6.
+Only where that fails are the bracket's ends solved, by ground_state, to
+return an end with |mu - b| < _F_TOL or to name the failure: BracketError
+where F(b) = mu(b) - b has no sign change on the bracket, and otherwise
+a ConvergenceError that quotes the root's.
 The logarithm is floored at the fixed _EPS_LOG = 1e-100 to keep the far
 tails finite; the floor is far below any physical amplitude.
 
@@ -59,18 +68,18 @@ The discretization is written once: _floored_log gives the floored
 logarithm, _gradient gives g and that logarithm on the interior of a
 pinned state, and _explicit_step takes one normalized step.  The flow,
 its verification of a Newton state, the discrete energy (which is mu)
-and the Newton residuals in ln u and of the free-b plain step go through
-_gradient; the loose phase and the plain Newton Jacobian need only the
-logarithm, so they call _floored_log.  One function, _newton_state, runs
-Newton in ln u and the plain chain where that fails, at a fixed b and
-for the continued root; it is the one solver behind both, and it has one
-exit.  The first attempt at the root, _predicted_root, takes its fixed-b
-step and its free-b Newton attempt with the same rule and loop.  Both
-start in _newton_start (the step check, the normalized start state and
-its energy) and end in _newton_result (mu at the returned b and the
-energy trace from the start's energy to mu).
+and the Newton residual in ln u go through _gradient; the loose phase
+and the plain Newton Jacobian need only the logarithm, so they call
+_floored_log.  ground_state runs Newton in ln u and the plain chain where
+that fails; the root, _predicted_root, takes its fixed-b step and its
+free-b Newton attempt with the same rule and loop.  Both start in
+_newton_start (the step check, the cut, the normalized start state on the
+sub-grid and its energy) and end in _newton_result (mu at the returned b,
+the energy trace from the start's energy to mu, and the state embedded in
+the whole grid).
 Every Newton attempt is one loop, _newton, given one of two step rules:
-_log_step, in ln u, or _newton_step, plain.  A rule makes the step and
+_log_step, in ln u, with b fixed or free, or _newton_step, plain, at a
+fixed b only.  A rule makes the step and
 the new interior and raises where that is unusable; the loop holds the
 border unknown, the stop test, _flow_check and the step cap.  Every
 tridiagonal solve is one _thomas call of one right-hand side: up to
@@ -82,14 +91,11 @@ a 2046-unknown solve takes five reduction levels instead of a loop of
 for the symmetric positive definite Jacobian of a Newton step in ln u at
 b < 0 and the diagonally dominant matrix of a loose step, and both move
 an exactly zero pivot off zero, as inverse iteration does.  A loose
-step, a Newton step in ln u and a plain fixed-b Newton step take one
-solve each.
+step and every Newton step take one solve each.
 In ln u the Jacobian J' satisfies J' u = -2b u above the floor, so the
 step splits into its part along u and one solve off it (see _log_step);
-the plain Jacobian J satisfies J u = G - 2b u, so at a fixed b one solve
-serves both the residual and the border column (see _plain_direction).  A
-plain free-b step takes two, since its border column -(1 + L) u has no
-such identity.
+the plain Jacobian J satisfies J u = G - 2b u, so one solve serves both
+the residual and the border column (see _plain_direction).
 The seeded starts of the uniqueness probe draw their six doubles a start
 from Philox4x64-10 written in plain integers (_philox_uniforms), which
 gives numpy's Philox bits, so no random-number library is loaded for them.
@@ -98,7 +104,7 @@ gives numpy's Philox bits, so no random-number library is loaded for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,6 +125,10 @@ _ENERGY_SAMPLE_EVERY = 100
 _FLOW_CAP = 400_000
 # a returned self-consistent state has |mu - b| below this
 _F_TOL = 1e-6
+# a Newton solve keeps the points whose Agmon distance from {V <= min V +
+# _AGMON_ENERGY} is at most _AGMON_DISTANCE: past 115, psi^2 is below _EPS_LOG
+_AGMON_ENERGY = 10.0
+_AGMON_DISTANCE = 250.0
 # the semi-implicit loose phase: its step, its step cap, and the loose norm
 # at which it hands over to Newton
 _LOOSE_FLOW_NORM = 1e-2
@@ -182,19 +192,20 @@ class GroundStateSolution:
     """Converged positive state with its stationarity eigenvalue.
 
     ``iterations`` counts the steps and ``newton_steps`` the bordered
-    Newton steps behind every state the solve kept: the semi-implicit steps
-    of the loose phase (0 where Newton in ln u or the plain Newton solve
-    held from the start state) and the steps of the Newton attempt that
-    made the state, in ln u or plain.  For a self-consistent solve whose
-    first attempt holds they are 0 and the fixed-b step plus the root's
-    steps; otherwise they are the sum over the lower bracket end and the
-    root (the upper end, where it was returned as the root).  A failed
-    Newton attempt, the first attempt of a self-consistent solve included,
-    is not counted.
+    Newton steps behind the returned state: the semi-implicit steps of the
+    loose phase (0 where Newton in ln u or the plain Newton solve held from
+    the start state) and the steps of the Newton attempt that made the
+    state, in ln u or plain.  For a self-consistent root they are 0 and the
+    fixed-b step plus the root's steps; for a bracket end returned as the
+    root, that end's own.  A failed Newton attempt, the first attempt of a
+    self-consistent solve included, is not counted.
     ``energy_trace`` starts with the energy of the normalized start state
     and ends with the energy of ``psi`` at ``b``.  gradient_flow_ground_state
     counts its explicit steps in ``iterations`` and samples every 100th
     step's energy between.
+    ``kept`` is None where the solve ran on the whole grid, and otherwise
+    the (x_min, x_max) of the sub-grid it ran on, whose ends are pinned:
+    ``psi`` is exactly 0 outside it.
     """
 
     psi: np.ndarray
@@ -204,6 +215,7 @@ class GroundStateSolution:
     flow_norm: float
     energy_trace: tuple[float, ...] = field(default=(), repr=False)
     newton_steps: int = 0
+    kept: tuple[float, float] | None = None
 
     def __post_init__(self):
         psi = _as_finite_array(self.psi, "psi")
@@ -535,50 +547,43 @@ def _thomas(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
     return x[:n]
 
 
-def _plain_direction(
-    problem: GridProblem, u: np.ndarray, b: float, m: float, free_b: bool
-) -> tuple[np.ndarray, float]:
-    """One bordered Newton step (d_u, d_p) for the interior u of a state.
+def _plain_direction(problem: GridProblem, u: np.ndarray, b: float, m: float
+                     ) -> tuple[np.ndarray, float]:
+    """One bordered Newton step (d_u, d_m) at the fixed b for the interior u
+    of a state.
 
-    Unknowns are u and the border unknown p (m, or b when free_b), for
-    G = H u - b (1 + L) u - m u = 0 and h sum u^2 = 1, where
-    L = ln max(u^2, _EPS_LOG).  The Jacobian is the tridiagonal
+    Unknowns are u and the eigenvalue shift m, for G = H u - b (1 + L) u -
+    m u = 0 and h sum u^2 = 1, where L = ln max(u^2, _EPS_LOG).  The
+    Jacobian is the tridiagonal
     J = 1/h^2 + V - b (1 + L + 2 [u^2 > _EPS_LOG]) - m, off-diagonal -1/(2h^2),
-    bordered by the column -u (or -(1 + L) u) and the row 2h u.  J is solved
-    for G (y) and for the column (z); the border unknown then follows from
-    the row (Keller's bordering algorithm).
+    bordered by the column -u and the row 2h u.  J is solved for G (y) and
+    for the column (z); d_m then follows from the row (Keller's bordering
+    algorithm).
 
-    At a fixed b one solve gives both.  Row by row J u = G - 2b a u, with
+    One solve gives both.  Row by row J u = G - 2b a u, with
     a = [u^2 > _EPS_LOG], so for w = J^-1 (a u) the residual's solve is
     y = u + 2b w exactly, and z = -w differs from J^-1 (-u) only through
     the entries below the floor, whose amplitude is under 1e-50.  The step
-    is then a shifted inverse iteration, u + d_u = (d_p - 2b) w.  The free-b
-    column -(1 + L) u has no such identity, so that step takes two _thomas
-    calls, one for y and one for z.
+    is then a shifted inverse iteration, u + d_u = (d_m - 2b) w.
     """
     h = problem.grid.spacing
     inv_h2 = 1.0 / (h * h)
-    off = -0.5 * inv_h2
     dens = u * u
     constraint = h * float(dens.sum()) - 1.0
     above_floor = dens > _EPS_LOG
-    log_d = _floored_log(u)
-    diag = inv_h2 + problem.potential[1:-1] - b * (1.0 + log_d + 2.0 * above_floor) - m
-    if free_b:
-        y = _thomas(diag, off, _gradient(problem, _pinned(u), b)[0] - m * u)
-        z = _thomas(diag, off, -(1.0 + log_d) * u)
-    else:
-        w = _thomas(diag, off, u * above_floor)
-        y, z = u + 2.0 * b * w, -w
-    d_p = (constraint - 2.0 * h * float(u @ y)) / (2.0 * h * float(u @ z))
-    return -y - z * d_p, d_p
+    diag = inv_h2 + problem.potential[1:-1] - b * (1.0 + _floored_log(u) + 2.0 * above_floor) - m
+    w = _thomas(diag, -0.5 * inv_h2, u * above_floor)
+    y = u + 2.0 * b * w
+    d_m = (constraint - 2.0 * h * float(u @ y)) / (-2.0 * h * float(u @ w))
+    return -y + w * d_m, d_m
 
 
 def _newton_step(
     problem: GridProblem, u: np.ndarray, b: float, m: float, free_b: bool
 ) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """The plain step rule of _newton: the step (d_u, d_p) of
-    _plain_direction and the new interior it takes u to.
+    """The plain step rule of _newton, at a fixed b only (free_b is False):
+    the step (d_u, d_p) of _plain_direction and the new interior it takes
+    u to.
 
     Where u + d_u keeps every entry positive it is the new interior as it
     is.  Otherwise each entry that it cuts by more than _CUT takes the
@@ -588,7 +593,7 @@ def _newton_step(
     raises ConvergenceError where the new interior still leaves the
     positive cone (an entry whose exp underflowed) or d_p is not finite.
     """
-    d_u, d_p = _plain_direction(problem, u, b, m, free_b)
+    d_u, d_p = _plain_direction(problem, u, b, m)
     new = u + d_u
     may_stop = bool(np.all(new > 0.0))
     if not may_stop:
@@ -682,7 +687,7 @@ def _newton(
 ) -> tuple[np.ndarray, float, int, float]:
     """Newton from psi to the positive state with G = 0 and unit norm, each
     step taken by the step rule ``step``: _log_step, in ln u, or
-    _newton_step, plain.
+    _newton_step, plain, which runs at a fixed b only.
 
     The border unknown is m at the problem's fixed b (bracket None), so
     that m = mu(b) - b, or, for the self-consistent root in ``bracket``
@@ -728,60 +733,61 @@ def _newton(
     raise ConvergenceError(f"{name} exceeded {_NEWTON_CAP} steps{unverified}")
 
 
-def _newton_start(problem: GridProblem, cfg: FlowConfig,
-                  init: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """The start of every Newton solve: the pinned, normalized start state
-    from init (_start_state) and its energy at the problem's b, after
-    _validate_step.  Invalid input raises ValidationError before any step."""
+def _kept(problem: GridProblem) -> slice:
+    """The grid points of the sub-grid a Newton solve runs on, its pinned
+    ends included: slice(0, n) for the whole grid.
+
+    A bound state decays like exp(-d), d the Agmon distance, the integral
+    of sqrt(2 (V - E)) from the allowed region {V <= E} (Agmon, Lectures on
+    Exponential Decay of Solutions of Second-Order Elliptic Equations,
+    1982), here with E = min V + _AGMON_ENERGY and the trapezoid rule on the
+    grid.  Every point with d <= _AGMON_DISTANCE is kept, and one more on
+    each side as the pinned end; past d = 115 psi^2 is below _EPS_LOG, where
+    the floored equation is not the physical one anyway."""
+    v = problem.potential
+    energy = float(v.min()) + _AGMON_ENERGY
+    # sqrt(2 (V - E)) where V > E, times the trapezoid weight h / 2
+    rate = np.sqrt(np.maximum(v - energy, 0.0) * (0.5 * problem.grid.spacing**2))
+    integral = np.concatenate(([0.0], np.cumsum(rate[:-1] + rate[1:])))
+    allowed = np.flatnonzero(v <= energy)
+    first = integral.searchsorted(integral[allowed[0]] - _AGMON_DISTANCE)
+    stop = integral.searchsorted(integral[allowed[-1]] + _AGMON_DISTANCE, "right")
+    return slice(max(int(first) - 1, 0), min(int(stop) + 1, v.size))
+
+
+def _newton_start(problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None
+                  ) -> tuple[GridProblem, slice, np.ndarray, float]:
+    """The start of every Newton solve, after _validate_step: the problem on
+    the kept sub-grid, the problem itself where that is the whole grid,
+    the grid points it keeps (_kept), and on it the pinned,
+    normalized start state (_start_state of init's kept entries, or of
+    default_initial_guess of the sub-grid) and its energy.  The cut reads
+    only V and the grid, so a solve from a state written by a solve on the
+    same grid keeps the same points.  Invalid input raises ValidationError
+    before any step."""
     _validate_step(problem, cfg)
+    kept = _kept(problem)
+    if kept.stop - kept.start < problem.grid.n_points:
+        if init is not None:
+            init = _as_finite_array(init, "init", (problem.grid.n_points,))[kept]
+        x = problem.grid.points()[kept]
+        problem = GridProblem(Grid1D(x[0], x[-1], x.size), problem.potential[kept], problem.b)
     start = _start_state(problem.grid, init)
-    return start, discrete_energy(problem, start)
+    return problem, kept, start, discrete_energy(problem, start)
 
 
-def _newton_result(problem: GridProblem, psi: np.ndarray, b: float, energy: float,
-                   flow_norm: float, iterations: int, newton_steps: int) -> GroundStateSolution:
-    """The result of every Newton solve: the state psi at b, whose mu is its
-    energy at b, with energy_trace (the start state's energy, mu)."""
+def _newton_result(grid: Grid1D, problem: GridProblem, kept: slice, psi: np.ndarray, b: float,
+                   energy: float, flow_norm: float, iterations: int,
+                   newton_steps: int) -> GroundStateSolution:
+    """The result of every Newton solve on problem, the sub-grid of the
+    points ``kept`` of grid: the state psi at b, embedded in grid with
+    exact zeros in the cut tails, whose mu is its energy at b, with
+    energy_trace (the start state's energy, mu)."""
     mu = discrete_energy(problem.with_b(b), psi)
-    return GroundStateSolution(psi, mu, b, iterations, flow_norm, (energy, mu), newton_steps)
-
-
-def _newton_state(
-    problem: GridProblem,
-    cfg: FlowConfig,
-    init: np.ndarray | None,
-    bracket: tuple[float, float] | None = None,
-) -> GroundStateSolution:
-    """A Newton solve from init at the problem's b, or with b free for the
-    self-consistent root in ``bracket``: _newton with the step rule in ln u
-    first, and where it raises ConvergenceError _newton with the plain rule
-    from init, then the loose phase from init and the plain rule once more.  With b free,
-    the root of whichever attempt held is then checked against the bracket
-    once, and a root outside it raises ConvergenceError.
-
-    Invalid input raises ValidationError before any step.  Each Newton
-    attempt ends on a state whose flow norm, how far _explicit_step (the
-    step the flow stops on) moves it, is below cfg.tol_flow; one that
-    cannot reach it within the step cap fails like any other attempt, and
-    where rounding alone keeps the norm above cfg.tol_flow (near 1e-12 or
-    below) every attempt does.  If the loose phase or the last Newton
-    solve fails, its ConvergenceError is raised, or InstabilityError (a
-    ConvergenceError) where a step leaves the positive cone.  Failed
-    attempts are not counted in newton_steps.
-    """
-    start, energy = _newton_start(problem, cfg, init)
-    loose_steps = 0
-    try:
-        psi, b, newton_steps, flow_norm = _newton(problem, start, bracket, cfg, _log_step)
-    except ConvergenceError:
-        try:
-            psi, b, newton_steps, flow_norm = _newton(problem, start, bracket, cfg, _newton_step)
-        except ConvergenceError:
-            psi, loose_steps = _loose_phase(problem, start)
-            psi, b, newton_steps, flow_norm = _newton(problem, psi, bracket, cfg, _newton_step)
-    if bracket is not None and not bracket[0] <= b <= bracket[1]:
-        raise ConvergenceError(f"root b = {b!r} is outside the bracket [{bracket[0]}, {bracket[1]}]")
-    return _newton_result(problem, psi, b, energy, flow_norm, loose_steps, newton_steps)
+    full = np.zeros(grid.n_points)
+    full[kept] = psi
+    cut = None if psi.size == full.size else (problem.grid.x_min, problem.grid.x_max)
+    return GroundStateSolution(full, mu, b, iterations, flow_norm, (energy, mu), newton_steps, cut)
 
 
 def ground_state(
@@ -789,44 +795,66 @@ def ground_state(
     cfg: FlowConfig,
     init: np.ndarray | None = None,
 ) -> GroundStateSolution:
-    """Nodeless ground state at the problem's fixed b.
+    """Nodeless ground state at the problem's fixed b, by Newton from init
+    on the kept sub-grid of _newton_start: _newton with the step rule in
+    (ln psi, m = mu(b) - b) first, and where it raises ConvergenceError
+    _newton with the plain rule (in psi) from the same start, then the
+    loose phase from it and the plain rule once more.
 
-    One Newton loop, with the step rule in (ln psi, m = mu(b) - b), from
-    init, or where that fails the plain chain from init (the same loop with
-    the rule in psi, and where that fails too the loose phase and the rule
-    in psi again), each attempt stepping on
-    until one explicit step moves the state by a flow norm below
-    cfg.tol_flow.  If the loose phase or the last Newton solve fails, its
-    ConvergenceError is raised; at the step cap it gives the last flow
-    norm, cfg.tol_flow and eps max(psi) / cfg.step.  Invalid input raises
+    The solve runs on the points whose Agmon distance from the allowed
+    region is at most _AGMON_DISTANCE, and the returned psi is exactly 0
+    past them (``kept`` gives their range); init need be positive only
+    there.  Each Newton attempt steps on until one explicit step
+    (_explicit_step, the step the flow stops on) moves the state by a flow
+    norm below cfg.tol_flow; one that cannot reach it within the step cap
+    fails like any other attempt, and where rounding alone keeps the norm
+    above cfg.tol_flow (near 1e-12 or below) every attempt does, the last
+    error then giving the last flow norm, cfg.tol_flow and
+    eps max(psi) / cfg.step.  If the loose phase or the last Newton solve
+    fails, its ConvergenceError is raised, or InstabilityError (a
+    ConvergenceError) where a step leaves the positive cone.  Failed
+    attempts are not counted in newton_steps.  Invalid input raises
     ValidationError, before any step, as the flow does.
     """
-    return _newton_state(problem, cfg, init)
+    sub, kept, start, energy = _newton_start(problem, cfg, init)
+    loose_steps = 0
+    try:
+        psi, _, newton_steps, flow_norm = _newton(sub, start, None, cfg, _log_step)
+    except ConvergenceError:
+        try:
+            psi, _, newton_steps, flow_norm = _newton(sub, start, None, cfg, _newton_step)
+        except ConvergenceError:
+            psi, loose_steps = _loose_phase(sub, start)
+            psi, _, newton_steps, flow_norm = _newton(sub, psi, None, cfg, _newton_step)
+    return _newton_result(problem.grid, sub, kept, psi, problem.b, energy, flow_norm,
+                          loose_steps, newton_steps)
 
 
-def _predicted_root(
-    problem: GridProblem,
-    cfg: FlowConfig,
-    init: np.ndarray | None,
-    bracket: tuple[float, float],
-) -> GroundStateSolution:
-    """The self-consistent root from init by one fixed-b Newton step in
-    ln u at the problem's b, with m as border unknown, from the normalized
-    start (the predictor), and the free-b Newton in ln u from that state,
-    pinned and normalized (the corrector; Allgower & Georg, Numerical
-    Continuation Methods, 1990).  Its energy_trace is the start state's
-    energy at the problem's b and the root's mu; newton_steps counts the
-    fixed-b step and the root's steps.  Invalid input raises
-    ValidationError before any step; a failed step or root, or a predicted
-    state with an entry that underflows to zero on normalizing, raises
-    ConvergenceError.  The root is not checked against the bracket."""
-    start, energy = _newton_start(problem, cfg, init)
-    psi = _pinned(_log_step(problem, start[1:-1], problem.b, energy - problem.b, False)[0])
-    _pin_and_normalize(psi, problem.grid.spacing)
+def _predicted_root(problem: GridProblem, cfg: FlowConfig, init: np.ndarray | None,
+                    bracket: tuple[float, float]) -> GroundStateSolution:
+    """The self-consistent root in ``bracket`` from init, on the kept
+    sub-grid of _newton_start, by one fixed-b Newton step in ln u at the
+    problem's b, with m as border unknown, from the normalized start (the
+    predictor), and the free-b Newton in ln u from that state, pinned and
+    normalized (the corrector; Allgower & Georg, Numerical Continuation
+    Methods, 1990).  Its energy_trace is the start state's energy at the
+    problem's b and the root's mu; newton_steps counts the fixed-b step and
+    the root's steps.  Invalid input raises ValidationError before any
+    step.  A failed step or root, a predicted state with an entry that
+    underflows to zero on normalizing, and a root outside the bracket or
+    with |mu - b| >= _F_TOL raise ConvergenceError."""
+    sub, kept, start, energy = _newton_start(problem, cfg, init)
+    psi = _pinned(_log_step(sub, start[1:-1], sub.b, energy - sub.b, False)[0])
+    _pin_and_normalize(psi, sub.grid.spacing)
     if not psi[1:-1].min() > 0.0:
         raise ConvergenceError("the predicted state underflowed to zero")
-    psi, b, steps, flow_norm = _newton(problem, psi, bracket, cfg, _log_step)
-    return _newton_result(problem, psi, b, energy, flow_norm, 0, 1 + steps)
+    psi, b, steps, flow_norm = _newton(sub, psi, bracket, cfg, _log_step)
+    if not bracket[0] <= b <= bracket[1]:
+        raise ConvergenceError(f"root b = {b!r} is outside the bracket [{bracket[0]}, {bracket[1]}]")
+    root = _newton_result(problem.grid, sub, kept, psi, b, energy, flow_norm, 0, 1 + steps)
+    if not abs(root.mu - b) < _F_TOL:
+        raise ConvergenceError(f"root b = {b!r} has |mu - b| = {abs(root.mu - b):.3e}")
+    return root
 
 
 def self_consistent_lambda(
@@ -838,56 +866,38 @@ def self_consistent_lambda(
     """Root b* of F(b) = mu(b) - b in the bracket: the returned coefficient
     is its own stationarity eigenvalue, |mu(b*) - b*| < _F_TOL.
 
-    A bracket that is not a finite lo < hi raises ValidationError before
-    any solve, by numerics._check_bracket, the rule find_root applies.  The first attempt, _predicted_root, takes one fixed-b Newton
-    step in ln psi at b = lo from the normalized init and runs the free-b
-    Newton in ln psi from that state; its root is returned where it lies in
-    the bracket with |mu - b| < _F_TOL, with ``iterations`` 0 and
-    ``newton_steps`` the fixed-b step plus the root's steps.  Where that
-    attempt raises ConvergenceError or its root fails those checks, the
-    solve below runs from init as if it had not been tried.
-    F is evaluated at the lower end by ground_state from init,
-    and that end is returned where |F(lo)| < _F_TOL.  Otherwise the root is
-    continued from the lower end's state: a free-b Newton solve started at
-    b = lo (Newton in ln psi first, and the plain chain of ground_state
-    from the same start only where that fails; each attempt steps on until
-    its state verifies, as in ground_state), whose root must lie in the
-    bracket.  A continued root with |mu - b| < _F_TOL is returned without
-    checking the sign change of F at the ends.  Only where the continuation
-    fails is the upper end solved, by ground_state from the lower end's
-    state, to name the failure: it is returned where |F(hi)| < _F_TOL;
-    otherwise BracketError is raised when F has no sign change on the
-    bracket, by numerics._check_sign_change, the rule find_root applies,
-    and ConvergenceError for the failed continuation when it has.
-    ``iterations`` and ``newton_steps`` of that result are the totals over
-    the lower end and the returned state.  On either path ``energy_trace``
-    starts with the energy of the normalized start state at b = lo, as the
-    lower end's does, and ends with the returned state's mu.  Every free-b
-    attempt stops as soon as its b leaves the bracket by more than half the
-    bracket's width (see _newton).
+    A bracket that is not a pair of finite lo < hi raises ValidationError
+    before any solve, by numerics._check_bracket, the rule find_root
+    applies.  The root is _predicted_root's: one fixed-b Newton step in
+    ln psi at b = lo from the normalized init, then the free-b Newton in
+    ln psi from that state, on the sub-grid ground_state keeps; it is
+    returned where it lies in the bracket with |mu - b| < _F_TOL, with
+    ``iterations`` 0, ``newton_steps`` the fixed-b step plus the root's
+    steps and ``energy_trace`` starting with the energy of the normalized
+    start state at b = lo.  The free-b attempt stops as soon as its b
+    leaves the bracket by more than half the bracket's width (see _newton).
+    Only where that attempt fails are the ends solved, lo first, each by
+    ground_state from init: an end with |F| < _F_TOL is returned as the
+    root, with that solve's own counts and trace.  Otherwise BracketError
+    is raised when F has no sign change on the bracket, by
+    numerics._check_sign_change, the rule find_root applies, and
+    ConvergenceError quoting the first attempt's failure when it has; an
+    end that fails to solve raises its own ConvergenceError.
     """
-    lo, hi = _check_bracket(bracket[0], bracket[1])
+    lo, hi = _check_bracket(bracket)
     try:
         root = _predicted_root(problem.with_b(lo), cfg, init, (lo, hi))
-        if lo <= root.b <= hi and abs(root.mu - root.b) < _F_TOL:
-            return root.b, root
-    except ConvergenceError:
-        pass
-    sol_lo = ground_state(problem.with_b(lo), cfg, init=init)
-    if abs(sol_lo.mu - lo) < _F_TOL:
-        return lo, sol_lo
-    try:
-        root = _newton_state(problem.with_b(lo), cfg, sol_lo.psi, (lo, hi))
-        if not abs(root.mu - root.b) < _F_TOL:
-            raise ConvergenceError(f"root b = {root.b!r} has |mu - b| = {abs(root.mu - root.b):.3e}")
+        return root.b, root
     except ConvergenceError as exc:
-        root = ground_state(problem.with_b(hi), cfg, init=sol_lo.psi)
-        if not abs(root.mu - hi) < _F_TOL:
-            _check_sign_change(lo, hi, sol_lo.mu - lo, root.mu - hi)
-            raise ConvergenceError(f"free-b Newton solve from b = {lo!r} failed: {exc}") from exc
-    return root.b, replace(root, iterations=sol_lo.iterations + root.iterations,
-                           newton_steps=sol_lo.newton_steps + root.newton_steps,
-                           energy_trace=sol_lo.energy_trace[:1] + root.energy_trace[1:])
+        failure = exc
+    values = []
+    for end in (lo, hi):
+        sol = ground_state(problem.with_b(end), cfg, init=init)
+        if abs(sol.mu - end) < _F_TOL:
+            return end, sol
+        values.append(sol.mu - end)
+    _check_sign_change(lo, hi, *values)
+    raise ConvergenceError(f"free-b Newton solve from b = {lo!r} failed: {failure}") from failure
 
 
 def uniqueness_probe(
@@ -917,11 +927,8 @@ def uniqueness_probe(
             solutions.append(sol)
         except (ConvergenceError, BracketError) as exc:
             failures.append((i, str(exc)))
-    dist = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            delta = math.sqrt(h * float(np.sum((solutions[i].psi - solutions[j].psi) ** 2)))
-            dist = max(dist, delta)
+    dist = max((math.sqrt(h * float(np.sum((a.psi - b.psi) ** 2)))
+                for i, a in enumerate(solutions) for b in solutions[i + 1:]), default=0.0)
     return UniquenessReport(
         eigenvalues=tuple(values),
         max_eigenvalue_spread=max(values) - min(values) if values else 0.0,

@@ -321,9 +321,13 @@ def _horner(coeffs, x: float) -> float:
     return y
 
 
-def _check_bracket(lo, hi) -> tuple[float, float]:
-    """(lo, hi) as finite floats under _as_finite with lo < hi, else
-    ValidationError: the one rule for a root bracket."""
+def _check_bracket(bracket) -> tuple[float, float]:
+    """bracket as a pair (lo, hi) of finite floats under _as_finite with
+    lo < hi, else ValidationError: the one rule for a root bracket."""
+    try:
+        lo, hi = bracket
+    except (TypeError, ValueError):
+        raise ValidationError(f"bracket must be a pair lo, hi, got {bracket!r}") from None
     lo, hi = _as_finite(lo, "bracket lo"), _as_finite(hi, "bracket hi")
     if not lo < hi:
         raise ValidationError(f"bracket needs lo < hi, got [{lo}, {hi}]")
@@ -359,7 +363,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     doubles of the bracket, an end of the pair bisection would end on.
     Deterministic: identical inputs give bit-identical output.
     """
-    lo, hi = _check_bracket(lo, hi)
+    lo, hi = _check_bracket((lo, hi))
     w_lo, w_hi = _as_number(f(lo), "bracket f_lo"), _as_number(f(hi), "bracket f_hi")
     _check_sign_change(lo, hi, w_lo, w_hi)
     if w_lo == 0.0:

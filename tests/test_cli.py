@@ -605,8 +605,9 @@ class TestNlsGround:
                             r"\(eps\*max\(psi\)/step = \S+\)\n", err)
 
     def test_free_b_root_failure_exit_code(self, capsys, monkeypatch):
-        # the free-b Newton solve is the one root path: where it fails, in
-        # ln u and plain, the lambda solve exits 3 with no output
+        # the free-b Newton solve is the one root path: where it fails, the
+        # bracket ends are solved only to name the failure, and the lambda
+        # solve exits 3 with no output
         newton = nls._newton
 
         def free_b_failure(problem, psi, free_b, cfg, step):
@@ -623,6 +624,29 @@ class TestNlsGround:
         assert code == 3 and out == ""
         assert err.startswith("infoqm: error: free-b Newton solve from b = ")
         assert err.rstrip().endswith("failed: forced failure")
+
+    def test_cut_grid_is_a_manifest_warning_and_resumes(self, tmp_path, capsys):
+        # on +-30 the solve keeps |x| <= 23.7 of the harmonic well, all but
+        # 126 interior points, and says so in the manifest alone; its
+        # document, with exact zeros past the kept points, resumes
+        argv = ["nls", "ground", "--domain", "-30", "30", "--grid", "601", "--tau", "1e-3"]
+        first, second = tmp_path / "b1.json", tmp_path / "b05.json"
+        assert run(argv + ["--b", "-1", "--out", str(first)]) == 0
+        manifest = json.loads((tmp_path / "b1.json.manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "the solve ran on x in [-23.7, 23.7], the points within Agmon distance 250 of the "
+            "allowed region; psi is written as 0 outside it"]
+        code, out, _ = run_captured(capsys, argv + ["--b", "-1"])
+        assert code == 0 and out == first.read_text()
+        doc = json.loads(out)
+        assert sum(v == 0.0 for v in doc["psi"][1:-1]) == 126
+        assert run(argv + ["--b", "-0.5", "--resume", str(first), "--out", str(second)]) == 0
+        resumed = json.loads(second.read_text())
+        assert resumed["iterations"] == 0 and resumed["diagnostics"]["newton_steps"] > 0
+        assert [v == 0.0 for v in resumed["psi"]] == [v == 0.0 for v in doc["psi"]]
+        # a grid the solve keeps whole has no warning
+        assert run(FIXED_B_LINEAR + ["--out", str(first)]) == 0
+        assert json.loads((tmp_path / "b1.json.manifest.json").read_text())["warnings"] == []
 
     def test_too_few_grid_points_rejected(self, capsys):
         code, _, err = run_captured(
@@ -800,7 +824,7 @@ class TestEntryPoints:
 
         def recording(parser, *args, **kwargs):
             namespace = parse_args(parser, *args, **kwargs)
-            parsed.append(vars(namespace))
+            parsed.append(dict(vars(namespace)))  # run adds its warnings list after the parse
             return namespace
 
         def whole_parser(*args, **kwargs):

@@ -180,22 +180,27 @@ class TestSelfConsistency:
 
     @pytest.mark.parametrize(
         "bracket", [(-0.5, -3.0), (-1.0, -1.0), (math.nan, -0.5), (-3.0, math.inf),
-                    (True, -0.5), (-3.0, "-0.5")]
+                    (True, -0.5), (-3.0, "-0.5"), (-3.0,), None, (-3.0, -0.5, 7.0)]
     )
     def test_bad_bracket_rejected_before_any_solve(self, monkeypatch, bracket):
         calls = []
-        solve = nls.ground_state
+        start = nls._newton_start
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return start(*args, **kwargs)
 
-        monkeypatch.setattr(nls, "ground_state", counted)
+        # every Newton solve, the first attempt and each end alike, starts there
+        monkeypatch.setattr(nls, "_newton_start", counted)
         with pytest.raises(ValidationError) as lambda_error:
             self_consistent_lambda(
                 harmonic_problem(192, half_width=8.0), FlowConfig(step=2e-3), bracket=bracket
             )
         assert not calls
+        if not (isinstance(bracket, tuple) and len(bracket) == 2):
+            # the shape is checked first, by the same rule
+            assert str(lambda_error.value) == f"bracket must be a pair lo, hi, got {bracket!r}"
+            return
         # one bracket rule, numerics._check_bracket, with find_root's text
         with pytest.raises(ValidationError) as root_error:
             find_root(lambda x: x, *bracket)
@@ -259,8 +264,8 @@ def forced_newton_failure(*args, **kwargs):
 
 def without_first_attempt(monkeypatch):
     """Make the first attempt of self_consistent_lambda, the predicted
-    root, fail at once, so that the lower end and the root continued from
-    it are solved as where that attempt fails on its own."""
+    root, fail at once, so that the bracket ends are solved as where that
+    attempt fails on its own."""
     monkeypatch.setattr(nls, "_predicted_root", forced_newton_failure)
 
 
@@ -326,47 +331,47 @@ def assert_same_solution(a, b):
 
 
 class TestBorderedNewton:
-    @pytest.mark.parametrize("free_b", [False, True])
+    # the plain step runs at a fixed b only: the border unknown is m
+    @pytest.mark.parametrize("free_b", [False])
     def test_step_matches_dense_solve(self, free_b):
         grid = Grid1D(-6.0, 6.0, 22)
         problem = GridProblem.harmonic(grid)
         rng = np.random.default_rng(3)
         u = np.exp(-0.2 * grid.points()[1:-1] ** 2) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, 20))
-        b, m = -1.3, (0.0 if free_b else 0.2)
+        b, m = -1.3, 0.2
         jac, resid = dense_bordered_system(problem, u, b, m, free_b)
 
-        def residual(x):  # x = (u, border unknown)
-            b_x, m_x = (x[-1], m) if free_b else (b, x[-1])
-            return dense_bordered_system(problem, x[:-1], b_x, m_x, free_b)[1]
+        def residual(x):  # x = (u, m)
+            return dense_bordered_system(problem, x[:-1], b, x[-1], free_b)[1]
 
         # the dense Jacobian is the derivative of the residual
-        x0 = np.append(u, b if free_b else m)
+        x0 = np.append(u, m)
         for k in range(x0.size):
             e = np.zeros_like(x0)
             e[k] = 1e-6
             fd = (residual(x0 + e) - residual(x0 - e)) / 2e-6
             assert np.max(np.abs(fd - jac[:, k])) <= 1e-6 * max(1.0, np.max(np.abs(jac[:, k])))
         expected = np.linalg.solve(jac, -resid)
-        d_u, d_p = nls._plain_direction(problem, u, b, m, free_b)
+        d_u, d_m = nls._plain_direction(problem, u, b, m)
         assert np.max(np.abs(d_u - expected[:-1])) <= 1e-12
-        assert abs(d_p - expected[-1]) <= 1e-12
+        assert abs(d_m - expected[-1]) <= 1e-12
 
-    @pytest.mark.parametrize("free_b", [False, True])
+    @pytest.mark.parametrize("free_b", [False])
     def test_step_matches_dense_solve_at_the_log_floor(self, free_b):
         # the tails of exp(-x^2) on +-20 lie far below the floor, where the
-        # Jacobian has no 2b term and the fixed-b step's one solve differs
-        # from the border column's own solve
+        # Jacobian has no 2b term and the step's one solve differs from the
+        # border column's own solve
         grid = Grid1D(-20.0, 20.0, 64)
         problem = GridProblem.harmonic(grid)
         u = normalized_on(grid, np.exp(-grid.points() ** 2))[1:-1]
         assert int(np.sum(u * u <= nls._EPS_LOG)) == 28
-        b, m = -1.3, (0.0 if free_b else 0.2)
+        b, m = -1.3, 0.2
         jac, resid = dense_bordered_system(problem, u, b, m, free_b)
         expected = np.linalg.solve(jac, -resid)
-        d_u, d_p = nls._plain_direction(problem, u, b, m, free_b)
+        d_u, d_m = nls._plain_direction(problem, u, b, m)
         # entry by entry, so that the tails count: they are near 1e-54 in d_u
         assert np.all(np.abs(d_u - expected[:-1]) <= 1e-13 * np.abs(expected[:-1]))
-        assert abs(d_p - expected[-1]) <= 1e-13 * abs(expected[-1])
+        assert abs(d_m - expected[-1]) <= 1e-13 * abs(expected[-1])
 
     @pytest.mark.parametrize("b", [0.0, -1e-8, -1.3])
     @pytest.mark.parametrize("free_b", [False, True])
@@ -465,7 +470,7 @@ class TestBorderedNewton:
         monkeypatch.setattr(nls, "gradient_flow_ground_state", counted_flow)
         wrappers = wrap_attempts(monkeypatch, lambda attempt: counted(attempt, log_newton),
                                  lambda attempt: counted(attempt, newton))
-        _, sol = self_consistent_lambda(problem, cfg)
+        lam, sol = self_consistent_lambda(problem, cfg)
         # the first attempt holds from the default guess: one fixed-b step
         # in ln u and one free-b Newton attempt in ln u, so neither the plain
         # solve nor a loose phase runs
@@ -475,26 +480,26 @@ class TestBorderedNewton:
         assert sol.newton_steps == 1 + sum(log_newton)
 
         # with the first attempt made to fail, Newton in ln u holds from the
-        # default guess at the lower end and then from that end's state
+        # default guess at both ends, and the solve raises the first
+        # attempt's failure; nothing is summed over the ends
         log_newton.clear()
         without_first_attempt(monkeypatch)
-        _, sol = self_consistent_lambda(problem, cfg)
+        with pytest.raises(ConvergenceError, match="failed: forced failure$"):
+            self_consistent_lambda(problem, cfg)
         assert not loose and not flows and not newton
-        assert len(log_newton) == 2  # the lower end and the continued root
-        assert sol.iterations == sum(loose) == 0
-        assert sol.newton_steps == sum(log_newton)
+        assert len(log_newton) == 2  # the lower end and the upper end
 
         # with Newton in ln u failing, from this start the plain Newton solve
-        # at the lower end leaves the positive cone; the loose phase then
-        # runs and is counted, and the failed attempts are not
+        # at the lower end leaves the positive cone, and the loose phase runs
+        # there; the upper end, b = lambda*, is returned with its own counts
+        # alone: no loose step, and the steps of its plain solve
         log_newton.clear()
         wrappers["log"] = failing
         init = randomized_initial_guess(problem.grid, 9, 1)
-        _, sol = self_consistent_lambda(problem, cfg, init=init)
-        assert len(loose) == 1 and not flows
-        assert len(newton) == 2
-        assert sol.iterations == sum(loose) > 0
-        assert sol.newton_steps == sum(newton)
+        _, sol = self_consistent_lambda(problem, cfg, bracket=(-3.0, lam), init=init)
+        assert sol.b == lam and len(loose) == 1 and loose[0] > 0 and not flows
+        assert len(newton) == 2  # after the loose phase at -3, then at lambda*
+        assert sol.iterations == 0 and sol.newton_steps == newton[-1]
 
         # with every Newton solve failing, the lower end raises after its
         # loose phase: no full flow runs, and no other state is solved
@@ -694,7 +699,7 @@ class TestWorkCounts:
     @staticmethod
     def counted(monkeypatch, solve):
         """Run solve() with counting wrappers; return the _thomas calls per
-        step kind (fixed-b or free-b, in ln u or plain, or loose)."""
+        step kind (fixed-b in ln u or plain, free-b in ln u, or loose)."""
         log = []  # [kind, _thomas calls] of each step, in order
         thomas, loose_step = nls._thomas, nls._semi_implicit_step
 
@@ -719,8 +724,8 @@ class TestWorkCounts:
         solve()
         work = {}
         for kind, calls in log:
-            # every step makes one _thomas call, and a plain free-b step two
-            assert calls == (2 if kind == "free_b" else 1), kind
+            # every step makes one _thomas call
+            assert calls == 1, kind
             work[f"{kind}_calls"] = work.get(f"{kind}_calls", 0) + calls
         return work
 
@@ -740,32 +745,34 @@ class TestWorkCounts:
         assert work == {"log_fixed_b_calls": 1, "log_free_b_calls": 6}
 
     def test_lower_end_and_continuation_of_the_criterion_3_solve(self, monkeypatch):
-        # with the first attempt made to fail: the lower end at a fixed b,
-        # then the free-b root continued from it, one solve a step in ln u;
-        # the plain chain alone takes 7 fixed-b steps and 7 free-b steps of
-        # two solves each
+        # the lower end at a fixed b, then the root continued from its
+        # state: the first attempt's fixed-b step and free-b root from a
+        # converged state, one solve a step in ln u
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
-        without_first_attempt(monkeypatch)
-        work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
-        assert work == {"log_fixed_b_calls": 8, "log_free_b_calls": 6}
+        lower = ground_state(problem.with_b(nls.DEFAULT_BRACKET[0]), cfg)
+        work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg,
+                                                                        init=lower.psi))
+        assert work == {"log_fixed_b_calls": 1, "log_free_b_calls": 6}
 
     def test_plain_chain_of_the_criterion_3_solve(self, monkeypatch):
         # with the first attempt and Newton in ln u made to fail, the plain
-        # chain gives both states: each free-b step solves for the residual
-        # and for the border column, one _thomas call each
+        # chain solves both bracket ends, one _thomas call a step, before
+        # the solve raises; no plain step runs with b free
         problem = harmonic_problem(2048, half_width=12.0)
         cfg = FlowConfig(step=1e-4, tol_flow=1e-8)
         without_first_attempt(monkeypatch)
         wrap_attempts(monkeypatch, log=failing)
-        work = self.counted(monkeypatch, lambda: self_consistent_lambda(problem, cfg))
-        assert work == {"fixed_b_calls": 7, "free_b_calls": 14}
+
+        def solve():
+            with pytest.raises(ConvergenceError, match="failed: forced failure$"):
+                self_consistent_lambda(problem, cfg)
+
+        assert self.counted(monkeypatch, solve) == {"fixed_b_calls": 15}
 
     def test_probe_with_loose_phases(self, monkeypatch):
-        # the first attempt holds from each start of this probe, where the
-        # lower end and its continuation take 12 and 12 solves in ln u, and
-        # the plain chain alone runs 26 loose steps besides 9 fixed-b and 14
-        # free-b Newton steps
+        # the first attempt holds from each start of this probe: one
+        # fixed-b step and the free-b root, in ln u, and no loose step
         problem = harmonic_problem(48, half_width=8.0)
         cfg = FlowConfig(step=0.02, tol_flow=1e-9, seed=0)
         work = self.counted(monkeypatch, lambda: uniqueness_probe(problem, cfg, 2))
@@ -773,9 +780,8 @@ class TestWorkCounts:
 
     def test_lambda_solve_from_a_perturbed_start(self, monkeypatch):
         # a narrow, rippled --resume-like state on the 512-point lambda grid
-        # of the benchmark, from which the lower end and its continuation
-        # take 13 solves in ln u, and the plain chain alone runs a loose
-        # phase of 19 steps at the lower end, and 37 tridiagonal solves
+        # of the benchmark: the first attempt holds, with seven solves in
+        # ln u, and no loose step
         grid = Grid1D(-12.0, 12.0, 512)
         x, width = grid.points(), 24.0
         s = width / 8.0 * 0.7
@@ -1019,8 +1025,8 @@ class TestLoosePhase:
         assert sol.energy_trace[0] == discrete_energy(problem, normalized_on(problem.grid, init))
 
     def test_lambda_energy_trace_starts_at_the_normalized_start_state(self):
-        # the root is continued from the lower end's state, but its trace
-        # starts where the lower end's does: at the start state, at b = lo
+        # the root is the free-b Newton solve's, but its trace starts at the
+        # start state, at b = lo, where the predictor's fixed-b step starts
         problem = harmonic_problem(256, half_width=12.0)
         init = randomized_initial_guess(problem.grid, 9, 0)
         lo = nls.DEFAULT_BRACKET[0]
@@ -1060,28 +1066,29 @@ class TestContinuation:
         assert abs(sol.mu - cold.mu) <= 1e-10
 
     @staticmethod
-    def wide_domain_root():
-        """self_consistent_lambda on +-20 at 512 points, checked, and the
-        states it solved, as recorded_solves lists them."""
+    def wide_domain_root(init=None):
+        """self_consistent_lambda on +-20 at 512 points from init, checked,
+        and the states it solved, as recorded_solves lists them."""
         problem = harmonic_problem(512, half_width=20.0)
         with recorded_solves() as solved:
-            lam, sol = self_consistent_lambda(problem, FlowConfig(step=1e-3, tol_flow=1e-9))
+            lam, sol = self_consistent_lambda(problem, FlowConfig(step=1e-3, tol_flow=1e-9),
+                                              init=init)
         assert abs(sol.mu - sol.b) < 1e-12
         assert abs(lam - GOLDEN_LAMBDA0) < 1e-3
         assert sol.iterations <= 30 and 0 < sol.newton_steps <= 40
+        assert sol.kept is None  # the harmonic well on +-20 is not cut
         return solved
 
     def test_wide_domain_root_is_the_free_b_newton_root(self):
         # the free-b Newton solve from one fixed-b step at the lower end,
-        # the first attempt, holds: no end, bisection midpoint or continued
-        # root is solved
+        # the first attempt, holds: no end or bisection midpoint is solved
         assert self.wide_domain_root() == ["predicted"]
 
-    def test_wide_domain_continued_root_is_the_free_b_newton_root(self, monkeypatch):
-        # with the first attempt made to fail, the free-b Newton solve from
-        # the lower end's state holds; no upper end is solved
-        without_first_attempt(monkeypatch)
-        assert self.wide_domain_root() == ["predicted", nls.DEFAULT_BRACKET[0], "root"]
+    def test_wide_domain_continued_root_is_the_free_b_newton_root(self):
+        # from the lower end's converged state the first attempt holds too
+        lower = ground_state(harmonic_problem(512, half_width=20.0, b=nls.DEFAULT_BRACKET[0]),
+                             FlowConfig(step=1e-3, tol_flow=1e-9))
+        assert self.wide_domain_root(lower.psi) == ["predicted"]
 
 
 POTENTIALS = {
@@ -1125,10 +1132,9 @@ def spectral_oracle():
 def recorded_solves():
     """A list of the states solved inside the block, in order: "predicted"
     for each first attempt of self_consistent_lambda, whether it holds or
-    not, the b of each ground_state call, and "root" for each free-b solve
-    continued from a state."""
+    not, and the b of each ground_state call."""
     solved = []
-    predicted_root, solve, newton_state = nls._predicted_root, nls.ground_state, nls._newton_state
+    predicted_root, solve = nls._predicted_root, nls.ground_state
 
     def counted_predicted_root(problem, cfg, init, bracket):
         solved.append("predicted")
@@ -1138,23 +1144,17 @@ def recorded_solves():
         solved.append(problem.b)
         return solve(problem, cfg, init)
 
-    def counted_newton_state(problem, cfg, init, bracket=None):
-        if bracket is not None:
-            solved.append("root")
-        return newton_state(problem, cfg, init, bracket)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nls, "_predicted_root", counted_predicted_root)
         mp.setattr(nls, "ground_state", counted_ground_state)
-        mp.setattr(nls, "_newton_state", counted_newton_state)
         yield solved
 
 
-def solved_states(problem, cfg, bracket):
-    """self_consistent_lambda's (lam, sol) and the states it solved, as
-    recorded_solves lists them."""
+def solved_states(problem, cfg, bracket, init=None):
+    """self_consistent_lambda's (lam, sol) from init and the states it
+    solved, as recorded_solves lists them."""
     with recorded_solves() as solved:
-        lam, sol = self_consistent_lambda(problem, cfg, bracket=bracket)
+        lam, sol = self_consistent_lambda(problem, cfg, bracket=bracket, init=init)
     return lam, sol, solved
 
 
@@ -1172,38 +1172,37 @@ def bracket_roots():
 
 
 class TestOneRootPath:
-    """The root is first the free-b Newton solve from one fixed-b step at
-    the lower end; where that fails, the free-b Newton solve continued from
-    the lower end's state, and where that fails too the upper end is
-    solved, to name the failure or to return the upper end as the root."""
+    """The root is the free-b Newton solve from one fixed-b step at the
+    lower end; where that fails, both ends are solved, to return one of
+    them as the root or to name the failure."""
 
     @pytest.mark.parametrize("n_points", [512, 1024, 2048])
     @pytest.mark.parametrize("name", list(POTENTIALS))
     def test_wide_bracket_ends_on_the_free_b_root(self, bracket_roots, name, n_points):
-        # the first attempt holds, but for the quartic on the default
-        # bracket, where its fixed-b step at b = -3 leaves the range of
-        # floats and the root is continued from the lower end's state
+        # the first attempt holds on both brackets, for the quartic too: on
+        # the whole grid its fixed-b step at b = -3 left the range of
+        # floats, and on the kept sub-grid (|x| <= 10.4 of 12; the double
+        # well keeps |x| <= 11.9) it does not
         default, wide = bracket_roots[name, n_points]
-        fallback = ["predicted", nls.DEFAULT_BRACKET[0], "root"]
-        assert default[2] == (fallback if name == "quartic" else ["predicted"])
-        assert wide[2] == ["predicted"]
+        assert default[2] == wide[2] == ["predicted"]
         for lam, sol, _ in (default, wide):
             assert sol.b == lam and sol.newton_steps > 0 and sol.iterations == 0
             assert abs(sol.mu - lam) < 1e-14
+            assert (sol.kept is not None) == (name != "harmonic")
         assert abs(wide[0] - default[0]) <= 1e-12
 
     @pytest.mark.parametrize("n_points", [512, 1024, 2048])
     @pytest.mark.parametrize("name", list(POTENTIALS))
-    def test_wide_bracket_continued_root_is_the_first_attempts_root(self, monkeypatch,
-                                                                    bracket_roots, name, n_points):
-        # with the first attempt made to fail, both brackets end on the
-        # root continued from the lower end's state, the same root
+    def test_wide_bracket_continued_root_is_the_first_attempts_root(self, bracket_roots, name,
+                                                                    n_points):
+        # continued from the lower end's converged state, the first attempt
+        # holds on both brackets and ends on the same root
         problem, cfg = stable_problem(name, n_points)
-        without_first_attempt(monkeypatch)
         for (lo, hi), (first, _, _) in zip((nls.DEFAULT_BRACKET, WIDE_BRACKET),
                                           bracket_roots[name, n_points]):
-            lam, sol, solved = solved_states(problem, cfg, (lo, hi))
-            assert solved == ["predicted", lo, "root"]
+            lower = ground_state(problem.with_b(lo), cfg)
+            lam, sol, solved = solved_states(problem, cfg, (lo, hi), lower.psi)
+            assert solved == ["predicted"]
             assert sol.b == lam and abs(sol.mu - lam) < 1e-14
             assert abs(lam - first) <= 1e-12
 
@@ -1237,91 +1236,97 @@ class TestOneRootPath:
         assert np.array_equal(sol.psi, root_psi) and sol.b == root_b
         assert sol.mu == discrete_energy(problem.with_b(root_b), root_psi)
         assert sol.newton_steps == 1 + steps and sol.iterations == 0
-        assert sol.energy_trace == (energy, sol.mu)
+        assert sol.energy_trace == (energy, sol.mu) and sol.kept is None
 
     @pytest.mark.parametrize("bracket", [nls.DEFAULT_BRACKET, WIDE_BRACKET])
-    def test_continued_root_solves_no_upper_end(self, monkeypatch, bracket):
+    def test_continued_root_solves_no_upper_end(self, bracket):
+        # from the lower end's state the first attempt holds: no end is
+        # solved, and the work counts are the root's own
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
-        without_first_attempt(monkeypatch)
-        lam, sol, solved = solved_states(problem, cfg, bracket)
         lo, hi = bracket
-        assert solved == ["predicted", lo, "root"]
-        assert lo < lam < hi and sol.b == lam and abs(sol.mu - lam) < 1e-14
-        # the work totals are the lower end's and the continued root's
         lower = ground_state(problem.with_b(lo), cfg)
-        root = nls._newton_state(problem.with_b(lo), cfg, lower.psi, bracket)
-        assert np.array_equal(sol.psi, root.psi) and sol.mu == root.mu
-        assert sol.newton_steps == lower.newton_steps + root.newton_steps
-        assert sol.iterations == lower.iterations + root.iterations == 0
+        lam, sol, solved = solved_states(problem, cfg, bracket, lower.psi)
+        assert solved == ["predicted"]
+        assert lo < lam < hi and sol.b == lam and abs(sol.mu - lam) < 1e-14
+        root = nls._predicted_root(problem.with_b(lo), cfg, lower.psi, bracket)
+        assert_same_solution(sol, root)
+        assert sol.iterations == 0 and sol.newton_steps < lower.newton_steps + root.newton_steps
 
     @pytest.mark.parametrize("failure", ["raises", "outside", "off_tolerance"])
     def test_first_attempt_that_fails_falls_back(self, monkeypatch, failure):
         # a first attempt that raises, or whose root lies outside the
-        # bracket or has |mu - b| = 2 _F_TOL, is not returned: the lower end
-        # and the root continued from it are solved from init as they are
-        # where no first attempt runs
+        # bracket or has |mu - b| >= _F_TOL, is not returned: both ends are
+        # solved from init, and as F changes sign on the bracket the solve
+        # raises, quoting the first attempt's failure
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         init = randomized_initial_guess(problem.grid, 9, 0)
         lo, hi = nls.DEFAULT_BRACKET
-        predicted_root = nls._predicted_root
 
-        def failed(problem, cfg, init, bracket):
-            if failure == "raises":
-                raise ConvergenceError("forced failure")
-            root = predicted_root(problem, cfg, init, bracket)
-            if failure == "outside":
-                return replace(root, b=hi + 1e-3, mu=hi + 1e-3)
-            return replace(root, mu=root.b + 2.0 * nls._F_TOL)
+        def shifted_root(shift):
+            def shifted(attempt):
+                def shifted_attempt(problem, psi, bracket, cfg):
+                    psi, b, steps, flow_norm = attempt(problem, psi, bracket, cfg)
+                    return psi, b + (shift if bracket else 0.0), steps, flow_norm
+                return shifted_attempt
+            return shifted
 
-        monkeypatch.setattr(nls, "_predicted_root", failed)
-        with recorded_solves() as solved:
-            lam, sol = self_consistent_lambda(problem, cfg, init=init)
-        assert solved == ["predicted", lo, "root"]
-        lower = ground_state(problem.with_b(lo), cfg, init=init)
-        root = nls._newton_state(problem.with_b(lo), cfg, lower.psi, (lo, hi))
-        assert lam == sol.b == root.b and sol.mu == root.mu
-        assert np.array_equal(sol.psi, root.psi)
-        assert sol.newton_steps == lower.newton_steps + root.newton_steps
-        assert sol.energy_trace == (lower.energy_trace[0], root.mu)
+        if failure == "raises":
+            without_first_attempt(monkeypatch)
+            reason = "forced failure"
+        elif failure == "outside":
+            wrap_attempts(monkeypatch, log=shifted_root(3.0))
+            reason = r"root b = \S+ is outside the bracket \[-3\.0, -0\.5\]"
+        else:
+            wrap_attempts(monkeypatch, log=shifted_root(1e-3))
+            reason = r"root b = \S+ has \|mu - b\| = \S+"
+        with recorded_solves() as solved, pytest.raises(
+                ConvergenceError, match=rf"^free-b Newton solve from b = -3\.0 failed: {reason}$"
+        ) as raised:
+            self_consistent_lambda(problem, cfg, init=init)
+        assert solved == ["predicted", lo, hi]
+        assert re.fullmatch(reason, str(raised.value.__cause__))
 
-    def test_first_attempt_that_fails_on_its_own_falls_back(self, monkeypatch):
-        # the start sweep's quartic on +-16 at 128 points from the default
-        # start, where the fixed-b step at b = -3 leaves the range of
-        # floats; the lower end and the root continued from it give the
-        # root, bit for bit as where the first attempt is made to fail, and
-        # the lambda of the sweep's committed baseline
-        problem, cfg = sweep_case(POTENTIALS["quartic"], 16.0, 128)
-        lo, hi = nls.DEFAULT_BRACKET
-        with pytest.raises(ConvergenceError, match="^Newton in ln u left the range of floats$"):
-            nls._predicted_root(problem.with_b(lo), cfg, None, (lo, hi))
-        with recorded_solves() as solved:
-            lam, sol = self_consistent_lambda(problem, cfg)
-        assert solved == ["predicted", lo, "root"]
-        assert abs(sol.mu - lam) < 1e-14
-        sweep = pathlib.Path(__file__).resolve().parent / "golden" / "nls_start_sweep.json"
-        baseline = json.loads(sweep.read_text())["lambda"]["quartic +-16 n=128 start=default"]
-        assert abs(lam - baseline) <= 1e-14
-        without_first_attempt(monkeypatch)
-        assert self_consistent_lambda(problem, cfg)[0] == lam
-
-    def test_predicted_state_that_underflows_fails_the_first_attempt(self):
+    def test_first_attempt_that_fails_on_its_own_falls_back(self):
         # the start sweep's double well x^4/4 - x^2 on +-12 at 512 points
-        # from randomized_initial_guess(grid, 7, 2): the fixed-b step at
-        # b = -3 grows the state to a norm of 1.8e4 with an entry of 3.6e-321,
-        # which normalizing takes to zero.  The first attempt fails there,
-        # before a step divides by it, and the upper end names the failure:
-        # F < 0 at both ends
+        # from randomized_initial_guess(grid, 7, 2): F < 0 at both ends, so
+        # the free-b attempt leaves the bracket by more than half its width,
+        # and the ends name the failure
         problem, cfg = sweep_case(lambda x: 0.25 * x**4 - x * x, 12.0, 512)
         init = randomized_initial_guess(problem.grid, 7, 2)
         lo, hi = nls.DEFAULT_BRACKET
-        with pytest.raises(ConvergenceError, match="^the predicted state underflowed to zero$"):
+        with pytest.raises(ConvergenceError, match=r"^free-b Newton left the bracket \[-3\.0, "
+                                                   r"-0\.5\] by more than half its width"):
             nls._predicted_root(problem.with_b(lo), cfg, init, (lo, hi))
         no_sign_change = r"^no sign change on \[-3\.0, -0\.5\]"
         with recorded_solves() as solved, pytest.raises(BracketError, match=no_sign_change):
             self_consistent_lambda(problem, cfg, init=init)
-        assert solved == ["predicted", lo, "root", hi]
+        assert solved == ["predicted", lo, hi]
+
+    def test_predicted_state_that_underflows_fails_the_first_attempt(self, monkeypatch):
+        # a fixed-b step that grows the state by 1e4 and leaves one entry at
+        # the smallest double: normalizing takes that entry to zero, and the
+        # first attempt fails there, before a step divides by it
+        problem = harmonic_problem(256, half_width=12.0)
+        cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
+        log_step, calls = nls._log_step, []
+
+        def grown(problem, u, b, m, free_b):
+            # the predictor's step, the first of the solve
+            new, d_u, d_p, may_stop = log_step(problem, u, b, m, free_b)
+            calls.append(b)
+            if len(calls) == 1:
+                new = 1e4 * new
+                new[0] = 5e-324
+            return new, d_u, d_p, may_stop
+
+        monkeypatch.setattr(nls, "_log_step", grown)
+        with recorded_solves() as solved, pytest.raises(
+                ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: "
+                                        r"the predicted state underflowed to zero$"):
+            self_consistent_lambda(problem, cfg)
+        assert solved == ["predicted", -3.0, -0.5] and calls[0] == -3.0
 
     def test_free_b_attempt_that_leaves_the_bracket_by_far_stops(self, monkeypatch):
         # the root, at b = -1.34, lies past the bracket (-3, -2.5): a free-b
@@ -1352,148 +1357,136 @@ class TestOneRootPath:
         _, b, steps, _ = nls._newton(problem.with_b(lo), start, (lo, 0.0), cfg, nls._log_step)
         assert abs(b - GOLDEN_LAMBDA0) < 1e-3 and steps == len(stepped) > early
 
-        # the self-consistent solve: every free-b attempt, the first one and
-        # the three of the continuation, stops so, and the upper end names
-        # the failure
+        # the self-consistent solve: its one free-b attempt stops so, and
+        # the ends name the failure
         failures = []
         monkeypatch.setattr(nls, "_log_step", log_step)
         wrap_attempts(monkeypatch, failures_into(failures), failures_into(failures))
         no_sign_change = r"^no sign change on \[-3\.0, -2\.5\]"
         with recorded_solves() as solved, pytest.raises(BracketError, match=no_sign_change):
             self_consistent_lambda(problem, cfg, bracket=(lo, hi))
-        assert solved == ["predicted", lo, "root", hi]
-        assert len(failures) == 4 and all(re.match(left, failure) for failure in failures)
+        assert solved == ["predicted", lo, hi]
+        assert len(failures) == 1 and re.match(left, failures[0])
 
-    def test_upper_end_within_F_TOL_is_the_root_where_the_continuation_fails(self, monkeypatch):
+    def test_upper_end_within_F_TOL_is_the_root_where_the_first_attempt_fails(self, monkeypatch):
         # F(lambda*) = -2.2e-16 here, of the same sign as F(-3): the upper
-        # end is returned before the sign change is checked
+        # end is returned before the sign change is checked, as ground_state
+        # solved it, with its own work counts
         problem = harmonic_problem(96, half_width=8.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         lam, _ = self_consistent_lambda(problem, cfg)
-        newton_state = nls._newton_state
-
-        def failed_continuation(problem, cfg, init, bracket=None):
-            if bracket is not None:
-                raise ConvergenceError("forced failure")
-            return newton_state(problem, cfg, init)
-
-        monkeypatch.setattr(nls, "_newton_state", failed_continuation)
         without_first_attempt(monkeypatch)
         got, sol, solved = solved_states(problem, cfg, (-3.0, lam))
-        assert solved == ["predicted", -3.0, "root", lam]
+        assert solved == ["predicted", -3.0, lam]
         assert got == sol.b == lam and abs(sol.mu - lam) < 1e-6
-        lower = ground_state(problem.with_b(-3.0), cfg)
-        upper = ground_state(problem.with_b(lam), cfg, init=lower.psi)
-        assert np.array_equal(sol.psi, upper.psi)
-        assert sol.newton_steps == lower.newton_steps + upper.newton_steps
+        assert_same_solution(sol, ground_state(problem.with_b(lam), cfg))
 
-    def test_bracket_without_a_root_raises_after_the_continuation(self):
+    def test_bracket_without_a_root_raises_after_the_first_attempt(self):
         # the root lies past the upper end, at b = -1.34, so the first
-        # attempt and the continuation fail and the upper end is solved: F
-        # has no sign change on the bracket
+        # attempt fails and both ends are solved: F has no sign change on
+        # the bracket
         problem = harmonic_problem(256, half_width=12.0)
         cfg = FlowConfig(step=5e-3, tol_flow=1e-9)
         with recorded_solves() as solved, pytest.raises(BracketError,
                                                         match=r"^no sign change on \[-3\.0, -2\.0\]"):
             self_consistent_lambda(problem, cfg, bracket=(-3.0, -2.0))
-        assert solved == ["predicted", -3.0, "root", -2.0]
+        assert solved == ["predicted", -3.0, -2.0]
 
     def test_free_b_failure_raises(self, monkeypatch):
-        # a failed continuation inside a bracket with a sign change: the
-        # upper end is solved, and the error names the continuation's start
+        # a failed free-b attempt inside a bracket with a sign change: both
+        # ends are solved, and the error names the attempt's start
         wrap_attempts(monkeypatch, free_b_failure, free_b_failure)
         with recorded_solves() as solved, pytest.raises(
                 ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: forced failure$"
         ) as raised:
             self_consistent_lambda(harmonic_problem(256, half_width=12.0), FlowConfig(step=5e-3))
-        assert solved == ["predicted", -3.0, "root", -0.5]
+        assert solved == ["predicted", -3.0, -0.5]
         assert str(raised.value.__cause__) == "forced failure"
 
     @pytest.mark.parametrize("rule", ["log", "plain"])
     def test_root_outside_the_bracket_raises(self, monkeypatch, rule):
-        # with the first attempt made to fail, the attempt that makes the
-        # continued root, Newton in ln u or, with ln u made to fail, the
-        # plain attempt from the start state, ends past the upper end:
-        # _newton_state checks the bracket once, after the chain, and
-        # raises; self_consistent_lambda then solves the upper end and
-        # raises, as F changes sign on the bracket
+        # the first attempt's root, shifted past the upper end, is checked
+        # against the bracket once, after its Newton solve; the ends are then
+        # solved, by Newton in ln u or, with ln u made to fail at a fixed b,
+        # by the plain chain, and the solve raises, as F changes sign on
+        # the bracket
         roots = []
 
         def shifted_root(attempt):
             def shifted(problem, psi, bracket, cfg):
+                if bracket is None:
+                    if rule == "plain":
+                        raise ConvergenceError("forced failure")
+                    return attempt(problem, psi, bracket, cfg)
                 psi, b, steps, flow_norm = attempt(problem, psi, bracket, cfg)
-                if bracket is not None:
-                    roots.append(b)
-                    b += 3.0
-                return psi, b, steps, flow_norm
+                roots.append(b)
+                return psi, b + 3.0, steps, flow_norm
             return shifted
 
-        without_first_attempt(monkeypatch)
-        wrappers = wrap_attempts(monkeypatch, log=free_b_failure)
-        wrappers[rule] = shifted_root
+        wrap_attempts(monkeypatch, log=shifted_root)
         problem = harmonic_problem(192, half_width=8.0)
         cfg = FlowConfig(step=2e-3, tol_flow=1e-8)
         lo, hi = nls.DEFAULT_BRACKET
         outside = r"root b = (\S+) is outside the bracket \[-3\.0, -0\.5\]$"
-        start = ground_state(problem.with_b(lo), cfg).psi
         with pytest.raises(ConvergenceError, match=f"^{outside}") as raised:
-            nls._newton_state(problem.with_b(lo), cfg, start, (lo, hi))
+            nls._predicted_root(problem.with_b(lo), cfg, None, (lo, hi))
         (root,) = roots
         assert lo < root < hi and float(re.search(outside, str(raised.value))[1]) == root + 3.0
         with recorded_solves() as solved, pytest.raises(
                 ConvergenceError, match=rf"^free-b Newton solve from b = -3\.0 failed: {outside}"):
             self_consistent_lambda(problem, cfg)
-        assert solved == ["predicted", lo, "root", hi]
+        assert solved == ["predicted", lo, hi]
         assert roots == [root, root]
 
     def test_root_off_the_tolerance_raises(self, monkeypatch):
-        # no state passes a zero tolerance: the first attempt's root and the
-        # continued root are not returned, and the upper end, solved to name
-        # the failure, is not either
+        # no state passes a zero tolerance: the first attempt's root is not
+        # returned, and neither end, solved to name the failure, is either
         monkeypatch.setattr(nls, "_F_TOL", 0.0)
         with recorded_solves() as solved, pytest.raises(
                 ConvergenceError, match=r"^free-b Newton solve from b = -3\.0 failed: "
                                         r"root b = \S+ has \|mu - b\| = \S+$"):
             self_consistent_lambda(harmonic_problem(192, half_width=8.0),
                                    FlowConfig(step=2e-3, tol_flow=1e-8))
-        assert solved == ["predicted", -3.0, "root", -0.5]
+        assert solved == ["predicted", -3.0, -0.5]
 
     def test_log_attempts_that_fail_fall_back_to_the_plain_chain(self, monkeypatch, bracket_roots):
-        # on the wide bracket, with the first attempt and the continuation's
-        # Newton in ln u made to fail, the plain chain from the same start,
-        # the lower end's state, gives the root, with no loose phase
+        # at b = lambda* from the state at the wide bracket's lower end, with
+        # Newton in ln u made to fail, the plain chain from the same start
+        # gives the state, with no loose phase: its mu is lambda*
         problem, cfg = stable_problem("harmonic", 512)
-        log_attempts, plain_roots = [], []
+        lam = bracket_roots["harmonic", 512][1][0]
+        start = ground_state(problem.with_b(WIDE_BRACKET[0]), cfg).psi
+        log_attempts, plain_attempts = [], []
 
-        def failing_free_b_log(attempt):
+        def failing_log(attempt):
             def recorded_attempt(problem, psi, bracket, cfg):
-                log_attempts.append((problem.b, bracket is not None))
-                return free_b_failure(attempt)(problem, psi, bracket, cfg)
+                log_attempts.append(problem.b)
+                raise ConvergenceError("forced failure")
             return recorded_attempt
 
-        def recorded_newton(attempt):
+        def recorded_plain(attempt):
             def recorded_attempt(problem, psi, bracket, cfg):
-                out = attempt(problem, psi, bracket, cfg)
-                plain_roots.append(out[1] if bracket else None)
-                return out
+                plain_attempts.append(problem.b)
+                return attempt(problem, psi, bracket, cfg)
             return recorded_attempt
 
-        without_first_attempt(monkeypatch)
-        wrap_attempts(monkeypatch, failing_free_b_log, recorded_newton)
-        lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET)
-        assert log_attempts == [(-6.0, False), (-6.0, True)]
-        assert plain_roots == [lam]
-        assert sol.iterations == 0 and abs(sol.mu - lam) < 1e-14
-        assert abs(lam - bracket_roots["harmonic", 512][0][0]) <= 1e-12
+        wrap_attempts(monkeypatch, failing_log, recorded_plain)
+        sol = ground_state(problem.with_b(lam), cfg, init=start)
+        assert log_attempts == plain_attempts == [lam]
+        assert sol.iterations == 0 and abs(sol.mu - lam) < 1e-12
 
-    def test_modified_step_keeps_the_cone(self, monkeypatch, bracket_roots):
-        # from the converged b = -6 state the plain free-b step cuts the
+    def test_modified_step_keeps_the_cone(self, monkeypatch):
+        # from the sweep's start randomized_initial_guess(grid, 7, 2) on the
+        # harmonic well on +-12 at 512 points, the plain step at b = 0 cuts
         # tails below zero; the step in ln u for those entries keeps them
-        # positive, and Newton goes on to the root
-        problem, cfg = stable_problem("harmonic", 512)
-        start = ground_state(problem.with_b(-6.0), cfg)
-        u = start.psi[1:-1]
-        new, d_u, _, may_stop = nls._newton_step(problem, u, -6.0, 0.0, True)
+        # positive, and Newton goes on to the state Newton in ln u finds
+        problem, cfg = sweep_case(POTENTIALS["harmonic"], 12.0, 512)
+        init = randomized_initial_guess(problem.grid, 7, 2)
+        expected = ground_state(problem, cfg, init=init)
+        start = nls._start_state(problem.grid, init)
+        u = start[1:-1]
+        new, d_u, _, may_stop = nls._newton_step(problem, u, 0.0, discrete_energy(problem, start),
+                                                 False)
         assert np.any(u + d_u <= 0.0) and np.all(new > 0.0) and not may_stop
         steps = []
         newton_step = nls._newton_step
@@ -1504,34 +1497,35 @@ class TestOneRootPath:
             return out
 
         monkeypatch.setattr(nls, "_newton_step", recorded)
-        psi, b, count, _ = nls._newton(problem.with_b(-6.0), start.psi, WIDE_BRACKET, cfg,
-                                       nls._newton_step)
-        assert steps[0] and count == len(steps)
-        assert np.all(psi[1:-1] > 0.0)
-        assert abs(b - bracket_roots["harmonic", 512][0][0]) <= 1e-12
+        wrap_attempts(monkeypatch, log=failing)
+        sol = ground_state(problem, cfg, init=init)
+        assert steps[0] and sol.iterations == 0 and sol.newton_steps == len(steps)
+        assert np.all(sol.psi[1:-1] > 0.0)
+        assert abs(sol.mu - expected.mu) <= 1e-12
 
     def test_stop_on_a_step_that_cut_only_tails_below_the_floor(self, monkeypatch):
-        # entries near 1e-60 shrink by a factor of e on every free-b step
-        # here, while b has long converged: Newton may stop on such a step,
-        # since every entry it cut is below the logarithm's floor
-        problem, cfg = stable_problem("quartic", 128, half_width=20.0)
-        init = randomized_initial_guess(problem.grid, 7, 0)
+        # the sweep's double well x^4/4 - x^2 on +-12 at 512 points from
+        # randomized_initial_guess(grid, 7, 1) at b = 0: the plain step
+        # goes on cutting entries below the floor after the state has
+        # converged, and Newton may stop on such a step, since every entry
+        # it cut is below the logarithm's floor
+        problem, cfg = sweep_case(lambda x: 0.25 * x**4 - x * x, 12.0, 512)
+        init = randomized_initial_guess(problem.grid, 7, 1)
         cut_peaks = []
         newton_step = nls._newton_step
 
         def recorded(problem, u, b, m, free_b):
             out = newton_step(problem, u, b, m, free_b)
             d_u = out[1]
-            if free_b:
-                left = np.any(u + d_u <= 0.0)
-                cut_peaks.append(float(np.max(u[d_u < -nls._CUT * u] ** 2)) if left else None)
+            left = np.any(u + d_u <= 0.0)
+            cut_peaks.append(float(np.max(u[d_u < -nls._CUT * u] ** 2)) if left else None)
             return out
 
         monkeypatch.setattr(nls, "_newton_step", recorded)
-        lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET, init=init)
-        assert abs(sol.mu - lam) < 1e-14
+        sol = ground_state(problem, cfg, init=init)
+        assert sol.kept is not None and sol.newton_steps == len(cut_peaks) < nls._NEWTON_CAP
         assert cut_peaks[-1] is not None and 0.0 < cut_peaks[-1] <= nls._EPS_LOG
-        assert len(cut_peaks) < nls._NEWTON_CAP
+        assert sol.flow_norm < cfg.tol_flow
 
     def test_newton_step_cap_raises(self, monkeypatch):
         # with a zero tolerance Newton never stops: the direct attempt and
@@ -1548,19 +1542,19 @@ class TestOneRootPath:
         assert failures == [capped] * 2
 
     def test_lower_end_that_does_not_verify_raises(self, monkeypatch):
-        # at tol_flow 1e-13 the free-b root continued from the lower end
-        # verifies once Newton steps past its first state that passes the
-        # step test (flow norm 3.1e-13), and so does the first attempt's
-        # root; the lower end itself stays at 3.1e-13, at the rounding scale
-        # eps max(psi) / step = 3.4e-13, in every attempt, so with the first
-        # attempt made to fail the self-consistent solve raises there,
-        # giving both numbers; no full flow runs
+        # at tol_flow 1e-13 the first attempt's root verifies once Newton
+        # steps past its first state that passes the step test, from the
+        # lower end's state and from the default start alike; the lower end
+        # itself stays at the rounding scale eps max(psi) / step in every
+        # attempt, so with the first attempt made to fail the
+        # self-consistent solve raises there, giving both numbers; no full
+        # flow runs
         problem, cfg = stable_problem("quartic", 128, half_width=10.0)
         lo, hi = nls.DEFAULT_BRACKET
         tight = replace(cfg, tol_flow=1e-13)
         start = ground_state(problem.with_b(lo), cfg).psi
         flows = TestFixedBNewton.flow_calls(monkeypatch)
-        root = nls._newton_state(problem.with_b(lo), tight, start, (lo, hi))
+        root = nls._predicted_root(problem.with_b(lo), tight, start, (lo, hi))
         assert lo < root.b < hi and abs(root.mu - root.b) < 1e-12
         assert root.flow_norm < 1e-13
         assert one_step_flow_norm(problem.with_b(root.b), root.psi, tight.step) < 1e-13
@@ -1575,6 +1569,70 @@ class TestOneRootPath:
         flow_norm, scale = (float(v) for v in floor.groups())
         assert flow_norm >= 1e-13 and 0.1 < flow_norm / scale < 10.0
         assert not flows
+
+
+class TestAgmonCut:
+    """Every Newton solve runs on the points whose Agmon distance from the
+    allowed region is at most _AGMON_DISTANCE, and returns exact zeros past
+    them."""
+
+    @staticmethod
+    def quartic():
+        """The start sweep's quartic on +-16 at 512 points: the cut keeps
+        the points of |x| <= 10.36."""
+        return sweep_case(POTENTIALS["quartic"], 16.0, 512)
+
+    @pytest.mark.parametrize("b", [0.0, -0.5, -3.0, 0.5])
+    def test_cut_solve_equals_the_uncut_solve(self, monkeypatch, b):
+        problem, cfg = self.quartic()
+        problem = problem.with_b(b)
+        cut = ground_state(problem, cfg)
+        kept = nls._kept(problem)
+        first, last = kept.start, kept.stop - 1
+        x = problem.grid.points()
+        assert cut.kept == (x[first], x[last]) and (first, last) == (90, 421)
+        assert not np.any(cut.psi[:first + 1]) and not np.any(cut.psi[last:])
+        assert np.all(cut.psi[first + 1:last] > 0.0)
+        # a state written by a cut solve resumes on the same points
+        resumed = ground_state(problem, cfg, init=cut.psi)
+        assert resumed.kept == cut.kept and abs(resumed.mu - cut.mu) <= 1e-14
+        monkeypatch.setattr(nls, "_AGMON_DISTANCE", math.inf)
+        whole = ground_state(problem, cfg)
+        assert nls._kept(problem) == slice(0, problem.grid.n_points) and whole.kept is None
+        assert abs(cut.mu - whole.mu) <= 1e-14
+        # the states agree to the noise of Newton's last step: at b = 0.5 the
+        # whole grid takes twice the cut grid's loose steps first
+        assert float(np.abs(cut.psi - whole.psi).max()) <= 1e-13
+        # the self-consistent root of the cut grid is a root of the whole one
+        monkeypatch.setattr(nls, "_AGMON_DISTANCE", 250.0)
+        lam, root = self_consistent_lambda(problem, cfg)
+        assert root.kept == cut.kept
+        monkeypatch.setattr(nls, "_AGMON_DISTANCE", math.inf)
+        assert abs(ground_state(problem.with_b(lam), cfg).mu - lam) <= 1e-14
+
+    def test_results_do_not_depend_on_the_distance(self, monkeypatch):
+        # mu and lambda stay within rounding as the cut moves from
+        # |x| = 8.80 to 12.05 (D = 150 to 400); on the default bracket the
+        # first attempt fails at D = 400, so lambda is taken on the wide one
+        problem, cfg = self.quartic()
+        results, kept = [], []
+        for distance in (150.0, 250.0, 400.0):
+            monkeypatch.setattr(nls, "_AGMON_DISTANCE", distance)
+            mus = [ground_state(problem.with_b(b), cfg).mu for b in (0.0, -0.5, -3.0, 0.5)]
+            lam, sol = self_consistent_lambda(problem, cfg, bracket=WIDE_BRACKET)
+            results.append(mus + [lam])
+            kept.append(sol.kept[1])
+        assert kept[0] < kept[1] < kept[2] < problem.grid.x_max
+        for other in results[1:]:
+            assert max(abs(a - b) for a, b in zip(other, results[0])) <= 1e-14
+
+    @pytest.mark.parametrize("half_width, n_points", [(8.0, 48), (10.0, 256), (12.0, 256),
+                                                      (12.0, 512), (12.0, 2048)])
+    def test_no_program_grid_is_cut(self, half_width, n_points):
+        # the harmonic grids of the benchmark, the CI steps and the
+        # acceptance criteria: their outputs are the whole grid's
+        problem = harmonic_problem(n_points, half_width=half_width)
+        assert nls._kept(problem) == slice(0, n_points)
 
 
 class TestUniquenessProbe:

@@ -393,6 +393,18 @@ class TestFindRoot:
         root = 0.0 if f_lo == 0.0 else 1.0 if f_hi == 0.0 else 0.5
         assert find_root(end_values(f_lo, f_hi), 0.0, 1.0) == root
 
+    @pytest.mark.parametrize("bracket", [(-3.0,), None, (-3.0, -0.5, 7.0), [], 1.5])
+    def test_bracket_that_is_not_a_pair_raises(self, bracket):
+        # the one bracket rule checks the shape first: no IndexError or
+        # TypeError, and no entry past the second ignored
+        with pytest.raises(ValidationError, match=r"^bracket must be a pair lo, hi, got "):
+            numerics._check_bracket(bracket)
+
+    @pytest.mark.parametrize("bracket", [(-3.0, -0.5), [-3, -0.5], np.array([-3.0, -0.5])])
+    def test_bracket_pair_is_two_floats(self, bracket):
+        lo, hi = numerics._check_bracket(bracket)
+        assert (lo, hi) == (-3.0, -0.5) and type(lo) is type(hi) is float
+
     def test_tiny_values_keep_their_signs(self):
         # f_lo * f_mid underflows to -0.0 here, which a product test reads as no sign change
         root = find_root(lambda x: (x - 0.3) * 1e-200, 0.0, 1.0)
