@@ -7,7 +7,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from infoqm import table  # noqa: E402
+from infoqm import alpha_from_beta, energy, lambda_from_beta, table  # noqa: E402
 
 REFERENCE = {
     0: (0.561903, 0.165957, -1.34046, 0.836186),
@@ -34,7 +34,15 @@ def main() -> int:
               f"{row.lam:12.7f} {row.energy:12.7f} "
               f"{deltas[0]:9.2e} {deltas[1]:9.2e} {deltas[2]:9.2e} {deltas[3]:9.2e}")
     print(f"\nworst absolute deviation: {worst:.2e}")
-    ok = all(
+    # each row's scalars are those of the closed-form relations at its width
+    related = all(
+        row.alpha == alpha_from_beta(row.n, row.beta)
+        and row.lam == lambda_from_beta(row.beta)
+        and row.energy == energy(row.n, row.alpha, row.lam)
+        for row in rows
+    )
+    print(f"alpha, lambda and energy of every row equal the relations at its beta: {related}")
+    ok = related and all(
         abs(row.alpha - REFERENCE[row.n][0]) <= 2e-5
         and abs(row.beta - REFERENCE[row.n][1]) <= 2e-5
         and abs(row.lam - REFERENCE[row.n][2]) <= 1e-4

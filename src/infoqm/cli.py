@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -137,10 +138,19 @@ def _read_document(path: str, flag: str, parse):
         raise ValidationError(f"malformed {flag} document: {exc!r}") from exc
 
 
-def _positive_int(text: str) -> int:
-    """The value of a --digits flag: a decimal integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+# 17 significant digits round-trip every double; more only spell out its
+# binary expansion
+_MAX_DIGITS = 17
+# a negative number, in exponent form too; argparse's own pattern,
+# ^-\d+$|^-\d*\.\d+$, reads -1e-3 as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _digits(text: str) -> int:
+    """The value of a --digits flag: a decimal integer from 1 to 17."""
+    if not text.isdecimal() or not 1 <= int(text) <= _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [1, {_MAX_DIGITS}], got {text!r}")
     return int(text)
 
 
@@ -148,9 +158,18 @@ def _positive_int(text: str) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every _NEGATIVE_NUMBER as a value, not
+    an option; add_parser makes each subparser of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The infoqm parser, and its leaf parsers keyed by (group, command)."""
-    parser = argparse.ArgumentParser(prog="infoqm", description=__doc__)
+    parser = _Parser(prog="infoqm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"infoqm {__version__}")
     sub = parser.add_subparsers(dest="group", required=True)
 
@@ -159,7 +178,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     osc_table = osc_sub.add_parser("table", help="solve states n = 0..n_max")
     osc_table.add_argument("--n-max", type=int, required=True)
     osc_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    osc_table.add_argument("--digits", type=_positive_int, default=6)
+    osc_table.add_argument("--digits", type=_digits, default=6)
     osc_table.add_argument("--out")
     osc_table.set_defaults(handler=_cmd_oscillator_table)
 
@@ -181,7 +200,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     probe.add_argument("--x", type=float, required=True)
     probe.add_argument("--y", type=float, default=0.0)
     probe.add_argument("--n-max", type=int, required=True)
-    probe.add_argument("--digits", type=_positive_int, default=12)
+    probe.add_argument("--digits", type=_digits, default=12)
     probe.add_argument("--out")
     probe.set_defaults(handler=_cmd_series_probe)
 
@@ -203,7 +222,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     an_sub = an.add_subparsers(dest="command", required=True)
     gram = an_sub.add_parser("gram", help="gram matrix of the state family")
     gram.add_argument("--n-max", type=int, required=True)
-    gram.add_argument("--digits", type=_positive_int, default=12)
+    gram.add_argument("--digits", type=_digits, default=12)
     gram.add_argument("--out")
     gram.set_defaults(handler=_cmd_analyze_gram)
     proj = an_sub.add_parser("project", help="completeness projection of a target")

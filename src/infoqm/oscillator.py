@@ -30,7 +30,6 @@ MAX_QUANTUM_NUMBER = 20
 _MAX_NORM_N = 150
 
 BETA_SCAN_LO = 1e-4
-BETA_SCAN_HI = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,28 @@ def _norm_constant(n: int) -> float:
     return 2.0**n * math.factorial(n) * math.sqrt(math.pi)
 
 
+# the scalar formulas, of norm = 2^n n! sqrt(pi), which solve_state and the
+# public functions below share
+
+
+def _alpha(norm: float, beta: float) -> float:
+    return 0.5 * math.log(norm / math.sqrt(2.0 * beta))
+
+
+def _lambda(beta: float) -> float:
+    return (4.0 * beta * beta - 1.0) / (4.0 * beta)
+
+
+def _energy(n: int, alpha: float, lam: float) -> float:
+    return lam * (1.0 - 2.0 * alpha - (2.0 * n + 1.0) / 2.0)
+
+
 def _closure_residual(norm: float, nk: int, beta: float) -> float:
     # g(beta) = 8 beta^2 (n + k + alpha(beta)) - (2 alpha(beta) - 1), the
     # width closure cleared of denominators, whose root is the width of
     # state n; of norm = 2^n n! sqrt(pi) and nk = n + k, which solve_state
-    # forms once per state and then evaluates about 15 times
-    a = 0.5 * math.log(norm / math.sqrt(2.0 * beta))
+    # forms once per state and then evaluates 6 to 15 times
+    a = _alpha(norm, beta)
     return 8.0 * beta * beta * (nk + a) - (2.0 * a - 1.0)
 
 
@@ -82,7 +97,7 @@ def alpha_from_beta(n: int, beta: float) -> float:
     n = _as_int(n, "n", 0)
     norm = _norm_constant(n)
     beta = _as_positive(beta, "beta")
-    alpha = 0.5 * math.log(norm / math.sqrt(2.0 * beta))
+    alpha = _alpha(norm, beta)
     if not math.isfinite(alpha):
         raise NumericError(f"alpha is not finite at n = {n}, beta = {beta!r}")
     return alpha
@@ -90,50 +105,76 @@ def alpha_from_beta(n: int, beta: float) -> float:
 
 def lambda_from_beta(beta: float) -> float:
     """Multiplier lambda = (4 beta^2 - 1) / (4 beta); zero at beta = 1/2."""
-    beta = _as_positive(beta, "beta")
-    return (4.0 * beta * beta - 1.0) / (4.0 * beta)
+    return _lambda(_as_positive(beta, "beta"))
 
 
 def energy(n: int, alpha: float, lam: float) -> float:
     """State energy E = lam * (1 - 2 alpha - (2n + 1)/2)."""
     n = _as_int(n, "n", 0)
-    alpha, lam = _as_finite(alpha, "alpha"), _as_finite(lam, "lam")
-    return lam * (1.0 - 2.0 * alpha - (2.0 * n + 1.0) / 2.0)
+    return _energy(n, _as_finite(alpha, "alpha"), _as_finite(lam, "lam"))
 
 
 def _admissible_beta_cap(norm: float) -> float:
     # Largest beta with 2*alpha(beta) > 1, i.e. sqrt(2 beta) < 2^n n! sqrt(pi)/e
-    # for norm = 2^n n! sqrt(pi).  Restricting the bracket to this range keeps
-    # the closure's right side positive and excludes a spurious large-beta
-    # sign change at n = 0.
-    return min(BETA_SCAN_HI, 0.5 * (norm / math.e) ** 2)
+    # for norm = 2^n n! sqrt(pi).  Ending the n = 0 bracket here keeps the
+    # closure's right side positive and excludes a spurious large-beta sign
+    # change.
+    return 0.5 * (norm / math.e) ** 2
+
+
+def _width_map(nk: int, a: float) -> float:
+    # phi = sqrt(f(a) / 8), f(a) = (2a - 1) / (nk + a): the width the closure
+    # beta^2 = f(alpha(beta)) / 8 gives back for alpha = a
+    return math.sqrt((2.0 * a - 1.0) / (8.0 * (nk + a)))
+
+
+def _width_bracket(norm: float, nk: int) -> tuple[float, float]:
+    """A bracket (lo, hi) of the width, proved from the closure itself, of
+    norm = 2^n n! sqrt(pi) and nk = n + k.
+
+    f < 2, so the width is below 1/2 and its alpha above alpha(1/2) =
+    (1/2) ln norm.  f increases with a, so lo = phi(alpha(1/2)) lies below
+    the width wherever ln norm > 1, which holds for every n >= 1; and
+    phi(alpha(beta)) decreases with beta, so hi = phi(alpha(lo)) lies
+    above it, and below 1/2 < cap.  At n = 0, where ln norm < 1, the
+    bracket is [BETA_SCAN_LO, cap].
+    """
+    a_half = _alpha(norm, 0.5)
+    if a_half <= 0.5:
+        return BETA_SCAN_LO, _admissible_beta_cap(norm)
+    lo = _width_map(nk, a_half)
+    return lo, _width_map(nk, _alpha(norm, lo))
+
+
+def _solve(n: int) -> OscillatorState:
+    # solve_state of an n already checked
+    k = n % 2
+    norm = _norm_constant(n)
+    beta = find_root(partial(_closure_residual, norm, n + k), *_width_bracket(norm, n + k))
+    alpha = _alpha(norm, beta)
+    lam = _lambda(beta)
+    return OscillatorState(n, k, alpha, beta, lam, _energy(n, alpha, lam))
 
 
 def solve_state(n: int) -> OscillatorState:
     """Solve the width closure for quantum number n and fill in the state.
 
     The parity index is k = n mod 2.  find_root narrows beta to adjacent
-    doubles on the admissible range (2*alpha > 1), where the closure
-    residual g has exactly one root: g'(beta) = 16 beta (n + k + alpha)
-    - 2 beta + 1/(2 beta) > 0 there, since n + k + alpha > 1/2.  The
-    computed g changes sign once among the doubles near each root, so
-    the width is the one plain bisection would give, bit for bit.  Every
-    solved state has 2*alpha - 1 > 0.12 and lambda < -0.27.
+    doubles on the bracket of _width_bracket, in 6 to 15 closure
+    evaluations.  The bracket lies in the admissible range (2*alpha > 1),
+    where the closure residual g has exactly one root: g'(beta) = 16 beta
+    (n + k + alpha) - 2 beta + 1/(2 beta) > 0 there, since n + k + alpha >
+    1/2.  The computed g changes sign once among the doubles near each
+    root, so the width is the one plain bisection would give, bit for bit.
+    Every solved state has 2*alpha - 1 > 0.12 and lambda < -0.27.
     """
-    n = _as_int(n, "n", 0, MAX_QUANTUM_NUMBER)
-    k = n % 2
-    norm = _norm_constant(n)
-    beta = find_root(partial(_closure_residual, norm, n + k), BETA_SCAN_LO,
-                     _admissible_beta_cap(norm))
-    alpha = alpha_from_beta(n, beta)
-    lam = lambda_from_beta(beta)
-    return OscillatorState(n, k, alpha, beta, lam, energy(n, alpha, lam))
+    return _solve(_as_int(n, "n", 0, MAX_QUANTUM_NUMBER))
 
 
 def table(n_max: int) -> list[OscillatorState]:
     """States n = 0..n_max, the table's rows, each from an independent solve."""
     n_max = _as_int(n_max, "n_max", 0, MAX_QUANTUM_NUMBER)
-    return [solve_state(n) for n in range(n_max + 1)]
+    return [_solve(n) for n in range(n_max + 1)]
 
 
 def psi_eval(state: OscillatorState, x):

@@ -107,7 +107,7 @@ class TestOscillatorTable:
             assert code == 2
             assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("digits", ["0", "-1"])
+    @pytest.mark.parametrize("digits", ["0", "-1", "18", "2147483648"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -123,7 +123,7 @@ class TestOscillatorTable:
         assert out == ""
         assert "Traceback" not in err
         assert err.rstrip("\n").split("\n")[-1].endswith(
-            f"error: argument --digits: must be a positive integer, got '{digits}'"
+            f"error: argument --digits: must be an integer in [1, 17], got '{digits}'"
         )
 
     def test_digits_flag(self, capsys):
@@ -863,6 +863,31 @@ class TestEntryPoints:
         assert (code, out) == (2, "")
         assert err.startswith("usage: infoqm analyze gram [-h]")
         assert err.endswith("infoqm analyze gram: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize(
+        "exponent,decimal",
+        [
+            (["nls", "ground", "--domain", "-8e0", "8", "--grid", "48", "--tau", "0.02",
+              "--b", "-1e-3"],
+             ["nls", "ground", "--domain", "-8", "8", "--grid", "48", "--tau", "0.02",
+              "--b", "-0.001"]),
+            (["nls", "ground", "--domain", "-8", "8", "--grid", "48", "--tau", "5e-3",
+              "--tol-flow", "1e-9", "--lambda-solve", "--bracket", "-3e0", "-5e-1"],
+             ["nls", "ground", "--domain", "-8", "8", "--grid", "48", "--tau", "5e-3",
+              "--tol-flow", "1e-9", "--lambda-solve", "--bracket", "-3", "-0.5"]),
+            (["series", "probe", "--kind", "binomial", "--x", "-5e-1", "--k", "-1E+0",
+              "--n-max", "5"],
+             ["series", "probe", "--kind", "binomial", "--x", "-0.5", "--k", "-1",
+              "--n-max", "5"]),
+        ],
+        ids=["domain-b", "bracket", "x-k"],
+    )
+    def test_exponent_form_negatives_are_values(self, capsys, exponent, decimal):
+        # each spelling gives the other's bytes, and the whole parser reads both alike
+        code, out, err = run_captured(capsys, exponent)
+        assert (code, err) == (0, "")
+        assert run_captured(capsys, decimal) == (0, out, "")
+        assert cli._PARSER.parse_args(exponent) == cli._PARSER.parse_args(decimal)
 
     def test_failed_runs_leave_the_next_run_unchanged(self, capsys):
         good = ["oscillator", "table", "--n-max", "2"]

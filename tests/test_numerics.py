@@ -276,7 +276,7 @@ def width_closure(n):
     """The residual and bracket that solve_state hands to find_root for state n."""
     norm = oscillator._norm_constant(n)
     residual = functools.partial(oscillator._closure_residual, norm, n + n % 2)
-    return residual, oscillator.BETA_SCAN_LO, oscillator._admissible_beta_cap(norm)
+    return (residual, *oscillator._width_bracket(norm, n + n % 2))
 
 
 def infinite_ends(x):
@@ -296,11 +296,24 @@ HARD_ROOTS = {
 class TestFindRoot:
     @pytest.mark.parametrize("n", range(21))
     def test_width_is_the_bisection_width(self, n):
-        # in at most 16 evaluations, the bracket's ends included; bisection takes 54-57
+        # in at most 15 evaluations, the bracket's ends included; bisection takes 44-54
         residual, lo, hi = width_closure(n)
         root, calls = counted_solve(find_root, residual, lo, hi)
         assert root == counted_solve(bisection_reference, residual, lo, hi)[0]
-        assert calls <= 16
+        assert calls <= 15
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_proved_bracket_keeps_the_width(self, n):
+        # the bracket holds the width, strictly, inside the generic range
+        # [BETA_SCAN_LO, min(2, cap)], on which plain bisection gives the
+        # same width, bit for bit
+        residual, lo, hi = width_closure(n)
+        cap = oscillator._admissible_beta_cap(oscillator._norm_constant(n))
+        beta = oscillator.solve_state(n).beta
+        assert oscillator.BETA_SCAN_LO <= lo < beta < hi <= cap
+        assert residual(lo) < 0.0 < residual(hi)
+        assert find_root(residual, lo, hi) == bisection_reference(
+            residual, oscillator.BETA_SCAN_LO, min(2.0, cap))
 
     @pytest.mark.parametrize("n", range(21))
     def test_closure_changes_sign_once_near_the_width(self, n):

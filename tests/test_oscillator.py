@@ -52,10 +52,11 @@ class TestScalarRelations:
 
     @pytest.mark.parametrize("n", range(21))
     def test_closure_increasing_on_the_bracket(self, n):
-        # solve_state narrows [BETA_SCAN_LO, cap] and relies on one root there
+        # one root on the generic range [BETA_SCAN_LO, min(2, cap)], which holds
+        # the bracket solve_state narrows
         k = n % 2
         cap = oscillator._admissible_beta_cap(oscillator._norm_constant(n))
-        betas = np.linspace(oscillator.BETA_SCAN_LO, cap, 2001)
+        betas = np.linspace(oscillator.BETA_SCAN_LO, min(2.0, cap), 2001)
         g = np.array([closure_residual(n, k, b) for b in betas])
         assert np.all(np.diff(g) > 0.0)
         assert g[0] < 0.0 < g[-1]
@@ -181,6 +182,14 @@ class TestTable:
         with pytest.raises(ValidationError):
             table(21)
 
+    @pytest.mark.parametrize("n", range(21))
+    def test_scalars_are_the_public_relations(self, n):
+        # solve_state forms alpha, lambda and E by the formulas of the public functions
+        s = solve_state(n)
+        assert s.alpha == alpha_from_beta(n, s.beta)
+        assert s.lam == lambda_from_beta(s.beta)
+        assert s.energy == energy(n, s.alpha, s.lam)
+
     def test_width_solve_work(self, monkeypatch):
         # closure evaluations per state, the bracket's two ends included: the
         # width solve's work, counted exactly
@@ -194,8 +203,8 @@ class TestTable:
         monkeypatch.setattr(oscillator, "_closure_residual", counted)
         table(20)
         assert [norms.count(oscillator._norm_constant(n)) for n in range(21)] == [
-            12, 13, 15, 15, 15, 14, 15, 16, 15, 14, 15, 16, 16, 14, 15, 14, 14, 14, 16, 15, 14]
-        assert len(norms) == 307
+            12, 11, 10, 10, 10, 7, 10, 10, 15, 12, 10, 11, 10, 6, 10, 9, 7, 7, 9, 7, 7]
+        assert len(norms) == 200
 
 
 class TestPsi:
