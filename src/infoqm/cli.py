@@ -23,6 +23,7 @@ from .analysis import GaussPower, completeness_projection, gram_matrix
 from .errors import InfoqmError, ValidationError
 from .maxent import (
     _MALFORMED,
+    _malformed,
     density_from_json,
     density_to_json,
     fit_multipliers_1d,
@@ -40,6 +41,15 @@ _EXIT_NO_CONVERGENCE = 3
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
+
+
+def _csv(header: str, lines) -> str:
+    """CSV text: the header line, each of lines, and a trailing newline."""
+    return "\n".join((header, *lines)) + "\n"
+
+
+# the oscillator table's columns, in order: its CSV header and JSON row keys
+_TABLE_FIELDS = ("n", "k", "alpha", "beta", "lambda", "energy")
 
 
 _JSON_STRING = json.encoder.encode_basestring_ascii
@@ -101,7 +111,7 @@ def _json_text(obj, newline: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        entries = (f"{_JSON_STRING(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items()))
+        entries = [f"{_JSON_STRING(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(entries) + newline + "}"
     if isinstance(obj, np.ndarray):
         entries = _json_floats(obj)
@@ -131,19 +141,17 @@ def _read_document(path: str, flag: str, parse):
         return parse(json.loads(data.decode("utf-8")))
     except InfoqmError:
         raise
-    except UnicodeDecodeError as exc:
-        # its repr would hold every byte of the document
-        raise ValidationError(f"malformed {flag} document: {exc}") from exc
     except _MALFORMED as exc:
-        raise ValidationError(f"malformed {flag} document: {exc!r}") from exc
+        raise _malformed(flag, exc) from exc
 
 
 # 17 significant digits round-trip every double; more only spell out its
 # binary expansion
 _MAX_DIGITS = 17
-# a negative number, in exponent form too; argparse's own pattern,
-# ^-\d+$|^-\d*\.\d+$, reads -1e-3 as an option
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# a negative number, in exponent form too, or a negative infinity or NaN
+# as float() spells them, so each reaches the number rule; argparse's own
+# pattern, ^-\d+$|^-\d*\.\d+$, reads -1e-3 and -inf as options
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 def _digits(text: str) -> int:
@@ -209,8 +217,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ground = nls_sub.add_parser("ground", help="nodeless ground state")
     ground.add_argument("--domain", type=float, nargs=2, metavar=("XMIN", "XMAX"), required=True)
     ground.add_argument("--grid", type=int, required=True, help="number of grid points")
-    ground.add_argument("--b", type=float, default=0.0, help="fixed nonlinearity coefficient")
-    ground.add_argument("--lambda-solve", action="store_true", help="solve mu(b) = b for b")
+    b_or_root = ground.add_mutually_exclusive_group()
+    b_or_root.add_argument("--b", type=float, default=0.0, help="fixed nonlinearity coefficient")
+    b_or_root.add_argument("--lambda-solve", action="store_true", help="solve mu(b) = b for b")
     ground.add_argument("--bracket", type=float, nargs=2, default=DEFAULT_BRACKET)
     ground.add_argument("--tau", type=float, default=1e-4)
     ground.add_argument("--tol-flow", type=float, default=1e-8)
@@ -246,27 +255,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def _cmd_oscillator_table(args) -> str:
     states = table(args.n_max)
     if args.format == "json":
-        doc = {
-            "rows": [
-                {
-                    "n": s.n,
-                    "k": s.k,
-                    "alpha": s.alpha,
-                    "beta": s.beta,
-                    "lambda": s.lam,
-                    "energy": s.energy,
-                }
-                for s in states
-            ]
-        }
-        return _dump_json(doc)
-    lines = ["n,k,alpha,beta,lambda,energy"]
-    for s in states:
-        lines.append(
-            f"{s.n},{s.k},{_fmt(s.alpha, args.digits)},{_fmt(s.beta, args.digits)},"
-            f"{_fmt(s.lam, args.digits)},{_fmt(s.energy, args.digits)}"
-        )
-    return "\n".join(lines) + "\n"
+        return _dump_json({"rows": [
+            dict(zip(_TABLE_FIELDS, (s.n, s.k, s.alpha, s.beta, s.lam, s.energy)))
+            for s in states]})
+    d = args.digits
+    return _csv(",".join(_TABLE_FIELDS), [
+        f"{s.n},{s.k},{_fmt(s.alpha, d)},{_fmt(s.beta, d)},{_fmt(s.lam, d)},{_fmt(s.energy, d)}"
+        for s in states])
 
 
 def _cmd_maxent_fit(args) -> str:
@@ -284,11 +279,10 @@ def _cmd_series_probe(args) -> str:
     kind = args.kind.replace("-", "_")
     sums, _ = partial_sums(kind, args.x, n_max, a=args.a,
                            k=None if kind == "exp_xy" else args.k, y=args.y)
-    lines = ["N,partial_sum,cauchy_diff"]
-    for n, value in enumerate(sums):
-        diff = "" if n == 0 else _fmt(abs(value - sums[n - 1]), args.digits)
-        lines.append(f"{n},{_fmt(value, args.digits)},{diff}")
-    return "\n".join(lines) + "\n"
+    d = args.digits
+    return _csv("N,partial_sum,cauchy_diff", [
+        f"{n},{_fmt(value, d)},{'' if n == 0 else _fmt(abs(value - sums[n - 1]), d)}"
+        for n, value in enumerate(sums)])
 
 
 def _cmd_nls_ground(args) -> str:
@@ -331,10 +325,8 @@ def _cmd_nls_ground(args) -> str:
 
 def _cmd_analyze_gram(args) -> str:
     gram = gram_matrix(table(args.n_max)).tolist()
-    lines = ["n," + ",".join(str(n) for n in range(args.n_max + 1))]
-    for i, row in enumerate(gram):
-        lines.append(f"{i}," + ",".join(_fmt(v, args.digits) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv("n," + ",".join(str(n) for n in range(args.n_max + 1)), [
+        f"{i}," + ",".join(_fmt(v, args.digits) for v in row) for i, row in enumerate(gram)])
 
 
 def _target_from_spec(doc):
@@ -356,15 +348,8 @@ def _cmd_analyze_project(args) -> str:
         raise ValidationError(f"--orders must be comma-separated integers: {exc}") from exc
     target, label = _read_document(args.target, "--target", _target_from_spec)
     report = completeness_projection(target, table(args.n_max), orders)
-    return _dump_json(
-        {
-            "target": label,
-            "orders": list(report.orders),
-            "residuals": list(report.residuals),
-            "condition_numbers": list(report.condition_numbers),
-            "coefficients": list(report.coefficients),
-        }
-    )
+    # a dataclass's __dict__ holds its fields; asdict, which copies every entry, is slower
+    return _dump_json({"target": label, **vars(report)})
 
 
 def _write_output(payload: str, out_path: str | None, manifest: dict) -> None:

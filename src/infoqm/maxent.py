@@ -786,18 +786,30 @@ def _parse_bound(v) -> float:
     return _as_number(v, "support bound")
 
 
+def _malformed(kind: str, exc: Exception) -> ValidationError:
+    """The error of a malformed document that raised exc: its repr, or the
+    text of a UnicodeDecodeError, whose repr would hold every byte."""
+    detail = str(exc) if isinstance(exc, UnicodeDecodeError) else repr(exc)
+    return ValidationError(f"malformed {kind} document: {detail}")
+
+
+def _parse_document(doc, kind: str, read) -> tuple:
+    """(support, read(doc)) of a document given as JSON text or already
+    parsed, support its (lo, hi) pair; a malformed one raises ValidationError."""
+    try:
+        doc = json.loads(doc) if isinstance(doc, (str, bytes)) else doc
+        return (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1])), read(doc)
+    except _MALFORMED as exc:
+        raise _malformed(kind, exc) from exc
+
+
 def moment_spec_from_json(doc) -> MomentSpec1D:
     """Parse {"support": [a, b], "moments": [{"order": i, "value": c}, ...]}.
 
     Bounds accept "inf" / "-inf" sentinels; a malformed document raises ValidationError.
     """
-    try:
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
-        support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
-        moments = tuple((m["order"], m["value"]) for m in doc.get("moments", []))
-    except _MALFORMED as exc:
-        raise ValidationError(f"malformed moment spec document: {exc!r}") from exc
+    support, moments = _parse_document(doc, "moment spec", lambda doc: tuple(
+        (m["order"], m["value"]) for m in doc.get("moments", [])))
     return MomentSpec1D(support, moments)
 
 
@@ -824,13 +836,11 @@ def density_to_json(d: ExpFamilyDensity1D, diagnostics: FitDiagnostics | None = 
 
 def density_from_json(doc) -> ExpFamilyDensity1D:
     """Parse a density_to_json document; a malformed one raises ValidationError."""
-    try:
-        if isinstance(doc, (str, bytes)):
-            doc = json.loads(doc)
+
+    def read(doc):
         rows = doc.get("factors") or {}
-        factors = EndpointFactors(rows.get("zeros", []), rows.get("singularities", []))
-        support = (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1]))
-        multipliers = tuple((o, v) for o, v in doc["multipliers"])
-    except _MALFORMED as exc:
-        raise ValidationError(f"malformed density document: {exc!r}") from exc
+        return (EndpointFactors(rows.get("zeros", []), rows.get("singularities", [])),
+                tuple((o, v) for o, v in doc["multipliers"]))
+
+    support, (factors, multipliers) = _parse_document(doc, "density", read)
     return ExpFamilyDensity1D(multipliers, support, factors)

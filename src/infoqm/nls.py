@@ -344,7 +344,8 @@ def _pin_and_normalize(psi: np.ndarray, h: float) -> None:
 def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
     """A pinned, normalized copy of init, or of default_initial_guess when
     init is None.  Raises ValidationError unless init has one finite sample
-    per grid point and is strictly positive in the interior."""
+    per grid point and is strictly positive in the interior, before and
+    after it is normalized."""
     if init is None:
         psi = default_initial_guess(grid)
     else:
@@ -356,6 +357,9 @@ def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
                 # squares that overflow or all underflow: scale by the largest entry first
                 psi /= float(psi[1:-1].max())
     _pin_and_normalize(psi, grid.spacing)
+    if not psi[1:-1].min() > 0.0:
+        # an entry so far below the norm that scaling underflows it to 0
+        raise ValidationError("init must be strictly positive in the interior")
     return psi
 
 

@@ -889,6 +889,13 @@ class TestEntryPoints:
         assert run_captured(capsys, decimal) == (0, out, "")
         assert cli._PARSER.parse_args(exponent) == cli._PARSER.parse_args(decimal)
 
+    def test_b_and_lambda_solve_exclude_each_other(self, capsys):
+        code, out, err = run_captured(capsys, ["nls", "ground", "--domain", "-8", "8", "--grid",
+                                               "48", "--b", "-1", "--lambda-solve"])
+        assert (code, out) == (2, "")
+        assert err.endswith("infoqm nls ground: error: argument --lambda-solve: "
+                            "not allowed with argument --b\n")
+
     def test_failed_runs_leave_the_next_run_unchanged(self, capsys):
         good = ["oscillator", "table", "--n-max", "2"]
         first = run_captured(capsys, good)
@@ -988,6 +995,8 @@ def document_argv(tmp_path, flag, path):
         ("--target", {"kind": "gauss_power", "power": 2, "scale": 1e-300}),
         # a power beyond the Hermite range, whose squared norm also overflows
         ("--target", {"kind": "gauss_power", "power": 200, "scale": 3}),
+        # positive, but normalizing divides 5e-324 by about 4437, which rounds to 0
+        ("--resume", {"psi": [0.0] + [1e3] * 19 + [5e-324] + [1e3] * 42 + [0.0]}),
     ],
 )
 def test_malformed_document_rejected(tmp_path, capsys, flag, doc):
@@ -1039,12 +1048,18 @@ def test_unreadable_document_exits_2(tmp_path, capsys, flag, data, detail):
         ["series", "probe", "--kind", "binomial", "--a", "1e150", "--x", "1e150",
          "--k", "0.5", "--n-max", "3"],
         ["series", "probe", "--kind", "exp-xy", "--x", "1e100", "--y=-1e100", "--n-max", "3"],
+        # a negative infinity or NaN, in any case, is a value, not an option
+        ["series", "probe", "--kind", "binomial", "--x", "-inf", "--n-max", "3"],
+        ["series", "probe", "--kind", "binomial", "--x", "-NaN", "--n-max", "3"],
+        ["nls", "ground", "--domain", "-8", "8", "--grid", "48", "--b", "-Infinity"],
+        ["nls", "ground", "--domain", "-8", "8", "--grid", "48", "--b", "-nan"],
     ],
     ids=[
         "orders-not-integers", "negative-n-max", "nan-tol", "nan-tau", "nan-tol-flow",
         "nan-x", "inf-x", "nan-k", "inf-a", "nan-y", "inf-tol", "inf-tol-flow",
         "overflowing-xy-exp", "overflowing-xy-binomial",
         "overflowing-sum-binomial", "overflowing-sum-exp",
+        "minus-inf-x", "minus-nan-x", "minus-infinity-b", "minus-nan-b",
     ],
 )
 def test_invalid_argument_rejected(tmp_path, capsys, monkeypatch, argv):

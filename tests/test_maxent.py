@@ -1382,6 +1382,15 @@ class TestJsonInterfaces:
         with pytest.raises(ValidationError, match=f"^malformed {kind} document: RecursionError"):
             parse("[" * 200000 + "]" * 200000)
 
+    @pytest.mark.parametrize("parse, kind", [(moment_spec_from_json, "moment spec"),
+                                             (density_from_json, "density")])
+    def test_document_not_utf8_names_the_byte_not_the_document(self, parse, kind):
+        data = b'{"support": [0.0, 1.0], "multipliers": [[0, 0.0]]}' + b"\xff" * 48
+        with pytest.raises(ValidationError) as info:
+            parse(data)
+        assert str(info.value) == (f"malformed {kind} document: 'utf-8' codec can't decode "
+                                   "byte 0xff in position 50: invalid start byte")
+
     def test_density_round_trip(self):
         d = linear_ramp_density()
         doc = density_to_json(d)

@@ -1784,6 +1784,16 @@ class TestValidationAndErrors:
         with pytest.raises(ValidationError):
             gradient_flow_ground_state(problem, coarse_cfg, init=bad)
 
+    @pytest.mark.parametrize("solve", [ground_state, gradient_flow_ground_state])
+    def test_init_entry_that_normalizing_underflows(self, coarse_cfg, solve):
+        # positive, but 5e-324 divided by the norm (above 2) rounds to 0
+        problem = GridProblem.harmonic(Grid1D(-8.0, 8.0, 48), b=-1.0)
+        init = 10.0 * np.exp(-0.5 * problem.grid.points() ** 2)
+        init[20] = 5e-324
+        with pytest.raises(ValidationError,
+                           match="^init must be strictly positive in the interior$"):
+            solve(problem, coarse_cfg, init=init)
+
     def test_init_shape(self, coarse_cfg):
         problem = harmonic_problem(256)
         with pytest.raises(ValidationError):
