@@ -19,17 +19,19 @@ sum_i a_i x^i is at most 72 = 12^2/2 above its minimum on the side
 side beyond it, so only an infinite end is cut.  The window is worked
 out in plain floats, its critical points and crossings the roots from
 the one root helper, numerics._poly_roots, its values from the one
-Horner loop, numerics._horner, and an axis rule is one concatenation of
-its mapped Gauss parts, where the window is the whole side too, validated
-once, as a whole.  A 1-D fit and every 1-D functional put 768 nodes on
-the window.  A density's own node set, on the window read off its
-exponent, is built once, on first use, and shared by every functional
-of that density (reference_rule).  A 1-D fit first reads the window off
-its cold start, and once Newton converges it ends on, and reports, the
-density's own window: where that differs, Newton goes on there, again
-while a pass takes steps and still moves the window by more than 1e-12
-of its width (three passes at most), and the fit raises where the
-density at an infinite cut end leaves tail mass.  The Newton core forms
+Horner loop, numerics._horner, and an axis rule is its mapped Gauss
+parts, concatenated where there are more than one, validated once, as a
+whole.  A 1-D fit and every 1-D functional put 768 nodes on the window.
+A density's own node set, on the window read off its exponent, is built
+once, on first use, and shared by every functional of that density
+(reference_rule), and so is its log-density there, ln(Z S), -P and rho,
+formed once; a fit whose last Newton pass ran on the density's own
+window hands the density that pass's node set.  A 1-D fit first reads
+the window off its cold start, and once Newton converges it ends on, and
+reports, the density's own window: where that differs, Newton goes on
+there, again while a pass takes steps and still moves the window by more
+than 1e-12 of its width (three passes at most), and the fit raises where
+the density at an infinite cut end leaves tail mass.  The Newton core forms
 its power rows and index tables once per call; its powers and those of
 ln rho come from one running product, _power_table.  A 2-D fit takes
 each axis's window from its Gaussian start (the target mean +-12 sd,
@@ -41,14 +43,16 @@ once, flat over the whole of a finite support (always, in 2-D) or from
 the cold start on its window where the support is infinite; where the
 failed attempt was the restart, or the restart fails too, it raises.
 Every 1-D evaluator and functional reads ln rho from one function, in two
-parts, ln(Z S) and -sum_i a_i x^i (a_0 included), and integrates on one
-node set, reference_rule.  EndpointFactors() means no factors.
+parts, ln(Z S) and -sum_i a_i x^i (a_0 included), each functional through
+the density's one evaluation on its one node set, reference_rule.
+EndpointFactors() means no factors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -208,9 +212,18 @@ class ExpFamilyDensity1D:
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
         """reference_rule's read-only nodes and weights, built on first use
-        and kept on this density (a frozen dataclass without __slots__)."""
+        and kept on this density (a frozen dataclass without __slots__),
+        unless fit_multipliers_1d handed it the rule of its last pass."""
         rule = _axis_rule(self.support, _window(self.support, self.multipliers), _NODES_1D)
         return rule.nodes, rule.weights
+
+    @cached_property
+    def _logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ln(Z S), -P, rho) at the reference_rule nodes, formed on first
+        use and kept on this density; rho may overflow to inf unwarned."""
+        log_zs, neg_p = _log_density(self, self._rule[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return log_zs, neg_p, np.exp(log_zs + neg_p)
 
 
 @dataclass(frozen=True)
@@ -337,9 +350,8 @@ def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -
     """n Gauss-Legendre nodes on window and n // 4 on each finite piece of
     side beyond it, in order along the side; an infinite end is cut at the
     window.  A piece within rounding of the window's end, whose nodes would
-    coincide, gets none.  The parts are mapped as arrays and concatenated,
-    where the window is the whole side too, and the whole rule is
-    validated once."""
+    coincide, gets none.  The parts are mapped as arrays and concatenated
+    where there are more than one, and the whole rule is validated once."""
 
     def piece(lo: float, hi: float) -> list:
         if not 0.0 < hi - lo < math.inf:
@@ -348,16 +360,16 @@ def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -
         return [(nodes, weights)] if np.all(np.diff(nodes) > 0) else []
 
     parts = [*piece(side[0], window[0]), _mapped_gauss(*window, n), *piece(window[1], side[1])]
-    return QuadratureRule(*(np.concatenate(c) for c in zip(*parts)))
+    return QuadratureRule(*parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
 
 
 def reference_rule(d: ExpFamilyDensity1D):
     """Nodes and weights of the one quadrature of every functional of d:
     the _axis_rule of d's support on d's _window with _NODES_1D nodes.  They
-    are built once per density, on first use, and every call returns the
-    same shared read-only arrays.  No node falls on an end of the support
-    or of the window, so a singularity at an end of the support is finite
-    at every node."""
+    are built once per density, on first use, or handed over by the fit
+    that made d, and every call returns the same shared read-only arrays.
+    No node falls on an end of the support or of the window, so a
+    singularity at an end of the support is finite at every node."""
     return d._rule
 
 
@@ -493,7 +505,7 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
         mom = table / z
         mean = mom[pi, pj]
         r = mean - targets
-        residual = float(np.max(np.abs(r)))
+        residual = float(abs(r).max())
         if residual <= tol:
             break
         if iterations == cap:
@@ -501,12 +513,12 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
                 f"moment-matching Newton did not reach tol={tol} in {cap} "
                 f"iterations (residual {residual:.3e})"
             )
-        cov = mom[cov_i, cov_j] - np.outer(mean, mean)
+        cov = mom[cov_i, cov_j] - mean[:, None] * mean
         try:
             delta = np.linalg.solve(cov, r)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular moment covariance: {exc}") from exc
-        worst = float(np.max(np.abs(delta)))
+        worst = float(abs(delta).max())
         if worst > _STEP_CLIP:
             delta *= _STEP_CLIP / worst
         a = a + delta
@@ -597,26 +609,29 @@ def fit_multipliers_1d(
     window = _window(spec.support, tuple(zip(orders, cold)))
 
     def attempt(windows, a):
-        rules = (_axis_rule(spec.support, windows[0], _NODES_1D), _UNIT_AXIS)
-        return (windows[0], *_newton_fit(pairs, targets, a, tol, rules))
+        rule = _axis_rule(spec.support, windows[0], _NODES_1D)
+        return (windows[0], rule, *_newton_fit(pairs, targets, a, tol, (rule, _UNIT_AXIS)))
 
     # the one restart: flat over the whole of a finite support, else the cold start
     restart = ((window,), cold) if spec.unbounded else ((spec.support,), np.zeros(m))
     start = ((window,), cold if init is None else init)
-    window, a, a0, iterations, residual = _with_restart(attempt, start, restart)
+    window, rule, a, a0, iterations, residual = _with_restart(attempt, start, restart)
     for passes in range(_OWN_PASSES):
         # a fit on the window alone may end just past the normalizable set,
         # which raises here
         own = _window(spec.support, ((0, a0), *zip(orders, a)))
         moved = max(abs(own[0] - window[0]), abs(own[1] - window[1]))
-        if own == window or passes and moved <= _WINDOW_MOVE * (window[1] - window[0]):
+        settled = own == window  # the last pass ran on the nodes reference_rule builds
+        if settled or passes and moved <= _WINDOW_MOVE * (window[1] - window[0]):
             break
         # the nodes reference_rule builds for the density; no restart here
-        window, a, a0, steps, residual = attempt((own,), a)
+        window, rule, a, a0, steps, residual = attempt((own,), a)
         iterations += steps
         if not steps:
             break  # a is as before: only the rounding of a_0 can move the window
     density = ExpFamilyDensity1D(((0, a0), *zip(orders, a)), spec.support)
+    if settled:
+        object.__setattr__(density, "_rule", (rule.nodes, rule.weights))
     cuts = np.array([x for x, end in zip(window, spec.support) if math.isinf(end)])
     tail = float(density_values(density, cuts).max(initial=0.0)) * (window[1] - window[0])
     if tail > _TAIL_MASS_LIMIT:
@@ -710,14 +725,12 @@ def _log_average(d: ExpFamilyDensity1D, log_of) -> float:
     """Quadrature of rho * log_of(ln(Z S), -P), set to its limit 0 where rho
     vanishes; NumericError unless the integrand is finite at every node,
     where rho overflows included."""
-    xs, w = reference_rule(d)
-    log_zs, neg_p = _log_density(d, xs)
+    log_zs, neg_p, rho = d._logs
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.exp(log_zs + neg_p)
         integrand = np.where(rho > 0.0, rho * log_of(log_zs, neg_p), 0.0)
     if not np.all(np.isfinite(integrand)):
         raise NumericError("information integrand is not finite at every node")
-    return float(w @ integrand)
+    return float(reference_rule(d)[1] @ integrand)
 
 
 def information(d: ExpFamilyDensity1D) -> float:
@@ -747,7 +760,7 @@ def moment_gradient_check(
         raise ValidationError("h below 1e-10 would be dominated by cancellation")
     order = _as_int(order, "order", 1)
     xs, w = reference_rule(d)
-    log_rho = np.add(*_log_density(d, xs))
+    log_rho = np.add(*d._logs[:2])
     power = xs**order
 
     def log_norm(shift: float) -> float:
@@ -762,8 +775,9 @@ def moment_gradient_check(
 
 def normalization_residual(d: ExpFamilyDensity1D) -> float:
     """|integral of rho - 1| under the reference quadrature."""
-    xs, w = reference_rule(d)
-    return abs(float(w @ density_values(d, xs)) - 1.0)
+    log_zs, neg_p, _ = d._logs
+    # rho again, not the cached one, so an overflow warns as density_values does
+    return abs(float(reference_rule(d)[1] @ np.exp(log_zs + neg_p)) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -794,11 +808,19 @@ def _malformed(kind: str, exc: Exception) -> ValidationError:
 
 
 def _parse_document(doc, kind: str, read) -> tuple:
-    """(support, read(doc)) of a document given as JSON text or already
-    parsed, support its (lo, hi) pair; a malformed one raises ValidationError."""
+    """(support, read(doc)) of a document given as JSON text, as UTF-8
+    bytes (RFC 8259, section 8.1) or already parsed, support its (lo, hi)
+    pair; a malformed one, or a support that is not exactly a pair, raises
+    ValidationError."""
     try:
-        doc = json.loads(doc) if isinstance(doc, (str, bytes)) else doc
-        return (_parse_bound(doc["support"][0]), _parse_bound(doc["support"][1])), read(doc)
+        if isinstance(doc, bytes):
+            doc = doc.decode("utf-8")  # as the CLI reads a document file
+        if isinstance(doc, str):
+            doc = json.loads(doc)
+        support = doc["support"]
+        if not isinstance(support, (list, tuple)) or len(support) != 2:
+            raise ValueError(f"support must be a pair [lo, hi], got {reprlib.repr(support)}")
+        return (_parse_bound(support[0]), _parse_bound(support[1])), read(doc)
     except _MALFORMED as exc:
         raise _malformed(kind, exc) from exc
 

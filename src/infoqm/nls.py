@@ -104,6 +104,7 @@ gives numpy's Philox bits, so no random-number library is loaded for them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,8 +345,9 @@ def _pin_and_normalize(psi: np.ndarray, h: float) -> None:
 def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
     """A pinned, normalized copy of init, or of default_initial_guess when
     init is None.  Raises ValidationError unless init has one finite sample
-    per grid point and is strictly positive in the interior, before and
-    after it is normalized."""
+    per grid point and is strictly positive in the interior, and after it
+    is normalized every interior entry is a normal float (at least
+    sys.float_info.min)."""
     if init is None:
         psi = default_initial_guess(grid)
     else:
@@ -357,8 +359,9 @@ def _start_state(grid: Grid1D, init: np.ndarray | None) -> np.ndarray:
                 # squares that overflow or all underflow: scale by the largest entry first
                 psi /= float(psi[1:-1].max())
     _pin_and_normalize(psi, grid.spacing)
-    if not psi[1:-1].min() > 0.0:
-        # an entry so far below the norm that scaling underflows it to 0
+    if not psi[1:-1].min() >= sys.float_info.min:
+        # an entry so far below the norm that scaling leaves it subnormal or
+        # 0, which the Newton solve would divide by
         raise ValidationError("init must be strictly positive in the interior")
     return psi
 

@@ -97,6 +97,13 @@ def _as_finite_array(values, name: str, shape: tuple[int, ...] | None = None) ->
     return array
 
 
+@functools.lru_cache(maxsize=32)
+def _shift_rows(n: int) -> tuple[list[float], ...]:
+    """Rows 2 .. n of the n x n companion matrix of np.roots: ones on the
+    subdiagonal, zeros elsewhere."""
+    return tuple([float(j == i) for j in range(n)] for i in range(n - 1))
+
+
 def _poly_roots(coeffs) -> np.ndarray:
     """The roots of the polynomial with coefficients ``coeffs``, highest power
     first, bit for bit those of np.roots without its array plumbing: the
@@ -111,8 +118,7 @@ def _poly_roots(coeffs) -> np.ndarray:
     c = c[nonzero[0]:nonzero[-1] + 1]
     n = len(c) - 1
     if n:
-        companion = np.eye(n, k=-1)
-        companion[0] = -np.array(c[1:]) / c[0]
+        companion = np.array([[-v / c[0] for v in c[1:]], *_shift_rows(n)])
         roots = np.linalg.eigvals(companion)
     else:
         roots = np.array([])

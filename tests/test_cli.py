@@ -997,6 +997,12 @@ def document_argv(tmp_path, flag, path):
         ("--target", {"kind": "gauss_power", "power": 200, "scale": 3}),
         # positive, but normalizing divides 5e-324 by about 4437, which rounds to 0
         ("--resume", {"psi": [0.0] + [1e3] * 19 + [5e-324] + [1e3] * 42 + [0.0]}),
+        # or by about 0.44, which leaves it subnormal
+        ("--resume", {"psi": [0.0] + [0.1] * 19 + [5e-324] + [0.1] * 42 + [0.0]}),
+        # a support is exactly a pair
+        ("--spec", {"support": [0.0, 1.0, 5.0], "moments": [{"order": 1, "value": 0.5}]}),
+        ("--spec", {"support": [0.0], "moments": [{"order": 1, "value": 0.5}]}),
+        ("--init", {"support": [0.0, 1.0, 5.0], "multipliers": [[0, 0.0]]}),
     ],
 )
 def test_malformed_document_rejected(tmp_path, capsys, flag, doc):

@@ -1382,6 +1382,28 @@ class TestJsonInterfaces:
         with pytest.raises(ValidationError, match=f"^malformed {kind} document: RecursionError"):
             parse("[" * 200000 + "]" * 200000)
 
+    @pytest.mark.parametrize("support", [[0.0, 1.0, 5.0], [0.0], [], "01", {"0": 0, "1": 1}])
+    @pytest.mark.parametrize("parse, kind", [(moment_spec_from_json, "moment spec"),
+                                             (density_from_json, "density")])
+    def test_support_that_is_not_a_pair_is_malformed(self, parse, kind, support):
+        doc = {"support": support, "moments": [{"order": 1, "value": 0.5}],
+               "multipliers": [[0, 0.0]]}
+        with pytest.raises(ValidationError, match=f"^malformed {kind} document: ValueError"
+                                                  r"\(.support must be a pair \[lo, hi\], got "):
+            parse(doc)
+
+    @pytest.mark.parametrize("parse, kind", [(moment_spec_from_json, "moment spec"),
+                                             (density_from_json, "density")])
+    def test_document_bytes_are_utf8(self, parse, kind):
+        # as the CLI reads a document file: UTF-8 parses, UTF-16 is malformed
+        doc = {"support": ["-inf", "inf"], "moments": [{"order": 2, "value": 1.0}],
+               "multipliers": [[0, 0.5 * math.log(2.0 * math.pi)], [2, 0.5]]}
+        text = json.dumps(doc)
+        assert parse(text.encode("utf-8")) == parse(text)
+        with pytest.raises(ValidationError, match=f"^malformed {kind} document: 'utf-8' codec "
+                                                  "can't decode byte 0xff in position 0"):
+            parse(text.encode("utf-16"))
+
     @pytest.mark.parametrize("parse, kind", [(moment_spec_from_json, "moment spec"),
                                              (density_from_json, "density")])
     def test_document_not_utf8_names_the_byte_not_the_document(self, parse, kind):
@@ -1424,25 +1446,52 @@ FUNCTIONALS = (information, modified_information, normalization_residual,
                lambda d: moment_gradient_check(d, 2, 1e-4))
 
 
+def count_kernels(monkeypatch) -> dict:
+    """Calls of maxent's node-set and log-density kernels from here on."""
+    counts = {"_window": 0, "_axis_rule": 0, "_log_density": 0}
+    for kernel in counts:
+        def counted(*args, _kernel=kernel, _inner=getattr(maxent, kernel)):
+            counts[_kernel] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(maxent, kernel, counted)
+    return counts
+
+
 class TestSharedNodeSet:
-    """A density builds the node set of its functionals once and shares it."""
+    """A density builds the node set of its functionals, and its log-density
+    there, once and shares them."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN["densities"]))
     def test_one_window_and_one_rule_per_density(self, monkeypatch, name):
-        counts = {"_window": 0, "_axis_rule": 0}
-        for kernel in counts:
-            def counted(*args, _kernel=kernel, _inner=getattr(maxent, kernel)):
-                counts[_kernel] += 1
-                return _inner(*args)
-
-            monkeypatch.setattr(maxent, kernel, counted)
+        counts = count_kernels(monkeypatch)
         d = density_from_json(GOLDEN["densities"][name])
-        for functional in FUNCTIONALS:
+        for functional in FUNCTIONALS * 2:
             functional(d)
-        assert counts == {"_window": 1, "_axis_rule": 1}
+        assert counts == {"_window": 1, "_axis_rule": 1, "_log_density": 1}
         # an equal density is another object, with a node set of its own
         information(density_from_json(GOLDEN["densities"][name]))
-        assert counts == {"_window": 2, "_axis_rule": 2}
+        assert counts == {"_window": 2, "_axis_rule": 2, "_log_density": 2}
+
+    @pytest.mark.parametrize("spec, tol, shared", [
+        (MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), 1e-10, True),
+        (MomentSpec1D((-1.0, 2.0), ((1, 0.4), (2, 0.5))), 1e-10, True),
+        (MomentSpec1D((0.0, INF), ((1, 20.0), (2, 401.0))), 1e-10, True),
+        # its last pass takes no Newton step, and a_0 from that pass's nodes
+        # may move the density's own window: it builds its own node set
+        (MomentSpec1D((-INF, INF), quartic_moments(3.5)), 1e-8, False),
+    ], ids=["gaussian", "bounded", "half-line", "quartic-mean-3.5"])
+    def test_a_fit_hands_its_density_the_node_set_of_its_last_pass(self, monkeypatch, spec,
+                                                                   tol, shared):
+        d, _ = fit_multipliers_1d(spec, tol=tol)
+        counts = count_kernels(monkeypatch)
+        values = [functional(d) for functional in FUNCTIONALS]
+        built = 0 if shared else 1
+        assert counts == {"_window": built, "_axis_rule": built, "_log_density": 1}
+        fresh = ExpFamilyDensity1D(d.multipliers, d.support)
+        assert [functional(fresh) for functional in FUNCTIONALS] == values
+        for got, want in zip(reference_rule(d), reference_rule(fresh)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
     def test_shared_arrays_are_read_only(self):
         d = shifted_quartic(3.5, 1.0)

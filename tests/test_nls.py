@@ -1786,13 +1786,16 @@ class TestValidationAndErrors:
 
     @pytest.mark.parametrize("solve", [ground_state, gradient_flow_ground_state])
     def test_init_entry_that_normalizing_underflows(self, coarse_cfg, solve):
-        # positive, but 5e-324 divided by the norm (above 2) rounds to 0
+        # positive, but 5e-324 divided by the norm rounds to 0 (scale 10, norm
+        # above 2) or stays subnormal (scale 1, norm about 1.33), which the
+        # Newton solve would divide by
         problem = GridProblem.harmonic(Grid1D(-8.0, 8.0, 48), b=-1.0)
-        init = 10.0 * np.exp(-0.5 * problem.grid.points() ** 2)
-        init[20] = 5e-324
-        with pytest.raises(ValidationError,
-                           match="^init must be strictly positive in the interior$"):
-            solve(problem, coarse_cfg, init=init)
+        for scale in (10.0, 1.0):
+            init = scale * np.exp(-0.5 * problem.grid.points() ** 2)
+            init[20] = 5e-324
+            with pytest.raises(ValidationError,
+                               match="^init must be strictly positive in the interior$"):
+                solve(problem, coarse_cfg, init=init)
 
     def test_init_shape(self, coarse_cfg):
         problem = harmonic_problem(256)
