@@ -625,10 +625,13 @@ def fit_multipliers_1d(
         if settled or passes and moved <= _WINDOW_MOVE * (window[1] - window[0]):
             break
         # the nodes reference_rule builds for the density; no restart here
+        last = a0
         window, rule, a, a0, steps, residual = attempt((own,), a)
         iterations += steps
         if not steps:
-            break  # a is as before: only the rounding of a_0 can move the window
+            # a is as before: only the rounding of a_0 can move the window
+            settled = a0 == last
+            break
     density = ExpFamilyDensity1D(((0, a0), *zip(orders, a)), spec.support)
     if settled:
         object.__setattr__(density, "_rule", (rule.nodes, rule.weights))

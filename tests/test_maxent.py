@@ -1477,10 +1477,12 @@ class TestSharedNodeSet:
         (MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), 1e-10, True),
         (MomentSpec1D((-1.0, 2.0), ((1, 0.4), (2, 0.5))), 1e-10, True),
         (MomentSpec1D((0.0, INF), ((1, 20.0), (2, 401.0))), 1e-10, True),
-        # its last pass takes no Newton step, and a_0 from that pass's nodes
-        # may move the density's own window: it builds its own node set
+        # each last pass takes no Newton step; at mean 0.5 it leaves a_0 as
+        # it was, at 3.5 a_0 from that pass's nodes may move the density's
+        # own window, so that density builds its own node set
+        (MomentSpec1D((-INF, INF), quartic_moments(0.5)), 1e-8, True),
         (MomentSpec1D((-INF, INF), quartic_moments(3.5)), 1e-8, False),
-    ], ids=["gaussian", "bounded", "half-line", "quartic-mean-3.5"])
+    ], ids=["gaussian", "bounded", "half-line", "quartic-mean-0.5", "quartic-mean-3.5"])
     def test_a_fit_hands_its_density_the_node_set_of_its_last_pass(self, monkeypatch, spec,
                                                                    tol, shared):
         d, _ = fit_multipliers_1d(spec, tol=tol)
