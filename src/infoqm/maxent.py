@@ -275,11 +275,11 @@ def _power_table(nodes: np.ndarray, top: int) -> np.ndarray:
 def _log_density(d: ExpFamilyDensity1D, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two parts of ln rho at xs: ln(Z S), -inf at a zero and +inf at a
     singularity, and -P = -sum_i a_i x^i, a_0 included."""
-    total = np.zeros_like(xs)
+    total = np.zeros(xs.shape)
     powers = _power_table(xs, max((order for order, _ in d.multipliers), default=0))
     for order, value in d.multipliers:
         total += value * powers[order]
-    log_zs = np.zeros_like(xs)
+    log_zs = np.zeros(xs.shape)
     with np.errstate(divide="ignore"):
         for loc, m in d.factors.zeros:
             log_zs += m * np.log(np.abs(xs - loc))
@@ -357,7 +357,7 @@ def _axis_rule(side: tuple[float, float], window: tuple[float, float], n: int) -
         if not 0.0 < hi - lo < math.inf:
             return []
         nodes, weights = _mapped_gauss(lo, hi, n // 4)
-        return [(nodes, weights)] if np.all(np.diff(nodes) > 0) else []
+        return [(nodes, weights)] if (nodes[1:] > nodes[:-1]).all() else []
 
     parts = [*piece(side[0], window[0]), _mapped_gauss(*window, n), *piece(window[1], side[1])]
     return QuadratureRule(*parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
@@ -731,7 +731,7 @@ def _log_average(d: ExpFamilyDensity1D, log_of) -> float:
     log_zs, neg_p, rho = d._logs
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = np.where(rho > 0.0, rho * log_of(log_zs, neg_p), 0.0)
-    if not np.all(np.isfinite(integrand)):
+    if not np.isfinite(integrand).all():
         raise NumericError("information integrand is not finite at every node")
     return float(reference_rule(d)[1] @ integrand)
 

@@ -202,7 +202,7 @@ class QuadratureRule:
             raise ValidationError(f"quadrature nodes must be 1-D and not empty, "
                                   f"got shape {nodes.shape}")
         weights = _as_finite_array(self.weights, "quadrature weights", nodes.shape)
-        if not np.all(np.diff(nodes) > 0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValidationError("quadrature nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
