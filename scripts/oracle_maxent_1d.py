@@ -5,9 +5,10 @@
 
 Fits the unit-sd quartic of the benchmark's ``fit_quartic`` jobs (raw
 moments 1-4 of mean + Z, Z the unit-variance exp(-x^4) base) at tol 1e-8
-for means -12.5 to 12.5 in steps of 0.5; 66 seeded bounded specs drawn
-like the benchmark's ``fit_bounded`` jobs (60 with a mean and a second
-moment, 6 with a mean only) at tol 1e-10; narrow densities on
+for means -21 to 21 in steps of 0.5, out to the benchmark's last
+stratum; 66 seeded bounded specs drawn like the benchmark's
+``fit_bounded`` jobs (60 with a mean and a second moment, 6 with a mean
+only) at tol 1e-10; narrow densities on
 [-100, 100]; kurtosis 30 on [-20, 20] and kurtosis 3.05 on +-14, +-16 and
 +-18, whose densities rise toward the ends; half-line specs; a mean of
 0.01 on [0, 1000]; two warm starts of the unit Gaussian from the
@@ -71,7 +72,7 @@ def bench_like(seed: int):
 
 def specs():
     out = [(f"quartic mean {0.5 * i:+.1f}", MomentSpec1D((-INF, INF), quartic(0.5 * i)), 1e-8,
-            None) for i in range(-25, 26)]
+            None) for i in range(-42, 43)]
     out += [bench_like(seed) for seed in range(1, 67)]
     for cons in (((2, 0.1),), ((1, 0.5), (2, 0.26)), ((4, 1e-3),)):
         out.append((f"[-100, 100] {cons}", MomentSpec1D((-100.0, 100.0), cons), 1e-10, None))

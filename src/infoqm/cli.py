@@ -56,6 +56,10 @@ _JSON_STRING = json.encoder.encode_basestring_ascii
 _MIN_NORMAL = sys.float_info.min
 
 
+class _Exact(float):
+    """A float that _dump_json writes at full precision, by float.__repr__."""
+
+
 def _json_float(value: float) -> str:
     """value rounded to 12 significant digits for byte stability; an
     infinity or NaN is written as the string of its str."""
@@ -106,7 +110,7 @@ def _json_text(obj, newline: str) -> str:
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _json_float(float(obj))
+        return float.__repr__(obj) if isinstance(obj, _Exact) else _json_float(float(obj))
     inner = newline + " "
     if isinstance(obj, dict):
         if not obj:
@@ -125,11 +129,11 @@ def _json_text(obj, newline: str) -> str:
 
 def _dump_json(doc) -> str:
     """The text of a JSON file: keys (all strings) sorted, one space of
-    indent per level, every float rounded to 12 significant digits (an
-    infinity or NaN written as the string "inf", "-inf" or "nan"), a tuple
-    or 1-D array written as a list of its entries, a numpy scalar as its
-    Python value; json.dumps(..., sort_keys=True, indent=1) of that, plus
-    a newline, byte for byte."""
+    indent per level, every float rounded to 12 significant digits but an
+    _Exact one, which keeps its repr (an infinity or NaN written as the
+    string "inf", "-inf" or "nan"), a tuple or 1-D array written as a list
+    of its entries, a numpy scalar as its Python value; json.dumps(...,
+    sort_keys=True, indent=1) of that, plus a newline, byte for byte."""
     return _json_text(doc, "\n") + "\n"
 
 
@@ -271,7 +275,9 @@ def _cmd_maxent_fit(args) -> str:
         by_order = dict(_read_document(args.init, "--init", density_from_json).multipliers)
         init = np.array([by_order.get(o, 0.0) for o in spec.orders])
     density, diag = fit_multipliers_1d(spec, init=init, tol=args.tol)
-    return _dump_json(density_to_json(density, diag))
+    # the multipliers at full precision, so that the document read back meets its fit
+    exact = [[o, _Exact(v)] for o, v in density.multipliers]
+    return _dump_json({**density_to_json(density, diag), "multipliers": exact})
 
 
 def _cmd_series_probe(args) -> str:

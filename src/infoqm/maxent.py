@@ -7,9 +7,12 @@ Densities take the exponential-family form
 where a_0 carries the normalization and the optional Z/S factors place
 prescribed zeros (|x-x0|^m) and integrable singularities (|x-x0|^{-p},
 p < 1) at the ends of the support.  Multipliers for the constrained
-orders are found by Newton iteration on the moment residuals, using the
-moment covariance matrix as the Jacobian; all other multipliers stay
-zero.  One Newton core serves both the 1-D and the 2-D fits: it works
+orders are found by Newton's method on the convex dual ln Z(a) + a . m,
+whose gradient is minus the moment residuals and whose Hessian is the
+moment covariance matrix, each step halved until the dual falls enough
+(an Armijo line search); all other multipliers stay zero.  Each fit is
+one such solve from one start, with no step clip and no restart.  One
+Newton core serves both the 1-D and the 2-D fits: it works
 on a tensor product of two ``numerics.QuadratureRule`` axes, and a 1-D
 fit is the case of a one-node second axis (y = 1, weight 1).
 Every integral runs on Gauss-Legendre nodes that one axis rule places
@@ -36,12 +39,9 @@ its power rows and index tables once per call; its powers and those of
 ln rho come from one running product, _power_table.  A 2-D fit takes
 each axis's window from its Gaussian start (the target mean +-12 sd,
 clipped to the rectangle) and doubles the nodes until the fitted moments
-hold on twice as many.  Both fits share one restart rule, _with_restart:
-a 1-D fit starts from ``init`` or its cold start, a 2-D
-fit from its Gaussian start, and where Newton fails the fit restarts
-once, flat over the whole of a finite support (always, in 2-D) or from
-the cold start on its window where the support is infinite; where the
-failed attempt was the restart, or the restart fails too, it raises.
+hold on twice as many.  A 1-D fit starts from ``init`` or its cold
+start, a 2-D fit from its Gaussian start, and where Newton fails there
+the fit raises its error.
 Every 1-D evaluator and functional reads ln rho from one function, in two
 parts, ln(Z S) and -sum_i a_i x^i (a_0 included), each functional through
 the density's one evaluation on its one node set, reference_rule.
@@ -66,7 +66,7 @@ _GAUSS_NODES = 48            # first Gauss-Legendre level per axis, 2-D
 _GAUSS_NODES_MAX = 384       # last 2-D level; its recheck runs on twice as many
 _NODES_1D = 2 * _GAUSS_NODES_MAX   # window nodes of every 1-D integral
 _NEWTON_CAP = 100
-_STEP_CLIP = 10.0
+_HALVINGS = 30               # most halvings of a Newton step in its line search
 _TAIL_MASS_LIMIT = 1e-12
 _WINDOW_RISE = 0.5 * 12.0**2   # exponent rise at a window end: 12 sigma
 _OWN_PASSES = 3              # most Newton passes of a 1-D fit on its density's own window
@@ -242,8 +242,7 @@ class ExpFamilyDensity2D:
 @dataclass(frozen=True)
 class FitDiagnostics:
     """Newton ``iterations`` of a fit (summed over the windows, in 1-D, and
-    the node levels, in 2-D, on which Newton converged; the steps of an
-    attempt that failed before the restart are not counted), its final
+    the node levels, in 2-D, of its one solve), its final
     ``max_moment_residual`` (in 2-D, on the recheck rule of twice the last
     level's nodes), the integration ``window`` (in 1-D, the window the
     last Newton pass's nodes concentrate on, the own _window of the
@@ -478,14 +477,22 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
                 cap: int = _NEWTON_CAP):
     """Match the moments <x^i y^j> of exp(-sum_t a_t x^i_t y^j_t) to targets.
 
-    Newton iteration on the moment residuals with the moment covariance as
-    Jacobian, each step clipped to _STEP_CLIP; ConvergenceError after
-    ``cap`` steps, so cap 0 only checks a.  ``rules`` holds the x and y
-    quadrature rules of the tensor-product grid.  The exponent is one
-    product Px[i]^T diag(a) Py[j] of the constrained rows of the two power
-    tables, and every moment and covariance entry is read from the one
-    table Px (w_x w_y^T * core) Py^T.  Returns (a, a_0, iterations,
-    residual).
+    Newton's method on the convex dual D(a) = ln Z(a) + a . targets (Mead
+    and Papanicolaou, J. Math. Phys. 25, 2404, 1984), whose gradient is -r,
+    r the moment residuals, and whose Hessian is the moment covariance.
+    Each step takes the full delta = cov^-1 r and halves it, _HALVINGS
+    times at most, until D(a + t delta) <= D(a) - 1e-4 t r . delta +
+    1e-13 (|D| + |a| . |targets|), the last term an allowance for
+    rounding; a trial whose normalization integral is not finite fails,
+    and an accepted trial's integrals are the next iterate's.  Raises
+    NumericError where the integral at the start is not finite, and
+    ConvergenceError where every halving of a step fails, where the
+    covariance is singular or after ``cap`` steps, so cap 0 only checks a.
+    ``rules`` holds the x and y quadrature rules of the tensor-product
+    grid.  The exponent is one product Px[i]^T diag(a) Py[j] of the
+    constrained rows of the two power tables, and every moment and
+    covariance entry is read from the one table Px (w_x w_y^T * core)
+    Py^T.  Returns (a, a_0, iterations, residual).
     """
     pi = np.array([i for i, _ in pairs])
     pj = np.array([j for _, j in pairs])
@@ -495,14 +502,20 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
     # loop invariants: the constrained power rows and the covariance's index tables
     rows_x, rows_y = px[pi].T, py[pj]
     cov_i, cov_j = pi[:, None] + pi, pj[:, None] + pj
-    for iterations in range(cap + 1):
+
+    def integrals(a):
+        """(ln Z, the moment table) at a; None where Z is not finite and positive."""
         log_core = -(rows_x @ (a[:, None] * rows_y))
         shift = float(log_core.max())
         table = px @ (w * np.exp(log_core - shift)) @ py.T
         z = float(table[0, 0])
-        if not (math.isfinite(z) and z > 0):
-            raise NumericError("normalization integral is not finite; fit diverged")
-        mom = table / z
+        return (shift + math.log(z), table / z) if math.isfinite(z) and z > 0 else None
+
+    state = integrals(a)
+    if state is None:
+        raise NumericError("normalization integral is not finite; fit diverged")
+    for iterations in range(cap + 1):
+        log_z, mom = state
         mean = mom[pi, pj]
         r = mean - targets
         residual = float(abs(r).max())
@@ -518,31 +531,20 @@ def _newton_fit(pairs, targets: np.ndarray, a: np.ndarray, tol: float, rules,
             delta = np.linalg.solve(cov, r)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular moment covariance: {exc}") from exc
-        worst = float(abs(delta).max())
-        if worst > _STEP_CLIP:
-            delta *= _STEP_CLIP / worst
-        a = a + delta
-    return a, shift + math.log(z), iterations, residual
-
-
-def _with_restart(attempt, start, restart):
-    """attempt(*start), and where Newton fails there, attempt(*restart) once.
-
-    start and restart are (windows, a): one window per axis and the
-    multipliers Newton starts from.  Where the start already was the
-    restart, its ConvergenceError propagates; where the restart fails too,
-    one ConvergenceError names the start's windows and both errors."""
-    try:
-        return attempt(*start)
-    except ConvergenceError as exc:
-        if start[0] == restart[0] and np.array_equal(start[1], restart[1]):
-            raise
-        try:
-            return attempt(*restart)
-        except ConvergenceError as again:
-            shown = " x ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in start[0])
-            raise ConvergenceError(f"Newton failed on window {shown}: {exc}; "
-                                   f"its one restart failed too: {again}") from again
+        dual = log_z + float(a @ targets)
+        slope, slack = float(r @ delta), 1e-13 * (abs(dual) + float(abs(a) @ abs(targets)))
+        for halving in range(_HALVINGS + 1):
+            t = 0.5**halving
+            trial = a + t * delta
+            state = integrals(trial)
+            if state and state[0] + float(trial @ targets) <= dual - 1e-4 * t * slope + slack:
+                break
+        else:
+            raise ConvergenceError(
+                f"moment-matching Newton found no decrease of the dual in {_HALVINGS} "
+                f"halvings of step {iterations + 1} (residual {residual:.3e})")
+        a = trial
+    return a, log_z, iterations, residual
 
 
 def fit_multipliers_1d(
@@ -558,11 +560,11 @@ def fit_multipliers_1d(
     even top order k without a second moment), and the first window is
     its _window, also where that is the whole support.  ``init``, one
     finite number per constrained order, replaces the cold start on that
-    window.  Where Newton fails, the fit restarts once (_with_restart):
-    flat over the whole of a finite support, from the cold start on its
-    window on an infinite one.  Where the converged density's own _window
-    differs from the window it was fitted on, Newton goes on from it on
-    that window, the one reference_rule reads, and a failure there raises.
+    window.  The fit is one line-searched Newton solve (_newton_fit) from
+    that one start, and a Newton failure raises.  Where the converged
+    density's own _window differs from the window it was fitted on, Newton
+    goes on from it on that window, the one reference_rule reads, and a
+    failure there raises.
     Where that pass takes Newton steps and still moves the window by more
     than _WINDOW_MOVE of its width, it runs again, _OWN_PASSES passes at
     most.  The fit raises where the density at an infinite cut end of that
@@ -608,14 +610,11 @@ def fit_multipliers_1d(
     # from the cold start even with init: a warm start integrates on the cold fit's window
     window = _window(spec.support, tuple(zip(orders, cold)))
 
-    def attempt(windows, a):
-        rule = _axis_rule(spec.support, windows[0], _NODES_1D)
-        return (windows[0], rule, *_newton_fit(pairs, targets, a, tol, (rule, _UNIT_AXIS)))
+    def attempt(window, a):
+        rule = _axis_rule(spec.support, window, _NODES_1D)
+        return (window, rule, *_newton_fit(pairs, targets, a, tol, (rule, _UNIT_AXIS)))
 
-    # the one restart: flat over the whole of a finite support, else the cold start
-    restart = ((window,), cold) if spec.unbounded else ((spec.support,), np.zeros(m))
-    start = ((window,), cold if init is None else init)
-    window, rule, a, a0, iterations, residual = _with_restart(attempt, start, restart)
+    window, rule, a, a0, iterations, residual = attempt(window, cold if init is None else init)
     for passes in range(_OWN_PASSES):
         # a fit on the window alone may end just past the normalizable set,
         # which raises here
@@ -624,9 +623,9 @@ def fit_multipliers_1d(
         settled = own == window  # the last pass ran on the nodes reference_rule builds
         if settled or passes and moved <= _WINDOW_MOVE * (window[1] - window[0]):
             break
-        # the nodes reference_rule builds for the density; no restart here
+        # the nodes reference_rule builds for the density
         last = a0
-        window, rule, a, a0, steps, residual = attempt((own,), a)
+        window, rule, a, a0, steps, residual = attempt(own, a)
         iterations += steps
         if not steps:
             # a is as before: only the rounding of a_0 can move the window
@@ -690,8 +689,8 @@ def fit_multipliers_2d(
     and variance (_gaussian_start).  It integrates on each axis's
     _axis_rule, its nodes concentrated on the axis's window
     (_axis_windows), doubling them until the moments hold on twice as
-    many (_gauss_levels).  Where Newton fails, the fit restarts once
-    (_with_restart), flat over the whole rectangle.
+    many (_gauss_levels).  The fit is one line-searched Newton solve
+    (_newton_fit) from that one start, and a Newton failure raises.
     """
     tol = _as_positive(tol, "tol")
     _check_feasible_2d(spec)
@@ -705,10 +704,8 @@ def fit_multipliers_2d(
         return density, FitDiagnostics(0, 0.0, (a1, b1), 0.0)
 
     a = _gaussian_start(pairs, targets)
-    # the one restart: flat over the whole rectangle
-    a, a00, iterations, residual = _with_restart(
-        lambda windows, a: _gauss_levels(pairs, targets, a, tol, spec.support, windows),
-        (_axis_windows(spec.support, pairs, a), a), (spec.support, np.zeros(len(pairs))))
+    a, a00, iterations, residual = _gauss_levels(pairs, targets, a, tol, spec.support,
+                                                 _axis_windows(spec.support, pairs, a))
     multipliers = ((0, 0, a00),) + tuple((i, j, float(v)) for (i, j), v in zip(pairs, a))
     diag = FitDiagnostics(iterations, residual, (a1, b1))
     return ExpFamilyDensity2D(multipliers, spec.support), diag
@@ -845,6 +842,9 @@ def _bound_to_json(v: float):
 
 
 def density_to_json(d: ExpFamilyDensity1D, diagnostics: FitDiagnostics | None = None) -> dict:
+    """The JSON document of d and, where given, its fit's diagnostics.
+    ``maxent fit`` writes its multipliers at full precision, so that the
+    document read back meets the residual it reports."""
     doc = {
         "support": [_bound_to_json(d.support[0]), _bound_to_json(d.support[1])],
         "multipliers": [[o, v] for o, v in d.multipliers],

@@ -377,6 +377,35 @@ class TestMaxentFit:
             dict(map(tuple, original["multipliers"]))[2], abs=1e-9
         )
 
+    @pytest.mark.parametrize("mean", [3.5, 20.0])
+    def test_document_read_back_meets_its_tol(self, tmp_path, capsys, mean):
+        # the unit-sd quartic of the benchmark's fit_quartic jobs: the
+        # multipliers are written at full precision, so the document read
+        # back through --init takes no Newton step and reports the residual
+        # it was written with, and numpy's own Gauss-Legendre panels on its
+        # window recompute its normalization and moments within --tol
+        kurtosis = 0.25 / (math.gamma(0.75) / math.gamma(0.25)) ** 2
+        targets = {1: mean, 2: mean**2 + 1.0, 3: mean**3 + 3.0 * mean,
+                   4: mean**4 + 6.0 * mean**2 + kurtosis}
+        spec, first = tmp_path / "spec.json", tmp_path / "fit.json"
+        spec.write_text(json.dumps({"support": ["-inf", "inf"], "moments": [
+            {"order": o, "value": v} for o, v in targets.items()]}))
+        argv = ["maxent", "fit", "--spec", str(spec), "--tol", "1e-8"]
+        assert run([*argv, "--out", str(first)]) == 0
+        code, out, _ = run_captured(capsys, [*argv, "--init", str(first)])
+        written, redone = json.loads(first.read_text()), json.loads(out)
+        assert code == 0 and redone["diagnostics"]["iterations"] == 0
+        residual = written["diagnostics"]["max_moment_residual"]
+        assert redone["diagnostics"]["max_moment_residual"] == residual <= 1e-8
+        t, w = np.polynomial.legendre.leggauss(24)
+        edges = np.linspace(*written["diagnostics"]["window"], 101)
+        half = 0.5 * np.diff(edges)[:, None]
+        xs, ws = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * t).ravel(), (half * w).ravel()
+        rho = np.exp(-sum(v * xs**o for o, v in written["multipliers"]))
+        assert abs(float(ws @ rho) - 1.0) <= 1e-8
+        for o, v in targets.items():
+            assert abs(float(ws @ (rho * xs**o)) - v) <= 1e-8 * max(1.0, abs(v))
+
     @pytest.mark.parametrize("side", [14.0, 16.0, 18.0])
     def test_density_rising_toward_finite_ends(self, tmp_path, capsys, side, leggauss_4000):
         # kurtosis 3.05 on [-side, side]: the written multipliers, a negative
