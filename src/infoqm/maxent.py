@@ -28,7 +28,9 @@ whole.  A 1-D fit and every 1-D functional put 768 nodes on the window.
 A density's own node set, on the window read off its exponent, is built
 once, on first use, and shared by every functional of that density
 (reference_rule), and so is its log-density there, ln(Z S), -P and rho,
-formed once; a fit whose last Newton pass ran on the density's own
+formed once, and its modified information, which without factors is its
+information too, so a factor-free density's two functionals are one
+integral; a fit whose last Newton pass ran on the density's own
 window hands the density that pass's node set.  A 1-D fit first reads
 the window off its cold start, and once Newton converges it ends on, and
 reports, the density's own window: where that differs, Newton goes on
@@ -193,6 +195,10 @@ class ExpFamilyDensity1D:
     ``multipliers`` holds (order, value) pairs including order 0 (the
     normalization multiplier a_0 = ln of the normalization integral).
     ``EndpointFactors()`` means no factors; an explicit None is read as it.
+    What its functionals share is formed on first use and kept on it: the
+    node set (reference_rule), ln rho's two parts and rho there, and the
+    modified information, which is also the information of a density
+    without factors.
     """
 
     multipliers: tuple[tuple[int, float], ...]
@@ -224,6 +230,12 @@ class ExpFamilyDensity1D:
         log_zs, neg_p = _log_density(self, self._rule[0])
         with np.errstate(over="ignore", invalid="ignore"):
             return log_zs, neg_p, np.exp(log_zs + neg_p)
+
+    @cached_property
+    def _modified_information(self) -> float:
+        """modified_information's value, formed on first use and kept on
+        this density; without factors it is information's too."""
+        return _log_average(self, lambda log_zs, neg_p: neg_p)
 
 
 @dataclass(frozen=True)
@@ -734,7 +746,13 @@ def _log_average(d: ExpFamilyDensity1D, log_of) -> float:
 
 
 def information(d: ExpFamilyDensity1D) -> float:
-    """Average log-density <ln rho> = <ln(Z S) - P> (the negated entropy)."""
+    """Average log-density <ln rho> = <ln(Z S) - P> (the negated entropy).
+
+    Without factors ln(Z S) is 0, so it is modified_information(d), the one
+    integral kept on d; with factors it is its own integral.
+    """
+    if not (d.factors.zeros or d.factors.singularities):
+        return d._modified_information
     return _log_average(d, np.add)
 
 
@@ -742,9 +760,10 @@ def modified_information(d: ExpFamilyDensity1D) -> float:
     """Average of ln(rho / (Z S)) = -P, finite even with zeros or singularities.
 
     It is the same integral as information(d) with ln(Z S) left out, so
-    without factors the two are equal bit for bit.
+    without factors the two are equal bit for bit: the one value, formed
+    once per density and kept on it.
     """
-    return _log_average(d, lambda log_zs, neg_p: neg_p)
+    return d._modified_information
 
 
 def moment_gradient_check(

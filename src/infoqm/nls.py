@@ -66,7 +66,8 @@ tails finite; the floor is far below any physical amplitude.
 
 The discretization is written once: _floored_log gives the floored
 logarithm, _gradient gives g and that logarithm on the interior of a
-pinned state, and _explicit_step takes one normalized step.  The flow,
+pinned state (at b = 0, where the logarithm's term is 0, g alone), and
+_explicit_step takes one normalized step.  The flow,
 its verification of a Newton state, the discrete energy (which is mu)
 and the Newton residual in ln u go through _gradient; the loose phase
 and the plain Newton Jacobian need only the logarithm, so they call
@@ -314,14 +315,19 @@ def _floored_log(u: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(u * u, _EPS_LOG))
 
 
-def _gradient(problem: GridProblem, psi: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _gradient(problem: GridProblem, psi: np.ndarray,
+              b: float) -> tuple[np.ndarray, np.ndarray | None]:
     """Interior g = H u - b (1 + L) u of the pinned state psi, and its
-    floored logarithm L, where u is the interior of psi."""
+    floored logarithm L, where u is the interior of psi.  At b = 0 the
+    term is left out and L is not formed: g = H u, and L is None."""
     h = problem.grid.spacing
     u = psi[1:-1]
     lap = (psi[:-2] - 2.0 * u + psi[2:]) * (1.0 / (h * h))
+    g = -0.5 * lap + problem.potential[1:-1] * u
+    if b == 0.0:
+        return g, None
     log_d = _floored_log(u)
-    return -0.5 * lap + problem.potential[1:-1] * u - b * (1.0 + log_d) * u, log_d
+    return g - b * (1.0 + log_d) * u, log_d
 
 
 def _pinned(u: np.ndarray) -> np.ndarray:
@@ -667,6 +673,8 @@ def _log_step(
     alpha = (1.0 - h * norm2) / (2.0 * h * norm2)
     along = float(u @ g) / norm2
     if free_b:
+        if log_d is None:   # b = 0
+            log_d = _floored_log(u)
         col = -(1.0 + log_d) * u
         d_p = (2.0 * b * alpha - along) * norm2 / float(u @ col)
         g += d_p * col

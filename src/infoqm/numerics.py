@@ -10,7 +10,8 @@ asked for (``hermite_eval`` is its one-row case), the one Horner loop
 ``find_root(f, lo, hi)``, which narrows the bracket to adjacent doubles,
 with the one bracket rule ``_check_bracket`` and the one sign-change rule
 ``_check_sign_change``, the one polynomial root helper ``_poly_roots``
-(np.roots bit for bit, without its array plumbing) and its real-root
+(np.roots bit for bit, without its array plumbing, and without an
+eigen-solve for a degree-1 polynomial) and its real-root
 filter ``_real_roots``, and the one rule for what counts as a number:
 ``_as_int`` for counts, orders and indices (one out of range raises
 ValidationError, as every other broken number does), ``_as_positive`` for
@@ -104,12 +105,23 @@ def _shift_rows(n: int) -> tuple[list[float], ...]:
     return tuple([float(j == i) for j in range(n)] for i in range(n - 1))
 
 
+# LAPACK's dgeev scales a matrix whose largest entry lies outside
+# [2^-459, 2^459] (the square root of the smallest normal over the
+# precision, and its reciprocal) and scales its eigenvalues back, rounding
+# twice; inside, the eigenvalue of a 1 x 1 matrix is its entry
+_UNSCALED = (2.0**-459, 2.0**459)
+
+
 def _poly_roots(coeffs) -> np.ndarray:
     """The roots of the polynomial with coefficients ``coeffs``, highest power
     first, bit for bit those of np.roots without its array plumbing: the
     eigenvalues of the same companion matrix (Edelman & Murakami, Math.
     Comp. 64, 763, 1995), real where they all are, after leading zeros are
-    stripped, and one 0 per trailing zero."""
+    stripped, and one 0 per trailing zero.  A degree-1 polynomial's
+    companion is 1 x 1, so its root is the entry -c_1 / c_0, taken without
+    an eigen-solve wherever eigvals would return it unscaled (_UNSCALED);
+    elsewhere eigvals runs, and raises LinAlgError on an entry that is not
+    finite, as np.roots does."""
     c = [float(v) for v in coeffs]
     nonzero = [i for i, v in enumerate(c) if v != 0.0]
     if not nonzero:
@@ -117,9 +129,11 @@ def _poly_roots(coeffs) -> np.ndarray:
     trailing = len(c) - 1 - nonzero[-1]
     c = c[nonzero[0]:nonzero[-1] + 1]
     n = len(c) - 1
-    if n:
-        companion = np.array([[-v / c[0] for v in c[1:]], *_shift_rows(n)])
-        roots = np.linalg.eigvals(companion)
+    entries = [-v / c[0] for v in c[1:]]
+    if n == 1 and _UNSCALED[0] <= abs(entries[0]) <= _UNSCALED[1]:
+        roots = np.array(entries)
+    elif n:
+        roots = np.linalg.eigvals(np.array([entries, *_shift_rows(n)]))
     else:
         roots = np.array([])
     return np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots

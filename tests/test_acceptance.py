@@ -1,5 +1,6 @@
 """Acceptance gate: every criterion below runs at its stated tolerance and
-prints one pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
+prints one pass/fail line; a passing line ends with each measured value
+beside its bound.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import math
@@ -39,12 +40,22 @@ ORACLE_OVERLAP_02 = 0.1611868415688419
 
 
 def check(num: int, description: str, body) -> None:
+    """Run body, which returns its (name, value, bound) measures, and print
+    the criterion's line, the measures on a passing one."""
     try:
-        body()
+        measures = body()
     except BaseException:
         print(f"ACCEPTANCE {num:02d} FAIL - {description}")
         raise
-    print(f"ACCEPTANCE {num:02d} PASS - {description}")
+    shown = "; ".join(f"{name} {value:.3g} (bound {bound:g})" for name, value, bound in measures)
+    print(f"ACCEPTANCE {num:02d} PASS - {description}; measured: {shown}")
+
+
+def measured(name: str, value: float, bound: float, strict: bool = True) -> tuple:
+    """(name, value, bound), once value < bound holds, or value <= bound
+    where not strict."""
+    assert value < bound if strict else value <= bound, f"{name} {value!r}, bound {bound!r}"
+    return name, value, bound
 
 
 def l2(grid: Grid1D, values: np.ndarray) -> float:
@@ -68,14 +79,15 @@ def test_criterion_1_table_reproduction(tmp_path, capsys):
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "n,k,alpha,beta,lambda,energy"
         assert len(lines) == 9
+        widths, spectra = [], []
         for line in lines[1:]:
             n_s, _, alpha_s, beta_s, lam_s, energy_s = line.split(",")
             ref_alpha, ref_beta, ref_lam, ref_energy = GOLDEN_TABLE[int(n_s)]
-            assert abs(float(alpha_s) - ref_alpha) <= 2e-5
-            assert abs(float(beta_s) - ref_beta) <= 2e-5
-            assert abs(float(lam_s) - ref_lam) <= 1e-4
-            assert abs(float(energy_s) - ref_energy) <= 1e-4
-        assert elapsed < 1.0, f"table took {elapsed:.2f}s"
+            widths += [abs(float(alpha_s) - ref_alpha), abs(float(beta_s) - ref_beta)]
+            spectra += [abs(float(lam_s) - ref_lam), abs(float(energy_s) - ref_energy)]
+        return [measured("alpha/beta deviation", max(widths), 2e-5, strict=False),
+                measured("lambda/energy deviation", max(spectra), 1e-4, strict=False),
+                measured("seconds", elapsed, 1.0)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -91,12 +103,12 @@ def test_criterion_2_linear_limit(capsys):
             GridProblem.harmonic(grid, b=0.0), FlowConfig(step=1e-4, tol_flow=1e-8)
         )
         elapsed = time.perf_counter() - start
-        assert abs(sol.mu - 0.5) < 1e-3
         gauss = np.exp(-0.5 * grid.points() ** 2)
         gauss[0] = gauss[-1] = 0.0
         gauss /= l2(grid, gauss)
-        assert l2(grid, sol.psi - gauss) < 1e-4
-        assert elapsed < 10.0, f"linear flow took {elapsed:.2f}s"
+        return [measured("|mu - 1/2|", abs(sol.mu - 0.5), 1e-3),
+                measured("l2(psi - Gaussian)", l2(grid, sol.psi - gauss), 1e-4),
+                measured("seconds", elapsed, 10.0)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -110,10 +122,10 @@ def test_criterion_3_self_consistent_ground_state(states, capsys):
         start = time.perf_counter()
         lam, sol = self_consistent_lambda(problem, FlowConfig(step=1e-4, tol_flow=1e-8))
         elapsed = time.perf_counter() - start
-        assert abs(lam - GOLDEN_TABLE[0][2]) < 1e-3
         exact = normalized_closed_form(states[0], grid)
-        assert l2(grid, sol.psi - exact) < 1e-3
-        assert elapsed < 60.0, f"self-consistent solve took {elapsed:.2f}s"
+        return [measured("|lambda - reference|", abs(lam - GOLDEN_TABLE[0][2]), 1e-3),
+                measured("l2(psi - closed form)", l2(grid, sol.psi - exact), 1e-3),
+                measured("seconds", elapsed, 60.0)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -125,10 +137,13 @@ def test_criterion_4_residual_identity(states, capsys):
         from infoqm import eigen_residual
 
         xs = np.linspace(-8.0, 8.0, 801)
+        worst = 0.0
         for s in states:
             psi = psi_eval(s, xs)
             shift = eigen_residual(s, xs) + 2.0 * s.k * s.beta * psi
             assert np.max(np.abs(shift)) <= 1e-6 * np.max(np.abs(psi))
+            worst = max(worst, float(np.max(np.abs(shift)) / np.max(np.abs(psi))))
+        return [("max|r + 2 k beta psi| / max|psi|", worst, 1e-6)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -139,13 +154,16 @@ def test_criterion_5_energy_identity(states, capsys):
     def body():
         grid = Grid1D(-14.0, 14.0, 8001)
         xs = grid.points()
+        gaps = []
         for s in states:
             dpsi = psi_deriv(s, xs)
             psi = psi_eval(s, xs)
             h_avg = float(np.trapezoid(0.5 * dpsi**2 + 0.5 * xs**2 * psi**2, dx=grid.spacing))
-            assert abs(h_avg - (s.energy - 2.0 * s.k * s.beta)) < 1e-5
+            gaps.append(abs(h_avg - (s.energy - 2.0 * s.k * s.beta)))
         s1 = states[1]
-        assert abs((s1.energy - 2.0 * s1.beta) - 2.327813) < 1e-5
+        return [measured("|<H> - (E - 2 k beta)|", max(gaps), 1e-5),
+                measured("|E_1 - 2 beta_1 - 2.327813|",
+                         abs((s1.energy - 2.0 * s1.beta) - 2.327813), 1e-5)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -158,20 +176,23 @@ def test_criterion_6_maxent_recovery(capsys):
             MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), tol=1e-12
         )
         mult = dict(d.multipliers)
-        assert abs(mult[1] - 0.0) < 1e-8
-        assert abs(mult[2] - 0.5) < 1e-8
+        measures = [measured("|a1|", abs(mult[1] - 0.0), 1e-8),
+                    measured("|a2 - 1/2|", abs(mult[2] - 0.5), 1e-8)]
+        residuals, gaps = [], []
         fits = [
             d,
             fit_multipliers_1d(MomentSpec1D((-1.0, 1.0), ((2, 0.2),)), tol=1e-12)[0],
             fit_multipliers_1d(MomentSpec1D((0.0, 2.0), ((1, 1.2),)), tol=1e-12)[0],
         ]
         for density in fits:
-            assert normalization_residual(density) < 1e-12
+            residuals.append(normalization_residual(density))
             for order, _ in density.multipliers:
                 if order == 0:
                     continue
                 analytic, numeric = moment_gradient_check(density, order, 1e-5)
-                assert abs(analytic - numeric) < 1e-6
+                gaps.append(abs(analytic - numeric))
+        return measures + [measured("normalization residual", max(residuals), 1e-12),
+                           measured("dual gradient gap", max(gaps), 1e-6)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -182,16 +203,15 @@ def test_criterion_6_maxent_recovery(capsys):
 def test_criterion_7_family_diagnostics(states, capsys):
     def body():
         g = gram_matrix(states)
-        assert np.max(np.abs(np.diag(g) - 1.0)) < 1e-8
-        for m in range(8):
-            for n in range(8):
-                if (m + n) % 2 == 1:
-                    assert abs(g[m, n]) < 1e-10
-        assert abs(mu0_estimate(states[0], states[1])) < 1e-8
+        odd = max(abs(g[m, n]) for m in range(8) for n in range(8) if (m + n) % 2 == 1)
+        measures = [measured("|diag - 1|", float(np.max(np.abs(np.diag(g) - 1.0))), 1e-8),
+                    measured("odd-parity overlap", float(odd), 1e-10),
+                    measured("|mu0|", abs(mu0_estimate(states[0], states[1])), 1e-8)]
         assert energy_ordering_check(states) is True
         overlap = g[0, 2]
         # reported against the pre-built oracle; deliberately NOT asserted zero
-        assert abs(overlap - ORACLE_OVERLAP_02) < 1e-6
+        return measures + [measured("|overlap02 - oracle|", abs(overlap - ORACLE_OVERLAP_02),
+                                    1e-6)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -205,8 +225,8 @@ def test_criterion_8_uniqueness_probe(capsys):
         cfg = FlowConfig(step=2.5e-4, tol_flow=1e-9, seed=2024)
         report = uniqueness_probe(problem, cfg, 5)
         assert not report.failures
-        assert report.max_eigenvalue_spread < 1e-6
-        assert report.max_state_l2_distance < 1e-5
+        return [measured("lambda spread", report.max_eigenvalue_spread, 1e-6),
+                measured("psi l2 distance", report.max_state_l2_distance, 1e-5)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -217,15 +237,16 @@ def test_criterion_9_series_suite(capsys):
     def body():
         value, convergent = binomial_series_eval(1.0, -1.0, 0.5, 60)
         assert convergent
-        assert abs(value - 1.0 / 1.5) < 1e-8
+        measures = [measured("binomial error", abs(value - 1.0 / 1.5), 1e-8)]
         _, convergent = binomial_series_eval(2.0, -1.0, 0.55, 60)
         assert not convergent  # |ax| = 1.1
         value, always = two_var_series_eval("exp_xy", 1.0, 1.0, 30)
         assert always
-        assert abs(value - math.e) < 1e-9
+        measures.append(measured("exp_xy error", abs(value - math.e), 1e-9))
         series = taylor2_coeffs(lambda x, y: math.exp(x * y), 4, 0.02)
-        assert abs(series.coefficient(1, 1) - 1.0) < 1e-6
-        assert abs(series.coefficient(2, 2) - 0.5) < 1e-6
+        return measures + [
+            measured("taylor2 (1, 1) error", abs(series.coefficient(1, 1) - 1.0), 1e-6),
+            measured("taylor2 (2, 2) error", abs(series.coefficient(2, 2) - 0.5), 1e-6)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -247,12 +268,16 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
                 "--b", "-1.0", "--tau", "2e-3", "--tol-flow", "1e-8",
             ],
         }
+        differing = []
         for name, argv in jobs.items():
             first = tmp_path / f"run1_{name}"
             second = tmp_path / f"run2_{name}"
             assert run(argv + ["--out", str(first)]) == 0
             assert run(argv + ["--out", str(second)]) == 0
-            assert first.read_bytes() == second.read_bytes(), f"{name} not byte-stable"
+            if first.read_bytes() != second.read_bytes():
+                differing.append(name)
+        assert not differing, f"{differing} not byte-stable"
+        return [("outputs that differ between runs", len(differing), 0)]
 
     capsys.readouterr()
     with capsys.disabled():

@@ -1466,8 +1466,9 @@ FUNCTIONALS = (information, modified_information, normalization_residual,
 
 
 def count_kernels(monkeypatch) -> dict:
-    """Calls of maxent's node-set and log-density kernels from here on."""
-    counts = {"_window": 0, "_axis_rule": 0, "_log_density": 0}
+    """Calls of maxent's node-set, log-density and information-integral
+    kernels from here on."""
+    counts = {"_window": 0, "_axis_rule": 0, "_log_density": 0, "_log_average": 0}
     for kernel in counts:
         def counted(*args, _kernel=kernel, _inner=getattr(maxent, kernel)):
             counts[_kernel] += 1
@@ -1479,7 +1480,8 @@ def count_kernels(monkeypatch) -> dict:
 
 class TestSharedNodeSet:
     """A density builds the node set of its functionals, and its log-density
-    there, once and shares them."""
+    there, once and shares them; without factors its two information
+    functionals are one integral."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN["densities"]))
     def test_one_window_and_one_rule_per_density(self, monkeypatch, name):
@@ -1487,10 +1489,29 @@ class TestSharedNodeSet:
         d = density_from_json(GOLDEN["densities"][name])
         for functional in FUNCTIONALS * 2:
             functional(d)
-        assert counts == {"_window": 1, "_axis_rule": 1, "_log_density": 1}
+        # one integral for both informations without factors; with them,
+        # the modified one is kept and information has its own integral
+        averages = 1 if d.factors == EndpointFactors() else 3
+        assert counts == {"_window": 1, "_axis_rule": 1, "_log_density": 1,
+                          "_log_average": averages}
         # an equal density is another object, with a node set of its own
         information(density_from_json(GOLDEN["densities"][name]))
-        assert counts == {"_window": 2, "_axis_rule": 2, "_log_density": 2}
+        assert counts == {"_window": 2, "_axis_rule": 2, "_log_density": 2,
+                          "_log_average": averages + 1}
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["densities"]))
+    def test_both_informations_from_one_integral_without_factors(self, monkeypatch, name):
+        d = density_from_json(GOLDEN["densities"][name])
+        counts = count_kernels(monkeypatch)
+        values = information(d), modified_information(d)
+        if d.factors == EndpointFactors():
+            # the ln(Z S) + (-P) integral, bit for bit, formed once
+            assert counts["_log_average"] == 1
+            assert values == (values[1], maxent._log_average(d, np.add))
+        else:
+            assert counts["_log_average"] == 2 and values[0] != values[1]
+        assert [information(d), modified_information(d)] == list(values)
+        assert counts["_log_average"] == (2 if d.factors == EndpointFactors() else 3)
 
     @pytest.mark.parametrize("spec, tol, shared", [
         (MomentSpec1D((-INF, INF), ((1, 0.0), (2, 1.0))), 1e-10, True),
@@ -1508,7 +1529,8 @@ class TestSharedNodeSet:
         counts = count_kernels(monkeypatch)
         values = [functional(d) for functional in FUNCTIONALS]
         built = 0 if shared else 1
-        assert counts == {"_window": built, "_axis_rule": built, "_log_density": 1}
+        assert counts == {"_window": built, "_axis_rule": built, "_log_density": 1,
+                          "_log_average": 1}
         fresh = ExpFamilyDensity1D(d.multipliers, d.support)
         assert [functional(fresh) for functional in FUNCTIONALS] == values
         for got, want in zip(reference_rule(d), reference_rule(fresh)):

@@ -130,6 +130,51 @@ class TestNonlinearFlow:
             assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic))
 
 
+def full_gradient(problem, psi, b):
+    """_gradient's formula with the term b (1 + L) u, and L, formed at every b."""
+    h = problem.grid.spacing
+    u = psi[1:-1]
+    lap = (psi[:-2] - 2.0 * u + psi[2:]) * (1.0 / (h * h))
+    log_d = nls._floored_log(u)
+    return -0.5 * lap + problem.potential[1:-1] * u - b * (1.0 + log_d) * u, log_d
+
+
+class TestGradientAtZeroB:
+    """At b = 0 _gradient leaves out the term b (1 + L) u, which is 0 there,
+    and forms no L; what it gives is the full formula's, bit for bit."""
+
+    def test_gradient_bits(self):
+        problem = harmonic_problem(256)
+        psi = normalized_on(problem.grid, default_initial_guess(problem.grid))
+        g, log_d = nls._gradient(problem, psi, 0.0)
+        assert log_d is None
+        assert g.tobytes() == full_gradient(problem, psi, 0.0)[0].tobytes()
+        for b in (-1.3, 0.5):
+            got, want = nls._gradient(problem, psi, b), full_gradient(problem, psi, b)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("free_b", [False, True])
+    def test_log_step_bits(self, monkeypatch, free_b):
+        # the free-b border column reads L, which the step then forms itself
+        problem = harmonic_problem(256)
+        u = normalized_on(problem.grid, default_initial_guess(problem.grid))[1:-1]
+        got = nls._log_step(problem, u, 0.0, 0.2, free_b)
+        monkeypatch.setattr(nls, "_gradient", full_gradient)
+        want = nls._log_step(problem, u, 0.0, 0.2, free_b)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert got[2:] == want[2:]
+
+    def test_linear_flow_bits(self, monkeypatch):
+        problem = harmonic_problem(256)
+        cfg = FlowConfig(step=5e-4, tol_flow=1e-6)
+        got = gradient_flow_ground_state(problem, cfg)
+        monkeypatch.setattr(nls, "_gradient", full_gradient)
+        want = gradient_flow_ground_state(problem, cfg)
+        assert got.iterations == want.iterations > 100
+        assert got.psi.tobytes() == want.psi.tobytes()
+        assert got.energy_trace == want.energy_trace and got.mu == want.mu
+
+
 class TestSelfConsistency:
     def test_lambda_close_to_reference(self, coarse_self_consistent, states):
         lam, sol = coarse_self_consistent

@@ -234,6 +234,45 @@ class TestPolyRoots:
         with pytest.raises(np.linalg.LinAlgError), np.errstate(over="ignore"):
             _poly_roots([1e-300, 1e300])
 
+    def test_degree_one_takes_no_eigen_solve(self, monkeypatch):
+        cases = [[2.0, -3.0], [0.0, -0.0, 4.0, 1.0, 0.0], [-5e-324, 1e-320], [3e-200, 7e-70]]
+        expected = [np.roots(c).tobytes() for c in cases]
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        assert [_poly_roots(c).tobytes() for c in cases] == expected
+        assert not calls
+        # a ratio past 2^459 or a degree above 1 still eigen-solves
+        _poly_roots([1.0, 1e139])
+        _poly_roots([1.0, 0.0, -1.0])
+        assert calls == [(1, 1), (2, 2)]
+
+    def test_degree_one_ratio_sweep_matches_np_roots(self):
+        # coefficient ratios from about 1e-300 to 1e300, subnormal
+        # coefficients and the ends of the range eigvals leaves unscaled
+        # included: the division inside it, eigvals outside, raising where
+        # the ratio is not finite
+        mags = [m * 10.0**e for e in range(-300, 301, 20) for m in (1.0, 3.7)]
+        mags += [5e-324, 1e-320, 2.2e-310, 1.7e308, 2.0**-459, 2.0**459,
+                 math.nextafter(2.0**-459, 0.0), math.nextafter(2.0**459, math.inf)]
+        values = mags + [-v for v in mags]
+        for c0 in values:
+            for c1 in values:
+                with np.errstate(over="ignore", under="ignore"):
+                    try:
+                        expected = np.roots([c0, c1])
+                    except np.linalg.LinAlgError:
+                        with pytest.raises(np.linalg.LinAlgError):
+                            _poly_roots([c0, c1])
+                        continue
+                    got = _poly_roots([c0, c1])
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), (c0, c1)
+
 
 def bisection_reference(f, lo, hi):
     """find_root as plain bisection, under the same stopping rules."""
