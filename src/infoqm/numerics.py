@@ -105,10 +105,13 @@ def _shift_rows(n: int) -> tuple[list[float], ...]:
     return tuple([float(j == i) for j in range(n)] for i in range(n - 1))
 
 
-# LAPACK's dgeev scales a matrix whose largest entry lies outside
-# [2^-459, 2^459] (the square root of the smallest normal over the
-# precision, and its reciprocal) and scales its eigenvalues back, rounding
-# twice; inside, the eigenvalue of a 1 x 1 matrix is its entry
+# reference LAPACK's dgeev scales a matrix whose largest entry lies outside
+# [SMLNUM, BIGNUM] = [sqrt(safmin)/eps, its reciprocal] = [2^-459, 2^459] and
+# scales its eigenvalues back, rounding twice; inside, the eigenvalue of a
+# 1 x 1 matrix is its entry.  A LAPACK that scales at other bounds would break
+# the bit-for-bit match with np.roots near them;
+# test_degree_one_ratio_sweep_matches_np_roots pins the range against the
+# LAPACK that numpy links, on each platform that runs it
 _UNSCALED = (2.0**-459, 2.0**459)
 
 
@@ -119,9 +122,11 @@ def _poly_roots(coeffs) -> np.ndarray:
     Comp. 64, 763, 1995), real where they all are, after leading zeros are
     stripped, and one 0 per trailing zero.  A degree-1 polynomial's
     companion is 1 x 1, so its root is the entry -c_1 / c_0, taken without
-    an eigen-solve wherever eigvals would return it unscaled (_UNSCALED);
-    elsewhere eigvals runs, and raises LinAlgError on an entry that is not
-    finite, as np.roots does."""
+    an eigen-solve wherever eigvals would return it unscaled (_UNSCALED,
+    the range of reference LAPACK's dgeev; a LAPACK that scales elsewhere
+    is caught by test_degree_one_ratio_sweep_matches_np_roots where that
+    test runs); elsewhere eigvals runs, and raises LinAlgError on an entry
+    that is not finite, as np.roots does."""
     c = [float(v) for v in coeffs]
     nonzero = [i for i, v in enumerate(c) if v != 0.0]
     if not nonzero:

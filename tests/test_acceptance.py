@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from infoqm import (
     FlowConfig,
@@ -51,9 +52,12 @@ def check(num: int, description: str, body) -> None:
     print(f"ACCEPTANCE {num:02d} PASS - {description}; measured: {shown}")
 
 
-def measured(name: str, value: float, bound: float, strict: bool = True) -> tuple:
-    """(name, value, bound), once value < bound holds, or value <= bound
-    where not strict."""
+def measured(name: str, values, bound: float, strict: bool = True) -> tuple:
+    """(name, value, bound), with value the largest of values (one number or
+    a list of them), once value < bound holds, or value <= bound where not
+    strict.  np.max keeps a NaN wherever it stands, so a NaN fails the bound;
+    Python's max would drop one that is not first."""
+    value = float(np.max(values))
     assert value < bound if strict else value <= bound, f"{name} {value!r}, bound {bound!r}"
     return name, value, bound
 
@@ -85,8 +89,8 @@ def test_criterion_1_table_reproduction(tmp_path, capsys):
             ref_alpha, ref_beta, ref_lam, ref_energy = GOLDEN_TABLE[int(n_s)]
             widths += [abs(float(alpha_s) - ref_alpha), abs(float(beta_s) - ref_beta)]
             spectra += [abs(float(lam_s) - ref_lam), abs(float(energy_s) - ref_energy)]
-        return [measured("alpha/beta deviation", max(widths), 2e-5, strict=False),
-                measured("lambda/energy deviation", max(spectra), 1e-4, strict=False),
+        return [measured("alpha/beta deviation", widths, 2e-5, strict=False),
+                measured("lambda/energy deviation", spectra, 1e-4, strict=False),
                 measured("seconds", elapsed, 1.0)]
 
     capsys.readouterr()
@@ -137,13 +141,13 @@ def test_criterion_4_residual_identity(states, capsys):
         from infoqm import eigen_residual
 
         xs = np.linspace(-8.0, 8.0, 801)
-        worst = 0.0
+        ratios = []
         for s in states:
             psi = psi_eval(s, xs)
             shift = eigen_residual(s, xs) + 2.0 * s.k * s.beta * psi
             assert np.max(np.abs(shift)) <= 1e-6 * np.max(np.abs(psi))
-            worst = max(worst, float(np.max(np.abs(shift)) / np.max(np.abs(psi))))
-        return [("max|r + 2 k beta psi| / max|psi|", worst, 1e-6)]
+            ratios.append(np.max(np.abs(shift)) / np.max(np.abs(psi)))
+        return [("max|r + 2 k beta psi| / max|psi|", float(np.max(ratios)), 1e-6)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -161,7 +165,7 @@ def test_criterion_5_energy_identity(states, capsys):
             h_avg = float(np.trapezoid(0.5 * dpsi**2 + 0.5 * xs**2 * psi**2, dx=grid.spacing))
             gaps.append(abs(h_avg - (s.energy - 2.0 * s.k * s.beta)))
         s1 = states[1]
-        return [measured("|<H> - (E - 2 k beta)|", max(gaps), 1e-5),
+        return [measured("|<H> - (E - 2 k beta)|", gaps, 1e-5),
                 measured("|E_1 - 2 beta_1 - 2.327813|",
                          abs((s1.energy - 2.0 * s1.beta) - 2.327813), 1e-5)]
 
@@ -191,8 +195,8 @@ def test_criterion_6_maxent_recovery(capsys):
                     continue
                 analytic, numeric = moment_gradient_check(density, order, 1e-5)
                 gaps.append(abs(analytic - numeric))
-        return measures + [measured("normalization residual", max(residuals), 1e-12),
-                           measured("dual gradient gap", max(gaps), 1e-6)]
+        return measures + [measured("normalization residual", residuals, 1e-12),
+                           measured("dual gradient gap", gaps, 1e-6)]
 
     capsys.readouterr()
     with capsys.disabled():
@@ -203,9 +207,9 @@ def test_criterion_6_maxent_recovery(capsys):
 def test_criterion_7_family_diagnostics(states, capsys):
     def body():
         g = gram_matrix(states)
-        odd = max(abs(g[m, n]) for m in range(8) for n in range(8) if (m + n) % 2 == 1)
-        measures = [measured("|diag - 1|", float(np.max(np.abs(np.diag(g) - 1.0))), 1e-8),
-                    measured("odd-parity overlap", float(odd), 1e-10),
+        odd = [abs(g[m, n]) for m in range(8) for n in range(8) if (m + n) % 2 == 1]
+        measures = [measured("|diag - 1|", np.abs(np.diag(g) - 1.0), 1e-8),
+                    measured("odd-parity overlap", odd, 1e-10),
                     measured("|mu0|", abs(mu0_estimate(states[0], states[1])), 1e-8)]
         assert energy_ordering_check(states) is True
         overlap = g[0, 2]
@@ -282,3 +286,15 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     capsys.readouterr()
     with capsys.disabled():
         check(10, "repeated CLI runs with fixed flags and seed are byte-identical", body)
+
+
+def test_measured_fails_on_a_nan_in_any_position():
+    """A NaN among a criterion's values fails its bound, strict or not,
+    wherever it stands; Python's max([0.0, nan]) would read 0.0."""
+    assert measured("gap", [0.0, 1e-9], 1e-6) == ("gap", 1e-9, 1e-6)
+    assert measured("gap", [1e-6, 0.0], 1e-6, strict=False) == ("gap", 1e-6, 1e-6)
+    for values in ([0.0, math.nan], [0.0, 0.0, math.nan], [math.nan, 0.0], math.nan):
+        with pytest.raises(AssertionError):
+            measured("gap", values, 1e-6)
+        with pytest.raises(AssertionError):
+            measured("gap", values, 1e-6, strict=False)
